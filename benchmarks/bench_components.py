@@ -10,7 +10,7 @@ import pytest
 from repro.core.clustering import cluster_minority_cells
 from repro.core.cost import compute_rap_costs
 from repro.core.flows import prepare_initial_placement
-from repro.core.rap import build_rap_model, solve_rap
+from repro.core.rap import build_rap_model
 from repro.netlist.generator import GeneratorSpec, generate_netlist
 from repro.netlist.synthesis import size_to_minority_fraction
 from repro.placement.floorplanner import build_placed_design, make_floorplan
@@ -155,8 +155,8 @@ def test_bench_rap_ilp(benchmark, initial):
         1, int(np.ceil(costs.cluster_width.sum() / initial.pair_capacity[0] / 0.6))
     )
     model = build_rap_model(
-        f, costs.cluster_width, initial.pair_capacity * 0.9, n_minr
-    )
+        [f], [costs.cluster_width], initial.pair_capacity * 0.9, [n_minr]
+    ).model
 
     result = benchmark.pedantic(
         lambda: solve_milp(model, backend="highs"), rounds=2, iterations=1

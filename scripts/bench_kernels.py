@@ -251,7 +251,7 @@ def bench_rap(library, repeats):
 
     def run_dense():
         t0 = time.perf_counter()
-        model = build_rap_model(f, w, cap, n_minr)
+        model = build_rap_model([f], [w], cap, [n_minr]).model
         dense_build[0] = time.perf_counter() - t0
         dense_solution[0] = solve_milp(model, backend="highs")
 
@@ -305,21 +305,19 @@ def bench_race(library, repeats):
     from repro.utils.supervise import get_shared_pool
 
     f, w, cap, n_minr, n_cells = rap_instance(library)
-    labels = np.arange(f.shape[0])
+    instance = ([f], [w], cap, [n_minr], [np.arange(f.shape[0])], [7.5])
     common = dict(row_fill=1.0)  # capacity already has row_fill applied
 
     seq_result = [None]
 
     def run_seq():
-        seq_result[0] = solve_rap_resilient(
-            f, w, cap, n_minr, labels, workers=1, **common
-        )
+        seq_result[0] = solve_rap_resilient(*instance, workers=1, **common)
 
     race_result = [None]
 
     def run_race():
         race_result[0] = solve_rap_resilient(
-            f, w, cap, n_minr, labels, workers=RACE_WORKERS, **common
+            *instance, workers=RACE_WORKERS, **common
         )
 
     if RACE_WORKERS > 1:
@@ -359,13 +357,11 @@ def bench_race(library, repeats):
 def nheight_instance():
     """N=3 joint RAP arrays of ``NHEIGHT_TESTCASE`` at the sweep scale.
 
-    Exactly the instance ``FlowRunner._ilp_assignment_nheight`` hands to
-    the joint solver (default params, ``row_fill`` already applied):
-    per-class cost matrices and widths in spec order, the shared pair
-    capacity, and the per-class row-pair budgets.
+    Exactly the instance ``FlowRunner`` hands to the joint solver
+    (default params, ``row_fill`` already applied): per-class cost
+    matrices and widths in spec order, the shared pair capacity, and the
+    per-class row-pair budgets.
     """
-    from repro.core.clustering import cluster_minority_cells
-    from repro.core.cost import compute_rap_costs
     from repro.core.heights import HeightSpec
     from repro.core.params import RCPPParams
     from repro.experiments.testcases import (
@@ -382,23 +378,7 @@ def nheight_instance():
     init = prepare_initial_placement(design, library, heights=heights)
     runner = FlowRunner(init, params)
     budgets = runner.row_budgets
-    f_by, w_by = [], []
-    for track, indices, widths in runner._classes:
-        cx = init.placed.x[indices] + init.placed.widths[indices] / 2.0
-        cy = init.placed.y[indices] + init.placed.heights[indices] / 2.0
-        clustering = cluster_minority_cells(
-            cx, cy, params.s, params.kmeans_max_iterations
-        )
-        costs = compute_rap_costs(
-            init.placed,
-            indices,
-            clustering.labels,
-            clustering.n_clusters,
-            init.pair_center_y,
-            widths,
-        )
-        f_by.append(costs.combine(params.alpha))
-        w_by.append(costs.cluster_width)
+    f_by, w_by, _ = runner._class_costs()
     return (
         f_by,
         w_by,
@@ -411,7 +391,7 @@ def nheight_instance():
 
 def bench_nheight(repeats):
     """Joint N=3 solve: height-indexed sparse engine vs dense model."""
-    from repro.core.heights import build_nheight_rap_model, solve_rap_nheight
+    from repro.core.rap import build_rap_model, solve_rap
     from repro.solvers.milp import solve_milp
 
     f_by, w_by, cap, budget_list, tracks, n_cells = nheight_instance()
@@ -420,7 +400,7 @@ def bench_nheight(repeats):
 
     def run_dense():
         t0 = time.perf_counter()
-        model = build_nheight_rap_model(f_by, w_by, cap, budget_list)
+        model = build_rap_model(f_by, w_by, cap, budget_list).model
         dense_build[0] = time.perf_counter() - t0
         dense_solution[0] = solve_milp(model, backend="highs")
 
@@ -430,7 +410,7 @@ def bench_nheight(repeats):
 
     def run_sparse():
         sparse_solution[0], sparse_assignment[0], sparse_stats[0] = (
-            solve_rap_nheight(f_by, w_by, cap, budget_list, backend="highs")
+            solve_rap(f_by, w_by, cap, budget_list, backend="highs")
         )
 
     dense_seconds = best_of(run_dense, repeats)

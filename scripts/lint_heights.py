@@ -45,17 +45,14 @@ SHIM_MODULES = frozenset({"core/heights.py", "core/params.py"})
 BASELINE: dict[str, int] = {
     "__init__.py": 1,
     "cli.py": 1,
-    "core/alternating.py": 12,
-    "core/baseline.py": 7,
+    "core/alternating.py": 10,
     "core/config.py": 2,
     "core/fence.py": 3,
-    "core/flows.py": 37,
-    "core/legalize_abacus_rc.py": 2,
-    "core/legalize_rc.py": 4,
-    "core/rap.py": 32,
+    "core/flows.py": 28,
+    "core/rap.py": 5,
     "core/rcpp.py": 3,
     "core/region.py": 5,
-    "core/sparse_rap.py": 37,
+    "core/sparse_rap.py": 31,
     "core/swap.py": 2,
     "eval/visualize.py": 2,
     "experiments/artifact_cache.py": 4,

@@ -10,23 +10,22 @@ flows of Table III are orchestrated by :mod:`flows`;
 """
 
 from repro.core.params import RCPPParams
-from repro.core.heights import (
-    HeightClass,
-    HeightSpec,
-    anneal_nheight,
-    build_nheight_rap_model,
-    greedy_nheight,
-    solve_rap_nheight,
-    solve_rap_nheight_resilient,
-)
+from repro.core.heights import HeightClass, HeightSpec
 from repro.core.clustering import ClusteringResult, cluster_minority_cells, kmeans_2d
 from repro.core.cost import RapCosts, compute_rap_costs
-from repro.core.rap import RowAssignment, build_rap_model, solve_rap
+from repro.core.rap import (
+    RowAssignment,
+    anneal_rap,
+    build_rap_model,
+    decode_assignment,
+    greedy_rap,
+    solve_rap,
+    solve_rap_resilient,
+)
 from repro.core.sparse_rap import (
-    SparseRapModel,
+    RapModel,
     SparseSolveStats,
     adaptive_candidate_count,
-    build_sparse_rap_model,
     solve_rap_sparse,
 )
 from repro.core.alternating import (
@@ -34,10 +33,7 @@ from repro.core.alternating import (
     solve_fixed_pattern_rap,
     sweep_pattern_phases,
 )
-from repro.core.baseline import (
-    baseline_row_assignment,
-    baseline_row_assignment_nheight,
-)
+from repro.core.baseline import baseline_row_assignment
 from repro.core.fence import FenceRegions
 from repro.core.flows import FlowKind, FlowResult, run_flow
 from repro.core.rcpp import RowConstraintPlacer, RowConstraintResult
@@ -48,29 +44,26 @@ __all__ = [
     "RCPPParams",
     "HeightClass",
     "HeightSpec",
-    "anneal_nheight",
-    "build_nheight_rap_model",
-    "greedy_nheight",
-    "solve_rap_nheight",
-    "solve_rap_nheight_resilient",
     "ClusteringResult",
     "cluster_minority_cells",
     "kmeans_2d",
     "RapCosts",
     "compute_rap_costs",
     "RowAssignment",
+    "anneal_rap",
     "build_rap_model",
+    "decode_assignment",
+    "greedy_rap",
     "solve_rap",
-    "SparseRapModel",
+    "solve_rap_resilient",
+    "RapModel",
     "SparseSolveStats",
     "adaptive_candidate_count",
-    "build_sparse_rap_model",
     "solve_rap_sparse",
     "alternating_pattern",
     "solve_fixed_pattern_rap",
     "sweep_pattern_phases",
     "baseline_row_assignment",
-    "baseline_row_assignment_nheight",
     "RegionResult",
     "region_based_flow",
     "SwapResult",

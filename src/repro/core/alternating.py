@@ -92,7 +92,7 @@ def solve_fixed_pattern_rap(
     every assigned pair belongs to this pattern.  ``heights`` (two-height
     specs only) overrides ``majority_track``/``minority_track``.
     """
-    majority_track, minority_track = _resolve_pattern_tracks(
+    majority_track, track = _resolve_pattern_tracks(
         heights, majority_track, minority_track
     )
     n_c, n_p = f.shape
@@ -144,18 +144,20 @@ def solve_fixed_pattern_rap(
     cluster_to_pair = minority_pairs[cluster_to_sub]
     used = np.unique(cluster_to_pair)
     pair_tracks = [
-        minority_track if p in set(minority_pairs.tolist()) else majority_track
+        track if p in set(minority_pairs.tolist()) else majority_track
         for p in range(n_p)
     ]
+    cell_to_pair = cluster_to_pair[labels]
     return RowAssignment(
         pair_tracks=pair_tracks,
         minority_pairs=minority_pairs,
         cluster_to_pair=cluster_to_pair,
-        cell_to_pair=cluster_to_pair[labels],
+        cell_to_pair=cell_to_pair,
         objective=solution.objective,
         ilp_runtime_s=solution.runtime_s,
         num_variables=n_x,
         solver_nodes=solution.nodes,
+        by_track={track: (cluster_to_pair, cell_to_pair)},
     )
 
 

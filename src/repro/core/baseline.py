@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.rap import RowAssignment, required_minority_pairs
+from repro.core.rap import RowAssignment
 from repro.utils.errors import InfeasibleError, ValidationError
 
 
@@ -48,101 +48,6 @@ def _kmeans_1d(
 
 
 def baseline_row_assignment(
-    minority_y: np.ndarray,
-    minority_widths: np.ndarray,
-    pair_center_y: np.ndarray,
-    pair_capacity: np.ndarray,
-    n_minority_rows: int | None = None,
-    majority_track: float = 6.0,
-    minority_track: float = 7.5,
-    row_fill: float = 1.0,
-) -> RowAssignment:
-    """Run the [10]-style row assignment.
-
-    ``minority_y`` are minority cell center y's in the initial placement;
-    widths are *original* cell widths (capacity bookkeeping identical to
-    the ILP path, for a fair comparison).
-    """
-    n_min = len(minority_y)
-    if n_min == 0:
-        raise ValidationError("no minority cells")
-    n_pairs = len(pair_center_y)
-    if n_minority_rows is None:
-        n_minority_rows = required_minority_pairs(
-            float(minority_widths.sum()), float(pair_capacity.min()), row_fill
-        )
-    if n_minority_rows > n_pairs:
-        raise InfeasibleError("more minority rows required than rows exist")
-
-    k = min(n_minority_rows, n_min)
-    labels, centers = _kmeans_1d(np.asarray(minority_y, dtype=float), k)
-
-    # Clusters claim pairs nearest their center, processed bottom-up; a
-    # taken pair pushes the claim outward to the nearest free one.
-    order = np.argsort(centers, kind="stable")
-    taken = np.zeros(n_pairs, dtype=bool)
-    cluster_to_pair = np.full(k, -1, dtype=int)
-    for cluster in order:
-        want = int(np.argmin(np.abs(pair_center_y - centers[cluster])))
-        best, best_dist = -1, np.inf
-        for p in range(n_pairs):
-            if taken[p]:
-                continue
-            dist = abs(p - want)
-            if dist < best_dist:
-                best, best_dist = p, dist
-        if best < 0:
-            raise InfeasibleError("ran out of row pairs")
-        taken[best] = True
-        cluster_to_pair[cluster] = best
-
-    cell_to_pair = cluster_to_pair[labels]
-
-    # Capacity repair: spill the outermost cells of overfull pairs to the
-    # nearest minority pair with room.
-    usable = pair_capacity.astype(float) * row_fill
-    load = np.zeros(n_pairs)
-    np.add.at(load, cell_to_pair, minority_widths)
-    minority_pairs = np.unique(cell_to_pair)
-    for p in minority_pairs:
-        while load[p] > usable[p]:
-            members = np.flatnonzero(cell_to_pair == p)
-            if len(members) <= 1:
-                break
-            # Move the member farthest from this pair's center.
-            spill = members[
-                int(np.argmax(np.abs(minority_y[members] - pair_center_y[p])))
-            ]
-            targets = [
-                q
-                for q in minority_pairs
-                if q != p and load[q] + minority_widths[spill] <= usable[q]
-            ]
-            if not targets:
-                raise InfeasibleError(
-                    "baseline capacity repair failed: minority rows too full"
-                )
-            q = min(targets, key=lambda t: abs(pair_center_y[t] - minority_y[spill]))
-            cell_to_pair[spill] = q
-            load[p] -= minority_widths[spill]
-            load[q] += minority_widths[spill]
-
-    pair_tracks = [
-        minority_track if p in set(minority_pairs.tolist()) else majority_track
-        for p in range(n_pairs)
-    ]
-    return RowAssignment(
-        pair_tracks=pair_tracks,
-        minority_pairs=minority_pairs,
-        cluster_to_pair=cluster_to_pair,
-        cell_to_pair=cell_to_pair,
-        objective=float("nan"),
-        ilp_runtime_s=0.0,
-        num_variables=0,
-    )
-
-
-def baseline_row_assignment_nheight(
     class_y: list[np.ndarray],
     class_widths: list[np.ndarray],
     pair_center_y: np.ndarray,
@@ -152,13 +57,15 @@ def baseline_row_assignment_nheight(
     majority_track: float = 6.0,
     row_fill: float = 1.0,
 ) -> RowAssignment:
-    """The [10]-style heuristic generalized to ``K`` minority classes.
+    """Run the [10]-style row assignment over ``K`` minority classes.
 
-    Per-class k-means + nearest-pair claim + capacity spill, exactly the
-    two-height rules, with one shared "taken" set so no pair hosts two
+    ``class_y`` are each class's minority cell center y's in the initial
+    placement; widths are *original* cell widths (capacity bookkeeping
+    identical to the ILP path, for a fair comparison).  Per class:
+    k-means of the y's into ``budgets[h]`` groups, nearest-pair claim,
+    capacity spill — with one shared "taken" set so no pair hosts two
     track heights.  Classes claim in widest-total-width-first order (the
-    fullest class gets first pick of pairs); the returned
-    :class:`RowAssignment` carries the per-class maps in ``by_track``.
+    fullest class gets first pick of pairs).
     """
     K = len(class_y)
     if not (K == len(class_widths) == len(budgets) == len(minority_tracks)):
@@ -180,6 +87,9 @@ def baseline_row_assignment_nheight(
             raise ValidationError(f"class {h}: no minority cells")
         k = min(budgets[h], len(ys))
         labels, centers = _kmeans_1d(ys, k)
+
+        # Clusters claim pairs nearest their center, processed bottom-up;
+        # a taken pair pushes the claim outward to the nearest free one.
         order = np.argsort(centers, kind="stable")
         cluster_to_pair = np.full(k, -1, dtype=int)
         for cluster in order:
@@ -197,6 +107,8 @@ def baseline_row_assignment_nheight(
             cluster_to_pair[cluster] = best
         cell_to_pair = cluster_to_pair[labels]
 
+        # Capacity repair: spill the outermost cells of overfull pairs to
+        # the nearest pair of the class with room.
         load = np.zeros(n_pairs)
         np.add.at(load, cell_to_pair, widths)
         opened = np.unique(cell_to_pair)
@@ -205,6 +117,7 @@ def baseline_row_assignment_nheight(
                 members = np.flatnonzero(cell_to_pair == p)
                 if len(members) <= 1:
                     break
+                # Move the member farthest from this pair's center.
                 spill = members[
                     int(np.argmax(np.abs(ys[members] - pair_center_y[p])))
                 ]

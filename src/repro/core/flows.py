@@ -25,31 +25,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.baseline import (
-    baseline_row_assignment,
-    baseline_row_assignment_nheight,
-)
+from repro.core.baseline import baseline_row_assignment
 from repro.core.clustering import cluster_minority_cells
 from repro.core.cost import compute_rap_costs
-from repro.core.heights import (
-    HeightSpec,
-    build_nheight_rap_model,
-    solve_rap_nheight_resilient,
-)
-from repro.core.legalize_abacus_rc import (
-    abacus_rc_legalize,
-    abacus_rc_legalize_nheight,
-)
-from repro.core.legalize_rc import (
-    fence_region_legalize,
-    fence_region_legalize_nheight,
-)
+from repro.core.heights import HeightSpec
+from repro.core.legalize_abacus_rc import abacus_rc_legalize
+from repro.core.legalize_rc import fence_region_legalize
 from repro.core.params import RCPPParams
 from repro.core.rap import (
     RowAssignment,
     build_rap_model,
-    required_minority_pairs,
-    solve_rap,
     solve_rap_resilient,
 )
 from repro.netlist.db import Design
@@ -401,10 +386,10 @@ class FlowRunner:
         self._ilp: (
             tuple[RowAssignment, float, float, int, FlowProvenance] | None
         ) = None
-        # Last successful cluster -> pair map(s); warm-starts the next RAP
-        # solve on this runner (e.g. after invalidate_assignments()).
-        # An ndarray for two-height runners, a per-class list for N-height.
-        self._rap_warm: np.ndarray | list[np.ndarray] | None = None
+        # Last successful per-class cluster -> pair maps; warm-starts the
+        # next RAP solve on this runner (e.g. after
+        # invalidate_assignments()).
+        self._rap_warm: list[np.ndarray] | None = None
         # Per-class clustering labels from the last ilp_assignment();
         # streaming ECO maps delta-touched cells to dirty clusters here.
         self._ilp_labels: list[np.ndarray] | None = None
@@ -448,18 +433,9 @@ class FlowRunner:
     def n_minority_rows(self) -> int:
         """N_minR: forced value, else derived from minority area (= Flow 2).
 
-        For N-height runners this is the total over all classes; the
-        per-class split is :attr:`row_budgets`.
+        The total over all classes; the per-class split is
+        :attr:`row_budgets`.
         """
-        if len(self._classes) == 1:
-            cls = self.spec.minority[0]
-            if cls.n_rows is not None:
-                return cls.n_rows
-            return required_minority_pairs(
-                float(self._classes[0][2].sum()),
-                float(self.initial.pair_capacity.min()),
-                cls.fill_target,
-            )
         return sum(self.row_budgets.values())
 
     def baseline_assignment(self) -> tuple[RowAssignment, float]:
@@ -468,37 +444,20 @@ class FlowRunner:
             init = self.initial
             times = StageTimes()
             with times.measure("row_assign"):
-                if len(self._classes) == 1:
-                    track, indices, widths = self._classes[0]
-                    centers_y = (
-                        init.placed.y[indices]
-                        + init.placed.heights[indices] / 2.0
-                    )
-                    assignment = baseline_row_assignment(
-                        centers_y,
-                        widths,
-                        init.pair_center_y,
-                        init.pair_capacity,
-                        n_minority_rows=self.n_minority_rows,
-                        majority_track=self.majority_track,
-                        minority_track=track,
-                        row_fill=self.params.row_fill,
-                    )
-                else:
-                    budgets = self.row_budgets
-                    assignment = baseline_row_assignment_nheight(
-                        [
-                            init.placed.y[i] + init.placed.heights[i] / 2.0
-                            for _, i, _ in self._classes
-                        ],
-                        [w for _, _, w in self._classes],
-                        init.pair_center_y,
-                        init.pair_capacity,
-                        [budgets[t] for t, _, _ in self._classes],
-                        [t for t, _, _ in self._classes],
-                        majority_track=self.majority_track,
-                        row_fill=self.params.row_fill,
-                    )
+                budgets = self.row_budgets
+                assignment = baseline_row_assignment(
+                    [
+                        init.placed.y[i] + init.placed.heights[i] / 2.0
+                        for _, i, _ in self._classes
+                    ],
+                    [w for _, _, w in self._classes],
+                    init.pair_center_y,
+                    init.pair_capacity,
+                    [budgets[t] for t, _, _ in self._classes],
+                    [t for t, _, _ in self._classes],
+                    majority_track=self.majority_track,
+                    row_fill=self.params.row_fill,
+                )
             self._baseline = (assignment, times.total)
         return self._baseline
 
@@ -522,7 +481,6 @@ class FlowRunner:
         attached when even the baseline rung cannot produce an answer.
         """
         if self._ilp is None:
-            init = self.initial
             params = self.params
             if deadline is None:
                 deadline = Deadline(params.time_budget_s)
@@ -531,68 +489,7 @@ class FlowRunner:
                 requested_backend=params.solver_backend,
                 budget_s=deadline.budget_s,
             )
-            if len(self._classes) == 1:
-                with times.measure("clustering"):
-                    cx = (
-                        init.placed.x[init.minority_indices]
-                        + init.placed.widths[init.minority_indices] / 2.0
-                    )
-                    cy = (
-                        init.placed.y[init.minority_indices]
-                        + init.placed.heights[init.minority_indices] / 2.0
-                    )
-                    clustering = cluster_minority_cells(
-                        cx, cy, params.s, params.kmeans_max_iterations
-                    )
-                    costs = compute_rap_costs(
-                        init.placed,
-                        init.minority_indices,
-                        clustering.labels,
-                        clustering.n_clusters,
-                        init.pair_center_y,
-                        init.minority_widths_original,
-                    )
-                n_clusters = clustering.n_clusters
-                self._ilp_labels = [clustering.labels]
-                with times.measure("rap_ilp"):
-                    assignment = solve_rap_resilient(
-                        costs.combine(params.alpha),
-                        costs.cluster_width,
-                        init.pair_capacity,
-                        self.n_minority_rows,
-                        clustering.labels,
-                        majority_track=self.majority_track,
-                        minority_track=init.minority_track,
-                        backend=params.solver_backend,
-                        time_limit_s=params.solver_time_limit_s,
-                        row_fill=params.row_fill,
-                        policy=self.policy,
-                        deadline=self._row_assign_deadline(deadline),
-                        provenance=prov,
-                        sparse=params.rap_sparse,
-                        candidate_k=params.rap_candidates,
-                        workers=params.rap_workers,
-                        warm_assignment=self._rap_warm,
-                    )
-                    if assignment is None:
-                        if not self.policy.fallback_enabled:
-                            failed = (
-                                prov.attempts[-1] if prov.attempts else None
-                            )
-                            raise SolverError(
-                                "row assignment failed and fallback is "
-                                "disabled"
-                                + (f": [{failed.error_type}] {failed.error}"
-                                   if failed else ""),
-                                provenance=prov,
-                            )
-                        assignment = self._baseline_rung(prov, deadline)
-                    else:
-                        self._rap_warm = assignment.cluster_to_pair
-            else:
-                assignment, n_clusters = self._ilp_assignment_nheight(
-                    prov, deadline, times
-                )
+            assignment, n_clusters = self._solve_ilp(prov, deadline, times)
             self._ilp = (
                 assignment,
                 times.stages["clustering"],
@@ -602,49 +499,47 @@ class FlowRunner:
             )
         return self._ilp
 
-    def _ilp_assignment_nheight(
+    def _class_costs(self):
+        """Per-class clustering + Eq. (2) costs: (f, widths, labels) lists."""
+        init = self.initial
+        params = self.params
+        f_by, w_by, labels_by = [], [], []
+        for _track, indices, widths in self._classes:
+            cx = init.placed.x[indices] + init.placed.widths[indices] / 2.0
+            cy = init.placed.y[indices] + init.placed.heights[indices] / 2.0
+            clustering = cluster_minority_cells(
+                cx, cy, params.s, params.kmeans_max_iterations
+            )
+            costs = compute_rap_costs(
+                init.placed,
+                indices,
+                clustering.labels,
+                clustering.n_clusters,
+                init.pair_center_y,
+                widths,
+            )
+            f_by.append(costs.combine(params.alpha))
+            w_by.append(costs.cluster_width)
+            labels_by.append(clustering.labels)
+        return f_by, w_by, labels_by
+
+    def _solve_ilp(
         self,
         prov: FlowProvenance,
         deadline: Deadline,
         times: StageTimes,
     ) -> tuple[RowAssignment, int]:
-        """Per-class clustering + the joint N-height resilient solve."""
-        init = self.initial
+        """Per-class clustering + the resilient RAP solve."""
         params = self.params
         budgets = self.row_budgets
         with times.measure("clustering"):
-            f_by, w_by, labels_by = [], [], []
-            n_clusters = 0
-            for track, indices, widths in self._classes:
-                cx = (
-                    init.placed.x[indices]
-                    + init.placed.widths[indices] / 2.0
-                )
-                cy = (
-                    init.placed.y[indices]
-                    + init.placed.heights[indices] / 2.0
-                )
-                clustering = cluster_minority_cells(
-                    cx, cy, params.s, params.kmeans_max_iterations
-                )
-                costs = compute_rap_costs(
-                    init.placed,
-                    indices,
-                    clustering.labels,
-                    clustering.n_clusters,
-                    init.pair_center_y,
-                    widths,
-                )
-                f_by.append(costs.combine(params.alpha))
-                w_by.append(costs.cluster_width)
-                labels_by.append(clustering.labels)
-                n_clusters += clustering.n_clusters
+            f_by, w_by, labels_by = self._class_costs()
             self._ilp_labels = labels_by
         with times.measure("rap_ilp"):
-            assignment = solve_rap_nheight_resilient(
+            assignment = solve_rap_resilient(
                 f_by,
                 w_by,
-                init.pair_capacity,
+                self.initial.pair_capacity,
                 [budgets[t] for t, _, _ in self._classes],
                 labels_by,
                 [t for t, _, _ in self._classes],
@@ -655,14 +550,9 @@ class FlowRunner:
                 policy=self.policy,
                 deadline=self._row_assign_deadline(deadline),
                 provenance=prov,
-                sparse=params.rap_sparse,
                 candidate_k=params.rap_candidates,
                 workers=params.rap_workers,
-                warm_assignment=(
-                    self._rap_warm
-                    if isinstance(self._rap_warm, list)
-                    else None
-                ),
+                warm_assignment=self._rap_warm,
                 sa_seed=params.seed,
             )
             if assignment is None:
@@ -679,7 +569,7 @@ class FlowRunner:
                 self._rap_warm = [
                     assignment.by_track[t][0] for t, _, _ in self._classes
                 ]
-        return assignment, n_clusters
+        return assignment, sum(len(f) for f in f_by)
 
     def rap_model(self):
         """Build the RAP MILP of this runner's ILP configuration.
@@ -690,39 +580,14 @@ class FlowRunner:
         already applied.  Used by ``repro report`` to cross-solve the same
         instance with every MILP backend for convergence telemetry.
         """
-        init = self.initial
-        params = self.params
+        f_by, w_by, _ = self._class_costs()
         budgets = self.row_budgets
-        f_by, w_by = [], []
-        for track, indices, widths in self._classes:
-            cx = init.placed.x[indices] + init.placed.widths[indices] / 2.0
-            cy = init.placed.y[indices] + init.placed.heights[indices] / 2.0
-            clustering = cluster_minority_cells(
-                cx, cy, params.s, params.kmeans_max_iterations
-            )
-            costs = compute_rap_costs(
-                init.placed,
-                indices,
-                clustering.labels,
-                clustering.n_clusters,
-                init.pair_center_y,
-                widths,
-            )
-            f_by.append(costs.combine(params.alpha))
-            w_by.append(costs.cluster_width)
-        if len(self._classes) == 1:
-            return build_rap_model(
-                f_by[0],
-                w_by[0],
-                init.pair_capacity * params.row_fill,
-                self.n_minority_rows,
-            )
-        return build_nheight_rap_model(
+        return build_rap_model(
             f_by,
             w_by,
-            init.pair_capacity * params.row_fill,
+            self.initial.pair_capacity * self.params.row_fill,
             [budgets[t] for t, _, _ in self._classes],
-        )
+        ).model
 
     def _baseline_rung(
         self, prov: FlowProvenance, deadline: Deadline
@@ -839,16 +704,11 @@ class FlowRunner:
             prov = row_prov.clone()
             prov.budget_s = deadline.budget_s
 
-        qor_extra = (
-            {"n_height_classes": len(self._classes)}
-            if len(self._classes) > 1
-            else {}
-        )
         record_qor(
             f"flow{kind.value}.row_assign",
             n_minority_rows=assignment.n_minority_rows,
             n_clusters=n_clusters,
-            **qor_extra,
+            n_height_classes=len(self._classes),
         )
         placed, result = self._legalize_resilient(
             kind, assignment, prov, deadline
@@ -882,32 +742,17 @@ class FlowRunner:
         assignment: RowAssignment,
         deadline: Deadline,
     ):
-        if len(self._classes) > 1:
-            if name == "abacus_rc":
-                return abacus_rc_legalize_nheight(
-                    placed,
-                    {
-                        t: (indices, assignment.by_track[t][1])
-                        for t, indices, _ in self._classes
-                    },
-                )
-            return fence_region_legalize_nheight(
-                placed,
-                {t: indices for t, indices, _ in self._classes},
-                refine_iterations=self.params.refine_iterations,
-                deadline=deadline,
-            )
         if name == "abacus_rc":
             return abacus_rc_legalize(
                 placed,
-                self.initial.minority_indices,
-                assignment.cell_to_pair,
-                self.initial.minority_track,
+                {
+                    t: (indices, assignment.by_track[t][1])
+                    for t, indices, _ in self._classes
+                },
             )
         return fence_region_legalize(
             placed,
-            self.initial.minority_indices,
-            self.initial.minority_track,
+            {t: indices for t, indices, _ in self._classes},
             refine_iterations=self.params.refine_iterations,
             deadline=deadline,
         )

@@ -1,87 +1,22 @@
-"""N-track-height row assignment behind the :class:`HeightSpec` API.
+"""Track-height specification: the :class:`HeightSpec` API.
 
-The paper's formulation (and this repo's original core) hardcodes a
-minority/majority dichotomy: one tall track forms row islands inside a
-sea of short rows.  This module generalizes that to an ordered set of
-*height classes*: the majority track plus ``K >= 1`` minority tracks,
-each with its own row budget (forced, or derived from the class's cell
-area and a fill target — the N-height generalization of Eq. 5).
-
-The joint MILP is the natural height-indexed extension of Eqs. (1)-(5):
-
-* ``x[h, c, r]`` — cluster ``c`` of class ``h`` assigned to row pair
-  ``r`` (variables laid out class-major, then the per-class ``y``
-  blocks);
-* per-class assignment and row-count constraints (Eqs. 3 and 5);
-* per-(class, pair) capacity linking and host rows (Eq. 4);
-* pair exclusivity ``sum_h y[h, r] <= 1`` — a pair carries one track
-  height (this constraint vanishes at ``K = 1``, where the model is
-  *delegated* to :func:`repro.core.rap.build_rap_model` and therefore
-  reproduces the two-height path bit for bit).
-
-The sparse engine of :mod:`repro.core.sparse_rap` extends naturally:
-per-class candidate masks, a strengthened joint LP whose reduced costs
-prune columns against a greedy incumbent, and a pricing/repair loop
-that certifies the restricted optimum equals the full joint optimum.
-:func:`solve_rap_nheight_resilient` adds the chain's terminal rung for
-``K >= 2``: a simulated-annealing heuristic (:func:`anneal_nheight`)
-for instances where every MILP backend times out.
+The paper's formulation hardcodes a minority/majority dichotomy: one
+tall track forms row islands inside a sea of short rows.  A
+:class:`HeightSpec` generalizes that to an ordered set of *height
+classes*: the majority track plus ``K >= 1`` minority tracks, each with
+its own row budget (forced, or derived from the class's cell area and a
+fill target — the N-height generalization of Eq. 5).  Everything from
+:class:`~repro.core.flows.FlowRunner` down to the solvers is
+height-indexed over the spec's minority classes (:mod:`repro.core.rap`);
+``K = 1`` is the paper's exact setting.
 """
 
 from __future__ import annotations
 
-import logging
-import math
-import time
 from dataclasses import dataclass, field
 
-import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
-
-from repro.core.cost import cheapest_pairs_mask
-from repro.core.rap import (
-    RowAssignment,
-    build_rap_model,
-    greedy_rap,
-    required_minority_pairs,
-    solve_rap_resilient,
-)
-from repro.core.sparse_rap import (
-    SMALL_PROBLEM_VARIABLES,
-    SparseSolveStats,
-    adaptive_candidate_count,
-    solve_rap_sparse,
-)
-from repro.obs.convergence import observe
-from repro.obs.trace import span
-from repro.solvers.milp import MilpModel, MilpSolution, MilpStatus, solve_milp
-from repro.utils.errors import (
-    InfeasibleError,
-    SolverError,
-    StageTimeoutError,
-    ValidationError,
-)
-from repro.utils.resilience import (
-    EXACT_BACKENDS,
-    Deadline,
-    FlowProvenance,
-    ResiliencePolicy,
-)
-
-logger = logging.getLogger(__name__)
-
-_SAFETY_ROUNDS = 12
-
-#: Simulated-annealing iteration budget: base + per-cluster term, capped.
-_SA_BASE_ITERATIONS = 2000
-_SA_PER_CLUSTER = 150
-_SA_MAX_ITERATIONS = 40000
-
-
-# ---------------------------------------------------------------------------
-# The spec
-# ---------------------------------------------------------------------------
+from repro.core.rap import required_minority_pairs
+from repro.utils.errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -298,1215 +233,3 @@ class HeightSpec:
                 HeightClass.from_dict(c) for c in d["minority"]
             ),
         )
-
-
-# ---------------------------------------------------------------------------
-# Joint model (K >= 2); K = 1 delegates to the two-height builder
-# ---------------------------------------------------------------------------
-
-
-def validate_nheight_inputs(
-    f_by_class: list[np.ndarray],
-    width_by_class: list[np.ndarray],
-    pair_capacity: np.ndarray,
-    budgets: list[int],
-) -> tuple[list[int], int]:
-    """Shared validation; returns (per-class cluster counts, n_pairs)."""
-    if not f_by_class:
-        raise ValidationError("need at least one height class")
-    if not (len(f_by_class) == len(width_by_class) == len(budgets)):
-        raise ValidationError("per-class inputs must align")
-    n_p = len(pair_capacity)
-    n_cs: list[int] = []
-    for h, (f, w, budget) in enumerate(
-        zip(f_by_class, width_by_class, budgets)
-    ):
-        n_c, n_p_h = f.shape
-        if n_p_h != n_p:
-            raise ValidationError(f"class {h}: cost matrix pair-count mismatch")
-        if w.shape != (n_c,):
-            raise ValidationError(f"class {h}: cluster_width shape mismatch")
-        if not (1 <= budget <= n_p):
-            raise InfeasibleError(
-                f"class {h}: budget {budget} outside [1, {n_p}]"
-            )
-        n_cs.append(n_c)
-    if sum(budgets) > n_p:
-        raise InfeasibleError(
-            f"row budgets {budgets} total {sum(budgets)} > {n_p} pairs"
-        )
-    return n_cs, n_p
-
-
-@dataclass(frozen=True)
-class SparseNHeightModel:
-    """Column-compressed joint N-height model + index maps.
-
-    Variable layout: per-class candidate ``x`` blocks in class order,
-    then per-class ``y`` blocks over each class's candidate pair union.
-    """
-
-    model: MilpModel
-    cand_cluster: list[np.ndarray]
-    cand_pair: list[np.ndarray]
-    union_pairs: list[np.ndarray]
-    n_clusters: list[int]
-    n_pairs: int
-
-    @property
-    def x_sizes(self) -> list[int]:
-        return [len(c) for c in self.cand_cluster]
-
-    def assignment_of(self, x: np.ndarray) -> list[np.ndarray]:
-        """Decode a solution vector into per-class cluster -> pair maps."""
-        out: list[np.ndarray] = []
-        offset = 0
-        for h, n_c in enumerate(self.n_clusters):
-            n_x = len(self.cand_cluster[h])
-            chosen = np.flatnonzero(
-                np.round(x[offset:offset + n_x]) > 0.5
-            )
-            assignment = np.full(n_c, -1, dtype=int)
-            assignment[self.cand_cluster[h][chosen]] = self.cand_pair[h][chosen]
-            out.append(assignment)
-            offset += n_x
-        return out
-
-    def encode_assignment(
-        self, assignment: list[np.ndarray]
-    ) -> np.ndarray | None:
-        """Model vector for per-class maps; None when off-candidate."""
-        if len(assignment) != len(self.n_clusters):
-            return None
-        x = np.zeros(self.model.num_vars)
-        offset = 0
-        y_offset = sum(self.x_sizes)
-        for h, n_c in enumerate(self.n_clusters):
-            a = np.asarray(assignment[h], dtype=int)
-            if a.shape != (n_c,):
-                return None
-            if np.any(a < 0) or np.any(a >= self.n_pairs):
-                return None
-            keys = self.cand_cluster[h] * self.n_pairs + self.cand_pair[h]
-            want = np.arange(n_c) * self.n_pairs + a
-            idx = np.searchsorted(keys, want)
-            if np.any(idx >= len(keys)) or np.any(keys[idx] != want):
-                return None
-            x[offset + idx] = 1.0
-            slots = np.searchsorted(self.union_pairs[h], np.unique(a))
-            x[y_offset + slots] = 1.0
-            offset += len(keys)
-            y_offset += len(self.union_pairs[h])
-        return x
-
-
-def _build_restricted_nheight(
-    f_by_class: list[np.ndarray],
-    width_by_class: list[np.ndarray],
-    pair_capacity: np.ndarray,
-    budgets: list[int],
-    masks: list[np.ndarray],
-    strengthen: bool = False,
-) -> SparseNHeightModel:
-    """Assemble the (restricted) joint MILP for ``K >= 2`` classes."""
-    n_cs, n_p = validate_nheight_inputs(
-        f_by_class, width_by_class, pair_capacity, budgets
-    )
-    K = len(f_by_class)
-    cand_cluster: list[np.ndarray] = []
-    cand_pair: list[np.ndarray] = []
-    unions: list[np.ndarray] = []
-    for h in range(K):
-        if masks[h].shape != f_by_class[h].shape:
-            raise ValidationError(f"class {h}: candidate mask shape mismatch")
-        if not masks[h].any(axis=1).all():
-            raise ValidationError(
-                f"class {h}: every cluster needs at least one candidate"
-            )
-        cidx, pidx = np.nonzero(masks[h])
-        cand_cluster.append(cidx)
-        cand_pair.append(pidx)
-        unions.append(np.unique(pidx))
-
-    x_sizes = [len(c) for c in cand_cluster]
-    y_sizes = [len(u) for u in unions]
-    n_x_total = sum(x_sizes)
-    n_vars = n_x_total + sum(y_sizes)
-    x_offsets = np.concatenate([[0], np.cumsum(x_sizes)])[:K]
-    y_offsets = n_x_total + np.concatenate([[0], np.cumsum(y_sizes)])[:K]
-
-    c = np.concatenate(
-        [f_by_class[h][masks[h]] for h in range(K)]
-        + [np.zeros(y_sizes[h]) for h in range(K)]
-    )
-
-    ub_blocks, b_ub_blocks = [], []
-
-    # Per-class Eq. (3) rows (every cluster assigned once) stacked over
-    # the classes, then per-class Eq. (5) count rows.
-    row0 = sum(n_cs)
-    count_rows = []
-    for h in range(K):
-        count_rows.append(
-            (
-                np.ones(y_sizes[h]),
-                np.full(y_sizes[h], row0 + h),
-                y_offsets[h] + np.arange(y_sizes[h]),
-            )
-        )
-    n_eq_rows = row0 + K
-    eq_vals = np.concatenate(
-        [np.ones(x_sizes[h]) for h in range(K)]
-        + [vals for vals, _, _ in count_rows]
-    )
-    eq_rows = np.concatenate(
-        [
-            np.concatenate([[0], np.cumsum(n_cs)])[h] + cand_cluster[h]
-            for h in range(K)
-        ]
-        + [rows for _, rows, _ in count_rows]
-    )
-    eq_cols = np.concatenate(
-        [x_offsets[h] + np.arange(x_sizes[h]) for h in range(K)]
-        + [cols for _, _, cols in count_rows]
-    )
-    a_eq = sp.coo_matrix(
-        (eq_vals, (eq_rows, eq_cols)), shape=(n_eq_rows, n_vars)
-    ).tocsr()
-    b_eq = np.concatenate(
-        [np.ones(sum(n_cs)), np.array([float(b) for b in budgets])]
-    )
-
-    # Per-(class, union-pair) capacity + host rows.
-    for h in range(K):
-        slot = np.full(n_p, -1, dtype=int)
-        slot[unions[h]] = np.arange(y_sizes[h])
-        x_rows = slot[cand_pair[h]]
-        x_cols = x_offsets[h] + np.arange(x_sizes[h])
-        y_rows = np.arange(y_sizes[h])
-        y_cols = y_offsets[h] + np.arange(y_sizes[h])
-        ub_blocks.append(
-            sp.coo_matrix(
-                (
-                    np.concatenate(
-                        [
-                            width_by_class[h][cand_cluster[h]].astype(float),
-                            -pair_capacity[unions[h]].astype(float),
-                        ]
-                    ),
-                    (
-                        np.concatenate([x_rows, y_rows]),
-                        np.concatenate([x_cols, y_cols]),
-                    ),
-                ),
-                shape=(y_sizes[h], n_vars),
-            )
-        )
-        b_ub_blocks.append(np.zeros(y_sizes[h]))
-        ub_blocks.append(
-            sp.coo_matrix(
-                (
-                    np.concatenate(
-                        [-np.ones(x_sizes[h]), np.ones(y_sizes[h])]
-                    ),
-                    (
-                        np.concatenate([x_rows, y_rows]),
-                        np.concatenate([x_cols, y_cols]),
-                    ),
-                ),
-                shape=(y_sizes[h], n_vars),
-            )
-        )
-        b_ub_blocks.append(np.zeros(y_sizes[h]))
-
-    # Pair exclusivity: a row pair carries at most one track height.
-    all_pairs = np.unique(np.concatenate(unions))
-    excl_slot = np.full(n_p, -1, dtype=int)
-    excl_slot[all_pairs] = np.arange(len(all_pairs))
-    excl_rows, excl_cols = [], []
-    for h in range(K):
-        excl_rows.append(excl_slot[unions[h]])
-        excl_cols.append(y_offsets[h] + np.arange(y_sizes[h]))
-    excl_rows = np.concatenate(excl_rows)
-    excl_cols = np.concatenate(excl_cols)
-    ub_blocks.append(
-        sp.coo_matrix(
-            (np.ones(len(excl_rows)), (excl_rows, excl_cols)),
-            shape=(len(all_pairs), n_vars),
-        )
-    )
-    b_ub_blocks.append(np.ones(len(all_pairs)))
-
-    if strengthen:
-        for h in range(K):
-            slot = np.full(n_p, -1, dtype=int)
-            slot[unions[h]] = np.arange(y_sizes[h])
-            x_cols = x_offsets[h] + np.arange(x_sizes[h])
-            # Disaggregated linking x_cr <= y_hr per candidate column.
-            ub_blocks.append(
-                sp.coo_matrix(
-                    (
-                        np.concatenate(
-                            [np.ones(x_sizes[h]), -np.ones(x_sizes[h])]
-                        ),
-                        (
-                            np.concatenate(
-                                [np.arange(x_sizes[h])] * 2
-                            ),
-                            np.concatenate(
-                                [
-                                    x_cols,
-                                    y_offsets[h] + slot[cand_pair[h]],
-                                ]
-                            ),
-                        ),
-                    ),
-                    shape=(x_sizes[h], n_vars),
-                )
-            )
-            b_ub_blocks.append(np.zeros(x_sizes[h]))
-            # Aggregate per-class capacity: open rows hold the class width.
-            ub_blocks.append(
-                sp.coo_matrix(
-                    (
-                        -pair_capacity[unions[h]].astype(float),
-                        (
-                            np.zeros(y_sizes[h]),
-                            y_offsets[h] + np.arange(y_sizes[h]),
-                        ),
-                    ),
-                    shape=(1, n_vars),
-                )
-            )
-            b_ub_blocks.append(
-                np.array([-float(width_by_class[h].sum())])
-            )
-
-    model = MilpModel(
-        c=c,
-        integrality=np.ones(n_vars),
-        lb=np.zeros(n_vars),
-        ub=np.ones(n_vars),
-        a_ub=sp.vstack(ub_blocks).tocsr(),
-        b_ub=np.concatenate(b_ub_blocks),
-        a_eq=a_eq,
-        b_eq=b_eq,
-    )
-    return SparseNHeightModel(
-        model=model,
-        cand_cluster=cand_cluster,
-        cand_pair=cand_pair,
-        union_pairs=unions,
-        n_clusters=n_cs,
-        n_pairs=n_p,
-    )
-
-
-def build_nheight_rap_model(
-    f_by_class: list[np.ndarray],
-    width_by_class: list[np.ndarray],
-    pair_capacity: np.ndarray,
-    budgets: list[int],
-) -> MilpModel:
-    """The full (dense) height-indexed RAP model.
-
-    At ``K = 1`` this *delegates* to
-    :func:`repro.core.rap.build_rap_model`, so a two-entry
-    :class:`HeightSpec` produces the exact legacy model — same variable
-    order, same constraint blocks, same coefficients.  At ``K >= 2`` the
-    joint model of the module docstring is built (per-class blocks plus
-    pair exclusivity).
-    """
-    if len(f_by_class) == 1:
-        return build_rap_model(
-            f_by_class[0], width_by_class[0], pair_capacity, budgets[0]
-        )
-    masks = [np.ones(f.shape, dtype=bool) for f in f_by_class]
-    return _build_restricted_nheight(
-        f_by_class, width_by_class, pair_capacity, budgets, masks,
-        strengthen=False,
-    ).model
-
-
-# ---------------------------------------------------------------------------
-# Heuristics: greedy incumbent + simulated annealing fallback
-# ---------------------------------------------------------------------------
-
-
-def _joint_cost(
-    f_by_class: list[np.ndarray], assignment: list[np.ndarray]
-) -> float:
-    return float(
-        sum(
-            f[np.arange(f.shape[0]), a].sum()
-            for f, a in zip(f_by_class, assignment)
-        )
-    )
-
-
-def _feasible_nheight(
-    assignment: list[np.ndarray] | None,
-    width_by_class: list[np.ndarray],
-    pair_capacity: np.ndarray,
-    budgets: list[int],
-) -> list[np.ndarray] | None:
-    """The per-class maps when they satisfy the joint constraints."""
-    if assignment is None or len(assignment) != len(width_by_class):
-        return None
-    n_p = len(pair_capacity)
-    used: set[int] = set()
-    out: list[np.ndarray] = []
-    for a, w, budget in zip(assignment, width_by_class, budgets):
-        a = np.asarray(a, dtype=int)
-        if a.shape != w.shape:
-            return None
-        if np.any(a < 0) or np.any(a >= n_p):
-            return None
-        opened = np.unique(a)
-        if len(opened) != budget:
-            return None
-        if used & set(opened.tolist()):
-            return None  # pair exclusivity violated
-        used |= set(opened.tolist())
-        load = np.bincount(a, weights=w, minlength=n_p)
-        if np.any(load > pair_capacity + 1e-9):
-            return None
-        out.append(a)
-    return out
-
-
-def greedy_nheight(
-    f_by_class: list[np.ndarray],
-    width_by_class: list[np.ndarray],
-    pair_capacity: np.ndarray,
-    budgets: list[int],
-) -> list[np.ndarray] | None:
-    """Greedy joint incumbent: widest class first, pairs exclusive.
-
-    Each class runs the two-height greedy on the pairs no earlier class
-    claimed; ``None`` when any class gets stuck (the caller then solves
-    without reduced-cost fixing).
-    """
-    K = len(f_by_class)
-    order = np.argsort(
-        -np.array([float(w.sum()) for w in width_by_class]), kind="stable"
-    )
-    remaining = np.asarray(pair_capacity, dtype=float).copy()
-    blocked = np.zeros(len(pair_capacity), dtype=bool)
-    out: list[np.ndarray | None] = [None] * K
-    for h in order:
-        caps = np.where(blocked, -1.0, remaining)
-        a = greedy_rap(
-            f_by_class[h], width_by_class[h], caps, budgets[h]
-        )
-        if a is None:
-            return None
-        out[h] = a
-        blocked[np.unique(a)] = True
-    return [a for a in out]  # type: ignore[misc]
-
-
-def anneal_nheight(
-    f_by_class: list[np.ndarray],
-    width_by_class: list[np.ndarray],
-    pair_capacity: np.ndarray,
-    budgets: list[int],
-    seed: int = 17,
-    iterations: int | None = None,
-    time_limit_s: float | None = None,
-    initial: list[np.ndarray] | None = None,
-) -> tuple[list[np.ndarray], float] | None:
-    """Simulated-annealing fallback for the joint N-height RAP.
-
-    Moves preserve feasibility by construction (per-class budgets, pair
-    exclusivity, capacities): single-cluster reassignment within the
-    class's open pairs, intra-class cluster swaps, and whole-pair
-    relocation to a closed pair.  Deterministic for a given ``seed``.
-    Returns ``(per-class assignment, objective)`` of the best state, or
-    ``None`` when no feasible starting point exists.
-    """
-    K = len(f_by_class)
-    n_p = len(pair_capacity)
-    cap = np.asarray(pair_capacity, dtype=float)
-    current = _feasible_nheight(
-        initial, width_by_class, cap, budgets
-    ) or greedy_nheight(f_by_class, width_by_class, cap, budgets)
-    if current is None:
-        return None
-    current = [a.copy() for a in current]
-
-    n_cs = [f.shape[0] for f in f_by_class]
-    total_clusters = sum(n_cs)
-    if iterations is None:
-        iterations = min(
-            _SA_MAX_ITERATIONS,
-            _SA_BASE_ITERATIONS + _SA_PER_CLUSTER * total_clusters,
-        )
-
-    load = np.zeros((K, n_p))
-    owner = np.full(n_p, -1, dtype=int)  # class index of an open pair
-    members: list[dict[int, list[int]]] = []
-    for h in range(K):
-        per_pair: dict[int, list[int]] = {}
-        for c, p in enumerate(current[h]):
-            per_pair.setdefault(int(p), []).append(c)
-            load[h, int(p)] += width_by_class[h][c]
-            owner[int(p)] = h
-        members.append(per_pair)
-
-    obj = _joint_cost(f_by_class, current)
-    best = [a.copy() for a in current]
-    best_obj = obj
-
-    rng = np.random.default_rng(seed)
-    scale = float(np.mean([np.std(f) for f in f_by_class])) or 1.0
-    t0 = 0.5 * scale
-    t_end = max(1e-9, 1e-3 * t0)
-    cool = (t_end / t0) ** (1.0 / max(1, iterations))
-    temp = t0
-    class_p = np.array(n_cs, dtype=float) / total_clusters
-    start = time.perf_counter()
-
-    for it in range(iterations):
-        if time_limit_s is not None and (it & 0xFF) == 0:
-            if time.perf_counter() - start > time_limit_s:
-                break
-        temp *= cool
-        h = int(rng.choice(K, p=class_p))
-        f = f_by_class[h]
-        w = width_by_class[h]
-        open_pairs = list(members[h].keys())
-        roll = rng.random()
-        if roll < 0.6 and n_cs[h] >= 1 and len(open_pairs) >= 2:
-            c = int(rng.integers(n_cs[h]))
-            p = int(current[h][c])
-            if len(members[h][p]) <= 1:
-                continue  # would empty the pair (budget/host violation)
-            q = int(open_pairs[int(rng.integers(len(open_pairs)))])
-            if q == p or load[h, q] + w[c] > cap[q] + 1e-9:
-                continue
-            delta = float(f[c, q] - f[c, p])
-            if delta <= 0 or rng.random() < math.exp(-delta / temp):
-                members[h][p].remove(c)
-                members[h].setdefault(q, []).append(c)
-                load[h, p] -= w[c]
-                load[h, q] += w[c]
-                current[h][c] = q
-                obj += delta
-        elif roll < 0.85 and n_cs[h] >= 2:
-            c1, c2 = rng.integers(n_cs[h]), rng.integers(n_cs[h])
-            c1, c2 = int(c1), int(c2)
-            p1, p2 = int(current[h][c1]), int(current[h][c2])
-            if p1 == p2:
-                continue
-            if (
-                load[h, p1] - w[c1] + w[c2] > cap[p1] + 1e-9
-                or load[h, p2] - w[c2] + w[c1] > cap[p2] + 1e-9
-            ):
-                continue
-            delta = float(
-                f[c1, p2] + f[c2, p1] - f[c1, p1] - f[c2, p2]
-            )
-            if delta <= 0 or rng.random() < math.exp(-delta / temp):
-                members[h][p1].remove(c1)
-                members[h][p2].remove(c2)
-                members[h][p1].append(c2)
-                members[h][p2].append(c1)
-                load[h, p1] += w[c2] - w[c1]
-                load[h, p2] += w[c1] - w[c2]
-                current[h][c1], current[h][c2] = p2, p1
-                obj += delta
-        else:
-            closed = np.flatnonzero(owner < 0)
-            if not len(open_pairs) or not len(closed):
-                continue
-            p = int(open_pairs[int(rng.integers(len(open_pairs)))])
-            q = int(closed[int(rng.integers(len(closed)))])
-            if load[h, p] > cap[q] + 1e-9:
-                continue
-            movers = members[h][p]
-            delta = float((f[movers, q] - f[movers, p]).sum())
-            if delta <= 0 or rng.random() < math.exp(-delta / temp):
-                members[h][q] = movers
-                del members[h][p]
-                load[h, q] = load[h, p]
-                load[h, p] = 0.0
-                owner[q] = h
-                owner[p] = -1
-                for c in movers:
-                    current[h][c] = q
-                obj += delta
-        if obj < best_obj - 1e-12:
-            best_obj = obj
-            best = [a.copy() for a in current]
-
-    best = _feasible_nheight(best, width_by_class, cap, budgets)
-    if best is None:  # defensive: moves should preserve feasibility
-        return None
-    return best, _joint_cost(f_by_class, best)
-
-
-# ---------------------------------------------------------------------------
-# Sparse joint solve (rc-fixing + pricing certification)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _JointLpInfo:
-    objective: float
-    reduced_costs: list[np.ndarray]  # per class (n_c_h, n_p), >= 0
-    runtime_s: float
-
-
-def _joint_lp(
-    f_by_class: list[np.ndarray],
-    width_by_class: list[np.ndarray],
-    pair_capacity: np.ndarray,
-    budgets: list[int],
-) -> _JointLpInfo | MilpSolution | None:
-    """Strengthened joint LP relaxation: bound + per-class reduced costs.
-
-    Mirrors :func:`repro.core.sparse_rap._dense_lp`; the reduced-cost
-    bound argument carries over verbatim because the joint LP is a
-    relaxation of the joint IP.
-    """
-    masks = [np.ones(f.shape, dtype=bool) for f in f_by_class]
-    srm = _build_restricted_nheight(
-        f_by_class, width_by_class, pair_capacity, budgets, masks,
-        strengthen=True,
-    )
-    model = srm.model
-    t0 = time.perf_counter()
-    try:
-        lp = linprog(
-            model.c,
-            A_ub=model.a_ub,
-            b_ub=model.b_ub,
-            A_eq=model.a_eq,
-            b_eq=model.b_eq,
-            bounds=(0.0, 1.0),
-            method="highs",
-        )
-    except Exception:
-        logger.warning("N-height joint LP raised; using top-k fallback")
-        return None
-    runtime = time.perf_counter() - t0
-    if lp.status == 2:
-        return MilpSolution(
-            status=MilpStatus.INFEASIBLE, x=None, objective=np.inf,
-            runtime_s=runtime,
-        )
-    if lp.status != 0 or lp.x is None:
-        return None
-    rc = (
-        model.c
-        - model.a_ub.T @ lp.ineqlin.marginals
-        - model.a_eq.T @ lp.eqlin.marginals
-    )
-    per_class: list[np.ndarray] = []
-    offset = 0
-    for h, f in enumerate(f_by_class):
-        n_x = f.size
-        per_class.append(
-            np.maximum(rc[offset:offset + n_x], 0.0).reshape(f.shape)
-        )
-        offset += n_x
-    return _JointLpInfo(
-        objective=float(lp.fun), reduced_costs=per_class, runtime_s=runtime
-    )
-
-
-def _class_coverage_masks(
-    f_by_class: list[np.ndarray],
-    width_by_class: list[np.ndarray],
-    pair_capacity: np.ndarray,
-    budgets: list[int],
-    ks: list[int],
-    extra: list[np.ndarray],
-) -> tuple[list[np.ndarray], list[int]]:
-    """Per-class top-k masks, widened for per-class capacity coverage."""
-    masks: list[np.ndarray] = []
-    out_ks: list[int] = []
-    n_p = len(pair_capacity)
-    for h, f in enumerate(f_by_class):
-        k = ks[h]
-        total = float(width_by_class[h].sum())
-        mask = cheapest_pairs_mask(f, k) | extra[h]
-        while k < n_p:
-            union = np.unique(np.nonzero(mask)[1])
-            if (
-                len(union) >= budgets[h]
-                and float(pair_capacity[union].sum()) >= total - 1e-9
-            ):
-                break
-            k = min(n_p, k + max(1, k // 2))
-            mask = cheapest_pairs_mask(f, k) | extra[h]
-        masks.append(mask)
-        out_ks.append(k)
-    return masks, out_ks
-
-
-def _solution_from_restricted(
-    srm: SparseNHeightModel, restricted: MilpSolution
-) -> tuple[MilpSolution, list[np.ndarray] | None]:
-    assignment = (
-        srm.assignment_of(restricted.x)
-        if restricted.ok and restricted.x is not None
-        else None
-    )
-    return restricted, assignment
-
-
-def solve_rap_nheight(
-    f_by_class: list[np.ndarray],
-    width_by_class: list[np.ndarray],
-    pair_capacity: np.ndarray,
-    budgets: list[int],
-    backend: str = "highs",
-    time_limit_s: float | None = None,
-    warm_assignment: list[np.ndarray] | None = None,
-    candidate_k: int | None = None,
-    sparse: bool = True,
-    cancel: object | None = None,
-) -> tuple[MilpSolution, list[np.ndarray] | None, SparseSolveStats]:
-    """Solve the joint N-height RAP; exactness mirrors the sparse engine.
-
-    Returns ``(solution, per-class assignment or None, stats)``.  At
-    ``K = 1`` the call delegates to the two-height engine
-    (:func:`repro.core.sparse_rap.solve_rap_sparse`, or the dense
-    build + solve when ``sparse=False``) so two-entry specs reproduce
-    legacy results bit for bit.  For ``K >= 2`` and exact backends,
-    ``stats.certified`` means the restricted optimum was proven equal to
-    the full joint optimum by the reduced-cost pricing test.
-    """
-    f_by_class = [np.asarray(f, dtype=float) for f in f_by_class]
-    width_by_class = [np.asarray(w, dtype=float) for w in width_by_class]
-    pair_capacity = np.asarray(pair_capacity, dtype=float)
-    n_cs, n_p = validate_nheight_inputs(
-        f_by_class, width_by_class, pair_capacity, budgets
-    )
-    K = len(f_by_class)
-
-    if K == 1:
-        if sparse:
-            solution, stats = solve_rap_sparse(
-                f_by_class[0], width_by_class[0], pair_capacity, budgets[0],
-                backend=backend, time_limit_s=time_limit_s,
-                warm_assignment=(
-                    warm_assignment[0] if warm_assignment else None
-                ),
-                candidate_k=candidate_k, cancel=cancel,
-            )
-        else:
-            stats = SparseSolveStats(
-                strategy="dense", n_dense_variables=n_cs[0] * n_p + n_p,
-                rounds=1, k_initial=n_p, k_final=n_p,
-                n_candidates=n_cs[0] * n_p,
-            )
-            model = build_rap_model(
-                f_by_class[0], width_by_class[0], pair_capacity, budgets[0]
-            )
-            solution = solve_milp(
-                model, backend=backend, time_limit_s=time_limit_s,
-                cancel=cancel,
-            )
-            stats.solve_s = solution.runtime_s
-            stats.certified = solution.status in (
-                MilpStatus.OPTIMAL, MilpStatus.INFEASIBLE
-            )
-        assignment = None
-        if solution.ok and solution.x is not None:
-            x = np.round(
-                solution.x[: n_cs[0] * n_p]
-            ).reshape(n_cs[0], n_p)
-            assignment = [np.argmax(x, axis=1)]
-        return solution, assignment, stats
-
-    if backend not in EXACT_BACKENDS:
-        raise SolverError(
-            f"backend {backend!r} does not support N-height instances "
-            "(exact backends only; the resilient chain adds the SA rung)"
-        )
-
-    n_dense = sum(f.size for f in f_by_class) + K * n_p
-    stats = SparseSolveStats(n_dense_variables=n_dense)
-    warm = _feasible_nheight(
-        warm_assignment, width_by_class, pair_capacity, budgets
-    )
-    forced = candidate_k is not None
-    full_masks = [np.ones(f.shape, dtype=bool) for f in f_by_class]
-    small = not forced and n_dense <= SMALL_PROBLEM_VARIABLES
-
-    with span(
-        "rap.nheight",
-        backend=backend,
-        n_classes=K,
-        n_pairs=n_p,
-        n_clusters=sum(n_cs),
-    ) as root:
-        if not sparse or small or (forced and candidate_k >= n_p):
-            stats.strategy = "dense"
-            stats.k_initial = stats.k_final = n_p
-            stats.n_candidates = n_dense - K * n_p
-            stats.rounds = 1
-            t0 = time.perf_counter()
-            srm = _build_restricted_nheight(
-                f_by_class, width_by_class, pair_capacity, budgets,
-                full_masks, strengthen=False,
-            )
-            stats.build_s = time.perf_counter() - t0
-            warm_vec = srm.encode_assignment(warm) if warm else None
-            if warm_vec is not None and not srm.model.is_feasible(warm_vec):
-                warm_vec = None
-            solution = solve_milp(
-                srm.model, backend=backend, time_limit_s=time_limit_s,
-                warm_start=warm_vec, cancel=cancel,
-            )
-            stats.solve_s = solution.runtime_s
-            stats.certified = solution.status in (
-                MilpStatus.OPTIMAL, MilpStatus.INFEASIBLE
-            )
-            root.annotate(
-                outcome="dense",
-                objective=solution.objective if solution.ok else None,
-            )
-            return (*_solution_from_restricted(srm, solution), stats)
-
-        lp_info: _JointLpInfo | None = None
-        extra = [np.zeros(f.shape, dtype=bool) for f in f_by_class]
-        if forced:
-            stats.strategy = "top-k"
-            ks = [int(np.clip(candidate_k, 1, n_p))] * K
-            masks, ks = _class_coverage_masks(
-                f_by_class, width_by_class, pair_capacity, budgets, ks,
-                extra,
-            )
-        else:
-            stats.strategy = "rc-fixing"
-            with span("rap.nheight.candidates") as cand_span:
-                lp = _joint_lp(
-                    f_by_class, width_by_class, pair_capacity, budgets
-                )
-                if isinstance(lp, MilpSolution):
-                    root.annotate(outcome="infeasible")
-                    stats.solve_s += lp.runtime_s
-                    stats.certified = True
-                    return lp, None, stats
-                incumbent = warm or greedy_nheight(
-                    f_by_class, width_by_class, pair_capacity, budgets
-                )
-                if lp is not None and incumbent is not None:
-                    lp_info = lp
-                    stats.lp_bound = lp.objective
-                    stats.solve_s += lp.runtime_s
-                    z_ub = _joint_cost(f_by_class, incumbent)
-                    stats.upper_bound = z_ub
-                    tol = 1e-6 * max(1.0, abs(z_ub))
-                    masks = [
-                        lp.objective + lp.reduced_costs[h] <= z_ub + tol
-                        for h in range(K)
-                    ]
-                    for h in range(K):
-                        masks[h][np.arange(n_cs[h]), incumbent[h]] = True
-                    ks = [int(m.sum(axis=1).max()) for m in masks]
-                    if warm is None:
-                        warm = incumbent
-                    cand_span.annotate(
-                        strategy="rc-fixing",
-                        n_candidates=int(sum(m.sum() for m in masks)),
-                        lp_bound=lp.objective,
-                        upper_bound=z_ub,
-                    )
-                else:
-                    if lp is not None:
-                        lp_info = lp
-                        stats.lp_bound = lp.objective
-                        stats.solve_s += lp.runtime_s
-                    stats.strategy = "top-k"
-                    ks = [
-                        adaptive_candidate_count(
-                            f_by_class[h], width_by_class[h],
-                            pair_capacity, budgets[h],
-                        )
-                        for h in range(K)
-                    ]
-                    masks, ks = _class_coverage_masks(
-                        f_by_class, width_by_class, pair_capacity,
-                        budgets, ks, extra,
-                    )
-                    cand_span.annotate(strategy="top-k", k=max(ks))
-        stats.k_initial = max(ks)
-
-        while True:
-            stats.rounds += 1
-            if stats.rounds > _SAFETY_ROUNDS:
-                masks = [m.copy() for m in full_masks]
-            stats.n_candidates = int(sum(m.sum() for m in masks))
-            stats.k_final = int(max(m.sum(axis=1).max() for m in masks))
-
-            t0 = time.perf_counter()
-            srm = _build_restricted_nheight(
-                f_by_class, width_by_class, pair_capacity, budgets, masks,
-                strengthen=True,
-            )
-            stats.build_s += time.perf_counter() - t0
-            warm_vec = srm.encode_assignment(warm) if warm else None
-            if warm_vec is not None and not srm.model.is_feasible(warm_vec):
-                warm_vec = None
-            solution = solve_milp(
-                srm.model, backend=backend, time_limit_s=time_limit_s,
-                warm_start=warm_vec, cancel=cancel,
-            )
-            stats.solve_s += solution.runtime_s
-
-            observe(
-                "rap.nheight",
-                round=stats.rounds,
-                n_candidates=stats.n_candidates,
-                objective=solution.objective if solution.ok else None,
-                admitted=stats.admitted_columns,
-            )
-
-            full = all(not (~m).any() for m in masks)
-            if solution.status is MilpStatus.INFEASIBLE:
-                if full:
-                    root.annotate(outcome="infeasible")
-                    stats.certified = True
-                    return solution, None, stats
-                ks = [min(n_p, 2 * max(k, 1)) for k in ks]
-                extra = [e | m for e, m in zip(extra, masks)]
-                masks, ks = _class_coverage_masks(
-                    f_by_class, width_by_class, pair_capacity, budgets,
-                    ks, extra,
-                )
-                continue
-            if not solution.ok or solution.x is None:
-                root.annotate(outcome=solution.status.value)
-                return solution, None, stats
-            if full:
-                stats.certified = solution.status is MilpStatus.OPTIMAL
-                root.annotate(outcome="dense", objective=solution.objective)
-                return (*_solution_from_restricted(srm, solution), stats)
-            if solution.status is not MilpStatus.OPTIMAL:
-                root.annotate(outcome="uncertified")
-                return (*_solution_from_restricted(srm, solution), stats)
-
-            z = solution.objective
-            if lp_info is None:
-                lp = _joint_lp(
-                    f_by_class, width_by_class, pair_capacity, budgets
-                )
-                if isinstance(lp, _JointLpInfo):
-                    lp_info = lp
-                    stats.lp_bound = lp.objective
-                    stats.solve_s += lp.runtime_s
-            if lp_info is None:
-                logger.warning(
-                    "N-height pricing unavailable; solving full joint model"
-                )
-                masks = [m.copy() for m in full_masks]
-                continue
-            tol = 1e-6 * max(1.0, abs(z))
-            admits = [
-                (~masks[h])
-                & (lp_info.objective + lp_info.reduced_costs[h] <= z + tol)
-                for h in range(K)
-            ]
-            n_admit = int(sum(a.sum() for a in admits))
-            if n_admit == 0:
-                stats.certified = True
-                root.annotate(outcome="certified", objective=z)
-                return (*_solution_from_restricted(srm, solution), stats)
-            stats.admitted_columns += n_admit
-            logger.info(
-                "N-height pricing re-admits %d pruned columns (z=%.6g)",
-                n_admit, z,
-            )
-            for h in range(K):
-                extra[h] |= admits[h]
-                masks[h] = masks[h] | admits[h]
-
-
-# ---------------------------------------------------------------------------
-# Decode + resilient chain
-# ---------------------------------------------------------------------------
-
-
-def nheight_assignment_to_row_assignment(
-    assignment: list[np.ndarray],
-    labels_by_class: list[np.ndarray],
-    minority_tracks: list[float],
-    majority_track: float,
-    n_pairs: int,
-    objective: float,
-    ilp_runtime_s: float = 0.0,
-    num_variables: int = 0,
-    solver_nodes: int = 0,
-) -> RowAssignment:
-    """Assemble a :class:`RowAssignment` from per-class cluster maps.
-
-    ``cluster_to_pair`` / ``cell_to_pair`` are concatenated class-major
-    (spec order); per-class views live in ``by_track``.
-    """
-    pair_tracks = [majority_track] * n_pairs
-    by_track: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    opened_all: list[np.ndarray] = []
-    for track, a, labels in zip(minority_tracks, assignment, labels_by_class):
-        opened = np.unique(a)
-        for p in opened.tolist():
-            if pair_tracks[p] != majority_track:
-                raise InfeasibleError(
-                    f"pair {p} claimed by both {pair_tracks[p]}T and {track}T"
-                )
-            pair_tracks[p] = track
-        cell_to_pair = a[labels]
-        by_track[track] = (a, cell_to_pair)
-        opened_all.append(opened)
-    minority_pairs = np.unique(np.concatenate(opened_all))
-    return RowAssignment(
-        pair_tracks=pair_tracks,
-        minority_pairs=minority_pairs,
-        cluster_to_pair=np.concatenate(assignment),
-        cell_to_pair=np.concatenate(
-            [by_track[t][1] for t in minority_tracks]
-        ),
-        objective=objective,
-        ilp_runtime_s=ilp_runtime_s,
-        num_variables=num_variables,
-        solver_nodes=solver_nodes,
-        by_track=by_track,
-    )
-
-
-def solve_rap_nheight_resilient(
-    f_by_class: list[np.ndarray],
-    width_by_class: list[np.ndarray],
-    pair_capacity: np.ndarray,
-    budgets: list[int],
-    labels_by_class: list[np.ndarray],
-    minority_tracks: list[float],
-    majority_track: float = 6.0,
-    backend: str = "highs",
-    time_limit_s: float | None = None,
-    row_fill: float = 1.0,
-    policy: ResiliencePolicy | None = None,
-    deadline: Deadline | None = None,
-    provenance: FlowProvenance | None = None,
-    sparse: bool = True,
-    candidate_k: int | None = None,
-    workers: int = 1,
-    warm_assignment: list[np.ndarray] | None = None,
-    sa_seed: int = 17,
-) -> RowAssignment | None:
-    """Resilient joint solve: MILP rung chain + SA fallback + relaxation.
-
-    At ``K = 1`` this delegates wholly to
-    :func:`repro.core.rap.solve_rap_resilient` (including rung racing at
-    ``workers > 1``), so a two-entry spec reproduces the legacy chain —
-    assignments, provenance, everything — bit for bit.
-
-    For ``K >= 2`` the chain runs the exact backends sequentially (the
-    heuristic lagrangian backend has no joint model), then a terminal
-    simulated-annealing rung (:func:`anneal_nheight`) so instances where
-    every MILP rung fails still place; SA answers are recorded as
-    ``backend="sa"`` and flagged degraded.  Relaxation levels mirror the
-    two-height ladder: ``row_fill`` → 1.0, then every class budget
-    bumped while pairs remain.
-    """
-    if len(f_by_class) == 1:
-        return solve_rap_resilient(
-            f_by_class[0],
-            width_by_class[0],
-            pair_capacity,
-            budgets[0],
-            labels_by_class[0],
-            majority_track=majority_track,
-            minority_track=minority_tracks[0],
-            backend=backend,
-            time_limit_s=time_limit_s,
-            row_fill=row_fill,
-            policy=policy,
-            deadline=deadline,
-            provenance=provenance,
-            sparse=sparse,
-            candidate_k=candidate_k,
-            workers=workers,
-            warm_assignment=(
-                warm_assignment[0] if warm_assignment else None
-            ),
-        )
-
-    policy = policy or ResiliencePolicy()
-    deadline = deadline or Deadline.unlimited()
-    prov = provenance if provenance is not None else FlowProvenance()
-    if prov.requested_backend is None:
-        prov.requested_backend = backend
-    n_p = len(pair_capacity)
-
-    levels: list[tuple[float, list[int], str | None]] = [
-        (row_fill, list(budgets), None)
-    ]
-    if policy.relaxation_enabled:
-        if row_fill < 1.0:
-            levels.append((1.0, list(budgets), "row_fill->1.0"))
-        for extra in (1, 2):
-            bumped = [b + extra for b in budgets]
-            if sum(bumped) <= n_p:
-                levels.append((1.0, bumped, f"budgets+{extra}"))
-
-    rungs = [
-        r for r in policy.backends(backend) if r in EXACT_BACKENDS
-    ] or list(EXACT_BACKENDS)
-    rungs = list(rungs) + ["sa"]
-    warm = warm_assignment
-
-    for fill, level_budgets, relaxation in levels:
-        usable = pair_capacity * fill
-        try:
-            validate_nheight_inputs(
-                f_by_class, width_by_class, usable, level_budgets
-            )
-        except InfeasibleError:
-            continue
-        if relaxation is not None:
-            prov.relaxations.append(relaxation)
-            logger.info("N-height RAP escalating relaxation: %s", relaxation)
-        escalate = False
-        for rung in rungs:
-            stage = f"rap.{rung}"
-            attempt = 0
-            max_attempts = 1 if rung == "sa" else policy.retry.max_attempts
-            while attempt < max_attempts:
-                attempt += 1
-                deadline.check(stage, provenance=prov)
-                attempt_span = span(stage, backend=rung, attempt=attempt)
-                try:
-                    with attempt_span:
-                        policy.inject(stage)
-                        if rung == "sa":
-                            annealed = anneal_nheight(
-                                f_by_class, width_by_class, usable,
-                                level_budgets, seed=sa_seed,
-                                time_limit_s=deadline.clamp(time_limit_s),
-                                initial=warm,
-                            )
-                            if annealed is None:
-                                raise InfeasibleError(
-                                    "SA found no feasible N-height start"
-                                )
-                            assignment_maps, objective = annealed
-                            solution = None
-                        else:
-                            solution, assignment_maps, sparse_stats = (
-                                solve_rap_nheight(
-                                    f_by_class, width_by_class, usable,
-                                    level_budgets, backend=rung,
-                                    time_limit_s=deadline.clamp(
-                                        time_limit_s
-                                    ),
-                                    warm_assignment=warm,
-                                    candidate_k=candidate_k,
-                                    sparse=sparse,
-                                )
-                            )
-                            attempt_span.annotate(
-                                sparse_rounds=sparse_stats.rounds,
-                                sparse_candidates=sparse_stats.n_candidates,
-                                sparse_certified=sparse_stats.certified,
-                            )
-                except StageTimeoutError as exc:
-                    prov.record(
-                        stage, rung, attempt, ok=False, error=exc,
-                        runtime_s=attempt_span.duration_s,
-                        relaxation=relaxation,
-                    )
-                    exc.provenance = prov
-                    raise
-                except InfeasibleError as exc:
-                    prov.record(
-                        stage, rung, attempt, ok=False, error=exc,
-                        runtime_s=attempt_span.duration_s,
-                        relaxation=relaxation,
-                    )
-                    escalate = True
-                    break
-                except (SolverError, ValidationError) as exc:
-                    prov.record(
-                        stage, rung, attempt, ok=False, error=exc,
-                        runtime_s=attempt_span.duration_s,
-                        relaxation=relaxation,
-                    )
-                    logger.warning(
-                        "N-height rung %s attempt %d failed: %s",
-                        rung, attempt, exc,
-                    )
-                    if attempt < max_attempts:
-                        policy.sleep(policy.retry.delay(attempt))
-                    continue
-                runtime = attempt_span.duration_s
-
-                if solution is not None:
-                    if solution.status is MilpStatus.INFEASIBLE:
-                        prov.record(
-                            stage, rung, attempt, ok=False,
-                            error=InfeasibleError("model infeasible"),
-                            runtime_s=runtime, relaxation=relaxation,
-                        )
-                        escalate = True
-                        break
-                    if assignment_maps is None:
-                        prov.record(
-                            stage, rung, attempt, ok=False,
-                            error=SolverError(
-                                "no incumbent "
-                                f"(status {solution.status.value})"
-                            ),
-                            runtime_s=runtime, relaxation=relaxation,
-                        )
-                        break  # next rung (SA is last)
-                    objective = solution.objective
-                try:
-                    assignment = nheight_assignment_to_row_assignment(
-                        assignment_maps,
-                        labels_by_class,
-                        list(minority_tracks),
-                        majority_track,
-                        n_p,
-                        objective=objective,
-                        ilp_runtime_s=(
-                            solution.runtime_s if solution is not None
-                            else runtime
-                        ),
-                        num_variables=(
-                            sum(f.size for f in f_by_class)
-                            + len(f_by_class) * n_p
-                        ),
-                        solver_nodes=(
-                            solution.nodes if solution is not None else 0
-                        ),
-                    )
-                except InfeasibleError as exc:
-                    prov.record(
-                        stage, rung, attempt, ok=False, error=exc,
-                        runtime_s=runtime, relaxation=relaxation,
-                    )
-                    break
-                prov.record(
-                    stage, rung, attempt, ok=True,
-                    runtime_s=runtime, relaxation=relaxation,
-                )
-                prov.backend = rung
-                prov.degraded = bool(
-                    rung != backend or relaxation is not None
-                )
-                return assignment
-            if escalate:
-                break
-        if not escalate:
-            logger.warning(
-                "N-height solver chain %s exhausted; caller falls back",
-                rungs,
-            )
-            return None
-    logger.warning("N-height relaxation ladder exhausted; caller falls back")
-    return None

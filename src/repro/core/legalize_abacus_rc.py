@@ -21,62 +21,17 @@ from repro.utils.timer import StageTimes
 
 def abacus_rc_legalize(
     placed: PlacedDesign,
-    minority_indices: np.ndarray,
-    cell_to_pair: np.ndarray,
-    minority_track: float,
+    classes: dict[float, tuple[np.ndarray, np.ndarray]],
 ) -> RcLegalizationResult:
     """Run the [10]-style legalization in-place on the mixed-frame placement.
 
-    ``cell_to_pair`` maps each minority cell (in ``minority_indices``
-    order) to its assigned row-pair index from the row assignment.
-    """
-    times = StageTimes()
-    x0, y0 = placed.clone_positions()
-    minority_indices = np.asarray(minority_indices, dtype=int)
-    fp = placed.floorplan
-    pairs = fp.row_pairs()
-
-    with times.measure("legalize"):
-        # [10] moves every minority cell to its *assigned* row: legalize
-        # each minority pair independently with only that pair's two rows,
-        # so the row-assignment decision is honored exactly and its quality
-        # (or lack of it) shows up in displacement and wirelength.
-        pair_center = np.array([p.center_y for p in pairs])
-        cell_to_pair = np.asarray(cell_to_pair, dtype=int)
-        target = pair_center[cell_to_pair]
-        placed.y[minority_indices] = (
-            target - placed.heights[minority_indices] / 2.0
-        )
-        for pair_index in np.unique(cell_to_pair):
-            members = minority_indices[cell_to_pair == pair_index]
-            pair = pairs[pair_index]
-            abacus_legalize(placed, [pair.lower, pair.upper], members)
-
-        majority_rows = [r for r in fp.rows if r.track_height != minority_track]
-        n = placed.design.num_instances
-        mask = np.zeros(n, dtype=bool)
-        mask[minority_indices] = True
-        majority_indices = np.flatnonzero(~mask)
-        if len(majority_indices):
-            abacus_legalize(placed, majority_rows, majority_indices)
-
-    cx0 = x0 + placed.widths / 2.0
-    cy0 = y0 + placed.heights / 2.0
-    cx1, cy1 = placed.centers()
-    displacement = float(np.abs(cx1 - cx0).sum() + np.abs(cy1 - cy0).sum())
-    return RcLegalizationResult(displacement=displacement, times=times)
-
-
-def abacus_rc_legalize_nheight(
-    placed: PlacedDesign,
-    classes: dict[float, tuple[np.ndarray, np.ndarray]],
-) -> RcLegalizationResult:
-    """The [10]-style legalization over ``K`` minority classes.
-
     ``classes`` maps each minority track to ``(cell_indices,
     cell_to_pair)`` — the class's instance indices and their assigned
-    row pairs.  Each class runs the exact two-height per-pair collapse;
-    majority cells legalize over the rows no class owns.
+    row pairs from the row assignment.  [10] moves every minority cell
+    to its *assigned* row: each pair is legalized independently with
+    only its two rows, so the row-assignment decision is honored exactly
+    and its quality (or lack of it) shows up in displacement and
+    wirelength.  Majority cells legalize over the rows no class owns.
     """
     times = StageTimes()
     x0, y0 = placed.clone_positions()

@@ -58,14 +58,11 @@ class RCPPParams:
       default) means unlimited — identical behavior to the plain
       reproduction path.
 
-    Sparse RAP engine knobs (see :mod:`repro.core.sparse_rap`):
+    RAP engine knobs (see :mod:`repro.core.rap`):
 
-    * ``rap_sparse`` routes RAP solves through the sparse engine
-      (candidate pruning + pricing repair + component decomposition);
-      results are certified equal to the dense optimum.  Disabled, every
-      solve builds the dense cluster x row-pair model as before.
     * ``rap_candidates`` forces the per-cluster candidate count ``k``;
       ``None`` (default) adapts ``k`` to the capacity slack.
+      ``k = N_P`` reproduces the dense model bit for bit.
     * ``rap_workers`` is the RAP's process budget.  At 1 everything runs
       in-process.  Above 1 the resilient solve *races* its backend rungs
       concurrently on a supervised pool (first certified answer wins —
@@ -89,7 +86,6 @@ class RCPPParams:
     fallback: bool = True
     max_solver_retries: int = 1
     time_budget_s: float | None = None
-    rap_sparse: bool = True
     rap_candidates: int | None = None
     rap_workers: int = 1
 

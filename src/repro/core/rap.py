@@ -1,4 +1,4 @@
-"""Row Assignment Problem: ILP formulation (paper Eqs. 1-5) and solving.
+"""Row Assignment Problem: the ILP of paper Eqs. (1)-(5) and its solving.
 
 Variables: ``x_cr`` (cluster c assigned to row pair r) and the row
 indicators ``y_r`` that linearize Eq. (5)'s ``max_c x_cr``:
@@ -10,20 +10,39 @@ indicators ``y_r`` that linearize Eq. (5)'s ``max_c x_cr``:
 * sum_r y_r = N_minR                                   (Eq. 5)
 
 "Row" everywhere means a *pair* of physical rows (N-well sharing rule).
-A greedy assignment heuristic is included as warm start / ablation
-reference.
+
+Every function here is height-indexed: inputs are per-class lists, one
+entry per minority track of a :class:`~repro.core.heights.HeightSpec`
+(the paper's setting is ``K = 1``).  At ``K >= 2`` each class gets its
+own Eq. (3)-(5) blocks and a pair carries one track height
+(``sum_h y_hr <= 1``).  :func:`solve_rap` solves one instance — through
+the single-class engine of :mod:`repro.core.sparse_rap` at ``K = 1``,
+through the joint model with a reduced-cost certificate at ``K >= 2`` —
+and :func:`solve_rap_resilient` wraps it in the solver fallback chain,
+with a simulated-annealing terminal rung (:func:`anneal_rap`) for joint
+instances where every MILP backend fails.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from repro.core.sparse_rap import (
+    SMALL_PROBLEM_VARIABLES,
+    RapModel,
     SparseSolveStats,
+    adaptive_candidate_count,
+    assignment_cost,
+    build_rap_model,
+    coverage_mask,
+    dense_assignment,
+    feasible_assignment,
     solve_rap_sparse,
     validate_rap_inputs,
 )
@@ -31,7 +50,7 @@ from repro.obs.convergence import observe
 from repro.obs.metrics import MetricsRegistry, current_registry, use_registry
 from repro.obs.trace import span
 from repro.placement.shm import SHM_MIN_BYTES, publish_arrays
-from repro.solvers.milp import MilpModel, MilpSolution, MilpStatus, solve_milp
+from repro.solvers.milp import MilpSolution, MilpStatus, solve_milp
 from repro.utils.errors import (
     InfeasibleError,
     SolverError,
@@ -54,6 +73,13 @@ from repro.utils.supervise import (
 
 logger = logging.getLogger(__name__)
 
+_SAFETY_ROUNDS = 12
+
+#: Simulated-annealing iteration budget: base + per-cluster term, capped.
+_SA_BASE_ITERATIONS = 2000
+_SA_PER_CLUSTER = 150
+_SA_MAX_ITERATIONS = 40000
+
 
 @dataclass(frozen=True)
 class RowAssignment:
@@ -62,12 +88,8 @@ class RowAssignment:
     ``pair_tracks[p]`` is the track height of pair ``p``;
     ``cluster_to_pair[c]`` the minority pair hosting cluster ``c``;
     ``cell_to_pair[i]`` the same per minority cell (via its cluster label).
-
-    For N-height solves (``repro.core.heights``) the concatenated
-    ``cluster_to_pair`` / ``cell_to_pair`` are class-major in spec order
-    and ``by_track`` holds each minority class's own
-    ``(cluster_to_pair, cell_to_pair)`` view; two-height solves leave it
-    ``None``.
+    Both are concatenated class-major in spec order; ``by_track`` holds
+    each minority class's own ``(cluster_to_pair, cell_to_pair)`` view.
     """
 
     pair_tracks: list[float]
@@ -95,93 +117,18 @@ def required_minority_pairs(
     return max(1, int(np.ceil(minority_width_total / usable)))
 
 
-def build_rap_model(
-    f: np.ndarray,
-    cluster_width: np.ndarray,
-    pair_capacity: np.ndarray,
-    n_minority_rows: int,
-) -> MilpModel:
-    """Assemble the MILP of Eqs. (1)-(5).
-
-    Variable layout: ``x`` flattened row-major (cluster-major) first, then
-    the ``y_r`` indicators.
-    """
-    n_c, n_p = validate_rap_inputs(
-        f, cluster_width, pair_capacity, n_minority_rows
-    )
-    n_x = n_c * n_p
-    n_vars = n_x + n_p
-    c = np.concatenate([f.ravel(), np.zeros(n_p)])
-
-    # Eq. (3): each cluster assigned exactly once.
-    rows = np.repeat(np.arange(n_c), n_p)
-    cols = np.arange(n_x)
-    a_assign = sp.coo_matrix(
-        (np.ones(n_x), (rows, cols)), shape=(n_c, n_vars)
-    )
-    b_assign = np.ones(n_c)
-
-    # Eq. (5): exactly N_minR minority pairs.
-    a_count = sp.coo_matrix(
-        (np.ones(n_p), (np.zeros(n_p), n_x + np.arange(n_p))),
-        shape=(1, n_vars),
-    )
-    b_count = np.array([float(n_minority_rows)])
-
-    # Eq. (4) + linking: sum_c w_c x_cr - cap_r y_r <= 0.
-    x_rows = np.tile(np.arange(n_p), n_c)
-    x_cols = np.arange(n_x)
-    x_vals = np.repeat(cluster_width, n_p)
-    y_rows = np.arange(n_p)
-    y_cols = n_x + np.arange(n_p)
-    y_vals = -pair_capacity
-    a_cap = sp.coo_matrix(
-        (
-            np.concatenate([x_vals, y_vals]),
-            (np.concatenate([x_rows, y_rows]), np.concatenate([x_cols, y_cols])),
-        ),
-        shape=(n_p, n_vars),
-    )
-    b_cap = np.zeros(n_p)
-
-    # Eq. (5) semantics: an open row must host at least one cluster
-    # (y_r <= sum_c x_cr), matching the paper's max_c x_cr definition.
-    host_rows = np.concatenate([x_rows, y_rows])
-    host_cols = np.concatenate([x_cols, y_cols])
-    host_vals = np.concatenate([-np.ones(n_x), np.ones(n_p)])
-    a_host = sp.coo_matrix(
-        (host_vals, (host_rows, host_cols)), shape=(n_p, n_vars)
-    )
-    b_host = np.zeros(n_p)
-
-    a_ub = sp.vstack([a_cap, a_host]).tocsr()
-    b_ub = np.concatenate([b_cap, b_host])
-    a_eq = sp.vstack([a_assign, a_count]).tocsr()
-    b_eq = np.concatenate([b_assign, b_count])
-
-    return MilpModel(
-        c=c,
-        integrality=np.ones(n_vars),
-        lb=np.zeros(n_vars),
-        ub=np.ones(n_vars),
-        a_ub=a_ub,
-        b_ub=b_ub,
-        a_eq=a_eq,
-        b_eq=b_eq,
-        name_factory=lambda: [
-            f"x_{k // n_p}_{k % n_p}" for k in range(n_x)
-        ]
-        + [f"y_{r}" for r in range(n_p)],
-    )
+# ---------------------------------------------------------------------------
+# Heuristics: greedy incumbent + simulated annealing fallback
+# ---------------------------------------------------------------------------
 
 
-def greedy_rap(
+def _greedy_class(
     f: np.ndarray,
     cluster_width: np.ndarray,
     pair_capacity: np.ndarray,
     n_minority_rows: int,
 ) -> np.ndarray | None:
-    """Greedy warm start: returns cluster -> pair, or None when stuck.
+    """One class's greedy: cluster -> pair, or None when stuck.
 
     Clusters are handled widest-first; each goes to the cheapest feasible
     already-open pair, opening a new pair (cheapest for this cluster) while
@@ -224,43 +171,610 @@ def greedy_rap(
         assignment[cluster] = choice
         remaining[choice] -= width
     if len(open_pairs) != n_minority_rows:
-        # Fewer opened than required: open the cheapest unused pairs so the
-        # row count matches (they stay empty only in the warm start, which
-        # the exact solve then repairs — see solve_rap).
-        return None
+        return None  # opened fewer rows than Eq. (5) requires
     return assignment
 
 
-def solution_to_assignment(
-    solution: MilpSolution,
-    n_clusters: int,
-    n_pairs: int,
-    labels: np.ndarray,
-    majority_track: float,
-    minority_track: float,
-) -> RowAssignment:
-    """Decode a MILP solution vector into a :class:`RowAssignment`."""
-    if not solution.ok or solution.x is None:
-        raise InfeasibleError(f"RAP solve failed: {solution.status}")
-    x = np.round(solution.x[: n_clusters * n_pairs]).reshape(n_clusters, n_pairs)
-    cluster_to_pair = np.argmax(x, axis=1)
-    if not np.all(x.sum(axis=1) == 1):
-        raise InfeasibleError("RAP solution violates unique assignment")
-    minority_pairs = np.unique(cluster_to_pair)
-    pair_tracks = [
-        minority_track if p in set(minority_pairs.tolist()) else majority_track
-        for p in range(n_pairs)
+def greedy_rap(
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
+    pair_capacity: np.ndarray,
+    budgets: list[int],
+) -> list[np.ndarray] | None:
+    """Greedy warm start: widest class first, pairs exclusive.
+
+    Each class runs the single-class greedy on the pairs no earlier class
+    claimed; ``None`` when any class gets stuck (the caller then solves
+    without a greedy incumbent).
+    """
+    K = len(f_by_class)
+    order = np.argsort(
+        -np.array([float(w.sum()) for w in width_by_class]), kind="stable"
+    )
+    remaining = np.asarray(pair_capacity, dtype=float).copy()
+    blocked = np.zeros(len(pair_capacity), dtype=bool)
+    out: list[np.ndarray | None] = [None] * K
+    for h in order:
+        caps = np.where(blocked, -1.0, remaining)
+        a = _greedy_class(f_by_class[h], width_by_class[h], caps, budgets[h])
+        if a is None:
+            return None
+        out[h] = a
+        blocked[np.unique(a)] = True
+    return [a for a in out]  # type: ignore[misc]
+
+
+def _joint_cost(
+    f_by_class: list[np.ndarray], assignment: list[np.ndarray]
+) -> float:
+    return sum(assignment_cost(f, a) for f, a in zip(f_by_class, assignment))
+
+
+def _feasible_maps(
+    assignment: list[np.ndarray] | None,
+    width_by_class: list[np.ndarray],
+    pair_capacity: np.ndarray,
+    budgets: list[int],
+) -> list[np.ndarray] | None:
+    """The per-class maps when they satisfy the joint constraints."""
+    if assignment is None or len(assignment) != len(width_by_class):
+        return None
+    out = [
+        feasible_assignment(a, w, pair_capacity, budget)
+        for a, w, budget in zip(assignment, width_by_class, budgets)
     ]
-    cell_to_pair = cluster_to_pair[labels]
+    if any(a is None for a in out):
+        return None
+    opened = np.concatenate([np.unique(a) for a in out])
+    if len(np.unique(opened)) != len(opened):
+        return None  # pair exclusivity violated
+    return out
+
+
+def anneal_rap(
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
+    pair_capacity: np.ndarray,
+    budgets: list[int],
+    seed: int = 17,
+    iterations: int | None = None,
+    time_limit_s: float | None = None,
+    initial: list[np.ndarray] | None = None,
+) -> tuple[list[np.ndarray], float] | None:
+    """Simulated-annealing fallback for the joint RAP.
+
+    Moves preserve feasibility by construction (per-class budgets, pair
+    exclusivity, capacities): single-cluster reassignment within the
+    class's open pairs, intra-class cluster swaps, and whole-pair
+    relocation to a closed pair.  Deterministic for a given ``seed``.
+    Returns ``(per-class assignment, objective)`` of the best state, or
+    ``None`` when no feasible starting point exists.
+    """
+    K = len(f_by_class)
+    n_p = len(pair_capacity)
+    cap = np.asarray(pair_capacity, dtype=float)
+    current = _feasible_maps(
+        initial, width_by_class, cap, budgets
+    ) or greedy_rap(f_by_class, width_by_class, cap, budgets)
+    if current is None:
+        return None
+    current = [a.copy() for a in current]
+
+    n_cs = [f.shape[0] for f in f_by_class]
+    total_clusters = sum(n_cs)
+    if iterations is None:
+        iterations = min(
+            _SA_MAX_ITERATIONS,
+            _SA_BASE_ITERATIONS + _SA_PER_CLUSTER * total_clusters,
+        )
+
+    load = np.zeros((K, n_p))
+    owner = np.full(n_p, -1, dtype=int)  # class index of an open pair
+    members: list[dict[int, list[int]]] = []
+    for h in range(K):
+        per_pair: dict[int, list[int]] = {}
+        for c, p in enumerate(current[h]):
+            per_pair.setdefault(int(p), []).append(c)
+            load[h, int(p)] += width_by_class[h][c]
+            owner[int(p)] = h
+        members.append(per_pair)
+
+    obj = _joint_cost(f_by_class, current)
+    best = [a.copy() for a in current]
+    best_obj = obj
+
+    rng = np.random.default_rng(seed)
+    scale = float(np.mean([np.std(f) for f in f_by_class])) or 1.0
+    t0 = 0.5 * scale
+    t_end = max(1e-9, 1e-3 * t0)
+    cool = (t_end / t0) ** (1.0 / max(1, iterations))
+    temp = t0
+    class_p = np.array(n_cs, dtype=float) / total_clusters
+    start = time.perf_counter()
+
+    for it in range(iterations):
+        if time_limit_s is not None and (it & 0xFF) == 0:
+            if time.perf_counter() - start > time_limit_s:
+                break
+        temp *= cool
+        h = int(rng.choice(K, p=class_p))
+        f = f_by_class[h]
+        w = width_by_class[h]
+        open_pairs = list(members[h].keys())
+        roll = rng.random()
+        if roll < 0.6 and n_cs[h] >= 1 and len(open_pairs) >= 2:
+            c = int(rng.integers(n_cs[h]))
+            p = int(current[h][c])
+            if len(members[h][p]) <= 1:
+                continue  # would empty the pair (budget/host violation)
+            q = int(open_pairs[int(rng.integers(len(open_pairs)))])
+            if q == p or load[h, q] + w[c] > cap[q] + 1e-9:
+                continue
+            delta = float(f[c, q] - f[c, p])
+            if delta <= 0 or rng.random() < math.exp(-delta / temp):
+                members[h][p].remove(c)
+                members[h].setdefault(q, []).append(c)
+                load[h, p] -= w[c]
+                load[h, q] += w[c]
+                current[h][c] = q
+                obj += delta
+        elif roll < 0.85 and n_cs[h] >= 2:
+            c1, c2 = rng.integers(n_cs[h]), rng.integers(n_cs[h])
+            c1, c2 = int(c1), int(c2)
+            p1, p2 = int(current[h][c1]), int(current[h][c2])
+            if p1 == p2:
+                continue
+            if (
+                load[h, p1] - w[c1] + w[c2] > cap[p1] + 1e-9
+                or load[h, p2] - w[c2] + w[c1] > cap[p2] + 1e-9
+            ):
+                continue
+            delta = float(
+                f[c1, p2] + f[c2, p1] - f[c1, p1] - f[c2, p2]
+            )
+            if delta <= 0 or rng.random() < math.exp(-delta / temp):
+                members[h][p1].remove(c1)
+                members[h][p2].remove(c2)
+                members[h][p1].append(c2)
+                members[h][p2].append(c1)
+                load[h, p1] += w[c2] - w[c1]
+                load[h, p2] += w[c1] - w[c2]
+                current[h][c1], current[h][c2] = p2, p1
+                obj += delta
+        else:
+            closed = np.flatnonzero(owner < 0)
+            if not len(open_pairs) or not len(closed):
+                continue
+            p = int(open_pairs[int(rng.integers(len(open_pairs)))])
+            q = int(closed[int(rng.integers(len(closed)))])
+            if load[h, p] > cap[q] + 1e-9:
+                continue
+            movers = members[h][p]
+            delta = float((f[movers, q] - f[movers, p]).sum())
+            if delta <= 0 or rng.random() < math.exp(-delta / temp):
+                members[h][q] = movers
+                del members[h][p]
+                load[h, q] = load[h, p]
+                load[h, p] = 0.0
+                owner[q] = h
+                owner[p] = -1
+                for c in movers:
+                    current[h][c] = q
+                obj += delta
+        if obj < best_obj - 1e-12:
+            best_obj = obj
+            best = [a.copy() for a in current]
+
+    best = _feasible_maps(best, width_by_class, cap, budgets)
+    if best is None:  # defensive: moves should preserve feasibility
+        return None
+    return best, _joint_cost(f_by_class, best)
+
+
+# ---------------------------------------------------------------------------
+# One solve: the K = 1 engine, or the joint model with a certificate
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _JointLpInfo:
+    objective: float
+    reduced_costs: list[np.ndarray]  # per class (n_c_h, n_p), >= 0
+    runtime_s: float
+
+
+def _joint_lp(
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
+    pair_capacity: np.ndarray,
+    budgets: list[int],
+) -> _JointLpInfo | MilpSolution | None:
+    """Strengthened joint LP relaxation: bound + per-class reduced costs.
+
+    Mirrors :func:`repro.core.sparse_rap._dense_lp`; the reduced-cost
+    bound argument carries over verbatim because the joint LP is a
+    relaxation of the joint IP.
+    """
+    model = build_rap_model(
+        f_by_class, width_by_class, pair_capacity, budgets, strengthen=True
+    ).model
+    t0 = time.perf_counter()
+    try:
+        lp = linprog(
+            model.c,
+            A_ub=model.a_ub,
+            b_ub=model.b_ub,
+            A_eq=model.a_eq,
+            b_eq=model.b_eq,
+            bounds=(0.0, 1.0),
+            method="highs",
+        )
+    except Exception:
+        logger.warning("joint RAP LP raised; using top-k fallback")
+        return None
+    runtime = time.perf_counter() - t0
+    if lp.status == 2:
+        return MilpSolution(
+            status=MilpStatus.INFEASIBLE, x=None, objective=np.inf,
+            runtime_s=runtime,
+        )
+    if lp.status != 0 or lp.x is None:
+        return None
+    rc = (
+        model.c
+        - model.a_ub.T @ lp.ineqlin.marginals
+        - model.a_eq.T @ lp.eqlin.marginals
+    )
+    per_class: list[np.ndarray] = []
+    offset = 0
+    for f in f_by_class:
+        per_class.append(
+            np.maximum(rc[offset:offset + f.size], 0.0).reshape(f.shape)
+        )
+        offset += f.size
+    return _JointLpInfo(
+        objective=float(lp.fun), reduced_costs=per_class, runtime_s=runtime
+    )
+
+
+def _class_coverage_masks(
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
+    pair_capacity: np.ndarray,
+    budgets: list[int],
+    ks: list[int],
+    extra: list[np.ndarray],
+) -> tuple[list[np.ndarray], list[int]]:
+    """Per-class top-k masks, widened for per-class capacity coverage."""
+    pairs = [
+        coverage_mask(f, pair_capacity, budget, float(w.sum()), k, e)
+        for f, w, budget, k, e in zip(
+            f_by_class, width_by_class, budgets, ks, extra
+        )
+    ]
+    return [m for m, _ in pairs], [k for _, k in pairs]
+
+
+def _dense_result(
+    srm: RapModel, solution: MilpSolution
+) -> tuple[MilpSolution, list[np.ndarray] | None]:
+    """A restricted solve in the dense layout, plus its per-class maps."""
+    if not solution.ok or solution.x is None:
+        return solution, None
+    x = srm.to_dense_x(solution.x)
+    return (
+        MilpSolution(
+            status=solution.status,
+            x=x,
+            objective=solution.objective,
+            nodes=solution.nodes,
+            runtime_s=solution.runtime_s,
+        ),
+        dense_assignment(x, srm.n_clusters, srm.n_pairs),
+    )
+
+
+def solve_rap(
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
+    pair_capacity: np.ndarray,
+    budgets: list[int],
+    backend: str = "highs",
+    time_limit_s: float | None = None,
+    warm_assignment: list[np.ndarray] | None = None,
+    candidate_k: int | None = None,
+    workers: int = 1,
+    cancel: object | None = None,
+) -> tuple[MilpSolution, list[np.ndarray] | None, SparseSolveStats]:
+    """Solve one RAP instance; ``pair_capacity`` is the usable capacity.
+
+    Returns ``(solution, per-class cluster -> pair maps or None, stats)``
+    with the solution vector in the dense layout of
+    :func:`build_rap_model` (a map entry of ``-1`` marks a cluster the
+    solution does not assign exactly once).  At ``K = 1`` this is the
+    sparse engine (:func:`repro.core.sparse_rap.solve_rap_sparse`),
+    ``workers`` and ``cancel`` included; ``candidate_k = N_P``
+    reproduces the dense model bit for bit.  At ``K >= 2`` the joint
+    model is solved with reduced-cost fixing against a greedy incumbent
+    and a pricing loop; for the exact backends ``stats.certified`` means
+    the restricted optimum was proven equal to the full joint optimum.
+    """
+    f_by_class = [np.asarray(f, dtype=float) for f in f_by_class]
+    width_by_class = [np.asarray(w, dtype=float) for w in width_by_class]
+    pair_capacity = np.asarray(pair_capacity, dtype=float)
+    n_cs, n_p = validate_rap_inputs(
+        f_by_class, width_by_class, pair_capacity, budgets
+    )
+    K = len(f_by_class)
+
+    if K == 1:
+        solution, stats = solve_rap_sparse(
+            f_by_class[0], width_by_class[0], pair_capacity, budgets[0],
+            backend=backend, time_limit_s=time_limit_s,
+            warm_assignment=warm_assignment[0] if warm_assignment else None,
+            candidate_k=candidate_k, workers=workers, cancel=cancel,
+        )
+        maps = (
+            dense_assignment(solution.x, n_cs, n_p)
+            if solution.ok and solution.x is not None
+            else None
+        )
+        return solution, maps, stats
+
+    if backend not in EXACT_BACKENDS:
+        raise SolverError(
+            f"backend {backend!r} does not support joint instances "
+            "(exact backends only; the resilient chain adds the SA rung)"
+        )
+
+    n_dense = sum(f.size for f in f_by_class) + K * n_p
+    stats = SparseSolveStats(n_dense_variables=n_dense)
+    warm = _feasible_maps(
+        warm_assignment, width_by_class, pair_capacity, budgets
+    )
+    forced = candidate_k is not None
+    full_masks = [np.ones(f.shape, dtype=bool) for f in f_by_class]
+    small = not forced and n_dense <= SMALL_PROBLEM_VARIABLES
+
+    with span(
+        "rap.joint",
+        backend=backend,
+        n_classes=K,
+        n_pairs=n_p,
+        n_clusters=sum(n_cs),
+    ) as root:
+        if small or (forced and candidate_k >= n_p):
+            stats.strategy = "dense"
+            stats.k_initial = stats.k_final = n_p
+            stats.n_candidates = n_dense - K * n_p
+            stats.rounds = 1
+            t0 = time.perf_counter()
+            srm = build_rap_model(
+                f_by_class, width_by_class, pair_capacity, budgets
+            )
+            stats.build_s = time.perf_counter() - t0
+            warm_vec = srm.encode_assignment(warm) if warm else None
+            if warm_vec is not None and not srm.model.is_feasible(warm_vec):
+                warm_vec = None
+            solution = solve_milp(
+                srm.model, backend=backend, time_limit_s=time_limit_s,
+                warm_start=warm_vec, cancel=cancel,
+            )
+            stats.solve_s = solution.runtime_s
+            stats.certified = solution.status in (
+                MilpStatus.OPTIMAL, MilpStatus.INFEASIBLE
+            )
+            root.annotate(
+                outcome="dense",
+                objective=solution.objective if solution.ok else None,
+            )
+            return (*_dense_result(srm, solution), stats)
+
+        lp_info: _JointLpInfo | None = None
+        extra = [np.zeros(f.shape, dtype=bool) for f in f_by_class]
+        if forced:
+            stats.strategy = "top-k"
+            ks = [int(np.clip(candidate_k, 1, n_p))] * K
+            masks, ks = _class_coverage_masks(
+                f_by_class, width_by_class, pair_capacity, budgets, ks,
+                extra,
+            )
+        else:
+            stats.strategy = "rc-fixing"
+            with span("rap.joint.candidates") as cand_span:
+                lp = _joint_lp(
+                    f_by_class, width_by_class, pair_capacity, budgets
+                )
+                if isinstance(lp, MilpSolution):
+                    root.annotate(outcome="infeasible")
+                    stats.solve_s += lp.runtime_s
+                    stats.certified = True
+                    return lp, None, stats
+                incumbent = warm or greedy_rap(
+                    f_by_class, width_by_class, pair_capacity, budgets
+                )
+                if lp is not None and incumbent is not None:
+                    lp_info = lp
+                    stats.lp_bound = lp.objective
+                    stats.solve_s += lp.runtime_s
+                    z_ub = _joint_cost(f_by_class, incumbent)
+                    stats.upper_bound = z_ub
+                    tol = 1e-6 * max(1.0, abs(z_ub))
+                    masks = [
+                        lp.objective + lp.reduced_costs[h] <= z_ub + tol
+                        for h in range(K)
+                    ]
+                    for h in range(K):
+                        masks[h][np.arange(n_cs[h]), incumbent[h]] = True
+                    ks = [int(m.sum(axis=1).max()) for m in masks]
+                    if warm is None:
+                        warm = incumbent
+                    cand_span.annotate(
+                        strategy="rc-fixing",
+                        n_candidates=int(sum(m.sum() for m in masks)),
+                        lp_bound=lp.objective,
+                        upper_bound=z_ub,
+                    )
+                else:
+                    if lp is not None:
+                        lp_info = lp
+                        stats.lp_bound = lp.objective
+                        stats.solve_s += lp.runtime_s
+                    stats.strategy = "top-k"
+                    ks = [
+                        adaptive_candidate_count(
+                            f_by_class[h], width_by_class[h],
+                            pair_capacity, budgets[h],
+                        )
+                        for h in range(K)
+                    ]
+                    masks, ks = _class_coverage_masks(
+                        f_by_class, width_by_class, pair_capacity,
+                        budgets, ks, extra,
+                    )
+                    cand_span.annotate(strategy="top-k", k=max(ks))
+        stats.k_initial = max(ks)
+
+        while True:
+            stats.rounds += 1
+            if stats.rounds > _SAFETY_ROUNDS:
+                masks = [m.copy() for m in full_masks]
+            stats.n_candidates = int(sum(m.sum() for m in masks))
+            stats.k_final = int(max(m.sum(axis=1).max() for m in masks))
+
+            t0 = time.perf_counter()
+            srm = build_rap_model(
+                f_by_class, width_by_class, pair_capacity, budgets, masks,
+                strengthen=True,
+            )
+            stats.build_s += time.perf_counter() - t0
+            warm_vec = srm.encode_assignment(warm) if warm else None
+            if warm_vec is not None and not srm.model.is_feasible(warm_vec):
+                warm_vec = None
+            solution = solve_milp(
+                srm.model, backend=backend, time_limit_s=time_limit_s,
+                warm_start=warm_vec, cancel=cancel,
+            )
+            stats.solve_s += solution.runtime_s
+
+            observe(
+                "rap.joint",
+                round=stats.rounds,
+                n_candidates=stats.n_candidates,
+                objective=solution.objective if solution.ok else None,
+                admitted=stats.admitted_columns,
+            )
+
+            full = all(not (~m).any() for m in masks)
+            if solution.status is MilpStatus.INFEASIBLE:
+                if full:
+                    root.annotate(outcome="infeasible")
+                    stats.certified = True
+                    return solution, None, stats
+                ks = [min(n_p, 2 * max(k, 1)) for k in ks]
+                extra = [e | m for e, m in zip(extra, masks)]
+                masks, ks = _class_coverage_masks(
+                    f_by_class, width_by_class, pair_capacity, budgets,
+                    ks, extra,
+                )
+                continue
+            if not solution.ok or solution.x is None:
+                root.annotate(outcome=solution.status.value)
+                return solution, None, stats
+            if full:
+                stats.certified = solution.status is MilpStatus.OPTIMAL
+                root.annotate(outcome="dense", objective=solution.objective)
+                return (*_dense_result(srm, solution), stats)
+            if solution.status is not MilpStatus.OPTIMAL:
+                root.annotate(outcome="uncertified")
+                return (*_dense_result(srm, solution), stats)
+
+            z = solution.objective
+            if lp_info is None:
+                lp = _joint_lp(
+                    f_by_class, width_by_class, pair_capacity, budgets
+                )
+                if isinstance(lp, _JointLpInfo):
+                    lp_info = lp
+                    stats.lp_bound = lp.objective
+                    stats.solve_s += lp.runtime_s
+            if lp_info is None:
+                logger.warning(
+                    "joint RAP pricing unavailable; solving full model"
+                )
+                masks = [m.copy() for m in full_masks]
+                continue
+            tol = 1e-6 * max(1.0, abs(z))
+            admits = [
+                (~masks[h])
+                & (lp_info.objective + lp_info.reduced_costs[h] <= z + tol)
+                for h in range(K)
+            ]
+            n_admit = int(sum(a.sum() for a in admits))
+            if n_admit == 0:
+                stats.certified = True
+                root.annotate(outcome="certified", objective=z)
+                return (*_dense_result(srm, solution), stats)
+            stats.admitted_columns += n_admit
+            logger.info(
+                "joint RAP pricing re-admits %d pruned columns (z=%.6g)",
+                n_admit, z,
+            )
+            for h in range(K):
+                extra[h] |= admits[h]
+                masks[h] = masks[h] | admits[h]
+
+
+# ---------------------------------------------------------------------------
+# Decode
+# ---------------------------------------------------------------------------
+
+
+def decode_assignment(
+    assignment: list[np.ndarray],
+    labels_by_class: list[np.ndarray],
+    minority_tracks: list[float],
+    majority_track: float,
+    n_pairs: int,
+    objective: float,
+    ilp_runtime_s: float = 0.0,
+    num_variables: int = 0,
+    solver_nodes: int = 0,
+) -> RowAssignment:
+    """Assemble a :class:`RowAssignment` from per-class cluster maps.
+
+    Raises :class:`InfeasibleError` when a cluster is not assigned to
+    exactly one pair (a ``-1`` entry, see :func:`solve_rap`) or two
+    classes claim one pair.
+    """
+    pair_tracks = [majority_track] * n_pairs
+    by_track: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    opened_all: list[np.ndarray] = []
+    for track, a, labels in zip(minority_tracks, assignment, labels_by_class):
+        a = np.asarray(a)
+        if np.any(a < 0) or np.any(a >= n_pairs):
+            raise InfeasibleError("RAP solution violates unique assignment")
+        opened = np.unique(a)
+        for p in opened.tolist():
+            if pair_tracks[p] != majority_track:
+                raise InfeasibleError(
+                    f"pair {p} claimed by both {pair_tracks[p]}T and {track}T"
+                )
+            pair_tracks[p] = track
+        by_track[track] = (a, a[labels])
+        opened_all.append(opened)
     return RowAssignment(
         pair_tracks=pair_tracks,
-        minority_pairs=minority_pairs,
-        cluster_to_pair=cluster_to_pair,
-        cell_to_pair=cell_to_pair,
-        objective=solution.objective,
-        ilp_runtime_s=solution.runtime_s,
-        num_variables=n_clusters * n_pairs + n_pairs,
-        solver_nodes=solution.nodes,
+        minority_pairs=np.unique(np.concatenate(opened_all)),
+        cluster_to_pair=np.concatenate(assignment),
+        cell_to_pair=np.concatenate(
+            [by_track[t][1] for t in minority_tracks]
+        ),
+        objective=objective,
+        ilp_runtime_s=ilp_runtime_s,
+        num_variables=num_variables,
+        solver_nodes=solver_nodes,
+        by_track=by_track,
     )
 
 
@@ -282,8 +796,8 @@ def repair_assignment(
     the repair vacated, which stays a minority pair so the mixed
     floorplan (and every clean cell's row) is unchanged.  Recomputing
     the open-pair set from the new ``cluster_to_pair`` (what
-    :func:`solution_to_assignment` does) would silently unfreeze the
-    row map; this constructor makes the frozen semantics explicit.
+    :func:`decode_assignment` does) would silently unfreeze the row
+    map; this constructor makes the frozen semantics explicit.
     """
     cluster_to_pair = np.asarray(cluster_to_pair, dtype=int)
     if cluster_to_pair.shape != base.cluster_to_pair.shape:
@@ -308,123 +822,24 @@ def repair_assignment(
     )
 
 
-def assignment_to_vector(
-    assignment: np.ndarray, n_clusters: int, n_pairs: int
-) -> np.ndarray:
-    """Encode a cluster->pair map as a full (x, y) MILP variable vector."""
-    x = np.zeros(n_clusters * n_pairs)
-    y = np.zeros(n_pairs)
-    for c, p in enumerate(assignment):
-        x[c * n_pairs + int(p)] = 1.0
-        y[int(p)] = 1.0
-    return np.concatenate([x, y])
-
-
-def solve_rap(
-    f: np.ndarray,
-    cluster_width: np.ndarray,
-    pair_capacity: np.ndarray,
-    n_minority_rows: int,
-    labels: np.ndarray,
-    majority_track: float = 6.0,
-    minority_track: float = 7.5,
-    backend: str = "highs",
-    time_limit_s: float | None = None,
-    sparse: bool = False,
-    candidate_k: int | None = None,
-    workers: int = 1,
-) -> RowAssignment:
-    """Build and solve the RAP; returns the decoded assignment.
-
-    The own branch-and-bound backend is seeded with the greedy warm start
-    (when it exists and opens exactly N_minR rows), which prunes most of
-    the search tree on typical instances.  ``sparse=True`` routes through
-    :func:`repro.core.sparse_rap.solve_rap_sparse` (column pruning +
-    pricing repair + component decomposition); ``candidate_k`` /
-    ``workers`` tune that engine and are ignored on the dense path.
-    """
-    if sparse:
-        warm = (
-            greedy_rap(f, cluster_width, pair_capacity, n_minority_rows)
-            if backend == "bnb"
-            else None
-        )
-        solution, _ = solve_rap_sparse(
-            f,
-            cluster_width,
-            pair_capacity,
-            n_minority_rows,
-            backend=backend,
-            time_limit_s=time_limit_s,
-            warm_assignment=warm,
-            candidate_k=candidate_k,
-            workers=workers,
-        )
-    else:
-        model = build_rap_model(
-            f, cluster_width, pair_capacity, n_minority_rows
-        )
-        warm_vector = None
-        if backend == "bnb":
-            warm = greedy_rap(
-                f, cluster_width, pair_capacity, n_minority_rows
-            )
-            if warm is not None:
-                candidate = assignment_to_vector(warm, *f.shape)
-                if model.is_feasible(candidate):
-                    warm_vector = candidate
-        solution = solve_milp(
-            model, backend=backend, time_limit_s=time_limit_s,
-            warm_start=warm_vector,
-        )
-    return solution_to_assignment(
-        solution,
-        n_clusters=f.shape[0],
-        n_pairs=f.shape[1],
-        labels=labels,
-        majority_track=majority_track,
-        minority_track=minority_track,
-    )
+# ---------------------------------------------------------------------------
+# Resilient chain (sequential or raced rungs)
+# ---------------------------------------------------------------------------
 
 
 def _valid_prior(
-    prior: np.ndarray | None, n_clusters: int, n_pairs: int
-) -> np.ndarray | None:
+    prior: list[np.ndarray] | None, n_clusters: list[int], n_pairs: int
+) -> list[np.ndarray] | None:
     """A prior assignment, or None when its shape/range no longer fits."""
-    if prior is None:
+    if prior is None or len(prior) != len(n_clusters):
         return None
-    prior = np.asarray(prior, dtype=int)
-    if prior.shape != (n_clusters,):
-        return None
-    if np.any(prior < 0) or np.any(prior >= n_pairs):
-        return None
-    return prior
-
-
-def _warm_start_vector(
-    model: MilpModel,
-    f: np.ndarray,
-    cluster_width: np.ndarray,
-    usable_capacity: np.ndarray,
-    n_minority_rows: int,
-    prior: np.ndarray | None = None,
-) -> np.ndarray | None:
-    """Warm start encoded as a model vector.
-
-    ``prior`` (the previous refinement iteration's assignment) wins when
-    it is still feasible for this instance; the greedy heuristic is the
-    fallback.
-    """
-    prior = _valid_prior(prior, *f.shape)
-    if prior is not None:
-        candidate = assignment_to_vector(prior, *f.shape)
-        if model.is_feasible(candidate):
-            return candidate
-    warm = greedy_rap(f, cluster_width, usable_capacity, n_minority_rows)
-    if warm is None:
-        return None
-    candidate = assignment_to_vector(warm, *f.shape)
-    return candidate if model.is_feasible(candidate) else None
+    out: list[np.ndarray] = []
+    for a, n_c in zip(prior, n_clusters):
+        a = np.asarray(a, dtype=int)
+        if a.shape != (n_c,) or np.any(a < 0) or np.any(a >= n_pairs):
+            return None
+        out.append(a)
+    return out
 
 
 def _race_rung_job(payload: dict) -> dict:
@@ -432,13 +847,14 @@ def _race_rung_job(payload: dict) -> dict:
 
     Runs inside a :class:`~repro.utils.supervise.SupervisedPool` worker;
     the embedded engine always runs with ``workers=1`` (no nested pools
-    inside a racing worker).  Returns the raw :class:`MilpSolution` plus
-    engine stats; decoding happens in the parent, where ``labels`` and
-    the track heights live.
+    inside a racing worker).  Returns the raw :class:`MilpSolution`, its
+    per-class maps and the engine stats; decoding happens in the parent,
+    where ``labels`` and the track heights live.
 
-    Large instances arrive as a shared-memory handle under ``"shm"``
-    (``f``/``w``/``cap`` attached read-only, zero-copy) instead of
-    pickled arrays; see :mod:`repro.placement.shm`.
+    The arrays arrive as ``f<h>``/``w<h>`` per class plus ``cap``, or —
+    for large instances — as a shared-memory handle under ``"shm"``
+    holding the same names (attached read-only, zero-copy); see
+    :mod:`repro.placement.shm`.
     """
     attachment = None
     if "shm" in payload:
@@ -454,9 +870,7 @@ def _race_rung_job(payload: dict) -> dict:
             fault_stage="shm.attach",
             attempt=attempt,
         )
-        payload = dict(
-            payload, f=attachment["f"], w=attachment["w"], cap=attachment["cap"]
-        )
+        payload = dict(payload, **{k: attachment[k] for k in attachment})
     try:
         return _race_rung_solve(payload)
     finally:
@@ -472,46 +886,28 @@ def _race_rung_solve(payload: dict) -> dict:
     own registry — racing used to drop it entirely.
     """
     registry = MetricsRegistry()
-    with use_registry(registry):
-        out = _race_rung_solve_inner(payload)
-    out["metrics"] = registry.snapshot()
-    return out
-
-
-def _race_rung_solve_inner(payload: dict) -> dict:
     rung = payload["rung"]
-    cancel = payload.get("cancel")
-    if payload["sparse"]:
-        solution, stats = solve_rap_sparse(
-            payload["f"],
-            payload["w"],
+    K = len(payload["budgets"])
+    with use_registry(registry):
+        solution, maps, stats = solve_rap(
+            [payload[f"f{h}"] for h in range(K)],
+            [payload[f"w{h}"] for h in range(K)],
             payload["cap"],
-            payload["n_rows"],
+            payload["budgets"],
             backend=rung,
             time_limit_s=payload.get("time_limit_s"),
             warm_assignment=payload.get("warm"),
             candidate_k=payload.get("candidate_k"),
             workers=1,
-            cancel=cancel,
+            cancel=payload.get("cancel"),
         )
-        return {"rung": rung, "solution": solution, "stats": stats}
-    model = build_rap_model(
-        payload["f"], payload["w"], payload["cap"], payload["n_rows"]
-    )
-    warm_vec = None
-    warm = payload.get("warm")
-    if warm is not None:
-        candidate = assignment_to_vector(warm, *payload["f"].shape)
-        if model.is_feasible(candidate):
-            warm_vec = candidate
-    solution = solve_milp(
-        model,
-        backend=rung,
-        time_limit_s=payload.get("time_limit_s"),
-        warm_start=warm_vec,
-        cancel=cancel,
-    )
-    return {"rung": rung, "solution": solution, "stats": None}
+    return {
+        "rung": rung,
+        "solution": solution,
+        "assignment": maps,
+        "stats": stats,
+        "metrics": registry.snapshot(),
+    }
 
 
 def _certified_exact(rung: str, solution: MilpSolution) -> bool:
@@ -521,25 +917,24 @@ def _certified_exact(rung: str, solution: MilpSolution) -> bool:
 
 def _race_rap_level(
     rungs: tuple[str, ...],
-    f: np.ndarray,
-    cluster_width: np.ndarray,
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
     usable: np.ndarray,
-    n_rows: int,
-    labels: np.ndarray,
+    budgets: list[int],
+    labels_by_class: list[np.ndarray],
+    minority_tracks: list[float],
     majority_track: float,
-    minority_track: float,
     backend: str,
     time_limit_s: float | None,
-    sparse: bool,
     candidate_k: int | None,
-    warm_assignment: np.ndarray | None,
+    warm_assignment: list[np.ndarray] | None,
     workers: int,
     policy: ResiliencePolicy,
     deadline: Deadline,
     prov: FlowProvenance,
     relaxation: str | None,
 ) -> tuple[str, RowAssignment | None]:
-    """Race all backend rungs of one relaxation level concurrently.
+    """Race all MILP rungs of one relaxation level concurrently.
 
     First *certified* answer wins (see :func:`_certified_exact`); losers
     are cancelled — their pool workers killed, cooperative solvers
@@ -571,21 +966,24 @@ def _race_rap_level(
     # catch wedged workers, so the kill deadline gets a generous margin.
     task_timeout_s = None if limit is None else max(5.0, 3.0 * limit)
 
-    warm_prior = _valid_prior(warm_assignment, *f.shape)
-    greedy: np.ndarray | None = None
+    n_p = len(usable)
+    warm_prior = _valid_prior(
+        warm_assignment, [f.shape[0] for f in f_by_class], n_p
+    )
+    greedy: list[np.ndarray] | None = None
     cancel = CancelToken()
 
     # Large instances go to the workers as one shared-memory segment per
-    # race (zero-copy attach) instead of one pickled (f, w, cap) copy per
-    # rung; small ones inline — the pickle is cheaper than a segment.
+    # race (zero-copy attach) instead of one pickled copy per rung; small
+    # ones inline — the pickle is cheaper than a segment.
+    arrays: dict[str, np.ndarray] = {"cap": usable}
+    for h, (f, w) in enumerate(zip(f_by_class, width_by_class)):
+        arrays[f"f{h}"], arrays[f"w{h}"] = f, w
     publication = None
-    arrays_nbytes = f.nbytes + cluster_width.nbytes + usable.nbytes
-    if len(rungs) > 1 and arrays_nbytes > SHM_MIN_BYTES:
-        publication = publish_arrays(
-            {"f": f, "w": cluster_width, "cap": usable}
-        )
+    if len(rungs) > 1 and sum(a.nbytes for a in arrays.values()) > SHM_MIN_BYTES:
+        publication = publish_arrays(arrays)
     shared: dict[str, object] = (
-        {"f": f, "w": cluster_width, "cap": usable}
+        arrays
         if publication is None
         else {"shm": publication.handle, "shm_fault_plan": policy.fault_plan}
     )
@@ -595,7 +993,9 @@ def _race_rap_level(
         warm = warm_prior
         if warm is None and rung in EXACT_BACKENDS:
             if greedy is None:
-                greedy = greedy_rap(f, cluster_width, usable, n_rows)
+                greedy = greedy_rap(
+                    f_by_class, width_by_class, usable, budgets
+                )
             warm = greedy
         entries.append(
             RaceEntry(
@@ -604,11 +1004,10 @@ def _race_rap_level(
                 item={
                     "rung": rung,
                     **shared,
-                    "n_rows": n_rows,
+                    "budgets": budgets,
                     "time_limit_s": limit,
                     "warm": warm,
                     "candidate_k": candidate_k,
-                    "sparse": sparse,
                     "cancel": cancel,
                 },
                 fault_stage=f"rap.{rung}",
@@ -687,16 +1086,19 @@ def _race_rap_level(
         if solution.status is MilpStatus.INFEASIBLE:
             infeasible_seen = True
             continue
-        if not solution.ok or solution.x is None:
+        if outcome.value["assignment"] is None:
             continue
         try:
-            assignment = solution_to_assignment(
-                solution,
-                n_clusters=f.shape[0],
-                n_pairs=f.shape[1],
-                labels=labels,
-                majority_track=majority_track,
-                minority_track=minority_track,
+            assignment = decode_assignment(
+                outcome.value["assignment"],
+                labels_by_class,
+                minority_tracks,
+                majority_track,
+                n_p,
+                objective=solution.objective,
+                ilp_runtime_s=solution.runtime_s,
+                num_variables=len(solution.x),
+                solver_nodes=solution.nodes,
             )
         except InfeasibleError as exc:
             decode_errors[i] = exc
@@ -719,7 +1121,7 @@ def _race_rap_level(
                 error: BaseException = InfeasibleError("model infeasible")
             elif i in decode_errors:
                 error = decode_errors[i]
-            elif not solution.ok or solution.x is None:
+            elif outcome.value["assignment"] is None:
                 error = SolverError(
                     f"no incumbent (status {solution.status.value})"
                 )
@@ -765,51 +1167,51 @@ def _race_rap_level(
 
 
 def solve_rap_resilient(
-    f: np.ndarray,
-    cluster_width: np.ndarray,
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
     pair_capacity: np.ndarray,
-    n_minority_rows: int,
-    labels: np.ndarray,
+    budgets: list[int],
+    labels_by_class: list[np.ndarray],
+    minority_tracks: list[float],
     majority_track: float = 6.0,
-    minority_track: float = 7.5,
     backend: str = "highs",
     time_limit_s: float | None = None,
     row_fill: float = 1.0,
     policy: ResiliencePolicy | None = None,
     deadline: Deadline | None = None,
     provenance: FlowProvenance | None = None,
-    sparse: bool = True,
     candidate_k: int | None = None,
     workers: int = 1,
-    warm_assignment: np.ndarray | None = None,
+    warm_assignment: list[np.ndarray] | None = None,
+    sa_seed: int = 17,
 ) -> RowAssignment | None:
     """Solve the RAP under a solver fallback chain with relaxation.
 
     Unlike :func:`solve_rap`, ``pair_capacity`` here is the *raw* pair
     capacity; ``row_fill`` is applied per relaxation level so a failed
     chain can retry with relaxed constraints (``row_fill`` → 1.0 first,
-    then N_minR bumped while pairs remain).
+    then every class's N_minR bumped while pairs remain).
 
-    ``sparse`` (the default) routes every exact rung through the sparse
-    engine (:mod:`repro.core.sparse_rap`) — candidate pruning with a
-    pricing/repair loop that certifies equality with the dense optimum —
-    and the heuristic rung straight onto the cost arrays with no model
-    build at all.  ``warm_assignment`` (e.g. the previous refinement
-    iteration's cluster -> pair map) seeds every rung's warm start;
-    without it the B&B rung falls back to the greedy heuristic as
-    before.
+    Every exact rung is seeded with ``warm_assignment`` (e.g. the
+    previous solve's per-class cluster -> pair maps) when it still fits,
+    else with the greedy heuristic.  The rungs are the policy's backend
+    chain; joint instances (``K >= 2``) drop the heuristic
+    ``lagrangian`` backend, which has no joint model, and end in a
+    simulated-annealing rung (:func:`anneal_rap`, recorded as
+    ``backend="sa"`` and flagged degraded) so instances where every
+    MILP rung fails still place.
 
-    ``workers > 1`` switches the chain from sequential to *racing*: all
-    rungs of a relaxation level run concurrently on a supervised,
-    crash-tolerant process pool (:mod:`repro.utils.supervise`) and the
-    first certified answer — an exact backend proving optimality — wins,
-    cancelling the others.  Healthy-path answers are identical to the
-    sequential chain's (both exact backends prove the same optimum); a
-    failure merely stops costing the failed rung's wall-clock.  Race
-    outcomes land in ``provenance``, a ``rap.race`` span, and a
-    FlightRecorder observation.  Each racing rung runs its internal
-    engine single-threaded; leave ``workers`` at 1 to instead spend them
-    on the sparse engine's component fan-out.
+    ``workers > 1`` switches the MILP rungs from sequential to *racing*:
+    all of them run concurrently on a supervised, crash-tolerant process
+    pool (:mod:`repro.utils.supervise`) and the first certified answer —
+    an exact backend proving optimality — wins, cancelling the others.
+    Healthy-path answers are identical to the sequential chain's (both
+    exact backends prove the same optimum); a failure merely stops
+    costing the failed rung's wall-clock.  Race outcomes land in
+    ``provenance``, a ``rap.race`` span, and a FlightRecorder
+    observation.  Each racing rung runs its internal engine
+    single-threaded; leave ``workers`` at 1 to instead spend them on the
+    single-class engine's component fan-out.
 
     Failure ladder per :class:`~repro.utils.resilience.ResiliencePolicy`:
 
@@ -830,52 +1232,55 @@ def solve_rap_resilient(
     prov = provenance if provenance is not None else FlowProvenance()
     if prov.requested_backend is None:
         prov.requested_backend = backend
-    n_pairs = f.shape[1]
+    n_p = len(pair_capacity)
+    num_variables = sum(f.size for f in f_by_class) + len(f_by_class) * n_p
 
-    levels: list[tuple[float, int, str | None]] = [
-        (row_fill, n_minority_rows, None)
+    levels: list[tuple[float, list[int], str | None]] = [
+        (row_fill, list(budgets), None)
     ]
     if policy.relaxation_enabled:
         if row_fill < 1.0:
-            levels.append((1.0, n_minority_rows, "row_fill->1.0"))
+            levels.append((1.0, list(budgets), "row_fill->1.0"))
         for extra in (1, 2):
-            if n_minority_rows + extra <= n_pairs:
-                levels.append(
-                    (1.0, n_minority_rows + extra, f"n_min_rows+{extra}")
-                )
+            bumped = [b + extra for b in budgets]
+            if sum(bumped) <= n_p:
+                levels.append((1.0, bumped, f"n_min_rows+{extra}"))
 
-    rungs = policy.backends(backend)
-    for fill, n_rows, relaxation in levels:
+    milp_rungs = rungs = policy.backends(backend)
+    if len(f_by_class) > 1:
+        milp_rungs = tuple(
+            r for r in milp_rungs if r in EXACT_BACKENDS
+        ) or EXACT_BACKENDS
+        rungs = (*milp_rungs, "sa")
+    prior = _valid_prior(
+        warm_assignment, [f.shape[0] for f in f_by_class], n_p
+    )
+
+    for fill, level_budgets, relaxation in levels:
         usable = pair_capacity * fill
         try:
-            validate_rap_inputs(f, cluster_width, usable, n_rows)
+            validate_rap_inputs(
+                f_by_class, width_by_class, usable, level_budgets
+            )
         except InfeasibleError:
             continue  # not even modellable at this level; escalate
-        # Dense path only; the sparse engine builds restricted models
-        # per rung (and the heuristic rung builds none at all).
-        model = (
-            None
-            if sparse
-            else build_rap_model(f, cluster_width, usable, n_rows)
-        )
         if relaxation is not None:
             prov.relaxations.append(relaxation)
             logger.info("RAP escalating relaxation: %s", relaxation)
-        if workers > 1 and len(rungs) > 1:
+        if workers > 1 and len(milp_rungs) > 1:
             verdict, assignment = _race_rap_level(
-                rungs,
-                f,
-                cluster_width,
+                milp_rungs,
+                f_by_class,
+                width_by_class,
                 usable,
-                n_rows,
-                labels,
+                level_budgets,
+                labels_by_class,
+                minority_tracks,
                 majority_track,
-                minority_track,
                 backend,
                 time_limit_s,
-                sparse,
                 candidate_k,
-                warm_assignment,
+                prior,
                 workers,
                 policy,
                 deadline,
@@ -890,28 +1295,43 @@ def solve_rap_resilient(
         escalate = False
         for rung in rungs:
             stage = f"rap.{rung}"
+            max_attempts = 1 if rung == "sa" else policy.retry.max_attempts
             attempt = 0
-            while attempt < policy.retry.max_attempts:
+            while attempt < max_attempts:
                 attempt += 1
                 deadline.check(stage, provenance=prov)
                 attempt_span = span(stage, backend=rung, attempt=attempt)
                 try:
                     with attempt_span:
                         policy.inject(stage)
-                        if sparse:
-                            warm = _valid_prior(warm_assignment, *f.shape)
-                            if warm is None and rung in ("highs", "bnb"):
+                        if rung == "sa":
+                            solution = None
+                            annealed = anneal_rap(
+                                f_by_class, width_by_class, usable,
+                                level_budgets, seed=sa_seed,
+                                time_limit_s=deadline.clamp(time_limit_s),
+                                initial=prior,
+                            )
+                            if annealed is None:
+                                raise InfeasibleError(
+                                    "SA found no feasible start"
+                                )
+                            maps, objective = annealed
+                        else:
+                            warm = prior
+                            if warm is None and rung in EXACT_BACKENDS:
                                 # Cheap incumbent: seeds bnb's search and
-                                # the sparse engine's reduced-cost fixing
+                                # the engines' reduced-cost fixing
                                 # (highs itself ignores warm starts).
                                 warm = greedy_rap(
-                                    f, cluster_width, usable, n_rows
+                                    f_by_class, width_by_class, usable,
+                                    level_budgets,
                                 )
-                            solution, sparse_stats = solve_rap_sparse(
-                                f,
-                                cluster_width,
+                            solution, maps, stats = solve_rap(
+                                f_by_class,
+                                width_by_class,
                                 usable,
-                                n_rows,
+                                level_budgets,
                                 backend=rung,
                                 time_limit_s=deadline.clamp(time_limit_s),
                                 warm_assignment=warm,
@@ -919,31 +1339,11 @@ def solve_rap_resilient(
                                 workers=workers,
                             )
                             attempt_span.annotate(
-                                sparse_rounds=sparse_stats.rounds,
-                                sparse_k=sparse_stats.k_final,
-                                sparse_candidates=sparse_stats.n_candidates,
-                                sparse_components=sparse_stats.n_components,
-                                sparse_certified=sparse_stats.certified,
-                            )
-                        else:
-                            warm = (
-                                _warm_start_vector(
-                                    model,
-                                    f,
-                                    cluster_width,
-                                    usable,
-                                    n_rows,
-                                    prior=warm_assignment,
-                                )
-                                if rung == "bnb"
-                                or warm_assignment is not None
-                                else None
-                            )
-                            solution = solve_milp(
-                                model,
-                                backend=rung,
-                                time_limit_s=deadline.clamp(time_limit_s),
-                                warm_start=warm,
+                                sparse_rounds=stats.rounds,
+                                sparse_k=stats.k_final,
+                                sparse_candidates=stats.n_candidates,
+                                sparse_components=stats.n_components,
+                                sparse_certified=stats.certified,
                             )
                 except StageTimeoutError as exc:
                     prov.record(
@@ -971,36 +1371,47 @@ def solve_rap_resilient(
                         "RAP rung %s attempt %d failed: %s",
                         rung, attempt, exc,
                     )
-                    if attempt < policy.retry.max_attempts:
+                    if attempt < max_attempts:
                         policy.sleep(policy.retry.delay(attempt))
                     continue
                 runtime = attempt_span.duration_s
 
-                if solution.status is MilpStatus.INFEASIBLE:
-                    prov.record(
-                        stage, rung, attempt, ok=False,
-                        error=InfeasibleError("model infeasible"),
-                        runtime_s=runtime, relaxation=relaxation,
-                    )
-                    escalate = True
-                    break
-                if not solution.ok or solution.x is None:
-                    prov.record(
-                        stage, rung, attempt, ok=False,
-                        error=SolverError(
-                            f"no incumbent (status {solution.status.value})"
-                        ),
-                        runtime_s=runtime, relaxation=relaxation,
-                    )
-                    break  # a timeout/error won't improve on retry: next rung
+                if solution is not None:
+                    if solution.status is MilpStatus.INFEASIBLE:
+                        prov.record(
+                            stage, rung, attempt, ok=False,
+                            error=InfeasibleError("model infeasible"),
+                            runtime_s=runtime, relaxation=relaxation,
+                        )
+                        escalate = True
+                        break
+                    if maps is None:
+                        prov.record(
+                            stage, rung, attempt, ok=False,
+                            error=SolverError(
+                                "no incumbent "
+                                f"(status {solution.status.value})"
+                            ),
+                            runtime_s=runtime, relaxation=relaxation,
+                        )
+                        break  # a timeout/error won't improve on retry
+                    objective = solution.objective
                 try:
-                    assignment = solution_to_assignment(
-                        solution,
-                        n_clusters=f.shape[0],
-                        n_pairs=n_pairs,
-                        labels=labels,
-                        majority_track=majority_track,
-                        minority_track=minority_track,
+                    assignment = decode_assignment(
+                        maps,
+                        labels_by_class,
+                        minority_tracks,
+                        majority_track,
+                        n_p,
+                        objective=objective,
+                        ilp_runtime_s=(
+                            solution.runtime_s if solution is not None
+                            else runtime
+                        ),
+                        num_variables=num_variables,
+                        solver_nodes=(
+                            solution.nodes if solution is not None else 0
+                        ),
                     )
                 except InfeasibleError as exc:
                     prov.record(

@@ -1,6 +1,12 @@
-"""Sparse RAP engine: candidate pruning, pricing repair, decomposition.
+"""RAP model builder and the single-class sparse engine.
 
-The dense RAP of :func:`repro.core.rap.build_rap_model` instantiates all
+:func:`build_rap_model` is the one builder of the paper's MILP (Eqs.
+1-5), height-indexed over ``K >= 1`` track classes and restricted to
+per-class candidate masks.  :func:`solve_rap_sparse` is the ``K = 1``
+kernel behind :func:`repro.core.rap.solve_rap`: candidate pruning,
+pricing repair, decomposition and ECO repair.
+
+The dense RAP (all-true masks) instantiates all
 ``N_C x N_P`` assignment variables, so model build and solve cost grow
 quadratically with testcase size even though a cluster is never
 profitably assigned to a row pair across the die.  This module prunes
@@ -18,7 +24,7 @@ optimum:
   (:func:`repro.core.cost.cheapest_pairs_mask`), with ``k`` adaptive to
   the capacity slack (:func:`adaptive_candidate_count`).  Either way the
   result is a column-compressed :class:`~repro.solvers.milp.MilpModel`
-  (:class:`SparseRapModel`) carrying an index map back to the dense
+  (:class:`RapModel`) carrying an index map back to the dense
   variable layout; at ``k = N_P`` it is bit-identical to the dense
   model.
 
@@ -119,85 +125,143 @@ class SparseSolveStats:
 
 
 @dataclass(frozen=True)
-class SparseRapModel:
-    """Column-compressed RAP model plus the map back to dense layout.
+class RapModel:
+    """Column-compressed RAP model over ``K`` height classes + index maps.
 
-    ``x`` columns are the candidate (cluster, pair) entries in dense
-    row-major order; ``y`` columns cover only the union of candidate
-    pairs.  ``cand_cluster[j]`` / ``cand_pair[j]`` give x column ``j``'s
-    dense coordinates, ``union_pairs[s]`` y slot ``s``'s dense pair.
+    Variable layout: per-class candidate ``x`` blocks in class order
+    (each in dense row-major order), then per-class ``y`` blocks over
+    each class's candidate pair union.  ``cand_cluster[h][j]`` /
+    ``cand_pair[h][j]`` give class ``h``'s x column ``j``'s dense
+    coordinates, ``union_pairs[h][s]`` its y slot ``s``'s dense pair.
+    With all-true masks this *is* the dense model.
     """
 
     model: MilpModel
-    cand_cluster: np.ndarray
-    cand_pair: np.ndarray
-    union_pairs: np.ndarray
-    n_clusters: int
+    cand_cluster: list[np.ndarray]
+    cand_pair: list[np.ndarray]
+    union_pairs: list[np.ndarray]
+    n_clusters: list[int]
     n_pairs: int
 
     @property
-    def n_x(self) -> int:
-        return len(self.cand_cluster)
-
-    @property
-    def n_dense_vars(self) -> int:
-        return self.n_clusters * self.n_pairs + self.n_pairs
+    def x_sizes(self) -> list[int]:
+        return [len(c) for c in self.cand_cluster]
 
     def to_dense_x(self, x: np.ndarray) -> np.ndarray:
         """Expand a restricted solution vector to the dense layout."""
-        dense = np.zeros(self.n_dense_vars)
-        dense[self.cand_cluster * self.n_pairs + self.cand_pair] = x[: self.n_x]
-        dense[self.n_clusters * self.n_pairs + self.union_pairs] = x[self.n_x:]
+        n_p = self.n_pairs
+        n_x_dense = sum(self.n_clusters) * n_p
+        dense = np.zeros(n_x_dense + len(self.n_clusters) * n_p)
+        x_off, y_off, d_off = 0, sum(self.x_sizes), 0
+        for h, n_c in enumerate(self.n_clusters):
+            n_x, n_y = len(self.cand_cluster[h]), len(self.union_pairs[h])
+            dense[
+                d_off + self.cand_cluster[h] * n_p + self.cand_pair[h]
+            ] = x[x_off:x_off + n_x]
+            dense[n_x_dense + h * n_p + self.union_pairs[h]] = (
+                x[y_off:y_off + n_y]
+            )
+            x_off, y_off, d_off = x_off + n_x, y_off + n_y, d_off + n_c * n_p
         return dense
 
-    def encode_assignment(self, assignment: np.ndarray) -> np.ndarray | None:
-        """Restricted (x, y) vector for a cluster -> pair map.
+    def encode_assignment(
+        self, assignment: list[np.ndarray]
+    ) -> np.ndarray | None:
+        """Restricted (x, y) vector for per-class cluster -> pair maps.
 
         Returns ``None`` when some cluster's pair is not a candidate
         column (the warm start is then simply dropped).
         """
-        assignment = np.asarray(assignment, dtype=int)
-        if assignment.shape != (self.n_clusters,):
-            return None
-        if np.any(assignment < 0) or np.any(assignment >= self.n_pairs):
-            return None
-        keys = self.cand_cluster * self.n_pairs + self.cand_pair
-        want = np.arange(self.n_clusters) * self.n_pairs + assignment
-        idx = np.searchsorted(keys, want)
-        if np.any(idx >= len(keys)) or np.any(keys[idx] != want):
+        if len(assignment) != len(self.n_clusters):
             return None
         x = np.zeros(self.model.num_vars)
-        x[idx] = 1.0
-        slots = np.searchsorted(self.union_pairs, np.unique(assignment))
-        x[self.n_x + slots] = 1.0
+        offset, y_offset = 0, sum(self.x_sizes)
+        for h, n_c in enumerate(self.n_clusters):
+            a = np.asarray(assignment[h], dtype=int)
+            if a.shape != (n_c,):
+                return None
+            if np.any(a < 0) or np.any(a >= self.n_pairs):
+                return None
+            keys = self.cand_cluster[h] * self.n_pairs + self.cand_pair[h]
+            want = np.arange(n_c) * self.n_pairs + a
+            idx = np.searchsorted(keys, want)
+            if np.any(idx >= len(keys)) or np.any(keys[idx] != want):
+                return None
+            x[offset + idx] = 1.0
+            slots = np.searchsorted(self.union_pairs[h], np.unique(a))
+            x[y_offset + slots] = 1.0
+            offset += len(keys)
+            y_offset += len(self.union_pairs[h])
         return x
 
-    def assignment_of(self, x: np.ndarray) -> np.ndarray:
-        """Decode a restricted solution into cluster -> dense pair."""
-        chosen = np.flatnonzero(np.round(x[: self.n_x]) > 0.5)
-        assignment = np.full(self.n_clusters, -1, dtype=int)
-        assignment[self.cand_cluster[chosen]] = self.cand_pair[chosen]
-        return assignment
+
+def dense_assignment(
+    x: np.ndarray, n_clusters: list[int], n_pairs: int
+) -> list[np.ndarray]:
+    """Per-class cluster -> pair maps of a dense-layout solution vector.
+
+    A cluster not assigned to exactly one pair maps to ``-1``; the
+    decoder (:func:`repro.core.rap.decode_assignment`) rejects those.
+    """
+    out: list[np.ndarray] = []
+    offset = 0
+    for n_c in n_clusters:
+        block = np.round(x[offset:offset + n_c * n_pairs]).reshape(
+            n_c, n_pairs
+        )
+        assignment = np.argmax(block, axis=1)
+        assignment[block.sum(axis=1) != 1] = -1
+        out.append(assignment)
+        offset += n_c * n_pairs
+    return out
+
+
+def dense_vector(assignment: list[np.ndarray], n_pairs: int) -> np.ndarray:
+    """Dense-layout (x, y) vector of per-class cluster -> pair maps."""
+    n_x = sum(len(a) for a in assignment) * n_pairs
+    x = np.zeros(n_x + len(assignment) * n_pairs)
+    offset = 0
+    for h, a in enumerate(assignment):
+        x[offset + np.arange(len(a)) * n_pairs + a] = 1.0
+        x[n_x + h * n_pairs + np.unique(a)] = 1.0
+        offset += len(a) * n_pairs
+    return x
 
 
 def validate_rap_inputs(
-    f: np.ndarray,
-    cluster_width: np.ndarray,
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
     pair_capacity: np.ndarray,
-    n_minority_rows: int,
-) -> tuple[int, int]:
-    """Shared input validation of the dense and sparse RAP builders."""
-    n_c, n_p = f.shape
-    if cluster_width.shape != (n_c,):
-        raise ValidationError("cluster_width shape mismatch")
+    budgets: list[int],
+) -> tuple[list[int], int]:
+    """Shared validation; returns (per-class cluster counts, n_pairs)."""
+    if not f_by_class:
+        raise ValidationError("need at least one height class")
+    if not (len(f_by_class) == len(width_by_class) == len(budgets)):
+        raise ValidationError("per-class inputs must align")
+    n_p = len(pair_capacity)
     if pair_capacity.shape != (n_p,):
         raise ValidationError("pair_capacity shape mismatch")
-    if not (1 <= n_minority_rows <= n_p):
+    n_cs: list[int] = []
+    for h, (f, w, budget) in enumerate(
+        zip(f_by_class, width_by_class, budgets)
+    ):
+        n_c, n_p_h = f.shape
+        if n_p_h != n_p:
+            raise ValidationError(f"class {h}: pair_capacity shape mismatch")
+        if w.shape != (n_c,):
+            raise ValidationError(f"class {h}: cluster_width shape mismatch")
+        if not (1 <= budget <= n_p):
+            raise InfeasibleError(
+                f"class {h}: N_minR={budget} outside [1, {n_p}] "
+                f"(must open between 1 and all {n_p} row pairs)"
+            )
+        n_cs.append(n_c)
+    if sum(budgets) > n_p:
         raise InfeasibleError(
-            f"N_minR={n_minority_rows} outside [1, {n_p}] "
-            f"(must open between 1 and all {n_p} row pairs)"
+            f"row budgets {budgets} total {sum(budgets)} > {n_p} pairs"
         )
-    return n_c, n_p
+    return n_cs, n_p
 
 
 def adaptive_candidate_count(
@@ -224,108 +288,176 @@ def adaptive_candidate_count(
     return int(np.clip(k, min(4, n_p), n_p))
 
 
-def build_sparse_rap_model(
-    f: np.ndarray,
-    cluster_width: np.ndarray,
+def build_rap_model(
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
     pair_capacity: np.ndarray,
-    n_minority_rows: int,
-    mask: np.ndarray,
+    budgets: list[int],
+    masks: list[np.ndarray] | None = None,
     strengthen: bool = False,
-) -> SparseRapModel:
-    """Assemble the column-compressed MILP of Eqs. (1)-(5).
+) -> RapModel:
+    """Assemble the (restricted) height-indexed MILP of Eqs. (1)-(5).
 
-    ``mask`` is the boolean candidate matrix; with ``mask`` all-true and
-    ``strengthen=False`` the produced model is bit-identical to
-    :func:`repro.core.rap.build_rap_model`'s dense layout (same variable
-    order, same constraint blocks, same coefficients).
-    ``strengthen=True`` appends the facility-location cuts described in
-    the module docstring — valid inequalities that leave the integer
-    optimum unchanged but sharply tighten the LP relaxation.
+    Per class ``h``: Eq. (3) rows over its candidates, its Eq. (5) count
+    row, and per candidate-union pair the Eq. (4) capacity-linking and
+    host (``y_hr <= sum_c x_hcr``) rows.  At ``K >= 2`` the pair
+    exclusivity rows ``sum_h y_hr <= 1`` follow (a pair carries one
+    track height; at ``K = 1`` they would read ``y_r <= 1`` and are
+    omitted).  ``masks`` are per-class boolean candidate matrices; all
+    true (the default) builds the dense model.  ``strengthen=True``
+    appends the facility-location cuts described in the module
+    docstring — valid inequalities that leave the integer optimum
+    unchanged but sharply tighten the LP relaxation.
     """
-    n_c, n_p = validate_rap_inputs(
-        f, cluster_width, pair_capacity, n_minority_rows
+    n_cs, n_p = validate_rap_inputs(
+        f_by_class, width_by_class, pair_capacity, budgets
     )
-    if mask.shape != (n_c, n_p):
-        raise ValidationError("candidate mask shape mismatch")
-    if not mask.any(axis=1).all():
-        raise ValidationError("every cluster needs at least one candidate")
+    K = len(f_by_class)
+    if masks is None:
+        masks = [np.ones(f.shape, dtype=bool) for f in f_by_class]
+    cand_cluster: list[np.ndarray] = []
+    cand_pair: list[np.ndarray] = []
+    unions: list[np.ndarray] = []
+    for h in range(K):
+        if masks[h].shape != f_by_class[h].shape:
+            raise ValidationError(f"class {h}: candidate mask shape mismatch")
+        if not masks[h].any(axis=1).all():
+            raise ValidationError(
+                f"class {h}: every cluster needs at least one candidate"
+            )
+        # Row-major: cluster-major, pair ascending.
+        cidx, pidx = np.nonzero(masks[h])
+        cand_cluster.append(cidx)
+        cand_pair.append(pidx)
+        unions.append(np.unique(pidx))
 
-    cidx, pidx = np.nonzero(mask)  # row-major: cluster-major, pair ascending
-    union = np.unique(pidx)
-    slot_of_pair = np.full(n_p, -1, dtype=int)
-    slot_of_pair[union] = np.arange(len(union))
-    n_x = len(cidx)
-    n_y = len(union)
-    n_vars = n_x + n_y
+    x_sizes = [len(c) for c in cand_cluster]
+    y_sizes = [len(u) for u in unions]
+    n_x_total = sum(x_sizes)
+    n_vars = n_x_total + sum(y_sizes)
+    x_offsets = np.concatenate([[0], np.cumsum(x_sizes)])[:K]
+    y_offsets = n_x_total + np.concatenate([[0], np.cumsum(y_sizes)])[:K]
 
-    c = np.concatenate([f[mask], np.zeros(n_y)])
-
-    # Eq. (3): each cluster assigned exactly once (over its candidates).
-    a_assign = sp.coo_matrix(
-        (np.ones(n_x), (cidx, np.arange(n_x))), shape=(n_c, n_vars)
+    c = np.concatenate(
+        [f_by_class[h][masks[h]] for h in range(K)]
+        + [np.zeros(y_sizes[h]) for h in range(K)]
     )
-    b_assign = np.ones(n_c)
 
-    # Eq. (5): exactly N_minR minority pairs among the candidate union.
-    a_count = sp.coo_matrix(
-        (np.ones(n_y), (np.zeros(n_y), n_x + np.arange(n_y))),
-        shape=(1, n_vars),
+    # Eq. (3): every cluster assigned once (over its candidates), stacked
+    # over the classes; then per-class Eq. (5): exactly N_minR open pairs.
+    row0 = sum(n_cs)
+    eq_vals = np.concatenate(
+        [np.ones(x_sizes[h]) for h in range(K)]
+        + [np.ones(y_sizes[h]) for h in range(K)]
     )
-    b_count = np.array([float(n_minority_rows)])
-
-    # Eq. (4) + linking: sum_c w_c x_cr - cap_r y_r <= 0 per union pair.
-    x_rows = slot_of_pair[pidx]
-    x_cols = np.arange(n_x)
-    x_vals = cluster_width[cidx].astype(float)
-    y_rows = np.arange(n_y)
-    y_cols = n_x + np.arange(n_y)
-    y_vals = -pair_capacity[union].astype(float)
-    a_cap = sp.coo_matrix(
-        (
-            np.concatenate([x_vals, y_vals]),
-            (np.concatenate([x_rows, y_rows]), np.concatenate([x_cols, y_cols])),
-        ),
-        shape=(n_y, n_vars),
-    )
-    b_cap = np.zeros(n_y)
-
-    # Open rows must host a cluster: y_r <= sum_c x_cr.
-    a_host = sp.coo_matrix(
-        (
-            np.concatenate([-np.ones(n_x), np.ones(n_y)]),
-            (np.concatenate([x_rows, y_rows]), np.concatenate([x_cols, y_cols])),
-        ),
-        shape=(n_y, n_vars),
-    )
-    b_host = np.zeros(n_y)
-
-    ub_blocks = [a_cap, a_host]
-    b_ub_blocks = [b_cap, b_host]
-    if strengthen:
-        # Disaggregated linking: x_cr <= y_r per candidate column.
-        a_link = sp.coo_matrix(
-            (
-                np.concatenate([np.ones(n_x), -np.ones(n_x)]),
-                (
-                    np.concatenate([x_cols, x_cols]),
-                    np.concatenate([x_cols, n_x + x_rows]),
-                ),
-            ),
-            shape=(n_x, n_vars),
-        )
-        # Aggregate capacity: open rows must hold the whole width.
-        a_agg = sp.coo_matrix(
-            (
-                -pair_capacity[union].astype(float),
-                (np.zeros(n_y), n_x + np.arange(n_y)),
-            ),
-            shape=(1, n_vars),
-        )
-        ub_blocks += [a_link, a_agg]
-        b_ub_blocks += [
-            np.zeros(n_x),
-            np.array([-float(cluster_width.sum())]),
+    eq_rows = np.concatenate(
+        [
+            np.concatenate([[0], np.cumsum(n_cs)])[h] + cand_cluster[h]
+            for h in range(K)
         ]
+        + [np.full(y_sizes[h], row0 + h) for h in range(K)]
+    )
+    eq_cols = np.concatenate(
+        [x_offsets[h] + np.arange(x_sizes[h]) for h in range(K)]
+        + [y_offsets[h] + np.arange(y_sizes[h]) for h in range(K)]
+    )
+    a_eq = sp.coo_matrix(
+        (eq_vals, (eq_rows, eq_cols)), shape=(row0 + K, n_vars)
+    ).tocsr()
+    b_eq = np.concatenate(
+        [np.ones(row0), np.array([float(b) for b in budgets])]
+    )
+
+    # Eq. (4) + linking, sum_c w_c x_cr - cap_r y_r <= 0, and open rows
+    # must host a cluster, y_r <= sum_c x_cr: per (class, union pair).
+    ub_blocks, b_ub_blocks = [], []
+    slots: list[np.ndarray] = []
+    for h in range(K):
+        slot = np.full(n_p, -1, dtype=int)
+        slot[unions[h]] = np.arange(y_sizes[h])
+        slots.append(slot)
+        rows = np.concatenate([slot[cand_pair[h]], np.arange(y_sizes[h])])
+        cols = np.concatenate(
+            [
+                x_offsets[h] + np.arange(x_sizes[h]),
+                y_offsets[h] + np.arange(y_sizes[h]),
+            ]
+        )
+        cap_vals = np.concatenate(
+            [
+                width_by_class[h][cand_cluster[h]].astype(float),
+                -pair_capacity[unions[h]].astype(float),
+            ]
+        )
+        host_vals = np.concatenate(
+            [-np.ones(x_sizes[h]), np.ones(y_sizes[h])]
+        )
+        for vals in (cap_vals, host_vals):
+            ub_blocks.append(
+                sp.coo_matrix((vals, (rows, cols)), shape=(y_sizes[h], n_vars))
+            )
+            b_ub_blocks.append(np.zeros(y_sizes[h]))
+
+    if K > 1:
+        # Pair exclusivity: a row pair carries at most one track height.
+        all_pairs = np.unique(np.concatenate(unions))
+        excl_slot = np.full(n_p, -1, dtype=int)
+        excl_slot[all_pairs] = np.arange(len(all_pairs))
+        excl_rows = np.concatenate([excl_slot[u] for u in unions])
+        excl_cols = np.concatenate(
+            [y_offsets[h] + np.arange(y_sizes[h]) for h in range(K)]
+        )
+        ub_blocks.append(
+            sp.coo_matrix(
+                (np.ones(len(excl_rows)), (excl_rows, excl_cols)),
+                shape=(len(all_pairs), n_vars),
+            )
+        )
+        b_ub_blocks.append(np.ones(len(all_pairs)))
+
+    if strengthen:
+        for h in range(K):
+            x_cols = x_offsets[h] + np.arange(x_sizes[h])
+            # Disaggregated linking: x_cr <= y_r per candidate column.
+            ub_blocks.append(
+                sp.coo_matrix(
+                    (
+                        np.concatenate(
+                            [np.ones(x_sizes[h]), -np.ones(x_sizes[h])]
+                        ),
+                        (
+                            np.concatenate([np.arange(x_sizes[h])] * 2),
+                            np.concatenate(
+                                [x_cols, y_offsets[h] + slots[h][cand_pair[h]]]
+                            ),
+                        ),
+                    ),
+                    shape=(x_sizes[h], n_vars),
+                )
+            )
+            b_ub_blocks.append(np.zeros(x_sizes[h]))
+            # Aggregate capacity: open rows must hold the whole width.
+            ub_blocks.append(
+                sp.coo_matrix(
+                    (
+                        -pair_capacity[unions[h]].astype(float),
+                        (
+                            np.zeros(y_sizes[h]),
+                            y_offsets[h] + np.arange(y_sizes[h]),
+                        ),
+                    ),
+                    shape=(1, n_vars),
+                )
+            )
+            b_ub_blocks.append(np.array([-float(width_by_class[h].sum())]))
+
+    def names() -> list[str]:
+        tags = [""] if K == 1 else [str(h) for h in range(K)]
+        return [
+            f"x{tags[h]}_{c_}_{p_}"
+            for h in range(K)
+            for c_, p_ in zip(cand_cluster[h].tolist(), cand_pair[h].tolist())
+        ] + [f"y{tags[h]}_{p_}" for h in range(K) for p_ in unions[h].tolist()]
 
     model = MilpModel(
         c=c,
@@ -334,19 +466,16 @@ def build_sparse_rap_model(
         ub=np.ones(n_vars),
         a_ub=sp.vstack(ub_blocks).tocsr(),
         b_ub=np.concatenate(b_ub_blocks),
-        a_eq=sp.vstack([a_assign, a_count]).tocsr(),
-        b_eq=np.concatenate([b_assign, b_count]),
-        name_factory=lambda: [
-            f"x_{c_}_{p_}" for c_, p_ in zip(cidx.tolist(), pidx.tolist())
-        ]
-        + [f"y_{p_}" for p_ in union.tolist()],
+        a_eq=a_eq,
+        b_eq=b_eq,
+        name_factory=names,
     )
-    return SparseRapModel(
+    return RapModel(
         model=model,
-        cand_cluster=cidx,
-        cand_pair=pidx,
-        union_pairs=union,
-        n_clusters=n_c,
+        cand_cluster=cand_cluster,
+        cand_pair=cand_pair,
+        union_pairs=unions,
+        n_clusters=n_cs,
         n_pairs=n_p,
     )
 
@@ -385,9 +514,8 @@ def _dense_lp(
     whose support contains column ``j`` costs at least ``z_lp + rc_j``.
     """
     n_c, n_p = f.shape
-    mask = np.ones((n_c, n_p), dtype=bool)
-    srm = build_sparse_rap_model(
-        f, cluster_width, pair_capacity, n_minority_rows, mask,
+    srm = build_rap_model(
+        [f], [cluster_width], pair_capacity, [n_minority_rows],
         strengthen=True,
     )
     model = srm.model
@@ -425,7 +553,7 @@ def _dense_lp(
         - model.a_ub.T @ lp.ineqlin.marginals
         - model.a_eq.T @ lp.eqlin.marginals
     )
-    n_x = srm.n_x
+    n_x = srm.x_sizes[0]
     # rc can dip epsilon-negative at the optimum; clipping only weakens
     # the bound (admits more columns), never threatens exactness.
     return _LpInfo(
@@ -436,11 +564,11 @@ def _dense_lp(
     )
 
 
-def _assignment_cost(f: np.ndarray, assignment: np.ndarray) -> float:
+def assignment_cost(f: np.ndarray, assignment: np.ndarray) -> float:
     return float(f[np.arange(f.shape[0]), assignment].sum())
 
 
-def _feasible_assignment(
+def feasible_assignment(
     assignment: np.ndarray | None,
     cluster_width: np.ndarray,
     pair_capacity: np.ndarray,
@@ -518,7 +646,7 @@ def _lp_rounding_incumbent(
     if not solution.ok or solution.x is None:
         return None
     x = np.round(solution.x).reshape(n_c, k)
-    assignment = _feasible_assignment(
+    assignment = feasible_assignment(
         open_pairs[np.argmax(x, axis=1)],
         cluster_width,
         pair_capacity,
@@ -526,7 +654,7 @@ def _lp_rounding_incumbent(
     )
     if assignment is None:  # degenerate rounding left a pair unused
         return None
-    return assignment, _assignment_cost(f, assignment), solution.runtime_s
+    return assignment, assignment_cost(f, assignment), solution.runtime_s
 
 
 def _candidate_components(
@@ -608,12 +736,12 @@ def _solve_component_job(payload: dict) -> dict:
 def _solve_component(payload: dict) -> dict:
     t0 = time.perf_counter()
     try:
-        srm = build_sparse_rap_model(
-            payload["f"],
-            payload["w"],
+        srm = build_rap_model(
+            [payload["f"]],
+            [payload["w"]],
             payload["cap"],
-            payload["n_rows"],
-            payload["mask"],
+            [payload["n_rows"]],
+            [payload["mask"]],
             strengthen=payload.get("strengthen", False),
         )
     except (InfeasibleError, ValidationError):
@@ -622,7 +750,7 @@ def _solve_component(payload: dict) -> dict:
     warm_vec = None
     warm = payload.get("warm")
     if warm is not None:
-        candidate = srm.encode_assignment(warm)
+        candidate = srm.encode_assignment([warm])
         if candidate is not None and srm.model.is_feasible(candidate):
             warm_vec = candidate
     solution = solve_milp(
@@ -640,7 +768,9 @@ def _solve_component(payload: dict) -> dict:
     }
     if solution.ok and solution.x is not None:
         out["objective"] = solution.objective
-        out["assignment"] = srm.assignment_of(solution.x)
+        out["assignment"] = dense_assignment(
+            srm.to_dense_x(solution.x), srm.n_clusters, srm.n_pairs
+        )[0]
     return out
 
 
@@ -827,12 +957,9 @@ def _solve_decomposed(
         clusters, pairs = comps[i]
         assignment[clusters] = pairs[local]
         remaining -= r
-    x = np.zeros(n_c * n_p + n_p)
-    x[np.arange(n_c) * n_p + assignment] = 1.0
-    x[n_c * n_p + np.unique(assignment)] = 1.0
     return MilpSolution(
         status=MilpStatus.OPTIMAL if all_optimal else MilpStatus.FEASIBLE,
-        x=x,
+        x=dense_vector([assignment], n_p),
         objective=float(dp[n_rows]),
         nodes=nodes,
         runtime_s=runtime_s,
@@ -877,9 +1004,7 @@ def _solve_lagrangian_direct(
             nodes=0,
             runtime_s=solve_span.duration_s,
         )
-    x = np.zeros(n_c * n_p + n_p)
-    x[np.arange(n_c) * n_p + result.assignment] = 1.0
-    x[n_c * n_p + np.unique(result.assignment)] = 1.0
+    x = dense_vector([result.assignment], n_p)
     # c @ x, not f[arange, assignment].sum(): match the dense decode's
     # accumulation order so the objective is bit-identical to it.
     cost_vector = np.concatenate([f.ravel(), np.zeros(n_p)])
@@ -918,14 +1043,13 @@ def _solve_small_dense(
         small=True,
     ) as root:
         t0 = time.perf_counter()
-        srm = build_sparse_rap_model(
-            f, cluster_width, pair_capacity, n_minority_rows,
-            np.ones((n_c, n_p), dtype=bool), strengthen=False,
+        srm = build_rap_model(
+            [f], [cluster_width], pair_capacity, [n_minority_rows]
         )
         stats.build_s = time.perf_counter() - t0
         warm_vec = None
         if warm is not None:
-            candidate = srm.encode_assignment(warm)
+            candidate = srm.encode_assignment([warm])
             if candidate is not None and srm.model.is_feasible(candidate):
                 warm_vec = candidate
         solution = solve_milp(
@@ -955,7 +1079,7 @@ def _solve_small_dense(
     return solution, stats
 
 
-def _coverage_mask(
+def coverage_mask(
     f: np.ndarray,
     pair_capacity: np.ndarray,
     n_minority_rows: int,
@@ -999,8 +1123,9 @@ def _masked_lp(
     support contains column ``j`` costs at least ``z_lp + rc_j``.
     """
     n_c, n_p = f.shape
-    srm = build_sparse_rap_model(
-        f, cluster_width, pair_capacity, n_rows, mask, strengthen=True
+    srm = build_rap_model(
+        [f], [cluster_width], pair_capacity, [n_rows], [mask],
+        strengthen=True,
     )
     model = srm.model
     try:
@@ -1027,9 +1152,9 @@ def _masked_lp(
         model.c
         - model.a_ub.T @ lp.ineqlin.marginals
         - model.a_eq.T @ lp.eqlin.marginals
-    )[: srm.n_x]
+    )[: srm.x_sizes[0]]
     rc = np.full((n_c, n_p), np.inf)
-    rc[srm.cand_cluster, srm.cand_pair] = np.maximum(rc_x, 0.0)
+    rc[srm.cand_cluster[0], srm.cand_pair[0]] = np.maximum(rc_x, 0.0)
     return float(lp.fun), rc
 
 
@@ -1074,21 +1199,18 @@ def _solve_eco_repair(
         return solution, stats
 
     # The incumbent's used pairs: exactly n_rows of them (validated by
-    # _feasible_assignment), all of which stay open in the subproblem.
+    # feasible_assignment), all of which stay open in the subproblem.
     allowed = np.unique(warm)
     pin = np.zeros((n_c, n_p), dtype=bool)
     pin[np.arange(n_c), warm] = True
     if len(dirty) == 0:
         stats.rounds = 0
         stats.certified = True
-        dense = np.zeros(n_c * n_p + n_p)
-        dense[np.arange(n_c) * n_p + warm] = 1.0
-        dense[n_c * n_p + allowed] = 1.0
         return _done(
             MilpSolution(
                 status=MilpStatus.OPTIMAL,
-                x=dense,
-                objective=_assignment_cost(f, warm),
+                x=dense_vector([warm], n_p),
+                objective=assignment_cost(f, warm),
             )
         )
 
@@ -1121,12 +1243,12 @@ def _solve_eco_repair(
             stats.n_candidates = int(mask.sum())
             stats.k_final = int(mask[dirty].sum(axis=1).max())
             t0 = time.perf_counter()
-            srm = build_sparse_rap_model(
-                f, cluster_width, pair_capacity, n_rows, mask,
+            srm = build_rap_model(
+                [f], [cluster_width], pair_capacity, [n_rows], [mask],
                 strengthen=True,
             )
             stats.build_s += time.perf_counter() - t0
-            warm_vec = srm.encode_assignment(warm)
+            warm_vec = srm.encode_assignment([warm])
             if warm_vec is not None and not srm.model.is_feasible(warm_vec):
                 warm_vec = None
             restricted = solve_milp(
@@ -1257,8 +1379,8 @@ def solve_rap_sparse(
     f = np.asarray(f, dtype=float)
     cluster_width = np.asarray(cluster_width, dtype=float)
     pair_capacity = np.asarray(pair_capacity, dtype=float)
-    n_c, n_p = validate_rap_inputs(
-        f, cluster_width, pair_capacity, n_minority_rows
+    (n_c,), n_p = validate_rap_inputs(
+        [f], [cluster_width], pair_capacity, [n_minority_rows]
     )
     stats = SparseSolveStats(n_dense_variables=n_c * n_p + n_p)
 
@@ -1279,7 +1401,7 @@ def solve_rap_sparse(
     # trajectory) exactly, so that configuration carries no cuts.
     strengthen = not (forced and candidate_k >= n_p)
     total_width = float(cluster_width.sum())
-    warm = _feasible_assignment(
+    warm = feasible_assignment(
         warm_assignment, cluster_width, pair_capacity, n_minority_rows
     )
 
@@ -1308,13 +1430,10 @@ def solve_rap_sparse(
 
     def _warm_solution() -> MilpSolution:
         """The warm assignment as a dense-layout FEASIBLE incumbent."""
-        dense = np.zeros(n_c * n_p + n_p)
-        dense[np.arange(n_c) * n_p + warm] = 1.0
-        dense[n_c * n_p + np.unique(warm)] = 1.0
         return MilpSolution(
             status=MilpStatus.FEASIBLE,
-            x=dense,
-            objective=_assignment_cost(f, warm),
+            x=dense_vector([warm], n_p),
+            objective=assignment_cost(f, warm),
         )
 
     if dirty_clusters is not None and not forced:
@@ -1346,7 +1465,7 @@ def solve_rap_sparse(
             stats.strategy = "top-k"
             k = int(np.clip(candidate_k, 1, n_p))
             with span("rap.sparse.candidates", k=k, strategy="top-k"):
-                mask, k = _coverage_mask(
+                mask, k = coverage_mask(
                     f, pair_capacity, n_minority_rows, total_width, k, extra
                 )
         else:
@@ -1374,7 +1493,7 @@ def solve_rap_sparse(
                     if rounded is not None:
                         stats.solve_s += rounded[2]
                     z_warm = (
-                        _assignment_cost(f, warm)
+                        assignment_cost(f, warm)
                         if warm is not None
                         else np.inf
                     )
@@ -1409,7 +1528,7 @@ def solve_rap_sparse(
                     k = adaptive_candidate_count(
                         f, cluster_width, pair_capacity, n_minority_rows
                     )
-                    mask, k = _coverage_mask(
+                    mask, k = coverage_mask(
                         f, pair_capacity, n_minority_rows, total_width,
                         k, extra,
                     )
@@ -1434,14 +1553,14 @@ def solve_rap_sparse(
                 )
             if solution is None:  # single component or oversized sweep
                 t0 = time.perf_counter()
-                srm = build_sparse_rap_model(
-                    f, cluster_width, pair_capacity, n_minority_rows, mask,
-                    strengthen=strengthen,
+                srm = build_rap_model(
+                    [f], [cluster_width], pair_capacity, [n_minority_rows],
+                    [mask], strengthen=strengthen,
                 )
                 stats.build_s += time.perf_counter() - t0
                 warm_vec = None
                 if warm is not None:
-                    candidate = srm.encode_assignment(warm)
+                    candidate = srm.encode_assignment([warm])
                     if candidate is not None and srm.model.is_feasible(
                         candidate
                     ):
@@ -1500,7 +1619,7 @@ def solve_rap_sparse(
                     )
                 k = min(n_p, 2 * max(k, 1))
                 with span("rap.sparse.candidates", k=k, escalated=True):
-                    mask, k = _coverage_mask(
+                    mask, k = coverage_mask(
                         f, pair_capacity, n_minority_rows, total_width,
                         k, extra | mask,
                     )

@@ -747,12 +747,11 @@ def _repair_classes(runner, base, labels_by, app):
     cannot certify equality with its row-frozen subproblem optimum.
     """
     from repro.core.cost import compute_rap_costs
-    from repro.core.sparse_rap import solve_rap_sparse
+    from repro.core.sparse_rap import dense_assignment, solve_rap_sparse
 
     init = runner.initial
     params = runner.params
     cap = init.pair_capacity * params.row_fill
-    single = len(runner._classes) == 1
 
     parts_c2p: list[np.ndarray] = []
     parts_labels: list[np.ndarray] = []
@@ -763,10 +762,7 @@ def _repair_classes(runner, base, labels_by, app):
     dirty_total = 0
     offset = 0
     for (track, indices, widths), labels in zip(runner._classes, labels_by):
-        warm = (
-            base.cluster_to_pair if single else base.by_track[track][0]
-        )
-        warm = np.asarray(warm, dtype=int)
+        warm = np.asarray(base.by_track[track][0], dtype=int)
         n_clusters = len(warm)
         dirty = np.unique(labels[np.isin(indices, app.touched)])
         dirty_total += len(dirty)
@@ -810,11 +806,9 @@ def _repair_classes(runner, base, labels_by, app):
                 raise _EcoFallback(
                     f"restricted repair uncertified for {track:g}T"
                 )
-            n_pairs = len(init.pair_capacity)
-            x = np.round(
-                solution.x[: n_clusters * n_pairs]
-            ).reshape(n_clusters, n_pairs)
-            new = np.argmax(x, axis=1)
+            (new,) = dense_assignment(
+                solution.x, [n_clusters], len(init.pair_capacity)
+            )
         objective += float(f[np.arange(n_clusters), new].sum())
         moved_by.append(np.flatnonzero(new != warm))
         parts_c2p.append(new)
@@ -824,7 +818,7 @@ def _repair_classes(runner, base, labels_by, app):
     return (
         np.concatenate(parts_c2p),
         np.concatenate(parts_labels),
-        by_track if not single else None,
+        by_track,
         objective,
         certified,
         dirty_total,
@@ -875,7 +869,6 @@ def _legalize_windows(
     """
     pairs = placed.floorplan.row_pairs()
     pair_center = np.array([p.center_y for p in pairs], dtype=float)
-    single = len(runner._classes) == 1
     # Geometry-disturbed cells only: resizes/ghosts change widths and
     # inserts add cells, but a rewire swaps connectivity without moving
     # anything — its rows stay legal and need no window pass.
@@ -884,10 +877,7 @@ def _legalize_windows(
     ).astype(np.int64)
     offset = 0
     for k, (track, indices, _w) in enumerate(runner._classes):
-        warm = np.asarray(
-            base.cluster_to_pair if single else base.by_track[track][0],
-            dtype=int,
-        )
+        warm = np.asarray(base.by_track[track][0], dtype=int)
         n_clusters = len(warm)
         new = np.asarray(c2p_concat[offset:offset + n_clusters], dtype=int)
         offset += n_clusters
@@ -952,7 +942,7 @@ def run_eco(runner, delta: NetlistDelta, incumbent) -> EcoResult:
         labels_by = getattr(runner, "_ilp_labels", None)
         try:
             runner.policy.inject("eco.repair")
-            if base is None:
+            if base is None or base.by_track is None:
                 raise _EcoFallback("incumbent has no row assignment")
             if labels_by is None or len(labels_by) != len(runner._classes):
                 raise _EcoFallback("no cached clustering labels")
@@ -992,11 +982,7 @@ def run_eco(runner, delta: NetlistDelta, incumbent) -> EcoResult:
         runner._ilp = (
             assignment, 0.0, seconds, int(labels_concat.max()) + 1, prov,
         )
-        runner._rap_warm = (
-            assignment.cluster_to_pair
-            if by_track is None
-            else [by_track[t][0] for t, _i, _w in runner._classes]
-        )
+        runner._rap_warm = [by_track[t][0] for t, _i, _w in runner._classes]
         emit_event(
             "eco.repaired",
             seconds=seconds,

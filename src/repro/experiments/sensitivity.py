@@ -30,6 +30,7 @@ from repro.experiments.testcases import (
 from repro.netlist.generator import GeneratorSpec, generate_netlist
 from repro.netlist.synthesis import size_to_minority_fraction
 from repro.techlib.asap7 import make_asap7_library
+from repro.utils.errors import InfeasibleError
 
 
 @dataclass(frozen=True)
@@ -119,13 +120,15 @@ def row_pairing_ablation(
             initial.placed, idx, clustering.labels, clustering.n_clusters,
             pair_center_y, initial.minority_widths_original,
         )
-        return solve_rap(
-            costs.combine(params.alpha),
-            costs.cluster_width,
+        solution, _, _ = solve_rap(
+            [costs.combine(params.alpha)],
+            [costs.cluster_width],
             pair_capacity * params.row_fill,
-            n_minr,
-            clustering.labels,
+            [n_minr],
         )
+        if not solution.ok:
+            raise InfeasibleError(f"RAP solve failed: {solution.status}")
+        return solution
 
     n_minr = required_minority_pairs(
         float(initial.minority_widths_original.sum()),

@@ -251,20 +251,24 @@ def refine_detailed(
                 )
 
 
-def fence_aware_refine_multi(
+def fence_aware_refine(
     placed: PlacedDesign,
     classes: list[tuple[np.ndarray, FenceRegions]],
     iterations: int = 4,
     move_fraction: float = 0.85,
 ) -> None:
-    """Refine under ``K`` fence constraints simultaneously.
+    """Refine ``placed`` in-place under ``K`` fence constraints.
 
     ``classes`` pairs each minority class's instance indices with its own
     :class:`FenceRegions`.  One median pass moves every cell, then *every*
-    class projects back onto its fences — running the single-class
+    class projects back onto its fences — running a single-class
     refinement per class instead would move the majority ``K`` times and
-    un-project the earlier classes.  ``classes = [(idx, fences)]``
-    reproduces :func:`fence_aware_refine` exactly.
+    un-project the earlier classes.
+
+    ``placed`` must live in the mixed floorplan frame with original
+    (mixed-height) masters.  Positions on return are wirelength-improved
+    and fence-respecting but not overlap-free; run Abacus per row class
+    afterwards.
     """
     if not (0.0 < move_fraction <= 1.0):
         raise ValidationError("move_fraction must be in (0, 1]")
@@ -296,61 +300,6 @@ def fence_aware_refine_multi(
             np.clip(placed.x, die.xlo, die.xhi - placed.widths, out=placed.x)
             np.clip(placed.y, die.ylo, die.yhi - placed.heights, out=placed.y)
             project_all()
-            if telemetry:
-                from repro.placement.hpwl import hpwl_total
-
-                observe(
-                    "refine.fence_aware",
-                    iteration=iteration,
-                    hpwl=hpwl_total(placed),
-                )
-
-
-def fence_aware_refine(
-    placed: PlacedDesign,
-    minority_indices: np.ndarray,
-    fences: FenceRegions,
-    iterations: int = 4,
-    move_fraction: float = 0.85,
-) -> None:
-    """Refine ``placed`` in-place under the fence constraint.
-
-    ``placed`` must live in the mixed floorplan frame with original
-    (mixed-height) masters.  Positions on return are wirelength-improved
-    and fence-respecting but not overlap-free; run Abacus per row class
-    afterwards.
-    """
-    if not (0.0 < move_fraction <= 1.0):
-        raise ValidationError("move_fraction must be in (0, 1]")
-    minority_indices = np.asarray(minority_indices, dtype=int)
-    die = placed.floorplan.die
-
-    def project_minority() -> None:
-        centers = (
-            placed.y[minority_indices] + placed.heights[minority_indices] / 2.0
-        )
-        target = fences.nearest_center_y(centers)
-        placed.y[minority_indices] = (
-            target - placed.heights[minority_indices] / 2.0
-        )
-
-    with span(
-        "fence_aware_refine",
-        n_minority=int(len(minority_indices)),
-        iterations=iterations,
-    ):
-        telemetry = recording_convergence()
-        project_minority()
-        for iteration in range(1, iterations + 1):
-            tx, ty = median_target_positions(placed)
-            cx, cy = placed.centers()
-            new_cx = cx + move_fraction * (tx - cx)
-            new_cy = cy + move_fraction * (ty - cy)
-            placed.x = new_cx - placed.widths / 2.0
-            placed.y = new_cy - placed.heights / 2.0
-            np.clip(placed.x, die.xlo, die.xhi - placed.widths, out=placed.x)
-            np.clip(placed.y, die.ylo, die.yhi - placed.heights, out=placed.y)
-            project_minority()
             if telemetry:
                 from repro.placement.hpwl import hpwl_total
 

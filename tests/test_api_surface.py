@@ -49,6 +49,36 @@ class TestSurface:
             assert name in repro.__all__, name
 
 
+class TestCoreSurface:
+    def test_core_exports_resolve(self):
+        import repro.core
+
+        for name in repro.core.__all__:
+            assert getattr(repro.core, name) is not None, name
+
+    def test_one_height_path(self):
+        import repro.core
+
+        twins = [
+            n for n in repro.core.__all__
+            if "nheight" in n.lower() or n == "build_sparse_rap_model"
+        ]
+        assert twins == []
+
+
+class TestVersion:
+    def test_pyproject_reads_package_version(self):
+        import tomllib
+
+        pyproject = API_MD.parent.parent / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())
+        assert "version" not in project["project"]
+        assert "version" in project["project"]["dynamic"]
+        dynamic = project["tool"]["setuptools"]["dynamic"]["version"]
+        assert dynamic == {"attr": "repro.__version__"}
+        assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
+
+
 class TestRunConfigShims:
     def test_legacy_keywords_warn(self):
         with pytest.warns(DeprecationWarning):

@@ -51,11 +51,12 @@ def _rap_instance(seed, n_clusters=6, n_pairs=4, n_cells=18):
     pair_capacity = np.full(n_pairs, cluster_width.sum())
     labels = rng.integers(0, n_clusters, n_cells)
     return dict(
-        f=f,
-        cluster_width=cluster_width,
+        f_by_class=[f],
+        width_by_class=[cluster_width],
         pair_capacity=pair_capacity,
-        n_minority_rows=2,
-        labels=labels,
+        budgets=[2],
+        labels_by_class=[labels],
+        minority_tracks=[7.5],
     )
 
 

@@ -79,8 +79,10 @@ class TestSolverLimits:
         f = np.zeros((2, 3))
         w = np.ones(2)
         cap = np.full(3, 10.0)
-        with pytest.raises(InfeasibleError):
-            solve_rap(f, w, cap, 3, labels=np.arange(2))  # 3 rows, 2 clusters
+        # 3 rows, 2 clusters: an open row must host a cluster.
+        solution, maps, stats = solve_rap([f], [w], cap, [3])
+        assert solution.status is MilpStatus.INFEASIBLE
+        assert maps is None and stats.certified
 
 
 class TestDegenerateDesigns:
@@ -122,11 +124,12 @@ class TestDegenerateDesigns:
 
     def test_baseline_single_pair(self):
         a = baseline_row_assignment(
-            np.array([100.0, 200.0]),
-            np.array([54.0, 54.0]),
+            [np.array([100.0, 200.0])],
+            [np.array([54.0, 54.0])],
             np.array([150.0]),
             np.array([10_000.0]),
-            n_minority_rows=1,
+            [1],
+            [7.5],
         )
         assert a.n_minority_rows == 1
         assert set(a.cell_to_pair.tolist()) == {0}
@@ -297,7 +300,8 @@ class TestLagrangianBackend:
         f = rng.uniform(0, 10, size=(n_c, n_p))
         width = rng.uniform(1, 3, size=n_c)
         cap = np.full(n_p, width.sum())
-        return build_rap_model(f, width, cap, n_rows), f, width, cap
+        model = build_rap_model([f], [width], cap, [n_rows]).model
+        return model, f, width, cap
 
     def test_solve_milp_dispatches_lagrangian(self):
         model, f, width, cap = self._rap_model()

@@ -80,9 +80,7 @@ class TestRowConstraintLegalizations:
         placed = self._mixed_placement(runner, assignment)
         result = abacus_rc_legalize(
             placed,
-            runner.initial.minority_indices,
-            assignment.cell_to_pair,
-            7.5,
+            {7.5: (runner.initial.minority_indices, assignment.cell_to_pair)},
         )
         assert placed.check_legal() == []
         assert result.displacement > 0
@@ -94,9 +92,7 @@ class TestRowConstraintLegalizations:
         placed = self._mixed_placement(runner, assignment)
         abacus_rc_legalize(
             placed,
-            runner.initial.minority_indices,
-            assignment.cell_to_pair,
-            7.5,
+            {7.5: (runner.initial.minority_indices, assignment.cell_to_pair)},
         )
         pairs = placed.floorplan.row_pairs()
         for cell, pair_index in zip(
@@ -110,7 +106,7 @@ class TestRowConstraintLegalizations:
         assignment, *_ = runner.ilp_assignment()
         placed = self._mixed_placement(runner, assignment)
         result = fence_region_legalize(
-            placed, runner.initial.minority_indices, 7.5, refine_iterations=2
+            placed, {7.5: runner.initial.minority_indices}, refine_iterations=2
         )
         assert placed.check_legal() == []
         assert result.times.total > 0
@@ -123,12 +119,11 @@ class TestRowConstraintLegalizations:
         assignment, _ = runner.baseline_assignment()
         p1 = self._mixed_placement(runner, assignment)
         p2 = self._mixed_placement(runner, assignment)
+        minority = runner.initial.minority_indices
         r1 = abacus_rc_legalize(
-            p1, runner.initial.minority_indices, assignment.cell_to_pair, 7.5
+            p1, {7.5: (minority, assignment.cell_to_pair)}
         )
-        r2 = fence_region_legalize(
-            p2, runner.initial.minority_indices, 7.5, refine_iterations=2
-        )
+        r2 = fence_region_legalize(p2, {7.5: minority}, refine_iterations=2)
         assert r2.displacement > r1.displacement
 
     @staticmethod

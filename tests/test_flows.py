@@ -179,10 +179,10 @@ class TestIlpObjectiveDominance:
         n_minr = runner.n_minority_rows
         ilp, *_ = runner.ilp_assignment()
 
-        greedy = greedy_rap(f, costs.cluster_width, capacity, n_minr)
+        greedy = greedy_rap([f], [costs.cluster_width], capacity, [n_minr])
         if greedy is not None:
             greedy_cost = float(
-                f[np.arange(clustering.n_clusters), greedy].sum()
+                f[np.arange(clustering.n_clusters), greedy[0]].sum()
             )
             assert ilp.objective <= greedy_cost + 1e-6
 

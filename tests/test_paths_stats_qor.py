@@ -105,7 +105,7 @@ class TestLagrangian:
     def test_sandwiches_exact_optimum(self):
         for seed in range(6):
             f, w, cap = self._instance(seed)
-            exact = solve_rap(f, w, cap, 3, labels=np.arange(len(w)))
+            exact, _, _ = solve_rap([f], [w], cap, [3])
             lag = solve_rap_lagrangian(f, w, cap, 3)
             assert lag.lower_bound <= exact.objective + 1e-6
             assert lag.objective >= exact.objective - 1e-6

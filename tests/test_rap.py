@@ -5,12 +5,11 @@ import pytest
 
 from repro.core.rap import (
     build_rap_model,
+    decode_assignment,
     greedy_rap,
     required_minority_pairs,
-    solution_to_assignment,
     solve_rap,
 )
-from repro.solvers import solve_milp
 from repro.utils.errors import InfeasibleError, ValidationError
 
 
@@ -20,6 +19,19 @@ def tiny_instance(n_c=4, n_p=6, seed=0):
     widths = rng.uniform(100, 300, n_c)
     capacity = np.full(n_p, widths.sum())  # ample capacity
     return f, widths, capacity
+
+
+def solve(f, w, cap, n_minr, labels, backend="highs"):
+    """Single-class solve decoded into a :class:`RowAssignment`."""
+    solution, maps, _ = solve_rap([f], [w], cap, [n_minr], backend=backend)
+    if maps is None:
+        raise InfeasibleError(f"RAP solve failed: {solution.status}")
+    return decode_assignment(
+        maps, [labels], [7.5], 6.0, f.shape[1],
+        objective=solution.objective,
+        ilp_runtime_s=solution.runtime_s,
+        num_variables=len(solution.x),
+    )
 
 
 class TestRequiredMinorityPairs:
@@ -41,7 +53,7 @@ class TestRequiredMinorityPairs:
 class TestModel:
     def test_variable_layout(self):
         f, w, cap = tiny_instance()
-        model = build_rap_model(f, w, cap, 2)
+        model = build_rap_model([f], [w], cap, [2]).model
         assert model.num_vars == 4 * 6 + 6
         # Names materialize lazily; the dense layout is x-major then y.
         assert model.names is None
@@ -52,21 +64,21 @@ class TestModel:
     def test_infeasible_nminr_rejected(self):
         f, w, cap = tiny_instance()
         with pytest.raises(InfeasibleError):
-            build_rap_model(f, w, cap, 0)
+            build_rap_model([f], [w], cap, [0])
         with pytest.raises(InfeasibleError):
-            build_rap_model(f, w, cap, 7)
+            build_rap_model([f], [w], cap, [7])
 
     def test_shape_mismatch_rejected(self):
         f, w, cap = tiny_instance()
         with pytest.raises(ValidationError):
-            build_rap_model(f, w[:-1], cap, 2)
+            build_rap_model([f], [w[:-1]], cap, [2])
 
 
 class TestSolve:
     def test_row_count_honored(self):
         f, w, cap = tiny_instance()
         for n_minr in (1, 2, 3):
-            a = solve_rap(f, w, cap, n_minr, labels=np.arange(4))
+            a = solve(f, w, cap, n_minr, labels=np.arange(4))
             assert a.n_minority_rows == n_minr
             assert len(set(a.cluster_to_pair.tolist())) == n_minr
 
@@ -82,7 +94,7 @@ class TestSolve:
         )
         w = np.full(3, 10.0)
         cap = np.full(4, 100.0)
-        a = solve_rap(f, w, cap, 3, labels=np.arange(3))
+        a = solve(f, w, cap, 3, labels=np.arange(3))
         assert a.cluster_to_pair.tolist() == [0, 1, 2]
         assert a.objective == pytest.approx(0.0)
 
@@ -91,31 +103,31 @@ class TestSolve:
         f = np.array([[0.0, 1.0], [0.0, 1.0]])
         w = np.array([60.0, 60.0])
         cap = np.array([100.0, 100.0])
-        a = solve_rap(f, w, cap, 2, labels=np.arange(2))
+        a = solve(f, w, cap, 2, labels=np.arange(2))
         assert sorted(a.cluster_to_pair.tolist()) == [0, 1]
 
     def test_objective_matches_assignment(self):
         f, w, cap = tiny_instance(seed=3)
-        a = solve_rap(f, w, cap, 2, labels=np.arange(4))
+        a = solve(f, w, cap, 2, labels=np.arange(4))
         manual = sum(f[c, a.cluster_to_pair[c]] for c in range(4))
         assert a.objective == pytest.approx(manual)
 
     def test_cell_to_pair_follows_labels(self):
         f, w, cap = tiny_instance()
         labels = np.array([0, 0, 1, 1, 2, 3, 3])
-        a = solve_rap(f, w, cap, 2, labels=labels)
+        a = solve(f, w, cap, 2, labels=labels)
         assert np.array_equal(a.cell_to_pair, a.cluster_to_pair[labels])
 
     def test_pair_tracks_consistent(self):
         f, w, cap = tiny_instance()
-        a = solve_rap(f, w, cap, 2, labels=np.arange(4))
+        a = solve(f, w, cap, 2, labels=np.arange(4))
         minority = {p for p, t in enumerate(a.pair_tracks) if t == 7.5}
         assert minority == set(a.minority_pairs.tolist())
 
     def test_bnb_backend_matches_highs(self):
         f, w, cap = tiny_instance(n_c=3, n_p=4, seed=9)
-        a = solve_rap(f, w, cap, 2, labels=np.arange(3), backend="highs")
-        b = solve_rap(f, w, cap, 2, labels=np.arange(3), backend="bnb")
+        a = solve(f, w, cap, 2, labels=np.arange(3), backend="highs")
+        b = solve(f, w, cap, 2, labels=np.arange(3), backend="bnb")
         assert a.objective == pytest.approx(b.objective, rel=1e-6)
 
     def test_infeasible_capacity(self):
@@ -123,17 +135,17 @@ class TestSolve:
         w = np.array([100.0, 100.0])
         cap = np.array([50.0, 50.0])
         with pytest.raises(InfeasibleError):
-            solve_rap(f, w, cap, 1, labels=np.arange(2))
+            solve(f, w, cap, 1, labels=np.arange(2))
 
     def test_open_rows_must_host(self):
         """y_r <= sum x_cr: with 2 clusters, N_minR=3 is infeasible."""
         f, w, cap = tiny_instance(n_c=2, n_p=5)
         with pytest.raises(InfeasibleError):
-            solve_rap(f, w, cap, 3, labels=np.arange(2))
+            solve(f, w, cap, 3, labels=np.arange(2))
 
     def test_runtime_recorded(self):
         f, w, cap = tiny_instance()
-        a = solve_rap(f, w, cap, 2, labels=np.arange(4))
+        a = solve(f, w, cap, 2, labels=np.arange(4))
         assert a.ilp_runtime_s >= 0.0
         assert a.num_variables == 4 * 6 + 6
 
@@ -141,7 +153,7 @@ class TestSolve:
 class TestGreedy:
     def test_feasible_when_possible(self):
         f, w, cap = tiny_instance(seed=7)
-        assignment = greedy_rap(f, w, cap, 2)
+        (assignment,) = greedy_rap([f], [w], cap, [2])
         assert assignment is not None
         assert len(set(assignment.tolist())) == 2
         loads = np.zeros(len(cap))
@@ -151,18 +163,18 @@ class TestGreedy:
     def test_never_beats_ilp(self):
         for seed in range(5):
             f, w, cap = tiny_instance(seed=seed)
-            greedy = greedy_rap(f, w, cap, 2)
-            exact = solve_rap(f, w, cap, 2, labels=np.arange(4))
+            greedy = greedy_rap([f], [w], cap, [2])
+            exact = solve(f, w, cap, 2, labels=np.arange(4))
             if greedy is None:
                 continue
-            greedy_cost = sum(f[c, greedy[c]] for c in range(4))
+            greedy_cost = sum(f[c, greedy[0][c]] for c in range(4))
             assert greedy_cost >= exact.objective - 1e-9
 
 
 class TestDecode:
     def test_bad_solution_rejected(self):
-        from repro.solvers.milp import MilpSolution, MilpStatus
-
-        bad = MilpSolution(status=MilpStatus.INFEASIBLE, x=None, objective=np.inf)
+        unassigned = [np.array([0, -1])]
         with pytest.raises(InfeasibleError):
-            solution_to_assignment(bad, 2, 3, np.arange(2), 6.0, 7.5)
+            decode_assignment(
+                unassigned, [np.arange(2)], [7.5], 6.0, 3, objective=0.0
+            )

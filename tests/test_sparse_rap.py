@@ -23,12 +23,14 @@ from repro.core.cost import cheapest_pairs_mask, group_sum
 from repro.core.params import RCPPParams
 from repro.core.rap import (
     build_rap_model,
+    greedy_rap,
     solve_rap,
     solve_rap_resilient,
 )
 from repro.core.sparse_rap import (
     adaptive_candidate_count,
-    build_sparse_rap_model,
+    dense_assignment,
+    dense_vector,
     solve_rap_sparse,
     validate_rap_inputs,
 )
@@ -64,27 +66,31 @@ def random_instance(seed, n_c=None, n_p=None, tight=False):
     return f, w, cap, n_minr
 
 
+def dense_model(f, w, cap, n_minr):
+    return build_rap_model([f], [w], cap, [n_minr]).model
+
+
 class TestValidation:
     def test_shape_mismatches(self):
         f = np.ones((3, 4))
         with pytest.raises(ValidationError):
-            validate_rap_inputs(f, np.ones(2), np.ones(4), 1)
+            validate_rap_inputs([f], [np.ones(2)], np.ones(4), [1])
         with pytest.raises(ValidationError):
-            validate_rap_inputs(f, np.ones(3), np.ones(5), 1)
+            validate_rap_inputs([f], [np.ones(3)], np.ones(5), [1])
 
     def test_nminr_bounds_message(self):
         f = np.ones((3, 4))
         with pytest.raises(InfeasibleError, match=r"outside \[1, 4\]"):
-            validate_rap_inputs(f, np.ones(3), np.ones(4), 5)
+            validate_rap_inputs([f], [np.ones(3)], np.ones(4), [5])
         with pytest.raises(InfeasibleError, match="all 4 row pairs"):
-            validate_rap_inputs(f, np.ones(3), np.ones(4), 0)
+            validate_rap_inputs([f], [np.ones(3)], np.ones(4), [0])
 
     def test_mask_must_cover_every_cluster(self):
         f, w, cap, n_minr = random_instance(0)
         mask = np.ones(f.shape, dtype=bool)
         mask[0, :] = False
         with pytest.raises(ValidationError):
-            build_sparse_rap_model(f, w, cap, n_minr, mask)
+            build_rap_model([f], [w], cap, [n_minr], [mask])
 
     def test_adaptive_count_saturates(self):
         f, w, cap, n_minr = random_instance(1)
@@ -100,9 +106,9 @@ class TestBitIdentity:
 
     def test_full_mask_model_matches_dense(self):
         f, w, cap, n_minr = random_instance(2)
-        dense = build_rap_model(f, w, cap, n_minr)
-        srm = build_sparse_rap_model(
-            f, w, cap, n_minr, np.ones(f.shape, dtype=bool)
+        dense = dense_model(f, w, cap, n_minr)
+        srm = build_rap_model(
+            [f], [w], cap, [n_minr], [np.ones(f.shape, dtype=bool)]
         )
         assert np.array_equal(dense.c, srm.model.c)
         assert (dense.a_ub != srm.model.a_ub).nnz == 0
@@ -115,17 +121,25 @@ class TestBitIdentity:
     @given(seed=st.integers(0, 10_000))
     def test_k_equals_np_identical_assignment(self, seed):
         f, w, cap, n_minr = random_instance(seed)
-        labels = np.arange(f.shape[0])
+        n_c, n_p = f.shape
+        warm = greedy_rap([f], [w], cap, [n_minr])
+        model = dense_model(f, w, cap, n_minr)
         for backend in ALL_BACKENDS:
-            dense = solve_rap(
-                f, w, cap, n_minr, labels, backend=backend, sparse=False
+            seed_warm = warm if backend == "bnb" else None
+            warm_vec = None
+            if seed_warm is not None:
+                candidate = dense_vector(seed_warm, n_p)
+                warm_vec = candidate if model.is_feasible(candidate) else None
+            dense = solve_milp(model, backend=backend, warm_start=warm_vec)
+            sparse, maps, _ = solve_rap(
+                [f], [w], cap, [n_minr], backend=backend,
+                warm_assignment=seed_warm, candidate_k=n_p,
             )
-            sparse = solve_rap(
-                f, w, cap, n_minr, labels, backend=backend,
-                sparse=True, candidate_k=f.shape[1],
-            )
+            if not dense.ok:
+                assert maps is None, backend
+                continue
             assert np.array_equal(
-                dense.cluster_to_pair, sparse.cluster_to_pair
+                dense_assignment(dense.x, [n_c], n_p)[0], maps[0]
             ), backend
             assert dense.objective == sparse.objective
 
@@ -133,13 +147,10 @@ class TestBitIdentity:
         # The strengthened model has extra a_ub rows; a forced k = N_P
         # restricted model must carry exactly the dense row count.
         f, w, cap, n_minr = random_instance(3)
-        dense = build_rap_model(f, w, cap, n_minr)
-        plain = build_sparse_rap_model(
-            f, w, cap, n_minr, np.ones(f.shape, dtype=bool), strengthen=False
-        )
-        cut = build_sparse_rap_model(
-            f, w, cap, n_minr, np.ones(f.shape, dtype=bool), strengthen=True
-        )
+        dense = dense_model(f, w, cap, n_minr)
+        full = [np.ones(f.shape, dtype=bool)]
+        plain = build_rap_model([f], [w], cap, [n_minr], full)
+        cut = build_rap_model([f], [w], cap, [n_minr], full, strengthen=True)
         assert plain.model.a_ub.shape[0] == dense.a_ub.shape[0]
         assert cut.model.a_ub.shape[0] > dense.a_ub.shape[0]
 
@@ -151,7 +162,7 @@ class TestExactness:
         """Reduced-cost fixing: same objective as dense, certified."""
         f, w, cap, n_minr = random_instance(seed)
         dense = solve_milp(
-            build_rap_model(f, w, cap, n_minr), backend="highs"
+            dense_model(f, w, cap, n_minr), backend="highs"
         )
         for backend in EXACT_BACKENDS:
             solution, stats = solve_rap_sparse(
@@ -172,7 +183,7 @@ class TestExactness:
         """Near-critical capacity exercises escalation + admission."""
         f, w, cap, n_minr = random_instance(seed, tight=True)
         dense = solve_milp(
-            build_rap_model(f, w, cap, n_minr), backend="highs"
+            dense_model(f, w, cap, n_minr), backend="highs"
         )
         solution, stats = solve_rap_sparse(f, w, cap, n_minr, candidate_k=1)
         if dense.status is MilpStatus.OPTIMAL:
@@ -190,7 +201,7 @@ class TestExactness:
         f = np.array([[0.0, 0.1, 0.5], [9.0, 8.0, 0.2]])
         w = np.array([1.0, 1.0])
         cap = np.array([2.0, 2.0, 2.0])
-        dense = solve_milp(build_rap_model(f, w, cap, 1), backend="highs")
+        dense = solve_milp(dense_model(f, w, cap, 1), backend="highs")
         assert dense.objective == pytest.approx(0.7)
         solution, stats = solve_rap_sparse(f, w, cap, 1, candidate_k=2)
         assert solution.objective == pytest.approx(dense.objective)
@@ -214,7 +225,7 @@ class TestExactness:
         )
         w = np.full(4, 2.0)
         cap = np.array([2.5, 2.5, 10.0])
-        dense = solve_milp(build_rap_model(f, w, cap, 2), backend="highs")
+        dense = solve_milp(dense_model(f, w, cap, 2), backend="highs")
         solution, stats = solve_rap_sparse(f, w, cap, 2, candidate_k=1)
         assert solution.status is MilpStatus.OPTIMAL
         assert solution.objective == pytest.approx(dense.objective)
@@ -231,14 +242,10 @@ class TestExactness:
 
     def test_lagrangian_direct_matches_model_path(self):
         f, w, cap, n_minr = random_instance(7)
-        labels = np.arange(f.shape[0])
-        dense = solve_rap(
-            f, w, cap, n_minr, labels, backend="lagrangian", sparse=False
-        )
-        sparse = solve_rap(
-            f, w, cap, n_minr, labels, backend="lagrangian", sparse=True
-        )
-        assert np.array_equal(dense.cluster_to_pair, sparse.cluster_to_pair)
+        dense = solve_milp(dense_model(f, w, cap, n_minr), backend="lagrangian")
+        direct, _ = solve_rap_sparse(f, w, cap, n_minr, backend="lagrangian")
+        assert np.array_equal(dense.x, direct.x)
+        assert dense.objective == direct.objective
 
 
 class TestSmallInstanceShortcut:
@@ -254,7 +261,7 @@ class TestSmallInstanceShortcut:
         for seed in range(5):
             f, w, cap, n_minr = random_instance(seed)
             dense = solve_milp(
-                build_rap_model(f, w, cap, n_minr), backend="highs"
+                dense_model(f, w, cap, n_minr), backend="highs"
             )
             solution, stats = solve_rap_sparse(f, w, cap, n_minr)
             assert stats.strategy == "dense"
@@ -298,7 +305,7 @@ class TestDecomposition:
         """Block structure must be found and solved exactly under any
         relabeling of clusters and pairs."""
         f, w, cap = self._two_block(permute_seed)
-        dense = solve_milp(build_rap_model(f, w, cap, 3), backend="highs")
+        dense = solve_milp(dense_model(f, w, cap, 3), backend="highs")
         solution, stats = solve_rap_sparse(
             f, w, cap, 3, candidate_k=3, workers=2
         )
@@ -313,7 +320,7 @@ class TestDecomposition:
         cap = np.full_like(cap, w.sum() * 0.6)
         solution, _ = solve_rap_sparse(f, w, cap, 1, candidate_k=3)
         assert solution.status is MilpStatus.INFEASIBLE
-        dense = solve_milp(build_rap_model(f, w, cap, 1), backend="highs")
+        dense = solve_milp(dense_model(f, w, cap, 1), backend="highs")
         assert dense.status is MilpStatus.INFEASIBLE
 
 
@@ -344,11 +351,13 @@ class TestWarmStarts:
     def test_resilient_accepts_prior(self):
         f, w, cap, n_minr = random_instance(23)
         labels = np.arange(f.shape[0])
-        first = solve_rap_resilient(f, w, cap, n_minr, labels, row_fill=1.0)
+        first = solve_rap_resilient(
+            [f], [w], cap, [n_minr], [labels], [7.5], row_fill=1.0
+        )
         assert first is not None
         again = solve_rap_resilient(
-            f, w, cap, n_minr, labels, row_fill=1.0,
-            warm_assignment=first.cluster_to_pair,
+            [f], [w], cap, [n_minr], [labels], [7.5], row_fill=1.0,
+            warm_assignment=[first.cluster_to_pair],
         )
         assert again is not None
         assert again.objective == pytest.approx(first.objective, abs=1e-6)
@@ -372,9 +381,7 @@ class TestTotalBudget:
         # sub-solve's overshoot; pre-fix this instance multiplies the
         # budget by the sub-solve count instead.
         f, w, cap, n_minr = self._giga_like()
-        from repro.core.rap import greedy_rap
-
-        warm = greedy_rap(f, w, cap, n_minr)
+        (warm,) = greedy_rap([f], [w], cap, [n_minr])
         t0 = time.perf_counter()
         solution, stats = solve_rap_sparse(
             f, w, cap, n_minr, time_limit_s=0.2, warm_assignment=warm
@@ -387,9 +394,7 @@ class TestTotalBudget:
 
     def test_exhausted_budget_returns_warm_incumbent_cost(self):
         f, w, cap, n_minr = self._giga_like(seed=32)
-        from repro.core.rap import greedy_rap
-
-        warm = greedy_rap(f, w, cap, n_minr)
+        (warm,) = greedy_rap([f], [w], cap, [n_minr])
         solution, stats = solve_rap_sparse(
             f, w, cap, n_minr, time_limit_s=1e-6, warm_assignment=warm
         )
@@ -472,7 +477,7 @@ class TestSweepSetEquivalence:
             params.minority_fill_target,
         )
         dense = solve_milp(
-            build_rap_model(f, costs.cluster_width, cap, n_minr),
+            dense_model(f, costs.cluster_width, cap, n_minr),
             backend="highs",
         )
         solution, stats = solve_rap_sparse(

@@ -339,7 +339,7 @@ class TestDeadlineEdges:
         prov = FlowProvenance()
         with pytest.raises(StageTimeoutError) as excinfo:
             solve_rap_resilient(
-                f, w, cap, 2, labels,
+                [f], [w], cap, [2], [labels], [7.5],
                 policy=policy, deadline=deadline, provenance=prov,
             )
         # Attempt 1 failed (fault), backoff pushed the clock past the
