@@ -168,7 +168,8 @@ def rap_data_from_model(
     model: MilpModel,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Recover ``(f, cluster_width, pair_capacity, N_minR)`` from a
-    RAP-shaped :class:`MilpModel` (the layout ``build_rap_model`` emits).
+    RAP-shaped :class:`MilpModel` (the single-class dense layout
+    ``build_rap_model`` emits).
 
     Raises :class:`ValidationError` when the model does not have the RAP
     structure — the Lagrangian backend is problem-specific, unlike the
