@@ -327,9 +327,10 @@ def bench_race(library, repeats):
         race_seconds = best_of(run_race, repeats)
     else:
         # workers=1 never races: both paths are literally the same code,
-        # so timing them separately would only gate timer noise.
+        # so the speedup is not measured (recorded as null, not 1.0).
         seq_seconds = race_seconds = best_of(run_seq, repeats)
         race_result[0] = seq_result[0]
+    measured = RACE_WORKERS > 1
     seq, raced = seq_result[0], race_result[0]
     objective_match = bool(
         seq is not None
@@ -340,12 +341,14 @@ def bench_race(library, repeats):
     return {
         "seconds": race_seconds,
         "sequential_seconds": seq_seconds,
-        "speedup_vs_sequential": seq_seconds / race_seconds,
+        "speedup_vs_sequential": (
+            seq_seconds / race_seconds if measured else None
+        ),
+        "measured": measured,
         "objective_match": objective_match,
         "objective": float(raced.objective) if raced is not None else None,
         "workers": RACE_WORKERS,
         "cores": os.cpu_count() or 1,
-        "racing_engaged": RACE_WORKERS > 1,
         "n_clusters": int(f.shape[0]),
         "n_pairs": int(f.shape[1]),
         "n_minority_rows": int(n_minr),
@@ -766,14 +769,14 @@ def main() -> int:
         entry = bench_race(library, args.repeats)
         kernels["rap_race"] = entry
         registry.gauge("bench.rap_race.seconds").set(entry["seconds"])
-        registry.gauge("bench.rap_race.speedup_vs_sequential").set(
-            entry["speedup_vs_sequential"]
-        )
+        speedup = entry["speedup_vs_sequential"]
+        if speedup is not None:
+            registry.gauge("bench.rap_race.speedup_vs_sequential").set(speedup)
         print(
             f"{'rap_race':24s} {entry['seconds'] * 1e3:8.2f} ms   "
             f"(sequential {entry['sequential_seconds'] * 1e3:8.2f} ms, "
-            f"{entry['speedup_vs_sequential']:4.2f}x, "
-            f"match={entry['objective_match']}, "
+            + (f"{speedup:4.2f}x, " if speedup is not None else "not measured, ")
+            + f"match={entry['objective_match']}, "
             f"{entry['workers']} workers)"
         )
 

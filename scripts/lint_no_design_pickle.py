@@ -2,9 +2,10 @@
 """Grep-lint: design DBs cross process boundaries as shm handles only.
 
 The shared-memory design DB (``repro.placement.shm``) exists so that
-worker fan-out — sweep jobs, solver racing rungs, sparse-RAP component
-jobs — ships a compact picklable *handle* instead of a multi-MB pickle
-of :class:`~repro.placement.db.PlacedDesign` and its arrays.  This lint
+worker fan-out — solver racing rungs, sparse-RAP component jobs — ships
+a compact picklable *handle* instead of a multi-MB pickle of
+:class:`~repro.placement.db.PlacedDesign` and its arrays (sweep tasks
+name their testcase and load the design in the worker).  This lint
 keeps that property from eroding: in every ``src/repro`` module that
 submits work to a pool/executor API (``supervised_map``, ``.submit``,
 ``.apply_async``, ``.imap``, ``Process``), it counts payload idioms that
@@ -12,7 +13,7 @@ would put a design DB straight into the pickled payload:
 
 * a design-ish payload key — ``"placed"`` / ``"placed_design"`` /
   ``"design"`` / ``"initial"`` — in a dict literal (the shm route spells
-  these ``"initial_shm"`` / ``"shm"`` and ships a handle), or
+  these ``"shm"`` and ships a handle), or
 * ``pickle.dumps`` applied to a design-named object.
 
 The committed baseline is **zero everywhere**: the seed's fan-out paths
@@ -44,7 +45,7 @@ POOL_API = re.compile(
 )
 
 #: Design DBs riding a payload: a design-ish dict key (exact — the shm
-#: route's ``"initial_shm"`` / ``"shm"`` keys do not match), or pickling
+#: route's ``"shm"`` key does not match), or pickling
 #: a design-named object directly.
 DESIGN_PAYLOAD = re.compile(
     r"""["'](?:placed|placed_design|design|initial)["']\s*:"""

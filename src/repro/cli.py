@@ -136,14 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="print each job's span tree after the sweep",
     )
     sweep.add_argument(
-        "--share-initial", action="store_true",
-        help="publish each testcase's initial placement once as a "
-        "shared-memory segment and hand workers zero-copy handles "
-        "instead of pickled designs (giga-tier friendly)",
-    )
-    sweep.add_argument(
         "--journal", default=None,
-        help="crash-safe JSONL checkpoint: one line per completed job",
+        help="crash-safe JSONL checkpoint: one line per completed row",
     )
     sweep.add_argument(
         "--resume", action="store_true",
@@ -366,7 +360,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 progress=progress,
                 journal=args.journal,
                 resume=args.resume,
-                share_initial=args.share_initial,
             )
     finally:
         problems = finish()

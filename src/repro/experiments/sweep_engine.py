@@ -1,36 +1,44 @@
-"""Instrumented parallel sweep engine: testcase × flow fan-out.
+"""Instrumented parallel sweep engine: testcase × flow grid.
 
-One sweep is a grid of (testcase, flow) jobs executed over a
-supervised, crash-tolerant process pool
+One sweep is a grid of (testcase, flow) rows.  The scheduling unit is
+one *testcase*: its group task builds or loads the Flow-(1) artifact
+once, then runs the requested flows in grid order on one
+:class:`~repro.core.flows.FlowRunner`, so flows (2)/(3) share one [10]
+row assignment and flows (4)/(5) one RAP solve, as in Table IV.  Groups
+run over a supervised, crash-tolerant process pool
 (:class:`~repro.utils.supervise.SupervisedPool`, ``config.workers > 1``)
-or inline.  A crashed or hung worker costs one job retry, never the
-sweep; a job that fails every pool attempt runs once inline and, failing
-that, lands as an ``"error"`` row instead of aborting the batch.  Each
-job
+or inline, largest testcase first.  A crashed or hung worker costs one
+group retry, never the sweep; a group that fails every pool attempt
+runs once inline and, failing that, lands as ``"error"`` rows instead
+of aborting the batch.  Each row
 
-* derives a deterministic seed (:meth:`RunConfig.job_seed` — stable
-  across runs, machines and worker scheduling),
-* loads the shared Flow-(1) artifact through the content-hash
-  :class:`~repro.experiments.artifact_cache.ArtifactCache`,
-* runs under its own :class:`~repro.obs.trace.Tracer` and
-  :class:`~repro.obs.metrics.MetricsRegistry`, shipping the span tree and
-  a metrics *snapshot* back to the parent (registries never cross the
-  process boundary), and
-* honors the per-job deadline that ``config.params.time_budget_s``
+* carries a deterministic seed (:meth:`RunConfig.job_seed` — stable
+  across runs, machines and worker scheduling); the seed reaches the
+  solves its flow runs, so a row assignment shared with an earlier flow
+  of the group keeps the seed it was solved with,
+* runs under its own :class:`~repro.obs.recorder.FlightRecorder`
+  (tracer + metrics registry), shipping the span tree and a metrics
+  *snapshot* back to the parent (registries never cross the process
+  boundary); the group's first flow pays the artifact load or prepare
+  through the content-hash
+  :class:`~repro.experiments.artifact_cache.ArtifactCache`, and later
+  flows reuse it in process and record ``cache_hit=True``, and
+* honors the per-flow deadline that ``config.params.time_budget_s``
   installs (the flow layer turns it into a
   :class:`~repro.utils.resilience.Deadline`), reporting ``timeout``
   status instead of raising.
 
-The parent merges all job snapshots into one registry and wraps
+The parent merges all row snapshots into one registry and wraps
 everything in a :class:`SweepResult`, which exports ``BENCH_sweep.json``
 and a Table IV-layout CSV (displacement / HPWL / runtime blocks per
 flow).
 
 Crash-safe checkpointing: pass ``journal=`` to append one JSONL line per
-completed job as it finishes; re-running with ``resume=True`` skips
-every journaled job (validated against a config fingerprint) so a
-killed sweep restarts where it died and still produces the exact same
-rows — job seeds derive from (testcase, flow), not from scheduling.
+row as its group finishes; re-running with ``resume=True`` skips every
+journaled row (validated against a config fingerprint) and re-groups
+only the missing flows, so a killed sweep restarts where it died and
+still produces the exact same rows — seeds derive from (testcase,
+flow), not from scheduling.
 """
 
 from __future__ import annotations
@@ -53,7 +61,11 @@ from repro.experiments.artifact_cache import (
     ArtifactCache,
     load_or_prepare_initial,
 )
-from repro.experiments.testcases import QUICK_SUBSET_IDS, testcase_by_id
+from repro.experiments.testcases import (
+    QUICK_SUBSET_IDS,
+    TestcaseSpec,
+    testcase_by_id,
+)
 from repro.obs.events import emit_event
 from repro.obs.metrics import MetricsRegistry, current_registry
 from repro.obs.recorder import FlightRecorder
@@ -71,7 +83,7 @@ DEFAULT_SWEEP_FLOWS: tuple[int, ...] = (1, 2, 5)
 
 @dataclass
 class SweepJobResult:
-    """Outcome of one (testcase, flow) job."""
+    """Outcome of one (testcase, flow) row."""
 
     testcase_id: str
     flow: int
@@ -79,18 +91,18 @@ class SweepJobResult:
     hpwl: float | None = None
     displacement: float | None = None
     runtime_s: float | None = None  # method runtime (stage sum)
-    wall_s: float = 0.0  # full job wall clock, cache + flow
+    wall_s: float = 0.0  # row wall clock; a group's first row pays the prepare
     stage_times: dict[str, float] = field(default_factory=dict)
     n_minority_rows: int = 0
     n_clusters: int = 0
-    cache_hit: bool = False
+    cache_hit: bool = False  # artifact from the cache or an earlier row
     seed: int = 0
     worker_pid: int = 0
     error: str | None = None
     provenance: dict | None = None
-    spans: dict | None = None  # Tracer.to_dict() of the whole job
+    spans: dict | None = None  # Tracer.to_dict() of the whole row
     record: dict | None = None  # flight-recorder run record (no spans/metrics)
-    supervisor: dict | None = None  # pool supervision (attempts/crashes/...)
+    supervisor: dict | None = None  # the group's pool supervision trail
     resumed: bool = False  # loaded from a journal, not re-run
 
     @property
@@ -105,7 +117,7 @@ class SweepJobResult:
         return cls(**data)
 
     def format_span_tree(self, min_duration_s: float = 0.0) -> str:
-        """ASCII rendering of this job's span forest ("" if untraced)."""
+        """ASCII rendering of this row's span forest ("" if untraced)."""
         if not self.spans:
             return ""
         return "\n".join(
@@ -208,23 +220,48 @@ def _cell(value: float | None) -> str:
     return "" if value is None else f"{value:.6g}"
 
 
-def _run_job(payload: dict) -> dict:
-    """One (testcase, flow) job; module-level so it pickles to workers.
+def _run_group(payload: dict) -> list[dict]:
+    """One testcase's flows on one shared FlowRunner, in grid order.
 
-    Returns plain dicts only — the job result plus the worker-side
-    metrics snapshot for the parent to merge.
+    Module-level so it pickles to workers.  Returns plain dicts only —
+    one per flow: the row plus its own metrics snapshot for the parent
+    to merge.
     """
     config: RunConfig = payload["config"]
     spec = testcase_by_id(payload["testcase_id"])
-    flow = int(payload["flow"])
-    seed = config.job_seed(spec.testcase_id, flow)
-    job_config = config.replace(
-        params=dataclasses.replace(config.params, seed=seed)
-    )
     cache_dir = payload.get("cache_dir")
     cache = ArtifactCache(cache_dir) if cache_dir else None
-    initial_shm = payload.get("initial_shm")
+    # ``_pool_attempt`` is stamped by the supervised pool's worker
+    # wrapper only: its absence means an inline run, where worker
+    # faults must not fire.
+    attempt = payload.get("_pool_attempt")
+    faults = config.fault_plan if attempt is not None else None
+    runner: FlowRunner | None = None
+    outs = []
+    for flow in payload["flows"]:
+        if faults is not None:
+            faults.check(
+                f"sweep.{spec.testcase_id}.flow{flow}",
+                attempt=attempt,
+                worker=True,
+            )
+        out, runner = _run_flow(spec, flow, config, cache, runner)
+        outs.append(out)
+    return outs
 
+
+def _run_flow(
+    spec: TestcaseSpec,
+    flow: int,
+    config: RunConfig,
+    cache: ArtifactCache | None,
+    runner: FlowRunner | None,
+) -> tuple[dict, FlowRunner | None]:
+    """One row of a group; builds the group's runner if none exists yet.
+
+    Returns the row output and the runner for the group's next flow.
+    """
+    seed = config.job_seed(spec.testcase_id, flow)
     recorder = FlightRecorder(
         f"{spec.testcase_id}.flow{flow}",
         config={"testcase": spec.testcase_id, "flow": flow, "seed": seed},
@@ -235,39 +272,25 @@ def _run_job(payload: dict) -> dict:
         status="ok",
         seed=seed,
         worker_pid=os.getpid(),
+        cache_hit=runner is not None,
     )
     t0 = time.perf_counter()
     result = None
-    shm_view = None
     with recorder.attach():
         try:
-            library = make_asap7_library()
-            initial, job.cache_hit = load_or_prepare_initial(
-                spec, job_config, library, cache
-            )
-            if initial_shm is not None:
-                # share_initial: rebind the placed design's arrays onto
-                # the sweep owner's shared-memory segment — zero-copy
-                # pages shared across every worker of this testcase.
-                # Structure (design/library/mlef) still comes from the
-                # cache; only the numpy payload is deduplicated.
-                from repro.placement.shm import (
-                    MUTABLE_DESIGN_ARRAYS,
-                    attach_design,
+            if runner is None:
+                initial, job.cache_hit = load_or_prepare_initial(
+                    spec, config, make_asap7_library(), cache
                 )
-
-                shm_view = attach_design(
-                    initial_shm,
-                    design=initial.design,
-                    copy=MUTABLE_DESIGN_ARRAYS,
+                runner = FlowRunner(
+                    initial,
+                    config.params,
+                    policy=config.policy,
+                    fault_plan=config.fault_plan,
                 )
-                initial = dataclasses.replace(initial, placed=shm_view.placed)
-            runner = FlowRunner(
-                initial,
-                job_config.params,
-                policy=job_config.policy,
-                fault_plan=job_config.fault_plan,
-            )
+            # The seed reaches only the solves this flow runs; a row
+            # assignment cached by an earlier flow keeps its own seed.
+            runner.params = dataclasses.replace(runner.params, seed=seed)
             result = runner.run(FlowKind(flow))
         except StageTimeoutError as exc:
             job.status = "timeout"
@@ -282,9 +305,6 @@ def _run_job(payload: dict) -> dict:
             logger.warning(
                 "sweep job %s flow%d failed: %s", spec.testcase_id, flow, exc
             )
-        finally:
-            if shm_view is not None:
-                shm_view.close()
     job.wall_s = time.perf_counter() - t0
     if result is not None:
         job.status = "degraded" if result.degraded else "ok"
@@ -299,7 +319,8 @@ def _run_job(payload: dict) -> dict:
     # Spans and metrics already travel in their own fields; the embedded
     # record carries the QoR snapshots and convergence series.
     job.record = recorder.to_dict(include_spans=False, include_metrics=False)
-    return {"job": job.to_dict(), "metrics": recorder.registry.snapshot()}
+    out = {"job": job.to_dict(), "metrics": recorder.registry.snapshot()}
+    return out, runner
 
 
 #: Journal line schema (first line of every sweep journal).
@@ -358,16 +379,39 @@ def _load_journal(path: Path, fingerprint: str) -> dict[tuple[str, int], dict]:
     return completed
 
 
-def _failed_job_out(payload: dict, config: RunConfig, outcome) -> dict:
-    """An ``"error"`` row for a job the pool gave up on."""
-    job = SweepJobResult(
-        testcase_id=payload["testcase_id"],
-        flow=int(payload["flow"]),
-        status="error",
-        seed=config.job_seed(payload["testcase_id"], int(payload["flow"])),
-        error=f"[{outcome.error_type}] {outcome.error}",
-    )
-    return {"job": job.to_dict(), "metrics": {}}
+def _group_outs(
+    group: dict, config: RunConfig, outcome: TaskOutcome
+) -> list[dict]:
+    """Adapt one group's pool :class:`TaskOutcome` to its row outputs.
+
+    A group the supervisor gave up on (crashed/hung through every retry
+    and the inline last resort) becomes one ``"error"`` row per flow;
+    every row carries the group's supervision trail in
+    ``job["supervisor"]``.
+    """
+    if outcome.ok:
+        outs = outcome.value
+    else:
+        outs = [
+            {
+                "job": SweepJobResult(
+                    testcase_id=group["testcase_id"],
+                    flow=flow,
+                    status="error",
+                    seed=config.job_seed(group["testcase_id"], flow),
+                    error=f"[{outcome.error_type}] {outcome.error}",
+                ).to_dict(),
+                "metrics": {},
+            }
+            for flow in group["flows"]
+        ]
+    sup = outcome.to_dict()
+    for out in outs:
+        out["job"]["supervisor"] = {
+            k: sup[k]
+            for k in ("status", "attempts", "crashes", "hangs", "ran_inline")
+        }
+    return outs
 
 
 def run_sweep(
@@ -379,35 +423,32 @@ def run_sweep(
     journal: str | os.PathLike | None = None,
     resume: bool = False,
     task_timeout_s: float | None = None,
-    share_initial: bool = False,
 ) -> SweepResult:
     """Run the testcase × flow grid and collect one :class:`SweepResult`.
 
-    ``config.workers`` picks the execution mode: 1 runs jobs inline in
-    submission order; >1 fans out over a :class:`SupervisedPool` that
-    survives worker crashes and hangs (each failure costs one retry;
-    exhausted jobs run inline once, then land as ``"error"`` rows).
-    ``cache_dir=None`` disables the artifact cache entirely.
+    The scheduling unit is one testcase: its group prepares (or loads)
+    the Flow-(1) artifact once and runs its flows in grid order on one
+    :class:`~repro.core.flows.FlowRunner`.  Groups start largest
+    testcase first; rows come back in grid order.  ``config.workers``
+    picks the execution mode: 1 runs groups inline; >1 fans them out
+    over a :class:`SupervisedPool` that survives worker crashes and
+    hangs (each failure costs the group one retry; exhausted groups run
+    inline once, then land as ``"error"`` rows).  ``cache_dir=None``
+    disables the artifact cache entirely.
 
-    ``journal`` appends one JSONL line per completed job, making the
-    sweep crash-safe: with ``resume=True`` jobs already in the journal
-    are loaded instead of re-run (their rows are bit-identical — seeds
-    derive from (testcase, flow), not scheduling).  The journal header
-    pins a config fingerprint; resuming under a different config raises
+    ``journal`` appends one JSONL line per row, making the sweep
+    crash-safe: with ``resume=True`` rows already in the journal are
+    loaded instead of re-run, and only the missing flows are re-grouped
+    (a crash mid-group re-runs that group's unjournaled flows; rows are
+    bit-identical — seeds derive from (testcase, flow), not
+    scheduling).  The journal header pins a config fingerprint; resuming
+    under a different config raises
     :class:`~repro.utils.errors.ValidationError`.
 
-    ``task_timeout_s`` arms the pool's hung-job kill: a worker that
-    exceeds it is SIGKILLed and the job retried (then run inline).  Off
-    by default — legitimate jobs have no universal upper bound.
-
-    ``share_initial=True`` prepares each testcase's Flow-(1) artifact
-    once in the parent and publishes its placed-design arrays to POSIX
-    shared memory (:mod:`repro.placement.shm`); each job's payload then
-    carries a KB-scale handle, and every worker attaches the same
-    physical pages zero-copy instead of deserializing its own multi-MB
-    array copy from the cache pickle.  Structure (design/netlist/mLEF)
-    still loads through the artifact cache, so this mode requires
-    ``cache_dir``.  Results are bit-identical with or without sharing.
+    ``task_timeout_s`` arms the pool's hung-task kill: a worker whose
+    testcase group exceeds it is SIGKILLed and the group retried (then
+    run inline).  Off by default — legitimate groups have no universal
+    upper bound.
     """
     config = config or RunConfig()
     flow_values = [f.value if isinstance(f, FlowKind) else int(f) for f in flows]
@@ -420,49 +461,28 @@ def run_sweep(
     for tc in testcase_ids:
         testcase_by_id(tc)  # fail fast on typos, before spawning workers
 
-    if share_initial and cache_dir is None:
-        raise ValidationError(
-            "share_initial=True needs cache_dir (workers load the design "
-            "structure from the artifact cache; only arrays are shared)"
-        )
-
     fingerprint = sweep_fingerprint(config)
     completed: dict[tuple[str, int], dict] = {}
     if resume:
         completed = _load_journal(Path(journal), fingerprint)
-    payloads = [
+    groups = [
         {
             "testcase_id": tc,
-            "flow": f,
+            "flows": todo,
             "config": config,
             "cache_dir": None if cache_dir is None else os.fspath(cache_dir),
         }
         for tc in testcase_ids
-        for f in flow_values
-        if (tc, f) not in completed
+        if (todo := [f for f in flow_values if (tc, f) not in completed])
     ]
-
-    # share_initial: prepare (or load) each testcase's Flow-(1) artifact
-    # once, here in the parent, and hand every job a shared-memory
-    # handle to the placed-design arrays.  Workers attach zero-copy; the
-    # publications are unlinked in the finally below.
-    publications: list[object] = []
-    if share_initial and payloads:
-        from repro.placement.shm import publish_design
-
-        cache = ArtifactCache(cache_dir)
-        library = make_asap7_library()
-        handles: dict[str, object] = {}
-        for payload in payloads:
-            tc = payload["testcase_id"]
-            if tc not in handles:
-                initial, _ = load_or_prepare_initial(
-                    testcase_by_id(tc), config, library, cache
-                )
-                publication = publish_design(initial.placed)
-                publications.append(publication)
-                handles[tc] = publication.handle
-            payload["initial_shm"] = handles[tc]
+    # Largest testcase first, so the longest group never starts last on
+    # a small pool (stable: equal sizes keep grid order).
+    groups.sort(
+        key=lambda g: testcase_by_id(g["testcase_id"]).scaled_cells(
+            config.scale
+        ),
+        reverse=True,
+    )
 
     journal_fh = None
     if journal is not None:
@@ -488,20 +508,19 @@ def run_sweep(
         out["job"]["resumed"] = True
         outputs_by_key[key] = out
         merged.merge(out.get("metrics", {}))
-    total = len(payloads) + len(completed)
+    total = sum(len(g["flows"]) for g in groups) + len(completed)
     done = [len(completed)]
 
-    def _collect(payload: dict, out: dict) -> None:
+    def _collect(out: dict) -> None:
         done[0] += 1
-        key = (payload["testcase_id"], int(payload["flow"]))
-        outputs_by_key[key] = out
+        job = out["job"]
+        outputs_by_key[(job["testcase_id"], int(job["flow"]))] = out
         merged.merge(out.get("metrics", {}))
         # Worker metrics also fold into the *ambient* registry (the
         # sweep-local ``merged`` only lands in SweepResult.metrics), so
         # an attached flight recorder / ``repro report`` sees pool-wide
         # totals instead of dropping worker-side counters.
         current_registry().merge(out.get("metrics", {}))
-        job = out["job"]
         emit_event(
             "sweep.job",
             testcase=job["testcase_id"],
@@ -512,48 +531,41 @@ def run_sweep(
             wall_s=job.get("wall_s", 0.0),
         )
         if journal_fh is not None:
-            # One self-contained line per job, flushed immediately: a
-            # killed sweep loses at most the in-flight jobs.
+            # One self-contained line per row, flushed immediately: a
+            # killed sweep loses at most the in-flight groups.
             journal_fh.write(json.dumps(out, default=str) + "\n")
             journal_fh.flush()
         if progress:
-            progress(_progress_line(out["job"], done[0], total))
+            progress(_progress_line(job, done[0], total))
 
     t0 = time.perf_counter()
     try:
-        if config.workers > 1 and len(payloads) >= 2:
+        if config.workers > 1 and len(groups) >= 2:
+            # The groups fire their per-flow fault stages themselves, so
+            # the pool carries no fault plan of its own.
             pool = SupervisedPool(
-                workers=config.workers,
-                fault_plan=config.fault_plan,
-                task_timeout_s=task_timeout_s,
+                workers=config.workers, task_timeout_s=task_timeout_s
             )
+
+            def _collect_group(i: int, outcome: TaskOutcome) -> None:
+                for out in _group_outs(groups[i], config, outcome):
+                    _collect(out)
+
             try:
-                outcomes = pool.map(
-                    _run_job,
-                    payloads,
-                    progress=lambda i, outcome: _collect(
-                        payloads[i], _outcome_to_out(payloads[i], config, outcome)
-                    ),
-                    fault_stages=[
-                        f"sweep.{p['testcase_id']}.flow{p['flow']}"
-                        for p in payloads
-                    ],
-                )
+                pool.map(_run_group, groups, progress=_collect_group)
             finally:
                 pool.shutdown()
-            del outcomes  # everything already collected via progress
         else:
-            for payload in payloads:
-                _collect(payload, _run_job(payload))
+            for group in groups:
+                for out in _run_group(group):
+                    _collect(out)
     finally:
-        for publication in publications:
-            publication.close()
         if journal_fh is not None:
             journal_fh.close()
     wall_s = time.perf_counter() - t0
 
-    # Grid order regardless of completion order, so the job list is
-    # deterministic (resumed and fresh jobs interleave seamlessly).
+    # Grid order regardless of completion order, so the row list is
+    # deterministic (resumed and fresh rows interleave seamlessly).
     jobs = [
         SweepJobResult.from_dict(outputs_by_key[(tc, f)]["job"])
         for tc in testcase_ids
@@ -577,26 +589,6 @@ def run_sweep(
         cache=cache_stats,
         metrics=snapshot,
     )
-
-
-def _outcome_to_out(
-    payload: dict, config: RunConfig, outcome: TaskOutcome
-) -> dict:
-    """Adapt one pool :class:`TaskOutcome` to the job-output dict shape.
-
-    A job the supervisor gave up on (crashed/hung through every retry
-    and the inline last resort) becomes an ``"error"`` row; survivors
-    carry their supervision trail in ``job["supervisor"]``.
-    """
-    out = outcome.value if outcome.ok else _failed_job_out(
-        payload, config, outcome
-    )
-    sup = outcome.to_dict()
-    out["job"]["supervisor"] = {
-        k: sup[k]
-        for k in ("status", "attempts", "crashes", "hangs", "ran_inline")
-    }
-    return out
 
 
 def _progress_line(job: dict, done: int, total: int) -> str:

@@ -2,10 +2,8 @@
 
 Fanning work out over the :class:`~repro.utils.supervise.SupervisedPool`
 used to mean pickling every numpy payload into each worker — the RAP
-race shipped one full ``(f, w, cap)`` copy per rung, the sparse-RAP
-component decomposition one sliced block per task, and a sweep job
-re-read the multi-megabyte Flow-(1) artifact from disk for every flow of
-a testcase.  At the giga tier (100k+ cells) those copies dominate the
+race shipped one full ``(f, w, cap)`` copy per rung and the sparse-RAP
+component decomposition one sliced block per task.  At the giga tier (100k+ cells) those copies dominate the
 fan-out cost.
 
 This module replaces the copies with POSIX shared memory

@@ -6,12 +6,13 @@ Covers the zero-copy contract of :mod:`repro.placement.shm`:
   packed segment;
 * the worker-side read-only guard and the ``copy=`` escape hatch;
 * leak-freedom (``active_repro_segments`` empty after the owner closes);
-* the PR's payload budget: handles for a **100k-cell** design — and the
-  sweep / race submission payloads built from them — pickle to ≤ 64 KB;
+* the payload budget: handles for a **100k-cell** design — and the
+  race submission payloads built from them — pickle to ≤ 64 KB, as does
+  a sweep's per-testcase task, which names its testcase instead of
+  shipping a design;
 * the fan-out integrations: a racing rung job and a sparse-RAP
   component job fed via shared memory return exactly what their
-  pickled-array twins return, and ``run_sweep(share_initial=True)``
-  reproduces the unshared sweep rows bit-for-bit.
+  pickled-array twins return.
 """
 
 import pickle
@@ -22,7 +23,6 @@ import pytest
 from repro.core.config import RunConfig
 from repro.core.rap import _race_rung_job
 from repro.core.sparse_rap import _solve_component_job
-from repro.experiments.sweep_engine import run_sweep
 from repro.geometry import Rect
 from repro.placement.db import Floorplan, PlacedDesign, Row
 from repro.placement.shm import (
@@ -35,9 +35,6 @@ from repro.placement.shm import (
     publish_arrays,
     publish_design,
 )
-from repro.utils.errors import ValidationError
-
-TINY = 1.0 / 384.0
 
 #: The PR's budget for one worker submission payload (handle, not arrays).
 MAX_PAYLOAD_BYTES = 64 * 1024
@@ -185,16 +182,15 @@ class TestPayloadBudget:
             assert len(blob) < total / 100
 
     def test_sweep_payload_budget(self, tmp_path):
-        placed = synthetic_placed(n_cells=100_000)
-        with publish_design(placed) as pub:
-            payload = {
-                "testcase_id": "aes_giga",
-                "flow": 5,
-                "config": RunConfig(scale=1.0),
-                "cache_dir": str(tmp_path),
-                "initial_shm": pub.handle,
-            }
-            assert len(pickle.dumps(payload)) <= MAX_PAYLOAD_BYTES
+        # One sweep task per testcase: the worker loads the design from
+        # the artifact cache itself, so only ids and config cross.
+        payload = {
+            "testcase_id": "aes_giga",
+            "flows": [1, 2, 3, 4, 5],
+            "config": RunConfig(scale=1.0),
+            "cache_dir": str(tmp_path),
+        }
+        assert len(pickle.dumps(payload)) <= MAX_PAYLOAD_BYTES
 
     def test_race_item_budget(self):
         rng = np.random.default_rng(0)
@@ -276,30 +272,3 @@ class TestSparseComponentShm:
             assert shared["objective"] == presliced["objective"]
             assert np.array_equal(shared["assignment"], presliced["assignment"])
 
-
-class TestSweepShareInitial:
-    def test_share_initial_matches_unshared(self, tmp_path):
-        kwargs = dict(
-            testcase_ids=("aes_300",),
-            flows=(1, 5),
-            cache_dir=tmp_path / "cache",
-            config=RunConfig(scale=TINY, workers=1),
-        )
-        plain = run_sweep(**kwargs)
-        shared = run_sweep(**kwargs, share_initial=True)
-        assert active_repro_segments() == []
-        for a, b in zip(plain.jobs, shared.jobs):
-            assert a.status == b.status
-            assert a.hpwl == b.hpwl
-            assert a.displacement == b.displacement
-            assert a.n_minority_rows == b.n_minority_rows
-
-    def test_share_initial_requires_cache(self):
-        with pytest.raises(ValidationError):
-            run_sweep(
-                testcase_ids=("aes_300",),
-                flows=(1,),
-                cache_dir=None,
-                config=RunConfig(scale=TINY),
-                share_initial=True,
-            )

@@ -1,11 +1,12 @@
 """Sweep engine + artifact cache: parallel fan-out, caching, exports."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.core.config import RunConfig
-from repro.core.flows import InitialPlacement
+from repro.core.flows import FlowKind, FlowRunner, InitialPlacement
 from repro.experiments.artifact_cache import (
     ArtifactCache,
     initial_placement_key,
@@ -233,3 +234,114 @@ class TestRunSweep:
             run_sweep(testcase_ids=())
         with pytest.raises(ValidationError):
             run_sweep(testcase_ids=("aes_300",), flows=())
+
+
+ALL_FLOWS = (1, 2, 3, 4, 5)
+GROUP_TESTCASES = ("aes_300", "des3_210")
+ROW_FIELDS = (
+    "testcase_id", "flow", "status", "hpwl", "displacement",
+    "n_minority_rows", "n_clusters", "seed", "error",
+)
+
+
+def _span_names(node: dict) -> list[str]:
+    names = [node["name"]] if "name" in node else []
+    for child in node.get("children", node.get("spans", ())):
+        names += _span_names(child)
+    return names
+
+
+@pytest.fixture(scope="module")
+def pooled_sweep(tmp_path_factory):
+    """2 testcases x flows 1-5 on 2 workers, starting from an empty cache."""
+    return run_sweep(
+        testcase_ids=GROUP_TESTCASES,
+        flows=ALL_FLOWS,
+        config=RunConfig(scale=TINY, workers=2),
+        cache_dir=tmp_path_factory.mktemp("cache"),
+    )
+
+
+class TestTestcaseGroups:
+    """One pool task per testcase: prepare and solve once, one row per flow."""
+
+    def test_one_prepare_per_testcase(self, pooled_sweep):
+        assert pooled_sweep.n_failed == 0
+        assert pooled_sweep.cache["misses"] == len(GROUP_TESTCASES)
+        assert pooled_sweep.cache["hits"] == 0
+        for tc in GROUP_TESTCASES:
+            rows = [pooled_sweep.job(tc, f) for f in ALL_FLOWS]
+            # The group's first row paid the prepare; the rest reused it.
+            assert [r.cache_hit for r in rows] == [False] + [True] * 4
+            assert len({r.worker_pid for r in rows}) == 1
+
+    def test_rap_solved_once_per_testcase(self, pooled_sweep):
+        for tc in GROUP_TESTCASES:
+            flow4 = _span_names(pooled_sweep.job(tc, 4).spans)
+            flow5 = _span_names(pooled_sweep.job(tc, 5).spans)
+            assert "rap.sparse" in flow4
+            assert "flow.5" in flow5
+            assert not [n for n in flow5 if n.startswith("rap.")], flow5
+
+    def test_rows_equal_standalone_flow_runs(self, pooled_sweep, library):
+        config = RunConfig(scale=TINY)
+        for tc in GROUP_TESTCASES:
+            initial, _ = load_or_prepare_initial(
+                _testcase_by_id(tc), config, library, None
+            )
+            for flow in ALL_FLOWS:
+                seed = config.job_seed(tc, flow)
+                runner = FlowRunner(
+                    initial, dataclasses.replace(config.params, seed=seed)
+                )
+                ref = runner.run(FlowKind(flow))
+                row = pooled_sweep.job(tc, flow)
+                assert row.seed == seed
+                assert row.status == ("degraded" if ref.degraded else "ok")
+                assert row.hpwl == ref.hpwl, (tc, flow)
+                assert row.displacement == ref.displacement, (tc, flow)
+                assert row.n_minority_rows == ref.n_minority_rows
+                assert row.n_clusters == ref.n_clusters
+
+    def test_rows_in_grid_order_groups_largest_first(self, tmp_path):
+        scale = 1.0 / 96.0  # large enough that the two sizes differ
+        grid = ("aes_300", "des3_210")
+        sizes = [_testcase_by_id(tc).scaled_cells(scale) for tc in grid]
+        assert sizes[0] < sizes[1]
+        lines: list[str] = []
+        result = run_sweep(
+            testcase_ids=grid,
+            flows=(1,),
+            config=RunConfig(scale=scale, workers=1),
+            cache_dir=tmp_path / "cache",
+            progress=lines.append,
+        )
+        # Inline groups complete in submission order: largest first.
+        assert [line.split()[1] for line in lines] == ["des3_210", "aes_300"]
+        assert [j.testcase_id for j in result.jobs] == list(grid)
+
+    def test_resume_mid_group_runs_only_missing_flows(self, tmp_path):
+        kwargs = dict(
+            testcase_ids=("aes_300",),
+            flows=ALL_FLOWS,
+            config=RunConfig(scale=TINY, workers=1),
+            cache_dir=tmp_path / "cache",
+        )
+        whole = run_sweep(**kwargs)
+        journal = tmp_path / "sweep.jsonl"
+        run_sweep(journal=journal, **kwargs)
+        lines = journal.read_text().splitlines()
+        assert len(lines) == 1 + len(ALL_FLOWS)
+        # Simulate a kill after flows 1-2 of the group were journaled.
+        journal.write_text("\n".join(lines[:3]) + "\n")
+
+        resumed = run_sweep(journal=journal, resume=True, **kwargs)
+        assert [j.resumed for j in resumed.jobs] == [True, True, False, False, False]
+        appended = [
+            json.loads(line)["job"]["flow"]
+            for line in journal.read_text().splitlines()[3:]
+        ]
+        assert appended == [3, 4, 5]
+        for job, ref in zip(resumed.jobs, whole.jobs):
+            for name in ROW_FIELDS:
+                assert getattr(job, name) == getattr(ref, name), name
