@@ -636,23 +636,21 @@ def apply_delta(init, delta: NetlistDelta) -> AppliedDelta:
         del_slots = np.flatnonzero(
             np.isin(init.placed.pin_inst, dead_arr) & ~is_driver
         )
-        # One pass over all nets for the whole batch; only nets that
-        # actually carry a disconnected sink rebuild their pin list.
-        for net in design.nets:
-            if any(
-                not p.is_port
-                and p.instance_index in dead
-                and p.pin_name in dead[p.instance_index]
+        # The nets owning those slots are the only ones that carry a
+        # disconnected sink, so only their pin lists are rebuilt.
+        owners = np.unique(
+            np.searchsorted(init.placed.net_ptr, del_slots, side="right") - 1
+        )
+        for j in owners.tolist():
+            net = design.nets[j]
+            net.pins = [
+                p
                 for p in net.pins
-            ):
-                net.pins = [
-                    p
-                    for p in net.pins
-                    if p.is_port
-                    or p.instance_index not in dead
-                    or p.pin_name not in dead[p.instance_index]
-                ]
-                modified_nets.add(net.index)
+                if p.is_port
+                or p.instance_index not in dead
+                or p.pin_name not in dead[p.instance_index]
+            ]
+            modified_nets.add(j)
 
     # Targeted validation: resizes stay within one family (same pin
     # names and directions), so only nets whose pin lists changed can

@@ -380,45 +380,120 @@ class PlacedDesign:
 
         Checks: cells on sites of rows with matching height and compatible
         track, inside the core, and no overlap within any row.
+
+        Vectorized at O(n log n): one ``searchsorted`` over the row
+        starts finds every instance's row (clamped to the core like
+        :meth:`Floorplan.row_at_y`), the per-instance tests are array
+        masks, and one ``lexsort`` over (row, x, x + w, instance) entries
+        — one per row a cell covers — finds the overlaps.  Problems come
+        out per instance in index order, then per overlapping neighbour
+        pair grouped by row, rows in the order their first instance
+        appears.  The scalar walk this replaced is kept as the test
+        oracle (``tests/_reference_legality.py``); both return the same
+        list for finite positions.
         """
-        problems: list[str] = []
         fp = self.floorplan
-        occupancy: dict[int, list[tuple[float, float, int]]] = {}
-        for i in range(self.design.num_instances):
-            height = self.heights[i]
-            row = fp.row_at_y(self.y[i] + 0.5)
-            if abs(self.y[i] - row.y) > tolerance:
+        rows = fp.rows
+        n = self.design.num_instances
+        x, y, heights = self.x[:n], self.y[:n], self.heights[:n]
+        x_end = x + self.widths[:n]
+        row_y, row_h, row_xlo, row_xhi, row_site = np.array(
+            [(r.y, r.height, r.xlo, r.xhi, r.site_width) for r in rows],
+            dtype=float,
+        ).T
+        row_index = np.array([r.index for r in rows], dtype=np.int64)
+        row_track = np.array([r.track_height for r in rows], dtype=float)
+        has_track = np.array([r.track_height is not None for r in rows])
+
+        pos = np.searchsorted(row_y, y + 0.5, side="right") - 1
+        np.clip(pos, 0, len(rows) - 1, out=pos)
+        off_row = np.abs(y - row_y[pos]) > tolerance
+        span = np.rint(heights / row_h[pos])
+        bad_height = ~off_row & (span * row_h[pos] != np.trunc(heights))
+        on_row = ~(off_row | bad_height)
+        xlo, xhi = row_xlo[pos], row_xhi[pos]
+        off_site = on_row & (np.remainder(x - xlo, row_site[pos]) > tolerance)
+        outside = on_row & (
+            (x < xlo - tolerance) | (x_end > xhi + tolerance)
+        )
+        bad_track = np.zeros(n, dtype=bool)
+        tracked = np.flatnonzero(on_row & has_track[pos])
+        if len(tracked):
+            instances = self.design.instances
+            master_track = np.array(
+                [instances[i].master.track_height for i in tracked.tolist()],
+                dtype=float,
+            )
+            bad_track[tracked] = master_track != row_track[pos[tracked]]
+
+        problems: list[str] = []
+        flagged = off_row | bad_height | bad_track | off_site | outside
+        for i in np.flatnonzero(flagged).tolist():
+            row = rows[pos[i]]
+            # off_row, bad_height and the on_row tests are exclusive
+            if off_row[i]:
                 problems.append(f"inst {i}: y={self.y[i]} not on a row boundary")
-                continue
-            master = self.design.instances[i].master
-            span = int(round(height / row.height))
-            if span * row.height != int(height):
+            if bad_height[i]:
                 problems.append(
-                    f"inst {i}: height {height} not a multiple of row {row.index}"
+                    f"inst {i}: height {self.heights[i]} not a multiple of "
+                    f"row {row.index}"
                 )
-                continue
-            if row.track_height is not None and (
-                master.track_height != row.track_height
-            ):
+            if bad_track[i]:
                 problems.append(
-                    f"inst {i}: track {master.track_height} in row of "
-                    f"{row.track_height}"
+                    f"inst {i}: track "
+                    f"{self.design.instances[i].master.track_height} in row "
+                    f"of {row.track_height}"
                 )
-            if (self.x[i] - row.xlo) % row.site_width > tolerance:
+            if off_site[i]:
                 problems.append(f"inst {i}: x={self.x[i]} off site grid")
-            if self.x[i] < row.xlo - tolerance or (
-                self.x[i] + self.widths[i] > row.xhi + tolerance
-            ):
+            if outside[i]:
                 problems.append(f"inst {i}: outside row span")
-            for r in range(row.index, min(row.index + span, fp.num_rows)):
-                occupancy.setdefault(r, []).append(
-                    (self.x[i], self.x[i] + self.widths[i], i)
-                )
-        for row_index, spans in occupancy.items():
-            spans.sort()
-            for (alo, ahi, ai), (blo, bhi, bi) in zip(spans, spans[1:]):
-                if blo < ahi - tolerance:
-                    problems.append(
-                        f"row {row_index}: inst {ai} and {bi} overlap"
-                    )
+        problems += _overlap_problems(
+            x, x_end, on_row, row_index[pos], span, len(rows), tolerance
+        )
         return problems
+
+
+def _overlap_problems(
+    x: np.ndarray,
+    x_end: np.ndarray,
+    on_row: np.ndarray,
+    first_row: np.ndarray,
+    span: np.ndarray,
+    num_rows: int,
+    tolerance: int,
+) -> list[str]:
+    """Overlapping neighbour pairs of every row, as problem strings.
+
+    Each instance seated on a row enters rows ``first_row`` to
+    ``first_row + span - 1`` (clipped to the core) as one (row, x,
+    x_end, instance) entry.  Rows are reported in the order their first
+    entry appears — instance order, then row order — and each row's
+    pairs in sorted span order.
+    """
+    end = np.minimum(first_row + span.astype(np.int64), num_rows)
+    count = np.where(on_row, np.maximum(end - first_row, 0), 0)
+    total = int(count.sum())
+    inst = np.repeat(np.arange(len(x)), count)
+    offset = np.arange(total) - np.repeat(np.cumsum(count) - count, count)
+    row = np.repeat(first_row, count) + offset
+    order = np.lexsort((inst, x_end[inst], x[inst], row))
+    row_s, inst_s = row[order], inst[order]
+    lo_s, hi_s = x[inst_s], x_end[inst_s]
+    hit = np.flatnonzero(
+        (row_s[1:] == row_s[:-1]) & (lo_s[1:] < hi_s[:-1] - tolerance)
+    )
+    if len(hit) == 0:
+        return []
+    # dict-insertion order of the rows: first appearance in entry order
+    rows_seen, first_seen = np.unique(row, return_index=True)
+    hit_first = first_seen[np.searchsorted(rows_seen, row_s[hit])]
+    hit = hit[np.lexsort((hit, hit_first))]
+    return [
+        f"row {r}: inst {a} and {b} overlap"
+        for r, a, b in zip(
+            row_s[hit].tolist(),
+            inst_s[hit].tolist(),
+            inst_s[hit + 1].tolist(),
+        )
+    ]

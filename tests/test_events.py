@@ -271,7 +271,15 @@ class TestPoolStreaming:
 
 class TestJsonlSinkAndValidation:
     def _streamed_file(self, tmp_path):
-        bus = EventBus(tmp_path / "spool", flush_interval_s=0.0)
+        # No shm census: the drainer's first poll would otherwise stream
+        # one between the two emits on a slow host, and these tests count
+        # and tear exactly the two span events (TestEventBusChaos covers
+        # the census itself).
+        bus = EventBus(
+            tmp_path / "spool",
+            flush_interval_s=0.0,
+            census_interval_s=float("inf"),
+        )
         sink = bus.subscribe(JsonlSink(tmp_path / "events.jsonl"))
         with bus.attach():
             emit_event("span.begin", name="x")
