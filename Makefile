@@ -2,23 +2,18 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-e2e lint-heights lint-no-design-pickle test-faults test-chaos bench bench-full bench-sweep bench-kernels bench-rap bench-race bench-nheight bench-events bench-eco bench-giga report examples clean
+.PHONY: install test test-e2e lint-no-design-pickle test-faults test-chaos bench bench-full bench-sweep bench-kernels bench-rap bench-race bench-nheight bench-events bench-eco bench-giga report examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
-test: lint-heights lint-no-design-pickle test-e2e
+test: lint-no-design-pickle test-e2e
 	$(PYTHON) -m pytest tests/
 
 # End-to-end benchmark harness smoke tests (~25 s): every workload runs
 # briefly and any operation whose output check_legal() rejects fails.
 test-e2e:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
-
-# Grep-lint: new code must speak HeightSpec, not the legacy
-# minority/majority vocabulary (the shim keeps old callers working).
-lint-heights:
-	$(PYTHON) scripts/lint_heights.py
 
 # Grep-lint: design DBs cross process boundaries as repro.placement.shm
 # handles, never as pickled PlacedDesign payloads.

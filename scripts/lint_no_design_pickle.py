@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Grep-lint: design DBs cross process boundaries as shm handles only.
+"""Grep-lint: no design object rides a worker payload.
 
-The shared-memory design DB (``repro.placement.shm``) exists so that
-worker fan-out — solver racing rungs, sparse-RAP component jobs — ships
-a compact picklable *handle* instead of a multi-MB pickle of
-:class:`~repro.placement.db.PlacedDesign` and its arrays (sweep tasks
-name their testcase and load the design in the worker).  This lint
-keeps that property from eroding: in every ``src/repro`` module that
-submits work to a pool/executor API (``supervised_map``, ``.submit``,
-``.apply_async``, ``.imap``, ``Process``), it counts payload idioms that
-would put a design DB straight into the pickled payload:
+Worker fan-out — solver racing rungs, sparse-RAP component jobs — ships
+solver arrays, as a ``repro.placement.shm`` handle once they are big,
+and sweep tasks name their testcase and load the design in the worker.
+None of them pickles a :class:`~repro.placement.db.PlacedDesign` or its
+netlist.  This lint keeps it that way: in every ``src/repro`` module
+that submits work to a pool/executor API (``supervised_map``,
+``.submit``, ``.apply_async``, ``.imap``, ``Process``), it counts
+payload idioms that would put a design straight into the pickled
+payload:
 
 * a design-ish payload key — ``"placed"`` / ``"placed_design"`` /
   ``"design"`` / ``"initial"`` — in a dict literal (the shm route spells
@@ -52,9 +52,9 @@ DESIGN_PAYLOAD = re.compile(
     r"""|pickle\.dumps\([^)\n]*\b(?:placed|design|initial)\b"""
 )
 
-#: Committed per-file violation counts (relative to ``src/repro``).  The
-#: shm design DB landed with every fan-out path clean, so this starts —
-#: and should stay — empty; a file may only ever ratchet DOWN.
+#: Committed per-file violation counts (relative to ``src/repro``).  Every
+#: fan-out path is clean, so this is — and should stay — empty; a file
+#: may only ever ratchet DOWN.
 BASELINE: dict[str, int] = {}
 
 

@@ -17,31 +17,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.heights import HeightSpec
 from repro.core.rap import RowAssignment
 from repro.solvers.milp import MilpModel, solve_milp
 from repro.utils.errors import InfeasibleError, ValidationError
-
-
-def _resolve_pattern_tracks(
-    heights: HeightSpec | None,
-    majority_track: float,
-    minority_track: float,
-) -> tuple[float, float]:
-    """Fold an optional HeightSpec into the pattern's two track heights.
-
-    Fixed alternating patterns are defined for two-height designs (the
-    FinFlex N3E style the paper cites); N-height specs are rejected until
-    a published N-height pattern exists to model.
-    """
-    if heights is None:
-        return majority_track, minority_track
-    if not heights.is_two_height:
-        raise ValidationError(
-            "fixed-pattern RAP supports two-height specs only; got "
-            f"{len(heights.minority)} minority classes"
-        )
-    return heights.majority, heights.minority_tracks[0]
 
 
 def alternating_pattern(
@@ -81,7 +59,6 @@ def solve_fixed_pattern_rap(
     backend: str = "highs",
     time_limit_s: float | None = None,
     warm_assignment: np.ndarray | None = None,
-    heights: HeightSpec | None = None,
 ) -> RowAssignment:
     """Optimal cluster -> pair assignment for a *fixed* minority pair set.
 
@@ -89,12 +66,8 @@ def solve_fixed_pattern_rap(
     problem a FinFlex-style flow would solve.  ``warm_assignment`` is a
     prior cluster -> (dense) pair map — e.g. the free RAP's solution or a
     neighboring phase's — encoded as the solver's starting point when
-    every assigned pair belongs to this pattern.  ``heights`` (two-height
-    specs only) overrides ``majority_track``/``minority_track``.
+    every assigned pair belongs to this pattern.
     """
-    majority_track, track = _resolve_pattern_tracks(
-        heights, majority_track, minority_track
-    )
     n_c, n_p = f.shape
     minority_pairs = np.asarray(minority_pairs, dtype=int)
     k = len(minority_pairs)
@@ -142,10 +115,9 @@ def solve_fixed_pattern_rap(
     x = np.round(solution.x).reshape(n_c, k)
     cluster_to_sub = np.argmax(x, axis=1)
     cluster_to_pair = minority_pairs[cluster_to_sub]
-    used = np.unique(cluster_to_pair)
+    pattern = set(minority_pairs.tolist())
     pair_tracks = [
-        track if p in set(minority_pairs.tolist()) else majority_track
-        for p in range(n_p)
+        minority_track if p in pattern else majority_track for p in range(n_p)
     ]
     cell_to_pair = cluster_to_pair[labels]
     return RowAssignment(
@@ -157,7 +129,7 @@ def solve_fixed_pattern_rap(
         ilp_runtime_s=solution.runtime_s,
         num_variables=n_x,
         solver_nodes=solution.nodes,
-        by_track={track: (cluster_to_pair, cell_to_pair)},
+        by_track={minority_track: (cluster_to_pair, cell_to_pair)},
     )
 
 
@@ -192,7 +164,6 @@ def sweep_pattern_phases(
     backend: str = "highs",
     time_limit_s: float | None = None,
     warm_assignment: np.ndarray | None = None,
-    heights: HeightSpec | None = None,
 ) -> tuple[RowAssignment, int]:
     """Best fixed-pattern assignment over a set of pattern phases.
 
@@ -203,9 +174,6 @@ def sweep_pattern_phases(
     prunes the search immediately.  Returns ``(best, best_phase)``;
     raises :class:`InfeasibleError` when no phase fits.
     """
-    majority_track, minority_track = _resolve_pattern_tracks(
-        heights, majority_track, minority_track
-    )
     n_p = f.shape[1]
     if phases is None:
         stride = max(1, n_p // max(1, n_minority))

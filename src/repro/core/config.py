@@ -5,12 +5,11 @@ Before this module every entry point re-declared ``--scale-denom``,
 defaults.  :class:`RunConfig` is the single source of truth: testcase
 scale, method parameters (:class:`~repro.core.params.RCPPParams`),
 resilience policy, base seed and worker count — consumed by
-``run_testcase``, the sweep engine and every CLI subcommand
-(:func:`add_run_config_args` / :meth:`RunConfig.from_args`).
-
-Old keyword signatures (``run_testcase(spec, flows, scale=..., params=...)``
-and ``run_flow(kind, initial, params)``) keep working through thin
-deprecation shims; the mapping is documented in ``docs/API.md``.
+``run_testcase``, every experiment entry point, ``run_flow``, the sweep
+engine and every CLI subcommand (:func:`add_run_config_args` /
+:meth:`RunConfig.from_args`).  It is their only configuration input;
+``docs/API.md`` maps the keywords removed in 2.0 to their ``RunConfig``
+/ ``HeightSpec`` form.
 """
 
 from __future__ import annotations
@@ -19,19 +18,30 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import warnings
 import zlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.heights import HeightSpec
+from repro.core.heights import HeightSpec, resolve_heights
 from repro.core.params import RCPPParams
 from repro.utils.errors import ValidationError
 from repro.utils.resilience import FaultPlan, ResiliencePolicy
+
+if TYPE_CHECKING:
+    from repro.techlib.cells import StdCellLibrary
 
 #: Default experiment scale: 1/24 of the paper's cell counts keeps a full
 #: 26-testcase sweep tractable in pure Python (canonical value; the
 #: experiments package re-exports it).
 DEFAULT_SCALE = 1.0 / 24.0
+
+#: ``RCPPParams`` height keys removed in 2.0, with the value every earlier
+#: :meth:`RunConfig.to_dict` wrote for them when unset.
+_REMOVED_HEIGHT_KEYS = {
+    "minority_track": 7.5,
+    "minority_fill_target": 0.6,
+    "n_minority_rows": None,
+}
 
 
 @dataclass(frozen=True)
@@ -85,30 +95,29 @@ class RunConfig:
 
     # -- content hashing (artifact cache key material) ---------------------
 
-    def initial_placement_fingerprint(self) -> dict:
-        """The config facets that determine ``prepare_initial_placement``.
+    def initial_placement_fingerprint(self, library: StdCellLibrary) -> dict:
+        """The config facets that determine ``prepare_initial_placement``
+        on ``library``.
 
         Only fields that change the shared Flow-(1) artifact belong here;
         solver/legalization knobs deliberately do not, so all flows of one
-        testcase share a cache entry.
+        testcase share a cache entry.  The height spec enters resolved and
+        whole, budgets included: the artifact carries it, and a runner
+        without ``params.heights`` takes its row budgets from there.
         """
-        out = {
+        heights = resolve_heights(self.params.heights, library.track_heights)
+        return {
             "scale": self.scale,
             "seed": self.seed,
             "utilization": self.utilization,
             "aspect_ratio": self.aspect_ratio,
-            "minority_track": self.params.minority_track,
+            "heights": heights.to_dict(),
         }
-        # Only non-legacy specs extend the key material, so every
-        # pre-HeightSpec cache entry keeps its hash.
-        if self.params.heights is not None:
-            out["heights"] = self.params.heights.to_dict()
-        return out
 
-    def content_hash(self) -> str:
+    def content_hash(self, library: StdCellLibrary) -> str:
         """Hash of the initial-placement fingerprint (cache key part)."""
         payload = json.dumps(
-            self.initial_placement_fingerprint(), sort_keys=True
+            self.initial_placement_fingerprint(library), sort_keys=True
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -134,21 +143,29 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """Rebuild from a :meth:`to_dict` snapshot (policy is dropped —
-        it summarizes, not serializes).  Legacy two-height keyword
-        values round-trip without re-warning."""
+        it summarizes, not serializes).
+
+        Snapshots written before 2.0 carry the removed two-height keys;
+        their defaults load as the paper's setting, any other value
+        raises rather than rebuild a different config.
+        """
         params_data = dict(data.get("params", {}))
+        for key, default in _REMOVED_HEIGHT_KEYS.items():
+            if params_data.pop(key, default) != default:
+                raise ValidationError(
+                    f"params.{key} was removed in 2.0; state the snapshot's "
+                    "track heights as params.heights (a HeightSpec)"
+                )
         heights_data = params_data.pop("heights", None)
         heights = (
             None if heights_data is None
             else HeightSpec.from_dict(heights_data)
         )
         field_names = {f.name for f in dataclasses.fields(RCPPParams)}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            params = RCPPParams(
-                heights=heights,
-                **{k: v for k, v in params_data.items() if k in field_names},
-            )
+        params = RCPPParams(
+            heights=heights,
+            **{k: v for k, v in params_data.items() if k in field_names},
+        )
         return cls(
             scale=float(data.get("scale", DEFAULT_SCALE)),
             params=params,

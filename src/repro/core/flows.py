@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.baseline import baseline_row_assignment
 from repro.core.clustering import cluster_minority_cells
 from repro.core.cost import compute_rap_costs
-from repro.core.heights import HeightSpec
+from repro.core.heights import HeightSpec, resolve_heights
 from repro.core.legalize_abacus_rc import abacus_rc_legalize
 from repro.core.legalize_rc import fence_region_legalize
 from repro.core.params import RCPPParams
@@ -104,12 +104,11 @@ class FlowKind(enum.Enum):
 class InitialPlacement:
     """The shared Flow-(1) artifact every constrained flow starts from.
 
-    For N-height preparation (``heights`` given), ``minority_track`` /
-    ``minority_indices`` / ``minority_widths_original`` describe the
-    *first* minority class (legacy views); ``class_indices`` /
-    ``class_widths_original`` carry every class keyed by track.  Legacy
-    two-height artifacts (``heights is None``) populate the per-class
-    dicts with their single class.
+    ``heights`` is the resolved spec it was prepared for, and
+    ``class_indices`` / ``class_widths_original`` carry every minority
+    class keyed by track.  ``minority_track`` / ``minority_indices`` /
+    ``minority_widths_original`` are read-only views of the first class
+    (for a two-height spec, the only one).
     """
 
     design: Design
@@ -119,30 +118,31 @@ class InitialPlacement:
     placed: PlacedDesign  # mLEF-frame geometry snapshot
     hpwl: float
     times: StageTimes
-    minority_track: float
-    minority_indices: np.ndarray
-    minority_widths_original: np.ndarray  # un-mLEF widths (capacity rule)
     pair_center_y: np.ndarray
     pair_capacity: np.ndarray
-    heights: HeightSpec | None = None
-    class_indices: dict[float, np.ndarray] = field(default_factory=dict)
-    class_widths_original: dict[float, np.ndarray] = field(
-        default_factory=dict
-    )
+    heights: HeightSpec
+    class_indices: dict[float, np.ndarray]
+    #: Un-mLEF widths per class (the capacity rule's input).
+    class_widths_original: dict[float, np.ndarray]
+
+    @property
+    def minority_track(self) -> float:
+        return self.heights.minority_tracks[0]
+
+    @property
+    def minority_indices(self) -> np.ndarray:
+        return self.class_indices[self.minority_track]
+
+    @property
+    def minority_widths_original(self) -> np.ndarray:
+        return self.class_widths_original[self.minority_track]
 
     def classes(self) -> dict[float, tuple[np.ndarray, np.ndarray]]:
-        """Track -> (instance indices, original widths), every class.
-
-        Falls back to the single legacy class for artifacts predating
-        the per-class fields (e.g. old cache pickles).
-        """
-        indices = getattr(self, "class_indices", None) or {
-            self.minority_track: self.minority_indices
+        """Track -> (instance indices, original widths), every class."""
+        return {
+            t: (indices, self.class_widths_original[t])
+            for t, indices in self.class_indices.items()
         }
-        widths = getattr(self, "class_widths_original", None) or {
-            self.minority_track: self.minority_widths_original
-        }
-        return {t: (indices[t], widths[t]) for t in indices}
 
 
 @dataclass
@@ -172,7 +172,6 @@ class FlowResult:
 def prepare_initial_placement(
     design: Design,
     library: StdCellLibrary,
-    minority_track: float = 7.5,
     utilization: float = 0.60,
     aspect_ratio: float = 1.0,
     placer_params: GlobalPlacerParams | None = None,
@@ -183,16 +182,15 @@ def prepare_initial_placement(
     On return the design's masters are back to the originals; the returned
     ``placed`` snapshot retains the mLEF geometry it was placed with.
 
-    ``heights`` switches to N-height preparation: every minority class of
-    the spec is located and recorded per track (``minority_track`` is
-    ignored in that case — the spec is the source of truth).
+    Every minority class of ``heights`` is located and recorded per
+    track; ``None`` means the paper's setting
+    (:func:`~repro.core.heights.resolve_heights`).
     """
-    tracks = (
-        (minority_track,) if heights is None else heights.minority_tracks
-    )
+    heights = resolve_heights(heights, library.track_heights)
     logger.info(
         "preparing initial placement: %d cells, minority track(s) %s",
-        design.num_instances, "/".join(f"{t:g}T" for t in tracks),
+        design.num_instances,
+        "/".join(f"{t:g}T" for t in heights.minority_tracks),
     )
     with span(
         "prepare_initial_placement", n_cells=design.num_instances
@@ -200,7 +198,6 @@ def prepare_initial_placement(
         result = _prepare_initial_placement(
             design,
             library,
-            minority_track=minority_track,
             utilization=utilization,
             aspect_ratio=aspect_ratio,
             placer_params=placer_params,
@@ -220,19 +217,15 @@ def prepare_initial_placement(
 def _prepare_initial_placement(
     design: Design,
     library: StdCellLibrary,
-    minority_track: float,
     utilization: float,
     aspect_ratio: float,
     placer_params: GlobalPlacerParams | None,
-    heights: HeightSpec | None = None,
+    heights: HeightSpec,
 ) -> InitialPlacement:
     times = StageTimes()
-    minority_tracks = (
-        (minority_track,) if heights is None else heights.minority_tracks
-    )
     class_indices: dict[float, np.ndarray] = {}
     class_widths: dict[float, np.ndarray] = {}
-    for track in minority_tracks:
+    for track in heights.minority_tracks:
         mask = np.array(design.minority_mask(track))
         if not mask.any():
             raise ValidationError(
@@ -246,8 +239,6 @@ def _prepare_initial_placement(
             ],
             dtype=float,
         )
-    minority_indices = class_indices[minority_tracks[0]]
-    original_widths = class_widths[minority_tracks[0]]
 
     with times.measure("mlef"):
         mlef = make_mlef_library(library, design.area_by_track())
@@ -293,9 +284,6 @@ def _prepare_initial_placement(
         placed=placed,
         hpwl=hpwl_total(placed),
         times=times,
-        minority_track=minority_tracks[0],
-        minority_indices=minority_indices,
-        minority_widths_original=original_widths,
         pair_center_y=np.array([p.center_y for p in pairs]),
         pair_capacity=np.array([float(p.capacity_width) for p in pairs]),
         heights=heights,
@@ -327,55 +315,20 @@ class FlowRunner:
             self.policy = dataclasses.replace(
                 self.policy, fault_plan=fault_plan
             )
-        spec = self.params.heights or getattr(initial, "heights", None)
-        if spec is None:
-            # Legacy two-height configuration: validation (and therefore
-            # behavior) identical to the pre-HeightSpec runner.
-            if self.params.minority_track != initial.minority_track:
-                raise ValidationError("params/initial minority track mismatch")
-            tracks = initial.library.track_heights
-            others = [t for t in tracks if t != initial.minority_track]
-            if len(others) != 1:
-                raise ValidationError(
-                    f"library must have exactly one majority track, got {tracks}"
-                )
-            self.majority_track = others[0]
-            spec = HeightSpec.two_height(
-                majority_track=self.majority_track,
-                minority_track=initial.minority_track,
-                n_minority_rows=self.params.n_minority_rows,
-                minority_fill_target=self.params.minority_fill_target,
+        spec = self.params.heights or initial.heights
+        if set(spec.minority_tracks) != set(initial.heights.minority_tracks):
+            raise ValidationError(
+                "params/initial height spec mismatch: "
+                f"{spec.minority_tracks} vs {initial.heights.minority_tracks}"
             )
-        else:
-            init_spec = getattr(initial, "heights", None)
-            if (
-                self.params.heights is not None
-                and init_spec is not None
-                and set(self.params.heights.minority_tracks)
-                != set(init_spec.minority_tracks)
-            ):
-                raise ValidationError(
-                    "params/initial height spec mismatch: "
-                    f"{self.params.heights.minority_tracks} vs "
-                    f"{init_spec.minority_tracks}"
-                )
-            lib_tracks = set(initial.library.track_heights)
-            missing = set(spec.tracks) - lib_tracks
-            if missing:
-                raise ValidationError(
-                    f"library lacks spec tracks {sorted(missing)} "
-                    f"(has {sorted(lib_tracks)})"
-                )
-            prepared = set(initial.classes())
-            unprepared = set(spec.minority_tracks) - prepared
-            if unprepared:
-                raise ValidationError(
-                    "initial placement was not prepared for minority "
-                    f"tracks {sorted(unprepared)} (prepared: "
-                    f"{sorted(prepared)}); pass heights= to "
-                    "prepare_initial_placement"
-                )
-            self.majority_track = spec.majority
+        lib_tracks = set(initial.library.track_heights)
+        missing = set(spec.tracks) - lib_tracks
+        if missing:
+            raise ValidationError(
+                f"library lacks spec tracks {sorted(missing)} "
+                f"(has {sorted(lib_tracks)})"
+            )
+        self.majority_track = spec.majority
         self.spec = spec
         classes = initial.classes()
         #: (track, instance indices, original widths) in spec order.
@@ -870,40 +823,21 @@ class FlowRunner:
 def run_flow(
     kind: FlowKind,
     initial: InitialPlacement,
-    config: "RunConfig | RCPPParams | None" = None,
-    policy: ResiliencePolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-    *,
-    params: RCPPParams | None = None,
+    config: "RunConfig | None" = None,
 ) -> FlowResult:
     """One-shot convenience wrapper around :class:`FlowRunner`.
 
-    Preferred call: ``run_flow(kind, initial, RunConfig(...))``.  The old
-    keyword signature ``run_flow(kind, initial, params=..., policy=...,
-    fault_plan=...)`` (or a bare :class:`RCPPParams` third positional)
-    still works through a deprecation shim; see docs/API.md for the
-    mapping.
+    ``config`` supplies the method parameters, resilience policy and
+    fault plan; ``None`` runs the defaults.
     """
     from repro.core.config import RunConfig
 
-    if isinstance(config, RunConfig):
-        if params is not None or policy is not None or fault_plan is not None:
-            raise ValidationError(
-                "pass either a RunConfig or the legacy params/policy/"
-                "fault_plan keywords, not both"
-            )
-        return FlowRunner(
-            initial, config.params, config.policy, config.fault_plan
-        ).run(kind)
-    if config is not None or params is not None:
-        import warnings
-
-        warnings.warn(
-            "run_flow(kind, initial, params=..., policy=..., fault_plan=...)"
-            " is deprecated; pass run_flow(kind, initial, RunConfig(params="
-            "..., policy=..., fault_plan=...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
+    if config is None:
+        config = RunConfig()
+    elif not isinstance(config, RunConfig):
+        raise TypeError(
+            f"run_flow takes a RunConfig, got {type(config).__name__}"
         )
-    legacy_params = params if params is not None else config
-    return FlowRunner(initial, legacy_params, policy, fault_plan).run(kind)
+    return FlowRunner(
+        initial, config.params, config.policy, config.fault_plan
+    ).run(kind)

@@ -8,11 +8,13 @@ its own row budget (forced, or derived from the class's cell area and a
 fill target — the N-height generalization of Eq. 5).  Everything from
 :class:`~repro.core.flows.FlowRunner` down to the solvers is
 height-indexed over the spec's minority classes (:mod:`repro.core.rap`);
-``K = 1`` is the paper's exact setting.
+``K = 1`` is the paper's exact setting, and :func:`resolve_heights`
+supplies it wherever no spec is given.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.core.rap import required_minority_pairs
@@ -26,7 +28,7 @@ class HeightClass:
     ``n_rows`` forces the class's row-pair count (the per-class Eq. 5
     right-hand side); ``None`` derives it from the class's total cell
     width and ``fill_target`` (how full this class's rows may be), the
-    same rule the two-height path applies to ``minority_fill_target``.
+    area-derived N_minR rule of Eq. 5.
     """
 
     track: float
@@ -63,9 +65,7 @@ class HeightSpec:
 
     The majority track fills every row pair no minority class claims;
     each minority class forms row islands with its own budget.  A
-    two-entry spec (``K = 1``) is the paper's exact setting and is
-    guaranteed to reproduce the legacy ``minority_track`` path bit for
-    bit (the solvers delegate to the two-height code at ``K = 1``).
+    two-entry spec (``K = 1``) is the paper's exact setting.
     """
 
     majority: float
@@ -145,7 +145,7 @@ class HeightSpec:
         n_minority_rows: int | None = None,
         minority_fill_target: float = 0.6,
     ) -> "HeightSpec":
-        """The paper's setting as a spec (legacy-kwarg equivalent)."""
+        """A two-entry spec; the defaults are the paper's 6T/7.5T setting."""
         return cls(
             majority=majority_track,
             minority=(
@@ -233,3 +233,23 @@ class HeightSpec:
                 HeightClass.from_dict(c) for c in d["minority"]
             ),
         )
+
+
+def resolve_heights(
+    heights: HeightSpec | None, library_tracks: Sequence[float]
+) -> HeightSpec:
+    """``heights``, or the paper's setting over a library's tracks.
+
+    The paper's setting (``heights=None``) is 7.5T row islands in a sea
+    of the library's one other track: 6T for ASAP7.
+    """
+    if heights is not None:
+        return heights
+    paper = HeightSpec.two_height()
+    others = [t for t in library_tracks if t not in paper.minority_tracks]
+    if len(others) != 1:
+        raise ValidationError(
+            "library must have exactly one majority track, got "
+            f"{tuple(library_tracks)}"
+        )
+    return HeightSpec.two_height(majority_track=others[0])

@@ -78,9 +78,7 @@ def region_based_flow(
     die = fp.die
     site = fp.site_width
     minority_track = initial.minority_track
-    majority_track = next(
-        t for t in library.track_heights if t != minority_track
-    )
+    majority_track = initial.heights.majority
     h_min = library.row_height(minority_track)
     h_maj = library.row_height(majority_track)
 

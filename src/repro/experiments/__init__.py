@@ -14,9 +14,11 @@ Module                  Reproduces
 ======================  ==========================================
 
 Every module exposes ``run(...)`` returning structured rows and a
-``main()`` that prints a paper-shaped table.  Scale defaults keep a full
-run tractable in pure Python; pass ``scale=1/16`` (or more) for the
-larger-design variants.
+``main()`` that prints a paper-shaped table.  Each entry point takes one
+:class:`~repro.core.config.RunConfig` (``config=``) for scale and method
+parameters.  Scale defaults keep a full run tractable in pure Python;
+pass ``config=RunConfig(scale=1/16)`` (or more) for the larger-design
+variants.
 """
 
 from repro.experiments.testcases import (

@@ -9,7 +9,8 @@ everything that determines it:
 
 * the testcase spec (circuit, clock, paper cell count, minority %),
 * the :class:`~repro.core.config.RunConfig` facets that shape the initial
-  placement (scale, seed, utilization, aspect ratio, minority track),
+  placement (scale, seed, utilization, aspect ratio, resolved height
+  spec),
 * a fingerprint of the cell library, and
 * the package version plus a cache schema version.
 
@@ -82,7 +83,7 @@ def initial_placement_key(
                 "paper_pct_75t": spec.paper_pct_75t,
                 "seed": spec.seed,
             },
-            "config": config.initial_placement_fingerprint(),
+            "config": config.initial_placement_fingerprint(library),
             "library": library_fingerprint(library),
         },
         sort_keys=True,
@@ -283,7 +284,6 @@ def load_or_prepare_initial(
             prepare_initial_placement(
                 design,
                 library,
-                minority_track=config.params.minority_track,
                 utilization=config.utilization,
                 aspect_ratio=config.aspect_ratio,
                 heights=config.params.heights,
@@ -299,7 +299,6 @@ def load_or_prepare_initial(
         initial = prepare_initial_placement(
             design,
             library,
-            minority_track=config.params.minority_track,
             utilization=config.utilization,
             aspect_ratio=config.aspect_ratio,
             heights=config.params.heights,

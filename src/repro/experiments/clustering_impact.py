@@ -16,7 +16,7 @@ from repro.core.config import RunConfig
 from repro.core.flows import FlowKind
 from repro.core.params import RCPPParams
 from repro.eval.report import format_table
-from repro.experiments.runner import resolve_run_config, run_testcase
+from repro.experiments.runner import run_testcase
 from repro.experiments.testcases import (
     QUICK_SUBSET_IDS,
     TestcaseSpec,
@@ -34,14 +34,13 @@ class AblationPoint:
 
 def run(
     testcase_ids: tuple[str, ...] = QUICK_SUBSET_IDS,
-    scale: float | None = None,
+    *,
     s_values: tuple[float, ...] = (0.2, 0.5),
-    base_params: RCPPParams | None = None,
     config: RunConfig | None = None,
 ) -> list[AblationPoint]:
-    explicit = config is not None or base_params is not None
-    config = resolve_run_config(config, scale=scale, params=base_params)
-    base = config.params if explicit else RCPPParams(solver_time_limit_s=600.0)
+    config = config or RunConfig(
+        params=RCPPParams(solver_time_limit_s=600.0)
+    )
     testcases: list[TestcaseSpec] = testcase_subset(testcase_ids)
 
     # metric[s][testcase]; index 0 is the no-clustering reference.
@@ -54,7 +53,7 @@ def run(
             tc = run_testcase(
                 spec,
                 (FlowKind.FLOW4,),
-                config=config.replace(params=replace(base, s=s)),
+                config=config.replace(params=replace(config.params, s=s)),
             )
             result = tc.results[FlowKind.FLOW4]
             runtime[k, t] = tc.runner._ilp[2]  # noqa: SLF001 - ILP stage time

@@ -22,7 +22,7 @@ from repro.core.flows import FlowKind
 from repro.core.params import RCPPParams
 from repro.eval.normalize import normalize_01
 from repro.eval.report import format_table
-from repro.experiments.runner import resolve_run_config, run_testcase
+from repro.experiments.runner import run_testcase
 from repro.experiments.testcases import (
     PARAMETER_SUBSET_IDS,
     TestcaseSpec,
@@ -74,37 +74,35 @@ def _sweep(
 
 
 def run_s_sweep(
-    scale: float | None = None,
+    *,
     testcase_ids: tuple[str, ...] = PARAMETER_SUBSET_IDS,
     s_values: tuple[float, ...] = S_VALUES,
-    base_params: RCPPParams | None = None,
     config: RunConfig | None = None,
 ) -> list[SweepPoint]:
-    explicit = config is not None or base_params is not None
-    config = resolve_run_config(config, scale=scale, params=base_params)
-    base = config.params if explicit else RCPPParams(solver_time_limit_s=300.0)
+    config = config or RunConfig(
+        params=RCPPParams(solver_time_limit_s=300.0)
+    )
     return _sweep(
         testcase_subset(testcase_ids),
         s_values,
-        lambda s: replace(base, s=s),
+        lambda s: replace(config.params, s=s),
         config,
     )
 
 
 def run_alpha_sweep(
-    scale: float | None = None,
+    *,
     testcase_ids: tuple[str, ...] = PARAMETER_SUBSET_IDS,
     alpha_values: tuple[float, ...] = ALPHA_VALUES,
-    base_params: RCPPParams | None = None,
     config: RunConfig | None = None,
 ) -> list[SweepPoint]:
-    explicit = config is not None or base_params is not None
-    config = resolve_run_config(config, scale=scale, params=base_params)
-    base = config.params if explicit else RCPPParams(solver_time_limit_s=300.0)
+    config = config or RunConfig(
+        params=RCPPParams(solver_time_limit_s=300.0)
+    )
     return _sweep(
         testcase_subset(testcase_ids),
         alpha_values,
-        lambda alpha: replace(base, alpha=alpha),
+        lambda alpha: replace(config.params, alpha=alpha),
         config,
     )
 

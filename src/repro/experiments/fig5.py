@@ -11,9 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import RunConfig
-from repro.core.params import RCPPParams
 from repro.eval.report import format_table
-from repro.experiments.runner import resolve_run_config, run_testcase
+from repro.experiments.runner import run_testcase
 from repro.experiments.testcases import (
     PAPER_TESTCASES,
     TestcaseSpec,
@@ -37,11 +36,10 @@ class Fig5Result:
 
 def run(
     testcases: tuple[TestcaseSpec, ...] = PAPER_TESTCASES,
-    scale: float | None = None,
-    params: RCPPParams | None = None,
+    *,
     config: RunConfig | None = None,
 ) -> Fig5Result:
-    config = resolve_run_config(config, scale=scale, params=params)
+    config = config or RunConfig()
     points: list[Fig5Point] = []
     for spec in testcases:
         tc = run_testcase(spec, (), config=config)

@@ -14,9 +14,8 @@ import numpy as np
 
 from repro.core.config import RunConfig
 from repro.core.flows import FlowKind
-from repro.core.params import RCPPParams
 from repro.eval.report import format_table
-from repro.experiments.runner import resolve_run_config, run_testcase
+from repro.experiments.runner import run_testcase
 from repro.experiments.testcases import (
     PAPER_TESTCASES,
     TestcaseSpec,
@@ -49,11 +48,10 @@ class ProfileResult:
 
 def run(
     testcases: tuple[TestcaseSpec, ...] = PAPER_TESTCASES,
-    scale: float | None = None,
-    params: RCPPParams | None = None,
+    *,
     config: RunConfig | None = None,
 ) -> ProfileResult:
-    config = resolve_run_config(config, scale=scale, params=params)
+    config = config or RunConfig()
     rows: list[ProfileRow] = []
     for spec in testcases:
         tc = run_testcase(spec, (FlowKind.FLOW5,), config=config)

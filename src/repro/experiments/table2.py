@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.core.config import RunConfig
 from repro.eval.report import format_table
-from repro.experiments.runner import resolve_run_config
 from repro.experiments.testcases import (
     PAPER_TESTCASES,
     TestcaseSpec,
@@ -39,11 +38,10 @@ class Table2Row:
 
 def run(
     testcases: tuple[TestcaseSpec, ...] = PAPER_TESTCASES,
-    scale: float | None = None,
+    *,
     config: RunConfig | None = None,
 ) -> list[Table2Row]:
-    config = resolve_run_config(config, scale=scale)
-    scale = config.scale
+    scale = (config or RunConfig()).scale
     library = make_asap7_library()
     rows: list[Table2Row] = []
     for spec in testcases:

@@ -13,13 +13,12 @@ import numpy as np
 
 from repro.core.config import RunConfig
 from repro.core.flows import FlowKind
-from repro.core.params import RCPPParams
 from repro.eval.report import format_table
 from repro.experiments.testcases import (
     PAPER_TESTCASES,
     TestcaseSpec,
 )
-from repro.experiments.runner import resolve_run_config, run_testcase
+from repro.experiments.runner import run_testcase
 
 ALL_FLOWS = (
     FlowKind.FLOW1,
@@ -61,11 +60,10 @@ def _normalize(rows: list[Table4Row], metric: str, flows: list[int]) -> dict[int
 
 def run(
     testcases: tuple[TestcaseSpec, ...] = PAPER_TESTCASES,
-    scale: float | None = None,
-    params: RCPPParams | None = None,
+    *,
     config: RunConfig | None = None,
 ) -> Table4Result:
-    config = resolve_run_config(config, scale=scale, params=params)
+    config = config or RunConfig()
     rows: list[Table4Row] = []
     for spec in testcases:
         tc = run_testcase(spec, ALL_FLOWS, config=config)

@@ -14,10 +14,9 @@ import numpy as np
 
 from repro.core.config import RunConfig
 from repro.core.flows import FlowKind
-from repro.core.params import RCPPParams
 from repro.eval.metrics import evaluate_post_route
 from repro.eval.report import format_table, rank_correlation_matches
-from repro.experiments.runner import resolve_run_config, run_testcase
+from repro.experiments.runner import run_testcase
 from repro.experiments.testcases import (
     PAPER_TESTCASES,
     TestcaseSpec,
@@ -59,11 +58,10 @@ def _normalize(rows: list[Table5Row], metric: str) -> dict[int, float]:
 
 def run(
     testcases: tuple[TestcaseSpec, ...] = PAPER_TESTCASES,
-    scale: float | None = None,
-    params: RCPPParams | None = None,
+    *,
     config: RunConfig | None = None,
 ) -> Table5Result:
-    config = resolve_run_config(config, scale=scale, params=params)
+    config = config or RunConfig()
     rows: list[Table5Row] = []
     matches = comparisons = 0
     for spec in testcases:

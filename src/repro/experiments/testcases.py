@@ -138,8 +138,8 @@ QUICK_SUBSET_IDS: tuple[str, ...] = (
 )
 
 
-#: Giga tier: synthetic 100k–250k-cell stress rows for the shared-memory
-#: design DB and the blocked-numpy hot paths.  Not Table II rows — the
+#: Giga tier: synthetic 100k–250k-cell stress rows for the blocked-numpy
+#: hot paths.  Not Table II rows — the
 #: paper tops out at nova_300's 174 267 cells — but built by the same
 #: generator pipeline: ``aes_giga`` scales the aes mix (28% 7.5T) to
 #: 100k cells, ``nova_giga`` the nova mix (10% 7.5T) to 250k.

@@ -1,4 +1,4 @@
-"""Zero-copy shared-memory design DB.
+"""Zero-copy shared-memory arrays for worker fan-out.
 
 Fanning work out over the :class:`~repro.utils.supervise.SupervisedPool`
 used to mean pickling every numpy payload into each worker — the RAP
@@ -19,11 +19,6 @@ This module replaces the copies with POSIX shared memory
   shared state fails loudly instead of corrupting its siblings).
   Arrays a worker legitimately mutates are named in ``copy=...`` and
   materialized as private writable copies.
-* :func:`publish_design` / :func:`attach_design` specialize this for
-  :class:`~repro.placement.db.PlacedDesign`: every geometry /
-  connectivity array plus the floorplan's row table travel in the
-  segment, and the attach side reconstructs a fully functional design
-  view (topology cache, HPWL, legalizers all work).
 
 Lifetime contract
 -----------------
@@ -53,9 +48,7 @@ from typing import Collection, Iterator, Mapping
 
 import numpy as np
 
-from repro.geometry import Rect
 from repro.obs.events import emit_event
-from repro.placement.db import Floorplan, PlacedDesign, Row
 from repro.utils.errors import ValidationError
 from repro.utils.resilience import FaultPlan
 
@@ -301,168 +294,3 @@ def active_repro_segments() -> list[str]:
     except OSError:
         return []
     return sorted(n for n in names if n.startswith(SEGMENT_PREFIX))
-
-
-# ---------------------------------------------------------------------------
-# PlacedDesign publication
-
-
-#: The array attributes of PlacedDesign that define its geometry and
-#: connectivity — everything a worker-side view needs.
-DESIGN_ARRAYS = (
-    "port_x",
-    "port_y",
-    "x",
-    "y",
-    "widths",
-    "heights",
-    "net_ptr",
-    "pin_inst",
-    "pin_dx",
-    "pin_dy",
-    "net_weight",
-    "_port_pin_mask",
-)
-
-#: Arrays a full flow run mutates (legalizers move cells, master swaps
-#: rewrite geometry, timing-driven placement re-weights nets); attach
-#: sides that run flows request private copies of exactly these.
-MUTABLE_DESIGN_ARRAYS = (
-    "x",
-    "y",
-    "widths",
-    "heights",
-    "pin_dx",
-    "pin_dy",
-    "net_weight",
-)
-
-
-class _DesignStub:
-    """Minimal stand-in for :class:`repro.netlist.db.Design`.
-
-    Carries the counts the array hot paths consult; anything needing the
-    instance/net object graph (``check_legal``, master swaps) must
-    attach with a real ``design=``.
-    """
-
-    __slots__ = ("name", "num_instances", "num_nets")
-
-    def __init__(self, name: str, num_instances: int, num_nets: int) -> None:
-        self.name = name
-        self.num_instances = num_instances
-        self.num_nets = num_nets
-
-
-def _floorplan_arrays(fp: Floorplan) -> dict[str, np.ndarray]:
-    rows = fp.rows
-    return {
-        "_row_y": np.array([r.y for r in rows], dtype=np.int64),
-        "_row_height": np.array([r.height for r in rows], dtype=np.int64),
-        "_row_xlo": np.array([r.xlo for r in rows], dtype=np.int64),
-        "_row_xhi": np.array([r.xhi for r in rows], dtype=np.int64),
-        "_row_track": np.array(
-            [np.nan if r.track_height is None else r.track_height for r in rows],
-            dtype=float,
-        ),
-    }
-
-
-def _rebuild_floorplan(arrays: Mapping[str, np.ndarray], meta: dict) -> Floorplan:
-    tracks = arrays["_row_track"]
-    rows = [
-        Row(
-            index=k,
-            y=int(arrays["_row_y"][k]),
-            height=int(arrays["_row_height"][k]),
-            xlo=int(arrays["_row_xlo"][k]),
-            xhi=int(arrays["_row_xhi"][k]),
-            site_width=int(meta["site_width"]),
-            track_height=None if np.isnan(tracks[k]) else float(tracks[k]),
-        )
-        for k in range(len(tracks))
-    ]
-    die = Rect(*meta["die"])
-    return Floorplan(die=die, rows=rows, site_width=int(meta["site_width"]))
-
-
-def publish_design(
-    placed: PlacedDesign, meta: Mapping[str, object] | None = None
-) -> ShmPublication:
-    """Publish a design's arrays + floorplan rows into one segment.
-
-    The handle's ``meta`` records die/site geometry and the design's
-    counts so :func:`attach_design` can reconstruct a working
-    :class:`PlacedDesign` without any pickled object graph.  Extra
-    ``meta`` entries are merged in (and must stay scalar-small).
-    """
-    arrays = {name: getattr(placed, name) for name in DESIGN_ARRAYS}
-    arrays.update(_floorplan_arrays(placed.floorplan))
-    die = placed.floorplan.die
-    full_meta: dict[str, object] = {
-        "design_name": placed.design.name,
-        "num_instances": int(placed.design.num_instances),
-        "num_nets": int(placed.design.num_nets),
-        "site_width": int(placed.floorplan.site_width),
-        "die": (die.xlo, die.ylo, die.xhi, die.yhi),
-    }
-    full_meta.update(meta or {})
-    return publish_arrays(arrays, meta=full_meta)
-
-
-class SharedDesignView:
-    """A worker-side :class:`PlacedDesign` backed by shared memory.
-
-    ``placed`` behaves like any other design for the array hot paths
-    (topology cache, HPWL, B2B, legalizers) but its structural arrays
-    are read-only views into the owner's segment; only the arrays named
-    in ``copy`` (default: none) are private.  ``close()`` (or the
-    context manager) must run before the worker returns; extract plain
-    results first.
-    """
-
-    def __init__(
-        self,
-        handle: ShmHandle,
-        design: object | None = None,
-        copy: Collection[str] = (),
-        fault_plan: FaultPlan | None = None,
-    ) -> None:
-        meta = handle.meta_dict()
-        self._attached = attach_arrays(handle, copy=copy, fault_plan=fault_plan)
-        try:
-            floorplan = _rebuild_floorplan(self._attached, meta)
-            placed = object.__new__(PlacedDesign)
-            placed.design = design if design is not None else _DesignStub(
-                str(meta["design_name"]),
-                int(meta["num_instances"]),
-                int(meta["num_nets"]),
-            )
-            placed.floorplan = floorplan
-            for name in DESIGN_ARRAYS:
-                setattr(placed, name, self._attached[name])
-            placed._topology = None  # worker builds its own (workspaces!)
-            self.placed = placed
-        except BaseException:
-            self._attached.close()
-            raise
-
-    def __enter__(self) -> "SharedDesignView":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def close(self) -> None:
-        self.placed = None
-        self._attached.close()
-
-
-def attach_design(
-    handle: ShmHandle,
-    design: object | None = None,
-    copy: Collection[str] = (),
-    fault_plan: FaultPlan | None = None,
-) -> SharedDesignView:
-    """Attach a :func:`publish_design` segment as a working design view."""
-    return SharedDesignView(handle, design=design, copy=copy, fault_plan=fault_plan)

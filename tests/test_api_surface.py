@@ -1,4 +1,4 @@
-"""The public API surface: dir(repro) == docs/API.md, shims warn/raise."""
+"""The public API surface: dir(repro) == docs/API.md, removed shims raise."""
 
 import pathlib
 import re
@@ -7,9 +7,10 @@ import pytest
 
 import repro
 from repro.core.config import RunConfig
+from repro.core.flows import FlowKind, run_flow
 from repro.core.params import RCPPParams
-from repro.experiments.runner import resolve_run_config
-from repro.utils.errors import ValidationError
+from repro.experiments.runner import run_testcase
+from repro.utils.resilience import ResiliencePolicy
 
 API_MD = pathlib.Path(__file__).resolve().parent.parent / "docs" / "API.md"
 
@@ -80,24 +81,37 @@ class TestVersion:
 
 
 class TestRunConfigShims:
-    def test_legacy_keywords_warn(self):
-        with pytest.warns(DeprecationWarning):
-            config = resolve_run_config(None, scale=0.01)
-        assert config.scale == 0.01
-        with pytest.warns(DeprecationWarning):
-            config = resolve_run_config(None, params=RCPPParams(s=0.5))
-        assert config.params.s == 0.5
+    """The pre-RunConfig keyword forms are gone: they raise TypeError."""
 
-    def test_config_plus_legacy_keyword_raises(self):
-        with pytest.raises(ValidationError):
-            resolve_run_config(RunConfig(), scale=0.01)
-        with pytest.raises(ValidationError):
-            resolve_run_config(RunConfig(), params=RCPPParams())
+    def test_legacy_keywords_rejected(self, placed_small):
+        from repro.experiments.testcases import testcase_by_id
 
-    def test_config_passthrough_is_silent(self, recwarn):
-        config = RunConfig(scale=0.02)
-        assert resolve_run_config(config) is config
-        assert resolve_run_config(None).scale == RunConfig().scale
+        spec = testcase_by_id("aes_300")
+        with pytest.raises(TypeError):
+            run_testcase(spec, (), scale=0.01)
+        with pytest.raises(TypeError):
+            run_testcase(spec, (), params=RCPPParams(s=0.5))
+        with pytest.raises(TypeError):
+            run_flow(FlowKind.FLOW1, placed_small, params=RCPPParams())
+        with pytest.raises(TypeError):
+            run_flow(FlowKind.FLOW1, placed_small, RCPPParams())
+
+    def test_config_plus_legacy_keyword_raises(self, placed_small):
+        from repro.experiments.testcases import testcase_by_id
+
+        spec = testcase_by_id("aes_300")
+        with pytest.raises(TypeError):
+            run_testcase(spec, (), RunConfig(), scale=0.01)
+        with pytest.raises(TypeError):
+            run_flow(
+                FlowKind.FLOW1, placed_small, RunConfig(),
+                policy=ResiliencePolicy(),
+            )
+
+    def test_config_passthrough_is_silent(self, placed_small, recwarn):
+        result = run_flow(FlowKind.FLOW1, placed_small, RunConfig())
+        assert result.hpwl == placed_small.hpwl
+        assert run_flow(FlowKind.FLOW1, placed_small).hpwl == result.hpwl
         deprecations = [
             w for w in recwarn.list if w.category is DeprecationWarning
         ]
@@ -112,11 +126,24 @@ class TestRunConfigShims:
         )
         assert len(rows) == 1
 
-    def test_experiment_legacy_scale_warns(self):
-        from repro.experiments import table2
+    def test_experiment_legacy_scale_rejected(self):
+        from repro.experiments import (
+            clustering_impact,
+            fig4,
+            fig5,
+            overhead,
+            profile_runtime,
+            table2,
+            table4,
+            table5,
+        )
 
-        with pytest.warns(DeprecationWarning):
-            rows = table2.run(
-                testcases=table2.PAPER_TESTCASES[:1], scale=1.0 / 384.0
-            )
-        assert len(rows) == 1
+        entry_points = (
+            table2.run, table4.run, table5.run, fig4.run_s_sweep,
+            fig4.run_alpha_sweep, fig5.run, overhead.run,
+            profile_runtime.run, clustering_impact.run,
+        )
+        for run in entry_points:
+            for legacy in ("scale", "params", "base_params"):
+                with pytest.raises(TypeError):
+                    run(**{legacy: None})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.flows import FlowKind, FlowRunner, prepare_initial_placement
+from repro.core.heights import HeightSpec
 from repro.core.params import RCPPParams
 from repro.utils.errors import ValidationError
 from tests.conftest import make_design
@@ -120,7 +121,14 @@ class TestFlowExecution:
 
     def test_track_mismatch_rejected(self, placed_small):
         with pytest.raises(ValidationError):
-            FlowRunner(placed_small, RCPPParams(minority_track=6.0))
+            FlowRunner(
+                placed_small,
+                RCPPParams(
+                    heights=HeightSpec.two_height(
+                        majority_track=7.5, minority_track=6.0
+                    )
+                ),
+            )
 
 
 class TestRowConstraintPlacerApi:

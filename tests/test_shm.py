@@ -1,4 +1,4 @@
-"""Shared-memory design DB: publish/attach, payload sizes, integrations.
+"""Shared-memory arrays: publish/attach, payload sizes, integrations.
 
 Covers the zero-copy contract of :mod:`repro.placement.shm`:
 
@@ -6,10 +6,10 @@ Covers the zero-copy contract of :mod:`repro.placement.shm`:
   packed segment;
 * the worker-side read-only guard and the ``copy=`` escape hatch;
 * leak-freedom (``active_repro_segments`` empty after the owner closes);
-* the payload budget: handles for a **100k-cell** design — and the
-  race submission payloads built from them — pickle to ≤ 64 KB, as does
-  a sweep's per-testcase task, which names its testcase instead of
-  shipping a design;
+* the payload budget: race submission payloads carrying a handle to
+  giga-tier solver arrays pickle to ≤ 64 KB, as does a sweep's
+  per-testcase task, which names its testcase instead of shipping a
+  design;
 * the fan-out integrations: a racing rung job and a sparse-RAP
   component job fed via shared memory return exactly what their
   pickled-array twins return.
@@ -23,62 +23,15 @@ import pytest
 from repro.core.config import RunConfig
 from repro.core.rap import _race_rung_job
 from repro.core.sparse_rap import _solve_component_job
-from repro.geometry import Rect
-from repro.placement.db import Floorplan, PlacedDesign, Row
 from repro.placement.shm import (
-    DESIGN_ARRAYS,
-    MUTABLE_DESIGN_ARRAYS,
     SEGMENT_PREFIX,
     active_repro_segments,
     attach_arrays,
-    attach_design,
     publish_arrays,
-    publish_design,
 )
 
 #: The PR's budget for one worker submission payload (handle, not arrays).
 MAX_PAYLOAD_BYTES = 64 * 1024
-
-
-class _StubDesign:
-    def __init__(self, name, num_instances, num_nets):
-        self.name = name
-        self.num_instances = num_instances
-        self.num_nets = num_nets
-
-
-def synthetic_placed(n_cells=100_000, pins_per_net=3, n_ports=64, seed=0):
-    """A giga-scale PlacedDesign built directly from arrays (no netlist)."""
-    rng = np.random.default_rng(seed)
-    n_nets = n_cells
-    n_pins = n_nets * pins_per_net
-    placed = object.__new__(PlacedDesign)
-    placed.design = _StubDesign("giga", n_cells, n_nets)
-    height = 216
-    n_rows = 16
-    die = Rect(0, 0, 54 * 4000, height * n_rows)
-    rows = [
-        Row(
-            index=k, y=k * height, height=height,
-            xlo=0, xhi=die.xhi, site_width=54, track_height=None,
-        )
-        for k in range(n_rows)
-    ]
-    placed.floorplan = Floorplan(die=die, rows=rows, site_width=54)
-    placed.x = rng.uniform(0, die.xhi, n_cells)
-    placed.y = rng.uniform(0, die.yhi, n_cells)
-    placed.widths = np.full(n_cells, 54.0 * 4)
-    placed.heights = np.full(n_cells, float(height))
-    placed.port_x = rng.uniform(0, die.xhi, n_ports)
-    placed.port_y = rng.uniform(0, die.yhi, n_ports)
-    placed.net_ptr = np.arange(0, n_pins + 1, pins_per_net, dtype=np.int64)
-    placed.pin_inst = rng.integers(0, n_cells, n_pins).astype(np.int64)
-    placed.pin_dx = rng.uniform(0, 200.0, n_pins)
-    placed.pin_dy = rng.uniform(0, 200.0, n_pins)
-    placed.net_weight = np.ones(n_nets)
-    placed._port_pin_mask = np.zeros(n_pins, dtype=bool)
-    placed._topology = None
-    return placed
 
 
 class TestPublishAttach:
@@ -130,56 +83,8 @@ class TestPublishAttach:
             attach_arrays(handle)
 
 
-class TestSharedDesignView:
-    def test_view_matches_source_design(self, library):
-        from tests.test_global_place_equivalence import make_placed
-
-        pd = make_placed(library, 150, seed=3)
-        from repro.placement.hpwl import hpwl_total
-
-        want = hpwl_total(pd)
-        with publish_design(pd) as pub:
-            view = attach_design(pub.handle)
-            try:
-                for name in DESIGN_ARRAYS:
-                    assert np.array_equal(
-                        getattr(view.placed, name), getattr(pd, name)
-                    ), name
-                assert hpwl_total(view.placed) == want
-                assert view.placed.floorplan.die == pd.floorplan.die
-                assert len(view.placed.floorplan.rows) == len(pd.floorplan.rows)
-                with pytest.raises(ValueError):
-                    view.placed.x[0] = 0.0  # read-only by default
-            finally:
-                view.close()
-        assert active_repro_segments() == []
-
-    def test_mutable_copies_for_flow_workers(self, library):
-        from tests.test_global_place_equivalence import make_placed
-
-        pd = make_placed(library, 80, seed=5)
-        with publish_design(pd) as pub:
-            with attach_design(pub.handle, copy=MUTABLE_DESIGN_ARRAYS) as view:
-                for name in MUTABLE_DESIGN_ARRAYS:
-                    getattr(view.placed, name)[...] = 0.0  # must not raise
-                assert np.array_equal(view.placed.net_ptr, pd.net_ptr)
-        # Mutations stayed private.
-        assert pd.x.any()
-
-
 class TestPayloadBudget:
-    """Acceptance: 100k-cell submission payloads are handles, ≤ 64 KB."""
-
-    def test_design_handle_pickles_small(self):
-        placed = synthetic_placed(n_cells=100_000)
-        with publish_design(placed) as pub:
-            blob = pickle.dumps(pub.handle)
-            assert len(blob) <= MAX_PAYLOAD_BYTES, len(blob)
-            # The arrays themselves are ~10 MB — the handle must not
-            # secretly embed them.
-            total = sum(spec.nbytes for spec in pub.handle.specs)
-            assert total > 5_000_000
-            assert len(blob) < total / 100
+    """Acceptance: giga-tier submission payloads are handles, ≤ 64 KB."""
 
     def test_sweep_payload_budget(self, tmp_path):
         # One sweep task per testcase: the worker loads the design from

@@ -474,7 +474,7 @@ class TestSweepSetEquivalence:
         n_minr = required_minority_pairs(
             float(init.minority_widths_original.sum()),
             float(init.pair_capacity.min()),
-            params.minority_fill_target,
+            init.heights.minority[0].fill_target,
         )
         dense = solve_milp(
             dense_model(f, costs.cluster_width, cap, n_minr),
