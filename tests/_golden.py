@@ -4,7 +4,8 @@
 (K = 1) — RAP model arrays, the [10]-style baseline assignment, both
 row-constraint legalizers' positions, and flows (2)-(5) on one small
 Table II twin — plus the three-height (K = 2) twin's joint RAP model,
-certified solve and flow (5), captured once and committed.  The tests
+certified solve and flow (5) at two scales (one per branch of the joint
+solve), captured once and committed.  The tests
 recompute each of them with the current code and demand bit equality,
 so any refactor of the RAP or legalization stack that changes a single
 float shows up.
@@ -53,9 +54,11 @@ FAULTED = {
     "flow5_retry": ({"rap.highs": 1}, 2),
     "flow5_lagrangian": ({"rap.highs": None, "rap.bnb": None}, 1),
 }
-#: The three-height (K = 2) twin: 400 cells at this scale.
+#: The three-height (K = 2) twin, one golden set per scale: at 1/48
+#: (400 cells, 168 dense variables) ``solve_rap`` takes its dense
+#: branch; at 1/12 (1,086 cells, 665 variables) the rc-fixing loop.
 NHEIGHT_ID = "aes3h_340"
-NHEIGHT_SCALE = 1.0 / 48.0
+NHEIGHT_SETS = {"nheight": 1.0 / 48.0, "nheight12": 1.0 / 12.0}
 NHEIGHT_SPEC = HeightSpec(6.0, (7.5, 9.0))
 
 
@@ -101,12 +104,10 @@ def twin_runner(
     return FlowRunner(initial, params, fault_plan=fault_plan)
 
 
-def nheight_runner() -> FlowRunner:
+def nheight_runner(scale: float) -> FlowRunner:
     """Runner over the three-height twin under :data:`NHEIGHT_SPEC`."""
     spec = next(t for t in NHEIGHT_TESTCASES if t.testcase_id == NHEIGHT_ID)
-    config = RunConfig(
-        scale=NHEIGHT_SCALE, params=RCPPParams(heights=NHEIGHT_SPEC)
-    )
+    config = RunConfig(scale=scale, params=RCPPParams(heights=NHEIGHT_SPEC))
     return run_testcase(spec, (), config=config).runner
 
 
@@ -254,9 +255,10 @@ def capture_flows(
     return arrays, meta
 
 
-def capture_nheight() -> tuple[dict[str, np.ndarray], dict]:
-    """Joint model, certified solve and flow (5) of the three-height twin."""
-    runner = nheight_runner()
+def capture_nheight(scale: float) -> tuple[dict[str, np.ndarray], dict]:
+    """Joint model, certified solve and flow (5) of the three-height twin;
+    ``meta["solve"]["strategy"]`` names the branch the solve took."""
+    runner = nheight_runner(scale)
     arrays = model_arrays("model", runner.rap_model())
     f_by, w_by, _ = runner._class_costs()
     budgets = runner.row_budgets
@@ -271,7 +273,10 @@ def capture_nheight() -> tuple[dict[str, np.ndarray], dict]:
         arrays[f"solve.class{h}.cluster_to_pair"] = np.asarray(cluster_to_pair)
     flow, flow_meta = flow_record("flow5", runner.run(FlowKind.FLOW5))
     arrays.update(flow)
-    meta = {"solve": {"certified": stats.certified}, "flow5": flow_meta}
+    meta = {
+        "solve": {"certified": stats.certified, "strategy": stats.strategy},
+        "flow5": flow_meta,
+    }
     return arrays, meta
 
 
@@ -328,11 +333,12 @@ def main() -> None:
     (GOLDEN_DIR / "flows.json").write_text(
         json.dumps(meta, indent=1, sort_keys=True) + "\n"
     )
-    arrays, meta = capture_nheight()
-    np.savez_compressed(GOLDEN_DIR / "nheight.npz", **arrays)
-    (GOLDEN_DIR / "nheight.json").write_text(
-        json.dumps(meta, indent=1, sort_keys=True) + "\n"
-    )
+    for name, scale in NHEIGHT_SETS.items():
+        arrays, meta = capture_nheight(scale)
+        np.savez_compressed(GOLDEN_DIR / f"{name}.npz", **arrays)
+        (GOLDEN_DIR / f"{name}.json").write_text(
+            json.dumps(meta, indent=1, sort_keys=True) + "\n"
+        )
 
 
 if __name__ == "__main__":

@@ -528,15 +528,18 @@ class TestFlowBitIdentity:
 
 class TestNHeightBitIdentity:
     """The three-height twin reproduces its frozen joint RAP model,
-    certified solve and flow-(5) outputs bit for bit."""
+    certified solve and flow-(5) outputs bit for bit (1/48 scale: the
+    dense branch of ``solve_rap``)."""
+
+    GOLDEN = "nheight"
 
     @pytest.fixture(scope="class")
     def captured(self):
-        return golden.capture_nheight()
+        return golden.capture_nheight(golden.NHEIGHT_SETS[self.GOLDEN])
 
     @pytest.fixture(scope="class")
     def frozen(self):
-        return golden.load_arrays("nheight"), golden.load_meta("nheight")
+        return golden.load_arrays(self.GOLDEN), golden.load_meta(self.GOLDEN)
 
     @staticmethod
     def _prefixed(arrays, prefix):
@@ -563,6 +566,13 @@ class TestNHeightBitIdentity:
         )
         got = json.loads(json.dumps(captured[1]["flow5"]))
         assert got == frozen[1]["flow5"]
+
+
+class TestNHeight12BitIdentity(TestNHeightBitIdentity):
+    """The same checks at 1/12 scale, where the joint solve takes the
+    rc-fixing/pricing loop."""
+
+    GOLDEN = "nheight12"
 
 
 class TestNHeightEndToEnd:
