@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-e2e lint-no-design-pickle test-faults test-chaos bench bench-full bench-sweep bench-kernels bench-rap bench-race bench-nheight bench-events bench-eco bench-giga report examples clean
+.PHONY: install test test-e2e lint-no-design-pickle test-faults test-chaos bench bench-full bench-sweep bench-kernels bench-rap bench-nheight bench-events bench-eco bench-giga report examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -25,7 +25,8 @@ test-faults:
 	$(PYTHON) -m pytest tests/ -m faults
 
 # Chaos suite only: worker_crash / worker_hang / slow_solver injected
-# into sweeps and RAP races, plus journal kill-and-resume equivalence.
+# into sweeps and supervised-pool jobs (shm leak and event-stream
+# checks), plus journal kill-and-resume equivalence.
 test-chaos:
 	$(PYTHON) -m pytest tests/test_chaos.py -m faults
 
@@ -64,16 +65,6 @@ bench-kernels: report
 # and runs the same regression/floor/objective-match gate.
 bench-rap:
 	$(PYTHON) scripts/bench_kernels.py --only rap --merge BENCH_kernels.json \
-	  --out BENCH_kernels.json.new
-	$(PYTHON) scripts/check_bench.py BENCH_kernels.json.new BENCH_kernels.json \
-	  || (rm -f BENCH_kernels.json.new; exit 1)
-	mv BENCH_kernels.json.new BENCH_kernels.json
-
-# Solver-racing rebench (same instance as bench-rap): refreshes the
-# rap_race entry — raced resilient solve vs the sequential chain — and
-# gates that racing is never >10% slower than sequential when healthy.
-bench-race:
-	$(PYTHON) scripts/bench_kernels.py --only race --merge BENCH_kernels.json \
 	  --out BENCH_kernels.json.new
 	$(PYTHON) scripts/check_bench.py BENCH_kernels.json.new BENCH_kernels.json \
 	  || (rm -f BENCH_kernels.json.new; exit 1)

@@ -17,15 +17,6 @@ current numbers against the committed JSON and enforces the speedup
 floors (>=3x abacus_legalize, >=2x end-to-end flow (5), >=2x sparse
 RAP solve) plus the dense/sparse objective-match invariant.
 
-The ``race`` group times the resilient RAP solve with its backend rungs
-*raced* on the supervised pool (``workers > 1``) against the sequential
-chain on the same instance; the gate asserts racing is never more than
-10% slower than sequential on the healthy path.  The racer count is
-capped at the machine's core count — with a single core the raced path
-degenerates to the sequential chain (racing CPU-bound solvers without
-free cores only starves the winner), so the floor then gates pure
-harness overhead.
-
 The ``nheight`` group times the joint N-height RAP layer (three track
 heights, ``aes3h_340`` at the sweep scale): the height-indexed sparse
 engine against the dense joint model build + solve.  The gate enforces
@@ -54,8 +45,8 @@ most ~5% of a full re-run) and asserts ``qor_match`` — the repaired
 placement is legal and within 2% HPWL of the cold result.
 
 ``--only`` restricts the run to named kernel groups (``legalizers``,
-``topology``, ``rap``, ``race``, ``nheight``, ``flow``, ``events``,
-``eco``, ``giga``); combine with
+``topology``, ``rap``, ``nheight``, ``flow``, ``events``, ``eco``,
+``giga``); combine with
 ``--merge`` to carry the untouched groups over from a committed JSON so
 the gate still sees every kernel (``make bench-rap`` and
 ``make bench-nheight`` do exactly this).
@@ -114,8 +105,8 @@ FLOW_TESTCASE = "aes_400"
 RAP_TESTCASE = "aes_400"  # full scale: the instance the paper's ILP sees
 NHEIGHT_TESTCASE = "aes3h_340"  # three-height twin, sweep scale
 KERNEL_GROUPS = (
-    "legalizers", "topology", "rap", "race", "nheight", "flow", "events",
-    "eco", "giga",
+    "legalizers", "topology", "rap", "nheight", "flow", "events", "eco",
+    "giga",
 )
 
 # Streaming ECO: deterministic delta size and seed for the gated entry.
@@ -138,11 +129,6 @@ GIGA_TESTCASE = "aes_giga"
 # single-core reference machine.
 GIGA_FLOW_SOLVER_BUDGET_S = 240.0
 GIGA_FLOW_BUDGET_S = 420.0
-# One process per backend rung (highs / bnb / lagrangian), capped at the
-# core count: racing CPU-bound solvers on fewer cores than racers only
-# slows the winner down, so on a single-core machine the raced path
-# deliberately degenerates to the sequential chain (workers=1).
-RACE_WORKERS = min(3, os.cpu_count() or 1)
 
 # Pre-optimization timings (seed scalar implementations, recorded on the
 # commit introducing this harness).  ``flow5_seconds`` is the reference
@@ -285,70 +271,6 @@ def bench_rap(library, repeats):
         "strategy": stats.strategy,
         "n_candidates": stats.n_candidates,
         "compression": stats.compression,
-        "n_clusters": int(f.shape[0]),
-        "n_pairs": int(f.shape[1]),
-        "n_minority_rows": int(n_minr),
-        "n_cells": int(n_cells),
-        "testcase": RAP_TESTCASE,
-    }
-
-
-def bench_race(library, repeats):
-    """Raced resilient RAP solve vs the sequential chain, best-of-N.
-
-    Same full-scale instance as ``rap_solve``; the raced path spawns one
-    process per backend rung on the shared supervised pool, first
-    certified answer wins.  The pool is forked and warmed outside the
-    timed region — steady-state cost, not cold-start.
-    """
-    from repro.core.rap import solve_rap_resilient
-    from repro.utils.supervise import get_shared_pool
-
-    f, w, cap, n_minr, n_cells = rap_instance(library)
-    instance = ([f], [w], cap, [n_minr], [np.arange(f.shape[0])], [7.5])
-    common = dict(row_fill=1.0)  # capacity already has row_fill applied
-
-    seq_result = [None]
-
-    def run_seq():
-        seq_result[0] = solve_rap_resilient(*instance, workers=1, **common)
-
-    race_result = [None]
-
-    def run_race():
-        race_result[0] = solve_rap_resilient(
-            *instance, workers=RACE_WORKERS, **common
-        )
-
-    if RACE_WORKERS > 1:
-        get_shared_pool(RACE_WORKERS)
-        run_race()  # warm the workers before timing
-        seq_seconds = best_of(run_seq, repeats)
-        race_seconds = best_of(run_race, repeats)
-    else:
-        # workers=1 never races: both paths are literally the same code,
-        # so the speedup is not measured (recorded as null, not 1.0).
-        seq_seconds = race_seconds = best_of(run_seq, repeats)
-        race_result[0] = seq_result[0]
-    measured = RACE_WORKERS > 1
-    seq, raced = seq_result[0], race_result[0]
-    objective_match = bool(
-        seq is not None
-        and raced is not None
-        and abs(seq.objective - raced.objective)
-        <= 1e-6 * max(1.0, abs(seq.objective))
-    )
-    return {
-        "seconds": race_seconds,
-        "sequential_seconds": seq_seconds,
-        "speedup_vs_sequential": (
-            seq_seconds / race_seconds if measured else None
-        ),
-        "measured": measured,
-        "objective_match": objective_match,
-        "objective": float(raced.objective) if raced is not None else None,
-        "workers": RACE_WORKERS,
-        "cores": os.cpu_count() or 1,
         "n_clusters": int(f.shape[0]),
         "n_pairs": int(f.shape[1]),
         "n_minority_rows": int(n_minr),
@@ -762,22 +684,6 @@ def main() -> int:
             f"(dense {entry['dense_seconds'] * 1e3:8.2f} ms, "
             f"{entry['speedup']:4.2f}x, match={entry['objective_match']}, "
             f"{entry['n_clusters']}x{entry['n_pairs']})"
-        )
-
-    # Raced resilient RAP solve vs the sequential chain.
-    if "race" in groups:
-        entry = bench_race(library, args.repeats)
-        kernels["rap_race"] = entry
-        registry.gauge("bench.rap_race.seconds").set(entry["seconds"])
-        speedup = entry["speedup_vs_sequential"]
-        if speedup is not None:
-            registry.gauge("bench.rap_race.speedup_vs_sequential").set(speedup)
-        print(
-            f"{'rap_race':24s} {entry['seconds'] * 1e3:8.2f} ms   "
-            f"(sequential {entry['sequential_seconds'] * 1e3:8.2f} ms, "
-            + (f"{speedup:4.2f}x, " if speedup is not None else "not measured, ")
-            + f"match={entry['objective_match']}, "
-            f"{entry['workers']} workers)"
         )
 
     # Joint N-height (N=3) RAP: sparse engine vs dense joint model.

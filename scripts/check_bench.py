@@ -12,12 +12,6 @@ when the current run misses the speedup floors this layer promises:
   and its sparse objective must match the dense optimum
   (``objective_match``) — a mismatch is a correctness failure, not a
   performance one, and always fails the gate
-* ``rap_race``         >= 0.9x vs the sequential chain (racing the
-  backend rungs may never cost more than 10% on the healthy path) and
-  the raced objective must match the sequential one; the bench caps
-  racers at the core count, so on a single-core machine the entry is
-  ``measured: false`` and only ``objective_match`` is gated (any entry
-  marked ``measured: false`` prints "not measured" and skips its floors)
 * ``rap_nheight``      the joint N=3 sparse solve's objective must match
   the dense joint model's optimum (``objective_match``) — the
   generalized height-indexed layer may never drift from the exact model
@@ -72,9 +66,6 @@ FLOORS = {
     ("abacus_legalize", "speedup"): 3.0,
     ("flow5_end_to_end", "speedup_vs_baseline"): 2.0,
     ("rap_solve", "speedup"): 2.0,
-    # Racing the backend rungs must stay within 10% of the sequential
-    # chain on the healthy path (pool overhead is the only difference).
-    ("rap_race", "speedup_vs_sequential"): 0.9,
     # The event bus buys observability with wall-clock; the budget is
     # ~3% of the instrumented flow (5) path (floored as a >= 0.97
     # speedup so it reads like the other ratio gates).
@@ -97,7 +88,6 @@ FLOORS = {
 #: Boolean invariants: (kernel, field) entries that must be true.
 INVARIANTS = (
     ("rap_solve", "objective_match"),
-    ("rap_race", "objective_match"),
     ("rap_nheight", "objective_match"),
     # The durable JSONL a bus-attached flow streams must parse and pass
     # the repro.events/1 schema check end-to-end.
@@ -119,12 +109,7 @@ def check_kernels(
     current = json.loads(Path(current_path).read_text())
     failures: list[str] = []
     for (kernel, field), floor in FLOORS.items():
-        entry = current["kernels"].get(kernel, {})
-        if entry.get("measured") is False:
-            # E.g. rap_race on a 1-core host: no speedup to floor.
-            print(f"check_bench: {kernel}: {field} not measured")
-            continue
-        got = entry.get(field)
+        got = current["kernels"].get(kernel, {}).get(field)
         if got is None:
             failures.append(f"{kernel}: missing {field} in current run")
         elif got < floor:

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Grep-lint: no design object rides a worker payload.
 
-Worker fan-out — solver racing rungs, sparse-RAP component jobs — ships
-solver arrays, as a ``repro.placement.shm`` handle once they are big,
-and sweep tasks name their testcase and load the design in the worker.
+Worker fan-out — sparse-RAP component jobs — ships solver arrays, as a
+``repro.placement.shm`` handle once they are big, and sweep tasks name
+their testcase and load the design in the worker.
 None of them pickles a :class:`~repro.placement.db.PlacedDesign` or its
 netlist.  This lint keeps it that way: in every ``src/repro`` module
 that submits work to a pool/executor API (``supervised_map``,

@@ -25,7 +25,7 @@ by ``tests/test_api_surface.py`` — ``dir(repro)`` is the documented
 surface, nothing more.
 """
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 from repro.core.config import RunConfig
 from repro.core.heights import HeightClass, HeightSpec
@@ -62,17 +62,12 @@ from repro.utils.resilience import (
     RetryPolicy,
 )
 from repro.utils.supervise import (
-    CancelToken,
-    RaceEntry,
-    RaceResult,
     SupervisedPool,
     TaskOutcome,
-    race,
     supervised_map,
 )
 
 __all__ = [
-    "CancelToken",
     "ConvergenceSeries",
     "Deadline",
     "EventBus",
@@ -87,8 +82,6 @@ __all__ = [
     "InitialPlacement",
     "MetricsRegistry",
     "RCPPParams",
-    "RaceEntry",
-    "RaceResult",
     "ResiliencePolicy",
     "RetryPolicy",
     "RowAssignment",
@@ -105,7 +98,6 @@ __all__ = [
     "emit_event",
     "make_asap7_library",
     "prepare_initial_placement",
-    "race",
     "render_span_tree",
     "run_flow",
     "run_sweep",

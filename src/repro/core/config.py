@@ -270,8 +270,8 @@ def add_run_config_args(
     parser.add_argument(
         "--rap-workers", type=int, default=defaults.rap_workers,
         help=(
-            "RAP solver processes: >1 races the backend rungs "
-            "concurrently (first certified answer wins)"
+            "RAP solver processes: >1 fans decomposed component "
+            "sub-solves out over a process pool"
         ),
     )
     if workers:

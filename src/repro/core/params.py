@@ -52,11 +52,11 @@ class RCPPParams:
       ``None`` (default) adapts ``k`` to the capacity slack.
       ``k = N_P`` reproduces the dense model bit for bit.
     * ``rap_workers`` is the RAP's process budget.  At 1 everything runs
-      in-process.  Above 1 the resilient solve *races* its backend rungs
-      concurrently on a supervised pool (first certified answer wins —
-      see :func:`repro.core.rap.solve_rap_resilient`); plain
-      ``solve_rap`` calls instead spend the workers on decomposed
-      component sub-solves.
+      in-process.  Above 1 the single-class engine fans its decomposed
+      component sub-solves out over a supervised pool (see
+      :func:`repro.core.sparse_rap.solve_rap_sparse`).  The fallback
+      chain always runs its rungs one after another, so the placement
+      does not depend on the worker count.
     """
 
     alpha: float = 0.75

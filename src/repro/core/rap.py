@@ -47,9 +47,7 @@ from repro.core.sparse_rap import (
     validate_rap_inputs,
 )
 from repro.obs.convergence import observe
-from repro.obs.metrics import MetricsRegistry, current_registry, use_registry
 from repro.obs.trace import span
-from repro.placement.shm import SHM_MIN_BYTES, publish_arrays
 from repro.solvers.milp import MilpSolution, MilpStatus, solve_milp
 from repro.utils.errors import (
     InfeasibleError,
@@ -62,13 +60,6 @@ from repro.utils.resilience import (
     Deadline,
     FlowProvenance,
     ResiliencePolicy,
-)
-from repro.utils.supervise import (
-    CancelToken,
-    RaceCancelled,
-    RaceEntry,
-    get_shared_pool,
-    race,
 )
 
 logger = logging.getLogger(__name__)
@@ -484,7 +475,6 @@ def solve_rap(
     warm_assignment: list[np.ndarray] | None = None,
     candidate_k: int | None = None,
     workers: int = 1,
-    cancel: object | None = None,
 ) -> tuple[MilpSolution, list[np.ndarray] | None, SparseSolveStats]:
     """Solve one RAP instance; ``pair_capacity`` is the usable capacity.
 
@@ -493,7 +483,7 @@ def solve_rap(
     :func:`build_rap_model` (a map entry of ``-1`` marks a cluster the
     solution does not assign exactly once).  At ``K = 1`` this is the
     sparse engine (:func:`repro.core.sparse_rap.solve_rap_sparse`),
-    ``workers`` and ``cancel`` included; ``candidate_k = N_P``
+    ``workers`` included; ``candidate_k = N_P``
     reproduces the dense model bit for bit.  At ``K >= 2`` the joint
     model is solved with reduced-cost fixing against a greedy incumbent
     and a pricing loop; for the exact backends ``stats.certified`` means
@@ -512,7 +502,7 @@ def solve_rap(
             f_by_class[0], width_by_class[0], pair_capacity, budgets[0],
             backend=backend, time_limit_s=time_limit_s,
             warm_assignment=warm_assignment[0] if warm_assignment else None,
-            candidate_k=candidate_k, workers=workers, cancel=cancel,
+            candidate_k=candidate_k, workers=workers,
         )
         maps = (
             dense_assignment(solution.x, n_cs, n_p)
@@ -558,7 +548,7 @@ def solve_rap(
                 warm_vec = None
             solution = solve_milp(
                 srm.model, backend=backend, time_limit_s=time_limit_s,
-                warm_start=warm_vec, cancel=cancel,
+                warm_start=warm_vec,
             )
             stats.solve_s = solution.runtime_s
             stats.certified = solution.status in (
@@ -653,7 +643,7 @@ def solve_rap(
                 warm_vec = None
             solution = solve_milp(
                 srm.model, backend=backend, time_limit_s=time_limit_s,
-                warm_start=warm_vec, cancel=cancel,
+                warm_start=warm_vec,
             )
             stats.solve_s += solution.runtime_s
 
@@ -823,7 +813,7 @@ def repair_assignment(
 
 
 # ---------------------------------------------------------------------------
-# Resilient chain (sequential or raced rungs)
+# Resilient chain
 # ---------------------------------------------------------------------------
 
 
@@ -840,330 +830,6 @@ def _valid_prior(
             return None
         out.append(a)
     return out
-
-
-def _race_rung_job(payload: dict) -> dict:
-    """One backend rung's full RAP solve (module-level so it pickles).
-
-    Runs inside a :class:`~repro.utils.supervise.SupervisedPool` worker;
-    the embedded engine always runs with ``workers=1`` (no nested pools
-    inside a racing worker).  Returns the raw :class:`MilpSolution`, its
-    per-class maps and the engine stats; decoding happens in the parent,
-    where ``labels`` and the track heights live.
-
-    The arrays arrive as ``f<h>``/``w<h>`` per class plus ``cap``, or —
-    for large instances — as a shared-memory handle under ``"shm"``
-    holding the same names (attached read-only, zero-copy); see
-    :mod:`repro.placement.shm`.
-    """
-    attachment = None
-    if "shm" in payload:
-        from repro.placement.shm import attach_arrays
-
-        # ``_pool_attempt`` is stamped by the supervised pool's worker
-        # wrapper only: its absence means this is an inline (in-parent)
-        # last-resort run, where worker faults must not fire.
-        attempt = payload.get("_pool_attempt")
-        attachment = attach_arrays(
-            payload["shm"],
-            fault_plan=payload.get("shm_fault_plan") if attempt is not None else None,
-            fault_stage="shm.attach",
-            attempt=attempt,
-        )
-        payload = dict(payload, **{k: attachment[k] for k in attachment})
-    try:
-        return _race_rung_solve(payload)
-    finally:
-        if attachment is not None:
-            attachment.close()
-
-
-def _race_rung_solve(payload: dict) -> dict:
-    """One rung's solve under a scoped registry.
-
-    The snapshot travels back in ``"metrics"`` so the parent can merge
-    worker-side telemetry (span histograms, solver counters) into its
-    own registry — racing used to drop it entirely.
-    """
-    registry = MetricsRegistry()
-    rung = payload["rung"]
-    K = len(payload["budgets"])
-    with use_registry(registry):
-        solution, maps, stats = solve_rap(
-            [payload[f"f{h}"] for h in range(K)],
-            [payload[f"w{h}"] for h in range(K)],
-            payload["cap"],
-            payload["budgets"],
-            backend=rung,
-            time_limit_s=payload.get("time_limit_s"),
-            warm_assignment=payload.get("warm"),
-            candidate_k=payload.get("candidate_k"),
-            workers=1,
-            cancel=payload.get("cancel"),
-        )
-    return {
-        "rung": rung,
-        "solution": solution,
-        "assignment": maps,
-        "stats": stats,
-        "metrics": registry.snapshot(),
-    }
-
-
-def _certified_exact(rung: str, solution: MilpSolution) -> bool:
-    """The race's certification rule: exact backend + proven optimum."""
-    return rung in EXACT_BACKENDS and solution.status is MilpStatus.OPTIMAL
-
-
-def _race_rap_level(
-    rungs: tuple[str, ...],
-    f_by_class: list[np.ndarray],
-    width_by_class: list[np.ndarray],
-    usable: np.ndarray,
-    budgets: list[int],
-    labels_by_class: list[np.ndarray],
-    minority_tracks: list[float],
-    majority_track: float,
-    backend: str,
-    time_limit_s: float | None,
-    candidate_k: int | None,
-    warm_assignment: list[np.ndarray] | None,
-    workers: int,
-    policy: ResiliencePolicy,
-    deadline: Deadline,
-    prov: FlowProvenance,
-    relaxation: str | None,
-) -> tuple[str, RowAssignment | None]:
-    """Race all MILP rungs of one relaxation level concurrently.
-
-    First *certified* answer wins (see :func:`_certified_exact`); losers
-    are cancelled — their pool workers killed, cooperative solvers
-    additionally observing the shared :class:`CancelToken`.  When nothing
-    certifies, the surviving outcomes are scanned in rung-preference
-    order, mirroring the sequential chain.
-
-    Returns a verdict and (for ``"win"``) the decoded assignment:
-
-    * ``("win", assignment)`` — a rung answered; provenance updated;
-    * ``("escalate", None)`` — some rung proved infeasibility, move to
-      the next relaxation level;
-    * ``("fallback", None)`` — nothing usable came back, run this
-      level's sequential rung loop instead (worker-only faults do not
-      fire inline, so the sequential pass is also the degraded-mode
-      last resort).
-
-    A certified-exact winner is *not* marked degraded even when it is
-    not the requested backend: both exact backends prove the same
-    optimum, so the answer is bit-equivalent to the sequential chain's.
-    (The sequential chain marks any non-primary rung degraded because
-    there a fallback implies the primary *failed*; in a race losing on
-    latency is not a failure.)
-    """
-    stage = "rap.race"
-    deadline.check(stage, provenance=prov)
-    limit = deadline.clamp(time_limit_s)
-    # A healthy rung obeys ``limit`` internally; supervision only has to
-    # catch wedged workers, so the kill deadline gets a generous margin.
-    task_timeout_s = None if limit is None else max(5.0, 3.0 * limit)
-
-    n_p = len(usable)
-    warm_prior = _valid_prior(
-        warm_assignment, [f.shape[0] for f in f_by_class], n_p
-    )
-    greedy: list[np.ndarray] | None = None
-    cancel = CancelToken()
-
-    # Large instances go to the workers as one shared-memory segment per
-    # race (zero-copy attach) instead of one pickled copy per rung; small
-    # ones inline — the pickle is cheaper than a segment.
-    arrays: dict[str, np.ndarray] = {"cap": usable}
-    for h, (f, w) in enumerate(zip(f_by_class, width_by_class)):
-        arrays[f"f{h}"], arrays[f"w{h}"] = f, w
-    publication = None
-    if len(rungs) > 1 and sum(a.nbytes for a in arrays.values()) > SHM_MIN_BYTES:
-        publication = publish_arrays(arrays)
-    shared: dict[str, object] = (
-        arrays
-        if publication is None
-        else {"shm": publication.handle, "shm_fault_plan": policy.fault_plan}
-    )
-
-    entries = []
-    for rung in rungs:
-        warm = warm_prior
-        if warm is None and rung in EXACT_BACKENDS:
-            if greedy is None:
-                greedy = greedy_rap(
-                    f_by_class, width_by_class, usable, budgets
-                )
-            warm = greedy
-        entries.append(
-            RaceEntry(
-                label=rung,
-                fn=_race_rung_job,
-                item={
-                    "rung": rung,
-                    **shared,
-                    "budgets": budgets,
-                    "time_limit_s": limit,
-                    "warm": warm,
-                    "candidate_k": candidate_k,
-                    "cancel": cancel,
-                },
-                fault_stage=f"rap.{rung}",
-            )
-        )
-
-    def certify(i: int, value: dict) -> bool:
-        if _certified_exact(rungs[i], value["solution"]):
-            cancel.set()  # cooperative losers stop before the kill lands
-            return True
-        return False
-
-    pool = get_shared_pool(min(workers, len(entries)))
-    pool.fault_plan = policy.fault_plan
-    pool.task_timeout_s = task_timeout_s
-    try:
-        with span(
-            stage,
-            rungs=",".join(rungs),
-            workers=pool.workers,
-            relaxation=relaxation,
-        ) as race_span:
-            result = race(entries, certify, pool=pool)
-            race_span.annotate(
-                winner=result.winner,
-                wall_s=result.wall_s,
-                cancel_latency_s=result.cancel_latency_s,
-                crashes=result.crashes,
-                hangs=result.hangs,
-                cancelled=result.n_cancelled,
-            )
-            # Convergence points are numeric-only; the winner label and
-            # relaxation string live on the span attributes above.
-            observe(
-                stage,
-                winner_index=(
-                    -1.0
-                    if result.winner_index is None
-                    else float(result.winner_index)
-                ),
-                wall_s=result.wall_s,
-                cancel_latency_s=result.cancel_latency_s,
-                crashes=result.crashes,
-                hangs=result.hangs,
-                cancelled=result.n_cancelled,
-            )
-    finally:
-        cancel.clear()
-        if publication is not None:
-            publication.close()
-
-    # Fold every rung's worker-side registry snapshot into the parent
-    # registry; racing used to drop worker metrics entirely.
-    registry = current_registry()
-    for outcome in result.outcomes:
-        if outcome.ok and isinstance(outcome.value, dict):
-            snapshot = outcome.value.get("metrics")
-            if snapshot:
-                registry.merge(snapshot)
-
-    # Preference order: the certified winner if any, else the first rung
-    # (in chain order) that returned a usable solution.
-    order = list(range(len(rungs)))
-    if result.winner_index is not None:
-        order.remove(result.winner_index)
-        order.insert(0, result.winner_index)
-    chosen: int | None = None
-    assignment: RowAssignment | None = None
-    infeasible_seen = False
-    decode_errors: dict[int, BaseException] = {}
-    for i in order:
-        outcome = result.outcomes[i]
-        if not outcome.ok:
-            continue
-        solution: MilpSolution = outcome.value["solution"]
-        if solution.status is MilpStatus.INFEASIBLE:
-            infeasible_seen = True
-            continue
-        if outcome.value["assignment"] is None:
-            continue
-        try:
-            assignment = decode_assignment(
-                outcome.value["assignment"],
-                labels_by_class,
-                minority_tracks,
-                majority_track,
-                n_p,
-                objective=solution.objective,
-                ilp_runtime_s=solution.runtime_s,
-                num_variables=len(solution.x),
-                solver_nodes=solution.nodes,
-            )
-        except InfeasibleError as exc:
-            decode_errors[i] = exc
-            continue
-        chosen = i
-        break
-
-    for i, rung in enumerate(rungs):
-        outcome = result.outcomes[i]
-        attempt = max(1, outcome.attempts)
-        if i == chosen:
-            prov.record(
-                f"rap.{rung}", rung, attempt, ok=True,
-                runtime_s=outcome.wall_s, relaxation=relaxation,
-            )
-            continue
-        if outcome.ok:
-            solution = outcome.value["solution"]
-            if solution.status is MilpStatus.INFEASIBLE:
-                error: BaseException = InfeasibleError("model infeasible")
-            elif i in decode_errors:
-                error = decode_errors[i]
-            elif outcome.value["assignment"] is None:
-                error = SolverError(
-                    f"no incumbent (status {solution.status.value})"
-                )
-            else:
-                error = SolverError("lost race: uncertified answer")
-            prov.record(
-                f"rap.{rung}", rung, attempt, ok=False, error=error,
-                runtime_s=outcome.wall_s, relaxation=relaxation,
-            )
-        else:
-            # TaskOutcome carries the error as (type name, message)
-            # strings; rebuild something record() can stringify while
-            # keeping cancellations recognizable.
-            if outcome.status == "cancelled":
-                error = RaceCancelled(outcome.error or "lost race")
-            else:
-                error = SolverError(
-                    f"[{outcome.error_type}] {outcome.error}"
-                )
-            prov.record(
-                f"rap.{rung}", rung, attempt, ok=False,
-                error=error, runtime_s=outcome.wall_s,
-                relaxation=relaxation,
-            )
-
-    if chosen is not None:
-        rung = rungs[chosen]
-        prov.backend = rung
-        certified = chosen == result.winner_index
-        prov.degraded = bool(
-            (not certified and rung != backend)
-            or relaxation is not None
-            or result.outcomes[chosen].ran_inline
-        )
-        return "win", assignment
-    if infeasible_seen:
-        return "escalate", None
-    logger.warning(
-        "RAP race produced no usable answer; falling back to the "
-        "sequential chain for this level"
-    )
-    return "fallback", None
 
 
 def solve_rap_resilient(
@@ -1201,17 +867,10 @@ def solve_rap_resilient(
     ``backend="sa"`` and flagged degraded) so instances where every
     MILP rung fails still place.
 
-    ``workers > 1`` switches the MILP rungs from sequential to *racing*:
-    all of them run concurrently on a supervised, crash-tolerant process
-    pool (:mod:`repro.utils.supervise`) and the first certified answer —
-    an exact backend proving optimality — wins, cancelling the others.
-    Healthy-path answers are identical to the sequential chain's (both
-    exact backends prove the same optimum); a failure merely stops
-    costing the failed rung's wall-clock.  Race outcomes land in
-    ``provenance``, a ``rap.race`` span, and a FlightRecorder
-    observation.  Each racing rung runs its internal engine
-    single-threaded; leave ``workers`` at 1 to instead spend them on the
-    single-class engine's component fan-out.
+    ``workers`` is the process budget of the single-class engine's
+    component fan-out (:func:`repro.core.sparse_rap.solve_rap_sparse`);
+    the rungs themselves always run one after another, so the answer
+    does not depend on it.
 
     Failure ladder per :class:`~repro.utils.resilience.ResiliencePolicy`:
 
@@ -1246,12 +905,10 @@ def solve_rap_resilient(
             if sum(bumped) <= n_p:
                 levels.append((1.0, bumped, f"n_min_rows+{extra}"))
 
-    milp_rungs = rungs = policy.backends(backend)
+    rungs = policy.backends(backend)
     if len(f_by_class) > 1:
-        milp_rungs = tuple(
-            r for r in milp_rungs if r in EXACT_BACKENDS
-        ) or EXACT_BACKENDS
-        rungs = (*milp_rungs, "sa")
+        exact = tuple(r for r in rungs if r in EXACT_BACKENDS)
+        rungs = (*(exact or EXACT_BACKENDS), "sa")
     prior = _valid_prior(
         warm_assignment, [f.shape[0] for f in f_by_class], n_p
     )
@@ -1267,31 +924,6 @@ def solve_rap_resilient(
         if relaxation is not None:
             prov.relaxations.append(relaxation)
             logger.info("RAP escalating relaxation: %s", relaxation)
-        if workers > 1 and len(milp_rungs) > 1:
-            verdict, assignment = _race_rap_level(
-                milp_rungs,
-                f_by_class,
-                width_by_class,
-                usable,
-                level_budgets,
-                labels_by_class,
-                minority_tracks,
-                majority_track,
-                backend,
-                time_limit_s,
-                candidate_k,
-                prior,
-                workers,
-                policy,
-                deadline,
-                prov,
-                relaxation,
-            )
-            if verdict == "win":
-                return assignment
-            if verdict == "escalate":
-                continue
-            # "fallback": run this level's sequential rung loop below.
         escalate = False
         for rung in rungs:
             stage = f"rap.{rung}"

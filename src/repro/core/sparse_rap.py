@@ -600,7 +600,6 @@ def _lp_rounding_incumbent(
     y_fractional: np.ndarray,
     backend: str,
     time_limit_s: float | None,
-    cancel: object | None = None,
 ) -> tuple[np.ndarray, float, float] | None:
     """Primal heuristic: open the rows the LP wants, assign optimally.
 
@@ -640,9 +639,7 @@ def _lp_rounding_incumbent(
         a_eq=a_eq,
         b_eq=np.ones(n_c),
     )
-    solution = solve_milp(
-        model, backend=backend, time_limit_s=time_limit_s, cancel=cancel
-    )
+    solution = solve_milp(model, backend=backend, time_limit_s=time_limit_s)
     if not solution.ok or solution.x is None:
         return None
     x = np.round(solution.x).reshape(n_c, k)
@@ -710,16 +707,7 @@ def _solve_component_job(payload: dict) -> dict:
     if "shm" in payload:
         from repro.placement.shm import attach_arrays
 
-        # ``_pool_attempt`` is stamped by the supervised pool's worker
-        # wrapper only: its absence means this is an inline (in-parent)
-        # last-resort run, where worker faults must not fire.
-        attempt = payload.get("_pool_attempt")
-        attachment = attach_arrays(
-            payload["shm"],
-            fault_plan=payload.get("shm_fault_plan") if attempt is not None else None,
-            fault_stage="shm.attach",
-            attempt=attempt,
-        )
+        attachment = attach_arrays(payload["shm"])
         clusters, pairs = payload["clusters"], payload["pairs"]
         block = np.ix_(clusters, pairs)
         payload = dict(
@@ -758,7 +746,6 @@ def _solve_component(payload: dict) -> dict:
         backend=payload["backend"],
         time_limit_s=payload.get("time_limit_s"),
         warm_start=warm_vec,
-        cancel=payload.get("cancel"),
     )
     out = {
         "status": solution.status.value,
@@ -787,7 +774,6 @@ def _solve_decomposed(
     workers: int,
     strengthen: bool,
     stats: SparseSolveStats,
-    cancel: object | None = None,
 ) -> MilpSolution | None:
     """Exact component-wise solve: sub-MILP sweep + row-apportion DP.
 
@@ -885,7 +871,6 @@ def _solve_decomposed(
                 "time_limit_s": time_limit_s,
                 "warm": local_warm,
                 "strengthen": strengthen,
-                "cancel": cancel,
             }
         )
 
@@ -973,7 +958,6 @@ def _solve_lagrangian_direct(
     n_minority_rows: int,
     time_limit_s: float | None,
     warm_assignment: np.ndarray | None,
-    cancel: object | None = None,
 ) -> MilpSolution:
     """Heuristic rung without any MILP model build.
 
@@ -1026,7 +1010,6 @@ def _solve_small_dense(
     time_limit_s: float | None,
     warm: np.ndarray | None,
     stats: SparseSolveStats,
-    cancel: object | None = None,
 ) -> tuple[MilpSolution, SparseSolveStats]:
     """One full-mask solve for tiny instances (no cuts, no LP)."""
     n_c, n_p = f.shape
@@ -1057,7 +1040,6 @@ def _solve_small_dense(
             backend=backend,
             time_limit_s=time_limit_s,
             warm_start=warm_vec,
-            cancel=cancel,
         )
         stats.solve_s = solution.runtime_s
         # The full model is authoritative in either direction.
@@ -1169,7 +1151,6 @@ def _solve_eco_repair(
     left,
     spent,
     stats: SparseSolveStats,
-    cancel: object | None = None,
 ) -> tuple[MilpSolution, SparseSolveStats] | None:
     """Incremental repair of an incumbent after a small delta.
 
@@ -1256,7 +1237,6 @@ def _solve_eco_repair(
                 backend=backend,
                 time_limit_s=left(),
                 warm_start=warm_vec,
-                cancel=cancel,
             )
             stats.solve_s += restricted.runtime_s
             full = not (sub_full & ~mask).any()
@@ -1334,12 +1314,12 @@ def solve_rap_sparse(
     cluster_width: np.ndarray,
     pair_capacity: np.ndarray,
     n_minority_rows: int,
+    *,
     backend: str = "highs",
     time_limit_s: float | None = None,
     warm_assignment: np.ndarray | None = None,
     candidate_k: int | None = None,
     workers: int = 1,
-    cancel: object | None = None,
     dirty_clusters: np.ndarray | None = None,
 ) -> tuple[MilpSolution, SparseSolveStats]:
     """Solve the RAP through the sparse engine.
@@ -1360,12 +1340,6 @@ def solve_rap_sparse(
     every pricing round draw from one shared wall-clock budget, and an
     exhausted budget returns the best incumbent uncertified (or ERROR
     when there is none) instead of starting another round.
-
-    ``cancel`` is a cooperative cancellation flag (``is_set() -> bool``,
-    picklable — e.g. :class:`repro.utils.supervise.CancelToken`) threaded
-    down to every iterative sub-solve, including component sub-MILPs in
-    pool workers; a cancelled solve stops early with its incumbent, like
-    a time-limit expiry.
 
     ``dirty_clusters`` switches the engine into ECO repair: with a
     feasible ``warm_assignment`` it solves only the row-frozen dirty
@@ -1388,7 +1362,7 @@ def solve_rap_sparse(
         stats.strategy = "lagrangian"
         solution = _solve_lagrangian_direct(
             f, cluster_width, pair_capacity, n_minority_rows,
-            time_limit_s, warm_assignment, cancel=cancel,
+            time_limit_s, warm_assignment,
         )
         stats.rounds = 1
         stats.k_initial = stats.k_final = n_p
@@ -1440,7 +1414,6 @@ def solve_rap_sparse(
         eco = _solve_eco_repair(
             f, cluster_width, pair_capacity, n_minority_rows,
             dirty_clusters, warm, backend, _left, _spent, stats,
-            cancel=cancel,
         )
         if eco is not None:
             return eco
@@ -1448,7 +1421,7 @@ def solve_rap_sparse(
     if not forced and stats.n_dense_variables <= SMALL_PROBLEM_VARIABLES:
         return _solve_small_dense(
             f, cluster_width, pair_capacity, n_minority_rows,
-            backend, time_limit_s, warm, stats, cancel=cancel,
+            backend, time_limit_s, warm, stats,
         )
 
     lp_info: _LpInfo | None = None
@@ -1488,7 +1461,6 @@ def solve_rap_sparse(
                     rounded = _lp_rounding_incumbent(
                         f, cluster_width, pair_capacity, n_minority_rows,
                         lp.y_fractional, backend, _left(),
-                        cancel=cancel,
                     )
                     if rounded is not None:
                         stats.solve_s += rounded[2]
@@ -1549,7 +1521,7 @@ def solve_rap_sparse(
                 solution = _solve_decomposed(
                     f, cluster_width, pair_capacity, n_minority_rows,
                     mask, comps, backend, _left(), warm,
-                    workers, strengthen, stats, cancel=cancel,
+                    workers, strengthen, stats,
                 )
             if solution is None:  # single component or oversized sweep
                 t0 = time.perf_counter()
@@ -1570,7 +1542,6 @@ def solve_rap_sparse(
                     backend=backend,
                     time_limit_s=_left(),
                     warm_start=warm_vec,
-                    cancel=cancel,
                 )
                 stats.solve_s += restricted.runtime_s
                 solution = MilpSolution(

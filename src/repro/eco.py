@@ -777,13 +777,11 @@ def _repair_classes(runner, base, labels_by, app):
                 costs.cluster_width,
                 cap,
                 len(np.unique(warm)),
-                params.solver_backend,
-                params.solver_time_limit_s,
-                warm,
-                None,
-                params.rap_workers,
-                None,
-                dirty,
+                backend=params.solver_backend,
+                time_limit_s=params.solver_time_limit_s,
+                warm_assignment=warm,
+                workers=params.rap_workers,
+                dirty_clusters=dirty,
             )
             if stats.strategy != "eco-repair":
                 # The engine rejected the incremental path (incumbent

@@ -145,10 +145,9 @@ def render_run_report(record: dict, top_n_spans: int = 8) -> str:
     """Markdown run report for a flight-recorder ``run_record`` dict.
 
     Sections: run header, per-stage QoR table, convergence-series
-    summaries with sparklines, provenance/metadata, solver-race telemetry
-    (one row per ``rap.race`` span: winner, losers cancelled, crashes,
-    hangs, cancel latency), merged metrics counter totals (parent plus
-    every worker snapshot folded back in), and the top-N slowest spans.
+    summaries with sparklines, provenance/metadata, merged metrics
+    counter totals (parent plus every worker snapshot folded back in),
+    and the top-N slowest spans.
     Tolerates partial records (missing spans/metrics sections).
     """
     lines = [f"# Run report: {record.get('name', 'run')}", ""]
@@ -207,33 +206,6 @@ def render_run_report(record: dict, top_n_spans: int = 8) -> str:
 
     spans_payload = record.get("spans") or {}
     flat = _flatten_span_dicts(spans_payload.get("spans", ()))
-
-    races = [node for _, node in flat if node.get("name") == "rap.race"]
-    if races:
-        rows = []
-        for node in races:
-            attrs = node.get("attrs", {})
-            winner = attrs.get("winner")
-            rows.append([
-                winner if winner is not None else "(none)",
-                attrs.get("rungs", "?"),
-                attrs.get("workers", "?"),
-                float(attrs.get("wall_s", node.get("duration_s", 0.0))) * 1e3,
-                float(attrs.get("cancel_latency_s") or 0.0) * 1e3,
-                attrs.get("cancelled", 0),
-                attrs.get("crashes", 0),
-                attrs.get("hangs", 0),
-                attrs.get("relaxation") or "-",
-            ])
-        lines += [
-            "## Solver races", "",
-            _markdown_table(
-                ["winner", "rungs", "workers", "wall ms", "cancel ms",
-                 "losers cancelled", "crashes", "hangs", "relaxation"],
-                rows,
-            ),
-            "",
-        ]
 
     counters = (record.get("metrics") or {}).get("counters") or {}
     if counters:

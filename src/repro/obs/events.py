@@ -89,9 +89,6 @@ REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     "pool.respawn": ("victims",),
     "pool.retry": ("index", "attempt"),
     "pool.inline": ("index",),
-    "race.start": ("entries",),
-    "race.certified": ("index", "label"),
-    "race.done": ("entries",),
     "shm.publish": ("segment", "nbytes"),
     "shm.unlink": ("segment",),
     "shm.census": ("segments",),

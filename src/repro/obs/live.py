@@ -2,7 +2,7 @@
 
 :class:`LiveView` subscribes to an :class:`~repro.obs.events.EventBus`
 and repaints a compact dashboard — current stage path, pool health,
-convergence sparkline, last QoR snapshot, shm segment census, race and
+convergence sparkline, last QoR snapshot, shm segment census and
 sweep progress — after every drain round.  The same
 :class:`LiveStatus` / :func:`format_event` machinery backs ``repro
 tail``, so headless runs replay through the identical renderer.
@@ -98,7 +98,6 @@ class LiveStatus:
         self.conv_window = conv_window
         self.last_qor: tuple[str, dict] | None = None
         self.shm_segments: int | None = None
-        self.race: dict | None = None
         self.sweep: dict | None = None
 
     # -- ingestion ---------------------------------------------------------
@@ -160,13 +159,6 @@ class LiveStatus:
         elif type_ == "shm.census":
             segments = event.get("segments")
             self.shm_segments = len(segments) if segments is not None else 0
-        elif type_ in ("race.start", "race.certified", "race.done"):
-            if self.race is None or type_ == "race.start":
-                self.race = {}
-            self.race["state"] = type_.split(".", 1)[1]
-            for key in ("entries", "winner", "label", "wall_s"):
-                if key in event:
-                    self.race[key] = event[key]
         elif type_ == "sweep.job":
             self.sweep = {
                 k: event.get(k)
@@ -203,22 +195,6 @@ class LiveStatus:
                 f"started {pool['started']}  done {pool['done']}  "
                 f"kills {pool['kills']}  respawns {pool['respawns']}  "
                 f"retries {pool['retries']}  inline {pool['inline']}"
-            )
-        if self.race is not None:
-            race = self.race
-            entries = race.get("entries")
-            label = (
-                ",".join(str(e) for e in entries)
-                if isinstance(entries, (list, tuple))
-                else ""
-            )
-            winner = race.get("winner")
-            detail = f" winner={winner}" if winner else ""
-            wall = race.get("wall_s")
-            if isinstance(wall, (int, float)):
-                detail += f" wall={wall:.2f}s"
-            lines.append(
-                f"race  : [{race.get('state')}] {label}{detail}"[:width]
             )
         if self.shm_segments is not None:
             lines.append(f"shm   : {self.shm_segments} active segment(s)")

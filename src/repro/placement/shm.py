@@ -1,10 +1,9 @@
 """Zero-copy shared-memory arrays for worker fan-out.
 
 Fanning work out over the :class:`~repro.utils.supervise.SupervisedPool`
-used to mean pickling every numpy payload into each worker — the RAP
-race shipped one full ``(f, w, cap)`` copy per rung and the sparse-RAP
-component decomposition one sliced block per task.  At the giga tier (100k+ cells) those copies dominate the
-fan-out cost.
+used to mean pickling every numpy payload into each worker — the
+sparse-RAP component decomposition shipped one sliced block per task.
+At the giga tier (100k+ cells) those copies dominate the fan-out cost.
 
 This module replaces the copies with POSIX shared memory
 (:mod:`multiprocessing.shared_memory`):

@@ -48,15 +48,11 @@ class BranchAndBoundSolver:
         max_nodes: int = 200_000,
         gap_tol: float = 1e-9,
         use_rounding_heuristic: bool = True,
-        cancel: object | None = None,
     ) -> None:
         self.time_limit_s = time_limit_s
         self.max_nodes = max_nodes
         self.gap_tol = gap_tol
         self.use_rounding_heuristic = use_rounding_heuristic
-        # Cooperative cancellation flag (``is_set() -> bool``), polled
-        # once per node; losing a race stops the search like a timeout.
-        self.cancel = cancel
 
     # -- LP relaxation -----------------------------------------------------
 
@@ -152,7 +148,7 @@ class BranchAndBoundSolver:
             if (
                 self.time_limit_s is not None
                 and solve_span.elapsed() > self.time_limit_s
-            ) or (self.cancel is not None and self.cancel.is_set()):
+            ):
                 status = MilpStatus.FEASIBLE if best_x is not None else MilpStatus.ERROR
                 break
             node = heapq.heappop(heap)

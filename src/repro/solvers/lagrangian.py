@@ -49,7 +49,6 @@ def solve_rap_lagrangian(
     step0: float = 2.0,
     time_limit_s: float | None = None,
     warm_assignment: np.ndarray | None = None,
-    cancel: object | None = None,
 ) -> LagrangianResult:
     """Run the subgradient loop; returns a feasible repaired assignment.
 
@@ -59,8 +58,7 @@ def solve_rap_lagrangian(
     starting point.  Raises :class:`InfeasibleError` when even the repair
     pass cannot fit the clusters into ``n_minority_rows`` rows.
     ``time_limit_s`` stops the subgradient loop early (the best feasible
-    found so far wins); so does ``cancel`` (a cooperative flag with
-    ``is_set() -> bool``, polled once per subgradient step).
+    found so far wins).
     """
     n_c, n_p = f.shape
     if not (1 <= n_minority_rows <= n_p):
@@ -83,7 +81,7 @@ def solve_rap_lagrangian(
                 time_limit_s is not None
                 and it > 1
                 and loop_span.elapsed() > time_limit_s
-            ) or (cancel is not None and cancel.is_set()):
+            ):
                 break
             penalized = f + np.outer(cluster_width, lam)
             # Valid lower bound: relax BOTH the capacities (via lambda) and
@@ -228,7 +226,6 @@ def solve_with_lagrangian(
     iterations: int = 120,
     step0: float = 2.0,
     warm_start: np.ndarray | None = None,
-    cancel: object | None = None,
 ) -> MilpSolution:
     """``solve_milp`` adapter: heuristic solve of a RAP-shaped model.
 
@@ -257,7 +254,6 @@ def solve_with_lagrangian(
                 step0=step0,
                 time_limit_s=time_limit_s,
                 warm_assignment=warm_assignment,
-                cancel=cancel,
             )
     except InfeasibleError:
         return MilpSolution(

@@ -131,7 +131,6 @@ def solve_milp(
     backend: str = "highs",
     time_limit_s: float | None = None,
     warm_start: "np.ndarray | None" = None,
-    cancel: object | None = None,
     **kwargs: object,
 ) -> MilpSolution:
     """Solve ``model`` with the named backend (see :data:`MILP_BACKENDS`).
@@ -141,15 +140,6 @@ def solve_milp(
     backend accepts and ignores it (scipy's milp takes no starting
     point).  The "lagrangian" backend is heuristic and only accepts
     RAP-shaped models (it raises :class:`ValidationError` otherwise).
-
-    ``cancel`` is a cooperative cancellation flag (anything with an
-    ``is_set() -> bool`` method, e.g.
-    :class:`repro.utils.supervise.CancelToken`): the iterative backends
-    poll it — ``bnb`` once per node, ``lagrangian`` once per subgradient
-    step — and stop early with their best incumbent, exactly like a
-    time-limit expiry.  HiGHS runs inside one opaque native call and
-    cannot observe it mid-solve; racing relies on process kills for that
-    backend.
     """
     if backend == "highs":
         from repro.solvers.highs import solve_with_highs
@@ -161,7 +151,7 @@ def solve_milp(
         from repro.solvers.bnb import BranchAndBoundSolver
 
         solver = BranchAndBoundSolver(
-            time_limit_s=time_limit_s, cancel=cancel, **kwargs  # type: ignore[arg-type]
+            time_limit_s=time_limit_s, **kwargs  # type: ignore[arg-type]
         )
         return solver.solve(model, warm_start=warm_start)
     if backend == "lagrangian":
@@ -169,7 +159,7 @@ def solve_milp(
 
         return solve_with_lagrangian(
             model, time_limit_s=time_limit_s, warm_start=warm_start,
-            cancel=cancel, **kwargs  # type: ignore[arg-type]
+            **kwargs  # type: ignore[arg-type]
         )
     raise ValidationError(
         f"unknown MILP backend {backend!r}; valid backends: "

@@ -18,16 +18,10 @@ from repro.utils.resilience import (
 )
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.supervise import (
-    CancelToken,
     PoolGaveUp,
     PoolStats,
-    RaceCancelled,
-    RaceEntry,
-    RaceResult,
     SupervisedPool,
     TaskOutcome,
-    get_shared_pool,
-    race,
     supervised_map,
 )
 from repro.utils.timer import StageTimes, Timer
@@ -45,16 +39,10 @@ __all__ = [
     "ResiliencePolicy",
     "RetryPolicy",
     "RungRecord",
-    "CancelToken",
     "PoolGaveUp",
     "PoolStats",
-    "RaceCancelled",
-    "RaceEntry",
-    "RaceResult",
     "SupervisedPool",
     "TaskOutcome",
-    "get_shared_pool",
-    "race",
     "supervised_map",
     "make_rng",
     "spawn_rngs",

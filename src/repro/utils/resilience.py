@@ -112,7 +112,7 @@ class RetryPolicy:
     :class:`~repro.utils.errors.SolverError`-class failures are.
 
     ``jitter`` spreads the backoff uniformly within ``±jitter`` (as a
-    fraction of the computed delay) so concurrent racers that failed
+    fraction of the computed delay) so concurrent tasks that failed
     together don't retry in lockstep.  It defaults to 0.0 — fully
     deterministic delays — and draws from ``rng`` (or the module-level
     :mod:`random` state) only when enabled.
@@ -183,7 +183,7 @@ class FaultPlan:
     * ``kind="worker_hang"`` — sleep ``delay_s`` (default: effectively
       forever) so the supervisor's deadline kill must fire;
     * ``kind="slow_solver"`` — sleep ``delay_s`` and *continue*, so a
-      healthy-but-slow backend loses races without failing.
+      task is healthy but late.
 
     Worker faults never fire with ``worker=False`` (the parent-process
     call sites), so a plan mixing both kinds is safe to thread through a

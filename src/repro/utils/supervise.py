@@ -1,9 +1,9 @@
-"""Supervised, crash-tolerant process pool and solver racing.
+"""Supervised, crash-tolerant process pool.
 
-Every parallel surface in the library (sweep testcase×flow jobs, sparse-RAP
-component sub-MILPs, racing solver rungs) historically assumed workers never
-crash or hang: one ``BrokenProcessPool`` or a wedged solver call killed the
-whole batch.  This module is the supervision layer underneath all of them:
+Every parallel surface in the library (sweep testcase jobs, sparse-RAP
+component sub-MILPs) historically assumed workers never crash or hang:
+one ``BrokenProcessPool`` or a wedged solver call killed the whole batch.
+This module is the supervision layer underneath both of them:
 
 * :class:`SupervisedPool` wraps :class:`~concurrent.futures.
   ProcessPoolExecutor` with
@@ -19,17 +19,14 @@ whole batch.  This module is the supervision layer underneath all of them:
     merely shared the pool with the victim are not charged an attempt;
   - **bounded per-task retry with backoff** — crash/hang victims retry up
     to ``retry.max_attempts`` times (:class:`~repro.utils.resilience.
-    RetryPolicy`, jitter-capable so concurrent racers don't retry in
+    RetryPolicy`, jitter-capable so concurrent tasks don't retry in
     lockstep);
   - **inline-execution last resort** — a task that exhausts its retries
     (or a pool that exhausts its respawn budget) runs in the parent
     process, flagged ``ran_inline`` in its :class:`TaskOutcome` so callers
     can surface degraded-mode provenance.
 
-* :func:`race` runs alternative strategies for the *same* answer
-  concurrently on a ``SupervisedPool`` and returns as soon as one result
-  certifies, killing the losers (cooperatively via :class:`CancelToken`
-  where the solver polls it, by SIGKILL where it cannot).
+* :func:`supervised_map` is the drop-in ``map`` on top of it.
 
 * Worker-side fault injection: each task wrapper calls
   :meth:`~repro.utils.resilience.FaultPlan.check` with ``worker=True`` and
@@ -44,7 +41,6 @@ stdlib-only.
 
 from __future__ import annotations
 
-import atexit
 import os
 import signal
 import tempfile
@@ -59,7 +55,6 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 import logging
@@ -75,66 +70,8 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-class RaceCancelled(ReproError):
-    """A racing strategy was cancelled because another one won."""
-
-
 class PoolGaveUp(ReproError):
     """A supervised task failed every attempt and inline fallback is off."""
-
-
-# ---------------------------------------------------------------------------
-# Cooperative cancellation
-
-
-class CancelToken:
-    """File-backed cancellation flag shared across process boundaries.
-
-    The token is just a path: ``set()`` creates the file, ``is_set()``
-    checks its existence.  Paths pickle, so the token travels through any
-    pool payload; solvers poll it between iterations (``bnb`` per node,
-    ``lagrangian`` per subgradient step).  ``is_set`` throttles the
-    ``stat`` call to once per ``poll_interval_s`` so a hot solver loop
-    pays nothing.
-    """
-
-    def __init__(
-        self, path: str | os.PathLike | None = None,
-        poll_interval_s: float = 0.02,
-    ) -> None:
-        if path is None:
-            path = Path(tempfile.gettempdir()) / (
-                f"repro-cancel-{os.getpid()}-{uuid.uuid4().hex}"
-            )
-        self.path = str(path)
-        self.poll_interval_s = poll_interval_s
-        self._last_poll = 0.0
-        self._cached = False
-
-    def set(self) -> None:
-        try:
-            Path(self.path).touch()
-        except OSError:  # pragma: no cover - tmpdir vanished
-            pass
-        self._cached = True
-
-    def is_set(self) -> bool:
-        if self._cached:
-            return True
-        now = time.monotonic()
-        if now - self._last_poll < self.poll_interval_s:
-            return False
-        self._last_poll = now
-        self._cached = os.path.exists(self.path)
-        return self._cached
-
-    def clear(self) -> None:
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
-        self._cached = False
-        self._last_poll = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +154,7 @@ class TaskOutcome:
     index: int
     ok: bool = False
     value: Any = None
-    status: str = "pending"  # ok | failed | cancelled | gave_up | pending
+    status: str = "pending"  # ok | failed | gave_up | pending
     error: str | None = None
     error_type: str | None = None
     attempts: int = 0
@@ -264,7 +201,6 @@ class PoolStats:
     respawns: int = 0
     retries: int = 0
     inline_runs: int = 0
-    cancelled: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -275,7 +211,6 @@ class PoolStats:
             "respawns": self.respawns,
             "retries": self.retries,
             "inline_runs": self.inline_runs,
-            "cancelled": self.cancelled,
         }
 
 
@@ -331,8 +266,8 @@ class SupervisedPool:
     can be starved by long GIL-holding native calls, so staleness kills
     are opt-in), two attempts per task, inline last resort enabled.  The
     executor is created lazily and survives across :meth:`map` calls, so
-    a module-level pool amortizes worker spawn across many small batches
-    (see :func:`get_shared_pool`).
+    a pool passed to :func:`supervised_map` amortizes worker spawn across
+    many small batches.
     """
 
     def __init__(
@@ -490,18 +425,14 @@ class SupervisedPool:
         fn: Callable[[T], R],
         items: Sequence[T] | Iterable[T],
         progress: Callable[[int, "TaskOutcome"], None] | None = None,
-        stop_when: Callable[[int, "TaskOutcome"], bool] | None = None,
         fault_stages: Sequence[str | None] | None = None,
     ) -> list[TaskOutcome]:
         """Map ``fn`` over ``items`` under supervision.
 
         Returns one :class:`TaskOutcome` per item, in submission order.
-        ``progress`` fires in completion order.  ``stop_when`` (used by
-        :func:`race`) is evaluated on each successful outcome; returning
-        True cancels everything still running (remaining outcomes get
-        status ``cancelled``) and returns immediately.  ``fault_stages``
-        names the fault-injection stage per item (requires a
-        ``fault_plan`` on the pool); ``None`` entries inject nothing.
+        ``progress`` fires in completion order.  ``fault_stages`` names
+        the fault-injection stage per item (requires a ``fault_plan`` on
+        the pool); ``None`` entries inject nothing.
         """
         items = list(items)
         outcomes = [TaskOutcome(index=i) for i in range(len(items))]
@@ -543,11 +474,8 @@ class SupervisedPool:
                 pass  # fall through to the respawn path below
             else:
                 broken = self._drain(
-                    futures, flights, outcomes, pending, progress, stop_when,
-                    t0,
+                    futures, flights, outcomes, pending, progress, t0
                 )
-                if broken == "stopped":
-                    return outcomes
                 if not broken:
                     break  # everything finished
             # Pool broke: charge the victims, respawn, resubmit the rest.
@@ -598,14 +526,12 @@ class SupervisedPool:
         outcomes: list[TaskOutcome],
         pending: set[int],
         progress: Callable | None,
-        stop_when: Callable | None,
         t0: float,
-    ) -> bool | str:
+    ) -> bool:
         """Wait out one generation of futures.
 
         Returns False when all futures completed, True when the pool
-        broke (caller respawns), or ``"stopped"`` when ``stop_when``
-        fired (everything else cancelled).
+        broke (caller respawns).
         """
         not_done = set(futures)
         while not_done:
@@ -640,24 +566,8 @@ class SupervisedPool:
                 emit_event("pool.task_done", index=i, status="ok")
                 if progress is not None:
                     progress(i, outcome)
-                if stop_when is not None and stop_when(i, outcome):
-                    self._cancel_pending(outcomes, pending)
-                    return "stopped"
             self._check_deadlines(flights, time.monotonic())
         return False
-
-    def _cancel_pending(
-        self, outcomes: list[TaskOutcome], pending: set[int]
-    ) -> None:
-        self._teardown_executor(kill=True)
-        for i in sorted(pending):
-            outcomes[i].status = "cancelled"
-            outcomes[i]._fail(
-                RaceCancelled("cancelled: another task won"),
-                status="cancelled",
-            )
-            self.stats.cancelled += 1
-        pending.clear()
 
     def _run_inline(
         self,
@@ -758,247 +668,3 @@ def supervised_map(
                 f"[{outcome.error_type}]: {outcome.error}"
             )
     return [outcome.value for outcome in outcomes]
-
-
-# ---------------------------------------------------------------------------
-# Shared pool
-
-
-_SHARED_POOLS: dict[int, SupervisedPool] = {}
-
-
-def get_shared_pool(workers: int, **kwargs: Any) -> SupervisedPool:
-    """A process-wide :class:`SupervisedPool` for ``workers`` processes.
-
-    Reused across calls so repeated small batches (RAP races inside the
-    alternating refinement loop, per-component sub-solves) amortize the
-    worker spawn.  Torn down at interpreter exit.
-    """
-    pool = _SHARED_POOLS.get(workers)
-    if pool is None:
-        pool = SupervisedPool(workers=workers, **kwargs)
-        _SHARED_POOLS[workers] = pool
-    return pool
-
-
-@atexit.register
-def _shutdown_shared_pools() -> None:  # pragma: no cover - exit path
-    for pool in _SHARED_POOLS.values():
-        pool.shutdown()
-    _SHARED_POOLS.clear()
-
-
-# ---------------------------------------------------------------------------
-# Racing
-
-
-@dataclass(frozen=True)
-class RaceEntry:
-    """One racing strategy: a module-level ``fn`` and its picklable item."""
-
-    label: str
-    fn: Callable[[Any], Any]
-    item: Any
-    fault_stage: str | None = None
-
-
-@dataclass
-class RaceResult:
-    """Outcome of one :func:`race` call.
-
-    ``outcomes[i]`` corresponds to ``entries[i]``; the winner (if any) has
-    status ``ok`` and its index is ``winner_index``.  ``cancel_latency_s``
-    is how long cancelling the losers took once the winner's answer
-    landed (0.0 when nothing needed cancelling).
-    """
-
-    entries: list[str]
-    outcomes: list[TaskOutcome]
-    winner_index: int | None = None
-    wall_s: float = 0.0
-    cancel_latency_s: float = 0.0
-    sequential: bool = False
-
-    @property
-    def winner(self) -> str | None:
-        if self.winner_index is None:
-            return None
-        return self.entries[self.winner_index]
-
-    @property
-    def winner_value(self) -> Any:
-        if self.winner_index is None:
-            return None
-        return self.outcomes[self.winner_index].value
-
-    @property
-    def crashes(self) -> int:
-        return sum(o.crashes for o in self.outcomes)
-
-    @property
-    def hangs(self) -> int:
-        return sum(o.hangs for o in self.outcomes)
-
-    @property
-    def n_cancelled(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == "cancelled")
-
-    def to_dict(self) -> dict:
-        return {
-            "entries": list(self.entries),
-            "winner": self.winner,
-            "winner_index": self.winner_index,
-            "wall_s": self.wall_s,
-            "cancel_latency_s": self.cancel_latency_s,
-            "sequential": self.sequential,
-            "crashes": self.crashes,
-            "hangs": self.hangs,
-            "n_cancelled": self.n_cancelled,
-            "outcomes": [o.to_dict() for o in self.outcomes],
-        }
-
-
-def _race_entry_call(payload: dict) -> Any:
-    """Worker-side dispatcher for one race entry (module-level, picklable)."""
-    return payload["entry_fn"](payload["entry_item"])
-
-
-def race(
-    entries: Sequence[RaceEntry],
-    certify: Callable[[int, Any], bool],
-    pool: SupervisedPool | None = None,
-    workers: int | None = None,
-    fault_plan: FaultPlan | None = None,
-    task_timeout_s: float | None = None,
-) -> RaceResult:
-    """Run ``entries`` concurrently; first *certified* answer wins.
-
-    ``certify(index, value)`` decides whether an entry's successful return
-    value settles the race (e.g. "an exact backend proved optimality");
-    the moment it does, every other entry is cancelled — the pool's
-    workers are killed, and cooperative solvers additionally observe
-    their :class:`CancelToken`.  When nothing certifies the race runs to
-    completion and ``winner_index`` is None: the caller picks among the
-    surviving outcomes (typically in preference order).
-
-    With one entry, ``workers <= 1`` and no pool, the race degenerates to
-    an in-process sequential scan in entry order — same certification
-    rule, no processes (``result.sequential`` is True).
-    """
-    entries = list(entries)
-    if not entries:
-        raise ValueError("race needs at least one entry")
-    t0 = time.perf_counter()
-    emit_event("race.start", entries=[e.label for e in entries])
-    if pool is None and (workers is None or workers <= 1 or len(entries) == 1):
-        return _race_sequential(entries, certify, t0)
-
-    own_pool = pool is None
-    if pool is None:
-        pool = SupervisedPool(
-            workers=min(workers or len(entries), len(entries)),
-            task_timeout_s=task_timeout_s,
-            fault_plan=fault_plan,
-        )
-    else:
-        if fault_plan is not None:
-            pool.fault_plan = fault_plan
-        if task_timeout_s is not None:
-            pool.task_timeout_s = task_timeout_s
-
-    winner: dict[str, Any] = {}
-    cancel_t0 = [0.0]
-
-    def stop_when(i: int, outcome: TaskOutcome) -> bool:
-        if winner:
-            return False
-        if certify(i, outcome.value):
-            winner["index"] = i
-            cancel_t0[0] = time.perf_counter()
-            emit_event("race.certified", index=i, label=entries[i].label)
-            return True
-        return False
-
-    payloads = [
-        {"entry_fn": e.fn, "entry_item": e.item} for e in entries
-    ]
-    try:
-        outcomes = pool.map(
-            _race_entry_call,
-            payloads,
-            stop_when=stop_when,
-            fault_stages=[e.fault_stage for e in entries],
-        )
-    finally:
-        if own_pool:
-            pool.shutdown()
-    result = RaceResult(
-        entries=[e.label for e in entries],
-        outcomes=outcomes,
-        winner_index=winner.get("index"),
-        wall_s=time.perf_counter() - t0,
-        cancel_latency_s=(
-            time.perf_counter() - cancel_t0[0] if winner else 0.0
-        ),
-    )
-    _publish_race_metrics(result)
-    return result
-
-
-def _race_sequential(
-    entries: list[RaceEntry],
-    certify: Callable[[int, Any], bool],
-    t0: float,
-) -> RaceResult:
-    """Entry-order sequential race (the ``workers <= 1`` degeneration)."""
-    outcomes = [TaskOutcome(index=i) for i in range(len(entries))]
-    winner_index: int | None = None
-    for i, entry in enumerate(entries):
-        outcome = outcomes[i]
-        outcome.attempts = 1
-        try:
-            outcome.value = entry.fn(entry.item)
-        except BaseException as exc:
-            outcome._fail(exc)
-            continue
-        outcome.ok = True
-        outcome.status = "ok"
-        outcome.wall_s = time.perf_counter() - t0
-        if certify(i, outcome.value):
-            winner_index = i
-            emit_event("race.certified", index=i, label=entry.label)
-            for j in range(i + 1, len(entries)):
-                outcomes[j]._fail(
-                    RaceCancelled("skipped: earlier entry certified"),
-                    status="cancelled",
-                )
-            break
-    result = RaceResult(
-        entries=[e.label for e in entries],
-        outcomes=outcomes,
-        winner_index=winner_index,
-        wall_s=time.perf_counter() - t0,
-        sequential=True,
-    )
-    _publish_race_metrics(result)
-    return result
-
-
-def _publish_race_metrics(result: RaceResult) -> None:
-    registry = current_registry()
-    registry.counter("race.runs").inc()
-    if result.winner_index is not None:
-        registry.counter("race.won").inc()
-    registry.counter("race.crashes").inc(result.crashes)
-    registry.counter("race.hangs").inc(result.hangs)
-    registry.histogram("race.wall_s").observe(result.wall_s)
-    emit_event(
-        "race.done",
-        entries=list(result.entries),
-        winner=result.winner,
-        wall_s=result.wall_s,
-        cancelled=result.n_cancelled,
-        crashes=result.crashes,
-        hangs=result.hangs,
-        sequential=result.sequential,
-    )

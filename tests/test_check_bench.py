@@ -1,4 +1,4 @@
-"""``scripts/check_bench.py``: floors skip entries marked not measured."""
+"""``scripts/check_bench.py``: a speedup below its floor fails the gate."""
 
 import importlib.util
 import json
@@ -33,29 +33,10 @@ def _check(check_bench, tmp_path, kernels):
     return check_bench.check_kernels(str(path), None, 0.20)
 
 
-class TestRaceNotMeasured:
-    def test_unmeasured_race_skips_its_floor(self, check_bench, tmp_path, capsys):
+class TestFloors:
+    def test_rap_solve_below_floor_fails(self, check_bench, tmp_path):
         kernels = _passing_kernels(check_bench)
-        kernels["rap_race"].update(measured=False, speedup_vs_sequential=None)
-        assert _check(check_bench, tmp_path, kernels) == []
-        assert "rap_race: speedup_vs_sequential not measured" in (
-            capsys.readouterr().out
-        )
-
-    def test_unmeasured_race_still_gates_objective_match(
-        self, check_bench, tmp_path
-    ):
-        kernels = _passing_kernels(check_bench)
-        kernels["rap_race"].update(
-            measured=False, speedup_vs_sequential=None, objective_match=False
-        )
+        kernels["rap_solve"]["speedup"] = 1.5
         assert _check(check_bench, tmp_path, kernels) == [
-            "rap_race: invariant objective_match is false"
+            "rap_solve: speedup 1.50x below floor 2.0x"
         ]
-
-    def test_measured_race_below_floor_fails(self, check_bench, tmp_path):
-        kernels = _passing_kernels(check_bench)
-        kernels["rap_race"].update(measured=True, speedup_vs_sequential=0.5)
-        failures = _check(check_bench, tmp_path, kernels)
-        assert len(failures) == 1
-        assert failures[0].startswith("rap_race: speedup_vs_sequential")

@@ -446,21 +446,17 @@ class TestLiveRenderer:
         lines = status.render_lines()
         assert lines[0].startswith("repro live demo")
 
-    def test_status_aggregates_pool_race_sweep(self):
+    def test_status_aggregates_pool_sweep(self):
         status = LiveStatus()
         status.apply(_evt(0, "pool.task_start", index=0, attempt=1))
         status.apply(_evt(1, "pool.kill", index=0, reason="hang", victim=9))
-        status.apply(_evt(2, "race.start", entries=["highs", "bnb"]))
-        status.apply(_evt(3, "race.done", entries=["highs", "bnb"],
-                          winner="highs", wall_s=0.5))
-        status.apply(_evt(4, "convergence", series="rap",
+        status.apply(_evt(2, "convergence", series="rap",
                           values={"objective": 5.0}))
-        status.apply(_evt(5, "shm.census", segments=[]))
-        status.apply(_evt(6, "sweep.job", testcase="aes_300", flow=2,
+        status.apply(_evt(3, "shm.census", segments=[]))
+        status.apply(_evt(4, "sweep.job", testcase="aes_300", flow=2,
                           status="ok", done=1, total=4))
         text = "\n".join(status.render_lines())
         assert "kills 1" in text
-        assert "winner=highs" in text
         assert "0 active segment(s)" in text
         assert "1/4 aes_300 flow2 ok" in text
 

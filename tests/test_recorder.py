@@ -216,14 +216,14 @@ class TestRunReportRendering:
         record = {
             "name": "merged",
             "metrics": {
-                "counters": {"race.runs": 2.0, "cache.hit": 5.0},
+                "counters": {"pool.inline_runs": 2.0, "cache.hit": 5.0},
                 "gauges": {},
                 "histograms": {},
             },
         }
         text = render_run_report(record)
         assert "## Metrics totals" in text
-        assert "race.runs" in text and "cache.hit" in text
+        assert "pool.inline_runs" in text and "cache.hit" in text
         assert "## Metrics totals" not in render_run_report({"name": "x"})
 
 

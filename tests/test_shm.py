@@ -6,13 +6,12 @@ Covers the zero-copy contract of :mod:`repro.placement.shm`:
   packed segment;
 * the worker-side read-only guard and the ``copy=`` escape hatch;
 * leak-freedom (``active_repro_segments`` empty after the owner closes);
-* the payload budget: race submission payloads carrying a handle to
-  giga-tier solver arrays pickle to ≤ 64 KB, as does a sweep's
+* the payload budget: a sparse-RAP component job carrying a handle to
+  giga-tier solver arrays pickles to ≤ 64 KB, as does a sweep's
   per-testcase task, which names its testcase instead of shipping a
   design;
-* the fan-out integrations: a racing rung job and a sparse-RAP
-  component job fed via shared memory return exactly what their
-  pickled-array twins return.
+* the fan-out integration: a sparse-RAP component job fed via shared
+  memory returns exactly what its pre-sliced twin returns.
 """
 
 import pickle
@@ -21,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import RunConfig
-from repro.core.rap import _race_rung_job
 from repro.core.sparse_rap import _solve_component_job
 from repro.placement.shm import (
     SEGMENT_PREFIX,
@@ -97,46 +95,27 @@ class TestPayloadBudget:
         }
         assert len(pickle.dumps(payload)) <= MAX_PAYLOAD_BYTES
 
-    def test_race_item_budget(self):
+    def test_component_item_budget(self):
+        # One component of a giga-tier instance: the worker slices its
+        # own block, so only the handle and two index vectors cross.
         rng = np.random.default_rng(0)
         f = rng.uniform(1.0, 10.0, (1500, 900))  # ~10 MB at giga tier
         w = rng.uniform(1.0, 2.0, 1500)
         cap = np.full(900, w.sum())
-        with publish_arrays({"f0": f, "w0": w, "cap": cap}) as pub:
+        mask = f < 2.0
+        arrays = {"f": f, "w": w, "cap": cap, "mask": mask}
+        with publish_arrays(arrays) as pub:
             item = {
-                "rung": "highs",
                 "shm": pub.handle,
-                "budgets": [64],
+                "clusters": np.arange(0, 1500, 2),
+                "pairs": np.arange(0, 900, 3),
+                "n_rows": 64,
+                "backend": "highs",
                 "time_limit_s": None,
                 "warm": None,
-                "candidate_k": 24,
-                "cancel": None,
+                "strengthen": True,
             }
             assert len(pickle.dumps(item)) <= MAX_PAYLOAD_BYTES
-
-
-class TestRaceRungShm:
-    def test_shm_payload_matches_inline(self):
-        rng = np.random.default_rng(7)
-        f = rng.uniform(1.0, 10.0, (6, 4))
-        w = rng.uniform(1.0, 2.0, 6)
-        cap = np.full(4, w.sum())
-        base = {
-            "rung": "highs",
-            "budgets": [2],
-            "time_limit_s": None,
-            "warm": None,
-            "candidate_k": None,
-            "cancel": None,
-        }
-        arrays = {"f0": f, "w0": w, "cap": cap}
-        inline = _race_rung_job({**base, **arrays})
-        with publish_arrays(arrays) as pub:
-            shared = _race_rung_job({**base, "shm": pub.handle})
-        assert active_repro_segments() == []
-        assert shared["rung"] == inline["rung"]
-        assert shared["solution"].objective == inline["solution"].objective
-        assert np.array_equal(shared["solution"].x, inline["solution"].x)
 
 
 class TestSparseComponentShm:
@@ -156,7 +135,6 @@ class TestSparseComponentShm:
             "time_limit_s": None,
             "warm": None,
             "strengthen": False,
-            "cancel": None,
         }
         presliced = _solve_component_job(
             {

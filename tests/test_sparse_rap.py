@@ -284,7 +284,8 @@ class TestSmallInstanceShortcut:
 
 
 class TestDecomposition:
-    def _two_block(self, permute_seed=None):
+    @staticmethod
+    def _two_block(permute_seed=None):
         rng = np.random.default_rng(13)
         f = np.full((9, 7), 1e9)
         f[:4, :3] = rng.uniform(0, 10, size=(4, 3))

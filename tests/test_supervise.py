@@ -1,11 +1,10 @@
-"""SupervisedPool, race(), CancelToken, RetryPolicy jitter, Deadline edges.
+"""SupervisedPool, supervised_map, RetryPolicy jitter, Deadline edges.
 
 Unit-level coverage of the supervision layer itself; the end-to-end
-chaos suite (faults injected into sweeps and RAP races) lives in
+chaos suite (faults injected into sweeps and pool jobs) lives in
 ``test_chaos.py``.
 """
 
-import pickle
 import random
 import time
 
@@ -13,14 +12,7 @@ import pytest
 
 from repro.utils.errors import StageTimeoutError, ValidationError
 from repro.utils.resilience import Deadline, FaultPlan, RetryPolicy
-from repro.utils.supervise import (
-    CancelToken,
-    PoolGaveUp,
-    RaceEntry,
-    SupervisedPool,
-    race,
-    supervised_map,
-)
+from repro.utils.supervise import PoolGaveUp, SupervisedPool, supervised_map
 
 
 def _square(x):
@@ -29,38 +21,6 @@ def _square(x):
 
 def _boom(x):
     raise ValueError(f"boom {x}")
-
-
-def _sleep_then_return(x):
-    time.sleep(x)
-    return x
-
-
-# ---------------------------------------------------------------------------
-# CancelToken
-
-
-class TestCancelToken:
-    def test_set_is_set_clear(self, tmp_path):
-        token = CancelToken(tmp_path / "flag", poll_interval_s=0.0)
-        assert not token.is_set()
-        token.set()
-        assert token.is_set()
-        token.clear()
-        assert not token.is_set()
-
-    def test_travels_through_pickle(self, tmp_path):
-        token = CancelToken(tmp_path / "flag", poll_interval_s=0.0)
-        copy = pickle.loads(pickle.dumps(token))
-        token.set()
-        assert copy.is_set()
-
-    def test_poll_throttle_caches_negative(self, tmp_path):
-        token = CancelToken(tmp_path / "flag", poll_interval_s=60.0)
-        assert not token.is_set()
-        # Another process sets the flag; the throttle hides it briefly.
-        CancelToken(tmp_path / "flag").set()
-        assert not token.is_set()  # still within the poll interval
 
 
 # ---------------------------------------------------------------------------
@@ -168,63 +128,6 @@ class TestSupervisedMap:
     def test_raises_pool_gave_up_on_failure(self):
         with pytest.raises(PoolGaveUp, match="ValueError"):
             supervised_map(_boom, [1, 2], workers=2)
-
-
-# ---------------------------------------------------------------------------
-# race()
-
-
-class TestRace:
-    def test_first_certified_wins_and_losers_cancelled(self):
-        entries = [
-            RaceEntry("fast", _sleep_then_return, 0.05),
-            RaceEntry("slow", _sleep_then_return, 10.0),
-        ]
-        result = race(entries, certify=lambda i, v: True, workers=2)
-        assert result.winner == "fast"
-        assert result.winner_value == 0.05
-        assert result.outcomes[1].status == "cancelled"
-        assert result.wall_s < 8.0  # did not wait for the loser
-        assert not result.sequential
-
-    def test_no_certification_runs_to_completion(self):
-        entries = [
-            RaceEntry("a", _square, 2),
-            RaceEntry("b", _square, 3),
-        ]
-        result = race(entries, certify=lambda i, v: False, workers=2)
-        assert result.winner is None
-        assert [o.value for o in result.outcomes] == [4, 9]
-
-    def test_sequential_degeneration(self):
-        entries = [
-            RaceEntry("a", _square, 2),
-            RaceEntry("b", _square, 3),
-        ]
-        result = race(entries, certify=lambda i, v: v == 4, workers=1)
-        assert result.sequential
-        assert result.winner == "a"
-        assert result.outcomes[1].status == "cancelled"
-
-    def test_sequential_skips_to_later_certifier(self):
-        entries = [
-            RaceEntry("a", _square, 2),
-            RaceEntry("b", _square, 3),
-        ]
-        result = race(entries, certify=lambda i, v: v == 9, workers=1)
-        assert result.winner == "b"
-        assert result.outcomes[0].ok  # ran, just did not certify
-
-    def test_to_dict_round_trips_labels(self):
-        result = race(
-            [RaceEntry("only", _square, 5)],
-            certify=lambda i, v: True,
-            workers=1,
-        )
-        data = result.to_dict()
-        assert data["winner"] == "only"
-        assert data["entries"] == ["only"]
-        assert data["outcomes"][0]["status"] == "ok"
 
 
 # ---------------------------------------------------------------------------
