@@ -3,9 +3,11 @@
 ``tests/golden/`` holds the outputs of the paper's two-height setting
 (K = 1) — RAP model arrays, the [10]-style baseline assignment, both
 row-constraint legalizers' positions, and flows (2)-(5) on one small
-Table II twin — plus the three-height (K = 2) twin's joint RAP model,
-certified solve and flow (5) at two scales (one per branch of the joint
-solve), captured once and committed.  The tests
+Table II twin — plus the same twin's certified solve and flow (5) at
+1/12 scale, where the single-class solve takes the rc-fixing loop, and
+the three-height (K = 2) twin's joint RAP model, certified solve and
+flow (5) at two scales (one per branch of the joint solve), captured
+once and committed.  The tests
 recompute each of them with the current code and demand bit equality,
 so any refactor of the RAP or legalization stack that changes a single
 float shows up.
@@ -47,6 +49,9 @@ MODEL_SEEDS = (0, 1, 2, 3, 4, 5)
 BASELINE_SEEDS = (0, 1, 2)
 TWIN_ID = "aes_300"
 TWIN_SCALE = 1.0 / 48.0
+#: The same twin at 1/12 (1,170 cells, 1,340 dense variables): the
+#: smallest scale whose single-class solve takes the rc-fixing loop.
+TWIN12_SCALE = 1.0 / 12.0
 FLOWS = (FlowKind.FLOW2, FlowKind.FLOW3, FlowKind.FLOW4, FlowKind.FLOW5)
 #: Flow (5) under injected solver faults: name -> (failing stage ->
 #: number of failing attempts, None = every attempt; attempts per rung).
@@ -94,11 +99,12 @@ def twin_runner(
     fault_plan: FaultPlan | None = None,
     retries: int = 1,
     heights: HeightSpec | None = None,
+    scale: float = TWIN_SCALE,
 ) -> FlowRunner:
     """Runner over the twin; ``heights`` spells the same two-height
     setting as an explicit :class:`HeightSpec` instead of the defaults."""
     library = make_asap7_library()
-    design = build_testcase(testcase_by_id(TWIN_ID), library, scale=TWIN_SCALE)
+    design = build_testcase(testcase_by_id(TWIN_ID), library, scale=scale)
     initial = prepare_initial_placement(design, library, heights=heights)
     params = RCPPParams(heights=heights, max_solver_retries=retries)
     return FlowRunner(initial, params, fault_plan=fault_plan)
@@ -255,20 +261,20 @@ def capture_flows(
     return arrays, meta
 
 
-def capture_nheight(scale: float) -> tuple[dict[str, np.ndarray], dict]:
-    """Joint model, certified solve and flow (5) of the three-height twin;
+def capture_solve_and_flow5(
+    runner: FlowRunner,
+) -> tuple[dict[str, np.ndarray], dict]:
+    """``solve_rap``'s certified solve and flow (5) of one runner;
     ``meta["solve"]["strategy"]`` names the branch the solve took."""
-    runner = nheight_runner(scale)
-    arrays = model_arrays("model", runner.rap_model())
     f_by, w_by, _ = runner._class_costs()
     budgets = runner.row_budgets
     solution, maps, stats = solve_rap(
         f_by,
         w_by,
         runner.initial.pair_capacity * runner.params.row_fill,
-        [budgets[t] for t in NHEIGHT_SPEC.minority_tracks],
+        [budgets[t] for t, _, _ in runner._classes],
     )
-    arrays["solve.objective"] = np.array([solution.objective])
+    arrays = {"solve.objective": np.array([solution.objective])}
     for h, cluster_to_pair in enumerate(maps):
         arrays[f"solve.class{h}.cluster_to_pair"] = np.asarray(cluster_to_pair)
     flow, flow_meta = flow_record("flow5", runner.run(FlowKind.FLOW5))
@@ -277,6 +283,20 @@ def capture_nheight(scale: float) -> tuple[dict[str, np.ndarray], dict]:
         "solve": {"certified": stats.certified, "strategy": stats.strategy},
         "flow5": flow_meta,
     }
+    return arrays, meta
+
+
+def capture_twin12() -> tuple[dict[str, np.ndarray], dict]:
+    """Certified solve and flow (5) of the two-height twin at 1/12."""
+    return capture_solve_and_flow5(twin_runner(scale=TWIN12_SCALE))
+
+
+def capture_nheight(scale: float) -> tuple[dict[str, np.ndarray], dict]:
+    """Joint model, certified solve and flow (5) of the three-height twin."""
+    runner = nheight_runner(scale)
+    arrays = model_arrays("model", runner.rap_model())
+    solved, meta = capture_solve_and_flow5(runner)
+    arrays.update(solved)
     return arrays, meta
 
 
@@ -333,8 +353,10 @@ def main() -> None:
     (GOLDEN_DIR / "flows.json").write_text(
         json.dumps(meta, indent=1, sort_keys=True) + "\n"
     )
+    sets = {"twin12": capture_twin12()}
     for name, scale in NHEIGHT_SETS.items():
-        arrays, meta = capture_nheight(scale)
+        sets[name] = capture_nheight(scale)
+    for name, (arrays, meta) in sets.items():
         np.savez_compressed(GOLDEN_DIR / f"{name}.npz", **arrays)
         (GOLDEN_DIR / f"{name}.json").write_text(
             json.dumps(meta, indent=1, sort_keys=True) + "\n"
