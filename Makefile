@@ -15,8 +15,8 @@ test: lint-no-design-pickle test-e2e
 test-e2e:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
 
-# Grep-lint: design DBs cross process boundaries as repro.placement.shm
-# handles, never as pickled PlacedDesign payloads.
+# Grep-lint: design DBs never cross process boundaries as pickled
+# PlacedDesign payloads; workers load them by testcase name.
 lint-no-design-pickle:
 	$(PYTHON) scripts/lint_no_design_pickle.py
 

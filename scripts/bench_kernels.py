@@ -246,7 +246,7 @@ def bench_rap(library, repeats):
 
     def run_sparse():
         sparse_solution[0], sparse_stats[0] = solve_rap_sparse(
-            f, w, cap, n_minr, backend="highs"
+            [f], [w], cap, [n_minr], backend="highs"
         )
 
     dense_seconds = best_of(run_dense, repeats)
@@ -538,8 +538,7 @@ def bench_events(library, repeats):
     """Event-bus overhead on the instrumented flow (5) hot path.
 
     Times the same prepare + flow run with the bus fully engaged —
-    spool emitter, drainer thread, shm census and a durable
-    ``JsonlSink`` — against the bus-disabled run (the ``emit_event``
+    spool emitter, drainer thread and a durable ``JsonlSink`` — against the bus-disabled run (the ``emit_event``
     no-op path).  Extra repeats (best-of at least 5) because the gate
     floors a ratio of two sub-second timings.
     """

@@ -1,27 +1,22 @@
 #!/usr/bin/env python3
 """Grep-lint: no design object rides a worker payload.
 
-Worker fan-out — sparse-RAP component jobs — ships solver arrays, as a
-``repro.placement.shm`` handle once they are big, and sweep tasks name
-their testcase and load the design in the worker.
-None of them pickles a :class:`~repro.placement.db.PlacedDesign` or its
-netlist.  This lint keeps it that way: in every ``src/repro`` module
-that submits work to a pool/executor API (``supervised_map``,
-``.submit``, ``.apply_async``, ``.imap``, ``Process``), it counts
-payload idioms that would put a design straight into the pickled
-payload:
+Worker fan-out — sweep tasks — names the testcase and loads the design
+in the worker.  No task pickles a
+:class:`~repro.placement.db.PlacedDesign` or its netlist.  This lint
+keeps it that way: in every ``src/repro`` module that submits work to a
+pool/executor API (``.submit``, ``.apply_async``, ``.imap``,
+``Process``), it counts payload idioms that would put a design straight
+into the pickled payload:
 
 * a design-ish payload key — ``"placed"`` / ``"placed_design"`` /
-  ``"design"`` / ``"initial"`` — in a dict literal (the shm route spells
-  these ``"shm"`` and ships a handle), or
+  ``"design"`` / ``"initial"`` — in a dict literal, or
 * ``pickle.dumps`` applied to a design-named object.
 
-The committed baseline is **zero everywhere**: the seed's fan-out paths
-already ship either raw solver arrays (small, below ``SHM_MIN_BYTES``)
-or shm handles.  A file may never move up from its baseline; files not
-listed have a baseline of 0.  Raw numeric arrays (``"f"`` / ``"w"`` /
-``"cap"`` …) stay legal — the shm layer itself decides when they are
-big enough to publish.
+The committed baseline is **zero everywhere**: the fan-out paths ship
+testcase ids and run configs.  A file may never move up from its
+baseline; files not listed have a baseline of 0.  Raw numeric arrays
+(``"f"`` / ``"w"`` / ``"cap"`` …) stay legal.
 
 Run directly (``python scripts/lint_no_design_pickle.py``) or via
 ``make test`` (the ``lint-no-design-pickle`` prerequisite).  Exit 0 =
@@ -40,13 +35,12 @@ SRC = ROOT / "src" / "repro"
 #: Worker-submission APIs: a file calling any of these is a fan-out site
 #: whose payload construction falls under the lint.
 POOL_API = re.compile(
-    r"\bsupervised_map\s*\(|\.submit\s*\(|\.apply_async\s*\("
+    r"\.submit\s*\(|\.apply_async\s*\("
     r"|\.imap(?:_unordered)?\s*\(|\bProcess\s*\("
 )
 
-#: Design DBs riding a payload: a design-ish dict key (exact — the shm
-#: route's ``"shm"`` key does not match), or pickling
-#: a design-named object directly.
+#: Design DBs riding a payload: a design-ish dict key (exact match), or
+#: pickling a design-named object directly.
 DESIGN_PAYLOAD = re.compile(
     r"""["'](?:placed|placed_design|design|initial)["']\s*:"""
     r"""|pickle\.dumps\([^)\n]*\b(?:placed|design|initial)\b"""
@@ -79,8 +73,8 @@ def main() -> int:
         if n > allowed:
             failures.append(
                 f"{rel}: {n} design-payload idiom(s) at a pool/executor "
-                f"call site (baseline {allowed}) — ship a "
-                "repro.placement.shm handle instead of pickling the design"
+                f"call site (baseline {allowed}) — name the testcase and "
+                "load the design in the worker instead of pickling it"
             )
         elif n < allowed:
             ratchet.append(f"{rel}: {allowed} -> {n}")

@@ -25,7 +25,7 @@ by ``tests/test_api_surface.py`` — ``dir(repro)`` is the documented
 surface, nothing more.
 """
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 from repro.core.config import RunConfig
 from repro.core.heights import HeightClass, HeightSpec
@@ -61,11 +61,7 @@ from repro.utils.resilience import (
     ResiliencePolicy,
     RetryPolicy,
 )
-from repro.utils.supervise import (
-    SupervisedPool,
-    TaskOutcome,
-    supervised_map,
-)
+from repro.utils.supervise import SupervisedPool, TaskOutcome
 
 __all__ = [
     "ConvergenceSeries",
@@ -102,7 +98,6 @@ __all__ = [
     "run_flow",
     "run_sweep",
     "span",
-    "supervised_map",
     "validate_events",
 ]
 

@@ -55,7 +55,7 @@ def _add_live_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--live", action="store_true",
         help="render a live TTY dashboard (stage, pool health, "
-        "convergence sparkline, shm census) while the command runs",
+        "convergence sparkline) while the command runs",
     )
     parser.add_argument(
         "--events", default=None, metavar="PATH",

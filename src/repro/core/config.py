@@ -147,7 +147,9 @@ class RunConfig:
 
         Snapshots written before 2.0 carry the removed two-height keys;
         their defaults load as the paper's setting, any other value
-        raises rather than rebuild a different config.
+        raises rather than rebuild a different config.  Other unknown
+        parameter keys (fields removed since, which never changed a
+        placement) are dropped.
         """
         params_data = dict(data.get("params", {}))
         for key, default in _REMOVED_HEIGHT_KEYS.items():
@@ -202,7 +204,6 @@ class RunConfig:
                 args, "retries", defaults.max_solver_retries
             ),
             time_budget_s=getattr(args, "budget_s", None),
-            rap_workers=getattr(args, "rap_workers", defaults.rap_workers),
         )
         scale_denom = getattr(args, "scale_denom", None)
         scale = (
@@ -266,13 +267,6 @@ def add_run_config_args(
     parser.add_argument(
         "--retries", type=int, default=defaults.max_solver_retries,
         help="attempts per solver rung for transient failures",
-    )
-    parser.add_argument(
-        "--rap-workers", type=int, default=defaults.rap_workers,
-        help=(
-            "RAP solver processes: >1 fans decomposed component "
-            "sub-solves out over a process pool"
-        ),
     )
     if workers:
         parser.add_argument(

@@ -504,7 +504,6 @@ class FlowRunner:
                 deadline=self._row_assign_deadline(deadline),
                 provenance=prov,
                 candidate_k=params.rap_candidates,
-                workers=params.rap_workers,
                 warm_assignment=self._rap_warm,
                 sa_seed=params.seed,
             )

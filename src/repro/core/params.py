@@ -50,13 +50,9 @@ class RCPPParams:
 
     * ``rap_candidates`` forces the per-cluster candidate count ``k``;
       ``None`` (default) adapts ``k`` to the capacity slack.
-      ``k = N_P`` reproduces the dense model bit for bit.
-    * ``rap_workers`` is the RAP's process budget.  At 1 everything runs
-      in-process.  Above 1 the single-class engine fans its decomposed
-      component sub-solves out over a supervised pool (see
-      :func:`repro.core.sparse_rap.solve_rap_sparse`).  The fallback
-      chain always runs its rungs one after another, so the placement
-      does not depend on the worker count.
+      ``k = N_P`` reproduces the dense model bit for bit.  The RAP
+      runs in-process, one fallback rung after another (see
+      :func:`repro.core.rap.solve_rap_resilient`).
     """
 
     alpha: float = 0.75
@@ -72,7 +68,6 @@ class RCPPParams:
     max_solver_retries: int = 1
     time_budget_s: float | None = None
     rap_candidates: int | None = None
-    rap_workers: int = 1
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.alpha <= 1.0):
@@ -93,5 +88,3 @@ class RCPPParams:
             raise ValidationError("solver_time_limit_s must be >= 0 when set")
         if self.rap_candidates is not None and self.rap_candidates < 1:
             raise ValidationError("rap_candidates must be >= 1 when forced")
-        if self.rap_workers < 1:
-            raise ValidationError("rap_workers must be >= 1")

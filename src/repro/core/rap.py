@@ -15,10 +15,9 @@ Every function here is height-indexed: inputs are per-class lists, one
 entry per minority track of a :class:`~repro.core.heights.HeightSpec`
 (the paper's setting is ``K = 1``).  At ``K >= 2`` each class gets its
 own Eq. (3)-(5) blocks and a pair carries one track height
-(``sum_h y_hr <= 1``).  :func:`solve_rap` solves one instance — through
-the single-class engine of :mod:`repro.core.sparse_rap` at ``K = 1``,
-through the joint model with a reduced-cost certificate at ``K >= 2`` —
-and :func:`solve_rap_resilient` wraps it in the solver fallback chain,
+(``sum_h y_hr <= 1``).  :func:`solve_rap` solves one instance through
+the engine of :mod:`repro.core.sparse_rap` at every ``K``, and
+:func:`solve_rap_resilient` wraps it in the solver fallback chain,
 with a simulated-annealing terminal rung (:func:`anneal_rap`) for joint
 instances where every MILP backend fails.
 """
@@ -31,24 +30,19 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.sparse_rap import (
-    SMALL_PROBLEM_VARIABLES,
-    RapModel,
     SparseSolveStats,
-    adaptive_candidate_count,
-    assignment_cost,
+    _feasible_maps,
+    _joint_cost,
     build_rap_model,
-    coverage_mask,
     dense_assignment,
-    feasible_assignment,
+    greedy_rap,
     solve_rap_sparse,
     validate_rap_inputs,
 )
-from repro.obs.convergence import observe
 from repro.obs.trace import span
-from repro.solvers.milp import MilpSolution, MilpStatus, solve_milp
+from repro.solvers.milp import MilpSolution, MilpStatus
 from repro.utils.errors import (
     InfeasibleError,
     SolverError,
@@ -63,8 +57,6 @@ from repro.utils.resilience import (
 )
 
 logger = logging.getLogger(__name__)
-
-_SAFETY_ROUNDS = 12
 
 #: Simulated-annealing iteration budget: base + per-cluster term, capped.
 _SA_BASE_ITERATIONS = 2000
@@ -109,117 +101,8 @@ def required_minority_pairs(
 
 
 # ---------------------------------------------------------------------------
-# Heuristics: greedy incumbent + simulated annealing fallback
+# Heuristic fallback: simulated annealing
 # ---------------------------------------------------------------------------
-
-
-def _greedy_class(
-    f: np.ndarray,
-    cluster_width: np.ndarray,
-    pair_capacity: np.ndarray,
-    n_minority_rows: int,
-) -> np.ndarray | None:
-    """One class's greedy: cluster -> pair, or None when stuck.
-
-    Clusters are handled widest-first; each goes to the cheapest feasible
-    already-open pair, opening a new pair (cheapest for this cluster) while
-    fewer than ``n_minority_rows`` are open.
-    """
-    n_c, n_p = f.shape
-    open_pairs: list[int] = []
-    remaining = pair_capacity.astype(float).copy()
-    assignment = np.full(n_c, -1, dtype=int)
-    for cluster in np.argsort(-cluster_width, kind="stable"):
-        width = cluster_width[cluster]
-        feasible_open = [p for p in open_pairs if remaining[p] >= width]
-        best_open = (
-            min(feasible_open, key=lambda p: f[cluster, p])
-            if feasible_open
-            else None
-        )
-        candidate_new = None
-        if len(open_pairs) < n_minority_rows:
-            closed = [
-                p
-                for p in range(n_p)
-                if p not in open_pairs and remaining[p] >= width
-            ]
-            if closed:
-                candidate_new = min(closed, key=lambda p: f[cluster, p])
-        choice = None
-        if best_open is not None and candidate_new is not None:
-            choice = (
-                candidate_new
-                if f[cluster, candidate_new] < f[cluster, best_open]
-                else best_open
-            )
-        else:
-            choice = best_open if best_open is not None else candidate_new
-        if choice is None:
-            return None
-        if choice not in open_pairs:
-            open_pairs.append(choice)
-        assignment[cluster] = choice
-        remaining[choice] -= width
-    if len(open_pairs) != n_minority_rows:
-        return None  # opened fewer rows than Eq. (5) requires
-    return assignment
-
-
-def greedy_rap(
-    f_by_class: list[np.ndarray],
-    width_by_class: list[np.ndarray],
-    pair_capacity: np.ndarray,
-    budgets: list[int],
-) -> list[np.ndarray] | None:
-    """Greedy warm start: widest class first, pairs exclusive.
-
-    Each class runs the single-class greedy on the pairs no earlier class
-    claimed; ``None`` when any class gets stuck (the caller then solves
-    without a greedy incumbent).
-    """
-    K = len(f_by_class)
-    order = np.argsort(
-        -np.array([float(w.sum()) for w in width_by_class]), kind="stable"
-    )
-    remaining = np.asarray(pair_capacity, dtype=float).copy()
-    blocked = np.zeros(len(pair_capacity), dtype=bool)
-    out: list[np.ndarray | None] = [None] * K
-    for h in order:
-        caps = np.where(blocked, -1.0, remaining)
-        a = _greedy_class(f_by_class[h], width_by_class[h], caps, budgets[h])
-        if a is None:
-            return None
-        out[h] = a
-        blocked[np.unique(a)] = True
-    return [a for a in out]  # type: ignore[misc]
-
-
-def _joint_cost(
-    f_by_class: list[np.ndarray], assignment: list[np.ndarray]
-) -> float:
-    return sum(assignment_cost(f, a) for f, a in zip(f_by_class, assignment))
-
-
-def _feasible_maps(
-    assignment: list[np.ndarray] | None,
-    width_by_class: list[np.ndarray],
-    pair_capacity: np.ndarray,
-    budgets: list[int],
-) -> list[np.ndarray] | None:
-    """The per-class maps when they satisfy the joint constraints."""
-    if assignment is None or len(assignment) != len(width_by_class):
-        return None
-    out = [
-        feasible_assignment(a, w, pair_capacity, budget)
-        for a, w, budget in zip(assignment, width_by_class, budgets)
-    ]
-    if any(a is None for a in out):
-        return None
-    opened = np.concatenate([np.unique(a) for a in out])
-    if len(np.unique(opened)) != len(opened):
-        return None  # pair exclusivity violated
-    return out
 
 
 def anneal_rap(
@@ -363,106 +246,8 @@ def anneal_rap(
 
 
 # ---------------------------------------------------------------------------
-# One solve: the K = 1 engine, or the joint model with a certificate
+# One solve
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _JointLpInfo:
-    objective: float
-    reduced_costs: list[np.ndarray]  # per class (n_c_h, n_p), >= 0
-    runtime_s: float
-
-
-def _joint_lp(
-    f_by_class: list[np.ndarray],
-    width_by_class: list[np.ndarray],
-    pair_capacity: np.ndarray,
-    budgets: list[int],
-) -> _JointLpInfo | MilpSolution | None:
-    """Strengthened joint LP relaxation: bound + per-class reduced costs.
-
-    Mirrors :func:`repro.core.sparse_rap._dense_lp`; the reduced-cost
-    bound argument carries over verbatim because the joint LP is a
-    relaxation of the joint IP.
-    """
-    model = build_rap_model(
-        f_by_class, width_by_class, pair_capacity, budgets, strengthen=True
-    ).model
-    t0 = time.perf_counter()
-    try:
-        lp = linprog(
-            model.c,
-            A_ub=model.a_ub,
-            b_ub=model.b_ub,
-            A_eq=model.a_eq,
-            b_eq=model.b_eq,
-            bounds=(0.0, 1.0),
-            method="highs",
-        )
-    except Exception:
-        logger.warning("joint RAP LP raised; using top-k fallback")
-        return None
-    runtime = time.perf_counter() - t0
-    if lp.status == 2:
-        return MilpSolution(
-            status=MilpStatus.INFEASIBLE, x=None, objective=np.inf,
-            runtime_s=runtime,
-        )
-    if lp.status != 0 or lp.x is None:
-        return None
-    rc = (
-        model.c
-        - model.a_ub.T @ lp.ineqlin.marginals
-        - model.a_eq.T @ lp.eqlin.marginals
-    )
-    per_class: list[np.ndarray] = []
-    offset = 0
-    for f in f_by_class:
-        per_class.append(
-            np.maximum(rc[offset:offset + f.size], 0.0).reshape(f.shape)
-        )
-        offset += f.size
-    return _JointLpInfo(
-        objective=float(lp.fun), reduced_costs=per_class, runtime_s=runtime
-    )
-
-
-def _class_coverage_masks(
-    f_by_class: list[np.ndarray],
-    width_by_class: list[np.ndarray],
-    pair_capacity: np.ndarray,
-    budgets: list[int],
-    ks: list[int],
-    extra: list[np.ndarray],
-) -> tuple[list[np.ndarray], list[int]]:
-    """Per-class top-k masks, widened for per-class capacity coverage."""
-    pairs = [
-        coverage_mask(f, pair_capacity, budget, float(w.sum()), k, e)
-        for f, w, budget, k, e in zip(
-            f_by_class, width_by_class, budgets, ks, extra
-        )
-    ]
-    return [m for m, _ in pairs], [k for _, k in pairs]
-
-
-def _dense_result(
-    srm: RapModel, solution: MilpSolution
-) -> tuple[MilpSolution, list[np.ndarray] | None]:
-    """A restricted solve in the dense layout, plus its per-class maps."""
-    if not solution.ok or solution.x is None:
-        return solution, None
-    x = srm.to_dense_x(solution.x)
-    return (
-        MilpSolution(
-            status=solution.status,
-            x=x,
-            objective=solution.objective,
-            nodes=solution.nodes,
-            runtime_s=solution.runtime_s,
-        ),
-        dense_assignment(x, srm.n_clusters, srm.n_pairs),
-    )
 
 
 def solve_rap(
@@ -474,20 +259,19 @@ def solve_rap(
     time_limit_s: float | None = None,
     warm_assignment: list[np.ndarray] | None = None,
     candidate_k: int | None = None,
-    workers: int = 1,
+    dirty_clusters: np.ndarray | None = None,
 ) -> tuple[MilpSolution, list[np.ndarray] | None, SparseSolveStats]:
     """Solve one RAP instance; ``pair_capacity`` is the usable capacity.
 
     Returns ``(solution, per-class cluster -> pair maps or None, stats)``
     with the solution vector in the dense layout of
     :func:`build_rap_model` (a map entry of ``-1`` marks a cluster the
-    solution does not assign exactly once).  At ``K = 1`` this is the
-    sparse engine (:func:`repro.core.sparse_rap.solve_rap_sparse`),
-    ``workers`` included; ``candidate_k = N_P``
-    reproduces the dense model bit for bit.  At ``K >= 2`` the joint
-    model is solved with reduced-cost fixing against a greedy incumbent
-    and a pricing loop; for the exact backends ``stats.certified`` means
-    the restricted optimum was proven equal to the full joint optimum.
+    solution does not assign exactly once).  The solve is the engine
+    :func:`repro.core.sparse_rap.solve_rap_sparse` at every ``K``:
+    ``candidate_k = N_P`` reproduces the dense model bit for bit, for
+    the exact backends ``stats.certified`` means the restricted optimum
+    was proven equal to the full optimum, and ``dirty_clusters`` runs
+    its single-class ECO repair.
     """
     f_by_class = [np.asarray(f, dtype=float) for f in f_by_class]
     width_by_class = [np.asarray(w, dtype=float) for w in width_by_class]
@@ -495,224 +279,18 @@ def solve_rap(
     n_cs, n_p = validate_rap_inputs(
         f_by_class, width_by_class, pair_capacity, budgets
     )
-    K = len(f_by_class)
-
-    if K == 1:
-        solution, stats = solve_rap_sparse(
-            f_by_class[0], width_by_class[0], pair_capacity, budgets[0],
-            backend=backend, time_limit_s=time_limit_s,
-            warm_assignment=warm_assignment[0] if warm_assignment else None,
-            candidate_k=candidate_k, workers=workers,
-        )
-        maps = (
-            dense_assignment(solution.x, n_cs, n_p)
-            if solution.ok and solution.x is not None
-            else None
-        )
-        return solution, maps, stats
-
-    if backend not in EXACT_BACKENDS:
-        raise SolverError(
-            f"backend {backend!r} does not support joint instances "
-            "(exact backends only; the resilient chain adds the SA rung)"
-        )
-
-    n_dense = sum(f.size for f in f_by_class) + K * n_p
-    stats = SparseSolveStats(n_dense_variables=n_dense)
-    warm = _feasible_maps(
-        warm_assignment, width_by_class, pair_capacity, budgets
+    solution, stats = solve_rap_sparse(
+        f_by_class, width_by_class, pair_capacity, budgets,
+        backend=backend, time_limit_s=time_limit_s,
+        warm_assignment=warm_assignment, candidate_k=candidate_k,
+        dirty_clusters=dirty_clusters,
     )
-    forced = candidate_k is not None
-    full_masks = [np.ones(f.shape, dtype=bool) for f in f_by_class]
-    small = not forced and n_dense <= SMALL_PROBLEM_VARIABLES
-
-    with span(
-        "rap.joint",
-        backend=backend,
-        n_classes=K,
-        n_pairs=n_p,
-        n_clusters=sum(n_cs),
-    ) as root:
-        if small or (forced and candidate_k >= n_p):
-            stats.strategy = "dense"
-            stats.k_initial = stats.k_final = n_p
-            stats.n_candidates = n_dense - K * n_p
-            stats.rounds = 1
-            t0 = time.perf_counter()
-            srm = build_rap_model(
-                f_by_class, width_by_class, pair_capacity, budgets
-            )
-            stats.build_s = time.perf_counter() - t0
-            warm_vec = srm.encode_assignment(warm) if warm else None
-            if warm_vec is not None and not srm.model.is_feasible(warm_vec):
-                warm_vec = None
-            solution = solve_milp(
-                srm.model, backend=backend, time_limit_s=time_limit_s,
-                warm_start=warm_vec,
-            )
-            stats.solve_s = solution.runtime_s
-            stats.certified = solution.status in (
-                MilpStatus.OPTIMAL, MilpStatus.INFEASIBLE
-            )
-            root.annotate(
-                outcome="dense",
-                objective=solution.objective if solution.ok else None,
-            )
-            return (*_dense_result(srm, solution), stats)
-
-        lp_info: _JointLpInfo | None = None
-        extra = [np.zeros(f.shape, dtype=bool) for f in f_by_class]
-        if forced:
-            stats.strategy = "top-k"
-            ks = [int(np.clip(candidate_k, 1, n_p))] * K
-            masks, ks = _class_coverage_masks(
-                f_by_class, width_by_class, pair_capacity, budgets, ks,
-                extra,
-            )
-        else:
-            stats.strategy = "rc-fixing"
-            with span("rap.joint.candidates") as cand_span:
-                lp = _joint_lp(
-                    f_by_class, width_by_class, pair_capacity, budgets
-                )
-                if isinstance(lp, MilpSolution):
-                    root.annotate(outcome="infeasible")
-                    stats.solve_s += lp.runtime_s
-                    stats.certified = True
-                    return lp, None, stats
-                incumbent = warm or greedy_rap(
-                    f_by_class, width_by_class, pair_capacity, budgets
-                )
-                if lp is not None and incumbent is not None:
-                    lp_info = lp
-                    stats.lp_bound = lp.objective
-                    stats.solve_s += lp.runtime_s
-                    z_ub = _joint_cost(f_by_class, incumbent)
-                    stats.upper_bound = z_ub
-                    tol = 1e-6 * max(1.0, abs(z_ub))
-                    masks = [
-                        lp.objective + lp.reduced_costs[h] <= z_ub + tol
-                        for h in range(K)
-                    ]
-                    for h in range(K):
-                        masks[h][np.arange(n_cs[h]), incumbent[h]] = True
-                    ks = [int(m.sum(axis=1).max()) for m in masks]
-                    if warm is None:
-                        warm = incumbent
-                    cand_span.annotate(
-                        strategy="rc-fixing",
-                        n_candidates=int(sum(m.sum() for m in masks)),
-                        lp_bound=lp.objective,
-                        upper_bound=z_ub,
-                    )
-                else:
-                    if lp is not None:
-                        lp_info = lp
-                        stats.lp_bound = lp.objective
-                        stats.solve_s += lp.runtime_s
-                    stats.strategy = "top-k"
-                    ks = [
-                        adaptive_candidate_count(
-                            f_by_class[h], width_by_class[h],
-                            pair_capacity, budgets[h],
-                        )
-                        for h in range(K)
-                    ]
-                    masks, ks = _class_coverage_masks(
-                        f_by_class, width_by_class, pair_capacity,
-                        budgets, ks, extra,
-                    )
-                    cand_span.annotate(strategy="top-k", k=max(ks))
-        stats.k_initial = max(ks)
-
-        while True:
-            stats.rounds += 1
-            if stats.rounds > _SAFETY_ROUNDS:
-                masks = [m.copy() for m in full_masks]
-            stats.n_candidates = int(sum(m.sum() for m in masks))
-            stats.k_final = int(max(m.sum(axis=1).max() for m in masks))
-
-            t0 = time.perf_counter()
-            srm = build_rap_model(
-                f_by_class, width_by_class, pair_capacity, budgets, masks,
-                strengthen=True,
-            )
-            stats.build_s += time.perf_counter() - t0
-            warm_vec = srm.encode_assignment(warm) if warm else None
-            if warm_vec is not None and not srm.model.is_feasible(warm_vec):
-                warm_vec = None
-            solution = solve_milp(
-                srm.model, backend=backend, time_limit_s=time_limit_s,
-                warm_start=warm_vec,
-            )
-            stats.solve_s += solution.runtime_s
-
-            observe(
-                "rap.joint",
-                round=stats.rounds,
-                n_candidates=stats.n_candidates,
-                objective=solution.objective if solution.ok else None,
-                admitted=stats.admitted_columns,
-            )
-
-            full = all(not (~m).any() for m in masks)
-            if solution.status is MilpStatus.INFEASIBLE:
-                if full:
-                    root.annotate(outcome="infeasible")
-                    stats.certified = True
-                    return solution, None, stats
-                ks = [min(n_p, 2 * max(k, 1)) for k in ks]
-                extra = [e | m for e, m in zip(extra, masks)]
-                masks, ks = _class_coverage_masks(
-                    f_by_class, width_by_class, pair_capacity, budgets,
-                    ks, extra,
-                )
-                continue
-            if not solution.ok or solution.x is None:
-                root.annotate(outcome=solution.status.value)
-                return solution, None, stats
-            if full:
-                stats.certified = solution.status is MilpStatus.OPTIMAL
-                root.annotate(outcome="dense", objective=solution.objective)
-                return (*_dense_result(srm, solution), stats)
-            if solution.status is not MilpStatus.OPTIMAL:
-                root.annotate(outcome="uncertified")
-                return (*_dense_result(srm, solution), stats)
-
-            z = solution.objective
-            if lp_info is None:
-                lp = _joint_lp(
-                    f_by_class, width_by_class, pair_capacity, budgets
-                )
-                if isinstance(lp, _JointLpInfo):
-                    lp_info = lp
-                    stats.lp_bound = lp.objective
-                    stats.solve_s += lp.runtime_s
-            if lp_info is None:
-                logger.warning(
-                    "joint RAP pricing unavailable; solving full model"
-                )
-                masks = [m.copy() for m in full_masks]
-                continue
-            tol = 1e-6 * max(1.0, abs(z))
-            admits = [
-                (~masks[h])
-                & (lp_info.objective + lp_info.reduced_costs[h] <= z + tol)
-                for h in range(K)
-            ]
-            n_admit = int(sum(a.sum() for a in admits))
-            if n_admit == 0:
-                stats.certified = True
-                root.annotate(outcome="certified", objective=z)
-                return (*_dense_result(srm, solution), stats)
-            stats.admitted_columns += n_admit
-            logger.info(
-                "joint RAP pricing re-admits %d pruned columns (z=%.6g)",
-                n_admit, z,
-            )
-            for h in range(K):
-                extra[h] |= admits[h]
-                masks[h] = masks[h] | admits[h]
+    maps = (
+        dense_assignment(solution.x, n_cs, n_p)
+        if solution.ok and solution.x is not None
+        else None
+    )
+    return solution, maps, stats
 
 
 # ---------------------------------------------------------------------------
@@ -779,8 +357,8 @@ def repair_assignment(
 ) -> RowAssignment:
     """Rebind clusters to pairs under the incumbent's *frozen* row map.
 
-    ECO repair (:func:`repro.core.sparse_rap.solve_rap_sparse` with
-    ``dirty_clusters=``) moves clusters only between the incumbent's
+    ECO repair (:func:`solve_rap` with ``dirty_clusters=``) moves
+    clusters only between the incumbent's
     used pairs, so the repaired assignment must keep ``base``'s
     ``pair_tracks`` and ``minority_pairs`` verbatim — including a pair
     the repair vacated, which stays a minority pair so the mixed
@@ -847,7 +425,6 @@ def solve_rap_resilient(
     deadline: Deadline | None = None,
     provenance: FlowProvenance | None = None,
     candidate_k: int | None = None,
-    workers: int = 1,
     warm_assignment: list[np.ndarray] | None = None,
     sa_seed: int = 17,
 ) -> RowAssignment | None:
@@ -865,12 +442,7 @@ def solve_rap_resilient(
     ``lagrangian`` backend, which has no joint model, and end in a
     simulated-annealing rung (:func:`anneal_rap`, recorded as
     ``backend="sa"`` and flagged degraded) so instances where every
-    MILP rung fails still place.
-
-    ``workers`` is the process budget of the single-class engine's
-    component fan-out (:func:`repro.core.sparse_rap.solve_rap_sparse`);
-    the rungs themselves always run one after another, so the answer
-    does not depend on it.
+    MILP rung fails still place.  The rungs run one after another.
 
     Failure ladder per :class:`~repro.utils.resilience.ResiliencePolicy`:
 
@@ -968,13 +540,11 @@ def solve_rap_resilient(
                                 time_limit_s=deadline.clamp(time_limit_s),
                                 warm_assignment=warm,
                                 candidate_k=candidate_k,
-                                workers=workers,
                             )
                             attempt_span.annotate(
                                 sparse_rounds=stats.rounds,
                                 sparse_k=stats.k_final,
                                 sparse_candidates=stats.n_candidates,
-                                sparse_components=stats.n_components,
                                 sparse_certified=stats.certified,
                             )
                 except StageTimeoutError as exc:

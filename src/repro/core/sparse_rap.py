@@ -1,32 +1,33 @@
-"""RAP model builder and the single-class sparse engine.
+"""RAP model builder and the one RAP engine.
 
 :func:`build_rap_model` is the one builder of the paper's MILP (Eqs.
 1-5), height-indexed over ``K >= 1`` track classes and restricted to
-per-class candidate masks.  :func:`solve_rap_sparse` is the ``K = 1``
-kernel behind :func:`repro.core.rap.solve_rap`: candidate pruning,
-pricing repair, decomposition and ECO repair.
+per-class candidate masks.  :func:`solve_rap_sparse` is the engine
+behind :func:`repro.core.rap.solve_rap` at every ``K``: candidate
+pruning, pricing repair and, for one class, ECO repair.
 
 The dense RAP (all-true masks) instantiates all
-``N_C x N_P`` assignment variables, so model build and solve cost grow
-quadratically with testcase size even though a cluster is never
-profitably assigned to a row pair across the die.  This module prunes
-that space end to end while staying *provably* equivalent to the dense
-optimum:
+``N_C x N_P`` assignment variables per class, so model build and solve
+cost grow quadratically with testcase size even though a cluster is
+never profitably assigned to a row pair across the die.  This module
+prunes that space end to end while staying *provably* equivalent to the
+dense optimum:
 
 * **Candidate generation** — the default strategy is reduced-cost
   fixing: one LP relaxation of the *strengthened* dense model (see
-  below) plus an LP-guided rounding incumbent ``z_ub`` prove that any
-  column whose LP reduced cost satisfies ``z_lp + rc > z_ub`` cannot
-  appear in a solution better than the incumbent, so only the surviving
-  columns enter the MILP.  When the caller forces a per-cluster
-  candidate count ``k`` (or the LP is unavailable), the fallback keeps
-  each cluster's ``k`` cheapest row pairs
+  below) plus an incumbent ``z_ub`` prove that any column whose LP
+  reduced cost satisfies ``z_lp + rc > z_ub`` cannot appear in a
+  solution better than the incumbent, so only the surviving columns
+  enter the MILP.  At ``K = 1`` the incumbent is the cheaper of an
+  LP-guided rounding and the warm assignment; at ``K >= 2`` it is the
+  warm assignment or, without one, :func:`greedy_rap`.  When the caller
+  forces a per-cluster candidate count ``k`` (or the LP is unavailable),
+  the fallback keeps each cluster's ``k`` cheapest row pairs
   (:func:`repro.core.cost.cheapest_pairs_mask`), with ``k`` adaptive to
   the capacity slack (:func:`adaptive_candidate_count`).  Either way the
   result is a column-compressed :class:`~repro.solvers.milp.MilpModel`
   (:class:`RapModel`) carrying an index map back to the dense
-  variable layout; at ``k = N_P`` it is bit-identical to the dense
-  model.
+  variable layout.  A forced ``k >= N_P`` solves the dense model itself.
 
 * **Pricing / repair loop** — when the restricted problem is infeasible
   the candidate set widens (k doubles, terminating at the dense model).
@@ -39,26 +40,20 @@ optimum:
   set, so the loop terminates — in the worst case at the dense model
   itself.
 
-* **Spatial decomposition** — when the pruned cluster<->row-pair
-  bipartite graph splits into independent connected components, each
-  component solves as its own sub-MILP (concurrently through
-  :func:`repro.utils.supervise.supervised_map` — a crash- and
-  hang-tolerant worker pool — when sizes warrant) and an exact DP over
-  component capacities apportions ``N_minR`` across components.
-
 *Strengthening.*  Restricted models carry two valid inequalities the
 paper's formulation implies but never states: the disaggregated linking
 rows ``x_cr <= y_r`` and the aggregate capacity cut ``sum_r cap_r y_r
 >= sum_c w_c``.  Neither changes the integer optimum, but together they
 close most of the LP/IP gap of the open-row choice — which is exactly
-where the dense solve spends its branch-and-bound time.  The cuts are
-omitted at a forced ``k = N_P`` so that configuration reproduces the
-dense model (and its solver trajectory) bit for bit.
+where the dense solve spends its branch-and-bound time.  The dense
+solve (small instances, forced ``k >= N_P``) omits them so that it
+reproduces the plain model (and its solver trajectory) bit for bit.
 
 Exactness guarantees apply to the exact backends (``highs``, ``bnb``);
-the heuristic ``lagrangian`` backend skips the MILP entirely and runs
-its subgradient loop straight on the dense cost matrix (no model build
-at all), which is where its time went in the dense path.
+the heuristic ``lagrangian`` backend (``K = 1`` only) skips the MILP
+entirely and runs its subgradient loop straight on the dense cost
+matrix (no model build at all), which is where its time went in the
+dense path.
 """
 
 from __future__ import annotations
@@ -70,29 +65,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
-from scipy.sparse.csgraph import connected_components
 
 from repro.core.cost import cheapest_pairs_mask
 from repro.obs.convergence import observe
 from repro.obs.trace import span
-from repro.placement.shm import SHM_MIN_BYTES
 from repro.solvers.milp import MilpModel, MilpSolution, MilpStatus, solve_milp
-from repro.utils.errors import InfeasibleError, ValidationError
-from repro.utils.supervise import supervised_map
+from repro.utils.errors import InfeasibleError, SolverError, ValidationError
+from repro.utils.resilience import EXACT_BACKENDS
 
 logger = logging.getLogger(__name__)
 
-#: Above this many (component, row-count) sub-MILP tasks the DP sweep
-#: would cost more than one joint solve; fall back to the whole model.
-MAX_DECOMPOSITION_TASKS = 96
-
-#: Fan the component sub-solves out over processes only when there are
-#: enough of them to amortize worker startup + model pickling.
-MIN_PARALLEL_TASKS = 4
-
-#: At or below this many dense variables the LP + rounding-incumbent
-#: machinery costs more than the dense solve it would prune, so the
-#: default strategy solves the full model directly (still exact).
+#: At or below this many dense variables the LP + incumbent machinery
+#: costs more than the dense solve it would prune, so the default
+#: strategy solves the full model directly (still exact).
 SMALL_PROBLEM_VARIABLES = 600
 
 _SAFETY_ROUNDS = 12
@@ -100,14 +85,14 @@ _SAFETY_ROUNDS = 12
 
 @dataclass
 class SparseSolveStats:
-    """What the sparse engine did for one solve (telemetry + tests)."""
+    """What the engine did for one solve (telemetry + tests)."""
 
-    strategy: str = ""  # "rc-fixing" | "top-k" | "dense" | "lagrangian"
+    # "rc-fixing" | "top-k" | "dense" | "lagrangian" | "eco-repair"
+    strategy: str = ""
     k_initial: int = 0
     k_final: int = 0  # widest per-cluster candidate row in the final mask
     n_candidates: int = 0  # x columns in the final restricted model
     n_dense_variables: int = 0
-    n_components: int = 1
     rounds: int = 0  # restricted solves performed
     admitted_columns: int = 0  # columns re-admitted by the pricing test
     certified: bool = False  # restricted optimum proven == dense optimum
@@ -482,22 +467,25 @@ def build_rap_model(
 
 @dataclass(frozen=True)
 class _LpInfo:
-    """Strengthened dense LP relaxation: bound + reduced costs."""
+    """Strengthened LP relaxation: bound, reduced costs, open-row values."""
 
     objective: float
-    reduced_costs: np.ndarray  # (n_c, n_p) x-part reduced costs, >= 0
-    y_fractional: np.ndarray  # (n_p,) fractional open-row values
+    # Per class (n_c, n_p) x-part reduced costs, >= 0; inf outside the mask.
+    reduced_costs: list[np.ndarray]
+    # Per class fractional y over the class's candidate pair union.
+    y_fractional: list[np.ndarray]
     runtime_s: float
 
 
-def _dense_lp(
-    f: np.ndarray,
-    cluster_width: np.ndarray,
+def _strengthened_lp(
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
     pair_capacity: np.ndarray,
-    n_minority_rows: int,
+    budgets: list[int],
+    masks: list[np.ndarray] | None = None,
     time_limit_s: float | None = None,
 ) -> _LpInfo | MilpSolution | None:
-    """Solve the strengthened dense LP relaxation.
+    """Solve the LP relaxation of the strengthened (masked) model.
 
     Returns an :class:`_LpInfo` on success, an INFEASIBLE
     :class:`MilpSolution` when the LP (hence the IP) is infeasible, and
@@ -512,10 +500,13 @@ def _dense_lp(
     point as ``c.x = z_lp + rc.(x - x_lp)`` with ``rc >= 0`` on
     variables at their lower bound, so every integer-feasible solution
     whose support contains column ``j`` costs at least ``z_lp + rc_j``.
+    With ``masks`` the same holds for the masked problem's feasible
+    set; columns outside a mask get ``rc = inf``, so they can never pass
+    an admission test.  The joint LP relaxes the joint IP, so the
+    argument carries over to ``K >= 2`` class by class.
     """
-    n_c, n_p = f.shape
     srm = build_rap_model(
-        [f], [cluster_width], pair_capacity, [n_minority_rows],
+        f_by_class, width_by_class, pair_capacity, budgets, masks,
         strengthen=True,
     )
     model = srm.model
@@ -536,7 +527,7 @@ def _dense_lp(
             ),
         )
     except Exception:
-        logger.warning("sparse RAP dense LP raised; using top-k fallback")
+        logger.warning("RAP LP relaxation raised; no reduced-cost bound")
         return None
     runtime = time.perf_counter() - t0
     if lp.status == 2:  # LP infeasible => IP infeasible
@@ -553,13 +544,24 @@ def _dense_lp(
         - model.a_ub.T @ lp.ineqlin.marginals
         - model.a_eq.T @ lp.eqlin.marginals
     )
-    n_x = srm.x_sizes[0]
-    # rc can dip epsilon-negative at the optimum; clipping only weakens
-    # the bound (admits more columns), never threatens exactness.
+    reduced_costs: list[np.ndarray] = []
+    y_fractional: list[np.ndarray] = []
+    x_off, y_off = 0, sum(srm.x_sizes)
+    for h, f in enumerate(f_by_class):
+        n_x, n_y = srm.x_sizes[h], len(srm.union_pairs[h])
+        # rc can dip epsilon-negative at the optimum; clipping only
+        # weakens the bound (admits more columns), never exactness.
+        block = np.full(f.shape, np.inf)
+        block[srm.cand_cluster[h], srm.cand_pair[h]] = np.maximum(
+            rc[x_off:x_off + n_x], 0.0
+        )
+        reduced_costs.append(block)
+        y_fractional.append(np.asarray(lp.x[y_off:y_off + n_y], dtype=float))
+        x_off, y_off = x_off + n_x, y_off + n_y
     return _LpInfo(
         objective=float(lp.fun),
-        reduced_costs=np.maximum(rc[:n_x], 0.0).reshape(n_c, n_p),
-        y_fractional=np.asarray(lp.x[n_x:], dtype=float),
+        reduced_costs=reduced_costs,
+        y_fractional=y_fractional,
         runtime_s=runtime,
     )
 
@@ -590,6 +592,115 @@ def feasible_assignment(
     if np.any(load > pair_capacity + 1e-9):
         return None
     return assignment
+
+
+def _greedy_class(
+    f: np.ndarray,
+    cluster_width: np.ndarray,
+    pair_capacity: np.ndarray,
+    n_minority_rows: int,
+) -> np.ndarray | None:
+    """One class's greedy: cluster -> pair, or None when stuck.
+
+    Clusters are handled widest-first; each goes to the cheapest feasible
+    already-open pair, opening a new pair (cheapest for this cluster) while
+    fewer than ``n_minority_rows`` are open.
+    """
+    n_c, n_p = f.shape
+    open_pairs: list[int] = []
+    remaining = pair_capacity.astype(float).copy()
+    assignment = np.full(n_c, -1, dtype=int)
+    for cluster in np.argsort(-cluster_width, kind="stable"):
+        width = cluster_width[cluster]
+        feasible_open = [p for p in open_pairs if remaining[p] >= width]
+        best_open = (
+            min(feasible_open, key=lambda p: f[cluster, p])
+            if feasible_open
+            else None
+        )
+        candidate_new = None
+        if len(open_pairs) < n_minority_rows:
+            closed = [
+                p
+                for p in range(n_p)
+                if p not in open_pairs and remaining[p] >= width
+            ]
+            if closed:
+                candidate_new = min(closed, key=lambda p: f[cluster, p])
+        choice = None
+        if best_open is not None and candidate_new is not None:
+            choice = (
+                candidate_new
+                if f[cluster, candidate_new] < f[cluster, best_open]
+                else best_open
+            )
+        else:
+            choice = best_open if best_open is not None else candidate_new
+        if choice is None:
+            return None
+        if choice not in open_pairs:
+            open_pairs.append(choice)
+        assignment[cluster] = choice
+        remaining[choice] -= width
+    if len(open_pairs) != n_minority_rows:
+        return None  # opened fewer rows than Eq. (5) requires
+    return assignment
+
+
+def greedy_rap(
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
+    pair_capacity: np.ndarray,
+    budgets: list[int],
+) -> list[np.ndarray] | None:
+    """Greedy warm start: widest class first, pairs exclusive.
+
+    Each class runs the single-class greedy on the pairs no earlier class
+    claimed; ``None`` when any class gets stuck (the caller then solves
+    without a greedy incumbent).
+    """
+    K = len(f_by_class)
+    order = np.argsort(
+        -np.array([float(w.sum()) for w in width_by_class]), kind="stable"
+    )
+    remaining = np.asarray(pair_capacity, dtype=float).copy()
+    blocked = np.zeros(len(pair_capacity), dtype=bool)
+    out: list[np.ndarray | None] = [None] * K
+    for h in order:
+        caps = np.where(blocked, -1.0, remaining)
+        a = _greedy_class(f_by_class[h], width_by_class[h], caps, budgets[h])
+        if a is None:
+            return None
+        out[h] = a
+        blocked[np.unique(a)] = True
+    return [a for a in out]  # type: ignore[misc]
+
+
+def _joint_cost(
+    f_by_class: list[np.ndarray], assignment: list[np.ndarray]
+) -> float:
+    return sum(assignment_cost(f, a) for f, a in zip(f_by_class, assignment))
+
+
+def _feasible_maps(
+    assignment: list[np.ndarray] | None,
+    width_by_class: list[np.ndarray],
+    pair_capacity: np.ndarray,
+    budgets: list[int],
+) -> list[np.ndarray] | None:
+    """The per-class maps when they satisfy the joint constraints."""
+    if assignment is None or len(assignment) != len(width_by_class):
+        return None
+    out = [
+        feasible_assignment(a, w, pair_capacity, budget)
+        for a, w, budget in zip(assignment, width_by_class, budgets)
+    ]
+    if any(a is None for a in out):
+        return None
+    opened = np.concatenate([np.unique(a) for a in out])
+    if len(np.unique(opened)) != len(opened):
+        return None  # pair exclusivity violated
+    return out
 
 
 def _lp_rounding_incumbent(
@@ -654,303 +765,6 @@ def _lp_rounding_incumbent(
     return assignment, assignment_cost(f, assignment), solution.runtime_s
 
 
-def _candidate_components(
-    mask: np.ndarray,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Connected components of the cluster<->candidate-pair bigraph.
-
-    Returns ``[(cluster_ids, pair_ids), ...]``; pairs outside every
-    cluster's candidate set belong to no component (their ``y`` is
-    structurally zero).
-    """
-    n_c, n_p = mask.shape
-    cidx, pidx = np.nonzero(mask)
-    union = np.unique(pidx)
-    slot = np.full(n_p, -1, dtype=int)
-    slot[union] = np.arange(len(union))
-    n_nodes = n_c + len(union)
-    graph = sp.coo_matrix(
-        (np.ones(len(cidx)), (cidx, n_c + slot[pidx])),
-        shape=(n_nodes, n_nodes),
-    )
-    n_comp, labels = connected_components(graph, directed=False)
-    comps = []
-    for comp in range(n_comp):
-        nodes = np.flatnonzero(labels == comp)
-        clusters = nodes[nodes < n_c]
-        pairs = union[nodes[nodes >= n_c] - n_c]
-        if len(clusters):  # cluster-free components cannot open rows
-            comps.append((clusters, pairs))
-    return comps
-
-
-def _min_rows_for_width(width: float, caps: np.ndarray) -> int | None:
-    """Fewest pairs (by capacity, greedily) that can hold ``width``."""
-    caps = np.sort(np.asarray(caps, dtype=float))[::-1]
-    total = np.cumsum(caps)
-    fits = np.flatnonzero(total >= width - 1e-9)
-    if len(fits) == 0:
-        return None
-    return max(1, int(fits[0]) + 1)
-
-
-def _solve_component_job(payload: dict) -> dict:
-    """One (component, row-count) sub-MILP; module-level so it pickles.
-
-    For large instances the payload carries a shared-memory handle
-    (``"shm"``) plus this component's ``clusters``/``pairs`` index
-    vectors instead of pre-sliced ``f``/``w``/``cap``/``mask`` blocks:
-    the worker attaches the parent's full matrices zero-copy and takes
-    its own (small, private) slices locally.
-    """
-    attachment = None
-    if "shm" in payload:
-        from repro.placement.shm import attach_arrays
-
-        attachment = attach_arrays(payload["shm"])
-        clusters, pairs = payload["clusters"], payload["pairs"]
-        block = np.ix_(clusters, pairs)
-        payload = dict(
-            payload,
-            f=attachment["f"][block],
-            w=attachment["w"][clusters],
-            cap=attachment["cap"][pairs],
-            mask=attachment["mask"][block],
-        )
-        attachment.close()  # slices above are private copies
-    return _solve_component(payload)
-
-
-def _solve_component(payload: dict) -> dict:
-    t0 = time.perf_counter()
-    try:
-        srm = build_rap_model(
-            [payload["f"]],
-            [payload["w"]],
-            payload["cap"],
-            [payload["n_rows"]],
-            [payload["mask"]],
-            strengthen=payload.get("strengthen", False),
-        )
-    except (InfeasibleError, ValidationError):
-        return {"status": "infeasible", "runtime_s": 0.0, "build_s": 0.0}
-    build_s = time.perf_counter() - t0
-    warm_vec = None
-    warm = payload.get("warm")
-    if warm is not None:
-        candidate = srm.encode_assignment([warm])
-        if candidate is not None and srm.model.is_feasible(candidate):
-            warm_vec = candidate
-    solution = solve_milp(
-        srm.model,
-        backend=payload["backend"],
-        time_limit_s=payload.get("time_limit_s"),
-        warm_start=warm_vec,
-    )
-    out = {
-        "status": solution.status.value,
-        "nodes": solution.nodes,
-        "runtime_s": solution.runtime_s,
-        "build_s": build_s,
-    }
-    if solution.ok and solution.x is not None:
-        out["objective"] = solution.objective
-        out["assignment"] = dense_assignment(
-            srm.to_dense_x(solution.x), srm.n_clusters, srm.n_pairs
-        )[0]
-    return out
-
-
-def _solve_decomposed(
-    f: np.ndarray,
-    cluster_width: np.ndarray,
-    pair_capacity: np.ndarray,
-    n_rows: int,
-    mask: np.ndarray,
-    comps: list[tuple[np.ndarray, np.ndarray]],
-    backend: str,
-    time_limit_s: float | None,
-    warm_assignment: np.ndarray | None,
-    workers: int,
-    strengthen: bool,
-    stats: SparseSolveStats,
-) -> MilpSolution | None:
-    """Exact component-wise solve: sub-MILP sweep + row-apportion DP.
-
-    Returns a *dense-layout* solution, an INFEASIBLE solution when the
-    apportionment DP proves this candidate set cannot open ``N_minR``
-    rows, or ``None`` when the task sweep would be larger than one joint
-    solve (caller then solves the whole restricted model).
-    """
-    n_c, n_p = f.shape
-    bounds: list[tuple[int, int]] = []
-    for clusters, pairs in comps:
-        width = float(cluster_width[clusters].sum())
-        lb = _min_rows_for_width(width, pair_capacity[pairs])
-        # Clamp to the global row count: a component may never open more
-        # rows than exist (the DP table below is sized by that count).
-        ub = min(len(clusters), len(pairs), n_rows)
-        if lb is None or lb > ub:
-            return MilpSolution(
-                status=MilpStatus.INFEASIBLE, x=None, objective=np.inf
-            )
-        bounds.append((lb, ub))
-    if (
-        sum(lb for lb, _ in bounds) > n_rows
-        or sum(ub for _, ub in bounds) < n_rows
-    ):
-        return MilpSolution(
-            status=MilpStatus.INFEASIBLE, x=None, objective=np.inf
-        )
-
-    tasks: list[tuple[int, int]] = [
-        (i, r)
-        for i, (lb, ub) in enumerate(bounds)
-        for r in range(lb, ub + 1)
-    ]
-    if len(tasks) > MAX_DECOMPOSITION_TASKS:
-        logger.info(
-            "RAP decomposition: %d sub-solves > %d cap; solving jointly",
-            len(tasks), MAX_DECOMPOSITION_TASKS,
-        )
-        return None
-
-    # Warm rows per component (usable only for the matching row count).
-    warm_rows: list[int | None] = [None] * len(comps)
-    if warm_assignment is not None:
-        for i, (clusters, _) in enumerate(comps):
-            warm_rows[i] = len(np.unique(warm_assignment[clusters]))
-
-    pool_workers = (
-        workers if len(tasks) >= MIN_PARALLEL_TASKS else 1
-    )
-    # Pooled + large: publish the full matrices once and let each task
-    # carry only its component's index vectors (the worker slices its
-    # own block after a zero-copy attach).  Inline or small: pre-sliced
-    # blocks pickle cheaper than a segment round-trip.
-    publication = None
-    if (
-        pool_workers > 1
-        and f.nbytes + mask.nbytes + cluster_width.nbytes + pair_capacity.nbytes
-        > SHM_MIN_BYTES
-    ):
-        from repro.placement.shm import publish_arrays
-
-        publication = publish_arrays(
-            {"f": f, "w": cluster_width, "cap": pair_capacity, "mask": mask}
-        )
-
-    payloads = []
-    for i, r in tasks:
-        clusters, pairs = comps[i]
-        local_warm = None
-        if warm_assignment is not None and warm_rows[i] == r:
-            pair_slot = np.full(n_p, -1, dtype=int)
-            pair_slot[pairs] = np.arange(len(pairs))
-            local = pair_slot[warm_assignment[clusters]]
-            if np.all(local >= 0):
-                local_warm = local
-        if publication is not None:
-            block = {
-                "shm": publication.handle,
-                "clusters": clusters,
-                "pairs": pairs,
-            }
-        else:
-            block = {
-                "f": f[np.ix_(clusters, pairs)],
-                "w": cluster_width[clusters],
-                "cap": pair_capacity[pairs],
-                "mask": mask[np.ix_(clusters, pairs)],
-            }
-        payloads.append(
-            {
-                **block,
-                "n_rows": r,
-                "backend": backend,
-                "time_limit_s": time_limit_s,
-                "warm": local_warm,
-                "strengthen": strengthen,
-            }
-        )
-
-    try:
-        with span(
-            "rap.sparse.decompose",
-            components=len(comps),
-            tasks=len(tasks),
-            workers=pool_workers,
-        ):
-            results = supervised_map(
-                _solve_component_job, payloads, workers=pool_workers
-            )
-    finally:
-        if publication is not None:
-            publication.close()
-
-    # cost[i][r] -> (objective, local assignment, optimal?)
-    table: list[dict[int, tuple[float, np.ndarray, bool]]] = [
-        {} for _ in comps
-    ]
-    nodes = 0
-    runtime_s = 0.0
-    for (i, r), res in zip(tasks, results):
-        nodes += int(res.get("nodes", 0))
-        runtime_s += float(res.get("runtime_s", 0.0))
-        stats.build_s += float(res.get("build_s", 0.0))
-        if "assignment" in res:
-            table[i][r] = (
-                float(res["objective"]),
-                res["assignment"],
-                res["status"] == MilpStatus.OPTIMAL.value,
-            )
-    stats.solve_s += runtime_s
-
-    # Exact DP over components: best total cost opening exactly N_minR.
-    INF = np.inf
-    dp = np.full(n_rows + 1, INF)
-    dp[0] = 0.0
-    pick: list[np.ndarray] = []
-    for i in range(len(comps)):
-        new_dp = np.full(n_rows + 1, INF)
-        choice = np.full(n_rows + 1, -1, dtype=int)
-        for r, (cost, _, _) in table[i].items():
-            feasible = dp[: n_rows + 1 - r] + cost
-            target = np.arange(r, n_rows + 1)
-            better = feasible < new_dp[target]
-            new_dp[target[better]] = feasible[better]
-            choice[target[better]] = r
-        dp = new_dp
-        pick.append(choice)
-    if not np.isfinite(dp[n_rows]):
-        return MilpSolution(
-            status=MilpStatus.INFEASIBLE,
-            x=None,
-            objective=np.inf,
-            nodes=nodes,
-            runtime_s=runtime_s,
-        )
-
-    # Backtrack the chosen row count per component; stitch assignments.
-    assignment = np.full(n_c, -1, dtype=int)
-    all_optimal = True
-    remaining = n_rows
-    for i in range(len(comps) - 1, -1, -1):
-        r = int(pick[i][remaining])
-        _, local, optimal = table[i][r]
-        all_optimal = all_optimal and optimal
-        clusters, pairs = comps[i]
-        assignment[clusters] = pairs[local]
-        remaining -= r
-    return MilpSolution(
-        status=MilpStatus.OPTIMAL if all_optimal else MilpStatus.FEASIBLE,
-        x=dense_vector([assignment], n_p),
-        objective=float(dp[n_rows]),
-        nodes=nodes,
-        runtime_s=runtime_s,
-    )
-
-
 def _solve_lagrangian_direct(
     f: np.ndarray,
     cluster_width: np.ndarray,
@@ -1001,45 +815,54 @@ def _solve_lagrangian_direct(
     )
 
 
-def _solve_small_dense(
-    f: np.ndarray,
-    cluster_width: np.ndarray,
+def _warm_vector(
+    srm: RapModel, warm: list[np.ndarray] | None
+) -> np.ndarray | None:
+    """The warm maps as a start vector of ``srm``, or ``None`` when they
+    are not one of its feasible points."""
+    if warm is None:
+        return None
+    vector = srm.encode_assignment(warm)
+    if vector is None or not srm.model.is_feasible(vector):
+        return None
+    return vector
+
+
+def _solve_dense(
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
     pair_capacity: np.ndarray,
-    n_minority_rows: int,
+    budgets: list[int],
     backend: str,
     time_limit_s: float | None,
-    warm: np.ndarray | None,
+    warm: list[np.ndarray] | None,
     stats: SparseSolveStats,
 ) -> tuple[MilpSolution, SparseSolveStats]:
-    """One full-mask solve for tiny instances (no cuts, no LP)."""
-    n_c, n_p = f.shape
+    """One full-mask solve without cuts or LP: tiny instances and a
+    forced ``candidate_k >= N_P``."""
+    K, n_p = len(f_by_class), len(pair_capacity)
     stats.strategy = "dense"
     stats.k_initial = stats.k_final = n_p
-    stats.n_candidates = n_c * n_p
-    stats.n_components = 1
+    stats.n_candidates = stats.n_dense_variables - K * n_p
     stats.rounds = 1
     with span(
         "rap.sparse",
         backend=backend,
-        n_clusters=n_c,
+        n_classes=K,
+        n_clusters=sum(f.shape[0] for f in f_by_class),
         n_pairs=n_p,
         small=True,
     ) as root:
         t0 = time.perf_counter()
         srm = build_rap_model(
-            [f], [cluster_width], pair_capacity, [n_minority_rows]
+            f_by_class, width_by_class, pair_capacity, budgets
         )
         stats.build_s = time.perf_counter() - t0
-        warm_vec = None
-        if warm is not None:
-            candidate = srm.encode_assignment([warm])
-            if candidate is not None and srm.model.is_feasible(candidate):
-                warm_vec = candidate
         solution = solve_milp(
             srm.model,
             backend=backend,
             time_limit_s=time_limit_s,
-            warm_start=warm_vec,
+            warm_start=_warm_vector(srm, warm),
         )
         stats.solve_s = solution.runtime_s
         # The full model is authoritative in either direction.
@@ -1050,7 +873,6 @@ def _solve_small_dense(
             "rap.sparse",
             round=1,
             n_candidates=stats.n_candidates,
-            components=1,
             objective=solution.objective if solution.ok else None,
             admitted=0,
         )
@@ -1084,60 +906,6 @@ def coverage_mask(
         k = min(n_p, k + max(1, k // 2))
         mask = cheapest_pairs_mask(f, k) | extra
     return mask, k
-
-
-def _masked_lp(
-    f: np.ndarray,
-    cluster_width: np.ndarray,
-    pair_capacity: np.ndarray,
-    n_rows: int,
-    mask: np.ndarray,
-    time_limit_s: float | None,
-) -> tuple[float, np.ndarray] | None:
-    """LP relaxation of the strengthened *masked* model.
-
-    Returns ``(z_lp, rc)`` with ``rc`` a dense ``(n_c, n_p)`` matrix of
-    x-part reduced costs (``inf`` outside ``mask``, so columns the mask
-    excludes can never pass an admission test), or ``None`` when the LP
-    errors, times out, or comes back infeasible.  The duality argument
-    of :func:`_dense_lp` applies verbatim with the masked model's
-    feasible set: every integer solution *of the masked problem* whose
-    support contains column ``j`` costs at least ``z_lp + rc_j``.
-    """
-    n_c, n_p = f.shape
-    srm = build_rap_model(
-        [f], [cluster_width], pair_capacity, [n_rows], [mask],
-        strengthen=True,
-    )
-    model = srm.model
-    try:
-        lp = linprog(
-            model.c,
-            A_ub=model.a_ub,
-            b_ub=model.b_ub,
-            A_eq=model.a_eq,
-            b_eq=model.b_eq,
-            bounds=(0.0, 1.0),
-            method="highs",
-            options=(
-                None
-                if time_limit_s is None
-                else {"time_limit": float(time_limit_s)}
-            ),
-        )
-    except Exception:
-        logger.warning("masked RAP LP raised; pricing bound unavailable")
-        return None
-    if lp.status != 0 or lp.x is None:
-        return None
-    rc_x = (
-        model.c
-        - model.a_ub.T @ lp.ineqlin.marginals
-        - model.a_eq.T @ lp.eqlin.marginals
-    )[: srm.x_sizes[0]]
-    rc = np.full((n_c, n_p), np.inf)
-    rc[srm.cand_cluster[0], srm.cand_pair[0]] = np.maximum(rc_x, 0.0)
-    return float(lp.fun), rc
 
 
 def _solve_eco_repair(
@@ -1208,7 +976,7 @@ def _solve_eco_repair(
     block = mask[np.ix_(dirty, allowed)]
     mask[np.ix_(dirty, allowed)] = block | dirty_cheap
 
-    lp_bound: tuple[float, np.ndarray] | None = None
+    lp_bound: _LpInfo | None = None
     best: MilpSolution | None = None
     with span(
         "rap.sparse.eco",
@@ -1229,14 +997,11 @@ def _solve_eco_repair(
                 strengthen=True,
             )
             stats.build_s += time.perf_counter() - t0
-            warm_vec = srm.encode_assignment([warm])
-            if warm_vec is not None and not srm.model.is_feasible(warm_vec):
-                warm_vec = None
             restricted = solve_milp(
                 srm.model,
                 backend=backend,
                 time_limit_s=left(),
-                warm_start=warm_vec,
+                warm_start=_warm_vector(srm, [warm]),
             )
             stats.solve_s += restricted.runtime_s
             full = not (sub_full & ~mask).any()
@@ -1282,12 +1047,13 @@ def _solve_eco_repair(
             # Pricing against the row-frozen subproblem's LP bound.
             z = solution.objective
             if lp_bound is None and not spent():
-                lp_bound = _masked_lp(
-                    f, cluster_width, pair_capacity, n_rows, sub_full,
-                    left(),
+                lp = _strengthened_lp(
+                    [f], [cluster_width], pair_capacity, [n_rows],
+                    [sub_full], left(),
                 )
-                if lp_bound is not None:
-                    stats.lp_bound = lp_bound[0]
+                if isinstance(lp, _LpInfo):
+                    lp_bound = lp
+                    stats.lp_bound = lp.objective
             if lp_bound is None:
                 if spent():
                     root.annotate(outcome="budget", objective=z)
@@ -1295,9 +1061,10 @@ def _solve_eco_repair(
                 # No pricing bound: solve the full subproblem directly.
                 mask = sub_full.copy()
                 continue
-            z_lp, rc = lp_bound
             tol = 1e-6 * max(1.0, abs(z))
-            admit = sub_full & ~mask & (z_lp + rc <= z + tol)
+            admit = sub_full & ~mask & (
+                lp_bound.objective + lp_bound.reduced_costs[0] <= z + tol
+            )
             if not admit.any():
                 stats.certified = True
                 root.annotate(outcome="certified", objective=z)
@@ -1309,84 +1076,123 @@ def _solve_eco_repair(
             mask = mask | admit
 
 
-def solve_rap_sparse(
-    f: np.ndarray,
-    cluster_width: np.ndarray,
+def _rc_fixing_incumbent(
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
     pair_capacity: np.ndarray,
-    n_minority_rows: int,
+    budgets: list[int],
+    lp: _LpInfo,
+    warm: list[np.ndarray] | None,
+    backend: str,
+    time_limit_s: float | None,
+    stats: SparseSolveStats,
+) -> list[np.ndarray] | None:
+    """The incumbent whose cost ``z_ub`` reduced-cost fixing prunes against.
+
+    At ``K = 1`` the cheaper of the LP-rounding incumbent and the warm
+    assignment; at ``K >= 2`` the warm assignment or, without one, the
+    greedy.  ``None`` when there is none (top-k fallback).
+    """
+    if len(f_by_class) > 1:
+        return warm or greedy_rap(
+            f_by_class, width_by_class, pair_capacity, budgets
+        )
+    rounded = _lp_rounding_incumbent(
+        f_by_class[0], width_by_class[0], pair_capacity, budgets[0],
+        lp.y_fractional[0], backend, time_limit_s,
+    )
+    if rounded is None:
+        return warm
+    stats.solve_s += rounded[2]
+    if warm is None or rounded[1] <= _joint_cost(f_by_class, warm):
+        return [rounded[0]]
+    return warm
+
+
+def solve_rap_sparse(
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
+    pair_capacity: np.ndarray,
+    budgets: list[int],
     *,
     backend: str = "highs",
     time_limit_s: float | None = None,
-    warm_assignment: np.ndarray | None = None,
+    warm_assignment: list[np.ndarray] | None = None,
     candidate_k: int | None = None,
-    workers: int = 1,
     dirty_clusters: np.ndarray | None = None,
 ) -> tuple[MilpSolution, SparseSolveStats]:
-    """Solve the RAP through the sparse engine.
+    """Solve one RAP instance (``K >= 1`` classes) through the engine.
 
-    Returns a solution in the **dense** variable layout (so the existing
-    decoders apply unchanged) plus the engine's :class:`SparseSolveStats`.
-    For exact backends the result is certified equal to the dense
-    optimum whenever ``stats.certified`` is true — which is every solve
-    that ran to optimality, by the reduced-cost argument in the module
-    docstring.  ``candidate_k`` forces the top-k strategy (with
-    ``candidate_k = N_P`` reproducing the dense model bit for bit);
-    ``None`` selects reduced-cost fixing with a top-k fallback, except
-    at or below :data:`SMALL_PROBLEM_VARIABLES` dense variables, where
-    one full-mask solve is cheaper than any pruning.
+    Inputs are per class, as for :func:`build_rap_model`;
+    ``pair_capacity`` is the usable capacity and ``warm_assignment`` a
+    list of per-class cluster -> pair maps.  Returns a solution in the
+    **dense** variable layout (so the decoders apply unchanged) plus the
+    engine's :class:`SparseSolveStats`.  For exact backends the result is
+    certified equal to the dense optimum whenever ``stats.certified`` is
+    true — which is every solve that ran to optimality, by the
+    reduced-cost argument in the module docstring.  ``candidate_k``
+    forces the top-k strategy, and ``candidate_k >= N_P`` solves the
+    dense model bit for bit; ``None`` selects reduced-cost fixing with a
+    top-k fallback, except at or below :data:`SMALL_PROBLEM_VARIABLES`
+    dense variables, where one full-mask solve is cheaper than any
+    pruning.  The ``lagrangian`` backend runs at ``K = 1`` only.
 
     ``time_limit_s`` budgets the *entire* solve, not each sub-solve:
-    the dense LP, the rounding incumbent, every restricted MILP and
-    every pricing round draw from one shared wall-clock budget, and an
-    exhausted budget returns the best incumbent uncertified (or ERROR
-    when there is none) instead of starting another round.
+    the LP, the incumbent, every restricted MILP and every pricing round
+    draw from one shared wall-clock budget, and an exhausted budget
+    returns the best incumbent uncertified — the warm assignment when
+    no restricted solve produced one — or ERROR when there is none,
+    instead of starting another round.
 
-    ``dirty_clusters`` switches the engine into ECO repair: with a
-    feasible ``warm_assignment`` it solves only the row-frozen dirty
-    subproblem (:func:`_solve_eco_repair`) — clean clusters pinned,
-    dirty ones re-assigned among the incumbent's used pairs — and
-    certifies against that subproblem's LP bound.  When repair cannot
-    apply (no usable incumbent, or the pinned subproblem is infeasible)
-    the call falls through to the full engine below, so the result is
-    never worse than a cold solve.
+    ``dirty_clusters`` (one class only) switches the engine into ECO
+    repair: with a feasible ``warm_assignment`` it solves only the
+    row-frozen dirty subproblem (:func:`_solve_eco_repair`) — clean
+    clusters pinned, dirty ones re-assigned among the incumbent's used
+    pairs — and certifies against that subproblem's LP bound.  When
+    repair cannot apply (no usable incumbent, or the pinned subproblem
+    is infeasible) the call falls through to the full engine below, so
+    the result is never worse than a cold solve.
     """
-    f = np.asarray(f, dtype=float)
-    cluster_width = np.asarray(cluster_width, dtype=float)
+    f_by_class = [np.asarray(f, dtype=float) for f in f_by_class]
+    width_by_class = [np.asarray(w, dtype=float) for w in width_by_class]
     pair_capacity = np.asarray(pair_capacity, dtype=float)
-    (n_c,), n_p = validate_rap_inputs(
-        [f], [cluster_width], pair_capacity, [n_minority_rows]
+    n_cs, n_p = validate_rap_inputs(
+        f_by_class, width_by_class, pair_capacity, budgets
     )
-    stats = SparseSolveStats(n_dense_variables=n_c * n_p + n_p)
+    K = len(f_by_class)
+    stats = SparseSolveStats(
+        n_dense_variables=sum(f.size for f in f_by_class) + K * n_p
+    )
+    if K > 1 and backend not in EXACT_BACKENDS:
+        raise SolverError(
+            f"backend {backend!r} does not support joint instances "
+            "(exact backends only; the resilient chain adds the SA rung)"
+        )
 
     if backend == "lagrangian":
         stats.strategy = "lagrangian"
         solution = _solve_lagrangian_direct(
-            f, cluster_width, pair_capacity, n_minority_rows,
-            time_limit_s, warm_assignment,
+            f_by_class[0], width_by_class[0], pair_capacity, budgets[0],
+            time_limit_s, warm_assignment[0] if warm_assignment else None,
         )
         stats.rounds = 1
         stats.k_initial = stats.k_final = n_p
-        stats.n_candidates = n_c * n_p
+        stats.n_candidates = stats.n_dense_variables - n_p
         stats.solve_s = solution.runtime_s
         return solution, stats
 
     forced = candidate_k is not None
-    # A forced k = N_P must reproduce the dense model (and its solver
-    # trajectory) exactly, so that configuration carries no cuts.
-    strengthen = not (forced and candidate_k >= n_p)
-    total_width = float(cluster_width.sum())
-    warm = feasible_assignment(
-        warm_assignment, cluster_width, pair_capacity, n_minority_rows
+    warm = _feasible_maps(
+        warm_assignment, width_by_class, pair_capacity, budgets
     )
 
     # ``time_limit_s`` budgets the WHOLE solve.  The engine runs several
-    # sub-solves per call (dense LP, rounding incumbent, restricted
-    # MILPs, pricing rounds); handing each of them the caller's full
-    # limit multiplies the budget by the sub-solve count — at giga
-    # scale (thousands of clusters) a 120 s budget was observed to cost
-    # 16 minutes of wall clock.  Every sub-solve below gets the
-    # *remaining* budget instead, and the pricing loop stops
-    # (uncertified) once it is spent.
+    # sub-solves per call (LP, incumbent, restricted MILPs, pricing
+    # rounds); handing each of them the caller's full limit multiplies
+    # the budget by the sub-solve count — at giga scale (thousands of
+    # clusters) a 120 s budget was observed to cost 16 minutes of wall
+    # clock.  Every sub-solve below gets the *remaining* budget instead,
+    # and the pricing loop stops (uncertified) once it is spent.
     t_start = time.perf_counter()
 
     def _left() -> float | None:
@@ -1406,31 +1212,52 @@ def solve_rap_sparse(
         """The warm assignment as a dense-layout FEASIBLE incumbent."""
         return MilpSolution(
             status=MilpStatus.FEASIBLE,
-            x=dense_vector([warm], n_p),
-            objective=assignment_cost(f, warm),
+            x=dense_vector(warm, n_p),
+            objective=_joint_cost(f_by_class, warm),
         )
 
+    def _widen(
+        ks: list[int], extra: list[np.ndarray]
+    ) -> tuple[list[np.ndarray], list[int]]:
+        """Per-class top-k masks, widened until each covers its class."""
+        widened = [
+            coverage_mask(f, pair_capacity, budget, float(w.sum()), k, e)
+            for f, w, budget, k, e in zip(
+                f_by_class, width_by_class, budgets, ks, extra
+            )
+        ]
+        return [m for m, _ in widened], [k for _, k in widened]
+
     if dirty_clusters is not None and not forced:
+        if K > 1:
+            raise ValidationError("dirty_clusters (ECO repair) needs K = 1")
         eco = _solve_eco_repair(
-            f, cluster_width, pair_capacity, n_minority_rows,
-            dirty_clusters, warm, backend, _left, _spent, stats,
+            f_by_class[0], width_by_class[0], pair_capacity, budgets[0],
+            dirty_clusters, warm[0] if warm is not None else None,
+            backend, _left, _spent, stats,
         )
         if eco is not None:
             return eco
 
-    if not forced and stats.n_dense_variables <= SMALL_PROBLEM_VARIABLES:
-        return _solve_small_dense(
-            f, cluster_width, pair_capacity, n_minority_rows,
+    if (
+        forced and candidate_k >= n_p
+    ) or (
+        not forced and stats.n_dense_variables <= SMALL_PROBLEM_VARIABLES
+    ):
+        return _solve_dense(
+            f_by_class, width_by_class, pair_capacity, budgets,
             backend, time_limit_s, warm, stats,
         )
 
     lp_info: _LpInfo | None = None
-    extra = np.zeros((n_c, n_p), dtype=bool)  # pricing re-admissions
+    # Pricing re-admissions and earlier candidate sets, per class.
+    extra = [np.zeros(f.shape, dtype=bool) for f in f_by_class]
 
     with span(
         "rap.sparse",
         backend=backend,
-        n_clusters=n_c,
+        n_classes=K,
+        n_clusters=sum(n_cs),
         n_pairs=n_p,
         forced_k=candidate_k,
     ) as root:
@@ -1438,14 +1265,12 @@ def solve_rap_sparse(
             stats.strategy = "top-k"
             k = int(np.clip(candidate_k, 1, n_p))
             with span("rap.sparse.candidates", k=k, strategy="top-k"):
-                mask, k = coverage_mask(
-                    f, pair_capacity, n_minority_rows, total_width, k, extra
-                )
+                masks, ks = _widen([k] * K, extra)
         else:
             stats.strategy = "rc-fixing"
             with span("rap.sparse.candidates") as cand_span:
-                lp = _dense_lp(
-                    f, cluster_width, pair_capacity, n_minority_rows,
+                lp = _strengthened_lp(
+                    f_by_class, width_by_class, pair_capacity, budgets,
                     time_limit_s=_left(),
                 )
                 if isinstance(lp, MilpSolution):  # LP proves infeasibility
@@ -1453,124 +1278,99 @@ def solve_rap_sparse(
                     stats.solve_s += lp.runtime_s
                     stats.certified = True
                     return lp, stats
-                incumbent: tuple[np.ndarray, float] | None = None
+                incumbent: list[np.ndarray] | None = None
                 if lp is not None:
                     lp_info = lp
                     stats.lp_bound = lp.objective
                     stats.solve_s += lp.runtime_s
-                    rounded = _lp_rounding_incumbent(
-                        f, cluster_width, pair_capacity, n_minority_rows,
-                        lp.y_fractional, backend, _left(),
+                    incumbent = _rc_fixing_incumbent(
+                        f_by_class, width_by_class, pair_capacity, budgets,
+                        lp, warm, backend, _left(), stats,
                     )
-                    if rounded is not None:
-                        stats.solve_s += rounded[2]
-                    z_warm = (
-                        assignment_cost(f, warm)
-                        if warm is not None
-                        else np.inf
-                    )
-                    if rounded is not None and rounded[1] <= z_warm:
-                        incumbent = (rounded[0], rounded[1])
-                    elif warm is not None:
-                        incumbent = (warm, z_warm)
                 if lp_info is not None and incumbent is not None:
-                    z_ub = incumbent[1]
+                    z_ub = _joint_cost(f_by_class, incumbent)
                     stats.upper_bound = z_ub
                     tol = 1e-6 * max(1.0, abs(z_ub))
-                    mask = (
-                        lp_info.objective + lp_info.reduced_costs
-                        <= z_ub + tol
-                    )
+                    masks = [
+                        lp_info.objective + rc <= z_ub + tol
+                        for rc in lp_info.reduced_costs
+                    ]
                     # The incumbent's own columns always survive, which
                     # keeps the restricted problem feasible by
                     # construction; force them in against FP noise.
-                    mask[np.arange(n_c), incumbent[0]] = True
-                    k = int(mask.sum(axis=1).max())
+                    for mask, a in zip(masks, incumbent):
+                        mask[np.arange(len(a)), a] = True
+                    ks = [int(m.sum(axis=1).max()) for m in masks]
                     if warm is None:
-                        warm = incumbent[0]
+                        warm = incumbent
                     cand_span.annotate(
                         strategy="rc-fixing",
-                        n_candidates=int(mask.sum()),
+                        n_candidates=int(sum(m.sum() for m in masks)),
                         lp_bound=lp_info.objective,
                         upper_bound=z_ub,
                     )
                 else:
                     # No LP or no incumbent: adaptive top-k fallback.
                     stats.strategy = "top-k"
-                    k = adaptive_candidate_count(
-                        f, cluster_width, pair_capacity, n_minority_rows
+                    masks, ks = _widen(
+                        [
+                            adaptive_candidate_count(f, w, pair_capacity, b)
+                            for f, w, b in zip(
+                                f_by_class, width_by_class, budgets
+                            )
+                        ],
+                        extra,
                     )
-                    mask, k = coverage_mask(
-                        f, pair_capacity, n_minority_rows, total_width,
-                        k, extra,
-                    )
-                    cand_span.annotate(strategy="top-k", k=k)
-        stats.k_initial = k
+                    cand_span.annotate(strategy="top-k", k=max(ks))
+        stats.k_initial = max(ks)
 
         while True:
             stats.rounds += 1
             if stats.rounds > _SAFETY_ROUNDS:
-                mask = np.ones((n_c, n_p), dtype=bool)
-            comps = _candidate_components(mask)
-            stats.n_components = len(comps)
-            stats.n_candidates = int(mask.sum())
-            stats.k_final = int(mask.sum(axis=1).max())
+                masks = [np.ones(f.shape, dtype=bool) for f in f_by_class]
+            stats.n_candidates = int(sum(m.sum() for m in masks))
+            stats.k_final = int(max(m.sum(axis=1).max() for m in masks))
 
-            solution: MilpSolution | None = None
-            if len(comps) > 1:
-                solution = _solve_decomposed(
-                    f, cluster_width, pair_capacity, n_minority_rows,
-                    mask, comps, backend, _left(), warm,
-                    workers, strengthen, stats,
-                )
-            if solution is None:  # single component or oversized sweep
-                t0 = time.perf_counter()
-                srm = build_rap_model(
-                    [f], [cluster_width], pair_capacity, [n_minority_rows],
-                    [mask], strengthen=strengthen,
-                )
-                stats.build_s += time.perf_counter() - t0
-                warm_vec = None
-                if warm is not None:
-                    candidate = srm.encode_assignment([warm])
-                    if candidate is not None and srm.model.is_feasible(
-                        candidate
-                    ):
-                        warm_vec = candidate
-                restricted = solve_milp(
-                    srm.model,
-                    backend=backend,
-                    time_limit_s=_left(),
-                    warm_start=warm_vec,
-                )
-                stats.solve_s += restricted.runtime_s
-                solution = MilpSolution(
-                    status=restricted.status,
-                    x=(
-                        srm.to_dense_x(restricted.x)
-                        if restricted.x is not None
-                        else None
-                    ),
-                    objective=restricted.objective,
-                    nodes=restricted.nodes,
-                    runtime_s=restricted.runtime_s,
-                )
+            t0 = time.perf_counter()
+            srm = build_rap_model(
+                f_by_class, width_by_class, pair_capacity, budgets, masks,
+                strengthen=True,
+            )
+            stats.build_s += time.perf_counter() - t0
+            restricted = solve_milp(
+                srm.model,
+                backend=backend,
+                time_limit_s=_left(),
+                warm_start=_warm_vector(srm, warm),
+            )
+            stats.solve_s += restricted.runtime_s
+            solution = MilpSolution(
+                status=restricted.status,
+                x=(
+                    srm.to_dense_x(restricted.x)
+                    if restricted.x is not None
+                    else None
+                ),
+                objective=restricted.objective,
+                nodes=restricted.nodes,
+                runtime_s=restricted.runtime_s,
+            )
 
             observe(
                 "rap.sparse",
                 round=stats.rounds,
                 n_candidates=stats.n_candidates,
-                components=stats.n_components,
                 objective=(
                     solution.objective if solution.ok else None
                 ),
                 admitted=stats.admitted_columns,
             )
 
-            full = not (~mask).any()
+            full = not any((~m).any() for m in masks)
             if solution.status is MilpStatus.INFEASIBLE:
                 if full:
                     root.annotate(outcome="infeasible")
+                    stats.certified = True
                     return solution, stats
                 if _spent():
                     # Only the *restricted* problem is proven
@@ -1588,12 +1388,12 @@ def solve_rap_sparse(
                         ),
                         stats,
                     )
-                k = min(n_p, 2 * max(k, 1))
-                with span("rap.sparse.candidates", k=k, escalated=True):
-                    mask, k = coverage_mask(
-                        f, pair_capacity, n_minority_rows, total_width,
-                        k, extra | mask,
-                    )
+                ks = [min(n_p, 2 * max(k, 1)) for k in ks]
+                extra = [e | m for e, m in zip(extra, masks)]
+                with span(
+                    "rap.sparse.candidates", k=max(ks), escalated=True
+                ):
+                    masks, ks = _widen(ks, extra)
                 continue
             if not solution.ok or solution.x is None:
                 if _spent() and warm is not None:
@@ -1617,8 +1417,8 @@ def solve_rap_sparse(
             # Pricing test: can any pruned column beat this optimum?
             z = solution.objective
             if lp_info is None and not _spent():
-                lp = _dense_lp(
-                    f, cluster_width, pair_capacity, n_minority_rows,
+                lp = _strengthened_lp(
+                    f_by_class, width_by_class, pair_capacity, budgets,
                     time_limit_s=_left(),
                 )
                 if isinstance(lp, _LpInfo):
@@ -1634,16 +1434,16 @@ def solve_rap_sparse(
                     return solution, stats
                 # No pricing bound available: keep the exactness
                 # contract by solving the dense model (slow path).
-                logger.warning(
-                    "sparse RAP pricing unavailable; solving dense model"
-                )
-                mask = np.ones((n_c, n_p), dtype=bool)
+                logger.warning("RAP pricing unavailable; solving dense model")
+                masks = [np.ones(f.shape, dtype=bool) for f in f_by_class]
                 continue
             tol = 1e-6 * max(1.0, abs(z))
-            admit = (~mask) & (
-                lp_info.objective + lp_info.reduced_costs <= z + tol
-            )
-            if not admit.any():
+            admits = [
+                ~m & (lp_info.objective + rc <= z + tol)
+                for m, rc in zip(masks, lp_info.reduced_costs)
+            ]
+            n_admit = int(sum(a.sum() for a in admits))
+            if n_admit == 0:
                 stats.certified = True
                 root.annotate(outcome="certified", objective=z)
                 return solution, stats
@@ -1653,11 +1453,10 @@ def solve_rap_sparse(
                 # incumbent.
                 root.annotate(outcome="budget", objective=z)
                 return solution, stats
-            n_admit = int(admit.sum())
             stats.admitted_columns += n_admit
             logger.info(
                 "RAP pricing re-admits %d pruned columns (z=%.6g)",
                 n_admit, z,
             )
-            extra |= admit
-            mask = mask | admit
+            extra = [e | a for e, a in zip(extra, admits)]
+            masks = [m | a for m, a in zip(masks, admits)]

@@ -20,8 +20,8 @@ place instead:
    the cached clustering labels to *dirty clusters*; everything else
    stays pinned.
 
-3. **Incremental RAP repair** — :func:`~repro.core.sparse_rap.
-   solve_rap_sparse` with ``dirty_clusters=`` warm-starts from the
+3. **Incremental RAP repair** — :func:`~repro.core.rap.solve_rap`
+   with ``dirty_clusters=``, one call per class, warm-starts from the
    incumbent assignment and re-prices only the dirty columns under the
    incumbent's frozen row map.  A certified repair keeps the mixed
    floorplan (and every clean cell) untouched; anything the restricted
@@ -745,7 +745,7 @@ def _repair_classes(runner, base, labels_by, app):
     cannot certify equality with its row-frozen subproblem optimum.
     """
     from repro.core.cost import compute_rap_costs
-    from repro.core.sparse_rap import dense_assignment, solve_rap_sparse
+    from repro.core.rap import solve_rap
 
     init = runner.initial
     params = runner.params
@@ -772,15 +772,16 @@ def _repair_classes(runner, base, labels_by, app):
         if len(dirty) == 0:
             new = warm
         else:
-            solution, stats = solve_rap_sparse(
-                f,
-                costs.cluster_width,
+            # The frozen row map decouples the classes, so each class
+            # repairs in its own single-class solve.
+            solution, maps, stats = solve_rap(
+                [f],
+                [costs.cluster_width],
                 cap,
-                len(np.unique(warm)),
+                [len(np.unique(warm))],
                 backend=params.solver_backend,
                 time_limit_s=params.solver_time_limit_s,
-                warm_assignment=warm,
-                workers=params.rap_workers,
+                warm_assignment=[warm],
                 dirty_clusters=dirty,
             )
             if stats.strategy != "eco-repair":
@@ -793,7 +794,7 @@ def _repair_classes(runner, base, labels_by, app):
                     f"restricted repair unavailable for {track:g}T "
                     f"(engine ran {stats.strategy or 'nothing'})"
                 )
-            if not solution.ok or solution.x is None:
+            if maps is None:
                 raise _EcoFallback(
                     f"restricted repair failed for {track:g}T "
                     f"({solution.status.value})"
@@ -802,9 +803,7 @@ def _repair_classes(runner, base, labels_by, app):
                 raise _EcoFallback(
                     f"restricted repair uncertified for {track:g}T"
                 )
-            (new,) = dense_assignment(
-                solution.x, [n_clusters], len(init.pair_capacity)
-            )
+            (new,) = maps
         objective += float(f[np.arange(n_clusters), new].sum())
         moved_by.append(np.flatnonzero(new != warm))
         parts_c2p.append(new)

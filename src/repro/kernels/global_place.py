@@ -23,9 +23,7 @@ inner loop for it, and measured at 100k cells it beats both a
 
 Nothing here imports the placement package (only numpy/scipy), so the
 kernels layer stays dependency-free; ``placed`` is duck-typed (arrays +
-``topology`` + ``design.num_instances``), which is what lets the
-shared-memory design views of :mod:`repro.placement.shm` run through
-this kernel unchanged.
+``topology`` + ``design.num_instances``).
 """
 
 from __future__ import annotations

@@ -89,9 +89,6 @@ REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     "pool.respawn": ("victims",),
     "pool.retry": ("index", "attempt"),
     "pool.inline": ("index",),
-    "shm.publish": ("segment", "nbytes"),
-    "shm.unlink": ("segment",),
-    "shm.census": ("segments",),
     "sweep.job": ("testcase", "flow", "status"),
     "eco.start": ("n_ops",),
     "eco.repaired": ("seconds", "hpwl", "certified"),
@@ -205,7 +202,7 @@ def emit_event(type_: str, **fields: Any) -> None:
     """Append one event to the active emitter (no-op without one).
 
     The producer entry point, mirroring :func:`repro.obs.convergence.
-    observe`: span hooks, the pool, the shm layer and the sweep engine
+    observe`: span hooks, the pool, the ECO path and the sweep engine
     all call this unconditionally and pay one contextvar read when no
     bus is attached.
     """
@@ -257,17 +254,13 @@ class EventBus:
     ``attach()`` scopes the parent emitter + handle contextvars and
     runs the drainer; :meth:`subscribe` registers consumers (callables
     receiving one event dict each; optional ``tick(now)`` runs after
-    every drain round, optional ``close()`` at shutdown).  The drainer
-    additionally synthesizes a periodic ``shm.census`` event from
-    :func:`repro.placement.shm.active_repro_segments`, so a leaked
-    segment is visible *while* the run leaks it.
+    every drain round, optional ``close()`` at shutdown).
     """
 
     def __init__(
         self,
         spool_dir: str | os.PathLike | None = None,
         poll_interval_s: float = 0.05,
-        census_interval_s: float = 1.0,
         flush_interval_s: float = 0.05,
     ) -> None:
         self._own_dir: tempfile.TemporaryDirectory | None = None
@@ -277,7 +270,6 @@ class EventBus:
         self.spool_dir = os.fspath(spool_dir)
         os.makedirs(self.spool_dir, exist_ok=True)
         self.poll_interval_s = poll_interval_s
-        self.census_interval_s = census_interval_s
         self.emitter = EventEmitter(
             self.spool_dir, flush_interval_s=flush_interval_s
         )
@@ -286,8 +278,6 @@ class EventBus:
         self._carry: dict[str, str] = {}
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._census_seq = 0
-        self._last_census = 0.0
         self.delivered = 0
         self.parse_errors = 0
         self.counts_by_type: dict[str, int] = {}
@@ -368,31 +358,6 @@ class EventBus:
             self._deliver(event)
         return len(batch)
 
-    def _census(self, now: float) -> None:
-        if now - self._last_census < self.census_interval_s:
-            return
-        self._last_census = now
-        # Lazy import: placement.shm emits through this module, so a
-        # top-level import here would be circular.
-        try:
-            from repro.placement.shm import active_repro_segments
-
-            segments = active_repro_segments()
-        except Exception:  # pragma: no cover - census is best-effort
-            logger.debug("event bus: shm census failed", exc_info=True)
-            return
-        self._census_seq += 1
-        self._deliver(
-            {
-                "t": time.time(),
-                "pid": os.getpid(),
-                "src": f"census-{os.getpid()}",
-                "seq": self._census_seq,
-                "type": "shm.census",
-                "segments": segments,
-            }
-        )
-
     def _tick_consumers(self, now: float) -> None:
         for consumer in list(self._consumers):
             tick = getattr(consumer, "tick", None)
@@ -409,9 +374,7 @@ class EventBus:
     def _drain_loop(self) -> None:
         while not self._stop.wait(self.poll_interval_s):
             self.drain_once()
-            now = time.monotonic()
-            self._census(now)
-            self._tick_consumers(now)
+            self._tick_consumers(time.monotonic())
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -510,8 +473,7 @@ class JsonlSink:
 class PrometheusExporter:
     """Bus consumer flushing a registry as a Prometheus textfile.
 
-    Counts every event into ``events.<type>`` counters (and mirrors the
-    shm census into an ``events.shm_segments`` gauge) on the given
+    Counts every event into ``events.<type>`` counters on the given
     registry, then periodically writes
     :meth:`~repro.obs.metrics.MetricsRegistry.to_prometheus` via the
     atomic tmp + rename the node-exporter textfile collector expects.
@@ -535,10 +497,6 @@ class PrometheusExporter:
     def __call__(self, event: dict) -> None:
         type_ = str(event.get("type", "?"))
         self.registry.counter(f"events.{type_}").inc()
-        if type_ == "shm.census":
-            self.registry.gauge("events.shm_segments").set(
-                len(event.get("segments") or ())
-            )
 
     def flush(self) -> None:
         text = self.registry.to_prometheus(namespace=self.namespace)

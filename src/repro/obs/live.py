@@ -2,10 +2,10 @@
 
 :class:`LiveView` subscribes to an :class:`~repro.obs.events.EventBus`
 and repaints a compact dashboard — current stage path, pool health,
-convergence sparkline, last QoR snapshot, shm segment census and
-sweep progress — after every drain round.  The same
-:class:`LiveStatus` / :func:`format_event` machinery backs ``repro
-tail``, so headless runs replay through the identical renderer.
+convergence sparkline, last QoR snapshot and sweep progress — after
+every drain round.  The same :class:`LiveStatus` /
+:func:`format_event` machinery backs ``repro tail``, so headless runs
+replay through the identical renderer.
 
 While a view is painting, the managed ``repro`` logging handler is
 redirected into an in-memory buffer (its last lines render as a pane of
@@ -97,7 +97,6 @@ class LiveStatus:
         self.convergence: dict[str, deque] = {}
         self.conv_window = conv_window
         self.last_qor: tuple[str, dict] | None = None
-        self.shm_segments: int | None = None
         self.sweep: dict | None = None
 
     # -- ingestion ---------------------------------------------------------
@@ -156,9 +155,6 @@ class LiveStatus:
             metrics = event.get("metrics")
             if isinstance(metrics, Mapping):
                 self.last_qor = (str(event.get("stage", "?")), dict(metrics))
-        elif type_ == "shm.census":
-            segments = event.get("segments")
-            self.shm_segments = len(segments) if segments is not None else 0
         elif type_ == "sweep.job":
             self.sweep = {
                 k: event.get(k)
@@ -196,8 +192,6 @@ class LiveStatus:
                 f"kills {pool['kills']}  respawns {pool['respawns']}  "
                 f"retries {pool['retries']}  inline {pool['inline']}"
             )
-        if self.shm_segments is not None:
-            lines.append(f"shm   : {self.shm_segments} active segment(s)")
         if self.last_qor is not None:
             stage, metrics = self.last_qor
             body = "  ".join(

@@ -22,7 +22,6 @@ from repro.utils.supervise import (
     PoolStats,
     SupervisedPool,
     TaskOutcome,
-    supervised_map,
 )
 from repro.utils.timer import StageTimes, Timer
 
@@ -43,7 +42,6 @@ __all__ = [
     "PoolStats",
     "SupervisedPool",
     "TaskOutcome",
-    "supervised_map",
     "make_rng",
     "spawn_rngs",
     "StageTimes",

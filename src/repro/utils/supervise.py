@@ -1,9 +1,8 @@
 """Supervised, crash-tolerant process pool.
 
-Every parallel surface in the library (sweep testcase jobs, sparse-RAP
-component sub-MILPs) historically assumed workers never crash or hang:
+Sweep testcase jobs historically assumed workers never crash or hang:
 one ``BrokenProcessPool`` or a wedged solver call killed the whole batch.
-This module is the supervision layer underneath both of them:
+This module is the supervision layer underneath them:
 
 * :class:`SupervisedPool` wraps :class:`~concurrent.futures.
   ProcessPoolExecutor` with
@@ -26,13 +25,14 @@ This module is the supervision layer underneath both of them:
     process, flagged ``ran_inline`` in its :class:`TaskOutcome` so callers
     can surface degraded-mode provenance.
 
-* :func:`supervised_map` is the drop-in ``map`` on top of it.
-
-* Worker-side fault injection: each task wrapper calls
-  :meth:`~repro.utils.resilience.FaultPlan.check` with ``worker=True`` and
-  the parent-side attempt number, so the ``worker_crash`` / ``worker_hang``
-  / ``slow_solver`` fault kinds fire *inside pool workers* deterministically
-  (see :mod:`repro.utils.resilience`).
+* Worker-side fault injection happens inside the task: the worker
+  wrapper stamps the parent-side attempt number onto dict items as
+  ``_pool_attempt``, and a task calls
+  :meth:`~repro.utils.resilience.FaultPlan.check` with that attempt and
+  ``worker=True``, so the ``worker_crash`` / ``worker_hang`` /
+  ``slow_solver`` fault kinds fire *inside pool workers*
+  deterministically (see :mod:`repro.utils.resilience`).  Inline runs
+  carry no stamp, so a task injects nothing there.
 
 Functions submitted to the pool must be module-level and their items
 picklable (standard ``ProcessPoolExecutor`` rules); everything here is
@@ -62,7 +62,7 @@ import logging
 from repro.obs.events import current_bus_handle, emit_event, spool_emitter
 from repro.obs.metrics import current_registry
 from repro.utils.errors import ReproError
-from repro.utils.resilience import FaultPlan, RetryPolicy
+from repro.utils.resilience import RetryPolicy
 
 logger = logging.getLogger(__name__)
 
@@ -92,7 +92,7 @@ def _heartbeat_loop(path: str, interval_s: float, stop: threading.Event) -> None
 
 
 def _supervised_call(payload: dict) -> Any:
-    """Run one task inside a pool worker, under heartbeat + fault hooks.
+    """Run one task inside a pool worker, under a heartbeat.
 
     Writes ``<hb_path>`` (PID on the first line) when the task starts,
     beats it from a daemon thread every ``heartbeat_interval_s`` while the
@@ -111,24 +111,17 @@ def _supervised_call(payload: dict) -> Any:
             daemon=True,
         ).start()
     try:
-        plan: FaultPlan | None = payload.get("fault_plan")
-        if plan is not None and payload.get("fault_stage"):
-            plan.check(
-                payload["fault_stage"],
-                attempt=payload.get("attempt"),
-                worker=True,
-            )
         item = payload["item"]
         if isinstance(item, dict):
-            # Parent-side attempt number, for task-internal fault hooks
-            # (e.g. shm attach): worker-side plan copies are re-pickled
-            # on every retry, so only this counter survives a respawn.
+            # Parent-side attempt number, for task-internal fault hooks:
+            # worker-side plan copies are re-pickled on every retry, so
+            # only this counter survives a respawn.
             item.setdefault("_pool_attempt", payload.get("attempt"))
         events_dir = payload.get("events")
         if events_dir:
             # The submitting parent had an event bus attached: stream
-            # this task's telemetry (spans, convergence, shm, ...)
-            # through a per-worker spool file the parent drains live.
+            # this task's telemetry (spans, convergence, ...) through a
+            # per-worker spool file the parent drains live.
             with spool_emitter(events_dir):
                 result = payload["fn"](item)
         else:
@@ -266,8 +259,7 @@ class SupervisedPool:
     can be starved by long GIL-holding native calls, so staleness kills
     are opt-in), two attempts per task, inline last resort enabled.  The
     executor is created lazily and survives across :meth:`map` calls, so
-    a pool passed to :func:`supervised_map` amortizes worker spawn across
-    many small batches.
+    one pool amortizes worker spawn across many small batches.
     """
 
     def __init__(
@@ -279,7 +271,6 @@ class SupervisedPool:
         retry: RetryPolicy | None = None,
         max_respawns: int = 3,
         inline_last_resort: bool = True,
-        fault_plan: FaultPlan | None = None,
         tick_s: float = 0.05,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -292,7 +283,6 @@ class SupervisedPool:
         self.retry = retry or RetryPolicy(max_attempts=2)
         self.max_respawns = max_respawns
         self.inline_last_resort = inline_last_resort
-        self.fault_plan = fault_plan
         self.tick_s = tick_s
         self.sleep = sleep
         self.stats = PoolStats()
@@ -337,11 +327,7 @@ class SupervisedPool:
     # -- supervision helpers -----------------------------------------------
 
     def _payload(
-        self,
-        fn: Callable,
-        item: Any,
-        attempt: int,
-        fault_stage: str | None,
+        self, fn: Callable, item: Any, attempt: int
     ) -> tuple[dict, str]:
         assert self._hb_dir is not None
         hb_path = os.path.join(
@@ -357,9 +343,6 @@ class SupervisedPool:
         events_dir = current_bus_handle()
         if events_dir is not None:
             payload["events"] = events_dir
-        if self.fault_plan is not None and fault_stage:
-            payload["fault_plan"] = self.fault_plan
-            payload["fault_stage"] = fault_stage
         return payload, hb_path
 
     def _check_deadlines(self, flights: dict, now: float) -> None:
@@ -425,14 +408,11 @@ class SupervisedPool:
         fn: Callable[[T], R],
         items: Sequence[T] | Iterable[T],
         progress: Callable[[int, "TaskOutcome"], None] | None = None,
-        fault_stages: Sequence[str | None] | None = None,
     ) -> list[TaskOutcome]:
         """Map ``fn`` over ``items`` under supervision.
 
         Returns one :class:`TaskOutcome` per item, in submission order.
-        ``progress`` fires in completion order.  ``fault_stages`` names
-        the fault-injection stage per item (requires a ``fault_plan`` on
-        the pool); ``None`` entries inject nothing.
+        ``progress`` fires in completion order.
         """
         items = list(items)
         outcomes = [TaskOutcome(index=i) for i in range(len(items))]
@@ -451,13 +431,8 @@ class SupervisedPool:
                 flights: dict[int, _InFlight] = {}
                 for i in sorted(pending):
                     outcomes[i].attempts += 1
-                    stage = (
-                        fault_stages[i]
-                        if fault_stages is not None
-                        else None
-                    )
                     payload, hb_path = self._payload(
-                        fn, items[i], outcomes[i].attempts, stage
+                        fn, items[i], outcomes[i].attempts
                     )
                     emit_event(
                         "pool.task_start",
@@ -580,8 +555,8 @@ class SupervisedPool:
     ) -> None:
         """Last resort: run exhausted tasks in the parent process.
 
-        Worker-side faults do not fire here (they are defined to fire
-        inside pool workers), so a task that crashed every pool attempt
+        Items carry no ``_pool_attempt`` stamp here, so task-side worker
+        faults do not fire, and a task that crashed every pool attempt
         still gets one clean, in-process execution — flagged
         ``ran_inline`` for degraded-mode provenance.
         """
@@ -618,53 +593,3 @@ class SupervisedPool:
             outcome.wall_s = time.perf_counter() - t0
             if progress is not None:
                 progress(i, outcome)
-
-
-def supervised_map(
-    fn: Callable[[T], R],
-    items: Sequence[T] | Iterable[T],
-    workers: int = 1,
-    progress: Callable[[int, R], None] | None = None,
-    min_items: int = 2,
-    pool: SupervisedPool | None = None,
-    **pool_kwargs: Any,
-) -> list[R]:
-    """Map ``fn`` over ``items`` on a supervised process pool.
-
-    Submission-order results, completion-order progress, inline for
-    ``workers <= 1`` or fewer than ``min_items`` items, the first task
-    exception re-raised; pooled execution survives worker crashes and
-    hangs via :class:`SupervisedPool` (pass ``pool`` to reuse a warm one;
-    extra kwargs construct a private pool).
-    """
-    items = list(items)
-    if (pool is None and workers <= 1) or len(items) < min_items:
-        results: list[R] = []
-        for i, item in enumerate(items):
-            result = fn(item)
-            results.append(result)
-            if progress is not None:
-                progress(i, result)
-        return results
-    own_pool = pool is None
-    pool = pool or SupervisedPool(workers=workers, **pool_kwargs)
-    try:
-        outcomes = pool.map(
-            fn,
-            items,
-            progress=(
-                None
-                if progress is None
-                else lambda i, out: progress(i, out.value)
-            ),
-        )
-    finally:
-        if own_pool:
-            pool.shutdown()
-    for outcome in outcomes:
-        if not outcome.ok:
-            raise PoolGaveUp(
-                f"supervised task {outcome.index} failed "
-                f"[{outcome.error_type}]: {outcome.error}"
-            )
-    return [outcome.value for outcome in outcomes]

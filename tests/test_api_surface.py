@@ -1,12 +1,14 @@
 """The public API surface: dir(repro) == docs/API.md, removed shims raise."""
 
+import argparse
+import dataclasses
 import pathlib
 import re
 
 import pytest
 
 import repro
-from repro.core.config import RunConfig
+from repro.core.config import RunConfig, add_run_config_args
 from repro.core.flows import FlowKind, run_flow
 from repro.core.params import RCPPParams
 from repro.experiments.runner import run_testcase
@@ -147,3 +149,38 @@ class TestRunConfigShims:
             for legacy in ("scale", "params", "base_params"):
                 with pytest.raises(TypeError):
                     run(**{legacy: None})
+
+
+class TestRemovedIn4:
+    """The 4.0 removals are gone from the surface; 3.x snapshots load."""
+
+    def test_removed_names_absent(self):
+        import importlib
+        import inspect
+
+        import repro.utils
+        from repro.obs.events import EventBus
+        from repro.utils.supervise import SupervisedPool
+
+        assert "supervised_map" not in repro.__all__
+        assert "supervised_map" not in repro.utils.__all__
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.placement.shm")
+        fields = {f.name for f in dataclasses.fields(RCPPParams)}
+        assert "rap_workers" not in fields and len(fields) == 13
+        assert "census_interval_s" not in inspect.signature(EventBus).parameters
+        assert "fault_plan" not in inspect.signature(SupervisedPool).parameters
+        assert "fault_stages" not in inspect.signature(
+            SupervisedPool.map
+        ).parameters
+
+    def test_cli_drops_rap_workers_flag(self):
+        parser = argparse.ArgumentParser()
+        add_run_config_args(parser)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--rap-workers", "2"])
+
+    def test_3x_snapshot_with_rap_workers_loads(self):
+        data = RunConfig(scale=0.5).to_dict()
+        data["params"]["rap_workers"] = 2
+        assert RunConfig.from_dict(data).params == RunConfig(scale=0.5).params

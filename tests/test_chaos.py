@@ -2,31 +2,23 @@
 
 Every fault type (``worker_crash``, ``worker_hang``, ``slow_solver``)
 must be survivable by ``run_sweep`` on the supervised pool, with
-provenance that accurately reports what happened.  Worker crashes
-mid-attach and after attaching a shared-memory segment must never leak
-the segment, and SIGKILLed workers must never tear the event stream.
-Also covers the crash-safe journal: a killed-then-resumed sweep must
-reproduce the uninterrupted run's deterministic rows.
+provenance that accurately reports what happened, and SIGKILLed workers
+must never tear the event stream.  Also covers the crash-safe journal:
+a killed-then-resumed sweep must reproduce the uninterrupted run's
+deterministic rows.
 """
 
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core.config import RunConfig
-from repro.core.sparse_rap import solve_rap_sparse
 from repro.experiments.sweep_engine import run_sweep, sweep_fingerprint
-from repro.placement.shm import (
-    active_repro_segments,
-    attach_arrays,
-    publish_arrays,
-)
 from repro.utils.errors import ValidationError
 from repro.utils.resilience import FaultPlan
 from repro.utils.supervise import SupervisedPool
-from tests import test_sparse_rap
+from tests.test_supervise import faulty_items, square_job
 
 pytestmark = pytest.mark.faults
 
@@ -39,106 +31,8 @@ DETERMINISTIC_JOB_FIELDS = (
     "n_minority_rows", "n_clusters", "seed", "error",
 )
 
-
-# ---------------------------------------------------------------------------
-# Pool jobs over one shared-memory segment
-
-#: Fault stage the job checks once its views exist.
-AFTER_ATTACH = "job.attached"
-N_TASKS = 4
-SLICE = 1024
-
-
-def _segment_sum_job(item: dict) -> float:
-    """Attach the published segment, sum one slice, close.
-
-    Worker faults fire only inside pool workers: the pool's worker
-    wrapper stamps ``_pool_attempt``, so an inline last-resort run (no
-    stamp) attaches clean.  A ``shm.attach`` fault fires mid-attach;
-    an :data:`AFTER_ATTACH` fault fires once the views exist, so a
-    crash there never runs ``close()``.
-    """
-    attempt = item.get("_pool_attempt")
-    plan = item["fault_plan"] if attempt is not None else None
-    attached = attach_arrays(item["shm"], fault_plan=plan, attempt=attempt)
-    try:
-        if plan is not None:
-            plan.check(AFTER_ATTACH, attempt=attempt, worker=True)
-        return float(attached["x"][item["lo"]:item["lo"] + SLICE].sum())
-    finally:
-        attached.close()
-
-
-def _pool_over_segment(fault_plan=None):
-    """Run :func:`_segment_sum_job` over one segment on a 2-worker pool;
-    returns the outcomes, the expected sums and the pool's stats."""
-    x = np.arange(N_TASKS * SLICE, dtype=float)
-    with publish_arrays({"x": x}) as pub:
-        items = [
-            {"shm": pub.handle, "fault_plan": fault_plan, "lo": i * SLICE}
-            for i in range(N_TASKS)
-        ]
-        with SupervisedPool(workers=2) as pool:
-            outcomes = pool.map(_segment_sum_job, items)
-    expected = [float(x[i * SLICE:(i + 1) * SLICE].sum()) for i in range(N_TASKS)]
-    return outcomes, expected, pool.stats
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory lifetime under faults
-
-
-class TestShmChaos:
-    """Crashing a worker *mid-attach* must never leak a segment.
-
-    The ``shm.attach`` fault stage fires inside
-    :func:`repro.placement.shm.attach_arrays` — after the worker mapped
-    the segment, before any view exists — the exact window where a leak
-    would happen if anyone but the owner were responsible for
-    unlinking.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _leak_oracle(self):
-        assert active_repro_segments() == []
-        yield
-        assert active_repro_segments() == [], "leaked shm segments"
-
-    def test_forced_shm_fan_out_matches_pickled(self, monkeypatch):
-        # The component fan-out with every payload forced through a
-        # segment returns exactly what the inline pickled run returns.
-        f, w, cap = test_sparse_rap.TestDecomposition._two_block()
-        inline, _ = solve_rap_sparse(f, w, cap, 3, candidate_k=3, workers=1)
-        monkeypatch.setattr("repro.core.sparse_rap.SHM_MIN_BYTES", 0)
-        shared, stats = solve_rap_sparse(
-            f, w, cap, 3, candidate_k=3, workers=2
-        )
-        assert stats.n_components == 2
-        assert shared.objective == inline.objective
-        assert np.array_equal(shared.x, inline.x)
-
-    def test_worker_crash_mid_attach_recovers_without_leak(self):
-        plan = FaultPlan().fail(
-            "shm.attach", kind="worker_crash", on_attempt=1
-        )
-        outcomes, expected, stats = _pool_over_segment(plan)
-        # Every task died mid-attach once; the respawned pool retried
-        # them against the still-published segment (a task charged for
-        # a sibling's crash too may finish inline).  The owner's
-        # ``with`` unlinked the segment (asserted by the autouse oracle).
-        assert [o.value for o in outcomes] == expected
-        assert stats.crashes >= 1
-
-    def test_worker_crash_after_attach_does_not_leak(self):
-        # Crash once the views exist, so the dying worker never runs its
-        # close(); process exit must release the mapping and the owner's
-        # unlink the name.
-        plan = FaultPlan().fail(
-            AFTER_ATTACH, kind="worker_crash", on_attempt=1
-        )
-        outcomes, expected, stats = _pool_over_segment(plan)
-        assert [o.value for o in outcomes] == expected
-        assert stats.crashes >= 1
+#: Fault stage every pool job of the event-bus checks runs under.
+JOB_STAGE = "job.run"
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +51,20 @@ class TestEventBusChaos:
     def _attached_pool(self, fault_plan=None):
         from repro.obs.events import EventBus, JsonlSink, validate_events
 
+        xs = [1, 2, 3, 4]
+        items = faulty_items(fault_plan or FaultPlan(), xs, [JOB_STAGE] * 4)
         bus = EventBus()
         seen = []
         bus.subscribe(seen.append)
         sink = bus.subscribe(JsonlSink(Path(bus.spool_dir) / "durable.jsonl"))
         try:
             with bus.attach():
-                outcomes, expected, _ = _pool_over_segment(fault_plan)
+                with SupervisedPool(workers=2) as pool:
+                    outcomes = pool.map(square_job, items)
             problems = validate_events(seen) + validate_events(sink.path)
         finally:
             bus.close()
-        assert [o.value for o in outcomes] == expected
+        assert [o.value for o in outcomes] == [x * x for x in xs]
         return seen, problems, bus
 
     def test_healthy_pool_streams_valid_events(self):
@@ -176,31 +73,15 @@ class TestEventBusChaos:
         assert bus.parse_errors == 0
         types = {e["type"] for e in seen}
         assert {"pool.task_start", "pool.task_done"} <= types
-        assert {"shm.publish", "shm.unlink"} <= types
 
     def test_worker_crash_leaves_no_torn_events(self):
-        plan = FaultPlan().fail(
-            AFTER_ATTACH, kind="worker_crash", on_attempt=1
-        )
+        plan = FaultPlan().fail(JOB_STAGE, kind="worker_crash", on_attempt=1)
         seen, problems, bus = self._attached_pool(plan)
         # The SIGKILLed worker's spool ends mid-line at worst: nothing
         # delivered may be corrupt and the durable file must validate.
         assert problems == []
         assert bus.parse_errors == 0
         assert "pool.respawn" in {e["type"] for e in seen}
-
-    def test_crash_mid_attach_census_sees_no_leak(self):
-        plan = FaultPlan().fail(
-            "shm.attach", kind="worker_crash", on_attempt=1
-        )
-        seen, problems, bus = self._attached_pool(plan)
-        assert problems == []
-        assert bus.parse_errors == 0
-        # The segment's lifetime events streamed and the run ends with
-        # zero live segments.
-        types = {e["type"] for e in seen}
-        assert "shm.publish" in types and "shm.unlink" in types
-        assert active_repro_segments() == []
 
 
 # ---------------------------------------------------------------------------

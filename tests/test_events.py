@@ -259,7 +259,7 @@ class TestPoolStreaming:
         pool = SupervisedPool(workers=2)
         try:
             pool.map(_emit_from_worker, [1])  # warm the heartbeat dir
-            payload, _ = pool._payload(_emit_from_worker, 1, 1, None)
+            payload, _ = pool._payload(_emit_from_worker, 1, 1)
             assert "events" not in payload
         finally:
             pool.shutdown()
@@ -271,15 +271,7 @@ class TestPoolStreaming:
 
 class TestJsonlSinkAndValidation:
     def _streamed_file(self, tmp_path):
-        # No shm census: the drainer's first poll would otherwise stream
-        # one between the two emits on a slow host, and these tests count
-        # and tear exactly the two span events (TestEventBusChaos covers
-        # the census itself).
-        bus = EventBus(
-            tmp_path / "spool",
-            flush_interval_s=0.0,
-            census_interval_s=float("inf"),
-        )
+        bus = EventBus(tmp_path / "spool", flush_interval_s=0.0)
         sink = bus.subscribe(JsonlSink(tmp_path / "events.jsonl"))
         with bus.attach():
             emit_event("span.begin", name="x")
@@ -361,12 +353,10 @@ class TestPrometheusExporter:
         exporter = PrometheusExporter(path, registry=registry)
         for _ in range(3):
             exporter({"type": "span.begin"})
-        exporter({"type": "shm.census", "segments": ["a", "b"]})
         exporter.close()
         text = path.read_text()
         assert "# TYPE repro_events_span_begin_total counter" in text
         assert "repro_events_span_begin_total 3" in text
-        assert "repro_events_shm_segments 2" in text
         assert not path.with_name(path.name + ".tmp").exists()
 
     def test_registry_to_prometheus_histogram(self):
@@ -452,12 +442,10 @@ class TestLiveRenderer:
         status.apply(_evt(1, "pool.kill", index=0, reason="hang", victim=9))
         status.apply(_evt(2, "convergence", series="rap",
                           values={"objective": 5.0}))
-        status.apply(_evt(3, "shm.census", segments=[]))
-        status.apply(_evt(4, "sweep.job", testcase="aes_300", flow=2,
+        status.apply(_evt(3, "sweep.job", testcase="aes_300", flow=2,
                           status="ok", done=1, total=4))
         text = "\n".join(status.render_lines())
         assert "kills 1" in text
-        assert "0 active segment(s)" in text
         assert "1/4 aes_300 flow2 ok" in text
 
     def test_view_paints_once_on_plain_stream(self):

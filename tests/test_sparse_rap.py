@@ -1,15 +1,15 @@
-"""Sparse RAP engine: equivalence with the dense model, pricing, decomposition.
+"""RAP engine: equivalence with the dense model, pricing, budgets.
 
 The engine's contract is *provable equality* with the dense optimum:
 
-* at a forced ``candidate_k = N_P`` the restricted model (and hence the
-  decoded :class:`RowAssignment`) is bit-identical to the dense path on
-  every backend;
+* at a forced ``candidate_k = N_P`` the solve (and hence the decoded
+  :class:`RowAssignment`) is bit-identical to the dense path on every
+  backend;
 * with pruning active, the reduced-cost pricing loop re-admits exactly
   the columns that could still beat the restricted optimum, so certified
-  solves equal the dense objective;
-* component decomposition + the row-apportionment DP is exact under any
-  permutation of clusters and pairs.
+  solves equal the dense objective — also on block-structured candidate
+  sets under any permutation of clusters and pairs;
+* ``time_limit_s`` bounds the whole solve at every class count.
 """
 
 import time
@@ -166,7 +166,7 @@ class TestExactness:
         )
         for backend in EXACT_BACKENDS:
             solution, stats = solve_rap_sparse(
-                f, w, cap, n_minr, backend=backend
+                [f], [w], cap, [n_minr], backend=backend
             )
             if dense.status is MilpStatus.OPTIMAL:
                 assert solution.ok
@@ -185,7 +185,9 @@ class TestExactness:
         dense = solve_milp(
             dense_model(f, w, cap, n_minr), backend="highs"
         )
-        solution, stats = solve_rap_sparse(f, w, cap, n_minr, candidate_k=1)
+        solution, stats = solve_rap_sparse(
+            [f], [w], cap, [n_minr], candidate_k=1
+        )
         if dense.status is MilpStatus.OPTIMAL:
             assert solution.objective == pytest.approx(
                 dense.objective, abs=1e-6
@@ -203,7 +205,7 @@ class TestExactness:
         cap = np.array([2.0, 2.0, 2.0])
         dense = solve_milp(dense_model(f, w, cap, 1), backend="highs")
         assert dense.objective == pytest.approx(0.7)
-        solution, stats = solve_rap_sparse(f, w, cap, 1, candidate_k=2)
+        solution, stats = solve_rap_sparse([f], [w], cap, [1], candidate_k=2)
         assert solution.objective == pytest.approx(dense.objective)
         assert stats.admitted_columns > 0  # the repair loop fired
         assert stats.rounds > 1
@@ -226,7 +228,7 @@ class TestExactness:
         w = np.full(4, 2.0)
         cap = np.array([2.5, 2.5, 10.0])
         dense = solve_milp(dense_model(f, w, cap, 2), backend="highs")
-        solution, stats = solve_rap_sparse(f, w, cap, 2, candidate_k=1)
+        solution, stats = solve_rap_sparse([f], [w], cap, [2], candidate_k=1)
         assert solution.status is MilpStatus.OPTIMAL
         assert solution.objective == pytest.approx(dense.objective)
         assert stats.k_final > stats.k_initial
@@ -236,14 +238,16 @@ class TestExactness:
         f = np.ones((3, 2))
         w = np.full(3, 10.0)
         cap = np.full(2, 1.0)  # nothing fits
-        solution, stats = solve_rap_sparse(f, w, cap, 1)
+        solution, stats = solve_rap_sparse([f], [w], cap, [1])
         assert solution.status is MilpStatus.INFEASIBLE
         assert stats.certified  # infeasibility proven at the dense LP
 
     def test_lagrangian_direct_matches_model_path(self):
         f, w, cap, n_minr = random_instance(7)
         dense = solve_milp(dense_model(f, w, cap, n_minr), backend="lagrangian")
-        direct, _ = solve_rap_sparse(f, w, cap, n_minr, backend="lagrangian")
+        direct, _ = solve_rap_sparse(
+            [f], [w], cap, [n_minr], backend="lagrangian"
+        )
         assert np.array_equal(dense.x, direct.x)
         assert dense.objective == direct.objective
 
@@ -263,7 +267,7 @@ class TestSmallInstanceShortcut:
             dense = solve_milp(
                 dense_model(f, w, cap, n_minr), backend="highs"
             )
-            solution, stats = solve_rap_sparse(f, w, cap, n_minr)
+            solution, stats = solve_rap_sparse([f], [w], cap, [n_minr])
             assert stats.strategy == "dense"
             assert stats.certified
             assert solution.objective == pytest.approx(dense.objective)
@@ -272,15 +276,18 @@ class TestSmallInstanceShortcut:
         f = np.ones((3, 2))
         w = np.full(3, 10.0)
         cap = np.full(2, 1.0)
-        solution, stats = solve_rap_sparse(f, w, cap, 1)
+        solution, stats = solve_rap_sparse([f], [w], cap, [1])
         assert stats.strategy == "dense"
         assert solution.status is MilpStatus.INFEASIBLE
         assert stats.certified
 
     def test_forced_k_bypasses_shortcut(self):
-        f, w, cap, n_minr = random_instance(3)
-        _, stats = solve_rap_sparse(f, w, cap, n_minr, candidate_k=2)
+        f, w, cap, n_minr = random_instance(3)  # N_P = 2
+        _, stats = solve_rap_sparse([f], [w], cap, [n_minr], candidate_k=1)
         assert stats.strategy == "top-k"
+        # A forced k >= N_P is the dense solve itself.
+        _, stats = solve_rap_sparse([f], [w], cap, [n_minr], candidate_k=2)
+        assert stats.strategy == "dense"
 
 
 class TestDecomposition:
@@ -303,23 +310,20 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("permute_seed", [None, 1, 2])
     def test_shuffled_components_exact(self, permute_seed):
-        """Block structure must be found and solved exactly under any
-        relabeling of clusters and pairs."""
+        """Two independent candidate blocks solve exactly, as one
+        restricted model, under any relabeling of clusters and pairs."""
         f, w, cap = self._two_block(permute_seed)
         dense = solve_milp(dense_model(f, w, cap, 3), backend="highs")
-        solution, stats = solve_rap_sparse(
-            f, w, cap, 3, candidate_k=3, workers=2
-        )
-        assert stats.n_components == 2
+        solution, _ = solve_rap_sparse([f], [w], cap, [3], candidate_k=3)
         assert solution.objective == pytest.approx(dense.objective)
 
     def test_component_row_split_infeasible(self):
-        """Two components each need an open pair, but N_minR = 1 and no
-        single pair holds the whole width: the apportionment DP rejects
-        the split and the escalated dense model confirms."""
+        """Two blocks each need an open pair, but N_minR = 1 and no
+        single pair holds the whole width: the restricted solve is
+        infeasible, and escalating to the dense model confirms it."""
         f, w, cap = self._two_block()
         cap = np.full_like(cap, w.sum() * 0.6)
-        solution, _ = solve_rap_sparse(f, w, cap, 1, candidate_k=3)
+        solution, _ = solve_rap_sparse([f], [w], cap, [1], candidate_k=3)
         assert solution.status is MilpStatus.INFEASIBLE
         dense = solve_milp(dense_model(f, w, cap, 1), backend="highs")
         assert dense.status is MilpStatus.INFEASIBLE
@@ -328,12 +332,13 @@ class TestDecomposition:
 class TestWarmStarts:
     def test_warm_assignment_threads_through(self):
         f, w, cap, n_minr = random_instance(21)
-        base, _ = solve_rap_sparse(f, w, cap, n_minr)
+        base, _ = solve_rap_sparse([f], [w], cap, [n_minr])
         assert base.x is not None
         warm = np.argmax(base.x[: f.size].reshape(f.shape), axis=1)
         for backend in ALL_BACKENDS:
             solution, _ = solve_rap_sparse(
-                f, w, cap, n_minr, backend=backend, warm_assignment=warm
+                [f], [w], cap, [n_minr], backend=backend,
+                warm_assignment=[warm],
             )
             assert solution.ok
             if backend != "lagrangian":
@@ -345,7 +350,7 @@ class TestWarmStarts:
         f, w, cap, n_minr = random_instance(22)
         bogus = np.full(f.shape[0], f.shape[1] + 3)
         solution, stats = solve_rap_sparse(
-            f, w, cap, n_minr, warm_assignment=bogus
+            [f], [w], cap, [n_minr], warm_assignment=[bogus]
         )
         assert solution.ok and stats.certified
 
@@ -382,10 +387,10 @@ class TestTotalBudget:
         # sub-solve's overshoot; pre-fix this instance multiplies the
         # budget by the sub-solve count instead.
         f, w, cap, n_minr = self._giga_like()
-        (warm,) = greedy_rap([f], [w], cap, [n_minr])
+        warm = greedy_rap([f], [w], cap, [n_minr])
         t0 = time.perf_counter()
         solution, stats = solve_rap_sparse(
-            f, w, cap, n_minr, time_limit_s=0.2, warm_assignment=warm
+            [f], [w], cap, [n_minr], time_limit_s=0.2, warm_assignment=warm
         )
         wall = time.perf_counter() - t0
         assert wall < 2.0
@@ -395,19 +400,54 @@ class TestTotalBudget:
 
     def test_exhausted_budget_returns_warm_incumbent_cost(self):
         f, w, cap, n_minr = self._giga_like(seed=32)
-        (warm,) = greedy_rap([f], [w], cap, [n_minr])
+        warm = greedy_rap([f], [w], cap, [n_minr])
         solution, stats = solve_rap_sparse(
-            f, w, cap, n_minr, time_limit_s=1e-6, warm_assignment=warm
+            [f], [w], cap, [n_minr], time_limit_s=1e-6, warm_assignment=warm
         )
         assert solution.ok and solution.x is not None
-        warm_cost = float(f[np.arange(f.shape[0]), warm].sum())
+        warm_cost = float(f[np.arange(f.shape[0]), warm[0]].sum())
         assert solution.objective <= warm_cost + 1e-6
 
     def test_unlimited_budget_still_certifies(self):
         f, w, cap, n_minr = random_instance(33, n_c=12, n_p=9)
-        solution, stats = solve_rap_sparse(f, w, cap, n_minr)
+        solution, stats = solve_rap_sparse([f], [w], cap, [n_minr])
         assert solution.status is MilpStatus.OPTIMAL
         assert stats.certified
+
+
+class TestJointTotalBudget:
+    """The whole-solve budget holds at K = 2 as it does at K = 1."""
+
+    @staticmethod
+    def _joint(seed, n_c=200, n_p=60, budget=12):
+        rng = np.random.default_rng(seed)
+        f_by = [rng.uniform(0.0, 100.0, size=(n_c, n_p)) for _ in range(2)]
+        w_by = [rng.uniform(1.0, 4.0, size=n_c) for _ in range(2)]
+        cap = np.full(n_p, max(w.sum() for w in w_by) / (budget - 2))
+        return f_by, w_by, cap, [budget, budget]
+
+    def test_budget_bounds_total_wall_clock(self):
+        f_by, w_by, cap, budgets = self._joint(41)
+        warm = greedy_rap(f_by, w_by, cap, budgets)
+        t0 = time.perf_counter()
+        solution, maps, _ = solve_rap(
+            f_by, w_by, cap, budgets, time_limit_s=0.2, warm_assignment=warm
+        )
+        assert time.perf_counter() - t0 < 2.0
+        assert solution.ok and maps is not None
+
+    def test_exhausted_budget_returns_warm_incumbent_cost(self):
+        f_by, w_by, cap, budgets = self._joint(42)
+        warm = greedy_rap(f_by, w_by, cap, budgets)
+        solution, maps, _ = solve_rap(
+            f_by, w_by, cap, budgets, time_limit_s=1e-6, warm_assignment=warm
+        )
+        assert solution.ok and maps is not None
+        warm_cost = sum(
+            float(f[np.arange(f.shape[0]), a].sum())
+            for f, a in zip(f_by, warm)
+        )
+        assert solution.objective <= warm_cost + 1e-6
 
 
 class TestKernels:
@@ -482,7 +522,7 @@ class TestSweepSetEquivalence:
             backend="highs",
         )
         solution, stats = solve_rap_sparse(
-            f, costs.cluster_width, cap, n_minr
+            [f], [costs.cluster_width], cap, [n_minr]
         )
         assert dense.status is MilpStatus.OPTIMAL
         assert solution.objective == pytest.approx(

@@ -1,8 +1,9 @@
-"""SupervisedPool, supervised_map, RetryPolicy jitter, Deadline edges.
+"""SupervisedPool, RetryPolicy jitter, Deadline edges.
 
 Unit-level coverage of the supervision layer itself; the end-to-end
 chaos suite (faults injected into sweeps and pool jobs) lives in
-``test_chaos.py``.
+``test_chaos.py``.  Faults are injected inside the task, as sweep jobs
+do: the task checks its plan with the pool's ``_pool_attempt`` stamp.
 """
 
 import random
@@ -12,7 +13,7 @@ import pytest
 
 from repro.utils.errors import StageTimeoutError, ValidationError
 from repro.utils.resilience import Deadline, FaultPlan, RetryPolicy
-from repro.utils.supervise import PoolGaveUp, SupervisedPool, supervised_map
+from repro.utils.supervise import SupervisedPool
 
 
 def _square(x):
@@ -21,6 +22,25 @@ def _square(x):
 
 def _boom(x):
     raise ValueError(f"boom {x}")
+
+
+def square_job(item: dict) -> float:
+    """Square ``item["x"]`` after checking ``item["plan"]`` at
+    ``item["stage"]``.
+
+    Worker faults fire only under the pool worker's ``_pool_attempt``
+    stamp, never in an inline run (which carries none).
+    """
+    attempt = item.get("_pool_attempt")
+    if attempt is not None and item.get("stage"):
+        item["plan"].check(item["stage"], attempt=attempt, worker=True)
+    return item["x"] * item["x"]
+
+
+def faulty_items(plan: FaultPlan, xs, stages) -> list[dict]:
+    return [
+        {"x": x, "plan": plan, "stage": stage} for x, stage in zip(xs, stages)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +72,10 @@ class TestSupervisedPool:
 
     def test_worker_crash_respawns_and_retries(self):
         plan = FaultPlan().fail("t.0", kind="worker_crash", on_attempt=1)
-        pool = SupervisedPool(workers=2, fault_plan=plan)
+        pool = SupervisedPool(workers=2)
         try:
             outcomes = pool.map(
-                _square, [3, 4], fault_stages=["t.0", "t.1"]
+                square_job, faulty_items(plan, [3, 4], ["t.0", "t.1"])
             )
         finally:
             pool.shutdown()
@@ -68,13 +88,11 @@ class TestSupervisedPool:
         plan = FaultPlan().fail(
             "t.0", kind="worker_hang", delay_s=30.0, on_attempt=1
         )
-        pool = SupervisedPool(
-            workers=2, task_timeout_s=0.5, fault_plan=plan
-        )
+        pool = SupervisedPool(workers=2, task_timeout_s=0.5)
         t0 = time.monotonic()
         try:
             outcomes = pool.map(
-                _square, [5, 6], fault_stages=["t.0", "t.1"]
+                square_job, faulty_items(plan, [5, 6], ["t.0", "t.1"])
             )
         finally:
             pool.shutdown()
@@ -86,9 +104,11 @@ class TestSupervisedPool:
         # Crash on every pool attempt; only the parent-side inline run
         # (where worker faults never fire) can finish the task.
         plan = FaultPlan().fail("t.0", kind="worker_crash")
-        pool = SupervisedPool(workers=2, fault_plan=plan)
+        pool = SupervisedPool(workers=2)
         try:
-            outcomes = pool.map(_square, [7, 8], fault_stages=["t.0", None])
+            outcomes = pool.map(
+                square_job, faulty_items(plan, [7, 8], ["t.0", None])
+            )
         finally:
             pool.shutdown()
         assert [o.value for o in outcomes] == [49, 64]
@@ -97,11 +117,11 @@ class TestSupervisedPool:
 
     def test_gave_up_without_inline_last_resort(self):
         plan = FaultPlan().fail("t.0", kind="worker_crash")
-        pool = SupervisedPool(
-            workers=2, fault_plan=plan, inline_last_resort=False
-        )
+        pool = SupervisedPool(workers=2, inline_last_resort=False)
         try:
-            outcomes = pool.map(_square, [7, 8], fault_stages=["t.0", None])
+            outcomes = pool.map(
+                square_job, faulty_items(plan, [7, 8], ["t.0", None])
+            )
         finally:
             pool.shutdown()
         assert outcomes[0].status == "gave_up"
@@ -109,25 +129,15 @@ class TestSupervisedPool:
 
     def test_slow_solver_fault_only_delays(self):
         plan = FaultPlan().fail("t.0", kind="slow_solver", delay_s=0.2)
-        pool = SupervisedPool(workers=2, fault_plan=plan)
+        pool = SupervisedPool(workers=2)
         try:
-            outcomes = pool.map(_square, [2, 3], fault_stages=["t.0", None])
+            outcomes = pool.map(
+                square_job, faulty_items(plan, [2, 3], ["t.0", None])
+            )
         finally:
             pool.shutdown()
         assert [o.value for o in outcomes] == [4, 9]
         assert outcomes[0].wall_s >= 0.2
-
-
-class TestSupervisedMap:
-    def test_inline_for_small_batches(self):
-        assert supervised_map(_square, [3], workers=4) == [9]
-
-    def test_pooled_contract(self):
-        assert supervised_map(_square, [1, 2, 3], workers=2) == [1, 4, 9]
-
-    def test_raises_pool_gave_up_on_failure(self):
-        with pytest.raises(PoolGaveUp, match="ValueError"):
-            supervised_map(_boom, [1, 2], workers=2)
 
 
 # ---------------------------------------------------------------------------

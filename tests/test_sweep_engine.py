@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -19,6 +20,9 @@ from repro.techlib.asap7 import make_asap7_library
 from repro.utils.errors import ValidationError
 
 TINY = 1.0 / 384.0
+
+#: Budget for one worker submission payload: names and config, no design.
+MAX_PAYLOAD_BYTES = 64 * 1024
 
 
 @pytest.fixture(scope="module")
@@ -120,8 +124,6 @@ class TestArtifactCache:
         again.placed.x[0] += 1.0
 
     def test_legacy_plain_pickle_entry_still_loads(self, tmp_path):
-        import pickle
-
         import numpy as np
 
         cache = ArtifactCache(tmp_path)
@@ -234,6 +236,20 @@ class TestRunSweep:
             run_sweep(testcase_ids=())
         with pytest.raises(ValidationError):
             run_sweep(testcase_ids=("aes_300",), flows=())
+
+
+class TestPayloadBudget:
+    def test_sweep_payload_budget(self, tmp_path):
+        # One sweep task per testcase: the worker loads the design from
+        # the artifact cache itself, so only ids and config cross, even
+        # for a giga-tier testcase.
+        payload = {
+            "testcase_id": "aes_giga",
+            "flows": [1, 2, 3, 4, 5],
+            "config": RunConfig(scale=1.0),
+            "cache_dir": str(tmp_path),
+        }
+        assert len(pickle.dumps(payload)) <= MAX_PAYLOAD_BYTES
 
 
 ALL_FLOWS = (1, 2, 3, 4, 5)
