@@ -44,8 +44,9 @@ bench-sweep:
 	  --out BENCH_sweep.json --csv BENCH_sweep.csv
 
 # Flight-recorder run report on a small synthetic Flow (5) case:
-# RUN_REPORT/{run_record.json,trace.json,report.md}, record gated against
-# the repro.run_record/1 schema.
+# RUN_REPORT/{run_record.json,trace.json,report.md}, all three folded from
+# the events the run emitted; the record is gated against the
+# repro.run_record/1 schema.
 report:
 	PYTHONPATH=src $(PYTHON) -m repro report --cells 400 --out-dir RUN_REPORT
 	$(PYTHON) scripts/check_bench.py --record RUN_REPORT/run_record.json
@@ -81,10 +82,10 @@ bench-nheight:
 	mv BENCH_kernels.json.new BENCH_kernels.json
 
 # Event-bus overhead rebench (flow (5) on the sweep-scale aes_400):
-# refreshes the events_overhead entry — instrumented flow with the live
-# telemetry bus attached vs bus-disabled — and gates that the bus costs
-# at most ~3% wall-clock and that the streamed JSONL passes
-# validate_events.
+# refreshes the events_overhead entry — the flow with a bus + JSONL sink
+# attached (every event streamed, telemetry-only QoR work on) vs no sink
+# at all — and gates that the bus costs at most ~3% wall-clock and that
+# the streamed JSONL passes validate_events.
 bench-events:
 	$(PYTHON) scripts/bench_kernels.py --only events --merge BENCH_kernels.json \
 	  --out BENCH_kernels.json.new

@@ -6,29 +6,29 @@ Environment knobs:
   the paper's sizes correspond to 1).  Smaller denominators = bigger runs.
 * ``REPRO_BENCH_FULL=1`` — run all 26 testcases per table instead of the
   representative quick subset.
-* ``REPRO_BENCH_METRICS`` — path for the session metrics/span export
+* ``REPRO_BENCH_METRICS`` — path for the session run record
   (default ``BENCH_obs.json``; set to the empty string to disable).
 
 Each paper-table bench runs once (pedantic, 1 round): the measurement of
 interest is the experiment itself, not a microsecond-level distribution.
 
-The whole bench session runs under an active :class:`repro.MetricsRegistry`
-and :class:`repro.Tracer`, so every instrumented stage the benches exercise
-lands in one merged export — there is no bench-local timing code.
+The whole bench session runs under one :class:`repro.FlightRecorder`, so
+every instrumented stage the benches exercise lands in one run record —
+there is no bench-local timing code.  With the recorder attached,
+:func:`repro.obs.emitting_events` is true for the whole session, so the
+flows also run their telemetry-only QoR checks.
 """
 
-import json
 import os
 
 import pytest
 
-from repro import MetricsRegistry, RunConfig, Tracer
+from repro import FlightRecorder, RunConfig
 from repro.experiments.testcases import (
     PAPER_TESTCASES,
     QUICK_SUBSET_IDS,
     testcase_subset,
 )
-from repro.obs import use_registry
 
 
 def bench_scale() -> float:
@@ -65,19 +65,10 @@ def library():
 
 @pytest.fixture(scope="session", autouse=True)
 def bench_observability():
-    """Session-wide tracer + metrics registry, exported at teardown."""
-    registry = MetricsRegistry()
-    tracer = Tracer(name="benchmarks")
-    with use_registry(registry), tracer.activate():
-        yield registry
+    """Session-wide flight recorder, its record written at teardown."""
+    recorder = FlightRecorder("benchmarks", config={"scale": bench_scale()})
+    with recorder.attach():
+        yield recorder
     out = os.environ.get("REPRO_BENCH_METRICS", "BENCH_obs.json")
-    if not out:
-        return
-    payload = {
-        "schema": "repro.bench-obs/1",
-        "scale": bench_scale(),
-        "metrics": registry.snapshot(),
-        "n_root_spans": len(tracer.roots),
-    }
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    if out:
+        recorder.write_json(out)

@@ -1,9 +1,9 @@
-"""Instrumented parallel sweep: span trees, metrics and the artifact cache.
+"""Instrumented parallel sweep: span trees, event counters and the cache.
 
 Runs four Table II testcases through flows (1), (2) and (5) on two worker
-processes, then prints each job's stage span tree, the merged metrics
-registry, and the artifact-cache statistics (run it twice — the second run
-reports a cache hit for every testcase).
+processes, then prints each job's stage span tree, the event counters
+summed over the rows, and the artifact-cache statistics (run it twice —
+the second run reports a cache hit for every testcase).
 
 Run:  python examples/sweep_metrics.py [scale_denominator] [workers]
 e.g.  python examples/sweep_metrics.py 96 2
@@ -42,9 +42,9 @@ def main() -> None:
               f"pid {job.worker_pid}")
         print(job.format_span_tree())
 
-    print("\nmerged span histograms (count / total s):")
-    for name, summary in sorted(result.metrics["histograms"].items()):
-        print(f"  {name:>40s}: {summary['count']:3d} / {summary['sum']:.3f}s")
+    print("\nevent counters (summed over the rows):")
+    for name, count in sorted(result.metrics["counters"].items()):
+        print(f"  {name:>24s}: {count:g}")
     print(f"\ncache: {result.cache['hits']} hits, "
           f"{result.cache['misses']} misses ({cache_dir})")
     print(f"rerun with the same cache dir for all-hit: "

@@ -7,8 +7,7 @@ process, same inputs, best-of-N), the cached-topology kernels
 (``_b2b_system``, ``per_pin_other_extents``), the sparse RAP engine
 against the dense model build + solve on the full-scale aes_400 row
 assignment instance, and one end-to-end flow (5) run at the default
-sweep scale.  Results are published through ``repro.obs.MetricsRegistry``
-and written as ``BENCH_kernels.json``.
+sweep scale.  Results are written as ``BENCH_kernels.json``.
 
 The ``baseline`` section embeds the pre-optimization timings recorded on
 the commit that introduced this harness (seed implementations, same
@@ -86,7 +85,6 @@ from repro.core.flows import (  # noqa: E402
 )
 from repro.experiments.testcases import build_testcase, testcase_by_id  # noqa: E402
 from repro.netlist.generator import GeneratorSpec, generate_netlist  # noqa: E402
-from repro.obs import MetricsRegistry  # noqa: E402
 from repro.placement.floorplanner import (  # noqa: E402
     build_placed_design,
     make_floorplan,
@@ -610,7 +608,6 @@ def main() -> int:
     if unknown:
         parser.error(f"unknown kernel groups: {sorted(unknown)}")
 
-    registry = MetricsRegistry()
     library = make_asap7_library()
 
     kernels: dict[str, dict] = {}
@@ -636,8 +633,6 @@ def main() -> int:
                 "speedup": ref_seconds / seconds,
                 "cells_per_s": N_CELLS / seconds,
             }
-            registry.gauge(f"bench.{name}.seconds").set(seconds)
-            registry.gauge(f"bench.{name}.cells_per_s").set(N_CELLS / seconds)
             print(
                 f"{name:24s} {seconds * 1e3:8.2f} ms   "
                 f"(reference {ref_seconds * 1e3:8.2f} ms, "
@@ -665,7 +660,6 @@ def main() -> int:
                 "speedup_vs_baseline": BASELINE[name] / seconds,
                 "cells_per_s": N_CELLS / seconds,
             }
-            registry.gauge(f"bench.{name}.seconds").set(seconds)
             print(
                 f"{name:24s} {seconds * 1e3:8.2f} ms   "
                 f"(baseline {BASELINE[name] * 1e3:8.2f} ms, "
@@ -676,8 +670,6 @@ def main() -> int:
     if "rap" in groups:
         entry = bench_rap(library, args.repeats)
         kernels["rap_solve"] = entry
-        registry.gauge("bench.rap_solve.seconds").set(entry["seconds"])
-        registry.gauge("bench.rap_solve.speedup").set(entry["speedup"])
         print(
             f"{'rap_solve':24s} {entry['seconds'] * 1e3:8.2f} ms   "
             f"(dense {entry['dense_seconds'] * 1e3:8.2f} ms, "
@@ -689,8 +681,6 @@ def main() -> int:
     if "nheight" in groups:
         entry = bench_nheight(args.repeats)
         kernels["rap_nheight"] = entry
-        registry.gauge("bench.rap_nheight.seconds").set(entry["seconds"])
-        registry.gauge("bench.rap_nheight.speedup").set(entry["speedup"])
         print(
             f"{'rap_nheight':24s} {entry['seconds'] * 1e3:8.2f} ms   "
             f"(dense {entry['dense_seconds'] * 1e3:8.2f} ms, "
@@ -703,10 +693,6 @@ def main() -> int:
     if "giga" in groups:
         for name, entry in bench_giga(library, args.repeats).items():
             kernels[name] = entry
-            registry.gauge(f"bench.{name}.seconds").set(entry["seconds"])
-            registry.gauge(f"bench.{name}.cells_per_s").set(
-                entry["cells_per_s"]
-            )
             extra = ""
             if "speedup" in entry:
                 extra = f", {entry['speedup']:4.2f}x vs reference"
@@ -738,7 +724,6 @@ def main() -> int:
             "speedup_vs_baseline": BASELINE["flow5_seconds"] / seconds,
             "cells_per_s": design.num_instances / seconds,
         }
-        registry.gauge("bench.flow5_end_to_end.seconds").set(seconds)
         print(
             f"{'flow5_end_to_end':24s} {seconds * 1e3:8.2f} ms   "
             f"(baseline {BASELINE['flow5_seconds'] * 1e3:8.2f} ms, "
@@ -750,10 +735,6 @@ def main() -> int:
     if "eco" in groups:
         entry = bench_eco(library, args.repeats)
         kernels["eco_repair"] = entry
-        registry.gauge("bench.eco_repair.seconds").set(entry["seconds"])
-        registry.gauge("bench.eco_repair.speedup_vs_full").set(
-            entry["speedup_vs_full"]
-        )
         print(
             f"{'eco_repair':24s} {entry['seconds'] * 1e3:8.2f} ms   "
             f"(full {entry['full_seconds'] * 1e3:8.2f} ms, "
@@ -766,10 +747,6 @@ def main() -> int:
     if "events" in groups:
         entry = bench_events(library, args.repeats)
         kernels["events_overhead"] = entry
-        registry.gauge("bench.events_overhead.seconds").set(entry["seconds"])
-        registry.gauge("bench.events_overhead.overhead_frac").set(
-            entry["overhead_frac"]
-        )
         print(
             f"{'events_overhead':24s} {entry['seconds'] * 1e3:8.2f} ms   "
             f"(disabled {entry['disabled_seconds'] * 1e3:8.2f} ms, "
@@ -793,7 +770,6 @@ def main() -> int:
         },
         "kernels": kernels,
         "baseline": BASELINE,
-        "metrics": registry.snapshot(),
     }
     out = Path(args.out)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

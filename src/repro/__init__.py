@@ -25,7 +25,7 @@ by ``tests/test_api_surface.py`` — ``dir(repro)`` is the documented
 surface, nothing more.
 """
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 from repro.core.config import RunConfig
 from repro.core.heights import HeightClass, HeightSpec
@@ -42,12 +42,9 @@ from repro.core.rap import RowAssignment
 from repro.core.rcpp import RowConstraintPlacer, RowConstraintResult
 from repro.experiments.sweep_engine import SweepJobResult, SweepResult, run_sweep
 from repro.obs import (
-    ConvergenceSeries,
     EventBus,
     FlightRecorder,
-    MetricsRegistry,
     Span,
-    Tracer,
     emit_event,
     render_span_tree,
     span,
@@ -64,7 +61,6 @@ from repro.utils.resilience import (
 from repro.utils.supervise import SupervisedPool, TaskOutcome
 
 __all__ = [
-    "ConvergenceSeries",
     "Deadline",
     "EventBus",
     "FaultPlan",
@@ -76,7 +72,6 @@ __all__ = [
     "HeightClass",
     "HeightSpec",
     "InitialPlacement",
-    "MetricsRegistry",
     "RCPPParams",
     "ResiliencePolicy",
     "RetryPolicy",
@@ -89,7 +84,6 @@ __all__ = [
     "SweepJobResult",
     "SweepResult",
     "TaskOutcome",
-    "Tracer",
     "__version__",
     "emit_event",
     "make_asap7_library",

@@ -10,6 +10,8 @@ Commands:
 * ``tail``        — follow/pretty-print a ``repro.events/1`` JSONL file
 * ``table2`` ... ``overhead`` — regenerate a paper table/figure
 * ``render``      — run Flow (5) on a testcase and write a Fig. 3-style SVG
+* ``report``      — run one flow under the flight recorder and write
+  ``run_record.json`` / ``trace.json`` / ``report.md``
 
 Every subcommand shares the run-configuration flags installed by
 :func:`repro.core.config.add_run_config_args` and resolves them with
@@ -64,9 +66,77 @@ def _add_live_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--prometheus", default=None, metavar="PATH",
-        help="periodically flush merged metrics to a Prometheus "
-        "textfile at PATH while the command runs",
+        help="periodically flush event counters and span-duration "
+        "histograms to a Prometheus textfile at PATH while the command "
+        "runs",
     )
+
+
+def _add_design_args(
+    parser: argparse.ArgumentParser,
+    cells: int,
+    minority: float,
+    testcase: bool = True,
+) -> None:
+    """The design flags read by :func:`_build_design`."""
+    if testcase:
+        parser.add_argument(
+            "--testcase", default=None,
+            help="Table II testcase id (default: a synthetic design)",
+        )
+    parser.add_argument("--cells", type=int, default=cells)
+    parser.add_argument(
+        "--minority", type=float, default=minority,
+        help="total minority-cell fraction; with --heights listing more "
+        "than one minority track it is split evenly across them",
+    )
+
+
+def _build_design(args: argparse.Namespace, config: RunConfig, name: str):
+    """``(library, design, case name)`` from the design flags.
+
+    The library carries the tracks of ``--heights`` (default: the
+    paper's two).  ``--testcase`` builds that Table II twin; otherwise a
+    synthetic ``--cells`` design gets ``--minority`` of its cells in the
+    minority tracks.
+    """
+    from repro.netlist import (
+        GeneratorSpec,
+        generate_netlist,
+        size_to_height_fractions,
+        size_to_minority_fraction,
+    )
+    from repro.techlib.asap7 import make_asap7_library
+
+    spec = config.params.heights
+    if spec is not None:
+        library = make_asap7_library(tracks=tuple(sorted(spec.tracks)))
+    else:
+        library = make_asap7_library()
+    if getattr(args, "testcase", None):
+        from repro.experiments.testcases import build_testcase, testcase_by_id
+
+        design = build_testcase(
+            testcase_by_id(args.testcase), library, scale=config.scale
+        )
+        return library, design, args.testcase
+    design = generate_netlist(
+        GeneratorSpec(
+            name=name,
+            n_cells=args.cells,
+            clock_period_ps=getattr(args, "clock_ps", 500.0),
+            seed=config.seed if config.seed is not None else 1,
+        ),
+        library,
+    )
+    if spec is not None and spec.n_classes > 1:
+        per_class = args.minority / spec.n_classes
+        size_to_height_fractions(
+            design, {t: per_class for t in spec.minority_tracks}
+        )
+    else:
+        size_to_minority_fraction(design, args.minority)
+    return library, design, f"synthetic_{args.cells}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,13 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     place = sub.add_parser("place", help="run the proposed pipeline")
-    place.add_argument("--cells", type=int, default=2000)
+    _add_design_args(place, cells=2000, minority=0.12, testcase=False)
     place.add_argument("--clock-ps", type=float, default=500.0)
-    place.add_argument(
-        "--minority", type=float, default=0.12,
-        help="total minority-cell fraction; with --heights listing more "
-        "than one minority track it is split evenly across them",
-    )
     add_run_config_args(place)
 
     flows = sub.add_parser("flows", help="compare the five flows")
@@ -99,12 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--flow", type=int, default=5, choices=[1, 2, 3, 4, 5],
         help="flow number to run (default: 5)",
     )
-    run.add_argument(
-        "--testcase", default=None,
-        help="Table II testcase id (default: a synthetic design)",
-    )
-    run.add_argument("--cells", type=int, default=400)
-    run.add_argument("--minority", type=float, default=0.15)
+    _add_design_args(run, cells=400, minority=0.15)
     _add_live_args(run)
     add_run_config_args(run, workers=True)
 
@@ -154,12 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--flow", type=int, default=5, choices=[2, 3, 4, 5],
         help="incumbent flow to repair (default: 5; needs a row assignment)",
     )
-    eco.add_argument(
-        "--testcase", default=None,
-        help="Table II testcase id (default: a synthetic design)",
-    )
-    eco.add_argument("--cells", type=int, default=400)
-    eco.add_argument("--minority", type=float, default=0.15)
+    _add_design_args(eco, cells=400, minority=0.15)
     eco.add_argument(
         "--delta", default=None, metavar="PATH",
         help="JSON file holding a NetlistDelta op list "
@@ -215,12 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--flow", type=int, default=5, choices=[1, 2, 3, 4, 5],
         help="flow number to record (default: 5)",
     )
-    report.add_argument(
-        "--testcase", default=None,
-        help="Table II testcase id (default: a synthetic design)",
-    )
-    report.add_argument("--cells", type=int, default=400)
-    report.add_argument("--minority", type=float, default=0.15)
+    _add_design_args(report, cells=400, minority=0.15)
     report.add_argument(
         "--out-dir", default="RUN_REPORT",
         help="directory for run_record.json / trace.json / report.md",
@@ -234,37 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_place(args: argparse.Namespace) -> int:
-    from repro import RowConstraintPlacer, make_asap7_library
+    from repro import RowConstraintPlacer
     from repro.eval.report import format_provenance
-    from repro.netlist import (
-        GeneratorSpec,
-        generate_netlist,
-        size_to_height_fractions,
-        size_to_minority_fraction,
-    )
 
     config = RunConfig.from_args(args)
-    spec = config.params.heights
-    if spec is not None:
-        library = make_asap7_library(tracks=tuple(sorted(spec.tracks)))
-    else:
-        library = make_asap7_library()
-    design = generate_netlist(
-        GeneratorSpec(
-            name="cli",
-            n_cells=args.cells,
-            clock_period_ps=args.clock_ps,
-            seed=config.seed if config.seed is not None else 1,
-        ),
-        library,
-    )
-    if spec is not None and spec.n_classes > 1:
-        per_class = args.minority / spec.n_classes
-        size_to_height_fractions(
-            design, {t: per_class for t in spec.minority_tracks}
-        )
-    else:
-        size_to_minority_fraction(design, args.minority)
+    library, design, _ = _build_design(args, config, "cli")
     result = RowConstraintPlacer(library, config.params).place(design)
     print(f"minority rows: {result.assignment.n_minority_rows}")
     print(f"HPWL: {result.hpwl / 1e6:.3f} mm "
@@ -388,36 +412,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro import FlowKind, FlowRunner, prepare_initial_placement
-    from repro.netlist import (
-        GeneratorSpec,
-        generate_netlist,
-        size_to_minority_fraction,
-    )
     from repro.obs.recorder import FlightRecorder
-    from repro.techlib.asap7 import make_asap7_library
 
     config = RunConfig.from_args(args)
-    library = make_asap7_library()
-    if args.testcase:
-        from repro.experiments.testcases import build_testcase, testcase_by_id
-
-        design = build_testcase(
-            testcase_by_id(args.testcase), library, scale=config.scale
-        )
-        case_name = args.testcase
-    else:
-        design = generate_netlist(
-            GeneratorSpec(
-                name="run",
-                n_cells=args.cells,
-                clock_period_ps=500.0,
-                seed=config.seed if config.seed is not None else 1,
-            ),
-            library,
-        )
-        size_to_minority_fraction(design, args.minority)
-        case_name = f"synthetic_{args.cells}"
-
+    library, design, case_name = _build_design(args, config, "run")
     kind = FlowKind(args.flow)
     recorder = FlightRecorder(
         f"{case_name}.flow{kind.value}",
@@ -457,35 +455,9 @@ def _cmd_eco(args: argparse.Namespace) -> int:
 
     from repro import FlowKind, FlowRunner, prepare_initial_placement
     from repro.eco import NetlistDelta, make_eco_delta
-    from repro.netlist import (
-        GeneratorSpec,
-        generate_netlist,
-        size_to_minority_fraction,
-    )
-    from repro.techlib.asap7 import make_asap7_library
 
     config = RunConfig.from_args(args)
-    library = make_asap7_library()
-    if args.testcase:
-        from repro.experiments.testcases import build_testcase, testcase_by_id
-
-        design = build_testcase(
-            testcase_by_id(args.testcase), library, scale=config.scale
-        )
-        case_name = args.testcase
-    else:
-        design = generate_netlist(
-            GeneratorSpec(
-                name="eco",
-                n_cells=args.cells,
-                clock_period_ps=500.0,
-                seed=config.seed if config.seed is not None else 1,
-            ),
-            library,
-        )
-        size_to_minority_fraction(design, args.minority)
-        case_name = f"synthetic_{args.cells}"
-
+    library, design, case_name = _build_design(args, config, "eco")
     kind = FlowKind(args.flow)
     bus, sink, finish = _event_bus_from_args(args)
     code = 0
@@ -641,11 +613,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     from repro import FlowKind, FlowRunner, prepare_initial_placement
     from repro.eval.report import format_provenance, render_run_report
-    from repro.netlist import (
-        GeneratorSpec,
-        generate_netlist,
-        size_to_minority_fraction,
-    )
     from repro.obs.recorder import (
         FlightRecorder,
         validate_run_record,
@@ -653,30 +620,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     from repro.obs.trace import span
     from repro.solvers.milp import solve_milp
-    from repro.techlib.asap7 import make_asap7_library
 
     config = RunConfig.from_args(args)
-    library = make_asap7_library()
-    if args.testcase:
-        from repro.experiments.testcases import build_testcase, testcase_by_id
-
-        design = build_testcase(
-            testcase_by_id(args.testcase), library, scale=config.scale
-        )
-        case_name = args.testcase
-    else:
-        design = generate_netlist(
-            GeneratorSpec(
-                name="report",
-                n_cells=args.cells,
-                clock_period_ps=500.0,
-                seed=config.seed if config.seed is not None else 1,
-            ),
-            library,
-        )
-        size_to_minority_fraction(design, args.minority)
-        case_name = f"synthetic_{args.cells}"
-
+    library, design, case_name = _build_design(args, config, "report")
     kind = FlowKind(args.flow)
     recorder = FlightRecorder(
         f"{case_name}.flow{kind.value}",
@@ -701,6 +647,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
             for backend in ("highs", "bnb", "lagrangian"):
                 if backend == config.params.solver_backend:
                     continue
+                if backend == "lagrangian" and initial.heights.n_classes > 1:
+                    continue  # the Lagrangian backend solves K = 1 only
                 with span(f"crosscheck.{backend}", backend=backend):
                     solve_milp(
                         model,
@@ -720,7 +668,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     record = recorder.to_dict()
     record_path = recorder.write_json(out_dir / "run_record.json")
     trace_path = write_chrome_trace(
-        out_dir / "trace.json", recorder.tracer, process_name=recorder.name
+        out_dir / "trace.json", record["spans"], process_name=recorder.name
     )
     report_text = render_run_report(record)
     report_path = out_dir / "report.md"

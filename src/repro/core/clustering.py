@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.convergence import observe, recording_convergence
+from repro.obs.events import emitting_events, observe
 from repro.obs.trace import span
 from repro.utils.errors import ValidationError
 
@@ -120,7 +120,7 @@ def kmeans_2d(
                     )
 
         moved = bool(np.any(new_labels != labels)) or iteration == 1
-        if recording_convergence():
+        if emitting_events():
             # Lloyd inertia (sum of squared distances to assigned
             # centroids) — telemetry only, so gated off the hot path.
             observe(

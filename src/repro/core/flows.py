@@ -38,7 +38,7 @@ from repro.core.rap import (
     solve_rap_resilient,
 )
 from repro.netlist.db import Design
-from repro.obs.recorder import record_qor, recording
+from repro.obs.events import emitting_events, record_qor
 from repro.obs.trace import span
 from repro.placement.db import Floorplan, PlacedDesign
 from repro.placement.floorplanner import (
@@ -203,7 +203,7 @@ def prepare_initial_placement(
             placer_params=placer_params,
             heights=heights,
         )
-    root.annotate(hpwl=result.hpwl)
+        root.annotate(hpwl=result.hpwl)
     record_qor(
         "initial_place",
         hpwl=result.hpwl,
@@ -257,7 +257,7 @@ def _prepare_initial_placement(
         placed = build_placed_design(design, floorplan)
         global_place(placed, placer_params)
         abacus_legalize(placed, floorplan.rows)
-        if recording():
+        if emitting_events():
             # Pre-refinement snapshot: the raw global-place quality the
             # detailed polish below is judged against.
             record_qor(
@@ -606,13 +606,11 @@ class FlowRunner:
     def run(self, kind: FlowKind) -> FlowResult:
         """Execute one flow and return its post-placement metrics.
 
-        The flow's span tree (``flow.<n>`` root) is attached to the
-        result's provenance in dict form (``provenance.spans``).
+        The flow runs under one ``flow.<n>`` span.
         """
         logger.info("running flow (%d)", kind.value)
-        with span(f"flow.{kind.value}", flow=kind.value) as root:
+        with span(f"flow.{kind.value}", flow=kind.value):
             result = self._run(kind)
-        result.provenance.spans = root.to_dict()
         logger.info(
             "flow (%d) done: HPWL %.4g, displacement %.4g, %.3fs%s",
             kind.value, result.hpwl, result.displacement,
@@ -667,7 +665,7 @@ class FlowRunner:
         )
         final_times = times.merged(result.times)
         final_hpwl = hpwl_total(placed)
-        if recording():
+        if emitting_events():
             record_qor(
                 f"flow{kind.value}.final",
                 hpwl=final_hpwl,
@@ -728,7 +726,7 @@ class FlowRunner:
         fallback = "fence" if primary == "abacus_rc" else "abacus_rc"
         stage_deadline = self.policy.stage_deadline("legalize", deadline)
         placed = self._build_mixed_placement(assignment)
-        reference = placed.clone_positions() if recording() else None
+        reference = placed.clone_positions() if emitting_events() else None
         stage = f"legalize.{primary}"
         stage_deadline.check(stage, provenance=prov)
         try:
@@ -758,7 +756,9 @@ class FlowRunner:
             stage = f"legalize.{fallback}"
             stage_deadline.check(stage, provenance=prov)
             placed = self._build_mixed_placement(assignment)
-            reference = placed.clone_positions() if recording() else None
+            reference = (
+                placed.clone_positions() if emitting_events() else None
+            )
             try:
                 with span(stage, legalizer=fallback) as fsp:
                     self.policy.inject(stage)
@@ -801,12 +801,12 @@ class FlowRunner:
         placed: PlacedDesign,
         reference: tuple[np.ndarray, np.ndarray] | None,
     ) -> None:
-        """QoR snapshot after one legalization pass (recorder-only).
+        """QoR snapshot after one legalization pass (telemetry-only).
 
         ``reference`` is the pre-legalization position snapshot; total and
         max per-cell displacement are measured against it.
         """
-        if reference is None or not recording():
+        if reference is None or not emitting_events():
             return
         x0, y0 = reference
         per_cell = np.abs(placed.x - x0) + np.abs(placed.y - y0)

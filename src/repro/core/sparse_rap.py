@@ -67,7 +67,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from repro.core.cost import cheapest_pairs_mask
-from repro.obs.convergence import observe
+from repro.obs.events import observe
 from repro.obs.trace import span
 from repro.solvers.milp import MilpModel, MilpSolution, MilpStatus, solve_milp
 from repro.utils.errors import InfeasibleError, SolverError, ValidationError

@@ -76,20 +76,6 @@ def format_provenance(provenance: object) -> str:
     return "\n".join(lines)
 
 
-def format_span_tree(spans: object, min_duration_s: float = 0.0) -> str:
-    """Indented tree for a span forest, one line per span.
-
-    Thin alias of :func:`repro.obs.trace.render_span_tree`, which accepts
-    a ``Tracer``, a single ``Span``/span dict, a ``Tracer.to_dict()``
-    payload (``{"spans": [...]}``) or a list of those — whatever a
-    ``FlowResult`` or ``SweepJobResult`` carries.  Spans shorter than
-    ``min_duration_s`` are pruned.
-    """
-    from repro.obs.trace import render_span_tree
-
-    return render_span_tree(spans, min_duration_s=min_duration_s)
-
-
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 
 
@@ -145,9 +131,8 @@ def render_run_report(record: dict, top_n_spans: int = 8) -> str:
     """Markdown run report for a flight-recorder ``run_record`` dict.
 
     Sections: run header, per-stage QoR table, convergence-series
-    summaries with sparklines, provenance/metadata, merged metrics
-    counter totals (parent plus every worker snapshot folded back in),
-    and the top-N slowest spans.
+    summaries with sparklines, provenance/metadata, event counter
+    totals, and the top-N slowest spans.
     Tolerates partial records (missing spans/metrics sections).
     """
     lines = [f"# Run report: {record.get('name', 'run')}", ""]

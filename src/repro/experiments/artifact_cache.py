@@ -35,7 +35,7 @@ from repro import __version__
 from repro.core.config import RunConfig
 from repro.core.flows import InitialPlacement, prepare_initial_placement
 from repro.experiments.testcases import TestcaseSpec, build_testcase
-from repro.obs.metrics import current_registry
+from repro.obs.events import emit_event
 from repro.obs.trace import span
 from repro.techlib.cells import StdCellLibrary
 
@@ -172,10 +172,9 @@ class ArtifactCache:
         clean.
         """
         path = self.path_for(key)
-        registry = current_registry()
         if not path.exists():
             self.stats.misses += 1
-            registry.counter("cache.miss").inc()
+            emit_event("cache.miss", key=key)
             return None
         try:
             with open(path, "rb") as fh:
@@ -203,15 +202,15 @@ class ArtifactCache:
         except Exception:
             self.stats.corrupt += 1
             self.stats.misses += 1
-            registry.counter("cache.corrupt").inc()
-            registry.counter("cache.miss").inc()
+            emit_event("cache.corrupt", key=key)
+            emit_event("cache.miss", key=key)
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
         self.stats.hits += 1
-        registry.counter("cache.hit").inc()
+        emit_event("cache.hit", key=key)
         return value
 
     def put(self, key: str, value: object) -> Path:

@@ -21,10 +21,11 @@ from repro.experiments.testcases import (
     TestcaseSpec,
     size_class,
 )
-from repro.obs.metrics import stage_fractions
+from repro.utils.timer import stage_fractions
 
 #: Stage grouping of the paper's RAP-vs-legalization split; shared with
-#: the benchmarks (one definition, via :func:`repro.obs.stage_fractions`).
+#: the benchmarks (one definition, via
+#: :func:`repro.utils.timer.stage_fractions`).
 PROFILE_GROUPS: dict[str, tuple[str, ...]] = {
     "rap": ("clustering", "rap_ilp"),
     "legalization": ("fence_refine", "legalize"),

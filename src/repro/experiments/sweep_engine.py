@@ -16,10 +16,11 @@ of aborting the batch.  Each row
   across runs, machines and worker scheduling); the seed reaches the
   solves its flow runs, so a row assignment shared with an earlier flow
   of the group keeps the seed it was solved with,
-* runs under its own :class:`~repro.obs.recorder.FlightRecorder`
-  (tracer + metrics registry), shipping the span tree and a metrics
-  *snapshot* back to the parent (registries never cross the process
-  boundary); the group's first flow pays the artifact load or prepare
+* runs under its own :class:`~repro.obs.recorder.FlightRecorder` and
+  ships its folded record back to the parent: the span tree, the QoR
+  snapshots and convergence series, and per-type event counters
+  (plain dicts, so they cross the process boundary unchanged); the
+  group's first flow pays the artifact load or prepare
   through the content-hash
   :class:`~repro.experiments.artifact_cache.ArtifactCache`, and later
   flows reuse it in process and record ``cache_hit=True``, and
@@ -28,8 +29,8 @@ of aborting the batch.  Each row
   :class:`~repro.utils.resilience.Deadline`), reporting ``timeout``
   status instead of raising.
 
-The parent merges all row snapshots into one registry and wraps
-everything in a :class:`SweepResult`, which exports ``BENCH_sweep.json``
+The parent sums the rows' event counters and wraps everything in a
+:class:`SweepResult`, which exports ``BENCH_sweep.json``
 and a Table IV-layout CSV (displacement / HPWL / runtime blocks per
 flow).
 
@@ -67,7 +68,6 @@ from repro.experiments.testcases import (
     testcase_by_id,
 )
 from repro.obs.events import emit_event
-from repro.obs.metrics import MetricsRegistry, current_registry
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import render_span_tree
 from repro.techlib.asap7 import make_asap7_library
@@ -100,8 +100,8 @@ class SweepJobResult:
     worker_pid: int = 0
     error: str | None = None
     provenance: dict | None = None
-    spans: dict | None = None  # Tracer.to_dict() of the whole row
-    record: dict | None = None  # flight-recorder run record (no spans/metrics)
+    spans: dict | None = None  # the row record's spans section
+    record: dict | None = None  # the row's run record, less spans/metrics
     supervisor: dict | None = None  # the group's pool supervision trail
     resumed: bool = False  # loaded from a journal, not re-run
 
@@ -120,10 +120,7 @@ class SweepJobResult:
         """ASCII rendering of this row's span forest ("" if untraced)."""
         if not self.spans:
             return ""
-        return "\n".join(
-            render_span_tree(root, min_duration_s)
-            for root in self.spans.get("spans", ())
-        )
+        return render_span_tree(self.spans, min_duration_s)
 
 
 @dataclass
@@ -224,8 +221,8 @@ def _run_group(payload: dict) -> list[dict]:
     """One testcase's flows on one shared FlowRunner, in grid order.
 
     Module-level so it pickles to workers.  Returns plain dicts only —
-    one per flow: the row plus its own metrics snapshot for the parent
-    to merge.
+    one per flow: the row plus its event counters for the parent to
+    sum.
     """
     config: RunConfig = payload["config"]
     spec = testcase_by_id(payload["testcase_id"])
@@ -315,12 +312,12 @@ def _run_flow(
         job.n_minority_rows = result.n_minority_rows
         job.n_clusters = result.n_clusters
         job.provenance = result.provenance.to_dict()
-    job.spans = recorder.tracer.to_dict()
-    # Spans and metrics already travel in their own fields; the embedded
+    # The spans and counters travel in their own fields; the embedded
     # record carries the QoR snapshots and convergence series.
-    job.record = recorder.to_dict(include_spans=False, include_metrics=False)
-    out = {"job": job.to_dict(), "metrics": recorder.registry.snapshot()}
-    return out, runner
+    job.record = recorder.to_dict()
+    job.spans = job.record.pop("spans")
+    metrics = job.record.pop("metrics")
+    return {"job": job.to_dict(), "metrics": metrics}, runner
 
 
 #: Journal line schema (first line of every sweep journal).
@@ -502,12 +499,17 @@ def run_sweep(
             )
             journal_fh.flush()
 
-    merged = MetricsRegistry()
+    counters: dict[str, float] = {}
+
+    def _count(out: dict) -> None:
+        for name, n in out.get("metrics", {}).get("counters", {}).items():
+            counters[name] = counters.get(name, 0) + n
+
     outputs_by_key: dict[tuple[str, int], dict] = {}
     for key, out in completed.items():
         out["job"]["resumed"] = True
         outputs_by_key[key] = out
-        merged.merge(out.get("metrics", {}))
+        _count(out)
     total = sum(len(g["flows"]) for g in groups) + len(completed)
     done = [len(completed)]
 
@@ -515,12 +517,7 @@ def run_sweep(
         done[0] += 1
         job = out["job"]
         outputs_by_key[(job["testcase_id"], int(job["flow"]))] = out
-        merged.merge(out.get("metrics", {}))
-        # Worker metrics also fold into the *ambient* registry (the
-        # sweep-local ``merged`` only lands in SweepResult.metrics), so
-        # an attached flight recorder / ``repro report`` sees pool-wide
-        # totals instead of dropping worker-side counters.
-        current_registry().merge(out.get("metrics", {}))
+        _count(out)
         emit_event(
             "sweep.job",
             testcase=job["testcase_id"],
@@ -571,8 +568,6 @@ def run_sweep(
         for tc in testcase_ids
         for f in flow_values
     ]
-    snapshot = merged.snapshot()
-    counters = snapshot.get("counters", {})
     cache_stats = {
         "hits": int(counters.get("cache.hit", 0)),
         "misses": int(counters.get("cache.miss", 0)),
@@ -587,7 +582,7 @@ def run_sweep(
         wall_s=wall_s,
         workers=config.workers,
         cache=cache_stats,
-        metrics=snapshot,
+        metrics={"counters": counters},
     )
 
 

@@ -1,39 +1,30 @@
-"""Observability layer: tracing, metrics, convergence, flight recorder.
+"""Observability layer: one producer path, two sinks, one fold.
 
-Four parts, usable separately or together:
+Every producer calls :func:`emit_event` (:mod:`repro.obs.events`) and
+writes nowhere else:
 
-* :mod:`repro.obs.trace` — nested :func:`span` context managers building
-  per-flow span trees, collected by a :class:`Tracer`;
-* :mod:`repro.obs.metrics` — a process-safe :class:`MetricsRegistry`
-  (counters, gauges, histograms) with snapshot/merge for multi-process
-  sweeps and JSON export for the ``BENCH_*.json`` trajectory;
-* :mod:`repro.obs.convergence` — per-iteration solver/k-means/refinement
-  trajectories appended through :func:`observe` into the active
-  :class:`ConvergenceLog`;
-* :mod:`repro.obs.recorder` — the :class:`FlightRecorder` bundling all of
-  the above plus per-stage QoR snapshots (:func:`record_qor`) into one
-  ``run_record.json`` / Chrome-trace artifact per run;
-* :mod:`repro.obs.events` — the live telemetry bus (schema
-  ``repro.events/1``): producers stream the same instrumentation through
-  :func:`emit_event` into per-process spool files an :class:`EventBus`
-  drains in near-real-time, with the durable :class:`JsonlSink`, the
-  :class:`PrometheusExporter` textfile and the :mod:`repro.obs.live` TTY
-  view (``repro run --live``) as consumers.
+* :func:`span` (:mod:`repro.obs.trace`) — nested stage timing, emitted
+  as ``span.begin`` / ``span.end`` pairs;
+* :func:`observe` — per-iteration solver / k-means / refinement
+  trajectories (``convergence`` events);
+* :func:`record_qor` — per-stage quality-of-results (``qor`` events);
+* the artifact cache, the supervised pool, the ECO path and the sweep
+  engine (``cache.*``, ``pool.*``, ``eco.*``, ``sweep.job``).
 
-The flow runner, solvers, legalizers and the sweep engine are all
-instrumented through this module; ``StageTimes.measure`` emits spans, so
-per-stage aggregate times and span trees always agree.  CLI logging setup
-lives in :mod:`repro.obs.logconfig`.
+An event goes to every in-process :class:`FlightRecorder` attached in
+scope (a list of events) and to the cross-process :class:`EventBus`
+when one is attached.  :func:`emitting_events` is the one gate for
+telemetry-only work.  Everything a run reports is a fold over an event
+list: :func:`fold_events` gives the run record's span tree, QoR list,
+convergence series and event counters; the Chrome trace
+(:func:`write_chrome_trace`), :func:`render_span_tree` and the sweep's
+counters read its output; the :class:`PrometheusExporter` and the
+:mod:`repro.obs.live` TTY view tally the bus stream as it arrives.
+``StageTimes.measure`` opens a span, so per-stage aggregate times and
+span trees always agree.  CLI logging setup lives in
+:mod:`repro.obs.logconfig`.
 """
 
-from repro.obs.convergence import (
-    ConvergenceLog,
-    ConvergenceSeries,
-    current_convergence,
-    observe,
-    recording_convergence,
-    use_convergence,
-)
 from repro.obs.events import (
     EVENTS_SCHEMA,
     EventBus,
@@ -43,86 +34,49 @@ from repro.obs.events import (
     current_bus_handle,
     emit_event,
     emitting_events,
+    observe,
     read_events,
+    record_qor,
     validate_events,
 )
 from repro.obs.live import LiveStatus, LiveView, format_event, sparkline
 from repro.obs.logconfig import configure_logging, redirect_managed_stream
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    current_registry,
-    default_registry,
-    stage_fractions,
-    use_registry,
-)
 from repro.obs.recorder import (
     RUN_RECORD_SCHEMA,
     FlightRecorder,
-    QoRSnapshot,
     chrome_trace_events,
-    current_recorder,
-    record_qor,
-    recording,
+    fold_events,
     validate_run_record,
     write_chrome_trace,
 )
-from repro.obs.trace import (
-    Span,
-    Tracer,
-    as_span_roots,
-    current_span,
-    current_tracer,
-    render_span_tree,
-    span,
-)
+from repro.obs.trace import Span, current_span, render_span_tree, span
 
 __all__ = [
     "EVENTS_SCHEMA",
-    "ConvergenceLog",
-    "ConvergenceSeries",
-    "Counter",
     "EventBus",
     "EventEmitter",
     "FlightRecorder",
-    "Gauge",
-    "Histogram",
     "JsonlSink",
     "LiveStatus",
     "LiveView",
-    "MetricsRegistry",
     "PrometheusExporter",
-    "QoRSnapshot",
     "RUN_RECORD_SCHEMA",
     "Span",
-    "Tracer",
-    "as_span_roots",
     "chrome_trace_events",
     "configure_logging",
     "current_bus_handle",
-    "current_convergence",
-    "current_recorder",
-    "current_registry",
     "current_span",
-    "current_tracer",
-    "default_registry",
     "emit_event",
     "emitting_events",
+    "fold_events",
     "format_event",
     "observe",
     "read_events",
     "record_qor",
-    "recording",
-    "recording_convergence",
     "redirect_managed_stream",
     "render_span_tree",
     "span",
     "sparkline",
-    "stage_fractions",
-    "use_convergence",
-    "use_registry",
     "validate_events",
     "validate_run_record",
     "write_chrome_trace",

@@ -1,25 +1,25 @@
-"""Live telemetry event bus: streaming progress across processes.
+"""The one telemetry path: :func:`emit_event` and its two sinks.
 
-Every observability surface before this module was post-hoc: the
-:class:`~repro.obs.recorder.FlightRecorder` exports its record *after*
-the run, worker metrics snapshots arrive when the job finishes, and a
-hung giga flow is a black box while it runs.  This module streams the
-same instrumentation in near-real-time, on the same file-based
-cross-process pattern the :class:`~repro.utils.supervise.SupervisedPool`
-heartbeats proved out:
+Every producer in :mod:`repro.obs` — :func:`~repro.obs.trace.span`,
+:func:`observe`, :func:`record_qor`, the artifact cache, the pool, the
+ECO path and the sweep engine — calls :func:`emit_event` and writes
+nowhere else.  An event goes to
 
-* Emitters (parent *and* pool workers) append newline-delimited JSON
-  events to per-process **spool files** inside the bus's spool
-  directory.  Appends are whole-line writes, so a SIGKILLed worker can
-  at worst leave one truncated trailing line — never a torn earlier
-  event.
-* A parent-side **drainer thread** tails every spool file, parses only
-  complete (newline-terminated) lines, and multiplexes the events to
-  subscribed consumers.  A truncated or corrupt line is skipped and
+* every :class:`~repro.obs.recorder.FlightRecorder` attached in this
+  process (each holds a plain list of events; nested recorders each
+  receive every event emitted in their scope), and
+* the cross-process :class:`EventBus` when one is attached: emitters
+  (parent *and* pool workers) append newline-delimited JSON events to
+  per-process **spool files** inside the bus's spool directory, and a
+  parent-side **drainer thread** tails them and multiplexes complete
+  (newline-terminated) lines to subscribed consumers.  Appends are
+  whole-line writes, so a SIGKILLed worker can at worst leave one
+  truncated trailing line; a truncated or corrupt line is skipped and
   counted (``parse_errors``), exactly like the sweep journal loader.
-* Producers call :func:`emit_event` — a no-op unless an emitter is
-  active (the :func:`observe` / :func:`record_qor` contextvar pattern),
-  so un-instrumented runs pay one contextvar read per call site.
+
+With neither attached, :func:`emit_event` costs two contextvar reads.
+Telemetry-only work (an inertia sum, an extra HPWL or legality
+evaluation) is gated on :func:`emitting_events`, the one gate.
 
 The schema is versioned (``repro.events/1``).  Every event is one flat
 JSON object carrying the envelope fields ``t`` (unix seconds), ``pid``,
@@ -32,11 +32,14 @@ Consumers shipped here:
 
 * :class:`JsonlSink` — durable JSONL file (header line + one event per
   line) that :func:`validate_events` accepts;
-* :class:`PrometheusExporter` — counts events into a
-  :class:`~repro.obs.metrics.MetricsRegistry` and periodically flushes
-  ``MetricsRegistry.to_prometheus()`` to a textfile (atomic
-  tmp + rename), the node-exporter textfile-collector contract;
+* :class:`PrometheusExporter` — tallies events into counters and
+  span-duration histograms and periodically flushes them to a
+  Prometheus textfile (atomic tmp + rename), the node-exporter
+  textfile-collector contract;
 * :class:`repro.obs.live.LiveView` — the ``repro run --live`` TTY view.
+
+The run record, Chrome trace and sweep counters are folds over the
+event list (:func:`repro.obs.recorder.fold_events`).
 
 Lifetime contract
 -----------------
@@ -51,10 +54,13 @@ Workers only ever append; they never read, rotate or delete spools.
 
 from __future__ import annotations
 
+import bisect
 import io
+import itertools
 import json
 import logging
 import os
+import re
 import tempfile
 import threading
 import time
@@ -63,8 +69,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
-
-from repro.obs.metrics import MetricsRegistry, current_registry
 
 logger = logging.getLogger(__name__)
 
@@ -93,6 +97,9 @@ REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     "eco.start": ("n_ops",),
     "eco.repaired": ("seconds", "hpwl", "certified"),
     "eco.fallback": ("reason",),
+    "cache.hit": ("key",),
+    "cache.miss": ("key",),
+    "cache.corrupt": ("key",),
 }
 
 
@@ -105,6 +112,18 @@ def _json_default(value: Any) -> Any:
         except Exception:  # pragma: no cover - exotic .item()
             pass
     return str(value)
+
+
+def _envelope(src: str, seq: int, type_: str, fields: Mapping) -> dict:
+    event = {
+        "t": time.time(),
+        "pid": os.getpid(),
+        "src": src,
+        "seq": seq,
+        "type": type_,
+    }
+    event.update(fields)
+    return event
 
 
 class EventEmitter:
@@ -134,18 +153,12 @@ class EventEmitter:
         self._lock = threading.Lock()
         self._broken = False
 
-    def emit(self, type_: str, **fields: Any) -> None:
+    def emit(self, type_: str, **fields: Any) -> dict | None:
+        """Append one event; returns it, or None once the spool broke."""
         with self._lock:
             if self._broken:
-                return
-            event = {
-                "t": time.time(),
-                "pid": os.getpid(),
-                "src": self.src,
-                "seq": self._seq,
-                "type": type_,
-            }
-            event.update(fields)
+                return None
+            event = _envelope(self.src, self._seq, type_, fields)
             try:
                 if self._fh is None:
                     self._fh = open(self.path, "a", encoding="utf-8")
@@ -164,8 +177,9 @@ class EventEmitter:
                 # the handle was closed: telemetry must never take the
                 # work down with it.
                 self._broken = True
-                return
+                return None
             self._seq += 1
+            return event
 
     def flush(self) -> None:
         with self._lock:
@@ -198,22 +212,86 @@ _ACTIVE_SPOOL: ContextVar[str | None] = ContextVar(
 _WORKER_EMITTERS: dict[str, EventEmitter] = {}
 
 
-def emit_event(type_: str, **fields: Any) -> None:
-    """Append one event to the active emitter (no-op without one).
+#: Recorder event lists attached in scope, with the attaching process's
+#: pid: a forked worker inherits the parent's context, but a parent
+#: recorder sees only its own process's events.
+_ACTIVE_RECORDERS: ContextVar[tuple[int, tuple[list, ...]]] = ContextVar(
+    "repro_active_recorders", default=(0, ())
+)
 
-    The producer entry point, mirroring :func:`repro.obs.convergence.
-    observe`: span hooks, the pool, the ECO path and the sweep engine
-    all call this unconditionally and pay one contextvar read when no
-    bus is attached.
+#: Sequence of the events that reach only in-process recorders.
+_LOCAL_SEQ = itertools.count()
+
+
+def _recorders() -> tuple[list, ...]:
+    pid, lists = _ACTIVE_RECORDERS.get()
+    return lists if lists and pid == os.getpid() else ()
+
+
+@contextmanager
+def capture_events(events: list) -> Iterator[list]:
+    """Append every event emitted in this process in scope to ``events``
+    (the :class:`~repro.obs.recorder.FlightRecorder` sink)."""
+    token = _ACTIVE_RECORDERS.set((os.getpid(), _recorders() + (events,)))
+    try:
+        yield events
+    finally:
+        _ACTIVE_RECORDERS.reset(token)
+
+
+def emit_event(type_: str, **fields: Any) -> None:
+    """Emit one event to every attached recorder and the attached bus.
+
+    The one producer entry point: spans, :func:`observe`,
+    :func:`record_qor`, the artifact cache, the pool, the ECO path and
+    the sweep engine all call this unconditionally; with no sink
+    attached it returns after two contextvar reads.
     """
     emitter = _ACTIVE_EMITTER.get()
-    if emitter is not None:
-        emitter.emit(type_, **fields)
+    recorders = _recorders()
+    if emitter is None and not recorders:
+        return
+    event = emitter.emit(type_, **fields) if emitter is not None else None
+    if recorders:
+        if event is None:
+            src = f"{os.getpid()}-local"
+            event = _envelope(src, next(_LOCAL_SEQ), type_, fields)
+        for events in recorders:
+            events.append(event)
 
 
 def emitting_events() -> bool:
-    """True when an :func:`emit_event` call would actually write."""
-    return _ACTIVE_EMITTER.get() is not None
+    """True when an :func:`emit_event` call reaches a sink: the one gate
+    for telemetry-only work (inertia sums, extra HPWL evaluations)."""
+    return _ACTIVE_EMITTER.get() is not None or bool(_recorders())
+
+
+def observe(series: str, **values: float | None) -> None:
+    """Emit one ``convergence`` point of ``series`` (None values dropped)::
+
+        observe("milp.lagrangian", iteration=it, dual=bound, primal=cost)
+    """
+    if emitting_events():
+        emit_event(
+            "convergence",
+            series=series,
+            values={k: float(v) for k, v in values.items() if v is not None},
+        )
+
+
+def record_qor(stage: str, **metrics: float | None) -> None:
+    """Emit one ``qor`` snapshot: quality-of-results at a named point.
+
+    The flow runner calls this after global placement, row assignment
+    and every legalization pass; a metric worth computing *only* for
+    the snapshot is gated on :func:`emitting_events` at the call site.
+    """
+    if emitting_events():
+        emit_event(
+            "qor",
+            stage=stage,
+            metrics={k: float(v) for k, v in metrics.items() if v is not None},
+        )
 
 
 def current_bus_handle() -> str | None:
@@ -470,38 +548,92 @@ class JsonlSink:
             self._fh = None
 
 
-class PrometheusExporter:
-    """Bus consumer flushing a registry as a Prometheus textfile.
+#: Span-duration histogram bucket upper bounds, in seconds (the last,
+#: implicit bucket is +Inf).
+SPAN_BUCKETS: tuple[float, ...] = (
+    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0, 300.0,
+)
 
-    Counts every event into ``events.<type>`` counters on the given
-    registry, then periodically writes
-    :meth:`~repro.obs.metrics.MetricsRegistry.to_prometheus` via the
-    atomic tmp + rename the node-exporter textfile collector expects.
+#: Characters invalid in a Prometheus metric name.
+_PROM_INVALID = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+class PrometheusExporter:
+    """Bus consumer flushing its event tallies as a Prometheus textfile.
+
+    Counts every event as ``events.<type>``; every ``span.end`` also
+    lands in a ``span.<name>`` duration histogram and, on error, a
+    ``span.<name>.errors`` counter.  Periodic flushes write the text
+    exposition format via the atomic tmp + rename the node-exporter
+    textfile collector expects.
     """
 
     def __init__(
         self,
         path: str | os.PathLike,
-        registry: MetricsRegistry | None = None,
         flush_interval_s: float = 2.0,
         namespace: str = "repro",
     ) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.registry = registry if registry is not None else current_registry()
         self.flush_interval_s = flush_interval_s
         self.namespace = namespace
+        self.counters: dict[str, int] = {}
+        #: name -> per-bucket counts (+Inf last), then [count, sum].
+        self.histograms: dict[str, tuple[list[int], list[float]]] = {}
         self._last_flush = 0.0
         self.n_flushes = 0
 
+    def _count(self, name: str) -> None:
+        self.counters[name] = self.counters.get(name, 0) + 1
+
     def __call__(self, event: dict) -> None:
         type_ = str(event.get("type", "?"))
-        self.registry.counter(f"events.{type_}").inc()
+        self._count(f"events.{type_}")
+        if type_ != "span.end":
+            return
+        name = f"span.{event.get('name', '?')}"
+        seconds = float(event.get("duration_s", 0.0))
+        buckets, totals = self.histograms.setdefault(
+            name, ([0] * (len(SPAN_BUCKETS) + 1), [0, 0.0])
+        )
+        buckets[bisect.bisect_left(SPAN_BUCKETS, seconds)] += 1
+        totals[0] += 1
+        totals[1] += seconds
+        if event.get("status") == "error":
+            self._count(f"{name}.errors")
+
+    def to_prometheus(self) -> str:
+        """The tallies in Prometheus text exposition format.
+
+        Counters export as ``<ns>_<name>_total`` and histograms as
+        cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``,
+        the shapes ``promtool check metrics`` accepts; ``.`` and other
+        invalid characters in names become ``_``.
+        """
+        lines: list[str] = []
+
+        def name_of(raw: str, suffix: str = "") -> str:
+            return f"{self.namespace}_{_PROM_INVALID.sub('_', raw)}{suffix}"
+
+        for raw, value in sorted(self.counters.items()):
+            metric = name_of(raw, "_total")
+            lines += [f"# TYPE {metric} counter", f"{metric} {value}"]
+        for raw, (buckets, (count, total)) in sorted(self.histograms.items()):
+            metric = name_of(raw)
+            lines.append(f"# TYPE {metric} histogram")
+            for bound, cumulative in zip(
+                SPAN_BUCKETS, itertools.accumulate(buckets)
+            ):
+                lines.append(f'{metric}_bucket{{le="{bound:g}"}} {cumulative}')
+            lines.append(f'{metric}_bucket{{le="+Inf"}} {count}')
+            lines.append(f"{metric}_sum {total:g}")
+            lines.append(f"{metric}_count {count}")
+        return "\n".join(lines) + "\n"
 
     def flush(self) -> None:
-        text = self.registry.to_prometheus(namespace=self.namespace)
         tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_text(self.to_prometheus(), encoding="utf-8")
         os.replace(tmp, self.path)
         self.n_flushes += 1
 

@@ -1,26 +1,22 @@
-"""Flight recorder: one attachable capture of everything a run produced.
+"""Flight recorder: the in-process event sink and the one fold over it.
 
-A :class:`FlightRecorder` bundles the three observability channels around
-one unit of work (a flow run, a sweep job, a CLI invocation):
+A :class:`FlightRecorder` holds the list of events emitted in this
+process while it is attached (``attach()``; nested recorders each
+receive every event emitted in their scope).  Nothing in the
+instrumented code knows it exists: spans, :func:`observe` and
+:func:`record_qor` all go through :func:`~repro.obs.events.emit_event`.
 
-* the span forest (its own :class:`~repro.obs.trace.Tracer`),
-* per-iteration convergence series
-  (:class:`~repro.obs.convergence.ConvergenceLog` — solvers, k-means,
-  detailed refinement append through :func:`repro.obs.convergence.observe`),
-* per-stage QoR snapshots (:func:`record_qor` — HPWL, displacement,
-  violations after each flow stage), and
-* a metrics snapshot of its scoped
-  :class:`~repro.obs.metrics.MetricsRegistry`.
-
-``attach()`` activates all of it via context variables; nothing in the
-instrumented code knows the recorder exists.  The captured record exports
-three ways:
+Everything a run reports is a fold over an event list,
+:func:`fold_events` — the span tree, the per-stage QoR snapshots, the
+convergence series and per-type event counters — whether the list is
+a recorder's or an ``events.jsonl`` read back with
+:func:`~repro.obs.events.read_events`.  The record exports three ways:
 
 * :meth:`FlightRecorder.to_dict` / :meth:`write_json` — the
   machine-readable ``run_record.json`` (schema ``repro.run_record/1``,
   gated by ``scripts/check_bench.py --record``);
 * :func:`write_chrome_trace` — Chrome Trace Format JSON loadable in
-  ``chrome://tracing`` / Perfetto, derived from the span trees;
+  ``chrome://tracing`` / Perfetto, derived from the span tree;
 * :func:`repro.eval.report.render_run_report` — the human markdown report
   (``repro report`` CLI).
 """
@@ -30,204 +26,195 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import ExitStack, contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from repro.obs.convergence import ConvergenceLog, use_convergence
-from repro.obs.events import emit_event
-from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.trace import Span, Tracer, as_span_roots  # noqa: F401 - Span in annotations
+from repro.obs.events import _json_default, capture_events, emit_event
+from repro.obs.trace import _span_roots
 
 #: Schema identifier of the exported run record.
 RUN_RECORD_SCHEMA = "repro.run_record/1"
 
-_ACTIVE_RECORDER: ContextVar["FlightRecorder | None"] = ContextVar(
-    "repro_active_recorder", default=None
-)
 
+def fold_events(events: Iterable[Mapping]) -> dict:
+    """The run-record sections of an event list, in one pass.
 
-@dataclass
-class QoRSnapshot:
-    """Quality-of-results at one named point of a run."""
-
-    stage: str
-    metrics: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"stage": self.stage, "metrics": dict(self.metrics)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "QoRSnapshot":
-        return cls(stage=data["stage"], metrics=dict(data.get("metrics", {})))
+    Returns ``spans`` (``{"name", "total_s", "spans": [tree...]}``;
+    each node carries ``name``, ``start_offset_s`` — from its parent's
+    start, or for a root from the first event — ``duration_s``,
+    ``status`` and optional ``error``/``attrs``/``children``), ``qor``
+    (``[{"stage", "metrics"}]``), ``convergence`` (``{series: {"name",
+    "points"}}``) and ``metrics`` (``{"counters": {event type:
+    count}}``).  Spans are keyed by ``(pid, id)``, so a multi-process
+    stream folds into one forest; a span whose parent is not in the
+    list becomes a root.
+    """
+    name = None
+    t0 = None
+    roots: list[dict] = []
+    spans: dict[tuple, tuple[dict, float]] = {}
+    qor: list[dict] = []
+    convergence: dict[str, dict] = {}
+    counters: dict[str, int] = {}
+    for event in events:
+        type_ = str(event.get("type", "?"))
+        counters[type_] = counters.get(type_, 0) + 1
+        t = float(event.get("t", 0.0))
+        if t0 is None:
+            t0 = t
+        if type_ == "span.begin" and "id" in event:
+            node = {
+                "name": event["name"],
+                "start_offset_s": 0.0,
+                "duration_s": 0.0,
+                "status": "open",
+            }
+            parent = spans.get((event.get("pid"), event.get("parent")))
+            if parent is None:
+                node["start_offset_s"] = t - t0
+                roots.append(node)
+            else:
+                node["start_offset_s"] = t - parent[1]
+                parent[0].setdefault("children", []).append(node)
+            spans[(event.get("pid"), event["id"])] = (node, t)
+        elif type_ == "span.end" and "id" in event:
+            found = spans.get((event.get("pid"), event["id"]))
+            if found is None:
+                continue
+            node = found[0]
+            children = node.pop("children", None)
+            node["duration_s"] = event["duration_s"]
+            node["status"] = event["status"]
+            if event.get("error") is not None:
+                node["error"] = event["error"]
+            if event.get("attrs"):
+                node["attrs"] = dict(event["attrs"])
+            if children:
+                node["children"] = children
+        elif type_ == "qor":
+            qor.append(
+                {"stage": event["stage"], "metrics": dict(event["metrics"])}
+            )
+        elif type_ == "convergence":
+            series = event["series"]
+            convergence.setdefault(series, {"name": series, "points": []})[
+                "points"
+            ].append(dict(event["values"]))
+        elif type_ == "run.begin" and name is None:
+            name = event["name"]
+    return {
+        "spans": {
+            "name": name or "run",
+            "total_s": sum(r["duration_s"] for r in roots),
+            "spans": roots,
+        },
+        "qor": qor,
+        "convergence": convergence,
+        "metrics": {"counters": counters},
+    }
 
 
 class FlightRecorder:
-    """Attachable capture of spans, convergence, QoR and metrics.
+    """In-process event sink for one unit of work, folded on export.
 
     Usage::
 
         recorder = FlightRecorder("aes_300.flow5")
         with recorder.attach():
             run_flow(FlowKind.FLOW5, initial, config)
+        record = recorder.to_dict()
         recorder.write_json("run_record.json")
-        write_chrome_trace("trace.json", recorder.tracer)
+        write_chrome_trace("trace.json", record["spans"])
     """
 
     def __init__(
-        self,
-        name: str = "run",
-        config: Mapping | None = None,
-        scoped_registry: bool = True,
+        self, name: str = "run", config: Mapping | None = None
     ) -> None:
         self.name = name
         self.config: dict = dict(config) if config else {}
-        self.tracer = Tracer(name=name)
-        self.convergence = ConvergenceLog()
-        self.registry = MetricsRegistry()
-        self.qor: list[QoRSnapshot] = []
         self.meta: dict[str, Any] = {}
+        self.events: list[dict] = []
         self.created_unix = time.time()
-        self._scoped_registry = scoped_registry
 
     @contextmanager
     def attach(self) -> Iterator["FlightRecorder"]:
-        """Activate the tracer, convergence log (and registry) in scope."""
-        with ExitStack() as stack:
-            stack.enter_context(self.tracer.activate())
-            stack.enter_context(use_convergence(self.convergence))
-            if self._scoped_registry:
-                stack.enter_context(use_registry(self.registry))
-            token = _ACTIVE_RECORDER.set(self)
+        """Collect every event this process emits in scope."""
+        with capture_events(self.events):
             emit_event("run.begin", name=self.name)
             try:
                 yield self
             finally:
-                _ACTIVE_RECORDER.reset(token)
                 emit_event("run.end", name=self.name)
-
-    # -- capture -----------------------------------------------------------
-
-    def snapshot_qor(self, stage: str, **metrics: float) -> QoRSnapshot:
-        snap = QoRSnapshot(
-            stage=stage,
-            metrics={
-                k: float(v) for k, v in metrics.items() if v is not None
-            },
-        )
-        self.qor.append(snap)
-        emit_event("qor", stage=snap.stage, metrics=snap.metrics)
-        return snap
 
     def annotate(self, **meta: Any) -> "FlightRecorder":
         """Attach free-form run metadata (flow summary, provenance, ...)."""
         self.meta.update(meta)
         return self
 
-    # -- export ------------------------------------------------------------
-
-    def to_dict(
-        self, include_spans: bool = True, include_metrics: bool = True
-    ) -> dict:
-        """The ``run_record.json`` payload (schema ``repro.run_record/1``).
-
-        ``include_spans=False`` / ``include_metrics=False`` drop the two
-        bulky sections — the sweep engine embeds per-job records next to
-        a span tree and a metrics snapshot it already ships separately.
-        """
-        out: dict[str, Any] = {
+    def to_dict(self) -> dict:
+        """The ``run_record.json`` payload (schema ``repro.run_record/1``):
+        the header plus :func:`fold_events` of the captured events."""
+        return {
             "schema": RUN_RECORD_SCHEMA,
             "name": self.name,
             "created_unix": self.created_unix,
             "config": dict(self.config),
             "meta": dict(self.meta),
-            "qor": [s.to_dict() for s in self.qor],
-            "convergence": self.convergence.to_dict(),
+            **fold_events(self.events),
         }
-        if include_spans:
-            out["spans"] = self.tracer.to_dict()
-        if include_metrics:
-            out["metrics"] = self.registry.snapshot()
-        return out
 
     def write_json(self, path: str | os.PathLike) -> Path:
         out = Path(path)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        out.write_text(
+            json.dumps(self.to_dict(), indent=2, default=_json_default) + "\n"
+        )
         return out
-
-
-def current_recorder() -> FlightRecorder | None:
-    """The innermost attached recorder, if any."""
-    return _ACTIVE_RECORDER.get()
-
-
-def recording() -> bool:
-    """True when a recorder is attached (gate for QoR-only computation)."""
-    return _ACTIVE_RECORDER.get() is not None
-
-
-def record_qor(stage: str, **metrics: float) -> None:
-    """Snapshot QoR metrics into the attached recorder (no-op without one).
-
-    The flow runner calls this after global placement, row assignment and
-    every legalization pass; any metric worth computing *only* for the
-    snapshot should be gated on :func:`recording` at the call site.
-    """
-    recorder = current_recorder()
-    if recorder is not None:
-        recorder.snapshot_qor(stage, **metrics)
 
 
 # -- Chrome Trace Format export ------------------------------------------
 
 
 def chrome_trace_events(
-    spans: "Tracer | Span | dict | list", pid: int = 1, tid: int = 1
+    spans: Mapping | Sequence[Mapping], pid: int = 1, tid: int = 1
 ) -> list[dict]:
-    """Flatten span trees into Chrome Trace Format ``X`` events.
+    """Flatten span dicts into Chrome Trace Format ``X`` events.
 
-    Accepts whatever :func:`repro.obs.trace.render_span_tree` accepts: a
-    :class:`Tracer`, a single :class:`Span` or its dict form, a
-    ``Tracer.to_dict()`` payload, or a list of any of those.  Event
-    timestamps are microseconds relative to the first root; sibling roots
-    are laid out back-to-back (span trees store only parent-relative
-    offsets, not absolute clocks).
+    Accepts a spans payload (``record["spans"]``), one span dict or a
+    list of them.  Timestamps are microseconds from each root's
+    ``start_offset_s`` (its real start within the record).
     """
-    roots: list[Span] = as_span_roots(spans)
     events: list[dict] = []
 
-    def emit(node: Span, start_s: float) -> None:
-        args: dict[str, Any] = dict(node.attrs)
-        if node.status == "error" and node.error:
-            args["error"] = node.error
+    def emit(node: Mapping, start_s: float) -> None:
+        args: dict[str, Any] = dict(node.get("attrs", {}))
+        failed = node.get("status") == "error"
+        if failed and node.get("error"):
+            args["error"] = node["error"]
         events.append(
             {
-                "name": node.name,
-                "cat": "repro" if node.status != "error" else "repro,error",
+                "name": node["name"],
+                "cat": "repro,error" if failed else "repro",
                 "ph": "X",
                 "ts": round(start_s * 1e6, 3),
-                "dur": round(node.duration_s * 1e6, 3),
+                "dur": round(node.get("duration_s", 0.0) * 1e6, 3),
                 "pid": pid,
                 "tid": tid,
                 "args": args,
             }
         )
-        for child in node.children:
-            emit(child, start_s + child.start_offset_s)
+        for child in node.get("children", ()):
+            emit(child, start_s + child.get("start_offset_s", 0.0))
 
-    cursor = 0.0
-    for root in roots:
-        emit(root, cursor)
-        cursor += root.duration_s
+    for root in _span_roots(spans):
+        emit(root, root.get("start_offset_s", 0.0))
     return events
 
 
 def write_chrome_trace(
     path: str | os.PathLike,
-    spans: "Tracer | Span | dict | list",
+    spans: Mapping | Sequence[Mapping],
     pid: int = 1,
     process_name: str = "repro",
 ) -> Path:
@@ -249,7 +236,9 @@ def write_chrome_trace(
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(
         json.dumps(
-            {"traceEvents": events, "displayTimeUnit": "ms"}, indent=2
+            {"traceEvents": events, "displayTimeUnit": "ms"},
+            indent=2,
+            default=_json_default,
         )
         + "\n"
     )
@@ -301,5 +290,5 @@ def validate_run_record(record: Mapping) -> list[str]:
     if spans is not None and (
         not isinstance(spans, Mapping) or "spans" not in spans
     ):
-        problems.append("spans present but not a Tracer.to_dict() payload")
+        problems.append("spans present but not a {'spans': [...]} payload")
     return problems

@@ -1,67 +1,60 @@
-"""Nested span tracing for the placement hot path.
+"""Nested span timing for the placement hot path.
 
 A :class:`Span` is a context manager timing one stage; spans nest via a
 context variable, so any code can open ``span("rap.ilp")`` without
-threading a tracer object through every call.  When the span exits it
-
-* computes its duration (``perf_counter`` based),
-* attaches itself to the enclosing span's children (building the tree),
-* lands in the active :class:`Tracer`'s roots when it has no parent, and
-* records its duration into the current metrics registry
-  (``span.<name>`` histogram, plus an error counter on exceptions).
-
-Span trees are exported as plain dicts (:meth:`Span.to_dict`), which is
-the form that crosses process boundaries and lands in ``BENCH_*.json``
-and ``FlowProvenance.spans``.
+threading an object through every call.  A span is a pair of events:
+``span.begin`` (``name``, ``id``, ``parent``) on entry and ``span.end``
+(``id``, ``duration_s``, ``status``, ``error``, final ``attrs``) on
+exit, emitted through :func:`repro.obs.events.emit_event`.  The span
+tree of a run is a fold over those events
+(:func:`repro.obs.recorder.fold_events`); its plain-dict form is what
+:func:`render_span_tree`, the Chrome trace and ``SweepJobResult.spans``
+take.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Mapping, Sequence
 
 from repro.obs.events import emit_event
-from repro.obs.metrics import current_registry
 
 _ACTIVE_SPAN: ContextVar["Span | None"] = ContextVar(
     "repro_active_span", default=None
 )
-_ACTIVE_TRACER: ContextVar["Tracer | None"] = ContextVar(
-    "repro_active_tracer", default=None
-)
+
+#: Span ids, unique within a process (the fold keys spans by pid + id).
+_SPAN_IDS = itertools.count(1)
 
 
 @dataclass
 class Span:
-    """One timed stage; use as a context manager.
-
-    ``start_offset_s`` is the start time relative to the parent span's
-    start (0.0 for roots), which keeps the tree self-contained and
-    picklable without absolute clocks.
-    """
+    """One timed stage; use as a context manager."""
 
     name: str
     attrs: dict[str, Any] = field(default_factory=dict)
-    start_offset_s: float = 0.0
     duration_s: float = 0.0
     status: str = "open"  # "open" while running, then "ok" | "error"
     error: str | None = None
-    children: list["Span"] = field(default_factory=list)
 
     _t0: float | None = field(default=None, repr=False, compare=False)
-    _parent: "Span | None" = field(default=None, repr=False, compare=False)
+    _id: int = field(default=0, repr=False, compare=False)
     _token: Any = field(default=None, repr=False, compare=False)
 
     def __enter__(self) -> "Span":
         self._t0 = time.perf_counter()
-        self._parent = _ACTIVE_SPAN.get()
-        if self._parent is not None and self._parent._t0 is not None:
-            self.start_offset_s = self._t0 - self._parent._t0
+        self._id = next(_SPAN_IDS)
+        parent = _ACTIVE_SPAN.get()
         self._token = _ACTIVE_SPAN.set(self)
-        emit_event("span.begin", name=self.name)
+        emit_event(
+            "span.begin",
+            name=self.name,
+            id=self._id,
+            parent=parent._id if parent is not None else None,
+        )
         return self
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
@@ -71,25 +64,16 @@ class Span:
             self.error = f"{type(exc).__name__}: {exc}"
         if self._token is not None:
             _ACTIVE_SPAN.reset(self._token)
-        parent = self._parent
-        if parent is not None:
-            parent.children.append(self)
-        else:
-            tracer = _ACTIVE_TRACER.get()
-            if tracer is not None:
-                tracer.roots.append(self)
-        registry = current_registry()
-        registry.histogram(f"span.{self.name}").observe(self.duration_s)
-        if self.status == "error":
-            registry.counter(f"span.{self.name}.errors").inc()
         emit_event(
             "span.end",
             name=self.name,
+            id=self._id,
             duration_s=self.duration_s,
             status=self.status,
+            error=self.error,
+            attrs=dict(self.attrs),
         )
         # Drop context references so finished spans pickle cleanly.
-        self._parent = None
         self._token = None
         self._t0 = None
 
@@ -104,61 +88,10 @@ class Span:
         return time.perf_counter() - self._t0
 
     def annotate(self, **attrs: Any) -> "Span":
-        """Attach key/value attributes (chainable)."""
+        """Attach key/value attributes (chainable); they travel on
+        ``span.end``, so annotate before the span closes."""
         self.attrs.update(attrs)
         return self
-
-    @property
-    def self_s(self) -> float:
-        """Duration not covered by child spans."""
-        return max(0.0, self.duration_s - sum(c.duration_s for c in self.children))
-
-    def walk(self) -> Iterator["Span"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def find(self, name: str) -> "Span | None":
-        """First descendant (or self) with the given name, else None."""
-        for node in self.walk():
-            if node.name == name:
-                return node
-        return None
-
-    def stage_seconds(self) -> dict[str, float]:
-        """Leaf-level name -> accumulated duration map over the subtree."""
-        out: dict[str, float] = {}
-        for node in self.walk():
-            if not node.children:
-                out[node.name] = out.get(node.name, 0.0) + node.duration_s
-        return out
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {
-            "name": self.name,
-            "start_offset_s": self.start_offset_s,
-            "duration_s": self.duration_s,
-            "status": self.status,
-        }
-        if self.error is not None:
-            out["error"] = self.error
-        if self.attrs:
-            out["attrs"] = dict(self.attrs)
-        if self.children:
-            out["children"] = [c.to_dict() for c in self.children]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Span":
-        return cls(
-            name=data["name"],
-            attrs=dict(data.get("attrs", {})),
-            start_offset_s=data.get("start_offset_s", 0.0),
-            duration_s=data.get("duration_s", 0.0),
-            status=data.get("status", "ok"),
-            error=data.get("error"),
-            children=[cls.from_dict(c) for c in data.get("children", ())],
-        )
 
 
 def span(name: str, **attrs: Any) -> Span:
@@ -171,115 +104,40 @@ def current_span() -> Span | None:
     return _ACTIVE_SPAN.get()
 
 
-class Tracer:
-    """Collects root spans and renders/exports the forest.
-
-    Activate around a unit of work (a sweep job, a CLI run)::
-
-        tracer = Tracer("aes_300.flow5")
-        with tracer.activate():
-            run_flow(...)
-        print(tracer.format_tree())
-    """
-
-    def __init__(self, name: str = "trace") -> None:
-        self.name = name
-        self.roots: list[Span] = []
-
-    @contextmanager
-    def activate(self) -> Iterator["Tracer"]:
-        token = _ACTIVE_TRACER.set(self)
-        try:
-            yield self
-        finally:
-            _ACTIVE_TRACER.reset(token)
-
-    def record(self, root: Span) -> None:
-        """Manually add a finished root span (e.g. rebuilt from a dict)."""
-        self.roots.append(root)
-
-    @property
-    def total_s(self) -> float:
-        return sum(r.duration_s for r in self.roots)
-
-    def clear(self) -> None:
-        self.roots.clear()
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "total_s": self.total_s,
-            "spans": [r.to_dict() for r in self.roots],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Tracer":
-        tracer = cls(name=data.get("name", "trace"))
-        tracer.roots = [Span.from_dict(s) for s in data.get("spans", ())]
-        return tracer
-
-    def format_tree(self) -> str:
-        return "\n".join(render_span_tree(r) for r in self.roots)
-
-
-def current_tracer() -> Tracer | None:
-    return _ACTIVE_TRACER.get()
-
-
-def as_span_roots(spans: "Tracer | Span | dict | list | tuple") -> list[Span]:
-    """Normalize any span container to a list of root :class:`Span`s.
-
-    Accepts a :class:`Tracer`, a ``Tracer.to_dict()`` payload
-    (``{"spans": [...]}``), a single :class:`Span` or its dict form, or a
-    list/tuple of any of those — the shapes a ``FlowResult``,
-    ``SweepJobResult`` or flight-recorder record carries.  This is the one
-    normalization point shared by :func:`render_span_tree` and the Chrome
-    trace exporter.
-    """
-    if isinstance(spans, Tracer):
-        return list(spans.roots)
-    if isinstance(spans, Span):
-        return [spans]
-    if isinstance(spans, dict):
-        if "spans" in spans:
-            return [Span.from_dict(s) for s in spans["spans"]]
-        return [Span.from_dict(spans)]
-    out: list[Span] = []
-    for item in spans:
-        out.extend(as_span_roots(item))
-    return out
+def _span_roots(spans: Mapping | Sequence[Mapping]) -> list[Mapping]:
+    """Root span dicts of a spans payload (``{"spans": [...]}``, the
+    run record's ``spans`` section), one span dict, or a list of them."""
+    if isinstance(spans, Mapping):
+        return list(spans["spans"]) if "spans" in spans else [spans]
+    return list(spans)
 
 
 def render_span_tree(
-    node: "Tracer | Span | dict | list | tuple", min_duration_s: float = 0.0
+    spans: Mapping | Sequence[Mapping], min_duration_s: float = 0.0
 ) -> str:
-    """ASCII tree of spans and their descendants with durations.
+    """ASCII tree of span dicts and their descendants with durations.
 
-    Accepts anything :func:`as_span_roots` accepts (a :class:`Span`, its
-    :meth:`Span.to_dict` form, a :class:`Tracer`, a ``Tracer.to_dict()``
-    payload, or a list of those).  ``min_duration_s`` prunes sub-trees
-    faster than the threshold.
+    Accepts a spans payload, one span dict or a list of them;
+    ``min_duration_s`` prunes sub-trees faster than the threshold.
     """
-    roots = as_span_roots(node)
-    if len(roots) != 1:
-        return "\n".join(
-            part
-            for part in (render_span_tree(r, min_duration_s) for r in roots)
-            if part
-        )
-    root = roots[0]
     lines: list[str] = []
 
-    def emit(sp: Span, prefix: str, is_last: bool, is_root: bool) -> None:
+    def emit(node: Mapping, prefix: str, is_last: bool, is_root: bool) -> None:
         connector = "" if is_root else ("└─ " if is_last else "├─ ")
-        flag = "" if sp.status in ("ok", "open") else f"  [{sp.status}]"
+        status = node.get("status", "ok")
+        flag = "" if status in ("ok", "open") else f"  [{status}]"
         lines.append(
-            f"{prefix}{connector}{sp.name}  {sp.duration_s * 1e3:.1f}ms{flag}"
+            f"{prefix}{connector}{node['name']}  "
+            f"{node.get('duration_s', 0.0) * 1e3:.1f}ms{flag}"
         )
-        shown = [c for c in sp.children if c.duration_s >= min_duration_s]
+        shown = [
+            c for c in node.get("children", ())
+            if c.get("duration_s", 0.0) >= min_duration_s
+        ]
         child_prefix = prefix if is_root else prefix + ("   " if is_last else "│  ")
         for i, child in enumerate(shown):
             emit(child, child_prefix, i == len(shown) - 1, False)
 
-    emit(root, "", True, True)
+    for root in _span_roots(spans):
+        emit(root, "", True, True)
     return "\n".join(lines)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.convergence import observe, recording_convergence
+from repro.obs.events import emitting_events, observe
 from repro.placement.db import PlacedDesign
 from repro.utils.errors import ValidationError
 
@@ -76,7 +76,7 @@ def swap_refine(
     bin_h = max(1, bin_size_rows) * row_h
     bin_w = bin_h * 4
 
-    telemetry = recording_convergence()
+    telemetry = emitting_events()
     swaps = 0
     for pass_index in range(1, passes + 1):
         ix = ((placed.x - die.xlo) / bin_w).astype(int)

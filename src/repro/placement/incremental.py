@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.fence import FenceRegions
-from repro.obs.convergence import observe, recording_convergence
+from repro.obs.events import emitting_events, observe
 from repro.obs.trace import span
 from repro.placement.db import PlacedDesign
 from repro.utils.errors import CapacityError, ValidationError
@@ -230,7 +230,7 @@ def refine_detailed(
         n_cells=placed.design.num_instances,
         rounds=rounds,
     ):
-        telemetry = recording_convergence()
+        telemetry = emitting_events()
         for round_index in range(1, rounds + 1):
             tx, ty = median_target_positions(placed)
             cx, cy = placed.centers()
@@ -290,7 +290,7 @@ def fence_aware_refine(
         n_classes=len(classes),
         iterations=iterations,
     ):
-        telemetry = recording_convergence()
+        telemetry = emitting_events()
         project_all()
         for iteration in range(1, iterations + 1):
             tx, ty = median_target_positions(placed)

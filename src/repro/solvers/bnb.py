@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.obs.convergence import observe, recording_convergence
+from repro.obs.events import emitting_events, observe
 from repro.obs.trace import Span, span
 from repro.solvers.milp import MilpModel, MilpSolution, MilpStatus
 
@@ -114,7 +114,7 @@ class BranchAndBoundSolver:
     ) -> MilpSolution:
         best_x: np.ndarray | None = None
         best_obj = np.inf
-        telemetry = recording_convergence()
+        telemetry = emitting_events()
 
         def emit_point(nodes: int, bound: float) -> None:
             """One (nodes, incumbent, bound, gap) convergence point."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from repro.obs.convergence import observe
+from repro.obs.events import observe
 from repro.obs.trace import span
 from repro.solvers.milp import MilpModel, MilpSolution, MilpStatus
 from repro.utils.errors import ReproError, SolverError
@@ -49,20 +49,20 @@ def solve_with_highs(
                 bounds=Bounds(model.lb, model.ub),
                 options=options,
             )
+            if result.status == 0 and result.x is not None:
+                status = MilpStatus.OPTIMAL
+            elif result.x is not None:
+                status = MilpStatus.FEASIBLE
+            elif result.status == 2:
+                status = MilpStatus.INFEASIBLE
+            else:
+                status = MilpStatus.ERROR
+            solve_span.annotate(status=status.value)
     except ReproError:
         raise
     except Exception as exc:
         raise SolverError(f"HiGHS backend failed: {exc}") from exc
 
-    if result.status == 0 and result.x is not None:
-        status = MilpStatus.OPTIMAL
-    elif result.x is not None:
-        status = MilpStatus.FEASIBLE
-    elif result.status == 2:
-        status = MilpStatus.INFEASIBLE
-    else:
-        status = MilpStatus.ERROR
-    solve_span.annotate(status=status.value)
     x = np.asarray(result.x) if result.x is not None else None
     objective = model.objective(x) if x is not None else np.inf
     # scipy exposes no per-node callback, so the HiGHS convergence series

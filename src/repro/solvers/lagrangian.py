@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.convergence import observe
+from repro.obs.events import observe
 from repro.obs.trace import span
 from repro.solvers.milp import MilpModel, MilpSolution, MilpStatus
 from repro.utils.errors import InfeasibleError, ValidationError

@@ -306,10 +306,6 @@ class FlowProvenance:
     asked for: a fallback rung answered, a constraint relaxation was
     applied, or the legalizer fell back.  Table IV-style comparisons use
     it to flag non-exact rows instead of silently mixing results.
-
-    ``spans`` is the flow's span tree in :meth:`repro.obs.Span.to_dict`
-    form (attached by :meth:`FlowRunner.run`); dict form keeps the
-    provenance picklable across sweep worker processes.
     """
 
     requested_backend: str | None = None
@@ -320,7 +316,6 @@ class FlowProvenance:
     relaxations: list[str] = field(default_factory=list)
     budget_s: float | None = None
     budget_spent_s: float = 0.0
-    spans: dict | None = None
 
     @property
     def fallbacks(self) -> list[RungRecord]:
@@ -377,7 +372,6 @@ class FlowProvenance:
             "relaxations": list(self.relaxations),
             "budget_s": self.budget_s,
             "budget_spent_s": self.budget_spent_s,
-            "spans": self.spans,
             "attempts": [
                 {
                     "stage": a.stage,

@@ -60,7 +60,6 @@ from typing import Any, Callable, Iterable, Sequence, TypeVar
 import logging
 
 from repro.obs.events import current_bus_handle, emit_event, spool_emitter
-from repro.obs.metrics import current_registry
 from repro.utils.errors import ReproError
 from repro.utils.resilience import RetryPolicy
 
@@ -560,7 +559,6 @@ class SupervisedPool:
         still gets one clean, in-process execution — flagged
         ``ran_inline`` for degraded-mode provenance.
         """
-        registry = current_registry()
         for i in inline_queue:
             outcome = outcomes[i]
             if not self.inline_last_resort:
@@ -577,7 +575,6 @@ class SupervisedPool:
             outcome.ran_inline = True
             outcome.attempts += 1
             self.stats.inline_runs += 1
-            registry.counter("pool.inline_runs").inc()
             emit_event("pool.inline", index=i, attempt=outcome.attempts)
             logger.warning(
                 "supervised pool: running task %d inline after %d failed "

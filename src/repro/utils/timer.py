@@ -5,14 +5,15 @@ total placement runtime (Table IV, Fig. 5, Sec. IV.B.3); ``StageTimes`` is the
 container those experiments consume.
 
 ``StageTimes.measure`` is backed by :mod:`repro.obs` spans: every measured
-stage also lands in the active span tree and the current metrics registry,
-so aggregate stage times and traces never disagree.
+stage is also one span in the event stream, so aggregate stage times and
+traces never disagree.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 from repro.obs.trace import span as _span
 
@@ -71,6 +72,23 @@ class StageTimes:
         for stage, seconds in other.stages.items():
             out.add(stage, seconds)
         return out
+
+
+def stage_fractions(
+    stages: Mapping[str, float], groups: Mapping[str, Sequence[str]]
+) -> dict[str, float]:
+    """Share of total stage time per named group of stages.
+
+    ``stages`` maps stage name -> seconds (``StageTimes.stages``);
+    ``groups`` maps a report label to the stage names it covers.
+    """
+    total = sum(stages.values())
+    if total <= 0.0:
+        return {label: 0.0 for label in groups}
+    return {
+        label: sum(stages.get(s, 0.0) for s in names) / total
+        for label, names in groups.items()
+    }
 
 
 class _StageContext:

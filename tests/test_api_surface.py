@@ -46,9 +46,9 @@ class TestSurface:
         assert leaked == []
 
     def test_observability_surface_present(self):
-        for name in ("Tracer", "Span", "span", "MetricsRegistry",
-                     "render_span_tree", "RunConfig", "run_sweep",
-                     "SweepResult", "SweepJobResult"):
+        for name in ("Span", "span", "FlightRecorder", "EventBus",
+                     "emit_event", "render_span_tree", "RunConfig",
+                     "run_sweep", "SweepResult", "SweepJobResult"):
             assert name in repro.__all__, name
 
 
@@ -184,3 +184,41 @@ class TestRemovedIn4:
         data = RunConfig(scale=0.5).to_dict()
         data["params"]["rap_workers"] = 2
         assert RunConfig.from_dict(data).params == RunConfig(scale=0.5).params
+
+
+class TestRemovedIn5:
+    """The 5.0 removals: one telemetry path, no second copy of the data."""
+
+    def test_removed_names_absent(self):
+        import importlib
+        import inspect
+
+        import repro.eval.report
+        import repro.obs
+        from repro.obs.events import PrometheusExporter
+        from repro.obs.recorder import FlightRecorder
+
+        for name in ("ConvergenceSeries", "MetricsRegistry", "Tracer"):
+            assert name not in repro.__all__, name
+        for name in ("ConvergenceLog", "MetricsRegistry", "Tracer",
+                     "QoRSnapshot", "as_span_roots", "current_tracer",
+                     "current_recorder", "recording",
+                     "recording_convergence", "use_registry",
+                     "use_convergence", "stage_fractions"):
+            assert name not in repro.obs.__all__, name
+            assert not hasattr(repro.obs, name), name
+        for module in ("repro.obs.metrics", "repro.obs.convergence"):
+            with pytest.raises(ImportError):
+                importlib.import_module(module)
+        assert not hasattr(repro.eval.report, "format_span_tree")
+        assert "scoped_registry" not in inspect.signature(
+            FlightRecorder
+        ).parameters
+        assert list(inspect.signature(
+            FlightRecorder.to_dict
+        ).parameters) == ["self"]
+        assert "registry" not in inspect.signature(
+            PrometheusExporter
+        ).parameters
+        assert repro.obs.RUN_RECORD_SCHEMA == "repro.run_record/1"
+        assert repro.obs.EVENTS_SCHEMA == "repro.events/1"

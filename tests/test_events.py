@@ -31,7 +31,6 @@ from repro.obs.events import (
 )
 from repro.obs.live import LiveStatus, LiveView, format_event, sparkline
 from repro.obs.logconfig import configure_logging, redirect_managed_stream
-from repro.obs.metrics import MetricsRegistry
 
 
 def _drain_all(bus):
@@ -168,6 +167,7 @@ class TestProducerPath:
         first.close()
 
     def test_span_and_qor_hooks_emit(self, tmp_path):
+        from repro.obs.events import record_qor
         from repro.obs.recorder import FlightRecorder
         from repro.obs.trace import span
 
@@ -179,8 +179,6 @@ class TestProducerPath:
             with span("outer"):
                 with span("inner"):
                     pass
-            from repro.obs.recorder import record_qor
-
             record_qor("stage.final", hpwl=123.0)
         types = [e["type"] for e in seen]
         assert types.count("span.begin") == 2
@@ -190,20 +188,19 @@ class TestProducerPath:
         ends = [e for e in seen if e["type"] == "span.end"]
         assert {e["name"] for e in ends} == {"outer", "inner"}
         assert all(e["status"] == "ok" for e in ends)
+        begins = {e["name"]: e for e in seen if e["type"] == "span.begin"}
+        assert begins["outer"]["parent"] is None
+        assert begins["inner"]["parent"] == begins["outer"]["id"]
         assert validate_events(seen) == []
         bus.close()
 
     def test_convergence_hook_emits(self, tmp_path):
-        from repro.obs.convergence import (
-            ConvergenceLog,
-            observe,
-            use_convergence,
-        )
+        from repro.obs.events import observe
 
         bus = EventBus(tmp_path, flush_interval_s=0.0)
         seen = []
         bus.subscribe(seen.append)
-        with bus.attach(), use_convergence(ConvergenceLog()):
+        with bus.attach():
             observe("solver.test", iteration=0, objective=10.0)
             observe("solver.test", iteration=1, objective=5.0)
         conv = [e for e in seen if e["type"] == "convergence"]
@@ -211,6 +208,41 @@ class TestProducerPath:
         assert conv[0]["series"] == "solver.test"
         assert conv[1]["values"]["objective"] == 5.0
         bus.close()
+
+
+    def test_bus_only_stream_is_complete(self, tmp_path, library):
+        # A bus with no recorder attached carries everything a recorder
+        # captures: the gated QoR snapshots and convergence series too.
+        from repro.core.flows import (
+            FlowKind,
+            FlowRunner,
+            prepare_initial_placement,
+        )
+        from repro.obs.recorder import FlightRecorder
+        from tests.conftest import make_design
+
+        def flow5():
+            design = make_design(library, n_cells=400, seed=11)
+            initial = prepare_initial_placement(design, library)
+            FlowRunner(initial).run(FlowKind.FLOW5)
+
+        recorder = FlightRecorder("reference")
+        with recorder.attach():
+            flow5()
+        bus = EventBus(tmp_path, flush_interval_s=0.0)
+        seen = []
+        bus.subscribe(seen.append)
+        with bus.attach():
+            flow5()
+        bus.close()
+        stages = [e["stage"] for e in seen if e["type"] == "qor"]
+        expected = [q["stage"] for q in recorder.to_dict()["qor"]]
+        assert stages == expected and "flow5.final" in stages
+        series = {e["series"] for e in seen if e["type"] == "convergence"}
+        assert {
+            "clustering.kmeans", "refine.detailed", "refine.fence_aware",
+        } <= series
+        assert validate_events(seen) == []
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +380,8 @@ class TestJsonlSinkAndValidation:
 
 class TestPrometheusExporter:
     def test_counts_flush_and_atomic_write(self, tmp_path):
-        registry = MetricsRegistry()
         path = tmp_path / "metrics.prom"
-        exporter = PrometheusExporter(path, registry=registry)
+        exporter = PrometheusExporter(path)
         for _ in range(3):
             exporter({"type": "span.begin"})
         exporter.close()
@@ -359,23 +390,28 @@ class TestPrometheusExporter:
         assert "repro_events_span_begin_total 3" in text
         assert not path.with_name(path.name + ".tmp").exists()
 
-    def test_registry_to_prometheus_histogram(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("span.seconds", bounds=(0.1, 1.0))
-        hist.observe(0.05)
-        hist.observe(0.5)
-        hist.observe(5.0)
-        text = registry.to_prometheus()
-        assert '_bucket{le="0.1"} 1' in text
-        assert '_bucket{le="1"} 2' in text
-        assert '_bucket{le="+Inf"} 3' in text
-        assert "repro_span_seconds_count 3" in text
+    def test_span_end_histogram(self, tmp_path):
+        exporter = PrometheusExporter(tmp_path / "m.prom")
+        for seconds in (0.0005, 0.05, 0.5, 500.0):
+            exporter({"type": "span.end", "name": "rap.ilp",
+                      "duration_s": seconds, "status": "ok"})
+        exporter({"type": "span.end", "name": "rap.ilp",
+                  "duration_s": 0.05, "status": "error"})
+        text = exporter.to_prometheus()
+        assert "# TYPE repro_span_rap_ilp histogram" in text
+        assert 'repro_span_rap_ilp_bucket{le="0.001"} 1' in text
+        assert 'repro_span_rap_ilp_bucket{le="0.05"} 3' in text
+        assert 'repro_span_rap_ilp_bucket{le="1"} 4' in text
+        assert 'repro_span_rap_ilp_bucket{le="300"} 4' in text
+        assert 'repro_span_rap_ilp_bucket{le="+Inf"} 5' in text
+        assert "repro_span_rap_ilp_count 5" in text
+        assert "repro_span_rap_ilp_errors_total 1" in text
+        assert "repro_events_span_end_total 5" in text
         assert text.endswith("\n")
 
     def test_tick_respects_interval(self, tmp_path):
-        registry = MetricsRegistry()
         exporter = PrometheusExporter(
-            tmp_path / "m.prom", registry=registry, flush_interval_s=100.0
+            tmp_path / "m.prom", flush_interval_s=100.0
         )
         exporter.tick(200.0)
         assert exporter.n_flushes == 1
@@ -383,14 +419,35 @@ class TestPrometheusExporter:
         assert exporter.n_flushes == 1
 
     def test_bus_end_to_end(self, tmp_path):
-        registry = MetricsRegistry()
         path = tmp_path / "metrics.prom"
         bus = EventBus(tmp_path / "spool", flush_interval_s=0.0)
-        bus.subscribe(PrometheusExporter(path, registry=registry))
+        bus.subscribe(PrometheusExporter(path))
         with bus.attach():
             emit_event("custom.tick")
         bus.close()
         assert "repro_events_custom_tick_total 1" in path.read_text()
+
+    def test_single_flow_writes_span_series(self, tmp_path, placed_small):
+        # A lone flow run, under a recorder as `repro run` has it, streams
+        # the same series a sweep does: one duration histogram per span
+        # name, fed by this run's span.end events only.
+        from repro.core.flows import FlowKind, FlowRunner
+        from repro.obs.recorder import FlightRecorder
+        from repro.obs.trace import span
+
+        path = tmp_path / "metrics.prom"
+        bus = EventBus(tmp_path / "spool", flush_interval_s=0.0)
+        bus.subscribe(PrometheusExporter(path))
+        with bus.attach(), FlightRecorder("run").attach():
+            with span("prometheus.parity"):
+                FlowRunner(placed_small).run(FlowKind.FLOW5)
+        bus.close()
+        text = path.read_text()
+        assert "repro_span_prometheus_parity_count 1" in text
+        assert "# TYPE repro_span_flow_5 histogram" in text
+        assert 'repro_span_flow_5_bucket{le="+Inf"} 1' in text
+        assert "repro_span_legalize_fence_count 1" in text
+        assert "repro_events_span_end_total" in text
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,9 @@ def test_custom_library_runs(capsys):
 def test_sweep_metrics_runs(tmp_path, capsys):
     _run("sweep_metrics.py", ["192", "1", str(tmp_path / "cache")])
     out = capsys.readouterr().out
-    assert "merged span histograms" in out
-    assert "span.global_place" in out
+    assert "event counters" in out
+    assert "span.end" in out
+    assert "global_place" in out
     assert "cache:" in out
 
 

@@ -1,49 +1,67 @@
 """Unit tests for the observability layer (repro.obs)."""
 
+import json
 import pickle
 
 import pytest
 
 from repro.obs import (
-    MetricsRegistry,
-    Span,
-    Tracer,
+    FlightRecorder,
+    PrometheusExporter,
     current_span,
+    emitting_events,
+    fold_events,
     render_span_tree,
     span,
-    stage_fractions,
-    use_registry,
 )
-from repro.utils.timer import StageTimes
+from repro.utils.timer import StageTimes, stage_fractions
+
+
+def _record(fn) -> dict:
+    recorder = FlightRecorder("t")
+    with recorder.attach():
+        fn()
+    return recorder.to_dict()
+
+
+def _roots(record: dict) -> list[dict]:
+    return record["spans"]["spans"]
 
 
 class TestSpanNesting:
     def test_children_attach_to_parent(self):
-        tracer = Tracer("t")
-        with tracer.activate():
-            with span("outer") as outer:
+        def run():
+            with span("outer"):
                 with span("inner.a"):
                     pass
                 with span("inner.b"):
                     pass
-        assert [r.name for r in tracer.roots] == ["outer"]
-        assert [c.name for c in outer.children] == ["inner.a", "inner.b"]
-        assert outer.status == "ok"
-        assert outer.duration_s >= sum(c.duration_s for c in outer.children)
+
+        (outer,) = _roots(_record(run))
+        assert outer["name"] == "outer"
+        assert [c["name"] for c in outer["children"]] == ["inner.a", "inner.b"]
+        assert outer["status"] == "ok"
+        assert outer["duration_s"] >= sum(
+            c["duration_s"] for c in outer["children"]
+        )
 
     def test_sibling_roots_collect_in_order(self):
-        tracer = Tracer("t")
-        with tracer.activate():
+        def run():
             with span("first"):
                 pass
             with span("second"):
                 pass
-        assert [r.name for r in tracer.roots] == ["first", "second"]
-        assert tracer.total_s == pytest.approx(
-            sum(r.duration_s for r in tracer.roots)
+
+        record = _record(run)
+        first, second = _roots(record)
+        assert [first["name"], second["name"]] == ["first", "second"]
+        assert record["spans"]["total_s"] == pytest.approx(
+            first["duration_s"] + second["duration_s"]
         )
+        assert second["start_offset_s"] >= first["start_offset_s"]
 
     def test_no_tracer_is_harmless(self):
+        assert not emitting_events()
         with span("orphan") as orphan:
             pass
         assert orphan.status == "ok"
@@ -56,19 +74,22 @@ class TestSpanNesting:
             assert second >= first >= 0.0
         assert work.elapsed() == work.duration_s
 
-    def test_error_marks_span_and_counts(self):
-        registry = MetricsRegistry()
-        tracer = Tracer("t")
-        with use_registry(registry), tracer.activate():
+    def test_error_marks_span_and_counts(self, tmp_path):
+        recorder = FlightRecorder("t")
+        with recorder.attach():
             with pytest.raises(ValueError):
                 with span("boom"):
                     raise ValueError("nope")
-        (root,) = tracer.roots
-        assert root.status == "error"
-        assert "ValueError" in root.error
-        snap = registry.snapshot()
-        assert snap["counters"]["span.boom.errors"] == 1
-        assert snap["histograms"]["span.boom"]["count"] == 1
+        record = recorder.to_dict()
+        (root,) = _roots(record)
+        assert root["status"] == "error"
+        assert "ValueError" in root["error"]
+        assert record["metrics"]["counters"]["span.end"] == 1
+        exporter = PrometheusExporter(tmp_path / "m.prom")
+        for event in recorder.events:
+            exporter(event)
+        assert exporter.counters["span.boom.errors"] == 1
+        assert exporter.histograms["span.boom"][1][0] == 1
 
     def test_contextvar_restored_after_exception(self):
         with span("outer") as outer:
@@ -78,107 +99,99 @@ class TestSpanNesting:
             assert current_span() is outer
 
     def test_annotate_and_attrs(self):
-        with span("s", backend="highs") as s:
-            s.annotate(nodes=3)
-        assert s.attrs == {"backend": "highs", "nodes": 3}
+        def run():
+            with span("s", backend="highs") as s:
+                s.annotate(nodes=3)
+
+        (root,) = _roots(_record(run))
+        assert root["attrs"] == {"backend": "highs", "nodes": 3}
 
     def test_round_trip_and_picklable(self):
-        tracer = Tracer("t")
-        with tracer.activate():
+        recorder = FlightRecorder("t")
+        with recorder.attach():
             with span("root", k=1):
                 with span("child"):
                     pass
-        data = tracer.to_dict()
-        rebuilt = Tracer.from_dict(pickle.loads(pickle.dumps(data)))
-        assert rebuilt.roots[0].to_dict() == tracer.roots[0].to_dict()
-        assert rebuilt.roots[0].find("child") is not None
+        # Events are plain dicts: the fold reads them back unchanged
+        # from JSON (an events.jsonl) or a pickle (a pool row).
+        shipped = json.loads(json.dumps(pickle.loads(pickle.dumps(
+            recorder.events
+        ))))
+        assert fold_events(shipped) == fold_events(recorder.events)
+        (root,) = _roots(recorder.to_dict())
+        assert root["children"][0]["name"] == "child"
 
-    def test_stage_seconds_accumulates_leaves(self):
-        with span("root") as root:
-            with span("leaf"):
-                pass
-            with span("leaf"):
-                pass
-        seconds = root.stage_seconds()
-        assert set(seconds) == {"leaf"}
-        assert seconds["leaf"] >= 0.0
+
+class TestFoldEvents:
+    def test_multi_process_stream_folds_into_one_forest(self):
+        def ev(pid, seq, type_, t, **fields):
+            return {"t": t, "pid": pid, "src": str(pid), "seq": seq,
+                    "type": type_, **fields}
+
+        events = [
+            ev(1, 0, "span.begin", 10.0, name="a", id=1, parent=None),
+            ev(2, 0, "span.begin", 10.5, name="b", id=1, parent=None),
+            ev(2, 1, "span.begin", 10.75, name="b.child", id=2, parent=1),
+            ev(2, 2, "span.end", 11.0, name="b.child", id=2,
+               duration_s=0.25, status="ok", error=None, attrs={}),
+            ev(2, 3, "span.end", 11.5, name="b", id=1, duration_s=1.0,
+               status="ok", error=None, attrs={"k": 1}),
+            ev(1, 1, "span.end", 12.0, name="a", id=1, duration_s=2.0,
+               status="ok", error=None, attrs={}),
+            ev(1, 2, "cache.hit", 12.5, key="x"),
+        ]
+        folded = fold_events(events)
+        a, b = folded["spans"]["spans"]
+        assert (a["name"], b["name"]) == ("a", "b")
+        assert b["start_offset_s"] == pytest.approx(0.5)
+        assert b["attrs"] == {"k": 1}
+        assert [c["name"] for c in b["children"]] == ["b.child"]
+        assert b["children"][0]["start_offset_s"] == pytest.approx(0.25)
+        assert "children" not in a
+        assert folded["metrics"]["counters"] == {
+            "span.begin": 3, "span.end": 3, "cache.hit": 1,
+        }
+
+    def test_open_span_and_orphan_parent(self):
+        events = [
+            {"t": 1.0, "pid": 1, "src": "1", "seq": 0, "type": "span.begin",
+             "name": "orphan", "id": 7, "parent": 3},
+        ]
+        (root,) = fold_events(events)["spans"]["spans"]
+        assert root["name"] == "orphan" and root["status"] == "open"
 
 
 class TestRenderSpanTree:
-    def _tree(self) -> Span:
-        with span("root") as root:
-            with span("fast"):
-                pass
-            with span("slow") as slow:
-                pass
-            slow.duration_s = 1.0  # deterministic pruning threshold
-        return root
+    def _tree(self) -> dict:
+        def run():
+            with span("root"):
+                with span("fast"):
+                    pass
+                with span("slow"):
+                    pass
 
-    def test_renders_span_and_dict_identically(self):
-        root = self._tree()
-        assert render_span_tree(root) == render_span_tree(root.to_dict())
-        assert "root" in render_span_tree(root)
+        (root,) = _roots(_record(run))
+        root["children"][1]["duration_s"] = 1.0  # deterministic pruning
+        return root
 
     def test_min_duration_prunes(self):
         root = self._tree()
         out = render_span_tree(root, min_duration_s=0.5)
         assert "slow" in out and "fast" not in out
+        assert render_span_tree([root]) == render_span_tree(
+            {"spans": [root]}
+        )
 
     def test_error_flagged(self):
-        with pytest.raises(ValueError):
-            with span("bad") as bad:
-                raise ValueError
-        assert "[error]" in render_span_tree(bad)
+        def run():
+            with pytest.raises(ValueError):
+                with span("bad"):
+                    raise ValueError
 
-    def test_report_helper_accepts_all_shapes(self):
-        from repro.eval.report import format_span_tree
-
-        root = self._tree()
-        tracer = Tracer("t")
-        tracer.record(root)
-        as_span = format_span_tree(root)
-        assert format_span_tree(root.to_dict()) == as_span
-        assert format_span_tree([root]) == as_span
-        assert format_span_tree(tracer.to_dict()) == as_span
+        assert "[error]" in render_span_tree(_record(run)["spans"])
 
 
-class TestMetricsRegistry:
-    def test_counter_gauge_histogram(self):
-        registry = MetricsRegistry()
-        registry.counter("jobs").inc()
-        registry.counter("jobs").inc(2)
-        registry.gauge("workers").set(4)
-        registry.histogram("t").observe(0.5)
-        registry.histogram("t").observe(1.5)
-        snap = registry.snapshot()
-        assert snap["counters"]["jobs"] == 3
-        assert snap["gauges"]["workers"] == 4
-        hist = snap["histograms"]["t"]
-        assert hist["count"] == 2
-        assert hist["sum"] == pytest.approx(2.0)
-        assert hist["min"] == 0.5 and hist["max"] == 1.5
-
-    def test_merge_folds_worker_snapshots(self):
-        parent = MetricsRegistry()
-        parent.counter("jobs").inc()
-        parent.histogram("t").observe(1.0)
-        worker = MetricsRegistry()
-        worker.counter("jobs").inc(2)
-        worker.histogram("t").observe(3.0)
-        parent.merge(worker.snapshot())
-        snap = parent.snapshot()
-        assert snap["counters"]["jobs"] == 3
-        assert snap["histograms"]["t"]["count"] == 2
-        assert snap["histograms"]["t"]["sum"] == pytest.approx(4.0)
-        assert snap["histograms"]["t"]["max"] == 3.0
-
-    def test_use_registry_scopes_span_output(self):
-        inner = MetricsRegistry()
-        with use_registry(inner):
-            with span("scoped"):
-                pass
-        assert inner.snapshot()["histograms"]["span.scoped"]["count"] == 1
-
+class TestStageFractions:
     def test_stage_fractions(self):
         stages = {"clustering": 1.0, "rap_ilp": 3.0, "legalize": 4.0}
         groups = {"rap": ("clustering", "rap_ilp"), "leg": ("legalize",)}
@@ -194,31 +207,16 @@ class TestMetricsRegistry:
         groups = {"rap": ("clustering",), "leg": ("legalize",)}
         assert stage_fractions(stages, groups) == {"rap": 0.0, "leg": 0.0}
 
-    def test_merge_mismatched_histogram_bounds(self):
-        parent = MetricsRegistry()
-        parent.histogram("t", bounds=(1.0, 2.0)).observe(0.5)
-        worker = MetricsRegistry()
-        worker.histogram("t", bounds=(10.0, 20.0)).observe(15.0)
-        parent.merge(worker.snapshot())
-        hist = parent.snapshot()["histograms"]["t"]
-        # Summary statistics always fold in...
-        assert hist["count"] == 2
-        assert hist["sum"] == pytest.approx(15.5)
-        assert hist["min"] == 0.5 and hist["max"] == 15.0
-        # ...but bucket counts stay untouched when the bounds disagree
-        # (adding counts across different bucket edges would be garbage).
-        assert hist["bounds"] == [1.0, 2.0]
-        assert sum(hist["bucket_counts"]) == 1
-
 
 class TestStageTimesIntegration:
     def test_measure_emits_spans(self):
-        tracer = Tracer("t")
         times = StageTimes()
-        with tracer.activate():
+
+        def run():
             with times.measure("stage_x"):
                 pass
+
+        (root,) = _roots(_record(run))
         assert "stage_x" in times.stages
-        (root,) = tracer.roots
-        assert root.name == "stage_x"
-        assert root.duration_s == pytest.approx(times.stages["stage_x"])
+        assert root["name"] == "stage_x"
+        assert root["duration_s"] == pytest.approx(times.stages["stage_x"])

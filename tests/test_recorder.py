@@ -6,98 +6,82 @@ import logging
 import pytest
 
 from repro.obs import (
-    ConvergenceLog,
-    ConvergenceSeries,
+    EventBus,
     FlightRecorder,
+    JsonlSink,
     chrome_trace_events,
-    current_recorder,
+    emitting_events,
+    fold_events,
     observe,
+    read_events,
     record_qor,
-    recording,
-    recording_convergence,
     span,
-    use_convergence,
+    validate_events,
     validate_run_record,
     write_chrome_trace,
 )
 from repro.obs.logconfig import configure_logging, verbosity_level
 
 
-class TestConvergenceSeries:
+class TestConvergenceEvents:
     def test_append_filters_none_and_coerces_floats(self):
-        series = ConvergenceSeries("s")
-        series.append(iteration=1, bound=None, cost=3)
-        assert series.points == [{"iteration": 1.0, "cost": 3.0}]
-
-    def test_values_skips_points_lacking_the_column(self):
-        series = ConvergenceSeries("s")
-        series.append(a=1.0)
-        series.append(a=2.0, b=5.0)
-        assert series.values("a") == [1.0, 2.0]
-        assert series.values("b") == [5.0]
-        assert series.columns() == ["a", "b"]
-
-    def test_summary_and_round_trip(self):
-        series = ConvergenceSeries("s")
-        series.append(x=3.0)
-        series.append(x=1.0)
-        digest = series.summary()
-        assert digest["n_points"] == 2
-        assert digest["columns"]["x"] == {
-            "first": 3.0, "last": 1.0, "min": 1.0, "max": 3.0,
+        recorder = FlightRecorder("u")
+        with recorder.attach():
+            observe("s", iteration=1, bound=None, cost=3)
+        series = recorder.to_dict()["convergence"]["s"]
+        assert series == {
+            "name": "s", "points": [{"iteration": 1.0, "cost": 3.0}],
         }
-        rebuilt = ConvergenceSeries.from_dict(series.to_dict())
-        assert rebuilt.points == series.points
 
     def test_observe_is_noop_without_log(self):
-        assert not recording_convergence()
+        assert not emitting_events()
         observe("orphan", x=1.0)  # must not raise or record anywhere
 
     def test_observe_lands_in_scoped_log(self):
-        log = ConvergenceLog()
-        with use_convergence(log):
-            assert recording_convergence()
+        recorder = FlightRecorder("u")
+        with recorder.attach():
+            assert emitting_events()
             observe("milp.test", iteration=1, bound=2.5)
             observe("milp.test", iteration=2, bound=2.0)
-        assert "milp.test" in log
-        assert log.get("milp.test").values("bound") == [2.5, 2.0]
-        rebuilt = ConvergenceLog.from_dict(log.to_dict())
-        assert rebuilt.get("milp.test").points == log.get("milp.test").points
+        assert not emitting_events()
+        points = recorder.to_dict()["convergence"]["milp.test"]["points"]
+        assert [p["bound"] for p in points] == [2.5, 2.0]
 
 
 class TestFlightRecorder:
     def test_attach_scopes_all_channels(self):
         recorder = FlightRecorder("unit", config={"k": 1})
-        assert not recording()
+        assert not emitting_events()
         with recorder.attach():
-            assert recording() and current_recorder() is recorder
+            assert emitting_events()
             with span("stage.a"):
                 observe("conv", iteration=1, value=2.0)
             record_qor("stage.a", hpwl=10.0, skipped=None)
-        assert not recording()
-        assert [r.name for r in recorder.tracer.roots] == ["stage.a"]
-        assert recorder.convergence.get("conv").values("value") == [2.0]
-        assert [s.stage for s in recorder.qor] == ["stage.a"]
-        assert recorder.qor[0].metrics == {"hpwl": 10.0}  # None dropped
-        snap = recorder.registry.snapshot()
-        assert snap["histograms"]["span.stage.a"]["count"] == 1
+        assert not emitting_events()
+        record = recorder.to_dict()
+        assert [r["name"] for r in record["spans"]["spans"]] == ["stage.a"]
+        assert record["convergence"]["conv"]["points"] == [
+            {"iteration": 1.0, "value": 2.0}
+        ]
+        assert record["qor"] == [
+            {"stage": "stage.a", "metrics": {"hpwl": 10.0}}  # None dropped
+        ]
+        assert record["metrics"]["counters"]["span.end"] == 1
 
     def test_record_qor_is_noop_without_recorder(self):
         record_qor("orphan", hpwl=1.0)  # must not raise
 
-    def test_to_dict_validates_and_sections_toggle(self):
-        recorder = FlightRecorder("unit")
-        with recorder.attach():
-            with span("s"):
+    def test_nested_recorders_each_receive_every_event(self):
+        outer, inner = FlightRecorder("outer"), FlightRecorder("inner")
+        with outer.attach():
+            with span("before"):
                 pass
-            record_qor("s", hpwl=1.0)
-        recorder.annotate(note="hello")
-        record = recorder.to_dict()
-        assert validate_run_record(record) == []
-        assert record["meta"]["note"] == "hello"
-        slim = recorder.to_dict(include_spans=False, include_metrics=False)
-        assert "spans" not in slim and "metrics" not in slim
-        assert validate_run_record(slim) == []
+            with inner.attach():
+                record_qor("inside", hpwl=1.0)
+        assert [q["stage"] for q in outer.to_dict()["qor"]] == ["inside"]
+        assert [q["stage"] for q in inner.to_dict()["qor"]] == ["inside"]
+        assert outer.to_dict()["spans"]["name"] == "outer"
+        assert inner.to_dict()["spans"]["spans"] == []
 
     def test_validate_rejects_malformed_records(self):
         assert validate_run_record({}) != []
@@ -118,14 +102,17 @@ class TestFlightRecorder:
         recorder = FlightRecorder("unit")
         with recorder.attach():
             record_qor("s", hpwl=1.0)
+        recorder.annotate(note="hello")
         path = recorder.write_json(tmp_path / "run_record.json")
         loaded = json.loads(path.read_text())
         assert validate_run_record(loaded) == []
         assert loaded["qor"][0]["stage"] == "s"
+        assert loaded["meta"]["note"] == "hello"
+        assert loaded == json.loads(json.dumps(recorder.to_dict()))
 
 
 class TestChromeTrace:
-    def _forest(self):
+    def _forest(self) -> dict:
         recorder = FlightRecorder("trace")
         with recorder.attach():
             with span("root", flow=5):
@@ -133,33 +120,34 @@ class TestChromeTrace:
                     pass
             with span("second"):
                 pass
-        return recorder.tracer
+        return recorder.to_dict()["spans"]
 
     def test_events_nest_and_offset(self):
-        tracer = self._forest()
-        events = chrome_trace_events(tracer)
+        events = chrome_trace_events(self._forest())
         by_name = {e["name"]: e for e in events}
         assert all(e["ph"] == "X" for e in events)
         root, child = by_name["root"], by_name["child"]
         # The child starts within the parent's window and ends inside it.
         assert root["ts"] <= child["ts"]
         assert child["ts"] + child["dur"] <= root["ts"] + root["dur"] + 1.0
-        # Sibling roots are laid out back-to-back.
+        # Roots sit at their real start offsets: the second starts after
+        # the first ends.
         assert by_name["second"]["ts"] >= root["ts"] + root["dur"] - 1.0
         assert root["args"]["flow"] == 5
 
     def test_error_spans_are_flagged(self):
-        with pytest.raises(ValueError):
-            with span("bad") as bad:
-                raise ValueError("boom")
-        (event,) = chrome_trace_events(bad)
+        recorder = FlightRecorder("trace")
+        with recorder.attach():
+            with pytest.raises(ValueError):
+                with span("bad"):
+                    raise ValueError("boom")
+        (event,) = chrome_trace_events(recorder.to_dict()["spans"])
         assert event["cat"] == "repro,error"
         assert "boom" in event["args"]["error"]
 
     def test_write_chrome_trace_file(self, tmp_path):
-        tracer = self._forest()
         path = write_chrome_trace(
-            tmp_path / "trace.json", tracer, process_name="unit"
+            tmp_path / "trace.json", self._forest(), process_name="unit"
         )
         payload = json.loads(path.read_text())
         assert payload["displayTimeUnit"] == "ms"
@@ -168,10 +156,11 @@ class TestChromeTrace:
         assert len(payload["traceEvents"]) == 4  # metadata + 3 spans
 
     def test_accepts_dict_payloads(self):
-        tracer = self._forest()
-        from_obj = chrome_trace_events(tracer)
-        from_dict = chrome_trace_events(tracer.to_dict())
-        assert from_obj == from_dict
+        forest = self._forest()
+        from_payload = chrome_trace_events(forest)
+        assert chrome_trace_events(forest["spans"]) == from_payload
+        first = chrome_trace_events(forest["spans"][0])
+        assert first == from_payload[:2]
 
 
 class TestRunReportRendering:
@@ -211,19 +200,15 @@ class TestRunReportRendering:
     def test_render_metrics_totals_from_merged_counters(self):
         from repro.eval.report import render_run_report
 
-        # Worker registry snapshots folded back into the parent surface
-        # as a counter-totals table; a counter-free record omits it.
+        # Event counters (a sweep sums its rows') surface as a
+        # counter-totals table; a counter-free record omits it.
         record = {
             "name": "merged",
-            "metrics": {
-                "counters": {"pool.inline_runs": 2.0, "cache.hit": 5.0},
-                "gauges": {},
-                "histograms": {},
-            },
+            "metrics": {"counters": {"pool.inline": 2, "cache.hit": 5}},
         }
         text = render_run_report(record)
         assert "## Metrics totals" in text
-        assert "pool.inline_runs" in text and "cache.hit" in text
+        assert "pool.inline" in text and "cache.hit" in text
         assert "## Metrics totals" not in render_run_report({"name": "x"})
 
 
@@ -283,17 +268,77 @@ class TestFlowIntegration:
 
         runner = FlowRunner(placed_small, RCPPParams())
         model = runner.rap_model()
-        log = ConvergenceLog()
+        recorder = FlightRecorder("crosscheck")
         objectives = {}
-        with use_convergence(log):
+        with recorder.attach():
             for backend in ("highs", "bnb", "lagrangian"):
                 objectives[backend] = solve_milp(
                     model, backend=backend
                 ).objective
+        convergence = recorder.to_dict()["convergence"]
         for backend in ("highs", "bnb", "lagrangian"):
-            assert len(log.get(f"milp.{backend}")) > 0, backend
+            assert convergence[f"milp.{backend}"]["points"], backend
         # The two exact backends agree; the heuristic is no better.
         assert objectives["highs"] == pytest.approx(
             objectives["bnb"], rel=1e-6
         )
         assert objectives["lagrangian"] >= objectives["highs"] - 1e-6
+
+
+def _strip_timing(value):
+    """``value`` without the timing fields two runs never share."""
+    timing = {"duration_s", "start_offset_s", "total_s", "runtime_s"}
+    if isinstance(value, dict):
+        return {
+            k: _strip_timing(v) for k, v in value.items() if k not in timing
+        }
+    if isinstance(value, list):
+        return [_strip_timing(v) for v in value]
+    return value
+
+
+class TestOneFold:
+    """One fold over one event stream, whichever sinks are attached."""
+
+    def test_recorder_and_bus_fold_alike(self, tmp_path, placed_small):
+        from repro.core.flows import FlowKind, FlowRunner
+
+        bus = EventBus(tmp_path / "spool", flush_interval_s=0.0)
+        sink = bus.subscribe(JsonlSink(tmp_path / "events.jsonl"))
+        recorder = FlightRecorder("flow5.small")
+        with bus.attach(), recorder.attach():
+            FlowRunner(placed_small).run(FlowKind.FLOW5)
+        bus.close()
+        streamed = read_events(sink.path)
+        assert validate_events(sink.path) == []
+        assert validate_events(recorder.events) == []
+        assert validate_events(streamed) == []
+        record = recorder.to_dict()
+        folded = fold_events(streamed)
+        for section in ("spans", "qor", "convergence"):
+            assert _strip_timing(folded[section]) == _strip_timing(
+                record[section]
+            ), section
+        assert folded["metrics"] == record["metrics"]
+        assert record["qor"] and record["convergence"]
+
+    def test_outer_recorder_sees_an_inline_sweep(self, tmp_path):
+        from repro.core.config import RunConfig
+        from repro.experiments.sweep_engine import run_sweep
+
+        recorder = FlightRecorder("outer")
+        with recorder.attach():
+            result = run_sweep(
+                ("aes_300",), (1, 5), RunConfig(scale=1 / 96, workers=1),
+                cache_dir=tmp_path / "cache",
+            )
+        assert result.n_failed == 0
+        record = recorder.to_dict()
+        roots = [s["name"] for s in record["spans"]["spans"]]
+        assert "flow.1" in roots and "flow.5" in roots
+        assert "flow5.final" in [q["stage"] for q in record["qor"]]
+        for job in result.jobs:  # every row's last snapshot
+            assert job.record["qor"][-1] in record["qor"]
+        counters = record["metrics"]["counters"]
+        assert counters["sweep.job"] == 2
+        assert counters["cache.miss"] == result.cache["misses"] == 1

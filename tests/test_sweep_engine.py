@@ -225,9 +225,16 @@ class TestRunSweep:
             config=RunConfig(scale=TINY),
             cache_dir=tmp_path / "cache",
         )
-        histograms = result.metrics["histograms"]
-        for name in ("span.global_place", "span.flow.2", "span.legalize"):
-            assert name in histograms, name
+        names = [
+            name
+            for root in result.jobs[0].spans["spans"]
+            for name in _span_names(root)
+        ]
+        for name in ("global_place", "flow.2", "legalize"):
+            assert name in names, name
+        counters = result.metrics["counters"]
+        assert counters["span.end"] == len(names)
+        assert counters["cache.miss"] == result.cache["misses"] == 1
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):

@@ -126,6 +126,18 @@ class TestCli:
         assert "## Convergence" in report_md
         assert "# Run report" in out
 
+    @pytest.mark.parametrize("command", ["run", "eco", "report"])
+    def test_two_minority_tracks(self, command, tmp_path, capsys):
+        # One design builder for place/run/eco/report: the library
+        # carries every --heights track and --minority is split across
+        # the minority classes.
+        argv = [command, "--cells", "300", "--heights", "6,7.5,9"]
+        if command == "report":
+            argv += ["--out-dir", str(tmp_path / "report")]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "synthetic_300" in out or "Run report" in out
+
     def test_verbosity_flags_parse(self):
         parser = build_parser()
         assert parser.parse_args(["-vv", "table2"]).verbose == 2
