@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-e2e lint-no-design-pickle test-faults test-chaos bench bench-full bench-sweep bench-kernels bench-rap bench-nheight bench-events bench-eco bench-giga report examples clean
+.PHONY: install test test-e2e test-kernels lint-no-design-pickle test-faults test-chaos bench bench-full bench-sweep bench-kernels bench-rap bench-nheight bench-events bench-eco bench-giga report examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -14,6 +14,15 @@ test: lint-no-design-pickle test-e2e
 # briefly and any operation whose output check_legal() rejects fails.
 test-e2e:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
+
+# Kernel equivalence suites (< 1 min): the legalizer, legality-oracle,
+# global-place and median kernels against their preserved references,
+# call by call and over whole refinement loops.  Run after touching any
+# kernel in repro.placement or repro.kernels.
+test-kernels:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_legalize_equivalence.py \
+	  tests/test_legality_oracle.py tests/test_global_place_equivalence.py \
+	  tests/test_median_equivalence.py tests/test_refine_equivalence.py
 
 # Grep-lint: design DBs never cross process boundaries as pickled
 # PlacedDesign payloads; workers load them by testcase name.

@@ -4,10 +4,12 @@
 Measures the vectorized legalizers against the scalar reference
 implementations preserved in ``tests/_reference_legalize.py`` (same
 process, same inputs, best-of-N), the cached-topology kernels
-(``_b2b_system``, ``per_pin_other_extents``), the sparse RAP engine
-against the dense model build + solve on the full-scale aes_400 row
-assignment instance, and one end-to-end flow (5) run at the default
-sweep scale.  Results are written as ``BENCH_kernels.json``.
+(``_b2b_system``, ``per_pin_other_extents``, and
+``median_target_positions`` against the lexsort reference preserved in
+``tests/_reference_incremental.py``; informative, no floor), the sparse
+RAP engine against the dense model build + solve on the full-scale
+aes_400 row assignment instance, and one end-to-end flow (5) run at the
+default sweep scale.  Results are written as ``BENCH_kernels.json``.
 
 The ``baseline`` section embeds the pre-optimization timings recorded on
 the commit that introduced this harness (seed implementations, same
@@ -72,6 +74,9 @@ for p in (str(ROOT / "src"), str(ROOT)):
 
 import numpy as np  # noqa: E402
 
+from tests._reference_incremental import (  # noqa: E402
+    reference_median_target_positions,
+)
 from tests._reference_legalize import (  # noqa: E402
     reference_abacus_legalize,
     reference_spread_to_rows,
@@ -90,6 +95,7 @@ from repro.placement.floorplanner import (  # noqa: E402
     make_floorplan,
 )
 from repro.placement.global_place import _b2b_system  # noqa: E402
+from repro.placement.incremental import median_target_positions  # noqa: E402
 from repro.placement.legalize import (  # noqa: E402
     abacus_legalize,
     spread_to_rows,
@@ -639,8 +645,10 @@ def main() -> int:
                 f"{ref_seconds / seconds:4.2f}x)"
             )
 
-    # Topology kernels: measured on the current implementation only; the
-    # committed baseline carries the pre-topology-cache numbers.
+    # Topology kernels: the first two measured on the current
+    # implementation only (the committed baseline carries the
+    # pre-topology-cache numbers); the median kernel live against its
+    # reference.
     if "topology" in groups:
         pd.x, pd.y = x0.copy(), y0.copy()
         px, py = pd.pin_positions()
@@ -665,6 +673,23 @@ def main() -> int:
                 f"(baseline {BASELINE[name] * 1e3:8.2f} ms, "
                 f"{BASELINE[name] / seconds:4.2f}x)"
             )
+        # The median kernel against its preserved lexsort reference.
+        reps = max(args.repeats, 10)
+        seconds = best_of(lambda: median_target_positions(pd), reps)
+        ref_seconds = best_of(
+            lambda: reference_median_target_positions(pd), reps
+        )
+        kernels["median_target_positions"] = {
+            "seconds": seconds,
+            "reference_seconds": ref_seconds,
+            "speedup": ref_seconds / seconds,
+            "cells_per_s": N_CELLS / seconds,
+        }
+        print(
+            f"{'median_target_positions':24s} {seconds * 1e3:8.2f} ms   "
+            f"(reference {ref_seconds * 1e3:8.2f} ms, "
+            f"{ref_seconds / seconds:4.2f}x)"
+        )
 
     # Sparse RAP engine vs dense build + solve, full-scale instance.
     if "rap" in groups:

@@ -11,7 +11,11 @@ of its incident nets' other-pin intervals — moves the cell there, and
 projects minority cells onto the nearest fence row.  Because each cell's
 optimal position is computed against the *current* positions of all other
 pins, a few passes converge quickly; the caller runs Abacus afterwards for
-overlap-free, site-exact legality.
+overlap-free, site-exact legality.  The medians come from one stable
+row-wise sort per group of cells with equal signal-pin count; the
+grouping is built once per refinement call, and the targets are
+bit-identical to the two-lexsort kernel preserved in
+``tests/_reference_incremental.py``.
 
 Unlike the [10]-style row-constraint Abacus, this step does not try to stay
 near the initial placement — displacement grows, wirelength is recovered —
@@ -153,6 +157,61 @@ def legalize_row_windows(
             window *= 2
 
 
+def _median_groups(
+    placed: PlacedDesign,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Cells grouped by signal-pin count: ``[(cells, pins), ...]``.
+
+    ``pins`` is the ``(len(cells), count)`` matrix of each cell's signal
+    pins in ascending pin order (clock-weighted nets and port pins
+    excluded); cells with no signal pin are in no group.  The grouping
+    depends only on ``pin_inst``, ``net_weight`` and the net topology,
+    so a refinement loop that moves cells builds it once.  It is not
+    cached on the topology: ECO pin patches change ``pin_inst`` without
+    changing ``net_ptr``.
+    """
+    topo = placed.topology
+    movable = (placed.pin_inst >= 0) & (placed.net_weight[topo.net_ids] > 0)
+    pins = np.flatnonzero(movable)
+    cells = placed.pin_inst[pins]
+    pins = pins[np.argsort(cells, kind="stable")]
+    counts = np.bincount(cells, minlength=len(placed.x))
+    first = np.cumsum(counts) - counts
+    groups = []
+    for count in np.unique(counts[counts > 0]).tolist():
+        members = np.flatnonzero(counts == count)
+        groups.append((members, pins[first[members, None] + np.arange(count)]))
+    return groups
+
+
+def _median_targets(
+    placed: PlacedDesign, groups: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`median_target_positions` with a prebuilt :func:`_median_groups`.
+
+    Per group, every cell's endpoints form one matrix row (the ``lo``
+    values of its pins in pin order, then the ``hi`` values — the order
+    the reference's stable lexsort saw them in); one stable row-wise
+    sort per group and axis yields each cell's two middle order
+    statistics, combined by the reference's expression.
+    """
+    px, py = placed.pin_positions()
+    topo = placed.topology
+    # Shared top-2 segmented kernel; only the "others" extents are needed.
+    xlo, xhi = topo.per_pin_other_extents(px)[:2]
+    ylo, yhi = topo.per_pin_other_extents(py)[:2]
+    tx, ty = placed.centers()
+    for members, pins in groups:
+        for lo, hi, target in ((xlo, xhi, tx), (ylo, yhi, ty)):
+            values = np.concatenate((lo[pins], hi[pins]), axis=1)
+            values.sort(axis=1, kind="stable")
+            c = values.shape[1]
+            target[members] = 0.5 * (
+                values[:, (c - 1) // 2] + values[:, c // 2]
+            )
+    return tx, ty
+
+
 def median_target_positions(
     placed: PlacedDesign,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -164,42 +223,7 @@ def median_target_positions(
     classic optimal-region result for HPWL.  Cells with no signal pins keep
     their current center.
     """
-    px, py = placed.pin_positions()
-    topo = placed.topology
-    # Shared top-2 segmented kernel; only the "others" extents are needed.
-    xlo, xhi = topo.per_pin_other_extents(px)[:2]
-    ylo, yhi = topo.per_pin_other_extents(py)[:2]
-
-    movable = (placed.pin_inst >= 0) & (placed.net_weight[topo.net_ids] > 0)
-    pins = np.flatnonzero(movable)
-    cells = placed.pin_inst[pins]
-
-    cx, cy = placed.centers()
-    tx = cx.copy()
-    ty = cy.copy()
-    if len(pins) == 0:
-        return tx, ty
-
-    # Endpoint medians per cell, per axis: sort (cell, value) pairs and
-    # pick the middle of each cell's run.
-    for values, target in (
-        (np.concatenate([xlo[pins], xhi[pins]]), tx),
-        (np.concatenate([ylo[pins], yhi[pins]]), ty),
-    ):
-        owner = np.concatenate([cells, cells])
-        order = np.lexsort((values, owner))
-        owner_sorted = owner[order]
-        values_sorted = values[order]
-        # Run boundaries per owner.
-        boundaries = np.flatnonzero(
-            np.diff(owner_sorted, prepend=owner_sorted[0] - 1)
-        )
-        counts = np.diff(np.append(boundaries, len(owner_sorted)))
-        mid = boundaries + (counts - 1) // 2
-        mid_hi = boundaries + counts // 2
-        med = 0.5 * (values_sorted[mid] + values_sorted[mid_hi])
-        target[owner_sorted[boundaries]] = med
-    return tx, ty
+    return _median_targets(placed, _median_groups(placed))
 
 
 def refine_detailed(
@@ -214,10 +238,16 @@ def refine_detailed(
     ends with; the flow runner applies it to the unconstrained (Flow (1))
     placement so the constrained flows are compared against a properly
     optimized baseline.  ``legalizer`` is called after every median pass
-    (defaults to Abacus over the floorplan's rows).
+    (defaults to Abacus over the floorplan's rows); it may move cells but
+    must not edit the netlist arrays.  ``rounds`` must be >= 0 and
+    ``move_fraction`` in (0, 1].
     """
     from repro.placement.legalize import abacus_legalize
 
+    if rounds < 0:
+        raise ValidationError("rounds must be >= 0")
+    if not (0.0 < move_fraction <= 1.0):
+        raise ValidationError("move_fraction must be in (0, 1]")
     if legalizer is None:
         rows = placed.floorplan.rows
 
@@ -231,8 +261,9 @@ def refine_detailed(
         rounds=rounds,
     ):
         telemetry = emitting_events()
+        groups = _median_groups(placed)
         for round_index in range(1, rounds + 1):
-            tx, ty = median_target_positions(placed)
+            tx, ty = _median_targets(placed, groups)
             cx, cy = placed.centers()
             placed.x = cx + move_fraction * (tx - cx) - placed.widths / 2.0
             placed.y = cy + move_fraction * (ty - cy) - placed.heights / 2.0
@@ -292,8 +323,9 @@ def fence_aware_refine(
     ):
         telemetry = emitting_events()
         project_all()
+        groups = _median_groups(placed)
         for iteration in range(1, iterations + 1):
-            tx, ty = median_target_positions(placed)
+            tx, ty = _median_targets(placed, groups)
             cx, cy = placed.centers()
             placed.x = cx + move_fraction * (tx - cx) - placed.widths / 2.0
             placed.y = cy + move_fraction * (ty - cy) - placed.heights / 2.0

@@ -118,6 +118,16 @@ class TestMedianRefinement:
         refine_detailed(pd, rounds=2)
         assert pd.check_legal() == []
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"move_fraction": 1.5}, {"move_fraction": 0.0}, {"rounds": -1}],
+    )
+    def test_refine_rejects_out_of_range(self, placed, kwargs):
+        pd = placed.copy()
+        with pytest.raises(ValidationError):
+            refine_detailed(pd, **kwargs)
+        assert np.array_equal(pd.x, placed.x)
+
 
 class TestDensity:
     def test_utilization_sums_to_cell_area(self, placed):
