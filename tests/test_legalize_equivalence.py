@@ -160,3 +160,46 @@ def test_quantized_ties(library):
         new_fn(a, a.floorplan.rows)
         ref_fn(b, b.floorplan.rows)
         assert_identical(a, b, f"{new_fn.__name__} quantized")
+
+
+@pytest.mark.parametrize(
+    "seed,n_rows,n_cells",
+    [(6, None, None), (2, None, None), (0, 2, 40), (5, 2, 40)],
+    ids=["array-legal", "array-overflow", "scalar-legal", "scalar-overflow"],
+)
+def test_abacus_snap_overflow(library, seed, n_rows, n_cells):
+    """Widths in half-site steps (integers, so sums stay exact) no longer
+    tile a row after the closing snap, which can then overflow a row's
+    right end.  Both closing passes — the array pass of a full design and
+    the scalar pass of a 40-cell call — must match the reference when the
+    result is legal, and otherwise raise its error after writing the rows
+    below the failing one exactly as it did (the reference also writes
+    the failing row's cells up to the overflowing one)."""
+    pd1 = make_placed(library, 300, seed=seed)
+    rows = pd1.floorplan.rows[:n_rows]
+    idx = np.arange(len(pd1.x))
+    if n_cells is not None:
+        idx = np.flatnonzero(pd1.heights == rows[0].height)[:n_cells]
+    half = rows[0].site_width / 2.0
+    rng = np.random.default_rng(seed)
+    steps = np.round(pd1.widths / half) + (rng.random(len(pd1.x)) < 0.5)
+    cap = sum(r.width for r in rows)
+    scale = 0.8 * cap / (steps[idx].sum() * half)
+    pd1.widths = np.maximum(1.0, np.round(steps * scale)) * half
+    start = pd1.copy()
+    pd2 = pd1.copy()
+    try:
+        reference_abacus_legalize(pd2, rows, idx)
+    except CapacityError as err:
+        with pytest.raises(CapacityError) as got:
+            abacus_legalize(pd1, rows, idx)
+        assert str(got.value) == str(err)
+        failing = int(str(err).rsplit(" ", 1)[1])
+        assert failing > 0, "pick an input that fails above the first row"
+        in_failing = pd2.y == rows[failing].y
+        assert np.array_equal(pd1.x[~in_failing], pd2.x[~in_failing])
+        assert np.array_equal(pd1.y[~in_failing], pd2.y[~in_failing])
+        assert not np.array_equal(pd1.y, start.y)
+    else:
+        abacus_legalize(pd1, rows, idx)
+        assert_identical(pd1, pd2, "abacus half-site")
