@@ -17,12 +17,15 @@ test-e2e:
 
 # Kernel equivalence suites (< 1 min): the legalizer, legality-oracle,
 # global-place and median kernels against their preserved references,
-# call by call and over whole refinement loops.  Run after touching any
-# kernel in repro.placement or repro.kernels.
+# call by call and over whole refinement loops, and the RAP engine's one
+# restricted-solve-and-price loop against the dense and ECO-repair
+# routes it replaced.  Run after touching any kernel in repro.placement
+# or repro.kernels, or the engine in repro.core.sparse_rap.
 test-kernels:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_legalize_equivalence.py \
 	  tests/test_legality_oracle.py tests/test_global_place_equivalence.py \
-	  tests/test_median_equivalence.py tests/test_refine_equivalence.py
+	  tests/test_median_equivalence.py tests/test_refine_equivalence.py \
+	  tests/test_rap_equivalence.py
 
 # Grep-lint: design DBs never cross process boundaries as pickled
 # PlacedDesign payloads; workers load them by testcase name.

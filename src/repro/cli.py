@@ -619,7 +619,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         write_chrome_trace,
     )
     from repro.obs.trace import span
-    from repro.solvers.milp import solve_milp
+    from repro.solvers.milp import MILP_BACKENDS, solve_milp
 
     config = RunConfig.from_args(args)
     library, design, case_name = _build_design(args, config, "report")
@@ -644,7 +644,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             # backends so the record carries convergence series for all
             # three solver strategies, not just the primary rung.
             model = runner.rap_model()
-            for backend in ("highs", "bnb", "lagrangian"):
+            for backend in MILP_BACKENDS:
                 if backend == config.params.solver_backend:
                     continue
                 if backend == "lagrangian" and initial.heights.n_classes > 1:

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.heights import HeightSpec, resolve_heights
 from repro.core.params import RCPPParams
+from repro.solvers.milp import MILP_BACKENDS
 from repro.utils.errors import ValidationError
 from repro.utils.resilience import FaultPlan, ResiliencePolicy
 
@@ -253,7 +254,7 @@ def add_run_config_args(
         ),
     )
     parser.add_argument(
-        "--solver", choices=("highs", "bnb", "lagrangian"),
+        "--solver", choices=MILP_BACKENDS,
         default=defaults.solver_backend,
     )
     parser.add_argument(

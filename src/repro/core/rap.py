@@ -267,18 +267,13 @@ def solve_rap(
     with the solution vector in the dense layout of
     :func:`build_rap_model` (a map entry of ``-1`` marks a cluster the
     solution does not assign exactly once).  The solve is the engine
-    :func:`repro.core.sparse_rap.solve_rap_sparse` at every ``K``:
-    ``candidate_k = N_P`` reproduces the dense model bit for bit, for
-    the exact backends ``stats.certified`` means the restricted optimum
-    was proven equal to the full optimum, and ``dirty_clusters`` runs
-    its single-class ECO repair.
+    :func:`repro.core.sparse_rap.solve_rap_sparse` at every ``K``, which
+    also validates the inputs: ``candidate_k = N_P`` reproduces the
+    dense model bit for bit, for the exact backends ``stats.certified``
+    means the restricted optimum was proven equal to the full optimum
+    (of the row-frozen subproblem, for an ECO repair), and
+    ``dirty_clusters`` runs its single-class ECO repair.
     """
-    f_by_class = [np.asarray(f, dtype=float) for f in f_by_class]
-    width_by_class = [np.asarray(w, dtype=float) for w in width_by_class]
-    pair_capacity = np.asarray(pair_capacity, dtype=float)
-    n_cs, n_p = validate_rap_inputs(
-        f_by_class, width_by_class, pair_capacity, budgets
-    )
     solution, stats = solve_rap_sparse(
         f_by_class, width_by_class, pair_capacity, budgets,
         backend=backend, time_limit_s=time_limit_s,
@@ -286,7 +281,11 @@ def solve_rap(
         dirty_clusters=dirty_clusters,
     )
     maps = (
-        dense_assignment(solution.x, n_cs, n_p)
+        dense_assignment(
+            solution.x,
+            [np.shape(f)[0] for f in f_by_class],
+            len(pair_capacity),
+        )
         if solution.ok and solution.x is not None
         else None
     )

@@ -3,42 +3,53 @@
 :func:`build_rap_model` is the one builder of the paper's MILP (Eqs.
 1-5), height-indexed over ``K >= 1`` track classes and restricted to
 per-class candidate masks.  :func:`solve_rap_sparse` is the engine
-behind :func:`repro.core.rap.solve_rap` at every ``K``: candidate
-pruning, pricing repair and, for one class, ECO repair.
+behind :func:`repro.core.rap.solve_rap` at every ``K``: one loop that
+solves a restricted model, prices the columns it left out and admits
+the ones that could still win.
 
 The dense RAP (all-true masks) instantiates all
 ``N_C x N_P`` assignment variables per class, so model build and solve
 cost grow quadratically with testcase size even though a cluster is
-never profitably assigned to a row pair across the die.  This module
+never profitably assigned to a row pair across the die.  The engine
 prunes that space end to end while staying *provably* equivalent to the
-dense optimum:
+optimum over a per-class **universe** of columns: every column for a
+cold solve, the row-frozen subproblem for an ECO repair.  A route
+chooses only the universe and the start columns inside it
+(``SparseSolveStats.strategy``):
 
-* **Candidate generation** — the default strategy is reduced-cost
-  fixing: one LP relaxation of the *strengthened* dense model (see
-  below) plus an incumbent ``z_ub`` prove that any column whose LP
-  reduced cost satisfies ``z_lp + rc > z_ub`` cannot appear in a
-  solution better than the incumbent, so only the surviving columns
-  enter the MILP.  At ``K = 1`` the incumbent is the cheaper of an
-  LP-guided rounding and the warm assignment; at ``K >= 2`` it is the
-  warm assignment or, without one, :func:`greedy_rap`.  When the caller
-  forces a per-cluster candidate count ``k`` (or the LP is unavailable),
-  the fallback keeps each cluster's ``k`` cheapest row pairs
-  (:func:`repro.core.cost.cheapest_pairs_mask`), with ``k`` adaptive to
-  the capacity slack (:func:`adaptive_candidate_count`).  Either way the
-  result is a column-compressed :class:`~repro.solvers.milp.MilpModel`
-  (:class:`RapModel`) carrying an index map back to the dense
-  variable layout.  A forced ``k >= N_P`` solves the dense model itself.
+* **rc-fixing** (the default) — reduced-cost fixing: one LP relaxation
+  of the *strengthened* dense model (see below) plus an incumbent
+  ``z_ub`` prove that any column whose LP reduced cost satisfies
+  ``z_lp + rc > z_ub`` cannot appear in a solution better than the
+  incumbent, so only the surviving columns start.  At ``K = 1`` the
+  incumbent is the cheaper of an LP-guided rounding and the warm
+  assignment; at ``K >= 2`` it is the warm assignment or, without one,
+  :func:`greedy_rap`.
+* **top-k** — when the caller forces a per-cluster candidate count
+  ``k`` (or the LP or the incumbent is unavailable), each cluster's
+  ``k`` cheapest row pairs (:func:`repro.core.cost.cheapest_pairs_mask`),
+  with ``k`` adaptive to the capacity slack
+  (:func:`adaptive_candidate_count`).
+* **dense** — the whole universe on the plain, uncut model: instances
+  of at most :data:`SMALL_PROBLEM_VARIABLES` dense variables and a
+  forced ``k >= N_P``, which is the dense model bit for bit.
+* **eco-repair** (``K = 1``) — clean clusters pinned to a feasible
+  incumbent, dirty ones over the incumbent's used pairs; the loop starts
+  from the pins plus each dirty cluster's 8 cheapest used pairs.
 
-* **Pricing / repair loop** — when the restricted problem is infeasible
-  the candidate set widens (k doubles, terminating at the dense model).
-  When it solves to optimality with objective ``z``, pruned columns are
-  re-admitted iff their reduced-cost bound ``z_lp + rc`` does not exceed
-  ``z``: by LP duality every integer-feasible solution whose support
-  contains column ``j`` costs at least ``z_lp + rc_j``, so when no
-  pruned column passes the test the restricted optimum *is* the dense
-  optimum (certified).  Each admission strictly grows the candidate
-  set, so the loop terminates — in the worst case at the dense model
-  itself.
+*The loop.*  Each round solves a column-compressed
+:class:`~repro.solvers.milp.MilpModel` (:class:`RapModel`, with an
+index map back to the dense variable layout).  When the restricted
+problem is infeasible the candidate set widens (k doubles, terminating
+at the universe).  When it solves to optimality with objective ``z``,
+left-out columns of the universe are re-admitted iff their reduced-cost
+bound ``z_lp + rc`` (from the LP over the universe) does not exceed
+``z``: by LP duality every integer-feasible solution whose support
+contains column ``j`` costs at least ``z_lp + rc_j``, so when no
+left-out column passes the test the restricted optimum *is* the
+universe's optimum (certified).  Each admission strictly grows the
+candidate set, so the loop terminates — in the worst case at the
+universe itself.  One wall-clock budget bounds the whole loop.
 
 *Strengthening.*  Restricted models carry two valid inequalities the
 paper's formulation implies but never states: the disaggregated linking
@@ -46,14 +57,13 @@ rows ``x_cr <= y_r`` and the aggregate capacity cut ``sum_r cap_r y_r
 >= sum_c w_c``.  Neither changes the integer optimum, but together they
 close most of the LP/IP gap of the open-row choice — which is exactly
 where the dense solve spends its branch-and-bound time.  The dense
-solve (small instances, forced ``k >= N_P``) omits them so that it
-reproduces the plain model (and its solver trajectory) bit for bit.
+route omits them so that it reproduces the plain model (and its solver
+trajectory) bit for bit.
 
 Exactness guarantees apply to the exact backends (``highs``, ``bnb``);
-the heuristic ``lagrangian`` backend (``K = 1`` only) skips the MILP
-entirely and runs its subgradient loop straight on the dense cost
-matrix (no model build at all), which is where its time went in the
-dense path.
+the heuristic ``lagrangian`` backend (``K = 1`` only, never for a
+repair) skips the loop entirely and runs its subgradient loop straight
+on the dense cost matrix (no model build at all).
 """
 
 from __future__ import annotations
@@ -87,16 +97,18 @@ _SAFETY_ROUNDS = 12
 class SparseSolveStats:
     """What the engine did for one solve (telemetry + tests)."""
 
-    # "rc-fixing" | "top-k" | "dense" | "lagrangian" | "eco-repair"
+    # The route: "rc-fixing" | "top-k" | "dense" | "eco-repair" pick the
+    # universe and start columns of the one loop; "lagrangian" runs
+    # outside it.
     strategy: str = ""
-    k_initial: int = 0
+    k_initial: int = 0  # the route's per-cluster candidate count
     k_final: int = 0  # widest per-cluster candidate row in the final mask
     n_candidates: int = 0  # x columns in the final restricted model
     n_dense_variables: int = 0
     rounds: int = 0  # restricted solves performed
     admitted_columns: int = 0  # columns re-admitted by the pricing test
-    certified: bool = False  # restricted optimum proven == dense optimum
-    lp_bound: float | None = None  # strengthened dense LP value
+    certified: bool = False  # restricted optimum proven == universe optimum
+    lp_bound: float | None = None  # strengthened LP value over the universe
     upper_bound: float | None = None  # incumbent used for rc fixing
     build_s: float = 0.0
     solve_s: float = 0.0
@@ -828,61 +840,6 @@ def _warm_vector(
     return vector
 
 
-def _solve_dense(
-    f_by_class: list[np.ndarray],
-    width_by_class: list[np.ndarray],
-    pair_capacity: np.ndarray,
-    budgets: list[int],
-    backend: str,
-    time_limit_s: float | None,
-    warm: list[np.ndarray] | None,
-    stats: SparseSolveStats,
-) -> tuple[MilpSolution, SparseSolveStats]:
-    """One full-mask solve without cuts or LP: tiny instances and a
-    forced ``candidate_k >= N_P``."""
-    K, n_p = len(f_by_class), len(pair_capacity)
-    stats.strategy = "dense"
-    stats.k_initial = stats.k_final = n_p
-    stats.n_candidates = stats.n_dense_variables - K * n_p
-    stats.rounds = 1
-    with span(
-        "rap.sparse",
-        backend=backend,
-        n_classes=K,
-        n_clusters=sum(f.shape[0] for f in f_by_class),
-        n_pairs=n_p,
-        small=True,
-    ) as root:
-        t0 = time.perf_counter()
-        srm = build_rap_model(
-            f_by_class, width_by_class, pair_capacity, budgets
-        )
-        stats.build_s = time.perf_counter() - t0
-        solution = solve_milp(
-            srm.model,
-            backend=backend,
-            time_limit_s=time_limit_s,
-            warm_start=_warm_vector(srm, warm),
-        )
-        stats.solve_s = solution.runtime_s
-        # The full model is authoritative in either direction.
-        stats.certified = solution.status in (
-            MilpStatus.OPTIMAL, MilpStatus.INFEASIBLE
-        )
-        observe(
-            "rap.sparse",
-            round=1,
-            n_candidates=stats.n_candidates,
-            objective=solution.objective if solution.ok else None,
-            admitted=0,
-        )
-        root.annotate(
-            outcome="dense",
-            objective=solution.objective if solution.ok else None,
-        )
-    return solution, stats
-
-
 def coverage_mask(
     f: np.ndarray,
     pair_capacity: np.ndarray,
@@ -908,172 +865,28 @@ def coverage_mask(
     return mask, k
 
 
-def _solve_eco_repair(
-    f: np.ndarray,
-    cluster_width: np.ndarray,
-    pair_capacity: np.ndarray,
-    n_rows: int,
-    dirty: np.ndarray,
-    warm: np.ndarray | None,
-    backend: str,
-    left,
-    spent,
-    stats: SparseSolveStats,
-) -> tuple[MilpSolution, SparseSolveStats] | None:
-    """Incremental repair of an incumbent after a small delta.
+def _eco_universe(
+    f: np.ndarray, warm: np.ndarray, dirty: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """ECO repair's universe, start columns and ``k`` for one class.
 
-    Freezes the incumbent's row map: clean clusters stay pinned to their
-    incumbent pair and only the ``dirty`` clusters may move, between the
-    incumbent's *used* pairs (all of which stay open, so the mixed
-    floorplan is unchanged).  The restricted MILP over the cheapest
-    candidate pairs per dirty cluster is priced against the LP bound of
-    the *full* row-frozen subproblem, so ``stats.certified`` means the
-    repair equals the dense optimum **of that subproblem** — not of the
-    unfrozen RAP, which a full solve may beat by reshuffling clean
-    clusters or re-choosing open rows.
-
-    Returns ``None`` when repair cannot apply (no feasible incumbent
-    under the post-delta widths, or the pinned subproblem is proven
-    infeasible); the caller then falls through to the full engine.
+    The universe freezes the incumbent's row map: clean clusters are
+    pinned to their incumbent pair and each dirty cluster may move among
+    the incumbent's *used* pairs, all of which stay open, so the mixed
+    floorplan is unchanged.  The start columns are the pins plus each
+    dirty cluster's ``k`` (at most 8) cheapest used pairs.
     """
-    if warm is None:
-        return None
     n_c, n_p = f.shape
-    dirty = np.unique(np.asarray(dirty, dtype=int))
-    if len(dirty) and (dirty[0] < 0 or dirty[-1] >= n_c):
-        raise ValidationError("dirty_clusters outside [0, n_clusters)")
-    stats.strategy = "eco-repair"
-
-    def _done(solution: MilpSolution) -> tuple[MilpSolution, SparseSolveStats]:
-        return solution, stats
-
-    # The incumbent's used pairs: exactly n_rows of them (validated by
-    # feasible_assignment), all of which stay open in the subproblem.
     allowed = np.unique(warm)
-    pin = np.zeros((n_c, n_p), dtype=bool)
-    pin[np.arange(n_c), warm] = True
-    if len(dirty) == 0:
-        stats.rounds = 0
-        stats.certified = True
-        return _done(
-            MilpSolution(
-                status=MilpStatus.OPTIMAL,
-                x=dense_vector([warm], n_p),
-                objective=assignment_cost(f, warm),
-            )
-        )
-
-    # Full row-frozen subproblem: dirty rows open to every used pair.
-    sub_full = pin.copy()
-    sub_full[np.ix_(dirty, allowed)] = True
-
-    # Restricted start: incumbent columns plus each dirty cluster's
-    # cheapest few used pairs.
+    start = np.zeros((n_c, n_p), dtype=bool)
+    start[np.arange(n_c), warm] = True  # the pins
+    universe = start.copy()
+    universe[np.ix_(dirty, allowed)] = True
     k = int(min(len(allowed), 8))
-    stats.k_initial = k
-    dirty_cheap = cheapest_pairs_mask(f[np.ix_(dirty, allowed)], k)
-    mask = pin.copy()
-    block = mask[np.ix_(dirty, allowed)]
-    mask[np.ix_(dirty, allowed)] = block | dirty_cheap
-
-    lp_bound: _LpInfo | None = None
-    best: MilpSolution | None = None
-    with span(
-        "rap.sparse.eco",
-        backend=backend,
-        n_clusters=n_c,
-        n_dirty=len(dirty),
-        n_pairs=n_p,
-    ) as root:
-        while True:
-            stats.rounds += 1
-            if stats.rounds > _SAFETY_ROUNDS:
-                mask = sub_full.copy()
-            stats.n_candidates = int(mask.sum())
-            stats.k_final = int(mask[dirty].sum(axis=1).max())
-            t0 = time.perf_counter()
-            srm = build_rap_model(
-                [f], [cluster_width], pair_capacity, [n_rows], [mask],
-                strengthen=True,
-            )
-            stats.build_s += time.perf_counter() - t0
-            restricted = solve_milp(
-                srm.model,
-                backend=backend,
-                time_limit_s=left(),
-                warm_start=_warm_vector(srm, [warm]),
-            )
-            stats.solve_s += restricted.runtime_s
-            full = not (sub_full & ~mask).any()
-            if restricted.status is MilpStatus.INFEASIBLE:
-                if full:
-                    # The pinned subproblem itself is infeasible (the
-                    # delta broke the incumbent's row map); repair does
-                    # not apply — the caller re-solves from scratch.
-                    root.annotate(outcome="pinned_infeasible")
-                    return None
-                mask = sub_full.copy()
-                continue
-            if not restricted.ok or restricted.x is None:
-                root.annotate(outcome=restricted.status.value)
-                if best is not None:
-                    return _done(best)
-                return None
-            solution = MilpSolution(
-                status=restricted.status,
-                x=srm.to_dense_x(restricted.x),
-                objective=restricted.objective,
-                nodes=restricted.nodes,
-                runtime_s=restricted.runtime_s,
-            )
-            best = solution
-            observe(
-                "rap.sparse.eco",
-                round=stats.rounds,
-                n_candidates=stats.n_candidates,
-                objective=solution.objective,
-                admitted=stats.admitted_columns,
-            )
-            if full:
-                stats.certified = solution.status is MilpStatus.OPTIMAL
-                root.annotate(
-                    outcome="full", objective=solution.objective
-                )
-                return _done(solution)
-            if solution.status is not MilpStatus.OPTIMAL:
-                root.annotate(outcome="uncertified")
-                return _done(solution)
-
-            # Pricing against the row-frozen subproblem's LP bound.
-            z = solution.objective
-            if lp_bound is None and not spent():
-                lp = _strengthened_lp(
-                    [f], [cluster_width], pair_capacity, [n_rows],
-                    [sub_full], left(),
-                )
-                if isinstance(lp, _LpInfo):
-                    lp_bound = lp
-                    stats.lp_bound = lp.objective
-            if lp_bound is None:
-                if spent():
-                    root.annotate(outcome="budget", objective=z)
-                    return _done(solution)
-                # No pricing bound: solve the full subproblem directly.
-                mask = sub_full.copy()
-                continue
-            tol = 1e-6 * max(1.0, abs(z))
-            admit = sub_full & ~mask & (
-                lp_bound.objective + lp_bound.reduced_costs[0] <= z + tol
-            )
-            if not admit.any():
-                stats.certified = True
-                root.annotate(outcome="certified", objective=z)
-                return _done(solution)
-            if spent():
-                root.annotate(outcome="budget", objective=z)
-                return _done(solution)
-            stats.admitted_columns += int(admit.sum())
-            mask = mask | admit
+    start[np.ix_(dirty, allowed)] |= cheapest_pairs_mask(
+        f[np.ix_(dirty, allowed)], k
+    )
+    return universe, start, k
 
 
 def _rc_fixing_incumbent(
@@ -1127,15 +940,20 @@ def solve_rap_sparse(
     ``pair_capacity`` is the usable capacity and ``warm_assignment`` a
     list of per-class cluster -> pair maps.  Returns a solution in the
     **dense** variable layout (so the decoders apply unchanged) plus the
-    engine's :class:`SparseSolveStats`.  For exact backends the result is
-    certified equal to the dense optimum whenever ``stats.certified`` is
-    true — which is every solve that ran to optimality, by the
-    reduced-cost argument in the module docstring.  ``candidate_k``
-    forces the top-k strategy, and ``candidate_k >= N_P`` solves the
-    dense model bit for bit; ``None`` selects reduced-cost fixing with a
-    top-k fallback, except at or below :data:`SMALL_PROBLEM_VARIABLES`
-    dense variables, where one full-mask solve is cheaper than any
-    pruning.  The ``lagrangian`` backend runs at ``K = 1`` only.
+    engine's :class:`SparseSolveStats`.  This function converts and
+    validates the inputs, picks the route — the universe of columns and
+    the start columns inside it — and runs the one restricted-solve and
+    pricing loop every route shares.  For exact backends the result is
+    certified equal to the optimum over the universe whenever
+    ``stats.certified`` is true, by the reduced-cost argument in the
+    module docstring.
+
+    Routes: ``candidate_k`` forces top-k start columns, and
+    ``candidate_k >= N_P`` solves the dense model bit for bit; ``None``
+    selects reduced-cost fixing with a top-k fallback, except at or
+    below :data:`SMALL_PROBLEM_VARIABLES` dense variables, where one
+    solve of the plain dense model is cheaper than any pruning.  The
+    ``lagrangian`` backend runs at ``K = 1`` only, outside the loop.
 
     ``time_limit_s`` budgets the *entire* solve, not each sub-solve:
     the LP, the incumbent, every restricted MILP and every pricing round
@@ -1144,14 +962,14 @@ def solve_rap_sparse(
     no restricted solve produced one — or ERROR when there is none,
     instead of starting another round.
 
-    ``dirty_clusters`` (one class only) switches the engine into ECO
-    repair: with a feasible ``warm_assignment`` it solves only the
-    row-frozen dirty subproblem (:func:`_solve_eco_repair`) — clean
+    ``dirty_clusters`` (one class only) makes the universe the
+    row-frozen ECO subproblem of a feasible ``warm_assignment``: clean
     clusters pinned, dirty ones re-assigned among the incumbent's used
-    pairs — and certifies against that subproblem's LP bound.  When
-    repair cannot apply (no usable incumbent, or the pinned subproblem
-    is infeasible) the call falls through to the full engine below, so
-    the result is never worse than a cold solve.
+    pairs, certified against that subproblem's LP bound — not against
+    the unfrozen RAP, which a full solve may beat by reshuffling clean
+    clusters or re-choosing open rows.  With it the engine never runs a
+    cold solve: without a feasible incumbent or with a non-exact backend
+    it returns ERROR at once with ``stats.rounds == 0``.
     """
     f_by_class = [np.asarray(f, dtype=float) for f in f_by_class]
     width_by_class = [np.asarray(w, dtype=float) for w in width_by_class]
@@ -1163,13 +981,42 @@ def solve_rap_sparse(
     stats = SparseSolveStats(
         n_dense_variables=sum(f.size for f in f_by_class) + K * n_p
     )
-    if K > 1 and backend not in EXACT_BACKENDS:
+    warm = _feasible_maps(
+        warm_assignment, width_by_class, pair_capacity, budgets
+    )
+
+    if dirty_clusters is not None:
+        if K > 1:
+            raise ValidationError("dirty_clusters (ECO repair) needs K = 1")
+        dirty = np.unique(np.asarray(dirty_clusters, dtype=int))
+        if len(dirty) and (dirty[0] < 0 or dirty[-1] >= n_cs[0]):
+            raise ValidationError("dirty_clusters outside [0, n_clusters)")
+        stats.strategy = "eco-repair"
+        if warm is None or backend not in EXACT_BACKENDS:
+            # No feasible incumbent to freeze, or no certificate to
+            # give: repair does not apply and the caller re-solves.
+            return (
+                MilpSolution(
+                    status=MilpStatus.ERROR, x=None, objective=np.inf
+                ),
+                stats,
+            )
+        if len(dirty) == 0:
+            stats.certified = True
+            return (
+                MilpSolution(
+                    status=MilpStatus.OPTIMAL,
+                    x=dense_vector(warm, n_p),
+                    objective=assignment_cost(f_by_class[0], warm[0]),
+                ),
+                stats,
+            )
+    elif K > 1 and backend not in EXACT_BACKENDS:
         raise SolverError(
             f"backend {backend!r} does not support joint instances "
             "(exact backends only; the resilient chain adds the SA rung)"
         )
-
-    if backend == "lagrangian":
+    elif backend == "lagrangian":
         stats.strategy = "lagrangian"
         solution = _solve_lagrangian_direct(
             f_by_class[0], width_by_class[0], pair_capacity, budgets[0],
@@ -1180,11 +1027,6 @@ def solve_rap_sparse(
         stats.n_candidates = stats.n_dense_variables - n_p
         stats.solve_s = solution.runtime_s
         return solution, stats
-
-    forced = candidate_k is not None
-    warm = _feasible_maps(
-        warm_assignment, width_by_class, pair_capacity, budgets
-    )
 
     # ``time_limit_s`` budgets the WHOLE solve.  The engine runs several
     # sub-solves per call (LP, incumbent, restricted MILPs, pricing
@@ -1208,12 +1050,17 @@ def solve_rap_sparse(
             and time.perf_counter() - t_start >= time_limit_s
         )
 
-    def _warm_solution() -> MilpSolution:
-        """The warm assignment as a dense-layout FEASIBLE incumbent."""
+    def _best(solution: MilpSolution) -> MilpSolution:
+        """An uncertified answer: the warm assignment, as a dense-layout
+        FEASIBLE incumbent, when ``solution`` has no point or costs more."""
+        if warm is None:
+            return solution
+        cost = _joint_cost(f_by_class, warm)
+        if solution.ok and solution.objective <= cost:
+            return solution
         return MilpSolution(
-            status=MilpStatus.FEASIBLE,
-            x=dense_vector(warm, n_p),
-            objective=_joint_cost(f_by_class, warm),
+            status=MilpStatus.FEASIBLE, x=dense_vector(warm, n_p),
+            objective=cost,
         )
 
     def _widen(
@@ -1228,27 +1075,9 @@ def solve_rap_sparse(
         ]
         return [m for m, _ in widened], [k for _, k in widened]
 
-    if dirty_clusters is not None and not forced:
-        if K > 1:
-            raise ValidationError("dirty_clusters (ECO repair) needs K = 1")
-        eco = _solve_eco_repair(
-            f_by_class[0], width_by_class[0], pair_capacity, budgets[0],
-            dirty_clusters, warm[0] if warm is not None else None,
-            backend, _left, _spent, stats,
-        )
-        if eco is not None:
-            return eco
-
-    if (
-        forced and candidate_k >= n_p
-    ) or (
-        not forced and stats.n_dense_variables <= SMALL_PROBLEM_VARIABLES
-    ):
-        return _solve_dense(
-            f_by_class, width_by_class, pair_capacity, budgets,
-            backend, time_limit_s, warm, stats,
-        )
-
+    forced = candidate_k is not None
+    # Every column for a cold solve; ECO narrows its one class below.
+    universe = [np.ones(f.shape, dtype=bool) for f in f_by_class]
     lp_info: _LpInfo | None = None
     # Pricing re-admissions and earlier candidate sets, per class.
     extra = [np.zeros(f.shape, dtype=bool) for f in f_by_class]
@@ -1261,7 +1090,20 @@ def solve_rap_sparse(
         n_pairs=n_p,
         forced_k=candidate_k,
     ) as root:
-        if forced:
+        if dirty_clusters is not None:
+            universe[0], start, k = _eco_universe(
+                f_by_class[0], warm[0], dirty
+            )
+            masks, ks = [start], [k]
+            root.annotate(n_dirty=len(dirty))
+        elif (
+            forced and candidate_k >= n_p
+        ) or (
+            not forced and stats.n_dense_variables <= SMALL_PROBLEM_VARIABLES
+        ):
+            stats.strategy = "dense"
+            masks, ks = universe, [n_p] * K
+        elif forced:
             stats.strategy = "top-k"
             k = int(np.clip(candidate_k, 1, n_p))
             with span("rap.sparse.candidates", k=k, strategy="top-k"):
@@ -1323,18 +1165,21 @@ def solve_rap_sparse(
                     )
                     cand_span.annotate(strategy="top-k", k=max(ks))
         stats.k_initial = max(ks)
+        root.annotate(strategy=stats.strategy)
 
         while True:
             stats.rounds += 1
             if stats.rounds > _SAFETY_ROUNDS:
-                masks = [np.ones(f.shape, dtype=bool) for f in f_by_class]
+                masks = universe
             stats.n_candidates = int(sum(m.sum() for m in masks))
             stats.k_final = int(max(m.sum(axis=1).max() for m in masks))
 
             t0 = time.perf_counter()
+            # The dense route starts (and ends) on the whole universe
+            # without cuts, so its trajectory is the plain model's.
             srm = build_rap_model(
                 f_by_class, width_by_class, pair_capacity, budgets, masks,
-                strengthen=True,
+                strengthen=stats.strategy != "dense",
             )
             stats.build_s += time.perf_counter() - t0
             restricted = solve_milp(
@@ -1366,7 +1211,7 @@ def solve_rap_sparse(
                 admitted=stats.admitted_columns,
             )
 
-            full = not any((~m).any() for m in masks)
+            full = not any((u & ~m).any() for u, m in zip(universe, masks))
             if solution.status is MilpStatus.INFEASIBLE:
                 if full:
                     root.annotate(outcome="infeasible")
@@ -1379,47 +1224,44 @@ def solve_rap_sparse(
                     # verdict (the caller would wrongly relax).  A warm
                     # assignment still beats no answer.
                     root.annotate(outcome="budget_exhausted")
-                    if warm is not None:
-                        return _warm_solution(), stats
-                    return (
+                    return _best(
                         MilpSolution(
                             status=MilpStatus.ERROR, x=None,
                             objective=np.inf,
-                        ),
-                        stats,
-                    )
+                        )
+                    ), stats
                 ks = [min(n_p, 2 * max(k, 1)) for k in ks]
                 extra = [e | m for e, m in zip(extra, masks)]
                 with span(
                     "rap.sparse.candidates", k=max(ks), escalated=True
                 ):
                     masks, ks = _widen(ks, extra)
+                masks = [m & u for m, u in zip(masks, universe)]
                 continue
             if not solution.ok or solution.x is None:
-                if _spent() and warm is not None:
+                if _spent():
                     # The restricted solve died on the budget's last
                     # sliver; the warm assignment still beats erroring.
                     root.annotate(outcome="budget_exhausted")
-                    return _warm_solution(), stats
+                    return _best(solution), stats
                 root.annotate(outcome=solution.status.value)
                 return solution, stats  # timeout/error: caller's problem
-
-            if full:
-                stats.certified = solution.status is MilpStatus.OPTIMAL
-                root.annotate(outcome="dense", objective=solution.objective)
-                return solution, stats
             if solution.status is not MilpStatus.OPTIMAL:
                 # An incumbent under a time limit carries no optimality
                 # certificate, so the pricing test cannot run.
                 root.annotate(outcome="uncertified")
+                return _best(solution), stats
+            if full:
+                stats.certified = True
+                root.annotate(outcome="full", objective=solution.objective)
                 return solution, stats
 
-            # Pricing test: can any pruned column beat this optimum?
+            # Pricing test: can any left-out column beat this optimum?
             z = solution.objective
             if lp_info is None and not _spent():
                 lp = _strengthened_lp(
                     f_by_class, width_by_class, pair_capacity, budgets,
-                    time_limit_s=_left(),
+                    universe, time_limit_s=_left(),
                 )
                 if isinstance(lp, _LpInfo):
                     lp_info = lp
@@ -1428,16 +1270,17 @@ def solve_rap_sparse(
             if lp_info is None:
                 if _spent():
                     # Restricted optimum, but no budget left to price
-                    # it against the pruned columns: return it as an
+                    # it against the left-out columns: return it as an
                     # uncertified incumbent, like a time-limit expiry.
                     root.annotate(outcome="budget", objective=z)
-                    return solution, stats
+                    return _best(solution), stats
                 # No pricing bound available: keep the exactness
-                # contract by solving the dense model (slow path).
-                logger.warning("RAP pricing unavailable; solving dense model")
-                masks = [np.ones(f.shape, dtype=bool) for f in f_by_class]
+                # contract by solving the whole universe (slow path).
+                logger.warning("RAP pricing unavailable; solving universe")
+                masks = universe
                 continue
             tol = 1e-6 * max(1.0, abs(z))
+            # Columns outside the universe carry rc = inf: never admitted.
             admits = [
                 ~m & (lp_info.objective + rc <= z + tol)
                 for m, rc in zip(masks, lp_info.reduced_costs)
@@ -1452,10 +1295,10 @@ def solve_rap_sparse(
                 # the restricted optimum stands as an uncertified
                 # incumbent.
                 root.annotate(outcome="budget", objective=z)
-                return solution, stats
+                return _best(solution), stats
             stats.admitted_columns += n_admit
             logger.info(
-                "RAP pricing re-admits %d pruned columns (z=%.6g)",
+                "RAP pricing re-admits %d left-out columns (z=%.6g)",
                 n_admit, z,
             )
             extra = [e | a for e, a in zip(extra, admits)]

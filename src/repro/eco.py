@@ -740,12 +740,14 @@ def _repair_classes(runner, base, labels_by, app):
     """Per-class incremental RAP repair under the frozen row map.
 
     Returns ``(cluster_to_pair_concat, labels_concat, by_track,
-    objective, certified, dirty_count, moved_clusters_by_class)``.
-    Raises :class:`_EcoFallback` when any class's restricted repair
-    cannot certify equality with its row-frozen subproblem optimum.
+    objective, dirty_count, moved_clusters_by_class)``, every class
+    certified.  Raises :class:`_EcoFallback` when any class's restricted
+    repair cannot certify equality with its row-frozen subproblem
+    optimum.
     """
     from repro.core.cost import compute_rap_costs
     from repro.core.rap import solve_rap
+    from repro.solvers.milp import MilpStatus
 
     init = runner.initial
     params = runner.params
@@ -756,7 +758,6 @@ def _repair_classes(runner, base, labels_by, app):
     by_track: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     moved_by: list[np.ndarray] = []
     objective = 0.0
-    certified = True
     dirty_total = 0
     offset = 0
     for (track, indices, widths), labels in zip(runner._classes, labels_by):
@@ -784,20 +785,20 @@ def _repair_classes(runner, base, labels_by, app):
                 warm_assignment=[warm],
                 dirty_clusters=dirty,
             )
-            if stats.strategy != "eco-repair":
-                # The engine rejected the incremental path (incumbent
-                # infeasible under post-delta widths, or the pinned
-                # subproblem broke): whatever it solved instead may use
-                # a different row map, so it cannot be grafted onto the
-                # incumbent floorplan.
-                raise _EcoFallback(
-                    f"restricted repair unavailable for {track:g}T "
-                    f"(engine ran {stats.strategy or 'nothing'})"
-                )
             if maps is None:
+                # No restricted solve ran (the incumbent is infeasible
+                # under the post-delta widths, or the backend is not
+                # exact) or the row-frozen subproblem has no solution:
+                # repair does not apply.  Anything else is a failure.
+                unavailable = (
+                    stats.rounds == 0
+                    or solution.status is MilpStatus.INFEASIBLE
+                )
                 raise _EcoFallback(
-                    f"restricted repair failed for {track:g}T "
-                    f"({solution.status.value})"
+                    "restricted repair "
+                    f"{'unavailable' if unavailable else 'failed'} for "
+                    f"{track:g}T ({solution.status.value} after "
+                    f"{stats.rounds} rounds)"
                 )
             if not stats.certified:
                 raise _EcoFallback(
@@ -815,7 +816,6 @@ def _repair_classes(runner, base, labels_by, app):
         np.concatenate(parts_labels),
         by_track,
         objective,
-        certified,
         dirty_total,
         moved_by,
     )
@@ -942,8 +942,8 @@ def run_eco(runner, delta: NetlistDelta, incumbent) -> EcoResult:
             if labels_by is None or len(labels_by) != len(runner._classes):
                 raise _EcoFallback("no cached clustering labels")
             (
-                c2p, labels_concat, by_track, objective, certified,
-                n_dirty, moved_by,
+                c2p, labels_concat, by_track, objective, n_dirty,
+                moved_by,
             ) = _repair_classes(runner, base, labels_by, app)
             placed = _sync_mixed_frame(runner, incumbent, app)
             x0, y0 = placed.clone_positions()
@@ -982,7 +982,7 @@ def run_eco(runner, delta: NetlistDelta, incumbent) -> EcoResult:
             "eco.repaired",
             seconds=seconds,
             hpwl=final_hpwl,
-            certified=certified,
+            certified=True,
             n_dirty_clusters=n_dirty,
             moved_cells=int(len(moved)),
         )
@@ -998,7 +998,7 @@ def run_eco(runner, delta: NetlistDelta, incumbent) -> EcoResult:
             displacement=displacement,
             placed=placed,
             assignment=assignment,
-            certified=certified,
+            certified=True,
             fallback=False,
             reason="",
             n_ops=delta.n_ops,

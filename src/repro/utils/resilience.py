@@ -31,12 +31,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
+from repro.solvers.milp import MILP_BACKENDS
 from repro.utils.errors import StageTimeoutError, ValidationError
-
-#: Solver rungs tried in order when the primary backend fails.  The
-#: baseline heuristic assignment is the terminal rung and lives at the
-#: flow level (it is not a MILP backend).
-CANONICAL_CHAIN: tuple[str, ...] = ("highs", "bnb", "lagrangian")
 
 #: Backends whose answer is a proven optimum (given enough time).
 EXACT_BACKENDS: frozenset[str] = frozenset({"highs", "bnb"})
@@ -413,7 +409,9 @@ class ResiliencePolicy:
 
     fallback_enabled: bool = True
     relaxation_enabled: bool = True
-    chain: tuple[str, ...] = CANONICAL_CHAIN
+    # Solver rungs tried in order when the primary backend fails; the
+    # baseline heuristic assignment is the flow-level terminal rung.
+    chain: tuple[str, ...] = MILP_BACKENDS
     retry: RetryPolicy = RetryPolicy()
     stage_budgets: dict[str, float] = field(default_factory=dict)
     fault_plan: FaultPlan | None = None

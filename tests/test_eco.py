@@ -206,6 +206,99 @@ class TestFallback:
         assert result.degraded
 
 
+def _count_repair_solves(monkeypatch):
+    """Count MILP, LP and Lagrangian solves made inside ECO's
+    ``solve_rap(..., dirty_clusters=)`` calls (``repairs`` counts the
+    calls themselves)."""
+    import repro.core.rap as rap
+    import repro.core.sparse_rap as engine
+    import repro.solvers.lagrangian as lagrangian
+
+    counts = {"repairs": 0, "milp": 0, "lp": 0, "lagrangian": 0}
+    inside = [False]
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += inside[0]
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        engine, "solve_milp", counted("milp", engine.solve_milp)
+    )
+    monkeypatch.setattr(engine, "linprog", counted("lp", engine.linprog))
+    monkeypatch.setattr(
+        lagrangian,
+        "solve_rap_lagrangian",
+        counted("lagrangian", lagrangian.solve_rap_lagrangian),
+    )
+    real = rap.solve_rap
+
+    def solve_rap(*args, dirty_clusters=None, **kwargs):
+        inside[0] = dirty_clusters is not None
+        counts["repairs"] += inside[0]
+        try:
+            return real(*args, dirty_clusters=dirty_clusters, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(rap, "solve_rap", solve_rap)
+    return counts
+
+
+class TestNoDiscardedSolve:
+    """A delta the restricted repair cannot take falls back without
+    solving anything the full flow would then throw away."""
+
+    def test_overflowing_incumbent_solves_nothing(self, library, monkeypatch):
+        design, runner, incumbent = _incumbent(library, n_cells=300, seed=9)
+        track, indices, widths = runner._classes[0]
+        c2p = incumbent.assignment.by_track[track][0]
+        cell_pair = c2p[runner._ilp_labels[0]]
+        cap = runner.initial.pair_capacity * runner.params.row_fill
+        load = np.bincount(cell_pair, weights=widths, minlength=len(cap))
+        opened = np.unique(c2p)
+        fullest = opened[np.argmin(cap[opened] - load[opened])]
+        # Upsize every cell of the fullest pair to its family's widest
+        # master: the incumbent then overflows that pair.
+        ops, growth = [], 0.0
+        for i in indices[cell_pair == fullest].tolist():
+            master = design.instances[i].master
+            widest = max(
+                (
+                    m for m in library.masters.values()
+                    if (m.function, m.vt, m.track_height)
+                    == (master.function, master.vt, master.track_height)
+                ),
+                key=lambda m: (m.width, m.name),
+            )
+            if widest.width > master.width:
+                ops.append(ResizeOp(i, widest.name))
+                growth += widest.width - master.width
+        assert growth > cap[fullest] - load[fullest]
+        counts = _count_repair_solves(monkeypatch)
+        result = runner.run_eco(NetlistDelta(ops=tuple(ops)), incumbent)
+        assert result.fallback
+        assert result.reason.startswith("restricted repair unavailable")
+        assert counts == {"repairs": 1, "milp": 0, "lp": 0, "lagrangian": 0}
+        assert result.placed.check_legal() == []
+
+    def test_heuristic_backend_solves_nothing(self, library, monkeypatch):
+        design = make_design(library, n_cells=300, seed=9)
+        initial = prepare_initial_placement(design, library)
+        runner = FlowRunner(initial, RCPPParams(solver_backend="lagrangian"))
+        incumbent = runner.run(FlowKind.FLOW5)
+        delta = make_eco_delta(design, fraction=0.01, seed=1, library=library)
+        counts = _count_repair_solves(monkeypatch)
+        result = runner.run_eco(delta, incumbent)
+        assert result.fallback
+        assert result.reason.startswith("restricted repair unavailable")
+        assert counts["repairs"] == 1
+        assert counts["lagrangian"] == counts["milp"] == counts["lp"] == 0
+        assert result.placed.check_legal() == []
+
+
 class TestDeltaFormat:
     def test_deterministic_and_distinct(self, library):
         design = make_design(library, n_cells=300, seed=13)

@@ -281,6 +281,25 @@ class TestSmallInstanceShortcut:
         assert solution.status is MilpStatus.INFEASIBLE
         assert stats.certified
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_exhausted_budget_returns_warm_or_better(self, seed):
+        """The dense route draws on the whole-solve budget like every
+        other route: a spent budget returns an incumbent no worse than
+        the warm assignment, never ERROR."""
+        rng = np.random.default_rng(seed)
+        f = rng.uniform(0.0, 100.0, size=(30, 14))
+        w = rng.uniform(1.0, 4.0, size=30)
+        cap = np.full(14, w.sum() / 4)
+        warm = greedy_rap([f], [w], cap, [5])
+        assert warm is not None
+        solution, stats = solve_rap_sparse(
+            [f], [w], cap, [5], time_limit_s=1e-3, warm_assignment=warm
+        )
+        assert stats.strategy == "dense"
+        assert solution.ok and solution.x is not None
+        warm_cost = float(f[np.arange(30), warm[0]].sum())
+        assert solution.objective <= warm_cost + 1e-6
+
     def test_forced_k_bypasses_shortcut(self):
         f, w, cap, n_minr = random_instance(3)  # N_P = 2
         _, stats = solve_rap_sparse([f], [w], cap, [n_minr], candidate_k=1)
