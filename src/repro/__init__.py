@@ -25,7 +25,7 @@ by ``tests/test_api_surface.py`` — ``dir(repro)`` is the documented
 surface, nothing more.
 """
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 from repro.core.config import RunConfig
 from repro.core.heights import HeightClass, HeightSpec
@@ -56,7 +56,6 @@ from repro.utils.resilience import (
     FaultPlan,
     FlowProvenance,
     ResiliencePolicy,
-    RetryPolicy,
 )
 from repro.utils.supervise import SupervisedPool, TaskOutcome
 
@@ -74,7 +73,6 @@ __all__ = [
     "InitialPlacement",
     "RCPPParams",
     "ResiliencePolicy",
-    "RetryPolicy",
     "RowAssignment",
     "RowConstraintPlacer",
     "RowConstraintResult",

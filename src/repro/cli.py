@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_design_args(run, cells=400, minority=0.15)
     _add_live_args(run)
-    add_run_config_args(run, workers=True)
+    add_run_config_args(run)
 
     sweep = sub.add_parser(
         "sweep", help="parallel testcase x flow sweep with metrics export"
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="apply this many deltas back-to-back (streaming ECO)",
     )
     _add_live_args(eco)
-    add_run_config_args(eco, workers=True)
+    add_run_config_args(eco)
 
     tail = sub.add_parser(
         "tail",

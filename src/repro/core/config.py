@@ -4,7 +4,7 @@ Before this module every entry point re-declared ``--scale-denom``,
 ``--seed``, ``--alpha``, ``--s`` and ``--budget-s`` with drifting
 defaults.  :class:`RunConfig` is the single source of truth: testcase
 scale, method parameters (:class:`~repro.core.params.RCPPParams`),
-resilience policy, base seed and worker count — consumed by
+fault plan, base seed and worker count — consumed by
 ``run_testcase``, every experiment entry point, ``run_flow``, the sweep
 engine and every CLI subcommand (:func:`add_run_config_args` /
 :meth:`RunConfig.from_args`).  It is their only configuration input;
@@ -26,7 +26,7 @@ from repro.core.heights import HeightSpec, resolve_heights
 from repro.core.params import RCPPParams
 from repro.solvers.milp import MILP_BACKENDS
 from repro.utils.errors import ValidationError
-from repro.utils.resilience import FaultPlan, ResiliencePolicy
+from repro.utils.resilience import FaultPlan
 
 if TYPE_CHECKING:
     from repro.techlib.cells import StdCellLibrary
@@ -52,9 +52,8 @@ class RunConfig:
     * ``scale`` — fraction of the paper's cell counts to generate
       (``1 / scale_denom`` on the CLI).
     * ``params`` — the method's :class:`RCPPParams` (alpha, s, solver
-      backend, ``time_budget_s``, ...).
-    * ``policy`` — optional :class:`ResiliencePolicy` override; ``None``
-      derives it from ``params`` as before.
+      backend, ``time_budget_s``, the fallback and retry knobs, ...).
+    * ``fault_plan`` — optional :class:`FaultPlan` for degradation tests.
     * ``seed`` — base seed mixed into per-job seeds by the sweep engine;
       ``None`` keeps the testcase-derived seeds.
     * ``workers`` — process count for sweep execution (1 = inline).
@@ -64,7 +63,6 @@ class RunConfig:
 
     scale: float = DEFAULT_SCALE
     params: RCPPParams = field(default_factory=RCPPParams)
-    policy: ResiliencePolicy | None = None
     fault_plan: FaultPlan | None = None
     seed: int | None = None
     workers: int = 1
@@ -123,7 +121,8 @@ class RunConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_dict(self) -> dict:
-        """JSON-able snapshot for sweep reports (policy summarized)."""
+        """JSON-able snapshot for sweep reports (the fault plan is not
+        part of it)."""
         return {
             "scale": self.scale,
             "scale_denom": self.scale_denom,
@@ -132,19 +131,12 @@ class RunConfig:
             "utilization": self.utilization,
             "aspect_ratio": self.aspect_ratio,
             "params": dataclasses.asdict(self.params),
-            "policy": None
-            if self.policy is None
-            else {
-                "fallback_enabled": self.policy.fallback_enabled,
-                "relaxation_enabled": self.policy.relaxation_enabled,
-                "chain": list(self.policy.chain),
-            },
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """Rebuild from a :meth:`to_dict` snapshot (policy is dropped —
-        it summarizes, not serializes).
+        """Rebuild from a :meth:`to_dict` snapshot (the ``policy`` key of
+        snapshots written before 6.0 is ignored).
 
         Snapshots written before 2.0 carry the removed two-height keys;
         their defaults load as the paper's setting, any other value

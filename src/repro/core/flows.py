@@ -18,7 +18,6 @@ forced to the baseline flow's value (the paper's fairness rule).
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import logging
 from dataclasses import dataclass, field
@@ -64,6 +63,7 @@ from repro.utils.resilience import (
     FaultPlan,
     FlowProvenance,
     ResiliencePolicy,
+    attempt,
 )
 from repro.utils.timer import StageTimes
 
@@ -295,26 +295,21 @@ def _prepare_initial_placement(
 class FlowRunner:
     """Runs flows (1)-(5) off one shared initial placement.
 
-    ``policy`` controls resilient execution (fallback chain, retries,
-    per-stage budgets); by default it is derived from ``params``.
-    ``fault_plan`` injects deterministic failures for degradation tests;
-    when given alongside a policy it overrides the policy's own plan.
+    Resilient execution (fallback chain, retries) follows ``params``
+    (:meth:`ResiliencePolicy.from_params`); ``fault_plan`` injects
+    deterministic failures for degradation tests.
     """
 
     def __init__(
         self,
         initial: InitialPlacement,
         params: RCPPParams | None = None,
-        policy: ResiliencePolicy | None = None,
+        *,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         self.initial = initial
         self.params = params or RCPPParams()
-        self.policy = policy or ResiliencePolicy.from_params(self.params)
-        if fault_plan is not None:
-            self.policy = dataclasses.replace(
-                self.policy, fault_plan=fault_plan
-            )
+        self.policy = ResiliencePolicy.from_params(self.params, fault_plan)
         spec = self.params.heights or initial.heights
         if set(spec.minority_tracks) != set(initial.heights.minority_tracks):
             raise ValidationError(
@@ -417,9 +412,9 @@ class FlowRunner:
     def _row_assign_deadline(self, deadline: Deadline) -> Deadline:
         """Row-assign stage deadline, reserving budget for legalization."""
         remaining = deadline.remaining()
-        if remaining is not None:
-            deadline = deadline.sub(remaining * ROW_ASSIGN_BUDGET_FRACTION)
-        return self.policy.stage_deadline("row_assign", deadline)
+        if remaining is None:
+            return deadline
+        return deadline.sub(remaining * ROW_ASSIGN_BUDGET_FRACTION)
 
     def ilp_assignment(
         self, deadline: Deadline | None = None
@@ -550,33 +545,21 @@ class FlowRunner:
         explicitly flagged degraded so Table IV-style comparisons never
         silently mix exact and heuristic rows.
         """
-        stage = "rap.baseline"
-        deadline.check(stage, provenance=prov)
         try:
-            with span(stage, backend="baseline") as sp:
-                self.policy.inject(stage)
+            with attempt(
+                prov, self.policy, deadline, "rap.baseline", "baseline",
+                backend="baseline",
+            ):
                 assignment, _ = self.baseline_assignment()
-        except StageTimeoutError as exc:
-            prov.record(
-                stage, "baseline", 1, ok=False, error=exc,
-                runtime_s=sp.duration_s,
-            )
-            exc.provenance = prov
+        except StageTimeoutError:
             raise
         except ReproError as exc:
-            prov.record(
-                stage, "baseline", 1, ok=False, error=exc,
-                runtime_s=sp.duration_s,
-            )
             raise SolverError(
                 "row assignment failed on every rung "
                 f"(chain {self.policy.backends(self.params.solver_backend)} "
                 f"+ baseline): {exc}",
                 provenance=prov,
             ) from exc
-        prov.record(
-            stage, "baseline", 1, ok=True, runtime_s=sp.duration_s,
-        )
         prov.backend = "baseline"
         prov.degraded = True
         return assignment
@@ -719,80 +702,42 @@ class FlowRunner:
         A capacity overflow in the strict per-pair Abacus step falls back
         to the fence-region legalizer (minority cells may use the union
         of minority rows, so it has strictly more slack), and vice versa.
-        The placement is rebuilt before the fallback because a failed
+        Each rung starts from a freshly built placement because a failed
         legalizer leaves it partially mutated.
         """
         primary = kind.legalization
         fallback = "fence" if primary == "abacus_rc" else "abacus_rc"
-        stage_deadline = self.policy.stage_deadline("legalize", deadline)
-        placed = self._build_mixed_placement(assignment)
-        reference = placed.clone_positions() if emitting_events() else None
-        stage = f"legalize.{primary}"
-        stage_deadline.check(stage, provenance=prov)
-        try:
-            with span(stage, legalizer=primary) as sp:
-                self.policy.inject(stage)
-                result = self._run_legalizer(
-                    primary, placed, assignment, stage_deadline
-                )
-        except StageTimeoutError as exc:
-            prov.record(
-                stage, primary, 1, ok=False, error=exc,
-                runtime_s=sp.duration_s,
-            )
-            exc.provenance = prov
-            raise
-        except ReproError as exc:
-            prov.record(
-                stage, primary, 1, ok=False, error=exc,
-                runtime_s=sp.duration_s,
-            )
-            if not self.policy.fallback_enabled:
-                raise
-            logger.warning(
-                "legalizer %s failed (%s); falling back to %s",
-                primary, type(exc).__name__, fallback,
-            )
-            stage = f"legalize.{fallback}"
-            stage_deadline.check(stage, provenance=prov)
+        rungs = (primary, fallback)
+        if not self.policy.fallback_enabled:
+            rungs = (primary,)
+        for name in rungs:
             placed = self._build_mixed_placement(assignment)
-            reference = (
-                placed.clone_positions() if emitting_events() else None
-            )
+            reference = placed.clone_positions() if emitting_events() else None
             try:
-                with span(stage, legalizer=fallback) as fsp:
-                    self.policy.inject(stage)
+                with attempt(
+                    prov, self.policy, deadline, f"legalize.{name}", name,
+                    legalizer=name,
+                ):
                     result = self._run_legalizer(
-                        fallback, placed, assignment, stage_deadline
+                        name, placed, assignment, deadline
                     )
-            except StageTimeoutError as fexc:
-                prov.record(
-                    stage, fallback, 1, ok=False, error=fexc,
-                    runtime_s=fsp.duration_s,
-                )
-                fexc.provenance = prov
+            except StageTimeoutError:
                 raise
-            except ReproError as fexc:
-                prov.record(
-                    stage, fallback, 1, ok=False, error=fexc,
-                    runtime_s=fsp.duration_s,
-                )
-                if isinstance(fexc, SolverError) and fexc.provenance is None:
-                    fexc.provenance = prov
+            except ReproError as exc:
+                if name != rungs[-1]:
+                    logger.warning(
+                        "legalizer %s failed (%s); falling back to %s",
+                        name, type(exc).__name__, fallback,
+                    )
+                    continue
+                if isinstance(exc, SolverError) and exc.provenance is None:
+                    exc.provenance = prov
                 raise
-            prov.record(
-                stage, fallback, 1, ok=True, runtime_s=fsp.duration_s,
-            )
-            prov.legalizer = fallback
-            prov.degraded = True
-            self._record_legalize_qor(kind, fallback, placed, reference)
+            prov.legalizer = name
+            if name != primary:
+                prov.degraded = True
+            self._record_legalize_qor(kind, name, placed, reference)
             return placed, result
-        prov.record(
-            stage, primary, 1, ok=True, runtime_s=sp.duration_s,
-        )
-        prov.legalizer = primary
-        self._record_legalize_qor(kind, primary, placed, reference)
-        return placed, result
 
     def _record_legalize_qor(
         self,
@@ -826,8 +771,8 @@ def run_flow(
 ) -> FlowResult:
     """One-shot convenience wrapper around :class:`FlowRunner`.
 
-    ``config`` supplies the method parameters, resilience policy and
-    fault plan; ``None`` runs the defaults.
+    ``config`` supplies the method parameters and fault plan; ``None``
+    runs the defaults.
     """
     from repro.core.config import RunConfig
 
@@ -838,5 +783,5 @@ def run_flow(
             f"run_flow takes a RunConfig, got {type(config).__name__}"
         )
     return FlowRunner(
-        initial, config.params, config.policy, config.fault_plan
+        initial, config.params, fault_plan=config.fault_plan
     ).run(kind)

@@ -17,9 +17,12 @@ entry per minority track of a :class:`~repro.core.heights.HeightSpec`
 own Eq. (3)-(5) blocks and a pair carries one track height
 (``sum_h y_hr <= 1``).  :func:`solve_rap` solves one instance through
 the engine of :mod:`repro.core.sparse_rap` at every ``K``, and
-:func:`solve_rap_resilient` wraps it in the solver fallback chain,
-with a simulated-annealing terminal rung (:func:`anneal_rap`) for joint
-instances where every MILP backend fails.
+:func:`solve_rap_resilient` wraps it in the solver fallback chain and
+the relaxation ladder, with a simulated-annealing terminal rung
+(:func:`anneal_rap`) for joint instances where every MILP backend fails.
+Each rung attempt runs through :func:`repro.utils.resilience.attempt`,
+which checks the deadline, opens the span and records the provenance;
+the chain decides only what a failed attempt means.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from repro.core.sparse_rap import (
     solve_rap_sparse,
     validate_rap_inputs,
 )
-from repro.obs.trace import span
 from repro.solvers.milp import MilpSolution, MilpStatus
 from repro.utils.errors import (
     InfeasibleError,
@@ -54,6 +56,7 @@ from repro.utils.resilience import (
     Deadline,
     FlowProvenance,
     ResiliencePolicy,
+    attempt,
 )
 
 logger = logging.getLogger(__name__)
@@ -443,21 +446,31 @@ def solve_rap_resilient(
     ``backend="sa"`` and flagged degraded) so instances where every
     MILP rung fails still place.  The rungs run one after another.
 
-    Failure ladder per :class:`~repro.utils.resilience.ResiliencePolicy`:
+    Every attempt runs through :func:`~repro.utils.resilience.attempt`,
+    which records it into ``provenance``; what a failure means is
+    decided here:
 
-    * transient :class:`SolverError` → retry the rung (with backoff);
-    * exhausted retries / timeout without incumbent → next rung;
-    * :class:`InfeasibleError` → next relaxation level (infeasibility is
-      deterministic, so retrying the same model is pointless);
+    * a raised :class:`SolverError` / :class:`ValidationError` → retry
+      the rung, up to the policy's ``max_attempts``;
+    * an ``INFEASIBLE`` status or a raised :class:`InfeasibleError` →
+      next relaxation level (infeasibility is deterministic, so retrying
+      the same model is pointless);
+    * an answer with no incumbent, or one that does not decode → next
+      rung (a retry would return the same answer);
     * every rung and level failed → ``None`` (the caller's terminal rung
       is the baseline heuristic assignment);
     * deadline expired → :class:`StageTimeoutError` with the provenance
       accumulated so far attached.
 
-    All attempts are recorded into ``provenance``; on success its
-    ``backend`` / ``degraded`` fields are set.
+    On success the provenance's ``backend`` / ``degraded`` fields are
+    set.
     """
-    policy = policy or ResiliencePolicy()
+    if policy is None:
+        # Local import: repro.core.params imports this module (via
+        # repro.core.heights).
+        from repro.core.params import RCPPParams
+
+        policy = ResiliencePolicy.from_params(RCPPParams())
     deadline = deadline or Deadline.unlimited()
     prov = provenance if provenance is not None else FlowProvenance()
     if prov.requested_backend is None:
@@ -468,13 +481,12 @@ def solve_rap_resilient(
     levels: list[tuple[float, list[int], str | None]] = [
         (row_fill, list(budgets), None)
     ]
-    if policy.relaxation_enabled:
-        if row_fill < 1.0:
-            levels.append((1.0, list(budgets), "row_fill->1.0"))
-        for extra in (1, 2):
-            bumped = [b + extra for b in budgets]
-            if sum(bumped) <= n_p:
-                levels.append((1.0, bumped, f"n_min_rows+{extra}"))
+    if row_fill < 1.0:
+        levels.append((1.0, list(budgets), "row_fill->1.0"))
+    for extra in (1, 2):
+        bumped = [b + extra for b in budgets]
+        if sum(bumped) <= n_p:
+            levels.append((1.0, bumped, f"n_min_rows+{extra}"))
 
     rungs = policy.backends(backend)
     if len(f_by_class) > 1:
@@ -498,15 +510,16 @@ def solve_rap_resilient(
         escalate = False
         for rung in rungs:
             stage = f"rap.{rung}"
-            max_attempts = 1 if rung == "sa" else policy.retry.max_attempts
-            attempt = 0
-            while attempt < max_attempts:
-                attempt += 1
-                deadline.check(stage, provenance=prov)
-                attempt_span = span(stage, backend=rung, attempt=attempt)
+            max_attempts = 1 if rung == "sa" else policy.max_attempts
+            for n in range(1, max_attempts + 1):
+                # Set once the rung returned a non-infeasible answer: a
+                # failure after that is the answer's, not the solver's.
+                answered = False
                 try:
-                    with attempt_span:
-                        policy.inject(stage)
+                    with attempt(
+                        prov, policy, deadline, stage, rung, n, relaxation,
+                        backend=rung, attempt=n,
+                    ) as sp:
                         if rung == "sa":
                             solution = None
                             annealed = anneal_rap(
@@ -540,94 +553,53 @@ def solve_rap_resilient(
                                 warm_assignment=warm,
                                 candidate_k=candidate_k,
                             )
-                            attempt_span.annotate(
+                            sp.annotate(
                                 sparse_rounds=stats.rounds,
                                 sparse_k=stats.k_final,
                                 sparse_candidates=stats.n_candidates,
                                 sparse_certified=stats.certified,
                             )
-                except StageTimeoutError as exc:
-                    prov.record(
-                        stage, rung, attempt, ok=False, error=exc,
-                        runtime_s=attempt_span.duration_s,
-                        relaxation=relaxation,
-                    )
-                    exc.provenance = prov
-                    raise
-                except InfeasibleError as exc:
-                    prov.record(
-                        stage, rung, attempt, ok=False, error=exc,
-                        runtime_s=attempt_span.duration_s,
-                        relaxation=relaxation,
-                    )
-                    escalate = True
-                    break
-                except (SolverError, ValidationError) as exc:
-                    prov.record(
-                        stage, rung, attempt, ok=False, error=exc,
-                        runtime_s=attempt_span.duration_s,
-                        relaxation=relaxation,
-                    )
-                    logger.warning(
-                        "RAP rung %s attempt %d failed: %s",
-                        rung, attempt, exc,
-                    )
-                    if attempt < max_attempts:
-                        policy.sleep(policy.retry.delay(attempt))
-                    continue
-                runtime = attempt_span.duration_s
-
-                if solution is not None:
-                    if solution.status is MilpStatus.INFEASIBLE:
-                        prov.record(
-                            stage, rung, attempt, ok=False,
-                            error=InfeasibleError("model infeasible"),
-                            runtime_s=runtime, relaxation=relaxation,
-                        )
-                        escalate = True
-                        break
-                    if maps is None:
-                        prov.record(
-                            stage, rung, attempt, ok=False,
-                            error=SolverError(
+                            if solution.status is MilpStatus.INFEASIBLE:
+                                raise InfeasibleError("model infeasible")
+                            objective = solution.objective
+                        answered = True
+                        if maps is None:
+                            raise SolverError(
                                 "no incumbent "
                                 f"(status {solution.status.value})"
+                            )
+                        assignment = decode_assignment(
+                            maps,
+                            labels_by_class,
+                            minority_tracks,
+                            majority_track,
+                            n_p,
+                            objective=objective,
+                            ilp_runtime_s=(
+                                solution.runtime_s if solution is not None
+                                else sp.elapsed()
                             ),
-                            runtime_s=runtime, relaxation=relaxation,
+                            num_variables=num_variables,
+                            solver_nodes=(
+                                solution.nodes if solution is not None else 0
+                            ),
                         )
-                        break  # a timeout/error won't improve on retry
-                    objective = solution.objective
-                try:
-                    assignment = decode_assignment(
-                        maps,
-                        labels_by_class,
-                        minority_tracks,
-                        majority_track,
-                        n_p,
-                        objective=objective,
-                        ilp_runtime_s=(
-                            solution.runtime_s if solution is not None
-                            else runtime
-                        ),
-                        num_variables=num_variables,
-                        solver_nodes=(
-                            solution.nodes if solution is not None else 0
-                        ),
+                except StageTimeoutError:
+                    raise
+                except InfeasibleError:
+                    # An infeasible model escalates the relaxation; an
+                    # answer that does not decode distrusts this rung.
+                    escalate = not answered
+                    break
+                except (SolverError, ValidationError) as exc:
+                    if answered:
+                        break  # no incumbent: a retry returns the same
+                    logger.warning(
+                        "RAP rung %s attempt %d failed: %s", rung, n, exc
                     )
-                except InfeasibleError as exc:
-                    prov.record(
-                        stage, rung, attempt, ok=False, error=exc,
-                        runtime_s=runtime, relaxation=relaxation,
-                    )
-                    break  # malformed decode: distrust this rung
-                prov.record(
-                    stage, rung, attempt, ok=True,
-                    runtime_s=runtime, relaxation=relaxation,
-                )
+                    continue
                 prov.backend = rung
-                prov.degraded = bool(
-                    rung != backend or relaxation is not None
-                )
+                prov.degraded = rung != backend or relaxation is not None
                 return assignment
             if escalate:
                 break

@@ -31,7 +31,7 @@ from repro.netlist.db import Design
 from repro.placement.db import PlacedDesign
 from repro.placement.global_place import GlobalPlacerParams
 from repro.techlib.cells import StdCellLibrary
-from repro.utils.resilience import FaultPlan, FlowProvenance, ResiliencePolicy
+from repro.utils.resilience import FaultPlan, FlowProvenance
 from repro.utils.timer import StageTimes
 
 
@@ -80,7 +80,7 @@ class RowConstraintPlacer:
         utilization: float = 0.60,
         aspect_ratio: float = 1.0,
         placer_params: GlobalPlacerParams | None = None,
-        policy: ResiliencePolicy | None = None,
+        *,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         self.library = library
@@ -88,7 +88,6 @@ class RowConstraintPlacer:
         self.utilization = utilization
         self.aspect_ratio = aspect_ratio
         self.placer_params = placer_params
-        self.policy = policy
         self.fault_plan = fault_plan
 
     def place(self, design: Design) -> RowConstraintResult:
@@ -101,10 +100,7 @@ class RowConstraintPlacer:
             placer_params=self.placer_params,
             heights=self.params.heights,
         )
-        runner = FlowRunner(
-            initial, self.params, policy=self.policy,
-            fault_plan=self.fault_plan,
-        )
+        runner = FlowRunner(initial, self.params, fault_plan=self.fault_plan)
         flow: FlowResult = runner.run(FlowKind.FLOW5)
         assert flow.assignment is not None
         # Fences of the first (for two-height specs: the only) minority

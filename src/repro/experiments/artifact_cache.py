@@ -28,7 +28,6 @@ import json
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro import __version__
@@ -46,8 +45,9 @@ CACHE_SCHEMA_VERSION = 1
 DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Magic prefix of the protocol-5 entry format: a sized JSON header
-#: followed by the pickle body and the raw out-of-band buffers.  Entries
-#: without the magic are legacy plain pickles and still load.
+#: followed by the pickle body and the raw out-of-band buffers.  An entry
+#: without it is corrupt: every key carries the package version, and no
+#: version since the format arrived (1.2.0) wrote anything else.
 ENTRY_MAGIC = b"RPC5"
 
 
@@ -91,44 +91,6 @@ def initial_placement_key(
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def eco_result_key(
-    incumbent_fingerprint: str, delta_fingerprint: str
-) -> str:
-    """Content hash identifying one streaming-ECO repair result.
-
-    The key pairs the incumbent artifact's fingerprint (typically its
-    :func:`initial_placement_key`) with a
-    :meth:`repro.eco.NetlistDelta.fingerprint`, so a repeated ECO
-    request — same incumbent, same delta — hits the cache instead of
-    re-running the repair.  Schema and package version participate, like
-    every other cache key, so layout changes can never resurrect stale
-    entries.
-    """
-    payload = json.dumps(
-        {
-            "schema": CACHE_SCHEMA_VERSION,
-            "version": __version__,
-            "kind": "eco_result",
-            "incumbent": incumbent_fingerprint,
-            "delta": delta_fingerprint,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss/corruption counters of one :class:`ArtifactCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    corrupt: int = 0
-
-    def to_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses, "corrupt": self.corrupt}
-
-
 class ArtifactCache:
     """Pickle-backed content-addressed store under one directory.
 
@@ -139,21 +101,20 @@ class ArtifactCache:
     blob — peak memory during ``put`` stays O(largest array), not
     O(artifact).  A sized JSON header records the payload byte count and
     per-buffer sizes, so :meth:`entry_header` answers "how big is this
-    artifact" without unpickling it.  Legacy plain-pickle entries (no
-    magic prefix) still load transparently.
+    artifact" without unpickling it.  Hits, misses and corrupt entries
+    are told as ``cache.*`` events.
     """
 
     def __init__(self, root: str | os.PathLike = DEFAULT_CACHE_DIR) -> None:
         self.root = Path(root)
-        self.stats = CacheStats()
 
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.pkl"
 
     def entry_header(self, key: str) -> dict | None:
         """The stored entry's header dict (``payload_bytes``,
-        ``pickle_bytes``, ``buffer_bytes``), or ``None`` for a missing,
-        legacy, or unreadable entry.  Never deserializes the payload."""
+        ``pickle_bytes``, ``buffer_bytes``), or ``None`` for a missing or
+        unreadable entry.  Never deserializes the payload."""
         path = self.path_for(key)
         try:
             with open(path, "rb") as fh:
@@ -173,35 +134,29 @@ class ArtifactCache:
         """
         path = self.path_for(key)
         if not path.exists():
-            self.stats.misses += 1
             emit_event("cache.miss", key=key)
             return None
         try:
             with open(path, "rb") as fh:
-                magic = fh.read(len(ENTRY_MAGIC))
-                if magic == ENTRY_MAGIC:
-                    size = int.from_bytes(fh.read(4), "little")
-                    header = json.loads(fh.read(size))
-                    body = fh.read(header["pickle_bytes"])
-                    if len(body) != header["pickle_bytes"]:
-                        raise ValueError("truncated pickle body")
-                    buffers = []
-                    for nbytes in header["buffer_bytes"]:
-                        # Mutable buffers: arrays rebuilt over immutable
-                        # ``bytes`` would come back read-only and break
-                        # consumers that write in place (scratch arrays,
-                        # coordinate updates).
-                        raw = bytearray(nbytes)
-                        if fh.readinto(raw) != nbytes:
-                            raise ValueError("truncated buffer")
-                        buffers.append(raw)
-                    value = pickle.loads(body, buffers=buffers)
-                else:
-                    # Legacy entry: one plain pickle stream.
-                    value = pickle.loads(magic + fh.read())
+                if fh.read(len(ENTRY_MAGIC)) != ENTRY_MAGIC:
+                    raise ValueError("not a protocol-5 cache entry")
+                size = int.from_bytes(fh.read(4), "little")
+                header = json.loads(fh.read(size))
+                body = fh.read(header["pickle_bytes"])
+                if len(body) != header["pickle_bytes"]:
+                    raise ValueError("truncated pickle body")
+                buffers = []
+                for nbytes in header["buffer_bytes"]:
+                    # Mutable buffers: arrays rebuilt over immutable
+                    # ``bytes`` would come back read-only and break
+                    # consumers that write in place (scratch arrays,
+                    # coordinate updates).
+                    raw = bytearray(nbytes)
+                    if fh.readinto(raw) != nbytes:
+                        raise ValueError("truncated buffer")
+                    buffers.append(raw)
+                value = pickle.loads(body, buffers=buffers)
         except Exception:
-            self.stats.corrupt += 1
-            self.stats.misses += 1
             emit_event("cache.corrupt", key=key)
             emit_event("cache.miss", key=key)
             try:
@@ -209,7 +164,6 @@ class ArtifactCache:
             except OSError:
                 pass
             return None
-        self.stats.hits += 1
         emit_event("cache.hit", key=key)
         return value
 

@@ -49,7 +49,7 @@ def run_testcase(
 ) -> TestcaseRun:
     """Build the testcase, place it, run the requested flows.
 
-    ``config`` carries scale, method parameters, resilience policy and
+    ``config`` carries scale, method parameters, fault plan and
     floorplan knobs; ``initial`` short-circuits netlist generation and
     initial placement with a prebuilt (e.g. cache-loaded) Flow-(1)
     artifact.
@@ -74,12 +74,7 @@ def run_testcase(
         )
     else:
         design = initial.design
-    runner = FlowRunner(
-        initial,
-        config.params,
-        policy=config.policy,
-        fault_plan=config.fault_plan,
-    )
+    runner = FlowRunner(initial, config.params, fault_plan=config.fault_plan)
     run = TestcaseRun(spec=spec, design=design, initial=initial, runner=runner)
     for kind in flows:
         run.run(kind)

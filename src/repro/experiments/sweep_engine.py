@@ -280,10 +280,7 @@ def _run_flow(
                     spec, config, make_asap7_library(), cache
                 )
                 runner = FlowRunner(
-                    initial,
-                    config.params,
-                    policy=config.policy,
-                    fault_plan=config.fault_plan,
+                    initial, config.params, fault_plan=config.fault_plan
                 )
             # The seed reaches only the solves this flow runs; a row
             # assignment cached by an earlier flow keeps its own seed.
@@ -330,9 +327,12 @@ def sweep_fingerprint(config: RunConfig) -> str:
     Two sweeps with the same fingerprint produce identical rows for any
     (testcase, flow) they share — seeds derive from (testcase, flow) and
     the config, never from scheduling — which is what makes journaled
-    jobs safe to reuse on ``resume``.
+    jobs safe to reuse on ``resume``.  The worker count is scheduling,
+    so it stays out: a sweep resumes under any ``workers``.
     """
-    blob = json.dumps(config.to_dict(), sort_keys=True, default=str)
+    facets = config.to_dict()
+    del facets["workers"]
+    blob = json.dumps(facets, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

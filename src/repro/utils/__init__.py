@@ -13,16 +13,10 @@ from repro.utils.resilience import (
     FaultPlan,
     FlowProvenance,
     ResiliencePolicy,
-    RetryPolicy,
     RungRecord,
 )
 from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.supervise import (
-    PoolGaveUp,
-    PoolStats,
-    SupervisedPool,
-    TaskOutcome,
-)
+from repro.utils.supervise import SupervisedPool, TaskOutcome
 from repro.utils.timer import StageTimes, Timer
 
 __all__ = [
@@ -36,10 +30,7 @@ __all__ = [
     "FaultPlan",
     "FlowProvenance",
     "ResiliencePolicy",
-    "RetryPolicy",
     "RungRecord",
-    "PoolGaveUp",
-    "PoolStats",
     "SupervisedPool",
     "TaskOutcome",
     "make_rng",

@@ -1,19 +1,22 @@
-"""Resilient stage execution: deadlines, retries, fault injection, provenance.
+"""Resilient stage execution: deadlines, fault injection, provenance.
 
 Production P&R flows must *finish*: an exact-solver timeout or an
 infeasible RAP instance is a reason to degrade (next solver rung, relaxed
 constraints, heuristic assignment), never to kill the run.  This module
-holds the policy objects the flow runner threads through every stage:
+holds what the flow runner threads through every stage:
 
 * :class:`Deadline` — an absolute wall-clock budget propagated down the
   call chain (``RCPPParams.time_budget_s`` → ``solve_rap`` →
   ``solve_milp``); each stage clamps its own solver time limit to the
   remaining budget.
-* :class:`RetryPolicy` — bounded retry-with-backoff for transient solver
-  failures.
-* :class:`ResiliencePolicy` — the fallback chain (``highs → bnb →
-  lagrangian``, then the baseline heuristic at the flow level), retry
-  policy, optional per-stage budgets, and the fault plan.
+* :class:`ResiliencePolicy` — whether the fallback chain runs (``highs →
+  bnb → lagrangian``, then the baseline heuristic at the flow level),
+  the attempts per solver rung, and the fault plan; built from
+  :class:`~repro.core.params.RCPPParams` by
+  :meth:`ResiliencePolicy.from_params`.
+* :func:`attempt` — the one attempt path every rung runs through:
+  deadline check, span, fault hook and provenance record.  The caller
+  decides only what a failure means (retry, next rung, relaxation).
 * :class:`FaultPlan` — deterministic fault injection ("fail stage X on
   attempt N with exception E") so every degradation path is testable
   without flaky timing tricks.
@@ -26,13 +29,17 @@ holds the policy objects the flow runner threads through every stage:
 from __future__ import annotations
 
 import os
-import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
+from repro.obs.trace import Span, span
 from repro.solvers.milp import MILP_BACKENDS
-from repro.utils.errors import StageTimeoutError, ValidationError
+from repro.utils.errors import ReproError, StageTimeoutError, ValidationError
+
+if TYPE_CHECKING:
+    from repro.core.params import RCPPParams
 
 #: Backends whose answer is a proven optimum (given enough time).
 EXACT_BACKENDS: frozenset[str] = frozenset({"highs", "bnb"})
@@ -42,7 +49,7 @@ class Deadline:
     """Absolute wall-clock deadline; ``None`` budget means unlimited.
 
     The deadline is fixed at construction; children created with
-    :meth:`sub` can only tighten it (per-stage budgets never extend the
+    :meth:`sub` can only tighten it (a stage's share never extends the
     flow budget).
     """
 
@@ -98,40 +105,6 @@ class Deadline:
             child.budget_s = self.budget_s
             child._expires = self._expires
         return child
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff for transient failures.
-
-    Infeasibility is never retried (it is deterministic); only
-    :class:`~repro.utils.errors.SolverError`-class failures are.
-
-    ``jitter`` spreads the backoff uniformly within ``±jitter`` (as a
-    fraction of the computed delay) so concurrent tasks that failed
-    together don't retry in lockstep.  It defaults to 0.0 — fully
-    deterministic delays — and draws from ``rng`` (or the module-level
-    :mod:`random` state) only when enabled.
-    """
-
-    max_attempts: int = 1
-    backoff_s: float = 0.0
-    backoff_factor: float = 2.0
-    jitter: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.jitter <= 1.0):
-            raise ValidationError("jitter must be in [0, 1]")
-
-    def delay(self, attempt: int, rng: "random.Random | None" = None) -> float:
-        """Sleep before retry number ``attempt + 1`` (attempts are 1-based)."""
-        if self.backoff_s <= 0.0:
-            return 0.0
-        base = self.backoff_s * self.backoff_factor ** (attempt - 1)
-        if self.jitter <= 0.0:
-            return base
-        uniform = (rng or random).uniform(-self.jitter, self.jitter)
-        return max(0.0, base * (1.0 + uniform))
 
 
 #: Fault kinds that only fire inside pool worker processes (guarded by
@@ -401,48 +374,79 @@ class FlowProvenance:
 class ResiliencePolicy:
     """Everything a stage needs to run resiliently.
 
-    ``stage_budgets`` maps stage names (``"row_assign"``, ``"legalize"``)
-    to per-stage second budgets; each is additionally clamped by the
-    flow-level deadline.  ``sleep`` is injectable so retry/backoff tests
-    never actually wait.
+    ``fallback_enabled`` runs the solver chain after the primary backend
+    and the other legalizer after the primary one; ``max_attempts`` is
+    the attempt count per solver rung; ``fault_plan`` injects failures
+    for degradation tests.  Build it with :meth:`from_params`.
     """
 
-    fallback_enabled: bool = True
-    relaxation_enabled: bool = True
-    # Solver rungs tried in order when the primary backend fails; the
-    # baseline heuristic assignment is the flow-level terminal rung.
-    chain: tuple[str, ...] = MILP_BACKENDS
-    retry: RetryPolicy = RetryPolicy()
-    stage_budgets: dict[str, float] = field(default_factory=dict)
-    fault_plan: FaultPlan | None = None
-    sleep: Callable[[float], None] = time.sleep
+    fallback_enabled: bool
+    max_attempts: int
+    fault_plan: FaultPlan | None
 
     def backends(self, primary: str) -> tuple[str, ...]:
         """The rungs to try, primary first; just the primary when
         fallback is disabled."""
         if not self.fallback_enabled:
             return (primary,)
-        return (primary,) + tuple(b for b in self.chain if b != primary)
+        return (primary,) + tuple(b for b in MILP_BACKENDS if b != primary)
 
     def inject(self, stage: str) -> None:
         """Fault-plan hook: count an attempt and raise any planned fault."""
         if self.fault_plan is not None:
             self.fault_plan.check(stage)
 
-    def stage_deadline(self, stage: str, deadline: Deadline) -> Deadline:
-        """Per-stage deadline: stage budget clamped by the flow deadline."""
-        return deadline.sub(self.stage_budgets.get(stage))
-
     @classmethod
     def from_params(
-        cls, params: object, fault_plan: FaultPlan | None = None
+        cls, params: RCPPParams, fault_plan: FaultPlan | None = None
     ) -> "ResiliencePolicy":
-        """Build the policy a :class:`~repro.core.params.RCPPParams`
-        describes (its ``fallback`` / ``max_solver_retries`` knobs)."""
+        """The policy ``params`` describes (its ``fallback`` and
+        ``max_solver_retries`` knobs), with ``fault_plan`` attached."""
         return cls(
-            fallback_enabled=getattr(params, "fallback", True),
-            retry=RetryPolicy(
-                max_attempts=getattr(params, "max_solver_retries", 1)
-            ),
+            fallback_enabled=params.fallback,
+            max_attempts=params.max_solver_retries,
             fault_plan=fault_plan,
         )
+
+
+@contextmanager
+def attempt(
+    prov: FlowProvenance,
+    policy: ResiliencePolicy,
+    deadline: Deadline,
+    stage: str,
+    backend: str,
+    attempt: int = 1,
+    relaxation: str | None = None,
+    /,
+    **span_attrs: Any,
+) -> Iterator[Span]:
+    """One attempt of one rung of ``stage``, recorded into ``prov``.
+
+    Checks ``deadline`` first (a spent budget raises
+    :class:`StageTimeoutError` with ``prov`` attached and records
+    nothing), then opens the ``stage`` span with ``span_attrs`` and fires
+    the policy's fault hook before the block runs; the block may
+    annotate the yielded span.  A :class:`ReproError` leaving the block
+    is recorded as a failed attempt and re-raised, a
+    :class:`StageTimeoutError` with ``prov`` attached; a clean exit is
+    recorded as ok.  Either record carries the span's duration.
+    """
+    deadline.check(stage, provenance=prov)
+    sp = span(stage, **span_attrs)
+    try:
+        with sp:
+            policy.inject(stage)
+            yield sp
+    except ReproError as exc:
+        prov.record(
+            stage, backend, attempt, ok=False, error=exc,
+            runtime_s=sp.duration_s, relaxation=relaxation,
+        )
+        if isinstance(exc, StageTimeoutError):
+            exc.provenance = prov
+        raise
+    prov.record(
+        stage, backend, attempt, ok=True,
+        runtime_s=sp.duration_s, relaxation=relaxation,
+    )

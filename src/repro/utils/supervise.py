@@ -7,23 +7,26 @@ This module is the supervision layer underneath them:
 * :class:`SupervisedPool` wraps :class:`~concurrent.futures.
   ProcessPoolExecutor` with
 
-  - **per-task heartbeats** — a daemon thread in each worker touches a
-    heartbeat file while the task runs, so the parent knows which PID runs
-    which task and whether the interpreter is still alive;
-  - **hung-task deadline kills** — a task exceeding ``task_timeout_s`` (or
-    whose heartbeat goes stale beyond ``stale_after_s``) has its worker
-    SIGKILLed from the parent;
+  - **per-task PID files** — each worker writes its PID to a file when a
+    task starts and a ``.done`` marker when it finishes, so the parent
+    knows which PID runs which task and whether it died mid-task;
+  - **hung-task deadline kills** — a task exceeding ``task_timeout_s``
+    has its worker SIGKILLed from the parent;
   - **automatic executor respawn** — a broken executor (crash or kill) is
-    torn down and respawned, with unfinished tasks resubmitted; tasks that
-    merely shared the pool with the victim are not charged an attempt;
-  - **bounded per-task retry with backoff** — crash/hang victims retry up
-    to ``retry.max_attempts`` times (:class:`~repro.utils.resilience.
-    RetryPolicy`, jitter-capable so concurrent tasks don't retry in
-    lockstep);
-  - **inline-execution last resort** — a task that exhausts its retries
+    torn down and respawned (at most :data:`MAX_RESPAWNS` times per
+    :meth:`~SupervisedPool.map`), with unfinished tasks resubmitted;
+    tasks that merely shared the pool with the victim are not charged
+    an attempt;
+  - **bounded per-task retry** — crash/hang victims run at most
+    :data:`MAX_ATTEMPTS` times in the pool;
+  - **inline-execution last resort** — a task that exhausts its attempts
     (or a pool that exhausts its respawn budget) runs in the parent
     process, flagged ``ran_inline`` in its :class:`TaskOutcome` so callers
     can surface degraded-mode provenance.
+
+  What the pool did is told twice and only twice: per task in its
+  :class:`TaskOutcome`, and as ``pool.*`` events for any attached
+  recorder or bus.
 
 * Worker-side fault injection happens inside the task: the worker
   wrapper stamps the parent-side attempt number onto dict items as
@@ -44,7 +47,6 @@ from __future__ import annotations
 import os
 import signal
 import tempfile
-import threading
 import time
 import uuid
 from concurrent.futures import (
@@ -60,83 +62,62 @@ from typing import Any, Callable, Iterable, Sequence, TypeVar
 import logging
 
 from repro.obs.events import current_bus_handle, emit_event, spool_emitter
-from repro.utils.errors import ReproError
-from repro.utils.resilience import RetryPolicy
 
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 R = TypeVar("R")
 
+#: Pool attempts per task before the inline last resort.
+MAX_ATTEMPTS = 2
 
-class PoolGaveUp(ReproError):
-    """A supervised task failed every attempt and inline fallback is off."""
+#: Executor respawns per :meth:`SupervisedPool.map` before every
+#: unfinished task runs inline.
+MAX_RESPAWNS = 3
+
+#: Seconds between the parent's deadline checks while tasks run.
+TICK_S = 0.05
 
 
 # ---------------------------------------------------------------------------
 # Worker-side task wrapper
 
 
-def _touch(path: str) -> None:
-    with open(path, "a"):
-        os.utime(path, None)
-
-
-def _heartbeat_loop(path: str, interval_s: float, stop: threading.Event) -> None:
-    while not stop.wait(interval_s):
-        try:
-            _touch(path)
-        except OSError:  # pragma: no cover - tmpdir vanished mid-task
-            return
-
-
 def _supervised_call(payload: dict) -> Any:
-    """Run one task inside a pool worker, under a heartbeat.
+    """Run one task inside a pool worker.
 
-    Writes ``<hb_path>`` (PID on the first line) when the task starts,
-    beats it from a daemon thread every ``heartbeat_interval_s`` while the
-    task runs, and writes ``<hb_path>.done`` just before returning so the
-    parent can tell "crashed mid-task" from "finished but the pool broke
-    in transit".
+    Writes ``<pid_path>`` (the worker's PID) when the task starts and
+    ``<pid_path>.done`` just before returning, so the parent can tell
+    "crashed mid-task" from "finished but the pool broke in transit".
     """
-    hb_path: str | None = payload.get("hb_path")
-    stop = threading.Event()
-    if hb_path:
-        with open(hb_path, "w") as fh:
-            fh.write(f"{os.getpid()}\n")
-        threading.Thread(
-            target=_heartbeat_loop,
-            args=(hb_path, payload.get("heartbeat_interval_s", 0.25), stop),
-            daemon=True,
-        ).start()
-    try:
-        item = payload["item"]
-        if isinstance(item, dict):
-            # Parent-side attempt number, for task-internal fault hooks:
-            # worker-side plan copies are re-pickled on every retry, so
-            # only this counter survives a respawn.
-            item.setdefault("_pool_attempt", payload.get("attempt"))
-        events_dir = payload.get("events")
-        if events_dir:
-            # The submitting parent had an event bus attached: stream
-            # this task's telemetry (spans, convergence, ...) through a
-            # per-worker spool file the parent drains live.
-            with spool_emitter(events_dir):
-                result = payload["fn"](item)
-        else:
+    pid_path: str = payload["pid_path"]
+    with open(pid_path, "w") as fh:
+        fh.write(f"{os.getpid()}\n")
+    item = payload["item"]
+    if isinstance(item, dict):
+        # Parent-side attempt number, for task-internal fault hooks:
+        # worker-side plan copies are re-pickled on every retry, so
+        # only this counter survives a respawn.
+        item.setdefault("_pool_attempt", payload.get("attempt"))
+    events_dir = payload.get("events")
+    if events_dir:
+        # The submitting parent had an event bus attached: stream this
+        # task's telemetry (spans, convergence, ...) through a
+        # per-worker spool file the parent drains live.
+        with spool_emitter(events_dir):
             result = payload["fn"](item)
-    finally:
-        stop.set()
-    if hb_path:
-        try:
-            _touch(hb_path + ".done")
-        except OSError:  # pragma: no cover
+    else:
+        result = payload["fn"](item)
+    try:
+        with open(pid_path + ".done", "w"):
             pass
+    except OSError:  # pragma: no cover - tmpdir vanished mid-task
+        pass
     return result
 
 
 # ---------------------------------------------------------------------------
-# Outcomes and statistics
+# Outcomes
 
 
 @dataclass
@@ -146,12 +127,12 @@ class TaskOutcome:
     index: int
     ok: bool = False
     value: Any = None
-    status: str = "pending"  # ok | failed | gave_up | pending
+    status: str = "pending"  # ok | failed | pending
     error: str | None = None
     error_type: str | None = None
     attempts: int = 0
     crashes: int = 0  # worker deaths charged to this task
-    hangs: int = 0  # deadline / stale-heartbeat kills of this task
+    hangs: int = 0  # deadline kills of this task
     ran_inline: bool = False  # last-resort execution in the parent
     wall_s: float = 0.0
 
@@ -175,35 +156,11 @@ class TaskOutcome:
             "wall_s": self.wall_s,
         }
 
-    def _fail(self, exc: BaseException, status: str = "failed") -> None:
+    def _fail(self, exc: BaseException) -> None:
         self.ok = False
-        self.status = status
+        self.status = "failed"
         self.error = str(exc)
         self.error_type = type(exc).__name__
-
-
-@dataclass
-class PoolStats:
-    """Aggregate supervision counters for one :class:`SupervisedPool`."""
-
-    submitted: int = 0
-    completed: int = 0
-    crashes: int = 0
-    hangs: int = 0
-    respawns: int = 0
-    retries: int = 0
-    inline_runs: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "crashes": self.crashes,
-            "hangs": self.hangs,
-            "respawns": self.respawns,
-            "retries": self.retries,
-            "inline_runs": self.inline_runs,
-        }
 
 
 @dataclass
@@ -211,30 +168,24 @@ class _InFlight:
     """Parent-side view of one submitted task attempt."""
 
     index: int
-    hb_path: str
+    pid_path: str
     submitted_at: float
-    killed_as: str | None = None  # "hang" | "stale" once the parent kills it
+    killed: bool = False  # the parent killed it for its deadline
 
     def pid(self) -> int | None:
         try:
-            with open(self.hb_path) as fh:
+            with open(self.pid_path) as fh:
                 return int(fh.readline().strip() or 0) or None
         except (OSError, ValueError):
             return None
 
     @property
     def started(self) -> bool:
-        return os.path.exists(self.hb_path)
+        return os.path.exists(self.pid_path)
 
     @property
     def finished(self) -> bool:
-        return os.path.exists(self.hb_path + ".done")
-
-    def last_beat(self) -> float | None:
-        try:
-            return os.stat(self.hb_path).st_mtime
-        except OSError:
-            return None
+        return os.path.exists(self.pid_path + ".done")
 
 
 def _pid_alive(pid: int) -> bool:
@@ -254,47 +205,29 @@ def _pid_alive(pid: int) -> bool:
 class SupervisedPool:
     """Crash- and hang-tolerant ``ProcessPoolExecutor`` wrapper.
 
-    Safe defaults: no task timeout, no stale-heartbeat kills (heartbeats
-    can be starved by long GIL-holding native calls, so staleness kills
-    are opt-in), two attempts per task, inline last resort enabled.  The
-    executor is created lazily and survives across :meth:`map` calls, so
-    one pool amortizes worker spawn across many small batches.
+    ``task_timeout_s`` (default: none) is the wall-clock limit after
+    which a task's worker is killed.  The executor is created lazily and
+    survives across :meth:`map` calls, so one pool amortizes worker
+    spawn across many small batches.
     """
 
     def __init__(
-        self,
-        workers: int,
-        task_timeout_s: float | None = None,
-        heartbeat_interval_s: float = 0.25,
-        stale_after_s: float | None = None,
-        retry: RetryPolicy | None = None,
-        max_respawns: int = 3,
-        inline_last_resort: bool = True,
-        tick_s: float = 0.05,
-        sleep: Callable[[float], None] = time.sleep,
+        self, workers: int, task_timeout_s: float | None = None
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
         self.task_timeout_s = task_timeout_s
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.stale_after_s = stale_after_s
-        self.retry = retry or RetryPolicy(max_attempts=2)
-        self.max_respawns = max_respawns
-        self.inline_last_resort = inline_last_resort
-        self.tick_s = tick_s
-        self.sleep = sleep
-        self.stats = PoolStats()
         self._executor: ProcessPoolExecutor | None = None
-        self._hb_dir: tempfile.TemporaryDirectory | None = None
+        self._pid_dir: tempfile.TemporaryDirectory | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        if self._hb_dir is None:
-            self._hb_dir = tempfile.TemporaryDirectory(prefix="repro-hb-")
+        if self._pid_dir is None:
+            self._pid_dir = tempfile.TemporaryDirectory(prefix="repro-pid-")
         return self._executor
 
     def _teardown_executor(self, kill: bool = False) -> None:
@@ -311,11 +244,11 @@ class SupervisedPool:
         executor.shutdown(wait=False, cancel_futures=True)
 
     def shutdown(self) -> None:
-        """Tear down the executor and the heartbeat directory."""
+        """Tear down the executor and the PID-file directory."""
         self._teardown_executor(kill=True)
-        if self._hb_dir is not None:
-            self._hb_dir.cleanup()
-            self._hb_dir = None
+        if self._pid_dir is not None:
+            self._pid_dir.cleanup()
+            self._pid_dir = None
 
     def __enter__(self) -> "SupervisedPool":
         return self
@@ -328,47 +261,38 @@ class SupervisedPool:
     def _payload(
         self, fn: Callable, item: Any, attempt: int
     ) -> tuple[dict, str]:
-        assert self._hb_dir is not None
-        hb_path = os.path.join(
-            self._hb_dir.name, f"{uuid.uuid4().hex}.hb"
+        assert self._pid_dir is not None
+        pid_path = os.path.join(
+            self._pid_dir.name, f"{uuid.uuid4().hex}.pid"
         )
         payload = {
             "fn": fn,
             "item": item,
-            "hb_path": hb_path,
-            "heartbeat_interval_s": self.heartbeat_interval_s,
+            "pid_path": pid_path,
             "attempt": attempt,
         }
         events_dir = current_bus_handle()
         if events_dir is not None:
             payload["events"] = events_dir
-        return payload, hb_path
+        return payload, pid_path
 
     def _check_deadlines(self, flights: dict, now: float) -> None:
-        """SIGKILL workers whose task blew its deadline or went silent."""
+        """SIGKILL workers whose task blew its deadline."""
+        if self.task_timeout_s is None:
+            return
         for flight in flights.values():
-            if flight.killed_as is not None or flight.finished:
+            if flight.killed or flight.finished:
                 continue
-            verdict: str | None = None
-            if (
-                self.task_timeout_s is not None
-                and now - flight.submitted_at > self.task_timeout_s
-            ):
-                verdict = "hang"
-            elif self.stale_after_s is not None and flight.started:
-                beat = flight.last_beat()
-                if beat is not None and now - beat > self.stale_after_s:
-                    verdict = "stale"
-            if verdict is None:
+            if now - flight.submitted_at <= self.task_timeout_s:
                 continue
             pid = flight.pid()
-            flight.killed_as = verdict
+            flight.killed = True
             logger.warning(
-                "supervised pool: killing %s task %d (pid %s)",
-                verdict, flight.index, pid,
+                "supervised pool: killing hung task %d (pid %s)",
+                flight.index, pid,
             )
             emit_event(
-                "pool.kill", index=flight.index, reason=verdict, victim=pid
+                "pool.kill", index=flight.index, reason="hang", victim=pid
             )
             if pid is not None and _pid_alive(pid):
                 try:
@@ -389,11 +313,11 @@ class SupervisedPool:
         pinned down, every started-unfinished task is charged (bounded by
         the respawn budget, so over-charging cannot loop forever).
         """
-        killed = [f for f in flights.values() if f.killed_as is not None]
+        killed = [f for f in flights.values() if f.killed]
         started = [
             f
             for f in flights.values()
-            if f.killed_as is None and f.started and not f.finished
+            if not f.killed and f.started and not f.finished
         ]
         dead = [f for f in started if (pid := f.pid()) and not _pid_alive(pid)]
         if killed or dead:
@@ -417,10 +341,9 @@ class SupervisedPool:
         outcomes = [TaskOutcome(index=i) for i in range(len(items))]
         if not items:
             return outcomes
-        self.stats.submitted += len(items)
         pending: set[int] = set(range(len(items)))
         inline_queue: list[int] = []
-        respawns_left = self.max_respawns
+        respawns_left = MAX_RESPAWNS
         t0 = time.perf_counter()
 
         while pending:
@@ -430,7 +353,7 @@ class SupervisedPool:
                 flights: dict[int, _InFlight] = {}
                 for i in sorted(pending):
                     outcomes[i].attempts += 1
-                    payload, hb_path = self._payload(
+                    payload, pid_path = self._payload(
                         fn, items[i], outcomes[i].attempts
                     )
                     emit_event(
@@ -441,7 +364,7 @@ class SupervisedPool:
                     futures[executor.submit(_supervised_call, payload)] = i
                     flights[i] = _InFlight(
                         index=i,
-                        hb_path=hb_path,
+                        pid_path=pid_path,
                         submitted_at=time.monotonic(),
                     )
             except BrokenProcessPool:
@@ -454,29 +377,24 @@ class SupervisedPool:
                     break  # everything finished
             # Pool broke: charge the victims, respawn, resubmit the rest.
             self._teardown_executor(kill=True)
-            self.stats.respawns += 1
             victims = self._victims(flights) if flights else []
             victim_idx = {f.index for f in victims}
             emit_event("pool.respawn", victims=sorted(victim_idx))
             for flight in victims:
                 outcome = outcomes[flight.index]
-                if flight.killed_as is not None:
+                if flight.killed:
                     outcome.hangs += 1
-                    self.stats.hangs += 1
                 else:
                     outcome.crashes += 1
-                    self.stats.crashes += 1
-                if outcome.attempts >= self.retry.max_attempts:
+                if outcome.attempts >= MAX_ATTEMPTS:
                     pending.discard(flight.index)
                     inline_queue.append(flight.index)
                 else:
-                    self.stats.retries += 1
                     emit_event(
                         "pool.retry",
                         index=flight.index,
                         attempt=outcome.attempts,
                     )
-                    self.sleep(self.retry.delay(outcome.attempts))
             # Innocent bystanders resubmit without being charged.
             for i in list(pending):
                 if i not in victim_idx:
@@ -510,7 +428,7 @@ class SupervisedPool:
         not_done = set(futures)
         while not_done:
             done, not_done = wait(
-                not_done, timeout=self.tick_s, return_when=FIRST_COMPLETED
+                not_done, timeout=TICK_S, return_when=FIRST_COMPLETED
             )
             for future in done:
                 i = futures[future]
@@ -523,7 +441,6 @@ class SupervisedPool:
                     outcome._fail(exc)
                     pending.discard(i)
                     flights.pop(i, None)
-                    self.stats.completed += 1
                     emit_event(
                         "pool.task_done", index=i, status=outcome.status
                     )
@@ -536,7 +453,6 @@ class SupervisedPool:
                 outcome.wall_s = time.perf_counter() - t0
                 pending.discard(i)
                 flights.pop(i, None)
-                self.stats.completed += 1
                 emit_event("pool.task_done", index=i, status="ok")
                 if progress is not None:
                     progress(i, outcome)
@@ -561,20 +477,8 @@ class SupervisedPool:
         """
         for i in inline_queue:
             outcome = outcomes[i]
-            if not self.inline_last_resort:
-                outcome._fail(
-                    PoolGaveUp(
-                        f"task {i} failed {outcome.attempts} attempt(s) "
-                        "and inline fallback is disabled"
-                    ),
-                    status="gave_up",
-                )
-                if progress is not None:
-                    progress(i, outcome)
-                continue
             outcome.ran_inline = True
             outcome.attempts += 1
-            self.stats.inline_runs += 1
             emit_event("pool.inline", index=i, attempt=outcome.attempts)
             logger.warning(
                 "supervised pool: running task %d inline after %d failed "

@@ -107,7 +107,7 @@ class TestRunConfigShims:
         with pytest.raises(TypeError):
             run_flow(
                 FlowKind.FLOW1, placed_small, RunConfig(),
-                policy=ResiliencePolicy(),
+                policy=ResiliencePolicy.from_params(RCPPParams()),
             )
 
     def test_config_passthrough_is_silent(self, placed_small, recwarn):
@@ -222,3 +222,66 @@ class TestRemovedIn5:
         ).parameters
         assert repro.obs.RUN_RECORD_SCHEMA == "repro.run_record/1"
         assert repro.obs.EVENTS_SCHEMA == "repro.events/1"
+
+
+class TestRemovedIn6:
+    """The 6.0 removals: one attempt path, only the knobs callers set."""
+
+    def test_removed_names_absent(self):
+        import repro.experiments.artifact_cache as artifact_cache
+        import repro.utils
+        import repro.utils.resilience as resilience
+        import repro.utils.supervise as supervise
+
+        assert "RetryPolicy" not in repro.__all__
+        for name in ("RetryPolicy", "PoolGaveUp", "PoolStats"):
+            assert name not in repro.utils.__all__, name
+        assert not hasattr(resilience, "RetryPolicy")
+        assert not hasattr(supervise, "PoolGaveUp")
+        assert not hasattr(supervise, "PoolStats")
+        assert not hasattr(artifact_cache, "CacheStats")
+        assert not hasattr(artifact_cache, "eco_result_key")
+
+    def test_policy_has_only_the_knobs_callers_set(self):
+        fields = [f.name for f in dataclasses.fields(ResiliencePolicy)]
+        assert fields == ["fallback_enabled", "max_attempts", "fault_plan"]
+        policy = ResiliencePolicy.from_params(
+            RCPPParams(fallback=False, max_solver_retries=3)
+        )
+        assert (policy.fallback_enabled, policy.max_attempts) == (False, 3)
+        assert policy.fault_plan is None
+
+    def test_policy_overrides_gone(self):
+        import inspect
+
+        from repro.core.flows import FlowRunner
+        from repro.core.rcpp import RowConstraintPlacer
+        from repro.utils.supervise import SupervisedPool
+
+        assert "policy" not in {f.name for f in dataclasses.fields(RunConfig)}
+        assert "policy" not in RunConfig().to_dict()
+        for cls in (FlowRunner, RowConstraintPlacer):
+            params = inspect.signature(cls).parameters
+            assert "policy" not in params, cls
+            assert params["fault_plan"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert list(inspect.signature(SupervisedPool).parameters) == [
+            "workers", "task_timeout_s",
+        ]
+        with pytest.raises(TypeError):
+            RowConstraintPlacer(None, None, 0.6, 1.0, None, None)
+
+    def test_5x_snapshot_with_policy_loads(self):
+        data = RunConfig(scale=0.5).to_dict()
+        data["policy"] = {"fallback_enabled": True, "relaxation_enabled": True,
+                          "chain": ["highs", "bnb", "lagrangian"]}
+        assert RunConfig.from_dict(data) == RunConfig(scale=0.5)
+
+    def test_only_sweep_takes_workers(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        args = parser.parse_args(["sweep", "--workers", "2"])
+        assert RunConfig.from_args(args).workers == 2
+        for command in ("run", "eco"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--workers", "2"])

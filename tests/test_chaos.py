@@ -211,6 +211,26 @@ class TestJournalResume:
                 **kwargs,
             )
 
+    def test_resume_under_other_worker_count(self, sweep_env, tmp_path):
+        # The worker count is scheduling, not a row's numbers: a journal
+        # written inline resumes under a pool, every row from the journal.
+        cache_dir, _ = sweep_env
+        journal = tmp_path / "sweep.jsonl"
+        kwargs = dict(
+            testcase_ids=("aes_300",),
+            flows=(1,),
+            cache_dir=cache_dir,
+            journal=journal,
+        )
+        first = run_sweep(config=RunConfig(scale=TINY, workers=1), **kwargs)
+        resumed = run_sweep(
+            config=RunConfig(scale=TINY, workers=2), resume=True, **kwargs
+        )
+        assert [j.resumed for j in resumed.jobs] == [True]
+        for job, ref in zip(resumed.jobs, first.jobs):
+            for field in DETERMINISTIC_JOB_FIELDS:
+                assert getattr(job, field) == getattr(ref, field), field
+
     def test_resume_requires_a_journal_path(self):
         with pytest.raises(ValidationError):
             run_sweep(

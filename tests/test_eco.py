@@ -36,7 +36,6 @@ from repro.eco import (
     apply_delta,
     make_eco_delta,
 )
-from repro.experiments.artifact_cache import eco_result_key
 from repro.netlist.synthesis import size_to_height_fractions
 from repro.placement.floorplanner import build_placed_design
 from repro.placement.hpwl import hpwl_total
@@ -367,12 +366,3 @@ class TestRepairAssignment:
             repair_assignment(
                 base, base.cluster_to_pair[:-1], labels, 0.0, 0.0
             )
-
-
-class TestCacheKey:
-    def test_stable_and_distinct(self):
-        k1 = eco_result_key("inc-a", "delta-b")
-        assert k1 == eco_result_key("inc-a", "delta-b")
-        assert len(k1) == 64
-        assert k1 != eco_result_key("inc-a", "delta-c")
-        assert k1 != eco_result_key("inc-z", "delta-b")

@@ -290,7 +290,7 @@ class TestPoolStreaming:
 
         pool = SupervisedPool(workers=2)
         try:
-            pool.map(_emit_from_worker, [1])  # warm the heartbeat dir
+            pool.map(_emit_from_worker, [1])  # create the PID-file dir
             payload, _ = pool._payload(_emit_from_worker, 1, 1)
             assert "events" not in payload
         finally:

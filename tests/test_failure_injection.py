@@ -29,7 +29,6 @@ from repro.utils.resilience import (
     Deadline,
     FaultPlan,
     ResiliencePolicy,
-    RetryPolicy,
 )
 from tests.conftest import make_design
 
@@ -289,6 +288,44 @@ class TestFallbackChain:
         with pytest.raises(SolverError):
             runner.run(FlowKind.FLOW5)
 
+    def test_every_rung_and_baseline_fail(self, chain_initial):
+        plan = FaultPlan()
+        for rung in ("highs", "bnb", "lagrangian", "baseline"):
+            plan.fail(f"rap.{rung}")
+        runner = FlowRunner(chain_initial, RCPPParams(), fault_plan=plan)
+        with pytest.raises(SolverError, match="failed on every rung") as exc:
+            runner.run(FlowKind.FLOW5)
+        prov = exc.value.provenance
+        assert [(a.stage, a.ok) for a in prov.attempts] == [
+            ("rap.highs", False),
+            ("rap.bnb", False),
+            ("rap.lagrangian", False),
+            ("rap.baseline", False),
+        ]
+        assert prov.backend is None
+
+    def test_both_legalizers_fail(self, chain_initial):
+        plan = (
+            FaultPlan()
+            .fail("legalize.fence", CapacityError)
+            .fail("legalize.abacus_rc", CapacityError)
+        )
+        runner = FlowRunner(chain_initial, RCPPParams(), fault_plan=plan)
+        with pytest.raises(CapacityError, match="legalize.abacus_rc"):
+            runner.run(FlowKind.FLOW5)
+        assert plan.attempts("legalize.fence") == 1
+        assert plan.attempts("legalize.abacus_rc") == 1
+
+    def test_fallback_disabled_legalizer_raises(self, chain_initial):
+        plan = FaultPlan().fail("legalize.fence", CapacityError)
+        runner = FlowRunner(
+            chain_initial, RCPPParams(fallback=False), fault_plan=plan
+        )
+        with pytest.raises(CapacityError, match="legalize.fence"):
+            runner.run(FlowKind.FLOW5)
+        assert plan.attempts("legalize.fence") == 1
+        assert plan.attempts("legalize.abacus_rc") == 0
+
     def test_flows_4_and_5_share_row_assign_provenance(self, chain_initial):
         plan = FaultPlan().fail("rap.highs", SolverError)
         runner = FlowRunner(chain_initial, RCPPParams(), fault_plan=plan)
@@ -404,17 +441,11 @@ class TestResilienceUnits:
         assert plan.attempts("s") == 3
         assert plan.attempts("unknown") == 0
 
-    def test_retry_policy_backoff(self):
-        retry = RetryPolicy(max_attempts=3, backoff_s=0.5, backoff_factor=2.0)
-        assert retry.delay(1) == 0.5
-        assert retry.delay(2) == 1.0
-        assert RetryPolicy().delay(1) == 0.0
-
     def test_policy_chain_order(self):
-        policy = ResiliencePolicy()
+        policy = ResiliencePolicy.from_params(RCPPParams())
         assert policy.backends("highs") == ("highs", "bnb", "lagrangian")
         assert policy.backends("bnb") == ("bnb", "highs", "lagrangian")
-        strict = ResiliencePolicy(fallback_enabled=False)
+        strict = ResiliencePolicy.from_params(RCPPParams(fallback=False))
         assert strict.backends("highs") == ("highs",)
 
 

@@ -46,7 +46,6 @@ from repro.utils.resilience import (
     FaultPlan,
     FlowProvenance,
     ResiliencePolicy,
-    RetryPolicy,
 )
 from tests import _golden as golden
 
@@ -399,9 +398,7 @@ class TestResilientNHeight:
     def test_sa_fallback_when_every_milp_rung_fails(self):
         f_by_class, w_by_class, cap, budgets, labels = self._instance()
         plan = FaultPlan().fail("rap.highs").fail("rap.bnb")
-        policy = ResiliencePolicy(
-            fault_plan=plan, retry=RetryPolicy(max_attempts=1)
-        )
+        policy = ResiliencePolicy.from_params(RCPPParams(), plan)
         prov = FlowProvenance()
         result = solve_rap_resilient(
             f_by_class, w_by_class, cap, budgets, labels,

@@ -1,18 +1,20 @@
-"""SupervisedPool, RetryPolicy jitter, Deadline edges.
+"""SupervisedPool, Deadline edges.
 
 Unit-level coverage of the supervision layer itself; the end-to-end
 chaos suite (faults injected into sweeps and pool jobs) lives in
 ``test_chaos.py``.  Faults are injected inside the task, as sweep jobs
 do: the task checks its plan with the pool's ``_pool_attempt`` stamp.
+What the pool did is read from the task outcomes or from the ``pool.*``
+events a :class:`~repro.obs.recorder.FlightRecorder` folds.
 """
 
-import random
 import time
 
 import pytest
 
-from repro.utils.errors import StageTimeoutError, ValidationError
-from repro.utils.resilience import Deadline, FaultPlan, RetryPolicy
+from repro.obs.recorder import FlightRecorder
+from repro.utils.errors import StageTimeoutError
+from repro.utils.resilience import Deadline, FaultPlan
 from repro.utils.supervise import SupervisedPool
 
 
@@ -43,6 +45,17 @@ def faulty_items(plan: FaultPlan, xs, stages) -> list[dict]:
     ]
 
 
+def recorded_map(pool: SupervisedPool, fn, items):
+    """``pool.map`` under a recorder: (outcomes, pool.* event counts)."""
+    recorder = FlightRecorder()
+    with recorder.attach():
+        outcomes = pool.map(fn, items)
+    counters = recorder.to_dict()["metrics"]["counters"]
+    return outcomes, {
+        k: v for k, v in counters.items() if k.startswith("pool.")
+    }
+
+
 # ---------------------------------------------------------------------------
 # SupervisedPool
 
@@ -51,13 +64,13 @@ class TestSupervisedPool:
     def test_healthy_map_ordered(self):
         pool = SupervisedPool(workers=2)
         try:
-            outcomes = pool.map(_square, [1, 2, 3, 4])
+            outcomes, events = recorded_map(pool, _square, [1, 2, 3, 4])
         finally:
             pool.shutdown()
         assert [o.value for o in outcomes] == [1, 4, 9, 16]
         assert all(o.ok and o.status == "ok" for o in outcomes)
-        assert pool.stats.completed == 4
-        assert pool.stats.crashes == 0
+        assert all(o.attempts == 1 and o.crashes == 0 for o in outcomes)
+        assert events == {"pool.task_start": 4, "pool.task_done": 4}
 
     def test_fn_exception_recorded_not_retried(self):
         pool = SupervisedPool(workers=2)
@@ -74,15 +87,16 @@ class TestSupervisedPool:
         plan = FaultPlan().fail("t.0", kind="worker_crash", on_attempt=1)
         pool = SupervisedPool(workers=2)
         try:
-            outcomes = pool.map(
-                square_job, faulty_items(plan, [3, 4], ["t.0", "t.1"])
+            outcomes, events = recorded_map(
+                pool, square_job, faulty_items(plan, [3, 4], ["t.0", "t.1"])
             )
         finally:
             pool.shutdown()
         assert [o.value for o in outcomes] == [9, 16]
         crashed = outcomes[0]
         assert crashed.crashes >= 1 and crashed.attempts == 2
-        assert pool.stats.respawns >= 1
+        assert events["pool.respawn"] >= 1
+        assert events["pool.retry"] >= 1
 
     def test_hang_killed_and_retried(self):
         plan = FaultPlan().fail(
@@ -115,18 +129,6 @@ class TestSupervisedPool:
         assert outcomes[0].ran_inline and outcomes[0].degraded
         assert not outcomes[1].ran_inline
 
-    def test_gave_up_without_inline_last_resort(self):
-        plan = FaultPlan().fail("t.0", kind="worker_crash")
-        pool = SupervisedPool(workers=2, inline_last_resort=False)
-        try:
-            outcomes = pool.map(
-                square_job, faulty_items(plan, [7, 8], ["t.0", None])
-            )
-        finally:
-            pool.shutdown()
-        assert outcomes[0].status == "gave_up"
-        assert outcomes[1].value == 64
-
     def test_slow_solver_fault_only_delays(self):
         plan = FaultPlan().fail("t.0", kind="slow_solver", delay_s=0.2)
         pool = SupervisedPool(workers=2)
@@ -138,39 +140,6 @@ class TestSupervisedPool:
             pool.shutdown()
         assert [o.value for o in outcomes] == [4, 9]
         assert outcomes[0].wall_s >= 0.2
-
-
-# ---------------------------------------------------------------------------
-# RetryPolicy jitter
-
-
-class TestRetryJitter:
-    def test_default_is_deterministic(self):
-        policy = RetryPolicy(backoff_s=0.5)
-        assert policy.delay(1) == 0.5
-        assert policy.delay(2) == 1.0
-        assert policy.delay(3) == 2.0
-
-    def test_jitter_spreads_within_band(self):
-        policy = RetryPolicy(backoff_s=1.0, jitter=0.5)
-        rng = random.Random(42)
-        delays = {policy.delay(2, rng) for _ in range(32)}
-        assert len(delays) > 1  # actually varies
-        assert all(1.0 <= d <= 3.0 for d in delays)  # 2.0 * (1 ± 0.5)
-
-    def test_jitter_never_negative(self):
-        policy = RetryPolicy(backoff_s=1e-9, jitter=1.0)
-        rng = random.Random(7)
-        assert all(policy.delay(1, rng) >= 0.0 for _ in range(32))
-
-    def test_invalid_jitter_rejected(self):
-        with pytest.raises(ValidationError):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(ValidationError):
-            RetryPolicy(jitter=-0.1)
-
-    def test_zero_backoff_stays_zero(self):
-        assert RetryPolicy(backoff_s=0.0, jitter=0.5).delay(3) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +187,14 @@ class TestDeadlineEdges:
         assert deadline.clamp(30.0) == 0.0
         assert deadline.clamp(None) == 0.0
 
+    @pytest.mark.faults
     def test_expiry_mid_retry_in_solve_rap_resilient(self):
         # The chain is mid-retry (rung attempt 2) when the budget runs
         # out; the next deadline.check must raise with the provenance
         # accumulated so far attached.
         import numpy as np
 
+        from repro.core.params import RCPPParams
         from repro.core.rap import solve_rap_resilient
         from repro.utils.errors import SolverError
         from repro.utils.resilience import (
@@ -239,14 +210,13 @@ class TestDeadlineEdges:
 
         clock = [0.0]
 
-        def sleep(seconds):
-            clock[0] += seconds
+        def slow_failure(stage, attempt):
+            clock[0] += 6.0  # the failed attempt spends the whole budget
+            return SolverError(f"transient failure at {stage} #{attempt}")
 
-        plan = FaultPlan().fail("rap.highs", SolverError)
-        policy = ResiliencePolicy(
-            fault_plan=plan,
-            retry=RetryPolicy(max_attempts=3, backoff_s=4.0),
-            sleep=sleep,
+        plan = FaultPlan().fail("rap.highs", slow_failure)
+        policy = ResiliencePolicy.from_params(
+            RCPPParams(max_solver_retries=3), plan
         )
         deadline = Deadline(5.0, clock=lambda: clock[0])
         prov = FlowProvenance()
@@ -255,7 +225,10 @@ class TestDeadlineEdges:
                 [f], [w], cap, [2], [labels], [7.5],
                 policy=policy, deadline=deadline, provenance=prov,
             )
-        # Attempt 1 failed (fault), backoff pushed the clock past the
-        # budget, so the mid-retry check fired with provenance attached.
+        # Attempt 1 failed past the budget, so the check before attempt
+        # 2 fired with the provenance attached.
         assert excinfo.value.provenance is prov
-        assert any(not r.ok for r in prov.attempts)
+        assert [(r.stage, r.attempt, r.ok) for r in prov.attempts] == [
+            ("rap.highs", 1, False)
+        ]
+        assert plan.attempts("rap.highs") == 1

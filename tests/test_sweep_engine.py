@@ -16,6 +16,7 @@ from repro.experiments.artifact_cache import (
 )
 from repro.experiments.sweep_engine import SweepResult, run_sweep
 from repro.experiments.testcases import testcase_by_id as _testcase_by_id
+from repro.obs.recorder import FlightRecorder
 from repro.techlib.asap7 import make_asap7_library
 from repro.utils.errors import ValidationError
 
@@ -35,16 +36,20 @@ def spec():
     return _testcase_by_id("aes_300")
 
 
+
 class TestArtifactCache:
     def test_same_config_hits(self, tmp_path, spec, library):
         cache = ArtifactCache(tmp_path)
         config = RunConfig(scale=TINY)
-        first, hit1 = load_or_prepare_initial(spec, config, library, cache)
-        second, hit2 = load_or_prepare_initial(spec, config, library, cache)
+        recorder = FlightRecorder()
+        with recorder.attach():
+            first, hit1 = load_or_prepare_initial(spec, config, library, cache)
+            second, hit2 = load_or_prepare_initial(spec, config, library, cache)
         assert (hit1, hit2) == (False, True)
         assert isinstance(second, InitialPlacement)
         assert second.placed.design.num_instances == first.placed.design.num_instances
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        counters = recorder.to_dict()["metrics"]["counters"]
+        assert counters["cache.hit"] == 1 and counters["cache.miss"] == 1
 
     def test_key_shared_across_flows_but_not_configs(self, spec, library):
         config = RunConfig(scale=TINY)
@@ -65,12 +70,14 @@ class TestArtifactCache:
     def test_config_perturbation_invalidates(self, tmp_path, spec, library):
         cache = ArtifactCache(tmp_path)
         config = RunConfig(scale=TINY)
-        load_or_prepare_initial(spec, config, library, cache)
-        _, hit = load_or_prepare_initial(
-            spec, config.replace(utilization=0.7), library, cache
-        )
+        recorder = FlightRecorder()
+        with recorder.attach():
+            load_or_prepare_initial(spec, config, library, cache)
+            _, hit = load_or_prepare_initial(
+                spec, config.replace(utilization=0.7), library, cache
+            )
         assert not hit
-        assert cache.stats.misses == 2
+        assert recorder.to_dict()["metrics"]["counters"]["cache.miss"] == 2
 
     def test_corrupted_entry_recomputes(self, tmp_path, spec, library):
         cache = ArtifactCache(tmp_path)
@@ -78,10 +85,14 @@ class TestArtifactCache:
         load_or_prepare_initial(spec, config, library, cache)
         key = initial_placement_key(spec, config, library)
         cache.path_for(key).write_bytes(b"\x00not a pickle")
-        initial, hit = load_or_prepare_initial(spec, config, library, cache)
+        recorder = FlightRecorder()
+        with recorder.attach():
+            initial, hit = load_or_prepare_initial(
+                spec, config, library, cache
+            )
         assert not hit
         assert isinstance(initial, InitialPlacement)
-        assert cache.stats.corrupt == 1
+        assert recorder.to_dict()["metrics"]["counters"]["cache.corrupt"] == 1
         # The bad entry was replaced: the next load hits again.
         _, hit = load_or_prepare_initial(spec, config, library, cache)
         assert hit
@@ -123,20 +134,24 @@ class TestArtifactCache:
         assert again.placed.x.flags.writeable
         again.placed.x[0] += 1.0
 
-    def test_legacy_plain_pickle_entry_still_loads(self, tmp_path):
+    def test_plain_pickle_entry_is_corrupt(self, tmp_path):
         import numpy as np
 
+        # A plain pickle without the protocol-5 header is no entry this
+        # package writes: it is dropped like any corrupt one.
         cache = ArtifactCache(tmp_path)
-        value = {"arr": np.arange(64.0), "tag": "legacy"}
+        value = {"arr": np.arange(64.0), "tag": "plain"}
         cache.path_for("old").write_bytes(
             pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         )
-        got = cache.get("old")
-        assert got["tag"] == "legacy"
-        assert np.array_equal(got["arr"], value["arr"])
-        # Legacy entries have no header — and that's not an error.
         assert cache.entry_header("old") is None
         assert cache.entry_header("missing") is None
+        recorder = FlightRecorder()
+        with recorder.attach():
+            assert cache.get("old") is None
+        counters = recorder.to_dict()["metrics"]["counters"]
+        assert counters["cache.corrupt"] == 1
+        assert not cache.path_for("old").exists()
 
 
 class TestRunSweep:
