@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-e2e test-kernels lint-no-design-pickle test-faults test-chaos bench bench-full bench-sweep bench-kernels bench-rap bench-nheight bench-events bench-eco bench-giga report examples clean
+.PHONY: install test test-e2e test-kernels test-goldens lint-no-design-pickle test-faults test-chaos bench bench-full bench-sweep bench-kernels bench-rap bench-nheight bench-events bench-eco bench-giga report examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -26,6 +26,15 @@ test-kernels:
 	  tests/test_legality_oracle.py tests/test_global_place_equivalence.py \
 	  tests/test_median_equivalence.py tests/test_refine_equivalence.py \
 	  tests/test_rap_equivalence.py
+
+# Frozen golden suites (~5 s): the RAP models, baseline assignment,
+# legalizers and flows (2)-(5) of the two-height twin, its 1/12-scale
+# solve, and the three-height twin at two scales, recomputed and
+# demanded bit for bit against tests/golden/.  Run after any change
+# that must not move a number.
+test-goldens:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_heights.py \
+	  -k "BitIdentity or ModelDelegation"
 
 # Grep-lint: design DBs never cross process boundaries as pickled
 # PlacedDesign payloads; workers load them by testcase name.

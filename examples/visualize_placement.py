@@ -11,24 +11,26 @@ Run:  python examples/visualize_placement.py [outdir]
 import pathlib
 import sys
 
-from repro import FlowKind, FlowRunner, RCPPParams, prepare_initial_placement
+from repro import FlowKind, FlowRunner, RunConfig
 from repro.core.fence import FenceRegions
 from repro.eval.visualize import save_placement_svg
-from repro.experiments.testcases import build_testcase, testcase_by_id
-from repro.techlib.asap7 import make_asap7_library
+from repro.experiments.artifact_cache import load_or_prepare_initial
+from repro.experiments.testcases import testcase_by_id
 
 
 def main() -> None:
     outdir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ".")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    library = make_asap7_library()
     spec = testcase_by_id("aes_360")  # the paper's Fig. 3 testcase
-    design = build_testcase(spec, library, scale=1 / 48)
-    initial = prepare_initial_placement(design, library)
-    runner = FlowRunner(initial, RCPPParams())
+    config = RunConfig(scale=1 / 48)
+    initial, _ = load_or_prepare_initial(spec, config)
+    runner = FlowRunner(initial, config.params)
     flow = runner.run(FlowKind.FLOW5)
-    fences = FenceRegions.from_floorplan(flow.placed.floorplan, 7.5)
+    fences = {
+        track: FenceRegions.from_floorplan(flow.placed.floorplan, track)
+        for track in initial.heights.minority_tracks
+    }
 
     a = outdir / "fig3a_initial.svg"
     save_placement_svg(

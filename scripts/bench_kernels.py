@@ -4,7 +4,7 @@
 Measures the vectorized legalizers against the scalar reference
 implementations preserved in ``tests/_reference_legalize.py`` (same
 process, same inputs, best-of-N), the cached-topology kernels
-(``_b2b_system``, ``per_pin_other_extents``, and
+(``build_b2b_system``, ``per_pin_other_extents``, and
 ``median_target_positions`` against the lexsort reference preserved in
 ``tests/_reference_incremental.py``; informative, no floor), the sparse
 RAP engine against the dense model build + solve on the full-scale
@@ -89,12 +89,12 @@ from repro.core.flows import (  # noqa: E402
     prepare_initial_placement,
 )
 from repro.experiments.testcases import build_testcase, testcase_by_id  # noqa: E402
+from repro.kernels.global_place import build_b2b_system  # noqa: E402
 from repro.netlist.generator import GeneratorSpec, generate_netlist  # noqa: E402
 from repro.placement.floorplanner import (  # noqa: E402
     build_placed_design,
     make_floorplan,
 )
-from repro.placement.global_place import _b2b_system  # noqa: E402
 from repro.placement.incremental import median_target_positions  # noqa: E402
 from repro.placement.legalize import (  # noqa: E402
     abacus_legalize,
@@ -291,20 +291,15 @@ def nheight_instance():
     matrices and widths in spec order, the shared pair capacity, and the
     per-class row-pair budgets.
     """
-    from repro.core.heights import HeightSpec
+    from repro.core.config import RunConfig
     from repro.core.params import RCPPParams
-    from repro.experiments.testcases import (
-        NHEIGHT_TESTCASES,
-        build_nheight_testcase,
-    )
-    from repro.techlib.asap7 import TRACK_6T, TRACK_75T, TRACK_9T
+    from repro.experiments.artifact_cache import load_or_prepare_initial
 
-    spec3 = next(s for s in NHEIGHT_TESTCASES if s.name == NHEIGHT_TESTCASE)
-    heights = HeightSpec(TRACK_6T, tuple(sorted(spec3.minority_tracks)))
-    library = make_asap7_library(tracks=(TRACK_6T, TRACK_75T, TRACK_9T))
-    params = RCPPParams(heights=heights)
-    design = build_nheight_testcase(spec3, library, scale=DEFAULT_SCALE)
-    init = prepare_initial_placement(design, library, heights=heights)
+    spec3 = testcase_by_id(NHEIGHT_TESTCASE)
+    params = RCPPParams(heights=spec3.heights)
+    init, _ = load_or_prepare_initial(
+        spec3, RunConfig(scale=DEFAULT_SCALE, params=params)
+    )
     runner = FlowRunner(init, params)
     budgets = runner.row_budgets
     f_by, w_by, _ = runner._class_costs()
@@ -314,7 +309,7 @@ def nheight_instance():
         init.pair_capacity * params.row_fill,
         [budgets[t] for t, _, _ in runner._classes],
         [t for t, _, _ in runner._classes],
-        design.num_instances,
+        init.design.num_instances,
     )
 
 
@@ -654,7 +649,7 @@ def main() -> int:
         px, py = pd.pin_positions()
         topo = pd.topology
         for name, fn, reps in (
-            ("b2b_system", lambda: _b2b_system(pd, px, pd.x), args.repeats),
+            ("b2b_system", lambda: build_b2b_system(pd, px, pd.x), args.repeats),
             (
                 "per_pin_other_extents",
                 lambda: topo.per_pin_other_extents(py),

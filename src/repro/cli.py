@@ -78,11 +78,12 @@ def _add_design_args(
     minority: float,
     testcase: bool = True,
 ) -> None:
-    """The design flags read by :func:`_build_design`."""
+    """The design flags read by :func:`_synthetic_design` and
+    :func:`_initial_placement`."""
     if testcase:
         parser.add_argument(
             "--testcase", default=None,
-            help="Table II testcase id (default: a synthetic design)",
+            help="testcase id (default: a synthetic design)",
         )
     parser.add_argument("--cells", type=int, default=cells)
     parser.add_argument(
@@ -92,34 +93,20 @@ def _add_design_args(
     )
 
 
-def _build_design(args: argparse.Namespace, config: RunConfig, name: str):
-    """``(library, design, case name)`` from the design flags.
-
-    The library carries the tracks of ``--heights`` (default: the
-    paper's two).  ``--testcase`` builds that Table II twin; otherwise a
-    synthetic ``--cells`` design gets ``--minority`` of its cells in the
-    minority tracks.
-    """
+def _synthetic_design(args: argparse.Namespace, config: RunConfig, name: str):
+    """``(library, design)``: a synthetic ``--cells`` design with
+    ``--minority`` of its cells in the minority tracks of ``--heights``
+    (default: the paper's two), on a library of exactly those tracks."""
+    from repro.core.heights import HeightSpec
     from repro.netlist import (
         GeneratorSpec,
         generate_netlist,
-        size_to_height_fractions,
         size_to_minority_fraction,
     )
     from repro.techlib.asap7 import make_asap7_library
 
-    spec = config.params.heights
-    if spec is not None:
-        library = make_asap7_library(tracks=tuple(sorted(spec.tracks)))
-    else:
-        library = make_asap7_library()
-    if getattr(args, "testcase", None):
-        from repro.experiments.testcases import build_testcase, testcase_by_id
-
-        design = build_testcase(
-            testcase_by_id(args.testcase), library, scale=config.scale
-        )
-        return library, design, args.testcase
+    heights = config.params.heights or HeightSpec.two_height()
+    library = make_asap7_library(tracks=tuple(sorted(heights.tracks)))
     design = generate_netlist(
         GeneratorSpec(
             name=name,
@@ -129,14 +116,40 @@ def _build_design(args: argparse.Namespace, config: RunConfig, name: str):
         ),
         library,
     )
-    if spec is not None and spec.n_classes > 1:
-        per_class = args.minority / spec.n_classes
-        size_to_height_fractions(
-            design, {t: per_class for t in spec.minority_tracks}
-        )
-    else:
-        size_to_minority_fraction(design, args.minority)
-    return library, design, f"synthetic_{args.cells}"
+    per_class = args.minority / heights.n_classes
+    size_to_minority_fraction(
+        design, {t: per_class for t in heights.minority_tracks}
+    )
+    return library, design
+
+
+def _case_name(args: argparse.Namespace) -> str:
+    """The design flags' case name: the testcase id or ``synthetic_<cells>``."""
+    return args.testcase or f"synthetic_{args.cells}"
+
+
+def _initial_placement(args: argparse.Namespace, config: RunConfig, name: str):
+    """The initial placement of the design the flags name: ``--testcase``
+    takes the one testcase path
+    (:func:`~repro.experiments.artifact_cache.load_or_prepare_initial`),
+    otherwise the :func:`_synthetic_design` is placed."""
+    from repro import prepare_initial_placement
+
+    if args.testcase:
+        return _testcase_initial(args.testcase, config)
+    library, design = _synthetic_design(args, config, name)
+    return prepare_initial_placement(
+        design, library, heights=config.params.heights
+    )
+
+
+def _testcase_initial(testcase_id: str, config: RunConfig):
+    """The initial placement of one testcase, through the one testcase
+    path (uncached)."""
+    from repro.experiments.artifact_cache import load_or_prepare_initial
+    from repro.experiments.testcases import testcase_by_id
+
+    return load_or_prepare_initial(testcase_by_id(testcase_id), config)[0]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,7 +301,7 @@ def _cmd_place(args: argparse.Namespace) -> int:
     from repro.eval.report import format_provenance
 
     config = RunConfig.from_args(args)
-    library, design, _ = _build_design(args, config, "cli")
+    library, design = _synthetic_design(args, config, "cli")
     result = RowConstraintPlacer(library, config.params).place(design)
     print(f"minority rows: {result.assignment.n_minority_rows}")
     print(f"HPWL: {result.hpwl / 1e6:.3f} mm "
@@ -301,19 +314,12 @@ def _cmd_place(args: argparse.Namespace) -> int:
 
 
 def _cmd_flows(args: argparse.Namespace) -> int:
-    from repro import FlowKind, FlowRunner, prepare_initial_placement
+    from repro import FlowKind, FlowRunner
     from repro.eval.report import format_table, provenance_label
-    from repro.experiments.testcases import build_testcase, testcase_by_id
-    from repro.techlib.asap7 import make_asap7_library
 
     config = RunConfig.from_args(args)
-    library = make_asap7_library()
-    design = build_testcase(
-        testcase_by_id(args.testcase), library, scale=config.scale
-    )
     runner = FlowRunner(
-        prepare_initial_placement(design, library, heights=config.params.heights),
-        config.params,
+        _testcase_initial(args.testcase, config), config.params
     )
     rows = []
     for kind in FlowKind:
@@ -411,11 +417,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro import FlowKind, FlowRunner, prepare_initial_placement
+    from repro import FlowKind, FlowRunner
     from repro.obs.recorder import FlightRecorder
 
     config = RunConfig.from_args(args)
-    library, design, case_name = _build_design(args, config, "run")
+    case_name = _case_name(args)
     kind = FlowKind(args.flow)
     recorder = FlightRecorder(
         f"{case_name}.flow{kind.value}",
@@ -429,9 +435,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if bus is not None:
                 stack.enter_context(bus.attach())
             stack.enter_context(recorder.attach())
-            initial = prepare_initial_placement(
-                design, library, heights=config.params.heights
-            )
+            initial = _initial_placement(args, config, "run")
             flow = FlowRunner(initial, config.params).run(kind)
     finally:
         problems = finish()
@@ -453,11 +457,11 @@ def _cmd_eco(args: argparse.Namespace) -> int:
     import time
     from contextlib import ExitStack
 
-    from repro import FlowKind, FlowRunner, prepare_initial_placement
+    from repro import FlowKind, FlowRunner
     from repro.eco import NetlistDelta, make_eco_delta
 
     config = RunConfig.from_args(args)
-    library, design, case_name = _build_design(args, config, "eco")
+    case_name = _case_name(args)
     kind = FlowKind(args.flow)
     bus, sink, finish = _event_bus_from_args(args)
     code = 0
@@ -465,9 +469,7 @@ def _cmd_eco(args: argparse.Namespace) -> int:
         with ExitStack() as stack:
             if bus is not None:
                 stack.enter_context(bus.attach())
-            initial = prepare_initial_placement(
-                design, library, heights=config.params.heights
-            )
+            initial = _initial_placement(args, config, "eco")
             runner = FlowRunner(initial, config.params)
             t0 = time.perf_counter()
             incumbent = runner.run(kind)
@@ -482,10 +484,10 @@ def _cmd_eco(args: argparse.Namespace) -> int:
                         delta = NetlistDelta.from_dict(json.load(fh))
                 else:
                     delta = make_eco_delta(
-                        design,
+                        initial.design,
                         fraction=args.delta_fraction,
                         seed=args.delta_seed + round_,
-                        library=library,
+                        library=initial.library,
                     )
                 result = runner.run_eco(delta, incumbent)
                 mode = (
@@ -581,27 +583,23 @@ def _cmd_tail(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    from repro import FlowKind, FlowRunner, prepare_initial_placement
+    import numpy as np
+
+    from repro import FlowKind, FlowRunner
     from repro.core.fence import FenceRegions
     from repro.eval.visualize import save_placement_svg
-    from repro.experiments.testcases import build_testcase, testcase_by_id
-    from repro.techlib.asap7 import make_asap7_library
 
     config = RunConfig.from_args(args)
-    library = make_asap7_library()
-    design = build_testcase(
-        testcase_by_id(args.testcase), library, scale=config.scale
-    )
-    initial = prepare_initial_placement(
-        design, library, heights=config.params.heights
-    )
+    initial = _testcase_initial(args.testcase, config)
     flow = FlowRunner(initial, config.params).run(FlowKind.FLOW5)
-    fences = FenceRegions.from_floorplan(flow.placed.floorplan, 7.5)
     save_placement_svg(
         args.output,
         flow.placed,
-        minority_indices=initial.minority_indices,
-        fences=fences,
+        minority_indices=np.concatenate(list(initial.class_indices.values())),
+        fences={
+            track: FenceRegions.from_floorplan(flow.placed.floorplan, track)
+            for track in initial.heights.minority_tracks
+        },
         title=f"{args.testcase} flow(5): row-constraint placement",
     )
     print(f"wrote {args.output}")
@@ -611,7 +609,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro import FlowKind, FlowRunner, prepare_initial_placement
+    from repro import FlowKind, FlowRunner
     from repro.eval.report import format_provenance, render_run_report
     from repro.obs.recorder import (
         FlightRecorder,
@@ -622,21 +620,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.solvers.milp import MILP_BACKENDS, solve_milp
 
     config = RunConfig.from_args(args)
-    library, design, case_name = _build_design(args, config, "report")
+    case_name = _case_name(args)
     kind = FlowKind(args.flow)
     recorder = FlightRecorder(
         f"{case_name}.flow{kind.value}",
         config={
             "testcase": case_name,
             "flow": kind.value,
-            "n_cells": design.num_instances,
             "backend": config.params.solver_backend,
         },
     )
     with recorder.attach():
-        initial = prepare_initial_placement(
-            design, library, heights=config.params.heights
-        )
+        initial = _initial_placement(args, config, "report")
+        recorder.config["n_cells"] = initial.design.num_instances
         runner = FlowRunner(initial, config.params)
         flow = runner.run(kind)
         if kind.row_assignment == "ilp" and not args.no_crosscheck:

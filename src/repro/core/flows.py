@@ -46,7 +46,7 @@ from repro.placement.floorplanner import (
     make_mixed_floorplan,
     map_uniform_to_mixed,
 )
-from repro.placement.global_place import GlobalPlacerParams, global_place
+from repro.placement.global_place import global_place
 from repro.placement.hpwl import hpwl_total
 from repro.placement.incremental import refine_detailed
 from repro.placement.legalize import abacus_legalize
@@ -174,7 +174,6 @@ def prepare_initial_placement(
     library: StdCellLibrary,
     utilization: float = 0.60,
     aspect_ratio: float = 1.0,
-    placer_params: GlobalPlacerParams | None = None,
     heights: HeightSpec | None = None,
 ) -> InitialPlacement:
     """mLEF + floorplan + global place + legalize: the Flow-(1) placement.
@@ -200,7 +199,6 @@ def prepare_initial_placement(
             library,
             utilization=utilization,
             aspect_ratio=aspect_ratio,
-            placer_params=placer_params,
             heights=heights,
         )
         root.annotate(hpwl=result.hpwl)
@@ -208,7 +206,7 @@ def prepare_initial_placement(
         "initial_place",
         hpwl=result.hpwl,
         n_cells=design.num_instances,
-        n_minority=len(result.minority_indices),
+        n_minority=sum(len(i) for i in result.class_indices.values()),
     )
     logger.info("initial placement done: HPWL %.4g", result.hpwl)
     return result
@@ -219,7 +217,6 @@ def _prepare_initial_placement(
     library: StdCellLibrary,
     utilization: float,
     aspect_ratio: float,
-    placer_params: GlobalPlacerParams | None,
     heights: HeightSpec,
 ) -> InitialPlacement:
     times = StageTimes()
@@ -255,7 +252,7 @@ def _prepare_initial_placement(
             aspect_ratio=aspect_ratio,
         )
         placed = build_placed_design(design, floorplan)
-        global_place(placed, placer_params)
+        global_place(placed)
         abacus_legalize(placed, floorplan.rows)
         if emitting_events():
             # Pre-refinement snapshot: the raw global-place quality the

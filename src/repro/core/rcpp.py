@@ -29,7 +29,6 @@ from repro.core.params import RCPPParams
 from repro.core.rap import RowAssignment
 from repro.netlist.db import Design
 from repro.placement.db import PlacedDesign
-from repro.placement.global_place import GlobalPlacerParams
 from repro.techlib.cells import StdCellLibrary
 from repro.utils.resilience import FaultPlan, FlowProvenance
 from repro.utils.timer import StageTimes
@@ -41,7 +40,7 @@ class RowConstraintResult:
 
     placed: PlacedDesign  # mixed-height frame, original masters, legal
     assignment: RowAssignment
-    fences: FenceRegions
+    fences: dict[float, FenceRegions]  # per minority track
     initial: InitialPlacement
     hpwl: float
     initial_hpwl: float
@@ -79,7 +78,6 @@ class RowConstraintPlacer:
         params: RCPPParams | None = None,
         utilization: float = 0.60,
         aspect_ratio: float = 1.0,
-        placer_params: GlobalPlacerParams | None = None,
         *,
         fault_plan: FaultPlan | None = None,
     ) -> None:
@@ -87,7 +85,6 @@ class RowConstraintPlacer:
         self.params = params or RCPPParams()
         self.utilization = utilization
         self.aspect_ratio = aspect_ratio
-        self.placer_params = placer_params
         self.fault_plan = fault_plan
 
     def place(self, design: Design) -> RowConstraintResult:
@@ -97,21 +94,18 @@ class RowConstraintPlacer:
             self.library,
             utilization=self.utilization,
             aspect_ratio=self.aspect_ratio,
-            placer_params=self.placer_params,
             heights=self.params.heights,
         )
         runner = FlowRunner(initial, self.params, fault_plan=self.fault_plan)
         flow: FlowResult = runner.run(FlowKind.FLOW5)
         assert flow.assignment is not None
-        # Fences of the first (for two-height specs: the only) minority
-        # class.
-        fences = FenceRegions.from_floorplan(
-            flow.placed.floorplan, initial.minority_track
-        )
         return RowConstraintResult(
             placed=flow.placed,
             assignment=flow.assignment,
-            fences=fences,
+            fences={
+                track: FenceRegions.from_floorplan(flow.placed.floorplan, track)
+                for track in initial.heights.minority_tracks
+            },
             initial=initial,
             hpwl=flow.hpwl,
             initial_hpwl=initial.hpwl,

@@ -1,13 +1,13 @@
 """SVG rendering of placements: rows, cells, fence regions.
 
 Produces figures in the spirit of the paper's Fig. 3 — blue majority (6T)
-cells, red minority (7.5T) cells, yellow fence regions — as standalone SVG
-text, with no plotting dependencies.
+cells, red minority cells, yellow fence regions — as standalone SVG text,
+with no plotting dependencies.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -28,14 +28,18 @@ _STYLE = {
 def placement_svg(
     placed: PlacedDesign,
     minority_indices: Iterable[int] | None = None,
-    fences: FenceRegions | None = None,
+    fences: Mapping[float, FenceRegions] | None = None,
     width_px: int = 900,
     title: str | None = None,
 ) -> str:
     """Render the placement as an SVG document string.
 
-    ``minority_indices`` colors those cells red (paper Fig. 3 convention);
-    ``fences`` overlays the yellow fence-region union.
+    ``minority_indices`` colors those cells red (paper Fig. 3 convention).
+    ``fences`` maps each minority track to its fence regions (the shape
+    of :attr:`~repro.core.rcpp.RowConstraintResult.fences`): the rows of
+    those tracks are shaded as minority rows and every fence union is
+    overlaid in yellow.  Without fences every row with a track takes the
+    majority shade.
     """
     die = placed.floorplan.die
     scale = width_px / die.width
@@ -70,21 +74,18 @@ def placement_svg(
         parts.append(f'<g transform="translate(0 {offset})">')
 
     parts.append(rect(die.xlo, die.ylo, die.xhi, die.yhi, _STYLE["die"]))
-    tracks = sorted(
-        {r.track_height for r in placed.floorplan.rows if r.track_height}
-    )
-    minority_track = tracks[-1] if len(tracks) > 1 else None
+    fences = fences or {}
     for row in placed.floorplan.rows:
         if row.track_height is None:
             style = _STYLE["row_neutral"]
-        elif row.track_height == minority_track:
+        elif row.track_height in fences:
             style = _STYLE["row_minority"]
         else:
             style = _STYLE["row_majority"]
         parts.append(rect(row.xlo, row.y, row.xhi, row.y + row.height, style))
 
-    if fences is not None:
-        for fence_rect in fences.rects:
+    for regions in fences.values():
+        for fence_rect in regions.rects:
             parts.append(
                 rect(
                     fence_rect.xlo,
@@ -123,7 +124,7 @@ def save_placement_svg(
     path: str,
     placed: PlacedDesign,
     minority_indices: Iterable[int] | None = None,
-    fences: FenceRegions | None = None,
+    fences: Mapping[float, FenceRegions] | None = None,
     title: str | None = None,
 ) -> None:
     """Write :func:`placement_svg` output to ``path``."""

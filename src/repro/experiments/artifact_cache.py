@@ -7,11 +7,12 @@ artifact is recomputed identically.  This cache keys the pickled
 :class:`~repro.core.flows.InitialPlacement` by a content hash over
 everything that determines it:
 
-* the testcase spec (circuit, clock, paper cell count, minority %),
+* the testcase spec (circuit, clock, paper cell count, per-track
+  minority fractions),
 * the :class:`~repro.core.config.RunConfig` facets that shape the initial
-  placement (scale, seed, utilization, aspect ratio, resolved height
-  spec),
-* a fingerprint of the cell library, and
+  placement (scale, seed, utilization, aspect ratio, height spec: the
+  config's, else the testcase's own),
+* a fingerprint of the testcase's cell library, and
 * the package version plus a cache schema version.
 
 Entries are written atomically (temp file + ``os.replace``) so concurrent
@@ -23,6 +24,7 @@ answer.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -68,10 +70,18 @@ def library_fingerprint(library: StdCellLibrary) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def initial_placement_key(
-    spec: TestcaseSpec, config: RunConfig, library: StdCellLibrary
-) -> str:
+def _own_heights(spec: TestcaseSpec, config: RunConfig) -> RunConfig:
+    """``config``, its height set defaulting to the testcase's own."""
+    if config.params.heights is not None:
+        return config
+    return config.replace(
+        params=dataclasses.replace(config.params, heights=spec.heights)
+    )
+
+
+def initial_placement_key(spec: TestcaseSpec, config: RunConfig) -> str:
     """Content hash identifying one testcase's Flow-(1) artifact."""
+    library = spec.library()
     payload = json.dumps(
         {
             "schema": CACHE_SCHEMA_VERSION,
@@ -80,10 +90,12 @@ def initial_placement_key(
                 "circuit": spec.circuit,
                 "clock_ps": spec.clock_ps,
                 "paper_cells": spec.paper_cells,
-                "paper_pct_75t": spec.paper_pct_75t,
+                "fractions": [list(pair) for pair in spec.fractions],
                 "seed": spec.seed,
             },
-            "config": config.initial_placement_fingerprint(library),
+            "config": _own_heights(spec, config).initial_placement_fingerprint(
+                library
+            ),
             "library": library_fingerprint(library),
         },
         sort_keys=True,
@@ -222,39 +234,39 @@ class ArtifactCache:
 def load_or_prepare_initial(
     spec: TestcaseSpec,
     config: RunConfig,
-    library: StdCellLibrary,
-    cache: ArtifactCache | None,
+    cache: ArtifactCache | None = None,
 ) -> tuple[InitialPlacement, bool]:
-    """The Flow-(1) artifact for ``spec``, cached; returns (initial, hit).
+    """The Flow-(1) artifact of ``spec`` under ``config``; returns
+    ``(initial, hit)``.
 
-    On a cache hit, netlist generation *and* the initial placement are
-    both skipped — the unpickled artifact carries its own design.  With
-    ``cache=None`` the artifact is always computed fresh.
+    The one path from a testcase to its initial placement: the netlist
+    is built on the testcase's own library (:meth:`TestcaseSpec.library`)
+    and placed for ``config.params.heights``, or for the testcase's own
+    height set when that is ``None``.  On a cache hit, netlist generation
+    *and* the initial placement are both skipped — the unpickled artifact
+    carries its own design.  With ``cache=None`` the artifact is always
+    computed fresh.
     """
-    if cache is None:
-        design = build_testcase(spec, library, scale=config.scale)
-        return (
-            prepare_initial_placement(
-                design,
-                library,
-                utilization=config.utilization,
-                aspect_ratio=config.aspect_ratio,
-                heights=config.params.heights,
-            ),
-            False,
-        )
-    key = initial_placement_key(spec, config, library)
-    cached = cache.get(key)
-    if isinstance(cached, InitialPlacement):
-        return cached, True
-    with span("prepare_initial_placement.cache_fill", testcase=spec.testcase_id):
-        design = build_testcase(spec, library, scale=config.scale)
-        initial = prepare_initial_placement(
+    config = _own_heights(spec, config)
+
+    def prepare() -> InitialPlacement:
+        library = spec.library()
+        design = build_testcase(spec, library, config.scale)
+        return prepare_initial_placement(
             design,
             library,
             utilization=config.utilization,
             aspect_ratio=config.aspect_ratio,
             heights=config.params.heights,
         )
+
+    if cache is None:
+        return prepare(), False
+    key = initial_placement_key(spec, config)
+    cached = cache.get(key)
+    if isinstance(cached, InitialPlacement):
+        return cached, True
+    with span("prepare_initial_placement.cache_fill", testcase=spec.testcase_id):
+        initial = prepare()
     cache.put(key, initial)
     return initial, False

@@ -56,7 +56,7 @@ def run(
                 config=config.replace(params=replace(config.params, s=s)),
             )
             result = tc.results[FlowKind.FLOW4]
-            runtime[k, t] = tc.runner._ilp[2]  # noqa: SLF001 - ILP stage time
+            runtime[k, t] = result.times.stages["rap_ilp"]
             disp[k, t] = result.displacement
             hpwl[k, t] = result.hpwl
 

@@ -58,7 +58,7 @@ def _sweep(
             result = tc.results[FlowKind.FLOW4]
             disp[p, t] = result.displacement
             hpwl[p, t] = result.hpwl
-            runtime[p, t] = tc.runner._ilp[2]  # noqa: SLF001 - ILP stage time
+            runtime[p, t] = result.times.stages["rap_ilp"]
         disp[:, t] = normalize_01(disp[:, t])
         hpwl[:, t] = normalize_01(hpwl[:, t])
         runtime[:, t] = normalize_01(runtime[:, t])

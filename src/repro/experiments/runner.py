@@ -5,29 +5,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import RunConfig
-from repro.core.flows import (
-    FlowKind,
-    FlowResult,
-    FlowRunner,
-    InitialPlacement,
-    prepare_initial_placement,
-)
-from repro.experiments.testcases import (
-    NHeightTestcaseSpec,
-    TestcaseSpec,
-    build_nheight_testcase,
-    build_testcase,
-)
+from repro.core.flows import FlowKind, FlowResult, FlowRunner, InitialPlacement
+from repro.experiments.artifact_cache import load_or_prepare_initial
+from repro.experiments.testcases import TestcaseSpec
 from repro.netlist.db import Design
-from repro.techlib.asap7 import TRACK_6T, make_asap7_library
-from repro.techlib.cells import StdCellLibrary
 
 
 @dataclass
 class TestcaseRun:
     """All flow artifacts of one testcase."""
 
-    spec: TestcaseSpec | NHeightTestcaseSpec
+    spec: TestcaseSpec
     design: Design
     initial: InitialPlacement
     runner: FlowRunner
@@ -40,42 +28,22 @@ class TestcaseRun:
 
 
 def run_testcase(
-    spec: TestcaseSpec | NHeightTestcaseSpec,
+    spec: TestcaseSpec,
     flows: tuple[FlowKind, ...],
     config: RunConfig | None = None,
-    *,
-    library: StdCellLibrary | None = None,
-    initial: InitialPlacement | None = None,
 ) -> TestcaseRun:
     """Build the testcase, place it, run the requested flows.
 
     ``config`` carries scale, method parameters, fault plan and
-    floorplan knobs; ``initial`` short-circuits netlist generation and
-    initial placement with a prebuilt (e.g. cache-loaded) Flow-(1)
-    artifact.
+    floorplan knobs; the initial placement comes from
+    :func:`~repro.experiments.artifact_cache.load_or_prepare_initial`.
     """
     config = config or RunConfig()
-    if initial is None:
-        if isinstance(spec, NHeightTestcaseSpec):
-            if library is None:
-                library = make_asap7_library(
-                    tracks=(TRACK_6T,) + spec.minority_tracks[::-1]
-                )
-            design = build_nheight_testcase(spec, library, scale=config.scale)
-        else:
-            library = library or make_asap7_library()
-            design = build_testcase(spec, library, scale=config.scale)
-        initial = prepare_initial_placement(
-            design,
-            library,
-            utilization=config.utilization,
-            aspect_ratio=config.aspect_ratio,
-            heights=config.params.heights,
-        )
-    else:
-        design = initial.design
+    initial, _ = load_or_prepare_initial(spec, config)
     runner = FlowRunner(initial, config.params, fault_plan=config.fault_plan)
-    run = TestcaseRun(spec=spec, design=design, initial=initial, runner=runner)
+    run = TestcaseRun(
+        spec=spec, design=initial.design, initial=initial, runner=runner
+    )
     for kind in flows:
         run.run(kind)
     return run

@@ -17,14 +17,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.clustering import cluster_minority_cells
+from repro.core.config import RunConfig
 from repro.core.cost import compute_rap_costs
 from repro.core.flows import FlowKind, FlowRunner, prepare_initial_placement
 from repro.core.params import RCPPParams
 from repro.core.rap import solve_rap
+from repro.experiments.artifact_cache import load_or_prepare_initial
 from repro.experiments.testcases import (
     DEFAULT_SCALE,
     TestcaseSpec,
-    build_testcase,
     testcase_by_id,
 )
 from repro.netlist.generator import GeneratorSpec, generate_netlist
@@ -105,9 +106,9 @@ def row_pairing_ablation(
     pairing constraint, so its optimum is never worse.
     """
     params = params or RCPPParams()
-    library = make_asap7_library()
-    design = build_testcase(testcase_by_id(testcase_id), library, scale=scale)
-    initial = prepare_initial_placement(design, library)
+    initial, _ = load_or_prepare_initial(
+        testcase_by_id(testcase_id), RunConfig(scale=scale, params=params)
+    )
     idx = initial.minority_indices
     clustering = cluster_minority_cells(
         initial.placed.x[idx] + initial.placed.widths[idx] / 2,

@@ -70,7 +70,6 @@ from repro.experiments.testcases import (
 from repro.obs.events import emit_event
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import render_span_tree
-from repro.techlib.asap7 import make_asap7_library
 from repro.utils.errors import ReproError, StageTimeoutError, ValidationError
 from repro.utils.supervise import SupervisedPool, TaskOutcome
 
@@ -277,7 +276,7 @@ def _run_flow(
         try:
             if runner is None:
                 initial, job.cache_hit = load_or_prepare_initial(
-                    spec, config, make_asap7_library(), cache
+                    spec, config, cache
                 )
                 runner = FlowRunner(
                     initial, config.params, fault_plan=config.fault_plan

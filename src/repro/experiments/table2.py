@@ -18,7 +18,6 @@ from repro.experiments.testcases import (
     TestcaseSpec,
     build_testcase,
 )
-from repro.techlib.asap7 import make_asap7_library
 
 
 @dataclass(frozen=True)
@@ -42,10 +41,9 @@ def run(
     config: RunConfig | None = None,
 ) -> list[Table2Row]:
     scale = (config or RunConfig()).scale
-    library = make_asap7_library()
     rows: list[Table2Row] = []
     for spec in testcases:
-        design = build_testcase(spec, library, scale=scale)
+        design = build_testcase(spec, spec.library(), scale=scale)
         stats = design.stats()
         rows.append(
             Table2Row(

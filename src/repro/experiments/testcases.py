@@ -2,11 +2,14 @@
 
 Each paper row (circuit, clock, #cells, 7.5T%, #nets) becomes a
 :class:`TestcaseSpec`; :func:`build_testcase` generates a netlist with
-``round(paper_cells * scale)`` cells and promotes exactly the paper's 7.5T
-percentage of most-critical instances.  Logic depth tracks the clock
-period (the mechanism relating clock to minority% in the paper's synthesis
-runs), and seeds derive from the circuit name so every (circuit, clock)
-pair is stable across runs and machines.
+``round(paper_cells * scale)`` cells and promotes exactly each minority
+class's fraction of most-critical instances: for a Table II row, the
+paper's 7.5T percentage.  The giga-tier stress rows and the three-height
+twins are :class:`TestcaseSpec` rows too, found by the same
+:func:`testcase_by_id`.  Logic depth tracks the clock period (the
+mechanism relating clock to minority% in the paper's synthesis runs),
+and seeds derive from the testcase id so every row is stable across
+runs and machines.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ import zlib
 from dataclasses import dataclass
 
 from repro.core.config import DEFAULT_SCALE
+from repro.core.heights import HeightSpec
 from repro.netlist.db import Design
 from repro.netlist.generator import GeneratorSpec, generate_netlist
-from repro.netlist.synthesis import size_to_height_fractions, size_to_minority_fraction
+from repro.netlist.synthesis import size_to_minority_fraction
+from repro.techlib.asap7 import TRACK_6T, TRACK_75T, make_asap7_library
 from repro.techlib.cells import StdCellLibrary
 from repro.utils.errors import ValidationError
 
@@ -25,12 +30,10 @@ __all__ = [
     "DEFAULT_SCALE",  # canonical definition lives in repro.core.config
     "GIGA_TESTCASES",
     "NHEIGHT_TESTCASES",
-    "NHeightTestcaseSpec",
     "PAPER_TESTCASES",
     "PARAMETER_SUBSET_IDS",
     "QUICK_SUBSET_IDS",
     "TestcaseSpec",
-    "build_nheight_testcase",
     "build_testcase",
     "size_class",
     "testcase_by_id",
@@ -40,7 +43,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestcaseSpec:
-    """One Table II row (or a synthetic giga-tier stress row)."""
+    """One testcase: a Table II row, a giga-tier stress row or an
+    N-height twin.
+
+    The ``paper_*`` fields are the Table II row the testcase twins.
+    ``fractions`` lists its minority classes as (track, fraction of
+    instances) pairs; left empty, it is Table II's one 7.5T class at
+    ``paper_pct_75t``.  Every other cell stays at the majority (6T)
+    height.
+    """
 
     circuit: str
     short_name: str
@@ -49,8 +60,15 @@ class TestcaseSpec:
     paper_pct_75t: float
     paper_nets: int
     #: Optional explicit id for rows outside the Table II naming scheme
-    #: (the giga tier uses ``aes_giga`` / ``nova_giga``).
+    #: (``aes_giga``, ``aes3h_340``, ...).
     id_override: str | None = None
+    fractions: tuple[tuple[float, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.fractions:
+            object.__setattr__(
+                self, "fractions", ((TRACK_75T, self.paper_pct_75t / 100.0),)
+            )
 
     @property
     def testcase_id(self) -> str:
@@ -63,11 +81,26 @@ class TestcaseSpec:
         # Stable per circuit+clock; independent of list ordering.
         return zlib.crc32(self.testcase_id.encode()) & 0x7FFFFFFF
 
+    @property
+    def heights(self) -> HeightSpec:
+        """The testcase's own height set: 6T majority, minority classes
+        in ascending track order (``HeightSpec.two_height()`` for a
+        Table II row)."""
+        return HeightSpec(
+            TRACK_6T, tuple(sorted(track for track, _ in self.fractions))
+        )
+
+    def library(self) -> StdCellLibrary:
+        """The bundled library over exactly the testcase's tracks."""
+        return make_asap7_library(tracks=self.heights.tracks)
+
     def scaled_cells(self, scale: float) -> int:
         return max(400, int(round(self.paper_cells * scale)))
 
     def scaled_minority_instances(self, scale: float) -> int:
-        return int(round(self.scaled_cells(scale) * self.paper_pct_75t / 100.0))
+        """Minority instances the build promotes, over every class."""
+        n = self.scaled_cells(scale)
+        return sum(int(round(fraction * n)) for _, fraction in self.fractions)
 
 
 def _rows() -> list[TestcaseSpec]:
@@ -155,8 +188,23 @@ GIGA_TESTCASES: tuple[TestcaseSpec, ...] = (
 )
 
 
+#: Three-height twins of small Table II rows (no paper counterpart):
+#: the most-critical cells go to 9T, the next tier to 7.5T
+#: (tallest-first slack slices).
+NHEIGHT_TESTCASES: tuple[TestcaseSpec, ...] = (
+    TestcaseSpec(
+        "aes_cipher_top", "aes", 340, 13031, 13.94, 13293,
+        id_override="aes3h_340", fractions=((9.0, 0.05), (7.5, 0.10)),
+    ),
+    TestcaseSpec(
+        "fpu", "fpu", 4500, 34945, 10.36, 35015,
+        id_override="fpu3h_4500", fractions=((9.0, 0.04), (7.5, 0.07)),
+    ),
+)
+
+
 def testcase_by_id(testcase_id: str) -> TestcaseSpec:
-    for spec in PAPER_TESTCASES + GIGA_TESTCASES:
+    for spec in PAPER_TESTCASES + GIGA_TESTCASES + NHEIGHT_TESTCASES:
         if spec.testcase_id == testcase_id:
             return spec
     raise ValidationError(f"unknown testcase {testcase_id!r}")
@@ -177,70 +225,10 @@ def build_testcase(
     library: StdCellLibrary,
     scale: float = DEFAULT_SCALE,
 ) -> Design:
-    """Generate + size the synthetic twin of one Table II testcase."""
-    if scale <= 0:
-        raise ValidationError("scale must be positive")
-    gen = GeneratorSpec(
-        name=spec.testcase_id,
-        n_cells=spec.scaled_cells(scale),
-        clock_period_ps=spec.clock_ps,
-        logic_depth=_logic_depth_for_clock(spec.clock_ps),
-        seed=spec.seed,
-    )
-    design = generate_netlist(gen, library)
-    size_to_minority_fraction(design, spec.paper_pct_75t / 100.0)
-    return design
+    """Generate + size the synthetic twin of one testcase.
 
-
-@dataclass(frozen=True)
-class NHeightTestcaseSpec:
-    """A synthetic N-height (>2 track heights) testcase.
-
-    These have no Table II counterpart — the paper's testcases are all
-    two-height — but exercise the :class:`~repro.core.heights.HeightSpec`
-    generalization end to end.  ``fractions`` lists (track, fraction)
-    pairs for the minority classes; everything else stays at the majority
-    (6T) height.
-    """
-
-    name: str
-    clock_ps: float
-    base_cells: int
-    fractions: tuple[tuple[float, float], ...]
-
-    @property
-    def testcase_id(self) -> str:
-        return self.name
-
-    @property
-    def seed(self) -> int:
-        return zlib.crc32(self.name.encode()) & 0x7FFFFFFF
-
-    @property
-    def minority_tracks(self) -> tuple[float, ...]:
-        return tuple(track for track, _ in self.fractions)
-
-    def scaled_cells(self, scale: float) -> int:
-        return max(400, int(round(self.base_cells * scale)))
-
-
-#: Three-height twins of small Table II rows: the most-critical cells go
-#: to 9T, the next tier to 7.5T (tallest-first slack slices).
-NHEIGHT_TESTCASES: tuple[NHeightTestcaseSpec, ...] = (
-    NHeightTestcaseSpec("aes3h_340", 340, 13031, ((9.0, 0.05), (7.5, 0.10))),
-    NHeightTestcaseSpec("fpu3h_4500", 4500, 34945, ((9.0, 0.04), (7.5, 0.07))),
-)
-
-
-def build_nheight_testcase(
-    spec: NHeightTestcaseSpec,
-    library: StdCellLibrary,
-    scale: float = DEFAULT_SCALE,
-) -> Design:
-    """Generate + size an N-height testcase.
-
-    ``library`` must carry masters for every track in ``spec.fractions``
-    (e.g. ``make_asap7_library(tracks=(TRACK_6T, TRACK_75T, TRACK_9T))``).
+    ``library`` must carry masters for every track of ``spec.fractions``
+    (:meth:`TestcaseSpec.library` does).
     """
     if scale <= 0:
         raise ValidationError("scale must be positive")
@@ -252,7 +240,7 @@ def build_nheight_testcase(
         seed=spec.seed,
     )
     design = generate_netlist(gen, library)
-    size_to_height_fractions(design, dict(spec.fractions))
+    size_to_minority_fraction(design, dict(spec.fractions))
     return design
 
 

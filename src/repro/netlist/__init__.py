@@ -22,7 +22,6 @@ from repro.netlist.stats import NetlistStats, compute_stats
 from repro.netlist.synthesis import (
     SynthesisResult,
     size_to_clock,
-    size_to_height_fractions,
     size_to_minority_fraction,
 )
 
@@ -39,6 +38,5 @@ __all__ = [
     "compute_stats",
     "SynthesisResult",
     "size_to_clock",
-    "size_to_height_fractions",
     "size_to_minority_fraction",
 ]

@@ -13,12 +13,14 @@ that mechanism with a classic greedy sizing loop over the STA engine:
   cap.
 
 :func:`size_to_minority_fraction` is the deterministic variant used by the
-experiment suite: it promotes exactly the most-critical ``fraction`` of
-instances to their 7.5T twins, reproducing a Table II row's 7.5T%% exactly.
+experiment suite: it promotes exactly the most-critical fraction of
+instances into each minority track, reproducing a Table II row's 7.5T%%
+(or an N-height twin's per-track mix) exactly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,60 +134,28 @@ def size_to_clock(
 
 def size_to_minority_fraction(
     design: Design,
-    fraction: float,
-    params: TimingParams | None = None,
-    minority_track: float | None = None,
-) -> SynthesisResult:
-    """Promote exactly the most-critical ``fraction`` of instances to the
-    tall (minority) track — 7.5T in the bundled library, or
-    ``minority_track`` when given.
-
-    Used by the experiment suite to pin a testcase's 7.5T%% to the paper's
-    Table II value.  Criticality is the instance slack from one wireload STA
-    (ties broken by instance index for determinism).
-    """
-    if not (0.0 <= fraction <= 1.0):
-        raise ValidationError(f"fraction must be in [0, 1], got {fraction}")
-    _assign_initial_drives(design)
-    report = _analyze(design, params)
-    graph = TimingGraph.build(design)
-    inst_slack = report.instance_slack(graph)
-    if minority_track is None:
-        minority_track = max(design.library.track_heights)
-    count = int(round(fraction * design.num_instances))
-    order = np.argsort(inst_slack, kind="stable")
-    promotions = 0
-    for inst_index in order[:count]:
-        inst = design.instances[int(inst_index)]
-        inst.master = design.library.variant(inst.master, minority_track)
-        promotions += 1
-    report = _analyze(design, params)
-    design.validate()
-    return SynthesisResult(
-        design=design, report=report, iterations=1, promotions=promotions
-    )
-
-
-def size_to_height_fractions(
-    design: Design,
-    fractions: dict[float, float],
+    fractions: float | Mapping[float, float],
     params: TimingParams | None = None,
 ) -> SynthesisResult:
-    """Promote the most-critical instances into N minority track heights.
+    """Promote exactly the most-critical instances into the minority tracks.
 
-    ``fractions`` maps each minority track to the fraction of instances it
-    should hold, e.g. ``{9.0: 0.05, 7.5: 0.15}``.  Slices of the slack
-    order are carved tallest-first, so the very most critical cells land in
-    the tallest (fastest) class — the natural generalization of
-    :func:`size_to_minority_fraction`, which this reproduces exactly for a
-    single-entry mapping.
+    ``fractions`` maps each minority track to the fraction of instances
+    it should hold, e.g. ``{9.0: 0.05, 7.5: 0.10}``; a plain float is the
+    fraction of the library's tallest track (7.5T in the bundled
+    library).  Used by the experiment suite to pin a testcase's
+    per-track minority counts.  Criticality is the instance slack from
+    one wireload STA (ties broken by instance index for determinism);
+    slices of the slack order are carved tallest-first, so the very most
+    critical cells land in the tallest (fastest) class.
     """
-    total = sum(fractions.values())
+    if not isinstance(fractions, Mapping):
+        fractions = {max(design.library.track_heights): fractions}
     for track, fraction in fractions.items():
         if not (0.0 <= fraction <= 1.0):
             raise ValidationError(
                 f"fraction for track {track} must be in [0, 1], got {fraction}"
             )
+    total = sum(fractions.values())
     if total > 1.0 + 1e-9:
         raise ValidationError(f"fractions sum to {total}, must be <= 1")
     missing = set(fractions) - set(design.library.track_heights)

@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.kernels.global_place import b2b_iteration, build_b2b_system, solve_axis
+from repro.kernels.global_place import b2b_iteration
 from repro.obs.trace import span
 from repro.placement.db import PlacedDesign
 from repro.placement.hpwl import hpwl_total
@@ -48,31 +47,6 @@ class GlobalPlacerParams:
             raise ValidationError("max_iterations must be >= 1")
         if self.anchor_alpha <= 0 or self.anchor_growth < 1.0:
             raise ValidationError("anchor schedule must be positive/growing")
-
-
-def _b2b_system(
-    placed: PlacedDesign, coords: np.ndarray, axis_positions: np.ndarray
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Build the B2B quadratic system for one axis.
-
-    Delegates to :func:`repro.kernels.global_place.build_b2b_system`
-    (single-bincount assembly, bit-identical to the historical add.at
-    version -- see tests/test_global_place_equivalence.py).  Kept as a
-    named entry point because benchmarks and existing callers import it
-    from this module.
-    """
-    return build_b2b_system(placed, coords, axis_positions)
-
-
-def _solve_axis(
-    A: sp.csr_matrix,
-    b: np.ndarray,
-    x0: np.ndarray,
-    anchor_w: np.ndarray | None,
-    anchor_pos: np.ndarray | None,
-    params: GlobalPlacerParams,
-) -> np.ndarray:
-    return solve_axis(A, b, x0, anchor_w, anchor_pos, params.cg_tol, params.cg_maxiter)
 
 
 def global_place(

@@ -93,13 +93,8 @@ class Deadline:
             return remaining
         return min(time_limit_s, remaining)
 
-    def sub(self, budget_s: float | None) -> "Deadline":
+    def sub(self, budget_s: float) -> "Deadline":
         """Child deadline: ``min(now + budget_s, this deadline)``."""
-        if budget_s is None:
-            child = Deadline(None, clock=self._clock)
-            child.budget_s = self.budget_s
-            child._expires = self._expires
-            return child
         child = Deadline(budget_s, clock=self._clock)
         if self._expires is not None and self._expires < child._expires:
             child.budget_s = self.budget_s

@@ -34,11 +34,7 @@ from repro.core.legalize_rc import fence_region_legalize
 from repro.core.params import RCPPParams
 from repro.core.rap import build_rap_model, solve_rap
 from repro.experiments.runner import run_testcase
-from repro.experiments.testcases import (
-    NHEIGHT_TESTCASES,
-    build_testcase,
-    testcase_by_id,
-)
+from repro.experiments.testcases import build_testcase, testcase_by_id
 from repro.solvers.milp import MilpModel
 from repro.techlib.asap7 import make_asap7_library
 from repro.utils.resilience import FaultPlan
@@ -111,10 +107,10 @@ def twin_runner(
 
 
 def nheight_runner(scale: float) -> FlowRunner:
-    """Runner over the three-height twin under :data:`NHEIGHT_SPEC`."""
-    spec = next(t for t in NHEIGHT_TESTCASES if t.testcase_id == NHEIGHT_ID)
+    """Runner over the three-height twin under :data:`NHEIGHT_SPEC`,
+    built through the one testcase path."""
     config = RunConfig(scale=scale, params=RCPPParams(heights=NHEIGHT_SPEC))
-    return run_testcase(spec, (), config=config).runner
+    return run_testcase(testcase_by_id(NHEIGHT_ID), (), config=config).runner
 
 
 # -- capture ------------------------------------------------------------------

@@ -285,3 +285,52 @@ class TestRemovedIn6:
         for command in ("run", "eco"):
             with pytest.raises(SystemExit):
                 parser.parse_args([command, "--workers", "2"])
+
+
+class TestRemovedIn7:
+    """The 7.0 removals: one testcase type, one build path, one sizing
+    body, and only the knobs callers set on that path."""
+
+    def test_removed_names_absent(self):
+        import repro.experiments.testcases as testcases
+        import repro.netlist
+        import repro.netlist.synthesis as synthesis
+        import repro.placement.global_place as global_place
+
+        for name in ("NHeightTestcaseSpec", "build_nheight_testcase"):
+            assert not hasattr(testcases, name), name
+            assert name not in testcases.__all__, name
+        assert not hasattr(synthesis, "size_to_height_fractions")
+        assert "size_to_height_fractions" not in repro.netlist.__all__
+        assert not hasattr(global_place, "_b2b_system")
+        assert not hasattr(global_place, "_solve_axis")
+
+    def test_removed_knobs(self):
+        import inspect
+
+        from repro.core.flows import prepare_initial_placement
+        from repro.core.rcpp import RowConstraintPlacer
+        from repro.experiments.artifact_cache import load_or_prepare_initial
+        from repro.netlist.synthesis import size_to_minority_fraction
+
+        def names(fn):
+            return list(inspect.signature(fn).parameters)
+
+        assert names(run_testcase) == ["spec", "flows", "config"]
+        assert names(size_to_minority_fraction) == [
+            "design", "fractions", "params",
+        ]
+        assert names(load_or_prepare_initial) == ["spec", "config", "cache"]
+        assert "placer_params" not in names(prepare_initial_placement)
+        assert "placer_params" not in names(RowConstraintPlacer)
+
+    def test_three_height_twins_are_testcase_rows(self):
+        from repro.experiments.testcases import (
+            NHEIGHT_TESTCASES,
+            TestcaseSpec,
+            testcase_by_id,
+        )
+
+        for spec in NHEIGHT_TESTCASES:
+            assert isinstance(spec, TestcaseSpec)
+            assert testcase_by_id(spec.testcase_id) is spec

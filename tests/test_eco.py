@@ -36,7 +36,7 @@ from repro.eco import (
     apply_delta,
     make_eco_delta,
 )
-from repro.netlist.synthesis import size_to_height_fractions
+from repro.netlist.synthesis import size_to_minority_fraction
 from repro.placement.floorplanner import build_placed_design
 from repro.placement.hpwl import hpwl_total
 from repro.techlib.asap7 import make_asap7_library
@@ -112,7 +112,7 @@ class TestEquivalence:
     def test_nheight_repair(self):
         lib3 = make_asap7_library(tracks=(6.0, 7.5, 9.0))
         design = make_design(lib3, n_cells=500, minority_fraction=0.0, seed=7)
-        size_to_height_fractions(design, {7.5: 0.10, 9.0: 0.08})
+        size_to_minority_fraction(design, {7.5: 0.10, 9.0: 0.08})
         spec = HeightSpec(6.0, (7.5, 9.0))
         initial = prepare_initial_placement(design, lib3, heights=spec)
         runner = FlowRunner(initial, RCPPParams(heights=spec))

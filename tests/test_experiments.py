@@ -85,11 +85,9 @@ class TestPaperData:
 
 
 class TestRunners:
-    def test_run_testcase_caches_flows(self, library):
+    def test_run_testcase_caches_flows(self):
         spec = _by_id("aes_400")
-        tc = run_testcase(
-            spec, (FlowKind.FLOW1,), config=CONFIG, library=library
-        )
+        tc = run_testcase(spec, (FlowKind.FLOW1,), config=CONFIG)
         first = tc.run(FlowKind.FLOW1)
         assert tc.run(FlowKind.FLOW1) is first
 

@@ -141,7 +141,8 @@ class TestRowConstraintPlacerApi:
         assert result.hpwl > 0
         assert result.assignment.n_minority_rows >= 1
         assert result.displacement > 0
-        assert len(result.fences.rects) == result.assignment.n_minority_rows
+        assert set(result.fences) == {7.5}
+        assert len(result.fences[7.5].rects) == result.assignment.n_minority_rows
         # overhead is finite and small-ish at this scale
         assert -0.5 < result.hpwl_overhead < 0.5
         # masters restored to originals

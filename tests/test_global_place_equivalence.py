@@ -16,7 +16,7 @@ import pytest
 from repro.kernels.global_place import b2b_iteration, build_b2b_system, solve_axis
 from repro.netlist.generator import GeneratorSpec, generate_netlist
 from repro.placement.floorplanner import build_placed_design, make_floorplan
-from repro.placement.global_place import GlobalPlacerParams, _b2b_system
+from repro.placement.global_place import GlobalPlacerParams
 from repro.placement.legalize import spread_to_rows
 
 from tests._reference_global_place import reference_b2b_system
@@ -95,16 +95,6 @@ class TestB2BSystemEquivalence:
     @pytest.mark.parametrize("seed", [17, 29, 41])
     def test_seed_sweep(self, library, seed):
         assert_system_identical(make_placed(library, 180, seed=seed), f"seed{seed}")
-
-    def test_placement_alias_delegates(self, library):
-        # repro.placement.global_place._b2b_system is the legacy import
-        # path (used by benchmarks); it must be the same computation.
-        pd = make_placed(library, 120, seed=19)
-        px, _ = pd.pin_positions()
-        A1, b1 = _b2b_system(pd, px, pd.x)
-        A2, b2 = build_b2b_system(pd, px, pd.x)
-        assert A1.data.tobytes() == A2.data.tobytes()
-        assert b1.tobytes() == b2.tobytes()
 
 
 def test_b2b_iteration_matches_reference_pipeline(library):

@@ -32,7 +32,7 @@ from repro.core.params import RCPPParams
 from repro.eco import make_eco_delta
 from repro.geometry import Rect
 from repro.netlist.db import Design
-from repro.netlist.synthesis import size_to_height_fractions
+from repro.netlist.synthesis import size_to_minority_fraction
 from repro.placement.db import Floorplan, PlacedDesign, Row
 from repro.techlib.asap7 import make_asap7_library
 from repro.utils.errors import CapacityError
@@ -72,7 +72,7 @@ def outputs(library):
 
     lib3 = make_asap7_library(tracks=(6.0, 7.5, 9.0))
     design3 = make_design(lib3, n_cells=300, minority_fraction=0.0, seed=7)
-    size_to_height_fractions(design3, {7.5: 0.10, 9.0: 0.08})
+    size_to_minority_fraction(design3, {7.5: 0.10, 9.0: 0.08})
     spec = HeightSpec(6.0, (7.5, 9.0))
     initial3 = prepare_initial_placement(design3, lib3, heights=spec)
     out["nheight_flow5"] = (

@@ -160,20 +160,6 @@ class TestDeadlineEdges:
         assert child.expired
         assert child.remaining() == 0.0
 
-    def test_unlimited_child_inherits_parent_limit(self):
-        clock = [0.0]
-        parent = Deadline(10.0, clock=lambda: clock[0])
-        child = parent.sub(None)
-        assert child.remaining() == 10.0
-        clock[0] = 11.0
-        assert child.expired
-
-    def test_unlimited_child_of_unlimited_parent(self):
-        child = Deadline.unlimited().sub(None)
-        assert child.remaining() is None
-        assert not child.expired
-        child.check("anything")  # never raises
-
     def test_child_cannot_extend_parent(self):
         clock = [0.0]
         parent = Deadline(5.0, clock=lambda: clock[0])

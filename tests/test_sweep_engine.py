@@ -38,26 +38,24 @@ def spec():
 
 
 class TestArtifactCache:
-    def test_same_config_hits(self, tmp_path, spec, library):
+    def test_same_config_hits(self, tmp_path, spec):
         cache = ArtifactCache(tmp_path)
         config = RunConfig(scale=TINY)
         recorder = FlightRecorder()
         with recorder.attach():
-            first, hit1 = load_or_prepare_initial(spec, config, library, cache)
-            second, hit2 = load_or_prepare_initial(spec, config, library, cache)
+            first, hit1 = load_or_prepare_initial(spec, config, cache)
+            second, hit2 = load_or_prepare_initial(spec, config, cache)
         assert (hit1, hit2) == (False, True)
         assert isinstance(second, InitialPlacement)
         assert second.placed.design.num_instances == first.placed.design.num_instances
         counters = recorder.to_dict()["metrics"]["counters"]
         assert counters["cache.hit"] == 1 and counters["cache.miss"] == 1
 
-    def test_key_shared_across_flows_but_not_configs(self, spec, library):
+    def test_key_shared_across_flows_but_not_configs(self, spec):
         config = RunConfig(scale=TINY)
-        base = initial_placement_key(spec, config, library)
+        base = initial_placement_key(spec, config)
         # Flow choice / solver / workers don't shape the Flow-(1) artifact.
-        assert initial_placement_key(
-            spec, config.replace(workers=8), library
-        ) == base
+        assert initial_placement_key(spec, config.replace(workers=8)) == base
         # Placement-relevant facets do.
         for perturbed in (
             config.replace(scale=TINY / 2),
@@ -65,41 +63,39 @@ class TestArtifactCache:
             config.replace(utilization=0.7),
             config.replace(aspect_ratio=2.0),
         ):
-            assert initial_placement_key(spec, perturbed, library) != base
+            assert initial_placement_key(spec, perturbed) != base
 
-    def test_config_perturbation_invalidates(self, tmp_path, spec, library):
+    def test_config_perturbation_invalidates(self, tmp_path, spec):
         cache = ArtifactCache(tmp_path)
         config = RunConfig(scale=TINY)
         recorder = FlightRecorder()
         with recorder.attach():
-            load_or_prepare_initial(spec, config, library, cache)
+            load_or_prepare_initial(spec, config, cache)
             _, hit = load_or_prepare_initial(
-                spec, config.replace(utilization=0.7), library, cache
+                spec, config.replace(utilization=0.7), cache
             )
         assert not hit
         assert recorder.to_dict()["metrics"]["counters"]["cache.miss"] == 2
 
-    def test_corrupted_entry_recomputes(self, tmp_path, spec, library):
+    def test_corrupted_entry_recomputes(self, tmp_path, spec):
         cache = ArtifactCache(tmp_path)
         config = RunConfig(scale=TINY)
-        load_or_prepare_initial(spec, config, library, cache)
-        key = initial_placement_key(spec, config, library)
+        load_or_prepare_initial(spec, config, cache)
+        key = initial_placement_key(spec, config)
         cache.path_for(key).write_bytes(b"\x00not a pickle")
         recorder = FlightRecorder()
         with recorder.attach():
-            initial, hit = load_or_prepare_initial(
-                spec, config, library, cache
-            )
+            initial, hit = load_or_prepare_initial(spec, config, cache)
         assert not hit
         assert isinstance(initial, InitialPlacement)
         assert recorder.to_dict()["metrics"]["counters"]["cache.corrupt"] == 1
         # The bad entry was replaced: the next load hits again.
-        _, hit = load_or_prepare_initial(spec, config, library, cache)
+        _, hit = load_or_prepare_initial(spec, config, cache)
         assert hit
 
-    def test_no_cache_always_computes(self, spec, library):
+    def test_no_cache_always_computes(self, spec):
         config = RunConfig(scale=TINY)
-        initial, hit = load_or_prepare_initial(spec, config, library, None)
+        initial, hit = load_or_prepare_initial(spec, config)
         assert isinstance(initial, InitialPlacement) and not hit
 
     def test_library_fingerprint_stable(self, library):
@@ -107,13 +103,13 @@ class TestArtifactCache:
             make_asap7_library()
         )
 
-    def test_protocol5_header_reports_payload_size(self, tmp_path, spec, library):
+    def test_protocol5_header_reports_payload_size(self, tmp_path, spec):
         import numpy as np
 
         cache = ArtifactCache(tmp_path)
         config = RunConfig(scale=TINY)
-        initial, _ = load_or_prepare_initial(spec, config, library, cache)
-        key = initial_placement_key(spec, config, library)
+        initial, _ = load_or_prepare_initial(spec, config, cache)
+        key = initial_placement_key(spec, config)
         header = cache.entry_header(key)
         # The header is readable without unpickling and accounts for the
         # whole on-disk payload: pickle body + raw out-of-band buffers.
@@ -321,12 +317,10 @@ class TestTestcaseGroups:
             assert "flow.5" in flow5
             assert not [n for n in flow5 if n.startswith("rap.")], flow5
 
-    def test_rows_equal_standalone_flow_runs(self, pooled_sweep, library):
+    def test_rows_equal_standalone_flow_runs(self, pooled_sweep):
         config = RunConfig(scale=TINY)
         for tc in GROUP_TESTCASES:
-            initial, _ = load_or_prepare_initial(
-                _testcase_by_id(tc), config, library, None
-            )
+            initial, _ = load_or_prepare_initial(_testcase_by_id(tc), config)
             for flow in ALL_FLOWS:
                 seed = config.job_seed(tc, flow)
                 runner = FlowRunner(

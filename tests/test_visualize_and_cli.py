@@ -18,7 +18,7 @@ def flow(placed_small):
 
 class TestSvg:
     def test_well_formed(self, flow, placed_small):
-        fences = FenceRegions.from_floorplan(flow.placed.floorplan, 7.5)
+        fences = {7.5: FenceRegions.from_floorplan(flow.placed.floorplan, 7.5)}
         text = placement_svg(
             flow.placed,
             minority_indices=placed_small.minority_indices,
@@ -41,9 +41,9 @@ class TestSvg:
         assert text.count('fill="#d43b3b"') == len(placed_small.minority_indices)
 
     def test_fence_overlay(self, flow):
-        fences = FenceRegions.from_floorplan(flow.placed.floorplan, 7.5)
+        fences = {7.5: FenceRegions.from_floorplan(flow.placed.floorplan, 7.5)}
         text = placement_svg(flow.placed, fences=fences)
-        assert text.count('fill="#ffe66d"') == len(fences.rects)
+        assert text.count('fill="#ffe66d"') == len(fences[7.5].rects)
 
     def test_title_optional(self, flow):
         with_title = placement_svg(flow.placed, title="hello")
