@@ -113,7 +113,7 @@ def test_bench_tetris(benchmark, flat_design, library):
 
 
 def test_bench_clustering(benchmark, initial):
-    idx = initial.minority_indices
+    ((idx, _widths),) = initial.classes().values()
     cx = initial.placed.x[idx]
     cy = initial.placed.y[idx]
     result = benchmark(cluster_minority_cells, cx, cy, 0.2)
@@ -121,7 +121,7 @@ def test_bench_clustering(benchmark, initial):
 
 
 def test_bench_cost_matrix(benchmark, initial):
-    idx = initial.minority_indices
+    ((idx, widths),) = initial.classes().values()
     clustering = cluster_minority_cells(
         initial.placed.x[idx], initial.placed.y[idx], 0.2
     )
@@ -132,13 +132,13 @@ def test_bench_cost_matrix(benchmark, initial):
         clustering.labels,
         clustering.n_clusters,
         initial.pair_center_y,
-        initial.minority_widths_original,
+        widths,
     )
     assert costs.disp.shape[0] == clustering.n_clusters
 
 
 def test_bench_rap_ilp(benchmark, initial):
-    idx = initial.minority_indices
+    ((idx, widths),) = initial.classes().values()
     clustering = cluster_minority_cells(
         initial.placed.x[idx], initial.placed.y[idx], 0.2
     )
@@ -148,7 +148,7 @@ def test_bench_rap_ilp(benchmark, initial):
         clustering.labels,
         clustering.n_clusters,
         initial.pair_center_y,
-        initial.minority_widths_original,
+        widths,
     )
     f = costs.combine(0.75)
     n_minr = max(

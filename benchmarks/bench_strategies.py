@@ -38,7 +38,7 @@ def test_strategies(benchmark, scale):
             free, *_ = runner.ilp_assignment()
             region = region_based_flow(initial)
 
-            idx = initial.minority_indices
+            ((idx, widths),) = initial.classes().values()
             clustering = cluster_minority_cells(
                 initial.placed.x[idx] + initial.placed.widths[idx] / 2,
                 initial.placed.y[idx] + initial.placed.heights[idx] / 2,
@@ -46,7 +46,7 @@ def test_strategies(benchmark, scale):
             )
             costs = compute_rap_costs(
                 initial.placed, idx, clustering.labels, clustering.n_clusters,
-                initial.pair_center_y, initial.minority_widths_original,
+                initial.pair_center_y, widths,
             )
             pattern = alternating_pattern(
                 len(initial.pair_center_y), runner.n_minority_rows

@@ -22,7 +22,7 @@ def main() -> None:
     initial = prepare_initial_placement(design, library)
     print(
         f"{spec.testcase_id}: {design.num_instances} cells, "
-        f"{len(initial.minority_indices)} minority"
+        f"{sum(len(i) for i in initial.class_indices.values())} minority"
     )
 
     base = RCPPParams()

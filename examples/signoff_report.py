@@ -42,14 +42,15 @@ def main() -> None:
 
     # Track-height swap (paper conclusion / future work): demote 7.5T
     # cells whose slack survives the slower 6T variant.
+    tall = initial.class_indices[7.5]
     result = swap_track_heights(
         flow.placed,
-        initial.minority_indices,
+        tall,
         net_lengths_from_hpwl(flow.placed),
         slack_margin_ps=100.0,
     )
     print(
-        f"track swap: {result.demoted} of {len(initial.minority_indices)} "
+        f"track swap: {result.demoted} of {len(tall)} "
         f"minority cells demoted to 6T "
         f"(WNS {result.wns_before_ps:.0f} -> {result.wns_after_ps:.0f} ps)"
     )

@@ -11,6 +11,8 @@ Run:  python examples/visualize_placement.py [outdir]
 import pathlib
 import sys
 
+import numpy as np
+
 from repro import FlowKind, FlowRunner, RunConfig
 from repro.core.fence import FenceRegions
 from repro.eval.visualize import save_placement_svg
@@ -31,11 +33,12 @@ def main() -> None:
         track: FenceRegions.from_floorplan(flow.placed.floorplan, track)
         for track in initial.heights.minority_tracks
     }
+    minority = np.concatenate(list(initial.class_indices.values()))
 
     a = outdir / "fig3a_initial.svg"
     save_placement_svg(
         str(a), initial.placed,
-        minority_indices=initial.minority_indices,
+        minority_indices=minority,
         title=f"(a) {spec.testcase_id}: unconstrained initial placement (mLEF)",
     )
     b = outdir / "fig3b_fences.svg"
@@ -48,7 +51,7 @@ def main() -> None:
     c = outdir / "fig3c_final.svg"
     save_placement_svg(
         str(c), flow.placed,
-        minority_indices=initial.minority_indices,
+        minority_indices=minority,
         fences=fences,
         title="(c) final row-constraint placement",
     )

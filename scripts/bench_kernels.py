@@ -188,42 +188,17 @@ def rap_instance(library):
     """Full-scale RAP arrays of ``RAP_TESTCASE``: (f, w, cap, N_minR).
 
     Exactly the instance ``FlowRunner.ilp_assignment`` hands to the
-    solver chain (default params, ``row_fill`` already applied).
+    solver chain (default params, ``row_fill`` already applied), built
+    by the runner itself.
     """
-    from repro.core.clustering import cluster_minority_cells
-    from repro.core.cost import compute_rap_costs
-    from repro.core.params import RCPPParams
-    from repro.core.rap import required_minority_pairs
-
-    params = RCPPParams()
     design = build_testcase(testcase_by_id(RAP_TESTCASE), library, scale=1.0)
-    init = prepare_initial_placement(design, library)
-    cx = init.placed.x[init.minority_indices] + init.placed.widths[
-        init.minority_indices
-    ] / 2.0
-    cy = init.placed.y[init.minority_indices] + init.placed.heights[
-        init.minority_indices
-    ] / 2.0
-    clustering = cluster_minority_cells(
-        cx, cy, params.s, params.kmeans_max_iterations
-    )
-    costs = compute_rap_costs(
-        init.placed,
-        init.minority_indices,
-        clustering.labels,
-        clustering.n_clusters,
-        init.pair_center_y,
-        init.minority_widths_original,
-    )
-    n_minr = required_minority_pairs(
-        float(init.minority_widths_original.sum()),
-        float(init.pair_capacity.min()),
-        init.heights.minority[0].fill_target,
-    )
+    runner = FlowRunner(prepare_initial_placement(design, library))
+    (f,), (w,), _ = runner._class_costs()
+    (n_minr,) = runner.row_budgets.values()
     return (
-        costs.combine(params.alpha),
-        costs.cluster_width,
-        init.pair_capacity * params.row_fill,
+        f,
+        w,
+        runner.initial.pair_capacity * runner.params.row_fill,
         n_minr,
         design.num_instances,
     )

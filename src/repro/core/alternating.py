@@ -119,17 +119,14 @@ def solve_fixed_pattern_rap(
     pair_tracks = [
         minority_track if p in pattern else majority_track for p in range(n_p)
     ]
-    cell_to_pair = cluster_to_pair[labels]
     return RowAssignment(
         pair_tracks=pair_tracks,
         minority_pairs=minority_pairs,
-        cluster_to_pair=cluster_to_pair,
-        cell_to_pair=cell_to_pair,
+        by_track={minority_track: (cluster_to_pair, cluster_to_pair[labels])},
         objective=solution.objective,
         ilp_runtime_s=solution.runtime_s,
         num_variables=n_x,
         solver_nodes=solution.nodes,
-        by_track={minority_track: (cluster_to_pair, cell_to_pair)},
     )
 
 
@@ -201,7 +198,7 @@ def sweep_pattern_phases(
         if best is None or result.objective < best.objective:
             best = result
             best_phase = phase
-        prior = (best if best is not None else result).cluster_to_pair
+        prior = best.by_track[minority_track][0]
     if best is None:
         raise InfeasibleError("no pattern phase admits a feasible fit")
     return best, best_phase

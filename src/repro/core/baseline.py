@@ -141,21 +141,17 @@ def baseline_row_assignment(
         per_class[h] = (cluster_to_pair, cell_to_pair)
 
     pair_tracks = [majority_track] * n_pairs
-    by_track: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    opened_all = []
-    for h in range(K):
-        cluster_to_pair, cell_to_pair = per_class[h]
+    by_track = {minority_tracks[h]: per_class[h] for h in range(K)}
+    for track, (_, cell_to_pair) in by_track.items():
         for p in np.unique(cell_to_pair).tolist():
-            pair_tracks[p] = minority_tracks[h]
-        by_track[minority_tracks[h]] = (cluster_to_pair, cell_to_pair)
-        opened_all.append(np.unique(cell_to_pair))
+            pair_tracks[p] = track
     return RowAssignment(
         pair_tracks=pair_tracks,
-        minority_pairs=np.unique(np.concatenate(opened_all)),
-        cluster_to_pair=np.concatenate([per_class[h][0] for h in range(K)]),
-        cell_to_pair=np.concatenate([per_class[h][1] for h in range(K)]),
+        minority_pairs=np.unique(
+            np.concatenate([cells for _, cells in by_track.values()])
+        ),
+        by_track=by_track,
         objective=float("nan"),
         ilp_runtime_s=0.0,
         num_variables=0,
-        by_track=by_track,
     )

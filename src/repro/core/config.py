@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
-import json
 import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -112,13 +110,6 @@ class RunConfig:
             "aspect_ratio": self.aspect_ratio,
             "heights": heights.to_dict(),
         }
-
-    def content_hash(self, library: StdCellLibrary) -> str:
-        """Hash of the initial-placement fingerprint (cache key part)."""
-        payload = json.dumps(
-            self.initial_placement_fingerprint(library), sort_keys=True
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_dict(self) -> dict:
         """JSON-able snapshot for sweep reports (the fault plan is not

@@ -68,7 +68,3 @@ class FenceRegions:
         """Vectorized projection: nearest fence-rect center per y value."""
         d = np.abs(np.asarray(y, dtype=float)[:, None] - self.center_ys[None, :])
         return self.center_ys[np.argmin(d, axis=1)]
-
-    def nearest_rect_index(self, y: np.ndarray) -> np.ndarray:
-        d = np.abs(np.asarray(y, dtype=float)[:, None] - self.center_ys[None, :])
-        return np.argmin(d, axis=1)

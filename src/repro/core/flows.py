@@ -106,9 +106,7 @@ class InitialPlacement:
 
     ``heights`` is the resolved spec it was prepared for, and
     ``class_indices`` / ``class_widths_original`` carry every minority
-    class keyed by track.  ``minority_track`` / ``minority_indices`` /
-    ``minority_widths_original`` are read-only views of the first class
-    (for a two-height spec, the only one).
+    class keyed by track, in spec order.
     """
 
     design: Design
@@ -124,18 +122,6 @@ class InitialPlacement:
     class_indices: dict[float, np.ndarray]
     #: Un-mLEF widths per class (the capacity rule's input).
     class_widths_original: dict[float, np.ndarray]
-
-    @property
-    def minority_track(self) -> float:
-        return self.heights.minority_tracks[0]
-
-    @property
-    def minority_indices(self) -> np.ndarray:
-        return self.class_indices[self.minority_track]
-
-    @property
-    def minority_widths_original(self) -> np.ndarray:
-        return self.class_widths_original[self.minority_track]
 
     def classes(self) -> dict[float, tuple[np.ndarray, np.ndarray]]:
         """Track -> (instance indices, original widths), every class."""

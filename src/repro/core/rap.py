@@ -71,22 +71,20 @@ _SA_MAX_ITERATIONS = 40000
 class RowAssignment:
     """Solution of the RAP.
 
-    ``pair_tracks[p]`` is the track height of pair ``p``;
-    ``cluster_to_pair[c]`` the minority pair hosting cluster ``c``;
-    ``cell_to_pair[i]`` the same per minority cell (via its cluster label).
-    Both are concatenated class-major in spec order; ``by_track`` holds
-    each minority class's own ``(cluster_to_pair, cell_to_pair)`` view.
+    ``pair_tracks[p]`` is the track height of pair ``p``.  ``by_track``
+    maps each minority track, in spec order, to its class's
+    ``(cluster_to_pair, cell_to_pair)``: the pair hosting each of the
+    class's clusters, and the same per cell of the class (via its
+    cluster label).
     """
 
     pair_tracks: list[float]
     minority_pairs: np.ndarray
-    cluster_to_pair: np.ndarray
-    cell_to_pair: np.ndarray
+    by_track: dict[float, tuple[np.ndarray, np.ndarray]]
     objective: float
     ilp_runtime_s: float
     num_variables: int
     solver_nodes: int = 0
-    by_track: "dict[float, tuple[np.ndarray, np.ndarray]] | None" = None
 
     @property
     def n_minority_rows(self) -> int:
@@ -336,59 +334,60 @@ def decode_assignment(
     return RowAssignment(
         pair_tracks=pair_tracks,
         minority_pairs=np.unique(np.concatenate(opened_all)),
-        cluster_to_pair=np.concatenate(assignment),
-        cell_to_pair=np.concatenate(
-            [by_track[t][1] for t in minority_tracks]
-        ),
+        by_track=by_track,
         objective=objective,
         ilp_runtime_s=ilp_runtime_s,
         num_variables=num_variables,
         solver_nodes=solver_nodes,
-        by_track=by_track,
     )
 
 
 def repair_assignment(
     base: RowAssignment,
-    cluster_to_pair: np.ndarray,
-    labels: np.ndarray,
+    by_track: dict[float, tuple[np.ndarray, np.ndarray]],
     objective: float,
     runtime_s: float,
     solver_nodes: int = 0,
-    by_track: "dict[float, tuple[np.ndarray, np.ndarray]] | None" = None,
 ) -> RowAssignment:
     """Rebind clusters to pairs under the incumbent's *frozen* row map.
 
-    ECO repair (:func:`solve_rap` with ``dirty_clusters=``) moves
-    clusters only between the incumbent's
-    used pairs, so the repaired assignment must keep ``base``'s
+    ECO repair (:func:`solve_rap` with ``dirty_clusters=``) moves each
+    class's clusters only between the incumbent's pairs of that class's
+    track, so the repaired assignment must keep ``base``'s
     ``pair_tracks`` and ``minority_pairs`` verbatim — including a pair
     the repair vacated, which stays a minority pair so the mixed
     floorplan (and every clean cell's row) is unchanged.  Recomputing
-    the open-pair set from the new ``cluster_to_pair`` (what
-    :func:`decode_assignment` does) would silently unfreeze the row
-    map; this constructor makes the frozen semantics explicit.
+    the open-pair set from the new maps (what :func:`decode_assignment`
+    does) would silently unfreeze the row map; this constructor makes
+    the frozen semantics explicit.  ``by_track`` must keep ``base``'s
+    classes and each class's cluster count.
     """
-    cluster_to_pair = np.asarray(cluster_to_pair, dtype=int)
-    if cluster_to_pair.shape != base.cluster_to_pair.shape:
+    if list(by_track) != list(base.by_track):
         raise ValidationError(
-            "repair must keep the cluster count "
-            f"({cluster_to_pair.shape} vs {base.cluster_to_pair.shape})"
+            "repair must keep the minority classes "
+            f"({list(by_track)} vs {list(base.by_track)})"
         )
-    if not np.all(np.isin(cluster_to_pair, base.minority_pairs)):
-        raise ValidationError(
-            "repair assigned a cluster outside the incumbent's used pairs"
-        )
+    tracks = np.asarray(base.pair_tracks, dtype=float)
+    for track, (cluster_to_pair, _cells) in by_track.items():
+        was = base.by_track[track][0].shape
+        if np.shape(cluster_to_pair) != was:
+            raise ValidationError(
+                f"repair must keep the {track:g}T cluster count "
+                f"({np.shape(cluster_to_pair)} vs {was})"
+            )
+        if not np.isin(cluster_to_pair, np.flatnonzero(tracks == track)).all():
+            raise ValidationError(
+                f"repair moved a {track:g}T cluster off the incumbent's "
+                f"{track:g}T pairs"
+            )
     return RowAssignment(
         pair_tracks=list(base.pair_tracks),
         minority_pairs=base.minority_pairs.copy(),
-        cluster_to_pair=cluster_to_pair,
-        cell_to_pair=cluster_to_pair[np.asarray(labels, dtype=int)],
+        by_track=dict(by_track),
         objective=float(objective),
         ilp_runtime_s=float(runtime_s),
         num_variables=base.num_variables,
         solver_nodes=solver_nodes,
-        by_track=by_track,
     )
 
 

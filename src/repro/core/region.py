@@ -70,19 +70,24 @@ def region_based_flow(
     area share times ``fill_margin`` (regions cannot share space, so each
     needs its own slack), plus a ``breaker_sites``-wide keep-out column.
     Displacement is measured against the mapped initial placement like the
-    row-constraint flows.
+    row-constraint flows.  The split has one minority region, so
+    ``initial`` must have exactly one minority class.
     """
+    if len(initial.class_indices) != 1:
+        raise ValidationError(
+            "the region flow takes one minority class, got tracks "
+            f"{list(initial.class_indices)}"
+        )
+    ((minority_track, minority_indices),) = initial.class_indices.items()
     design = initial.design
     library = initial.library
     fp = initial.floorplan
     die = fp.die
     site = fp.site_width
-    minority_track = initial.minority_track
     majority_track = initial.heights.majority
     h_min = library.row_height(minority_track)
     h_maj = library.row_height(majority_track)
 
-    minority_indices = initial.minority_indices
     mask = np.zeros(design.num_instances, dtype=bool)
     mask[minority_indices] = True
     majority_indices = np.flatnonzero(~mask)

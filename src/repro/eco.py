@@ -739,11 +739,10 @@ class EcoResult:
 def _repair_classes(runner, base, labels_by, app):
     """Per-class incremental RAP repair under the frozen row map.
 
-    Returns ``(cluster_to_pair_concat, labels_concat, by_track,
-    objective, dirty_count, moved_clusters_by_class)``, every class
-    certified.  Raises :class:`_EcoFallback` when any class's restricted
-    repair cannot certify equality with its row-frozen subproblem
-    optimum.
+    Returns ``(by_track, objective, dirty_count,
+    moved_clusters_by_class)``, every class certified.  Raises
+    :class:`_EcoFallback` when any class's restricted repair cannot
+    certify equality with its row-frozen subproblem optimum.
     """
     from repro.core.cost import compute_rap_costs
     from repro.core.rap import solve_rap
@@ -753,13 +752,10 @@ def _repair_classes(runner, base, labels_by, app):
     params = runner.params
     cap = init.pair_capacity * params.row_fill
 
-    parts_c2p: list[np.ndarray] = []
-    parts_labels: list[np.ndarray] = []
     by_track: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     moved_by: list[np.ndarray] = []
     objective = 0.0
     dirty_total = 0
-    offset = 0
     for (track, indices, widths), labels in zip(runner._classes, labels_by):
         warm = np.asarray(base.by_track[track][0], dtype=int)
         n_clusters = len(warm)
@@ -807,18 +803,8 @@ def _repair_classes(runner, base, labels_by, app):
             (new,) = maps
         objective += float(f[np.arange(n_clusters), new].sum())
         moved_by.append(np.flatnonzero(new != warm))
-        parts_c2p.append(new)
-        parts_labels.append(labels + offset)
         by_track[track] = (new, new[labels])
-        offset += n_clusters
-    return (
-        np.concatenate(parts_c2p),
-        np.concatenate(parts_labels),
-        by_track,
-        objective,
-        dirty_total,
-        moved_by,
-    )
+    return by_track, objective, dirty_total, moved_by
 
 
 def _sync_mixed_frame(runner, incumbent, app) -> PlacedDesign:
@@ -853,7 +839,7 @@ def _sync_mixed_frame(runner, incumbent, app) -> PlacedDesign:
 
 
 def _legalize_windows(
-    runner, placed, base, c2p_concat, labels_by, moved_by, app
+    runner, placed, by_track, labels_by, moved_by, app
 ) -> None:
     """Windowed re-legalization: dirty pairs + disturbed majority rows.
 
@@ -870,23 +856,18 @@ def _legalize_windows(
     disturbed_all = np.union1d(
         np.array(sorted(app.resized), dtype=np.int64), app.inserted
     ).astype(np.int64)
-    offset = 0
     for k, (track, indices, _w) in enumerate(runner._classes):
-        warm = np.asarray(base.by_track[track][0], dtype=int)
-        n_clusters = len(warm)
-        new = np.asarray(c2p_concat[offset:offset + n_clusters], dtype=int)
-        offset += n_clusters
-        labels = labels_by[k]
+        cell_to_pair = by_track[track][1]
         # Cells of re-assigned clusters jump to their new pair's center;
         # everything else stays where the incumbent legalizer put it.
         # Membership for the window passes is by *physical* row occupancy
         # — a fence-legalized incumbent places minority cells anywhere in
         # the row-pair union, not at their assigned pair.
-        in_moved = np.isin(labels, moved_by[k])
+        in_moved = np.isin(labels_by[k], moved_by[k])
         moved_cells = indices[in_moved]
         if len(moved_cells):
             placed.y[moved_cells] = (
-                pair_center[new[labels[in_moved]]]
+                pair_center[cell_to_pair[in_moved]]
                 - placed.heights[moved_cells] / 2.0
             )
         affected = np.union1d(
@@ -937,23 +918,21 @@ def run_eco(runner, delta: NetlistDelta, incumbent) -> EcoResult:
         labels_by = getattr(runner, "_ilp_labels", None)
         try:
             runner.policy.inject("eco.repair")
-            if base is None or base.by_track is None:
+            if base is None:
                 raise _EcoFallback("incumbent has no row assignment")
             if labels_by is None or len(labels_by) != len(runner._classes):
                 raise _EcoFallback("no cached clustering labels")
-            (
-                c2p, labels_concat, by_track, objective, n_dirty,
-                moved_by,
-            ) = _repair_classes(runner, base, labels_by, app)
+            by_track, objective, n_dirty, moved_by = _repair_classes(
+                runner, base, labels_by, app
+            )
             placed = _sync_mixed_frame(runner, incumbent, app)
             x0, y0 = placed.clone_positions()
             base_hpwl = hpwl_total(placed)
             assignment = repair_assignment(
-                base, c2p, labels_concat, objective,
-                time.perf_counter() - t0, by_track=by_track,
+                base, by_track, objective, time.perf_counter() - t0
             )
             _legalize_windows(
-                runner, placed, base, c2p, labels_by, moved_by, app
+                runner, placed, by_track, labels_by, moved_by, app
             )
         except _EcoFallback as exc:
             root.annotate(outcome="fallback", reason=str(exc))
@@ -975,9 +954,10 @@ def run_eco(runner, delta: NetlistDelta, incumbent) -> EcoResult:
             backend=f"{runner.params.solver_backend}+eco",
         )
         runner._ilp = (
-            assignment, 0.0, seconds, int(labels_concat.max()) + 1, prov,
+            assignment, 0.0, seconds,
+            sum(len(c2p) for c2p, _ in by_track.values()), prov,
         )
-        runner._rap_warm = [by_track[t][0] for t, _i, _w in runner._classes]
+        runner._rap_warm = [c2p for c2p, _ in by_track.values()]
         emit_event(
             "eco.repaired",
             seconds=seconds,

@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.config import RunConfig
-from repro.core.flows import FlowKind
+from repro.core.flows import FlowKind, FlowRunner
 from repro.core.params import RCPPParams
 from repro.eval.report import format_table
-from repro.experiments.runner import run_testcase
+from repro.experiments.artifact_cache import load_or_prepare_initial
 from repro.experiments.testcases import (
     QUICK_SUBSET_IDS,
     TestcaseSpec,
@@ -49,13 +49,15 @@ def run(
     disp = np.zeros_like(runtime)
     hpwl = np.zeros_like(runtime)
     for t, spec in enumerate(testcases):
+        # s does not enter the initial placement: every s starts from
+        # the same one.
+        initial, _ = load_or_prepare_initial(spec, config)
         for k, s in enumerate(all_s):
-            tc = run_testcase(
-                spec,
-                (FlowKind.FLOW4,),
-                config=config.replace(params=replace(config.params, s=s)),
-            )
-            result = tc.results[FlowKind.FLOW4]
+            result = FlowRunner(
+                initial,
+                replace(config.params, s=s),
+                fault_plan=config.fault_plan,
+            ).run(FlowKind.FLOW4)
             runtime[k, t] = result.times.stages["rap_ilp"]
             disp[k, t] = result.displacement
             hpwl[k, t] = result.hpwl

@@ -18,11 +18,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.config import RunConfig
-from repro.core.flows import FlowKind
+from repro.core.flows import FlowKind, FlowRunner
 from repro.core.params import RCPPParams
 from repro.eval.normalize import normalize_01
 from repro.eval.report import format_table
-from repro.experiments.runner import run_testcase
+from repro.experiments.artifact_cache import load_or_prepare_initial
 from repro.experiments.testcases import (
     PARAMETER_SUBSET_IDS,
     TestcaseSpec,
@@ -52,10 +52,13 @@ def _sweep(
     hpwl = np.zeros_like(disp)
     runtime = np.zeros_like(disp)
     for t, spec in enumerate(testcases):
+        # Neither s nor alpha enters the initial placement: every point
+        # of a testcase starts from the same one.
+        initial, _ = load_or_prepare_initial(spec, config)
         for p, value in enumerate(points):
-            point_config = config.replace(params=make_params(value))
-            tc = run_testcase(spec, (FlowKind.FLOW4,), config=point_config)
-            result = tc.results[FlowKind.FLOW4]
+            result = FlowRunner(
+                initial, make_params(value), fault_plan=config.fault_plan
+            ).run(FlowKind.FLOW4)
             disp[p, t] = result.displacement
             hpwl[p, t] = result.hpwl
             runtime[p, t] = result.times.stages["rap_ilp"]

@@ -47,7 +47,9 @@ def run(
         points.append(
             Fig5Point(
                 testcase_id=spec.testcase_id,
-                minority_instances=len(tc.initial.minority_indices),
+                minority_instances=sum(
+                    len(i) for i in tc.initial.class_indices.values()
+                ),
                 ilp_runtime_s=ilp_s,
             )
         )

@@ -63,7 +63,9 @@ def run(
             ProfileRow(
                 testcase_id=spec.testcase_id,
                 size_class=size_class(spec, config.scale),
-                minority_instances=len(tc.initial.minority_indices),
+                minority_instances=sum(
+                    len(i) for i in tc.initial.class_indices.values()
+                ),
                 rap_fraction=fractions["rap"],
                 legalization_fraction=fractions["legalization"],
             )

@@ -12,7 +12,7 @@ Two supplementary experiments DESIGN.md calls out:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from repro.experiments.testcases import (
 )
 from repro.netlist.generator import GeneratorSpec, generate_netlist
 from repro.netlist.synthesis import size_to_minority_fraction
-from repro.techlib.asap7 import make_asap7_library
 from repro.utils.errors import InfeasibleError
 
 
@@ -56,9 +55,13 @@ def seed_sensitivity(
     seeds: tuple[int, ...] = (0, 1, 2),
     params: RCPPParams | None = None,
 ) -> SeedSensitivityResult:
-    """Re-roll the netlist seed and measure the F5/F2 HPWL ratio spread."""
-    library = make_asap7_library()
+    """Re-roll the netlist seed and measure the F5/F2 HPWL ratio spread.
+
+    Each re-rolled netlist is built on the testcase's own library and
+    sized and placed for its own minority classes.
+    """
     spec: TestcaseSpec = testcase_by_id(testcase_id)
+    library = spec.library()
     ratios = []
     for seed in seeds:
         gen = GeneratorSpec(
@@ -68,8 +71,10 @@ def seed_sensitivity(
             seed=spec.seed + seed,
         )
         design = generate_netlist(gen, library)
-        size_to_minority_fraction(design, spec.paper_pct_75t / 100.0)
-        initial = prepare_initial_placement(design, library)
+        size_to_minority_fraction(design, dict(spec.fractions))
+        initial = prepare_initial_placement(
+            design, library, heights=spec.heights
+        )
         runner = FlowRunner(initial, params)
         f2 = runner.run(FlowKind.FLOW2)
         f5 = runner.run(FlowKind.FLOW5)
@@ -101,43 +106,54 @@ def row_pairing_ablation(
 ) -> RowPairingResult:
     """Solve the RAP at pair and single-row granularity, compare objectives.
 
-    The single-row variant treats every physical row as assignable (twice
-    the rows, half the capacity each, 2x N_minR) — a relaxation of the
-    pairing constraint, so its optimum is never worse.
+    Both solves cover every minority class of the testcase, jointly.
+    The single-row variant treats every physical row as assignable
+    (twice the rows, half the capacity each, twice each class's row
+    budget) — a relaxation of the pairing constraint, so its optimum is
+    never worse.
     """
     params = params or RCPPParams()
     initial, _ = load_or_prepare_initial(
         testcase_by_id(testcase_id), RunConfig(scale=scale, params=params)
     )
-    idx = initial.minority_indices
-    clustering = cluster_minority_cells(
-        initial.placed.x[idx] + initial.placed.widths[idx] / 2,
-        initial.placed.y[idx] + initial.placed.heights[idx] / 2,
-        params.s,
-    )
-
-    def solve_at(pair_center_y, pair_capacity, n_minr):
-        costs = compute_rap_costs(
-            initial.placed, idx, clustering.labels, clustering.n_clusters,
-            pair_center_y, initial.minority_widths_original,
+    budgets = FlowRunner(initial, params).row_budgets
+    classes = initial.classes()
+    clusterings = {
+        track: cluster_minority_cells(
+            initial.placed.x[idx] + initial.placed.widths[idx] / 2,
+            initial.placed.y[idx] + initial.placed.heights[idx] / 2,
+            params.s,
         )
+        for track, (idx, _widths) in classes.items()
+    }
+
+    def solve_at(pair_center_y, pair_capacity, rows_per_pair):
+        f_by, w_by = [], []
+        for track in budgets:
+            idx, widths = classes[track]
+            clustering = clusterings[track]
+            costs = compute_rap_costs(
+                initial.placed, idx, clustering.labels,
+                clustering.n_clusters, pair_center_y, widths,
+            )
+            f_by.append(costs.combine(params.alpha))
+            w_by.append(costs.cluster_width)
         solution, _, _ = solve_rap(
-            [costs.combine(params.alpha)],
-            [costs.cluster_width],
+            f_by,
+            w_by,
             pair_capacity * params.row_fill,
-            [n_minr],
+            [rows_per_pair * n for n in budgets.values()],
         )
         if not solution.ok:
             raise InfeasibleError(f"RAP solve failed: {solution.status}")
         return solution
 
-    n_minr = FlowRunner(initial, params).row_budgets[initial.minority_track]
-    paired = solve_at(initial.pair_center_y, initial.pair_capacity, n_minr)
+    paired = solve_at(initial.pair_center_y, initial.pair_capacity, 1)
 
     rows = initial.floorplan.rows
     row_center_y = np.array([r.center_y for r in rows])
     row_capacity = np.array([float(r.width) for r in rows])
-    single = solve_at(row_center_y, row_capacity, 2 * n_minr)
+    single = solve_at(row_center_y, row_capacity, 2)
 
     return RowPairingResult(
         paired_objective=paired.objective,

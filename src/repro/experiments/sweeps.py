@@ -44,9 +44,13 @@ def utilization_sweep(
     utilizations: tuple[float, ...] = (0.5, 0.6, 0.7, 0.8),
     params: RCPPParams | None = None,
 ) -> list[SweepRow]:
-    """Row-constraint overhead versus die utilization."""
-    library = make_asap7_library()
+    """Row-constraint overhead versus die utilization.
+
+    Each netlist is built on the testcase's own library and sized and
+    placed for its own minority classes.
+    """
     spec = testcase_by_id(testcase_id)
+    library = spec.library()
     rows: list[SweepRow] = []
     for util in utilizations:
         gen = GeneratorSpec(
@@ -56,9 +60,9 @@ def utilization_sweep(
             seed=spec.seed,
         )
         design = generate_netlist(gen, library)
-        size_to_minority_fraction(design, spec.paper_pct_75t / 100.0)
+        size_to_minority_fraction(design, dict(spec.fractions))
         initial = prepare_initial_placement(
-            design, library, utilization=util
+            design, library, utilization=util, heights=spec.heights
         )
         runner = FlowRunner(initial, params)
         f1 = runner.run(FlowKind.FLOW1)

@@ -47,7 +47,15 @@ class SynthesisResult:
 
     @property
     def minority_fraction(self) -> float:
-        return self.design.minority_fraction(7.5)
+        """Share of instances above the library's shortest track: every
+        minority class."""
+        instances = self.design.instances
+        if not instances:
+            return 0.0
+        base = min(self.design.library.track_heights)
+        return sum(
+            i.master.track_height > base for i in instances
+        ) / len(instances)
 
 
 def _strength_ladders(

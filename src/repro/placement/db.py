@@ -11,7 +11,7 @@ objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,9 +144,6 @@ class Floorplan:
             if row.y <= y < row.y + row.height:
                 return row
         return self.rows[-1]
-
-    def row_y_array(self) -> np.ndarray:
-        return np.array([r.y for r in self.rows], dtype=float)
 
 
 class PlacedDesign:

@@ -57,12 +57,6 @@ class RoutingGrid:
         )
         return ix, iy
 
-    def center_of(self, ix: int, iy: int) -> tuple[float, float]:
-        return (
-            self.die.xlo + (ix + 0.5) * self.cell_w,
-            self.die.ylo + (iy + 0.5) * self.cell_h,
-        )
-
     # -- usage -------------------------------------------------------------
 
     def add_h_span(self, iy: int, ix0: int, ix1: int, amount: float = 1.0) -> None:

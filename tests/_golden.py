@@ -153,11 +153,15 @@ def capture_models() -> dict[str, np.ndarray]:
 
 
 def assignment_arrays(prefix: str, assignment) -> dict[str, np.ndarray]:
+    """The frozen arrays of one assignment; the cluster and cell maps are
+    the per-class maps of ``by_track`` concatenated class-major in spec
+    order (the layout the fixtures were captured in)."""
+    maps = list(assignment.by_track.values())
     return {
         f"{prefix}.pair_tracks": np.asarray(assignment.pair_tracks, dtype=float),
         f"{prefix}.minority_pairs": np.asarray(assignment.minority_pairs),
-        f"{prefix}.cluster_to_pair": np.asarray(assignment.cluster_to_pair),
-        f"{prefix}.cell_to_pair": np.asarray(assignment.cell_to_pair),
+        f"{prefix}.cluster_to_pair": np.concatenate([c for c, _ in maps]),
+        f"{prefix}.cell_to_pair": np.concatenate([c for _, c in maps]),
         f"{prefix}.objective": np.array([assignment.objective]),
         f"{prefix}.num_variables": np.array([assignment.num_variables]),
     }
@@ -178,12 +182,11 @@ def capture_legalizers(runner: FlowRunner) -> dict[str, np.ndarray]:
     """Both legalizers on the flow-(5) ILP assignment of the twin."""
     init = runner.initial
     assignment = runner.ilp_assignment()[0]
-    track = init.minority_track
+    ((track, indices),) = init.class_indices.items()
     out: dict[str, np.ndarray] = {}
     placed = runner._build_mixed_placement(assignment)
     result = abacus_rc_legalize(
-        placed,
-        {track: (init.minority_indices, assignment.by_track[track][1])},
+        placed, {track: (indices, assignment.by_track[track][1])}
     )
     out.update(
         {"abacus_rc.x": placed.x, "abacus_rc.y": placed.y,
@@ -191,7 +194,7 @@ def capture_legalizers(runner: FlowRunner) -> dict[str, np.ndarray]:
     )
     placed = runner._build_mixed_placement(assignment)
     result = fence_region_legalize(
-        placed, {track: init.minority_indices},
+        placed, {track: indices},
         refine_iterations=runner.params.refine_iterations,
     )
     out.update(

@@ -334,3 +334,42 @@ class TestRemovedIn7:
         for spec in NHEIGHT_TESTCASES:
             assert isinstance(spec, TestcaseSpec)
             assert testcase_by_id(spec.testcase_id) is spec
+
+
+class TestRemovedIn8:
+    """The 8.0 removals: one per-class map for minority cells and row
+    assignments, and four methods no caller used."""
+
+    def test_first_class_views_absent(self):
+        for name in (
+            "minority_track", "minority_indices", "minority_widths_original",
+        ):
+            assert not hasattr(repro.InitialPlacement, name), name
+
+    def test_row_assignment_has_one_map(self):
+        fields = {f.name: f for f in dataclasses.fields(repro.RowAssignment)}
+        assert "cluster_to_pair" not in fields
+        assert "cell_to_pair" not in fields
+        assert fields["by_track"].default is dataclasses.MISSING
+
+    def test_repair_assignment_takes_per_class_maps(self):
+        import inspect
+
+        from repro.core.rap import repair_assignment
+
+        assert list(inspect.signature(repair_assignment).parameters) == [
+            "base", "by_track", "objective", "runtime_s", "solver_nodes",
+        ]
+
+    def test_uncalled_methods_absent(self):
+        from repro.core.fence import FenceRegions
+        from repro.placement.db import Floorplan
+        from repro.route.grid import RoutingGrid
+
+        for owner, name in (
+            (RunConfig, "content_hash"),
+            (FenceRegions, "nearest_rect_index"),
+            (Floorplan, "row_y_array"),
+            (RoutingGrid, "center_of"),
+        ):
+            assert not hasattr(owner, name), name

@@ -19,6 +19,11 @@ def assign(y, w, centers, cap, n_minority_rows):
     )
 
 
+def cells(assignment):
+    """The 7.5T class's cell -> pair map."""
+    return assignment.by_track[7.5][1]
+
+
 class TestKmeans1d:
     def test_separated_groups(self):
         values = np.concatenate([np.full(10, 0.0), np.full(10, 100.0)])
@@ -46,8 +51,8 @@ class TestBaselineAssignment:
         cap = np.full(10, 4000.0)
         a = assign(y, w, pairs(), cap, n_minority_rows=3)
         assert a.n_minority_rows == 3
-        assert a.cell_to_pair.shape == (40,)
-        assert set(np.unique(a.cell_to_pair).tolist()) <= set(
+        assert cells(a).shape == (40,)
+        assert set(np.unique(cells(a)).tolist()) <= set(
             a.minority_pairs.tolist()
         )
 
@@ -57,8 +62,8 @@ class TestBaselineAssignment:
         w = np.full(20, 100.0)
         cap = np.full(10, 4000.0)
         a = assign(y, w, pairs(), cap, n_minority_rows=2)
-        low = set(a.cell_to_pair[:10].tolist())
-        high = set(a.cell_to_pair[10:].tolist())
+        low = set(cells(a)[:10].tolist())
+        high = set(cells(a)[10:].tolist())
         assert len(low) == 1 and len(high) == 1
         assert max(low) < min(high)
 
@@ -69,7 +74,7 @@ class TestBaselineAssignment:
         cap = np.full(10, 2000.0)  # one pair holds only 4 cells
         a = assign(y, w, pairs(), cap, n_minority_rows=3)
         loads = np.zeros(10)
-        np.add.at(loads, a.cell_to_pair, w)
+        np.add.at(loads, cells(a), w)
         assert (loads <= cap + 1e-9).all()
 
     def test_derives_n_minr(self):
@@ -109,7 +114,7 @@ class TestBaselineAssignment:
         cap = np.full(10, 4000.0)
         a = assign(y, w, pairs(), cap, n_minority_rows=3)
         b = assign(y, w, pairs(), cap, n_minority_rows=3)
-        assert np.array_equal(a.cell_to_pair, b.cell_to_pair)
+        assert np.array_equal(cells(a), cells(b))
 
     def test_no_ilp_metadata(self):
         y = np.full(4, 1000.0)

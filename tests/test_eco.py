@@ -26,7 +26,7 @@ import pytest
 from repro.core.flows import FlowKind, FlowRunner, prepare_initial_placement
 from repro.core.heights import HeightSpec
 from repro.core.params import RCPPParams
-from repro.core.rap import repair_assignment
+from repro.core.rap import decode_assignment, repair_assignment
 from repro.eco import (
     DeleteOp,
     InsertOp,
@@ -351,18 +351,59 @@ class TestRepairAssignment:
     def test_foreign_pair_rejected(self, library):
         design, runner, incumbent = _incumbent(library, n_cells=300, seed=9)
         base = incumbent.assignment
-        bad = base.cluster_to_pair.copy()
-        foreign = int(max(base.minority_pairs)) + 1
-        bad[0] = foreign
-        labels = np.zeros(len(base.cell_to_pair), dtype=int)
+        bad = base.by_track[7.5][0].copy()
+        bad[0] = int(max(base.minority_pairs)) + 1
         with pytest.raises(ValidationError):
-            repair_assignment(base, bad, labels, 0.0, 0.0)
+            repair_assignment(
+                base, {7.5: (bad, bad[runner._ilp_labels[0]])}, 0.0, 0.0
+            )
 
     def test_cluster_count_frozen(self, library):
         design, runner, incumbent = _incumbent(library, n_cells=300, seed=9)
         base = incumbent.assignment
-        labels = np.zeros(len(base.cell_to_pair), dtype=int)
+        cluster_to_pair, cell_to_pair = base.by_track[7.5]
         with pytest.raises(ValidationError):
             repair_assignment(
-                base, base.cluster_to_pair[:-1], labels, 0.0, 0.0
+                base, {7.5: (cluster_to_pair[:-1], cell_to_pair)}, 0.0, 0.0
+            )
+
+    @staticmethod
+    def _two_class_base():
+        """K = 2: 7.5T clusters on pairs 0-1, 9T clusters on pairs 3-4."""
+        return decode_assignment(
+            [np.array([0, 1, 1]), np.array([3, 4])],
+            [np.array([0, 1, 2, 2]), np.array([0, 1])],
+            [7.5, 9.0],
+            6.0,
+            6,
+            objective=0.0,
+        )
+
+    def test_cluster_on_other_tracks_pair_rejected(self):
+        base = self._two_class_base()
+        moved = np.array([0, 1, 3])  # a 7.5T cluster onto 9T pair 3
+        by_track = {7.5: (moved, moved[[0, 1, 2, 2]]), 9.0: base.by_track[9.0]}
+        with pytest.raises(ValidationError, match="7.5T cluster off"):
+            repair_assignment(base, by_track, 0.0, 0.0)
+
+    def test_moves_within_own_track_keep_the_row_map(self):
+        base = self._two_class_base()
+        moved = np.array([1, 1, 1])  # pair 0 vacated, still 7.5T
+        repaired = repair_assignment(
+            base,
+            {7.5: (moved, moved[[0, 1, 2, 2]]), 9.0: base.by_track[9.0]},
+            1.5,
+            0.0,
+        )
+        assert repaired.pair_tracks == base.pair_tracks
+        assert repaired.minority_pairs.tolist() == [0, 1, 3, 4]
+        assert repaired.by_track[7.5][0].tolist() == [1, 1, 1]
+        assert repaired.by_track[9.0][0].tolist() == [3, 4]
+        assert repaired.objective == 1.5
+
+    def test_classes_frozen(self):
+        base = self._two_class_base()
+        with pytest.raises(ValidationError, match="minority classes"):
+            repair_assignment(
+                base, {7.5: base.by_track[7.5]}, 0.0, 0.0
             )

@@ -52,3 +52,18 @@ def test_visualize_runs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fig3c_final.svg" in out
     assert (tmp_path / "fig3a_initial.svg").exists()
+
+
+def test_parameter_tuning_runs(capsys):
+    _run("parameter_tuning.py", [])
+    out = capsys.readouterr().out
+    assert "minority" in out
+    assert "clustering resolution s" in out
+    assert "cost weight alpha" in out
+
+
+def test_signoff_report_runs(capsys):
+    _run("signoff_report.py", [])
+    out = capsys.readouterr().out
+    assert "netlist statistics" in out
+    assert "track swap:" in out

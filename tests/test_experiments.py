@@ -188,3 +188,184 @@ class TestMoreExperimentRunners:
         assert len(points) == 1
         assert points[0].s == 0.2
         assert points[0].ilp_runtime_cut <= 1.0
+
+
+#: The three-height twin at 1/48: 400 cells, 40 at 7.5T and 20 at 9T.
+NHEIGHT_ID = "aes3h_340"
+NHEIGHT_CONFIG = RunConfig(scale=1 / 48)
+
+
+class TestEveryMinorityClass:
+    """Every experiment reader covers every minority class of a testcase."""
+
+    @pytest.mark.filterwarnings("ignore::numpy.exceptions.RankWarning")
+    def test_fig5_counts_every_class(self):
+        result = fig5.run(
+            testcases=(_by_id(NHEIGHT_ID),), config=NHEIGHT_CONFIG
+        )
+        assert [p.minority_instances for p in result.points] == [60]
+
+    def test_profile_counts_every_class(self):
+        from repro.experiments import profile_runtime
+
+        result = profile_runtime.run(
+            testcases=(_by_id(NHEIGHT_ID),), config=NHEIGHT_CONFIG
+        )
+        assert [r.minority_instances for r in result.rows] == [60]
+
+    def test_row_pairing_solves_every_class(self, monkeypatch):
+        from repro.experiments import sensitivity
+
+        costed, budgets = [], []
+        compute_rap_costs = sensitivity.compute_rap_costs
+        solve_rap = sensitivity.solve_rap
+
+        def spy_costs(placed, indices, *args):
+            costed.append(len(indices))
+            return compute_rap_costs(placed, indices, *args)
+
+        def spy_solve(f_by, w_by, cap, class_budgets, **kw):
+            budgets.append(list(class_budgets))
+            return solve_rap(f_by, w_by, cap, class_budgets, **kw)
+
+        monkeypatch.setattr(sensitivity, "compute_rap_costs", spy_costs)
+        monkeypatch.setattr(sensitivity, "solve_rap", spy_solve)
+        result = sensitivity.row_pairing_ablation(NHEIGHT_ID, scale=1 / 48)
+        # Classes in spec order (7.5T, 9T), paired then single-row.
+        assert costed == [40, 20, 40, 20]
+        paired, single = budgets
+        assert len(paired) == 2
+        assert single == [2 * n for n in paired]
+        assert result.single_row_objective <= result.paired_objective
+
+    def test_row_pairing_two_height_unchanged(self):
+        from repro.experiments.sensitivity import row_pairing_ablation
+
+        result = row_pairing_ablation("aes_300", scale=1 / 48)
+        assert result.paired_objective == pytest.approx(64715.75, rel=1e-9)
+        assert result.single_row_objective == pytest.approx(
+            20536.445054945056, rel=1e-9
+        )
+
+    @staticmethod
+    def _stop_at_placement(monkeypatch, module):
+        """Record what ``module`` places, then stop before any flow."""
+        seen = {}
+
+        class Placed(Exception):
+            pass
+
+        def prepare(design, library, **kw):
+            seen["tracks"] = set(library.track_heights)
+            seen["heights"] = kw.get("heights")
+            seen["counts"] = {
+                t: sum(
+                    i.master.track_height == t for i in design.instances
+                )
+                for t in (7.5, 9.0)
+            }
+            raise Placed
+
+        monkeypatch.setattr(module, "prepare_initial_placement", prepare)
+        return seen, Placed
+
+    @pytest.mark.parametrize(
+        "module, study",
+        [("sensitivity", "seed_sensitivity"), ("sweeps", "utilization_sweep")],
+    )
+    def test_generator_studies_build_every_class(
+        self, monkeypatch, module, study
+    ):
+        import importlib
+
+        module = importlib.import_module(f"repro.experiments.{module}")
+        seen, placed = self._stop_at_placement(monkeypatch, module)
+        with pytest.raises(placed):
+            getattr(module, study)(NHEIGHT_ID, scale=1 / 48)
+        spec = _by_id(NHEIGHT_ID)
+        assert seen["tracks"] == {6.0, 7.5, 9.0}
+        assert seen["heights"] == spec.heights
+        assert seen["counts"] == {7.5: 40, 9.0: 20}
+
+    def test_seed_sensitivity_table2_unchanged(self):
+        """A float and a single-entry mapping size identical masters, so
+        a Table II id runs exactly the two-height recipe it always ran."""
+        from repro.core.flows import FlowRunner, prepare_initial_placement
+        from repro.experiments.sensitivity import seed_sensitivity
+        from repro.netlist.generator import GeneratorSpec, generate_netlist
+        from repro.netlist.synthesis import size_to_minority_fraction
+        from repro.techlib.asap7 import make_asap7_library
+
+        spec, scale, seed = _by_id("des3_210"), 1 / 160, 1
+        result = seed_sensitivity("des3_210", scale=scale, seeds=(seed,))
+
+        library = make_asap7_library()
+        design = generate_netlist(
+            GeneratorSpec(
+                name=f"{spec.testcase_id}_s{seed}",
+                n_cells=spec.scaled_cells(scale),
+                clock_period_ps=spec.clock_ps,
+                seed=spec.seed + seed,
+            ),
+            library,
+        )
+        size_to_minority_fraction(design, spec.paper_pct_75t / 100.0)
+        runner = FlowRunner(prepare_initial_placement(design, library))
+        f2 = runner.run(FlowKind.FLOW2)
+        f5 = runner.run(FlowKind.FLOW5)
+        assert result.ratios == (f5.hpwl / f2.hpwl,)
+
+
+class TestOnePlacementPerTestcase:
+    """Parameter sweeps place each testcase once and match the
+    per-point ``run_testcase`` path."""
+
+    @staticmethod
+    def _count_prepares(monkeypatch, module):
+        calls = []
+        load = module.load_or_prepare_initial
+
+        def counting(spec, config, cache=None):
+            calls.append(spec.testcase_id)
+            return load(spec, config, cache)
+
+        monkeypatch.setattr(module, "load_or_prepare_initial", counting)
+        return calls
+
+    @staticmethod
+    def _flow4(config, **params):
+        from dataclasses import replace
+
+        point = config.replace(params=replace(config.params, **params))
+        result = run_testcase(_by_id("aes_400"), (FlowKind.FLOW4,), point)
+        return result.results[FlowKind.FLOW4]
+
+    def test_fig4_matches_per_point_runs(self, monkeypatch):
+        from repro.eval.normalize import normalize_01
+        from repro.experiments import fig4
+
+        s_values = (0.1, 0.2, 0.5)
+        calls = self._count_prepares(monkeypatch, fig4)
+        points = fig4.run_s_sweep(
+            config=CONFIG, testcase_ids=("aes_400",), s_values=s_values
+        )
+        assert calls == ["aes_400"]
+        runs = [self._flow4(CONFIG, s=s) for s in s_values]
+        disp = normalize_01(np.array([r.displacement for r in runs]))
+        hpwl = normalize_01(np.array([r.hpwl for r in runs]))
+        assert [p.displacement for p in points] == disp.tolist()
+        assert [p.hpwl for p in points] == hpwl.tolist()
+
+    def test_clustering_impact_matches_per_point_runs(self, monkeypatch):
+        from repro.experiments import clustering_impact
+
+        calls = self._count_prepares(monkeypatch, clustering_impact)
+        (point,) = clustering_impact.run(
+            testcase_ids=("aes_400",), config=CONFIG, s_values=(0.2,)
+        )
+        assert calls == ["aes_400"]
+        reference, clustered = (self._flow4(CONFIG, s=s) for s in (1.0, 0.2))
+        assert point.displacement_overhead == (
+            clustered.displacement / reference.displacement - 1.0
+        )
+        assert point.hpwl_overhead == clustered.hpwl / reference.hpwl - 1.0

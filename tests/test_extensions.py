@@ -41,7 +41,7 @@ class TestFixedPatternRap:
     @pytest.fixture(scope="class")
     def costs(self, placed_small):
         init = placed_small
-        idx = init.minority_indices
+        idx = init.class_indices[7.5]
         clustering = cluster_minority_cells(
             init.placed.x[idx] + init.placed.widths[idx] / 2,
             init.placed.y[idx] + init.placed.heights[idx] / 2,
@@ -53,7 +53,7 @@ class TestFixedPatternRap:
             clustering.labels,
             clustering.n_clusters,
             init.pair_center_y,
-            init.minority_widths_original,
+            init.class_widths_original[7.5],
         )
         return init, clustering, costs
 
@@ -74,7 +74,7 @@ class TestFixedPatternRap:
             clustering.labels,
         )
         assert fixed.objective >= free.objective - 1e-6
-        assert set(fixed.cluster_to_pair.tolist()) <= set(pattern.tolist())
+        assert set(fixed.by_track[7.5][0].tolist()) <= set(pattern.tolist())
 
     def test_capacity_checked(self, costs):
         init, clustering, c = costs
@@ -94,7 +94,7 @@ class TestFixedPatternRap:
             clustering.labels,
         )
         loads = np.zeros(len(init.pair_center_y))
-        np.add.at(loads, fixed.cluster_to_pair, c.cluster_width)
+        np.add.at(loads, fixed.by_track[7.5][0], c.cluster_width)
         assert (loads <= init.pair_capacity + 1e-6).all()
 
 
@@ -104,7 +104,7 @@ class TestRegionFlow:
         init = placed_small
         split = result.split_x
         breaker = result.breaker_width
-        minority = set(init.minority_indices.tolist())
+        minority = set(init.class_indices[7.5].tolist())
         placed = result.placed
         for i in range(placed.design.num_instances):
             if i in minority:
@@ -120,6 +120,20 @@ class TestRegionFlow:
 
     def test_displacement_positive(self, placed_small):
         assert region_based_flow(placed_small).displacement > 0
+
+    def test_two_minority_classes_rejected(self):
+        from repro.core.heights import HeightSpec
+        from repro.netlist.synthesis import size_to_minority_fraction
+        from repro.techlib.asap7 import make_asap7_library
+
+        lib3 = make_asap7_library(tracks=(6.0, 7.5, 9.0))
+        design = make_design(lib3, n_cells=300, minority_fraction=0.0, seed=8)
+        size_to_minority_fraction(design, {9.0: 0.05, 7.5: 0.10})
+        initial = prepare_initial_placement(
+            design, lib3, heights=HeightSpec(6.0, (7.5, 9.0))
+        )
+        with pytest.raises(ValidationError, match="one minority class"):
+            region_based_flow(initial)
 
 
 class TestTrackSwap:
@@ -137,12 +151,12 @@ class TestTrackSwap:
         initial, flow = relaxed
         lengths = net_lengths_from_hpwl(flow.placed)
         result = swap_track_heights(
-            flow.placed, initial.minority_indices, lengths,
+            flow.placed, initial.class_indices[7.5], lengths,
             slack_margin_ps=50.0,
         )
         assert result.candidates > 0
         assert result.demoted > 0
-        assert result.demoted <= 0.25 * len(initial.minority_indices) + 1
+        assert result.demoted <= 0.25 * len(initial.class_indices[7.5]) + 1
 
     def test_placement_stays_legal(self, relaxed):
         initial, flow = relaxed
@@ -170,7 +184,7 @@ class TestTrackSwap:
         flow = FlowRunner(placed_small, RCPPParams()).run(FlowKind.FLOW4)
         lengths = net_lengths_from_hpwl(flow.placed)
         result = swap_track_heights(
-            flow.placed, placed_small.minority_indices, lengths,
+            flow.placed, placed_small.class_indices[7.5], lengths,
             slack_margin_ps=1e9,
         )
         assert result.demoted == 0
@@ -180,7 +194,7 @@ class TestTrackSwap:
         with pytest.raises(ValidationError):
             swap_track_heights(
                 flow.placed,
-                initial.minority_indices,
+                initial.class_indices[7.5],
                 net_lengths_from_hpwl(flow.placed),
                 max_swap_fraction=2.0,
             )

@@ -135,7 +135,7 @@ class TestDegenerateDesigns:
             [7.5],
         )
         assert a.n_minority_rows == 1
-        assert set(a.cell_to_pair.tolist()) == {0}
+        assert set(a.by_track[7.5][1].tolist()) == {0}
 
 
 class TestMisuse:

@@ -76,41 +76,39 @@ class TestRowConstraintLegalizations:
 
     def test_abacus_rc_legal_and_constrained(self, flow_setup):
         runner = flow_setup
+        minority = runner.initial.class_indices[7.5]
         assignment, _ = runner.baseline_assignment()
         placed = self._mixed_placement(runner, assignment)
         result = abacus_rc_legalize(
-            placed,
-            {7.5: (runner.initial.minority_indices, assignment.cell_to_pair)},
+            placed, {7.5: (minority, assignment.by_track[7.5][1])}
         )
         assert placed.check_legal() == []
         assert result.displacement > 0
-        self._assert_row_constraint(placed, runner.initial.minority_indices)
+        self._assert_row_constraint(placed, minority)
 
     def test_abacus_rc_honors_assignment(self, flow_setup):
         runner = flow_setup
+        minority = runner.initial.class_indices[7.5]
         assignment, _ = runner.baseline_assignment()
+        cell_to_pair = assignment.by_track[7.5][1]
         placed = self._mixed_placement(runner, assignment)
-        abacus_rc_legalize(
-            placed,
-            {7.5: (runner.initial.minority_indices, assignment.cell_to_pair)},
-        )
+        abacus_rc_legalize(placed, {7.5: (minority, cell_to_pair)})
         pairs = placed.floorplan.row_pairs()
-        for cell, pair_index in zip(
-            runner.initial.minority_indices, assignment.cell_to_pair
-        ):
+        for cell, pair_index in zip(minority, cell_to_pair):
             pair = pairs[pair_index]
             assert pair.y <= placed.y[cell] < pair.y + pair.height
 
     def test_fence_legal_and_constrained(self, flow_setup):
         runner = flow_setup
+        minority = runner.initial.class_indices[7.5]
         assignment, *_ = runner.ilp_assignment()
         placed = self._mixed_placement(runner, assignment)
         result = fence_region_legalize(
-            placed, {7.5: runner.initial.minority_indices}, refine_iterations=2
+            placed, {7.5: minority}, refine_iterations=2
         )
         assert placed.check_legal() == []
         assert result.times.total > 0
-        self._assert_row_constraint(placed, runner.initial.minority_indices)
+        self._assert_row_constraint(placed, minority)
 
     def test_fence_moves_more_than_abacus(self, flow_setup):
         """The paper's structural trade-off: fence legalization ignores the
@@ -119,9 +117,9 @@ class TestRowConstraintLegalizations:
         assignment, _ = runner.baseline_assignment()
         p1 = self._mixed_placement(runner, assignment)
         p2 = self._mixed_placement(runner, assignment)
-        minority = runner.initial.minority_indices
+        minority = runner.initial.class_indices[7.5]
         r1 = abacus_rc_legalize(
-            p1, {7.5: (minority, assignment.cell_to_pair)}
+            p1, {7.5: (minority, assignment.by_track[7.5][1])}
         )
         r2 = fence_region_legalize(p2, {7.5: minority}, refine_iterations=2)
         assert r2.displacement > r1.displacement

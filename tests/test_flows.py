@@ -52,9 +52,10 @@ class TestInitialPlacement:
             for i in design.instances
             if i.master.track_height == 7.5
         ]
-        assert placed_small.minority_indices.tolist() == expected
+        assert list(placed_small.class_indices) == [7.5]
+        assert placed_small.class_indices[7.5].tolist() == expected
         widths = [design.instances[i].master.width for i in expected]
-        assert placed_small.minority_widths_original.tolist() == widths
+        assert placed_small.class_widths_original[7.5].tolist() == widths
 
     def test_no_minority_rejected(self, library):
         design = make_design(library, n_cells=100, minority_fraction=0.0, seed=30)
@@ -70,7 +71,7 @@ class TestFlowExecution:
             assert result.placed.check_legal() == [], kind
 
     def test_row_constraint_satisfied(self, all_results, placed_small):
-        minority = set(placed_small.minority_indices.tolist())
+        minority = set(placed_small.class_indices[7.5].tolist())
         for kind in (FlowKind.FLOW2, FlowKind.FLOW3, FlowKind.FLOW4, FlowKind.FLOW5):
             placed = all_results[kind].placed
             for i in range(placed.design.num_instances):
@@ -173,7 +174,7 @@ class TestIlpObjectiveDominance:
         from repro.solvers.lagrangian import solve_rap_lagrangian
 
         init = runner.initial
-        idx = init.minority_indices
+        ((idx, widths),) = init.classes().values()
         clustering = cluster_minority_cells(
             init.placed.x[idx] + init.placed.widths[idx] / 2,
             init.placed.y[idx] + init.placed.heights[idx] / 2,
@@ -181,7 +182,7 @@ class TestIlpObjectiveDominance:
         )
         costs = compute_rap_costs(
             init.placed, idx, clustering.labels, clustering.n_clusters,
-            init.pair_center_y, init.minority_widths_original,
+            init.pair_center_y, widths,
         )
         f = costs.combine(runner.params.alpha)
         capacity = init.pair_capacity * runner.params.row_fill

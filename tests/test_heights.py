@@ -425,9 +425,9 @@ class TestResilientNHeight:
             [f], [w], cap, [2], [labels], minority_tracks=[7.5]
         )
         assert chain.objective == kernel.objective
-        assert np.array_equal(chain.cluster_to_pair, cluster_to_pair)
-        assert np.array_equal(chain.cell_to_pair, cluster_to_pair[labels])
-        assert chain.by_track[7.5][0].tolist() == cluster_to_pair.tolist()
+        assert list(chain.by_track) == [7.5]
+        assert np.array_equal(chain.by_track[7.5][0], cluster_to_pair)
+        assert np.array_equal(chain.by_track[7.5][1], cluster_to_pair[labels])
 
 
 class TestParamsShims:

@@ -80,7 +80,7 @@ class TestSolve:
         for n_minr in (1, 2, 3):
             a = solve(f, w, cap, n_minr, labels=np.arange(4))
             assert a.n_minority_rows == n_minr
-            assert len(set(a.cluster_to_pair.tolist())) == n_minr
+            assert len(set(a.by_track[7.5][0].tolist())) == n_minr
 
     def test_unconstrained_optimum(self):
         """With N_minR = N_C and ample capacity, each cluster takes its
@@ -95,7 +95,7 @@ class TestSolve:
         w = np.full(3, 10.0)
         cap = np.full(4, 100.0)
         a = solve(f, w, cap, 3, labels=np.arange(3))
-        assert a.cluster_to_pair.tolist() == [0, 1, 2]
+        assert a.by_track[7.5][0].tolist() == [0, 1, 2]
         assert a.objective == pytest.approx(0.0)
 
     def test_capacity_forces_split(self):
@@ -104,19 +104,21 @@ class TestSolve:
         w = np.array([60.0, 60.0])
         cap = np.array([100.0, 100.0])
         a = solve(f, w, cap, 2, labels=np.arange(2))
-        assert sorted(a.cluster_to_pair.tolist()) == [0, 1]
+        assert sorted(a.by_track[7.5][0].tolist()) == [0, 1]
 
     def test_objective_matches_assignment(self):
         f, w, cap = tiny_instance(seed=3)
         a = solve(f, w, cap, 2, labels=np.arange(4))
-        manual = sum(f[c, a.cluster_to_pair[c]] for c in range(4))
+        cluster_to_pair, _ = a.by_track[7.5]
+        manual = sum(f[c, cluster_to_pair[c]] for c in range(4))
         assert a.objective == pytest.approx(manual)
 
     def test_cell_to_pair_follows_labels(self):
         f, w, cap = tiny_instance()
         labels = np.array([0, 0, 1, 1, 2, 3, 3])
         a = solve(f, w, cap, 2, labels=labels)
-        assert np.array_equal(a.cell_to_pair, a.cluster_to_pair[labels])
+        cluster_to_pair, cell_to_pair = a.by_track[7.5]
+        assert np.array_equal(cell_to_pair, cluster_to_pair[labels])
 
     def test_pair_tracks_consistent(self):
         f, w, cap = tiny_instance()

@@ -75,7 +75,7 @@ def _mixed(twin):
 
 
 def test_fence_region_legalize(twin, monkeypatch):
-    classes = {twin.initial.minority_track: twin.initial.minority_indices}
+    classes = twin.initial.class_indices
     iterations = twin.params.refine_iterations
     new = _mixed(twin)
     fence_region_legalize(new, classes, refine_iterations=iterations)
@@ -95,7 +95,8 @@ def test_legalize_row_windows(twin, flow5_placed, monkeypatch, crowd):
     track = twin.majority_track
     rows = [r for r in placed.floorplan.rows if r.track_height == track]
     minority = np.zeros(len(placed.x), dtype=bool)
-    minority[twin.initial.minority_indices] = True
+    for indices in twin.initial.class_indices.values():
+        minority[indices] = True
     members = np.flatnonzero(~minority)
     rng = np.random.default_rng(4)
     size = 60 if crowd else 8

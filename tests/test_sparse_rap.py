@@ -382,7 +382,7 @@ class TestWarmStarts:
         assert first is not None
         again = solve_rap_resilient(
             [f], [w], cap, [n_minr], [labels], [7.5], row_fill=1.0,
-            warm_assignment=[first.cluster_to_pair],
+            warm_assignment=[first.by_track[7.5][0]],
         )
         assert again is not None
         assert again.objective == pytest.approx(first.objective, abs=1e-6)
@@ -499,50 +499,21 @@ class TestSweepSetEquivalence:
         "testcase_id", ["aes_400", "ldpc_350", "des3_210"]
     )
     def test_sparse_matches_dense(self, testcase_id):
-        from repro.core.clustering import cluster_minority_cells
-        from repro.core.cost import compute_rap_costs
-        from repro.core.flows import prepare_initial_placement
-        from repro.core.rap import required_minority_pairs
-        from repro.experiments.testcases import build_testcase, testcase_by_id
-        from repro.techlib.asap7 import make_asap7_library
+        from repro.core.config import RunConfig
+        from repro.core.flows import FlowRunner
+        from repro.experiments.artifact_cache import load_or_prepare_initial
+        from repro.experiments.testcases import testcase_by_id
 
-        params = RCPPParams()
-        library = make_asap7_library()
-        design = build_testcase(
-            testcase_by_id(testcase_id), library, scale=1 / 48
+        # Exactly the instance FlowRunner hands the solver chain.
+        init, _ = load_or_prepare_initial(
+            testcase_by_id(testcase_id), RunConfig(scale=1 / 48)
         )
-        init = prepare_initial_placement(design, library)
-        cx = init.placed.x[init.minority_indices] + init.placed.widths[
-            init.minority_indices
-        ] / 2.0
-        cy = init.placed.y[init.minority_indices] + init.placed.heights[
-            init.minority_indices
-        ] / 2.0
-        clustering = cluster_minority_cells(
-            cx, cy, params.s, params.kmeans_max_iterations
-        )
-        costs = compute_rap_costs(
-            init.placed,
-            init.minority_indices,
-            clustering.labels,
-            clustering.n_clusters,
-            init.pair_center_y,
-            init.minority_widths_original,
-        )
-        f = costs.combine(params.alpha)
-        cap = init.pair_capacity * params.row_fill
-        n_minr = required_minority_pairs(
-            float(init.minority_widths_original.sum()),
-            float(init.pair_capacity.min()),
-            init.heights.minority[0].fill_target,
-        )
-        dense = solve_milp(
-            dense_model(f, costs.cluster_width, cap, n_minr),
-            backend="highs",
-        )
-        solution, stats = solve_rap_sparse(
-            [f], [costs.cluster_width], cap, [n_minr]
-        )
+        runner = FlowRunner(init, RCPPParams())
+        (f,), (w,), _ = runner._class_costs()
+        (n_minr,) = runner.row_budgets.values()
+        cap = init.pair_capacity * runner.params.row_fill
+        dense = solve_milp(dense_model(f, w, cap, n_minr), backend="highs")
+        solution, stats = solve_rap_sparse([f], [w], cap, [n_minr])
         assert dense.status is MilpStatus.OPTIMAL
         assert solution.objective == pytest.approx(
             dense.objective, rel=1e-9, abs=1e-6

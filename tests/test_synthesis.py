@@ -41,6 +41,23 @@ class TestMinorityFraction:
         with pytest.raises(ValidationError):
             size_to_minority_fraction(fresh(library, n_cells=50), 1.5)
 
+    def test_fraction_counts_every_class(self):
+        """Every instance above the shortest track is a minority cell:
+        60 of 400 at 7.5T or 9T read 0.15, and a library without 7.5T
+        masters still reads its 9T share."""
+        from repro.techlib.asap7 import make_asap7_library
+
+        lib3 = make_asap7_library(tracks=(6.0, 7.5, 9.0))
+        result = size_to_minority_fraction(
+            fresh(lib3, n_cells=400), {9.0: 0.05, 7.5: 0.10}
+        )
+        assert result.promotions == 60
+        assert result.minority_fraction == 0.15
+
+        lib69 = make_asap7_library(tracks=(6.0, 9.0))
+        result = size_to_minority_fraction(fresh(lib69, n_cells=400), 0.1)
+        assert result.minority_fraction == 0.1
+
     def test_promotes_critical_cells(self, library):
         """Promoted cells must be the timing-critical ones, not random."""
         from repro.timing.graph import TimingGraph

@@ -21,7 +21,7 @@ class TestSvg:
         fences = {7.5: FenceRegions.from_floorplan(flow.placed.floorplan, 7.5)}
         text = placement_svg(
             flow.placed,
-            minority_indices=placed_small.minority_indices,
+            minority_indices=placed_small.class_indices[7.5],
             fences=fences,
             title="test",
         )
@@ -35,10 +35,9 @@ class TestSvg:
         assert text.count("<rect") == 1 + n_rows + n_cells
 
     def test_minority_coloring(self, flow, placed_small):
-        text = placement_svg(
-            flow.placed, minority_indices=placed_small.minority_indices
-        )
-        assert text.count('fill="#d43b3b"') == len(placed_small.minority_indices)
+        minority = placed_small.class_indices[7.5]
+        text = placement_svg(flow.placed, minority_indices=minority)
+        assert text.count('fill="#d43b3b"') == len(minority)
 
     def test_fence_overlay(self, flow):
         fences = {7.5: FenceRegions.from_floorplan(flow.placed.floorplan, 7.5)}
