@@ -193,15 +193,8 @@ def rap_instance(library):
     """
     design = build_testcase(testcase_by_id(RAP_TESTCASE), library, scale=1.0)
     runner = FlowRunner(prepare_initial_placement(design, library))
-    (f,), (w,), _ = runner._class_costs()
-    (n_minr,) = runner.row_budgets.values()
-    return (
-        f,
-        w,
-        runner.initial.pair_capacity * runner.params.row_fill,
-        n_minr,
-        design.num_instances,
-    )
+    (f,), (w,), cap, (n_minr,) = runner.rap_instance()
+    return f, w, cap, n_minr, design.num_instances
 
 
 def bench_rap(library, repeats):
@@ -276,14 +269,9 @@ def nheight_instance():
         spec3, RunConfig(scale=DEFAULT_SCALE, params=params)
     )
     runner = FlowRunner(init, params)
-    budgets = runner.row_budgets
-    f_by, w_by, _ = runner._class_costs()
     return (
-        f_by,
-        w_by,
-        init.pair_capacity * params.row_fill,
-        [budgets[t] for t, _, _ in runner._classes],
-        [t for t, _, _ in runner._classes],
+        *runner.rap_instance(),
+        list(runner.spec.minority_tracks),
         init.design.num_instances,
     )
 

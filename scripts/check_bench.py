@@ -35,9 +35,11 @@ machine-class promises, so the first question about a red gate is what
 it ran on.
 
 Record mode (``--record``) validates a flight-recorder
-``run_record.json`` against the ``repro.run_record/1`` schema, and —
-when ``--qor-baseline`` names a committed record — fails on final-HPWL
-drift beyond ``--max-qor-drift`` (default 2%).
+``run_record.json`` against the ``repro.run_record/1`` schema, fails
+when a backend the record's ``config.crosscheck`` lists (the backends
+``repro report`` cross-solved) has no ``milp.<backend>`` convergence
+series, and — when ``--qor-baseline`` names a committed record — fails
+on final-HPWL drift beyond ``--max-qor-drift`` (default 2%).
 
 Usage:
     python scripts/check_bench.py CURRENT.json [COMMITTED.json]
@@ -172,6 +174,14 @@ def check_record(
 
     record = json.loads(Path(record_path).read_text())
     failures = [f"record: {p}" for p in validate_run_record(record)]
+    convergence = record.get("convergence", {})
+    for backend in record.get("config", {}).get("crosscheck", ()):
+        series = convergence.get(f"milp.{backend}", {})
+        if not series.get("points"):
+            failures.append(
+                f"record: cross-solved backend {backend!r} has no "
+                f"milp.{backend} convergence series"
+            )
     if not failures:
         print(
             f"check_bench: record schema OK "

@@ -616,8 +616,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         validate_run_record,
         write_chrome_trace,
     )
+    from repro.core.rap import solve_rap
     from repro.obs.trace import span
-    from repro.solvers.milp import MILP_BACKENDS, solve_milp
+    from repro.solvers.milp import EXACT_BACKENDS, MILP_BACKENDS
 
     config = RunConfig.from_args(args)
     case_name = _case_name(args)
@@ -636,20 +637,25 @@ def _cmd_report(args: argparse.Namespace) -> int:
         runner = FlowRunner(initial, config.params)
         flow = runner.run(kind)
         if kind.row_assignment == "ilp" and not args.no_crosscheck:
-            # Cross-solve the same RAP instance with the other MILP
-            # backends so the record carries convergence series for all
-            # three solver strategies, not just the primary rung.
-            model = runner.rap_model()
-            for backend in MILP_BACKENDS:
-                if backend == config.params.solver_backend:
-                    continue
-                if backend == "lagrangian" and initial.heights.n_classes > 1:
-                    continue  # the Lagrangian backend solves K = 1 only
+            # Cross-solve the same RAP instance with the other backends
+            # so the record carries convergence series for all three
+            # solver strategies, not just the primary rung.  The exact
+            # backends solve the plain dense model (candidate_k = N_P).
+            f_by, w_by, capacity, budgets = runner.rap_instance()
+            crosscheck = [
+                b for b in MILP_BACKENDS
+                if b != config.params.solver_backend
+                # The Lagrangian heuristic solves K = 1 only.
+                and (b in EXACT_BACKENDS or len(f_by) == 1)
+            ]
+            recorder.config["crosscheck"] = crosscheck
+            for backend in crosscheck:
                 with span(f"crosscheck.{backend}", backend=backend):
-                    solve_milp(
-                        model,
+                    solve_rap(
+                        f_by, w_by, capacity, budgets,
                         backend=backend,
                         time_limit_s=config.params.solver_time_limit_s,
+                        candidate_k=len(capacity),
                     )
     recorder.annotate(
         hpwl=flow.hpwl,

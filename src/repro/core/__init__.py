@@ -28,11 +28,7 @@ from repro.core.sparse_rap import (
     adaptive_candidate_count,
     solve_rap_sparse,
 )
-from repro.core.alternating import (
-    alternating_pattern,
-    solve_fixed_pattern_rap,
-    sweep_pattern_phases,
-)
+from repro.core.alternating import alternating_pattern, solve_fixed_pattern_rap
 from repro.core.baseline import baseline_row_assignment
 from repro.core.fence import FenceRegions
 from repro.core.flows import FlowKind, FlowResult, run_flow
@@ -62,7 +58,6 @@ __all__ = [
     "solve_rap_sparse",
     "alternating_pattern",
     "solve_fixed_pattern_rap",
-    "sweep_pattern_phases",
     "baseline_row_assignment",
     "RegionResult",
     "region_based_flow",

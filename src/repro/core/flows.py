@@ -31,11 +31,7 @@ from repro.core.heights import HeightSpec, resolve_heights
 from repro.core.legalize_abacus_rc import abacus_rc_legalize
 from repro.core.legalize_rc import fence_region_legalize
 from repro.core.params import RCPPParams
-from repro.core.rap import (
-    RowAssignment,
-    build_rap_model,
-    solve_rap_resilient,
-)
+from repro.core.rap import RowAssignment, solve_rap_resilient
 from repro.netlist.db import Design
 from repro.obs.events import emitting_events, record_qor
 from repro.obs.trace import span
@@ -438,9 +434,7 @@ class FlowRunner:
         for _track, indices, widths in self._classes:
             cx = init.placed.x[indices] + init.placed.widths[indices] / 2.0
             cy = init.placed.y[indices] + init.placed.heights[indices] / 2.0
-            clustering = cluster_minority_cells(
-                cx, cy, params.s, params.kmeans_max_iterations
-            )
+            clustering = cluster_minority_cells(cx, cy, params.s)
             costs = compute_rap_costs(
                 init.placed,
                 indices,
@@ -481,7 +475,6 @@ class FlowRunner:
                 policy=self.policy,
                 deadline=self._row_assign_deadline(deadline),
                 provenance=prov,
-                candidate_k=params.rap_candidates,
                 warm_assignment=self._rap_warm,
                 sa_seed=params.seed,
             )
@@ -501,23 +494,28 @@ class FlowRunner:
                 ]
         return assignment, sum(len(f) for f in f_by)
 
-    def rap_model(self):
-        """Build the RAP MILP of this runner's ILP configuration.
+    def rap_instance(
+        self,
+    ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, list[int]]:
+        """The RAP instance of this runner's ILP configuration.
 
         Re-runs clustering + cost assembly (cheap relative to solving) and
-        returns the :class:`~repro.solvers.milp.MilpModel` the resilient
-        solve chain would receive, with the ``row_fill`` capacity derating
-        already applied.  Used by ``repro report`` to cross-solve the same
-        instance with every MILP backend for convergence telemetry.
+        returns ``(f_by_class, width_by_class, usable_capacity,
+        budgets)``, per class in spec order with the ``row_fill``
+        capacity derating applied: exactly the arguments
+        :func:`~repro.core.rap.solve_rap` and
+        :func:`~repro.core.rap.build_rap_model` take.  ``repro report``
+        cross-solves it with every RAP backend for convergence
+        telemetry.
         """
         f_by, w_by, _ = self._class_costs()
         budgets = self.row_budgets
-        return build_rap_model(
+        return (
             f_by,
             w_by,
             self.initial.pair_capacity * self.params.row_fill,
-            [budgets[t] for t, _, _ in self._classes],
-        ).model
+            [budgets[t] for t in self.spec.minority_tracks],
+        )
 
     def _baseline_rung(
         self, prov: FlowProvenance, deadline: Deadline

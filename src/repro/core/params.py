@@ -30,7 +30,11 @@ class RCPPParams:
     * ``row_fill`` is the usable fraction of a row pair's width in the
       capacity constraint (Eq. 4; the paper uses the full w(r), i.e. 1.0).
     * ``solver_backend``: "highs" (default), "bnb" (own branch-and-bound)
-      or "lagrangian" (heuristic subgradient).
+      or "lagrangian" (heuristic subgradient), one of
+      :data:`~repro.solvers.milp.MILP_BACKENDS`; ``solver_time_limit_s``
+      caps each RAP solve (``None``: unlimited).
+    * ``refine_iterations`` is the fence-region legalizer's refinement
+      round count; ``seed`` seeds the simulated-annealing RAP rung.
 
     Resilience knobs (see :mod:`repro.utils.resilience`):
 
@@ -46,13 +50,10 @@ class RCPPParams:
       default) means unlimited — identical behavior to the plain
       reproduction path.
 
-    RAP engine knobs (see :mod:`repro.core.rap`):
-
-    * ``rap_candidates`` forces the per-cluster candidate count ``k``;
-      ``None`` (default) adapts ``k`` to the capacity slack.
-      ``k = N_P`` reproduces the dense model bit for bit.  The RAP
-      runs in-process, one fallback rung after another (see
-      :func:`repro.core.rap.solve_rap_resilient`).
+    Not knobs: the RAP engine picks its own candidate columns
+    (reduced-cost fixing, :mod:`repro.core.sparse_rap`), and k-means
+    runs at most 60 iterations
+    (:func:`~repro.core.clustering.cluster_minority_cells`).
     """
 
     alpha: float = 0.75
@@ -61,13 +62,11 @@ class RCPPParams:
     row_fill: float = 0.9
     solver_backend: str = "highs"
     solver_time_limit_s: float | None = None
-    kmeans_max_iterations: int = 60
     refine_iterations: int = 4
     seed: int = 17
     fallback: bool = True
     max_solver_retries: int = 1
     time_budget_s: float | None = None
-    rap_candidates: int | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.alpha <= 1.0):
@@ -76,8 +75,6 @@ class RCPPParams:
             raise ValidationError(f"s must be in (0, 1], got {self.s}")
         if not (0.0 < self.row_fill <= 1.0):
             raise ValidationError("row_fill must be in (0, 1]")
-        if self.kmeans_max_iterations < 1:
-            raise ValidationError("kmeans_max_iterations must be >= 1")
         if self.refine_iterations < 0:
             raise ValidationError("refine_iterations must be >= 0")
         if self.max_solver_retries < 1:
@@ -86,5 +83,3 @@ class RCPPParams:
             raise ValidationError("time_budget_s must be >= 0 when set")
         if self.solver_time_limit_s is not None and self.solver_time_limit_s < 0:
             raise ValidationError("solver_time_limit_s must be >= 0 when set")
-        if self.rap_candidates is not None and self.rap_candidates < 1:
-            raise ValidationError("rap_candidates must be >= 1 when forced")

@@ -44,7 +44,7 @@ from repro.core.sparse_rap import (
     solve_rap_sparse,
     validate_rap_inputs,
 )
-from repro.solvers.milp import MilpSolution, MilpStatus
+from repro.solvers.milp import EXACT_BACKENDS, MilpSolution, MilpStatus
 from repro.utils.errors import (
     InfeasibleError,
     SolverError,
@@ -52,7 +52,6 @@ from repro.utils.errors import (
     ValidationError,
 )
 from repro.utils.resilience import (
-    EXACT_BACKENDS,
     Deadline,
     FlowProvenance,
     ResiliencePolicy,
@@ -425,7 +424,6 @@ def solve_rap_resilient(
     policy: ResiliencePolicy | None = None,
     deadline: Deadline | None = None,
     provenance: FlowProvenance | None = None,
-    candidate_k: int | None = None,
     warm_assignment: list[np.ndarray] | None = None,
     sa_seed: int = 17,
 ) -> RowAssignment | None:
@@ -550,7 +548,6 @@ def solve_rap_resilient(
                                 backend=rung,
                                 time_limit_s=deadline.clamp(time_limit_s),
                                 warm_assignment=warm,
-                                candidate_k=candidate_k,
                             )
                             sp.annotate(
                                 sparse_rounds=stats.rounds,

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.flows import FlowResult
+from repro.placement.db import PlacedDesign
 from repro.power.model import PowerParams, PowerReport, compute_power
 from repro.route.global_router import RouterParams, RoutingResult, route_design
 from repro.timing.delay import TimingParams
@@ -34,6 +35,28 @@ class PostRouteMetrics:
         return self.wirelength_nm / 1000.0
 
 
+def route_and_analyze(
+    placed: PlacedDesign,
+    timing_params: TimingParams | None = None,
+    router_params: RouterParams | None = None,
+    power_params: PowerParams | None = None,
+) -> tuple[RoutingResult, TimingGraph, TimingReport, PowerReport]:
+    """Route ``placed``, then run STA and power on its routed lengths.
+
+    The one route -> STA -> power body behind :func:`evaluate_post_route`
+    (Table V) and :func:`repro.eval.qor.collect_qor` (the signoff
+    summary), so both report the same numbers for one placement.
+    """
+    design = placed.design
+    routing = route_design(placed, router_params)
+    graph = TimingGraph.build(design)
+    sta = run_sta(design, graph, routing.net_lengths_nm, timing_params)
+    power = compute_power(
+        design, graph, routing.net_lengths_nm, timing_params, power_params
+    )
+    return routing, graph, sta, power
+
+
 def evaluate_post_route(
     flow: FlowResult,
     timing_params: TimingParams | None = None,
@@ -41,13 +64,8 @@ def evaluate_post_route(
     power_params: PowerParams | None = None,
 ) -> tuple[PostRouteMetrics, RoutingResult, TimingReport, PowerReport]:
     """Route the flow's placement and report post-route metrics."""
-    placed = flow.placed
-    design = placed.design
-    routing = route_design(placed, router_params)
-    graph = TimingGraph.build(design)
-    sta = run_sta(design, graph, routing.net_lengths_nm, timing_params)
-    power = compute_power(
-        design, graph, routing.net_lengths_nm, timing_params, power_params
+    routing, _graph, sta, power = route_and_analyze(
+        flow.placed, timing_params, router_params, power_params
     )
     metrics = PostRouteMetrics(
         flow_value=flow.kind.value,

@@ -10,17 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro.eval.metrics import route_and_analyze
 from repro.netlist.db import Design
 from repro.placement.db import PlacedDesign
 from repro.placement.hpwl import hpwl_total
-from repro.power.model import PowerReport, compute_power
-from repro.route.global_router import RouterParams, route_design
+from repro.power.model import PowerReport
+from repro.route.global_router import RouterParams
 from repro.timing.delay import TimingParams
-from repro.timing.graph import TimingGraph
 from repro.timing.paths import TimingPath, extract_critical_paths, format_path
-from repro.timing.sta import run_sta
 
 
 @dataclass(frozen=True)
@@ -71,11 +68,8 @@ def collect_qor(
 ) -> QoRReport:
     """Route + analyze ``placed`` and return the bundled report."""
     design = placed.design
-    routing = route_design(placed, router_params)
-    graph = TimingGraph.build(design)
-    sta = run_sta(design, graph, routing.net_lengths_nm, timing_params)
-    power = compute_power(
-        design, graph, routing.net_lengths_nm, timing_params
+    routing, graph, sta, power = route_and_analyze(
+        placed, timing_params, router_params
     )
     paths = extract_critical_paths(
         design, graph, sta, routing.net_lengths_nm, k=n_paths,

@@ -7,7 +7,7 @@ the fixed operating point:
 
 * **Utilization sweep** — tighter dies leave legalization less slack, so
   the row-constraint tax should grow with utilization for every flow.
-* **Minority-fraction sweep** — more 7.5T cells mean more minority rows
+* **Minority-fraction sweep** — more minority cells mean more minority rows
   and a larger constrained subproblem; the flow-(5)-vs-(2) comparison is
   tracked across the fraction range of Table II.
 """
@@ -21,7 +21,7 @@ from repro.core.params import RCPPParams
 from repro.experiments.testcases import DEFAULT_SCALE, testcase_by_id
 from repro.netlist.generator import GeneratorSpec, generate_netlist
 from repro.netlist.synthesis import size_to_minority_fraction
-from repro.techlib.asap7 import make_asap7_library
+from repro.utils.errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,21 @@ def minority_fraction_sweep(
     fractions: tuple[float, ...] = (0.05, 0.10, 0.20, 0.28),
     params: RCPPParams | None = None,
 ) -> list[SweepRow]:
-    """Row-constraint overhead versus the 7.5T cell fraction."""
-    library = make_asap7_library()
+    """Row-constraint overhead versus the minority cell fraction.
+
+    The sweep varies one class's share, so ``testcase_id`` must name a
+    testcase with one minority class (raises :class:`ValidationError`
+    otherwise); each netlist is built on the testcase's own library and
+    placed for its own height set.
+    """
     spec = testcase_by_id(testcase_id)
+    if len(spec.fractions) != 1:
+        raise ValidationError(
+            "the minority-fraction sweep varies one minority class, got "
+            f"tracks {[track for track, _ in spec.fractions]}"
+        )
+    ((track, _),) = spec.fractions
+    library = spec.library()
     rows: list[SweepRow] = []
     for fraction in fractions:
         gen = GeneratorSpec(
@@ -97,8 +109,10 @@ def minority_fraction_sweep(
             seed=spec.seed,
         )
         design = generate_netlist(gen, library)
-        size_to_minority_fraction(design, fraction)
-        initial = prepare_initial_placement(design, library)
+        size_to_minority_fraction(design, {track: fraction})
+        initial = prepare_initial_placement(
+            design, library, heights=spec.heights
+        )
         runner = FlowRunner(initial, params)
         f1 = runner.run(FlowKind.FLOW1)
         f2 = runner.run(FlowKind.FLOW2)

@@ -1,14 +1,18 @@
-"""Legalizers: greedy Tetris and Abacus (Spindler et al., ISPD'08).
+"""Legalizers: greedy Tetris and Abacus (Spindler et al., ISPD'08), and
+the global placer's row spreading.
 
-Both operate on an explicit row subset and instance subset, because the
-row-constraint flows legalize minority cells into minority rows and majority
-cells into majority rows as two independent problems (the row sets are
-disjoint, so neither run sees the other's cells as obstacles).
+Tetris and Abacus operate on an explicit row subset and instance subset,
+because the row-constraint flows legalize minority cells into minority
+rows and majority cells into majority rows as two independent problems
+(the row sets are disjoint, so neither run sees the other's cells as
+obstacles).
 
-Tetris is the cheap rough legalizer the global placer uses for spreading;
-Abacus is the quality legalizer used for final placements (and, restricted
-to row subsets, it is exactly the "modified Abacus under row-constraint" of
-Lin & Chang that flows (2)/(4) use).
+Abacus is the quality legalizer used for final placements (and,
+restricted to row subsets, it is exactly the "modified Abacus under
+row-constraint" of Lin & Chang that flows (2)/(4) use).  The global
+placer spreads with ``spread_to_rows``, which deals cells to rows by y
+and spreads each row by x order; Tetris is the cheap greedy legalizer
+kept in the public API.
 
 Tetris and Abacus scan candidate rows in ascending |dy| with
 branch-and-bound on plain Python floats; Abacus keeps each row's cluster

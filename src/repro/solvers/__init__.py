@@ -1,15 +1,19 @@
 """Integer-programming substrate (the paper's CPLEX replacement).
 
-:mod:`repro.solvers.milp` defines a solver-independent model container;
-:mod:`repro.solvers.highs` solves it exactly with scipy's HiGHS bindings
-(the production default), :mod:`repro.solvers.bnb` is a from-scratch
+:mod:`repro.solvers.milp` defines a solver-independent model container
+and :func:`~repro.solvers.milp.solve_milp`, which solves it with one of
+the exact backends (:data:`~repro.solvers.milp.EXACT_BACKENDS`):
+:mod:`repro.solvers.highs` solves it with scipy's HiGHS bindings (the
+production default) and :mod:`repro.solvers.bnb` is a from-scratch
 branch-and-bound over LP relaxations — exact as well, used for
-cross-checking HiGHS on small instances and as a dependency-free fallback
-— and :mod:`repro.solvers.lagrangian` is a heuristic subgradient solver
-for RAP-shaped models (the third rung of the resilience fallback chain).
+cross-checking HiGHS on small instances and as a dependency-free
+fallback.  :mod:`repro.solvers.lagrangian` is a heuristic subgradient
+solver on the RAP's cost arrays (the third rung of the resilience
+fallback chain, run by :func:`repro.core.rap.solve_rap`).
 """
 
 from repro.solvers.milp import (
+    EXACT_BACKENDS,
     MILP_BACKENDS,
     MilpModel,
     MilpSolution,
@@ -17,14 +21,10 @@ from repro.solvers.milp import (
     solve_milp,
 )
 from repro.solvers.bnb import BranchAndBoundSolver
-from repro.solvers.lagrangian import (
-    LagrangianResult,
-    rap_data_from_model,
-    solve_rap_lagrangian,
-    solve_with_lagrangian,
-)
+from repro.solvers.lagrangian import LagrangianResult, solve_rap_lagrangian
 
 __all__ = [
+    "EXACT_BACKENDS",
     "MILP_BACKENDS",
     "MilpModel",
     "MilpSolution",
@@ -32,7 +32,5 @@ __all__ = [
     "solve_milp",
     "BranchAndBoundSolver",
     "LagrangianResult",
-    "rap_data_from_model",
     "solve_rap_lagrangian",
-    "solve_with_lagrangian",
 ]

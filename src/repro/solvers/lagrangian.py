@@ -9,7 +9,10 @@ from the rows the relaxed solution actually wants.
 This is not exact — it yields (a) a feasible assignment after a repair
 pass and (b) a *lower bound* on the ILP optimum.  The RAP tests use it to
 sandwich HiGHS/B&B results, and it serves as a warm start at scales where
-exact solving is slow.
+exact solving is slow.  It works on the cost arrays, never on a
+:class:`~repro.solvers.milp.MilpModel`: the RAP engine
+(:func:`repro.core.rap.solve_rap` with ``backend="lagrangian"``) runs it
+and encodes the answer in the model's layout.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import numpy as np
 
 from repro.obs.events import observe
 from repro.obs.trace import span
-from repro.solvers.milp import MilpModel, MilpSolution, MilpStatus
 from repro.utils.errors import InfeasibleError, ValidationError
 
 
@@ -160,120 +162,6 @@ def _assignment_feasible(
         assignment, weights=cluster_width, minlength=len(pair_capacity)
     )
     return bool(np.all(load <= pair_capacity + 1e-9))
-
-
-def rap_data_from_model(
-    model: MilpModel,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Recover ``(f, cluster_width, pair_capacity, N_minR)`` from a
-    RAP-shaped :class:`MilpModel` (the single-class dense layout
-    ``build_rap_model`` emits).
-
-    Raises :class:`ValidationError` when the model does not have the RAP
-    structure — the Lagrangian backend is problem-specific, unlike the
-    generic HiGHS / B&B rungs.
-    """
-    if model.a_eq is None or model.a_ub is None:
-        raise ValidationError(
-            "lagrangian backend requires a RAP-shaped model (missing "
-            "constraint blocks)"
-        )
-    a_eq = model.a_eq.tocsr()
-    count_row = a_eq.getrow(a_eq.shape[0] - 1)
-    n_p = count_row.nnz
-    n_vars = model.num_vars
-    n_x = n_vars - n_p
-    if (
-        n_p == 0
-        or n_x <= 0
-        or n_x % n_p != 0
-        or not np.array_equal(
-            np.sort(count_row.indices), np.arange(n_x, n_vars)
-        )
-        or not np.allclose(count_row.data, 1.0)
-    ):
-        raise ValidationError(
-            "lagrangian backend requires a RAP-shaped model (no trailing "
-            "row-count constraint over y variables)"
-        )
-    n_c = n_x // n_p
-    if a_eq.shape[0] != n_c + 1 or model.a_ub.shape[0] < n_p:
-        raise ValidationError(
-            "lagrangian backend requires a RAP-shaped model (constraint "
-            "row counts do not match an assignment problem)"
-        )
-    f = np.asarray(model.c[:n_x], dtype=float).reshape(n_c, n_p)
-    a_ub = model.a_ub.tocsr()
-    cap_block = a_ub[:n_p, :]
-    pair_capacity = -np.asarray(
-        cap_block[np.arange(n_p), n_x + np.arange(n_p)]
-    ).ravel()
-    cluster_width = np.asarray(
-        cap_block[np.zeros(n_c, dtype=int), np.arange(n_c) * n_p]
-    ).ravel()
-    if np.any(pair_capacity < 0) or np.any(cluster_width < 0):
-        raise ValidationError(
-            "lagrangian backend requires a RAP-shaped model (negative "
-            "widths/capacities decoded)"
-        )
-    n_min_rows = int(round(float(model.b_eq[-1])))
-    return f, cluster_width, pair_capacity, n_min_rows
-
-
-def solve_with_lagrangian(
-    model: MilpModel,
-    time_limit_s: float | None = None,
-    iterations: int = 120,
-    step0: float = 2.0,
-    warm_start: np.ndarray | None = None,
-) -> MilpSolution:
-    """``solve_milp`` adapter: heuristic solve of a RAP-shaped model.
-
-    ``warm_start`` is a full (x, y) model vector; when it decodes to a
-    feasible assignment it seeds the subgradient loop's incumbent.  The
-    answer is always :attr:`MilpStatus.FEASIBLE` (the subgradient loop
-    never proves optimality); infeasibility of the repair pass maps to
-    :attr:`MilpStatus.INFEASIBLE`.
-    """
-    f, cluster_width, pair_capacity, n_min_rows = rap_data_from_model(model)
-    n_c, n_p = f.shape
-    warm_assignment = None
-    if warm_start is not None and len(warm_start) == model.num_vars:
-        x = np.round(np.asarray(warm_start)[: n_c * n_p]).reshape(n_c, n_p)
-        if np.all(x.sum(axis=1) == 1):
-            warm_assignment = np.argmax(x, axis=1)
-    solve_span = span("milp.lagrangian", n_vars=int(model.num_vars))
-    try:
-        with solve_span:
-            result = solve_rap_lagrangian(
-                f,
-                cluster_width,
-                pair_capacity,
-                n_min_rows,
-                iterations=iterations,
-                step0=step0,
-                time_limit_s=time_limit_s,
-                warm_assignment=warm_assignment,
-            )
-    except InfeasibleError:
-        return MilpSolution(
-            status=MilpStatus.INFEASIBLE,
-            x=None,
-            objective=np.inf,
-            nodes=0,
-            runtime_s=solve_span.duration_s,
-        )
-    x = np.zeros(model.num_vars)
-    for c, p in enumerate(result.assignment):
-        x[c * n_p + int(p)] = 1.0
-        x[n_c * n_p + int(p)] = 1.0
-    return MilpSolution(
-        status=MilpStatus.FEASIBLE,
-        x=x,
-        objective=model.objective(x),
-        nodes=result.iterations,
-        runtime_s=solve_span.duration_s,
-    )
 
 
 def _repair(

@@ -1,14 +1,15 @@
 """Solver-independent MILP model container and dispatch.
 
-The RAP builder produces one of these; ``solve_milp`` dispatches to the
-chosen backend.  Minimization is assumed throughout.
+:func:`solve_milp` solves any :class:`MilpModel` with one of the exact
+backends.  The RAP builder (:mod:`repro.core.sparse_rap`) is the one
+producer of RAP-shaped models and the one reader of their layout.
+Minimization is assumed throughout.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,12 +30,6 @@ class MilpModel:
 
     ``integrality`` follows scipy's convention: 0 = continuous,
     1 = integer.
-
-    Variable names are optional and lazy: no backend reads them on the
-    hot path, so builders pass ``name_factory`` (a zero-argument callable
-    producing the full list) instead of eagerly materializing
-    ``n_vars`` strings.  :meth:`variable_names` resolves either form on
-    demand and caches the result.
     """
 
     c: np.ndarray
@@ -45,8 +40,6 @@ class MilpModel:
     b_ub: np.ndarray | None = None
     a_eq: sp.csr_matrix | None = None
     b_eq: np.ndarray | None = None
-    names: list[str] | None = None
-    name_factory: Callable[[], list[str]] | None = None
 
     def __post_init__(self) -> None:
         n = len(self.c)
@@ -71,24 +64,6 @@ class MilpModel:
     @property
     def num_vars(self) -> int:
         return len(self.c)
-
-    def variable_names(self) -> list[str]:
-        """Resolve (and cache) the variable names.
-
-        Falls back to generic ``v_<i>`` names when the builder supplied
-        neither an explicit list nor a factory.
-        """
-        if self.names is None:
-            if self.name_factory is not None:
-                self.names = list(self.name_factory())
-            else:
-                self.names = [f"v_{i}" for i in range(self.num_vars)]
-            if len(self.names) != self.num_vars:
-                raise ValidationError(
-                    f"name_factory produced {len(self.names)} names for "
-                    f"{self.num_vars} variables"
-                )
-        return self.names
 
     def is_feasible(self, x: np.ndarray, tol: float = 1e-6) -> bool:
         """Check a point against all constraints (integrality included)."""
@@ -122,8 +97,15 @@ class MilpSolution:
         return self.status in (MilpStatus.OPTIMAL, MilpStatus.FEASIBLE)
 
 
-#: Valid ``solve_milp`` backend names, in fallback-chain order.
+#: The RAP backends, in fallback-chain order: the solver chain,
+#: ``--solver`` and ``repro report``'s cross-solve read this one list.
+#: ``lagrangian`` is a heuristic the RAP engine runs on the cost arrays
+#: (:func:`repro.core.rap.solve_rap`), not a :func:`solve_milp` backend.
 MILP_BACKENDS: tuple[str, ...] = ("highs", "bnb", "lagrangian")
+
+#: The exact backends, whose answer is a proven optimum (given enough
+#: time): the backends :func:`solve_milp` runs.
+EXACT_BACKENDS: tuple[str, ...] = ("highs", "bnb")
 
 
 def solve_milp(
@@ -131,15 +113,13 @@ def solve_milp(
     backend: str = "highs",
     time_limit_s: float | None = None,
     warm_start: "np.ndarray | None" = None,
-    **kwargs: object,
 ) -> MilpSolution:
-    """Solve ``model`` with the named backend (see :data:`MILP_BACKENDS`).
+    """Solve ``model`` with the named exact backend (see
+    :data:`EXACT_BACKENDS`).
 
     ``warm_start`` (a feasible point) seeds the branch-and-bound
-    incumbent and the Lagrangian heuristic's best-feasible; the HiGHS
-    backend accepts and ignores it (scipy's milp takes no starting
-    point).  The "lagrangian" backend is heuristic and only accepts
-    RAP-shaped models (it raises :class:`ValidationError` otherwise).
+    incumbent; the HiGHS backend accepts and ignores it (scipy's milp
+    takes no starting point).
     """
     if backend == "highs":
         from repro.solvers.highs import solve_with_highs
@@ -150,18 +130,9 @@ def solve_milp(
     if backend == "bnb":
         from repro.solvers.bnb import BranchAndBoundSolver
 
-        solver = BranchAndBoundSolver(
-            time_limit_s=time_limit_s, **kwargs  # type: ignore[arg-type]
-        )
+        solver = BranchAndBoundSolver(time_limit_s=time_limit_s)
         return solver.solve(model, warm_start=warm_start)
-    if backend == "lagrangian":
-        from repro.solvers.lagrangian import solve_with_lagrangian
-
-        return solve_with_lagrangian(
-            model, time_limit_s=time_limit_s, warm_start=warm_start,
-            **kwargs  # type: ignore[arg-type]
-        )
     raise ValidationError(
         f"unknown MILP backend {backend!r}; valid backends: "
-        + ", ".join(MILP_BACKENDS)
+        + ", ".join(EXACT_BACKENDS)
     )

@@ -35,14 +35,11 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.obs.trace import Span, span
-from repro.solvers.milp import MILP_BACKENDS
+from repro.solvers.milp import EXACT_BACKENDS, MILP_BACKENDS
 from repro.utils.errors import ReproError, StageTimeoutError, ValidationError
 
 if TYPE_CHECKING:
     from repro.core.params import RCPPParams
-
-#: Backends whose answer is a proven optimum (given enough time).
-EXACT_BACKENDS: frozenset[str] = frozenset({"highs", "bnb"})
 
 
 class Deadline:

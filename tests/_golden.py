@@ -265,14 +265,7 @@ def capture_solve_and_flow5(
 ) -> tuple[dict[str, np.ndarray], dict]:
     """``solve_rap``'s certified solve and flow (5) of one runner;
     ``meta["solve"]["strategy"]`` names the branch the solve took."""
-    f_by, w_by, _ = runner._class_costs()
-    budgets = runner.row_budgets
-    solution, maps, stats = solve_rap(
-        f_by,
-        w_by,
-        runner.initial.pair_capacity * runner.params.row_fill,
-        [budgets[t] for t, _, _ in runner._classes],
-    )
+    solution, maps, stats = solve_rap(*runner.rap_instance())
     arrays = {"solve.objective": np.array([solution.objective])}
     for h, cluster_to_pair in enumerate(maps):
         arrays[f"solve.class{h}.cluster_to_pair"] = np.asarray(cluster_to_pair)
@@ -293,7 +286,9 @@ def capture_twin12() -> tuple[dict[str, np.ndarray], dict]:
 def capture_nheight(scale: float) -> tuple[dict[str, np.ndarray], dict]:
     """Joint model, certified solve and flow (5) of the three-height twin."""
     runner = nheight_runner(scale)
-    arrays = model_arrays("model", runner.rap_model())
+    arrays = model_arrays(
+        "model", build_rap_model(*runner.rap_instance()).model
+    )
     solved, meta = capture_solve_and_flow5(runner)
     arrays.update(solved)
     return arrays, meta

@@ -40,3 +40,35 @@ class TestFloors:
         assert _check(check_bench, tmp_path, kernels) == [
             "rap_solve: speedup 1.50x below floor 2.0x"
         ]
+
+
+def _record(tmp_path, crosscheck, series):
+    """A valid run record listing ``crosscheck`` backends and carrying
+    one convergence point per name in ``series``."""
+    from repro.obs import FlightRecorder, observe, span
+
+    recorder = FlightRecorder("t", config={"crosscheck": crosscheck})
+    with recorder.attach():
+        with span("flow.5"):
+            for name in series:
+                observe(name, nodes=1)
+    return str(recorder.write_json(tmp_path / "run_record.json"))
+
+
+class TestRecordCrosscheck:
+    def test_missing_series_fails(self, check_bench, tmp_path):
+        path = _record(tmp_path, ["bnb", "lagrangian"], ["milp.bnb"])
+        assert check_bench.check_record(path, None, 0.02) == [
+            "record: cross-solved backend 'lagrangian' has no "
+            "milp.lagrangian convergence series"
+        ]
+
+    def test_every_series_present_passes(self, check_bench, tmp_path):
+        path = _record(
+            tmp_path, ["bnb", "lagrangian"], ["milp.bnb", "milp.lagrangian"]
+        )
+        assert check_bench.check_record(path, None, 0.02) == []
+
+    def test_record_without_crosscheck_passes(self, check_bench, tmp_path):
+        path = _record(tmp_path, [], ["milp.highs"])
+        assert check_bench.check_record(path, None, 0.02) == []

@@ -129,6 +129,54 @@ class TestSweeps:
         for r in rows:
             assert r.flow2_overhead > -0.5 and r.flow5_overhead > -0.5
 
+    def test_minority_sweep_rejects_multi_class_ids(self, monkeypatch):
+        import repro.experiments.sweeps as sweeps
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a netlist before rejecting")
+
+        monkeypatch.setattr(sweeps, "generate_netlist", no_build)
+        with pytest.raises(ValidationError, match="one minority class"):
+            sweeps.minority_fraction_sweep(
+                "aes3h_340", scale=1 / 48, fractions=(0.15,)
+            )
+
+    def test_minority_sweep_places_own_height_set(self, monkeypatch):
+        import repro.experiments.sweeps as sweeps
+
+        seen = []
+        real = sweeps.prepare_initial_placement
+
+        def spy(design, library, **kwargs):
+            seen.append((library.track_heights, kwargs.get("heights")))
+            return real(design, library, **kwargs)
+
+        monkeypatch.setattr(sweeps, "prepare_initial_placement", spy)
+        sweeps.minority_fraction_sweep(
+            "aes_400", scale=TINY, fractions=(0.1,)
+        )
+        spec = _by_id("aes_400")
+        assert seen == [(spec.library().track_heights, spec.heights)]
+
+    def test_minority_sweep_table2_rows_unchanged(self):
+        """A Table II id's library and height set are the old defaults,
+        so its rows equal the two-height recipe's."""
+        from repro.experiments.sweeps import minority_fraction_sweep
+
+        rows = minority_fraction_sweep(
+            "aes_400", scale=1 / 48, fractions=(0.05, 0.15)
+        )
+        assert [(r.value, r.n_minority_rows) for r in rows] == [
+            (0.05, 1), (0.15, 2),
+        ]
+        got = [(r.flow2_overhead, r.flow5_overhead) for r in rows]
+        want = [
+            (0.11035045176112201, 0.08622336170298173),
+            (0.14525729222401607, 0.08566644240386245),
+        ]
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-9)
+
     def test_utilization_sweep_tiny(self):
         from repro.experiments.sweeps import utilization_sweep
 

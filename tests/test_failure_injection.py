@@ -339,41 +339,47 @@ class TestFallbackChain:
 
 
 class TestLagrangianBackend:
-    def _rap_model(self, seed=3, n_c=6, n_p=5, n_rows=2):
+    """The heuristic rung runs through ``solve_rap`` on the cost arrays;
+    ``solve_milp`` takes the exact backends only."""
+
+    def _rap_instance(self, seed=3, n_c=6, n_p=5, n_rows=2):
         rng = np.random.default_rng(seed)
         f = rng.uniform(0, 10, size=(n_c, n_p))
         width = rng.uniform(1, 3, size=n_c)
         cap = np.full(n_p, width.sum())
-        model = build_rap_model([f], [width], cap, [n_rows]).model
-        return model, f, width, cap
+        return f, width, cap, n_rows
 
-    def test_solve_milp_dispatches_lagrangian(self):
-        model, f, width, cap = self._rap_model()
-        result = solve_milp(model, backend="lagrangian")
+    def test_solve_rap_dispatches_lagrangian(self):
+        f, width, cap, n_rows = self._rap_instance()
+        result, maps, stats = solve_rap(
+            [f], [width], cap, [n_rows], backend="lagrangian"
+        )
         assert result.status is MilpStatus.FEASIBLE
-        assert result.x is not None
+        assert stats.strategy == "lagrangian"
         x = np.round(result.x[: f.size]).reshape(f.shape)
         assert np.all(x.sum(axis=1) == 1)  # every cluster assigned once
+        assert len(np.unique(maps[0])) == n_rows
 
     def test_lagrangian_tracks_exact_objective(self):
-        model, f, width, cap = self._rap_model(seed=11)
-        heur = solve_milp(model, backend="lagrangian")
-        exact = solve_milp(model, backend="highs")
+        f, width, cap, n_rows = self._rap_instance(seed=11)
+        heur, *_ = solve_rap([f], [width], cap, [n_rows], backend="lagrangian")
+        exact, *_ = solve_rap([f], [width], cap, [n_rows], backend="highs")
         assert heur.objective >= exact.objective - 1e-9
 
     def test_bad_backend_lists_valid_names(self):
-        model, *_ = self._rap_model()
-        with pytest.raises(ValidationError, match="highs.*bnb.*lagrangian"):
+        f, width, cap, n_rows = self._rap_instance()
+        model = build_rap_model([f], [width], cap, [n_rows]).model
+        with pytest.raises(ValidationError, match="backends: highs, bnb$"):
             solve_milp(model, backend="cplex")
 
-    def test_non_rap_model_rejected(self):
+    def test_solve_milp_rejects_lagrangian(self):
         model = MilpModel(
             c=np.array([1.0, 2.0]),
             integrality=np.ones(2),
             lb=np.zeros(2),
             ub=np.ones(2),
         )
-        with pytest.raises(ValidationError, match="RAP-shaped"):
+        with pytest.raises(ValidationError, match="backends: highs, bnb$"):
             solve_milp(model, backend="lagrangian")
 
 

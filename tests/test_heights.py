@@ -451,7 +451,7 @@ class TestParamsShims:
         with pytest.raises(TypeError):
             RCPPParams(**kwargs)
         names = {f.name for f in dataclasses.fields(RCPPParams)}
-        assert len(names) == 13 and not names & set(kwargs)
+        assert len(names) == 11 and not names & set(kwargs)
 
     def test_heights_plus_legacy_raises(self):
         with pytest.raises(TypeError):

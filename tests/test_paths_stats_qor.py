@@ -6,6 +6,7 @@ import pytest
 from repro.core.flows import FlowKind, FlowRunner
 from repro.core.params import RCPPParams
 from repro.core.rap import solve_rap
+from repro.eval.metrics import evaluate_post_route
 from repro.eval.qor import collect_qor
 from repro.netlist.stats import compute_stats
 from repro.solvers.lagrangian import solve_rap_lagrangian
@@ -84,6 +85,19 @@ class TestQoR:
         assert report.detour_factor >= 1.0
         assert report.legality_violations == 0
         assert len(report.critical_paths) == 3
+
+    def test_matches_table5_path(self, placed_small):
+        """The signoff summary and the Table V path share one route ->
+        STA -> power body: same wirelength, timing and power."""
+        flow = FlowRunner(placed_small, RCPPParams()).run(FlowKind.FLOW5)
+        report = collect_qor(flow.placed)
+        metrics, *_ = evaluate_post_route(flow)
+        assert report.routed_wirelength_nm == metrics.wirelength_nm
+        assert report.wns_ns == metrics.wns_ns
+        assert report.tns_ns == metrics.tns_ns
+        assert report.power.total_mw == metrics.total_power_mw
+        assert report.overflow == metrics.overflow
+        assert report.max_congestion == metrics.max_congestion
 
     def test_render(self, placed_small):
         flow = FlowRunner(placed_small, RCPPParams()).run(FlowKind.FLOW5)

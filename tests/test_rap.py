@@ -55,11 +55,14 @@ class TestModel:
         f, w, cap = tiny_instance()
         model = build_rap_model([f], [w], cap, [2]).model
         assert model.num_vars == 4 * 6 + 6
-        # Names materialize lazily; the dense layout is x-major then y.
-        assert model.names is None
-        names = model.variable_names()
-        assert names[0] == "x_0_0"
-        assert names[-1] == "y_5"
+        # The dense layout is x (cluster-major, pair ascending), then y.
+        assert np.array_equal(model.c[:24], f.ravel())
+        assert np.array_equal(model.c[24:], np.zeros(6))
+        # Eq. (3) row c covers x_c*; the Eq. (5) count row covers the y.
+        a_eq = model.a_eq.toarray()
+        assert np.array_equal(np.nonzero(a_eq[0])[0], np.arange(6))
+        assert np.array_equal(np.nonzero(a_eq[-1])[0], np.arange(24, 30))
+        assert model.b_eq[-1] == 2
 
     def test_infeasible_nminr_rejected(self):
         f, w, cap = tiny_instance()

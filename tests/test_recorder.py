@@ -261,20 +261,22 @@ class TestFlowIntegration:
         assert "clustering.kmeans" in convergence
         assert f"milp.{result.provenance.backend}" in convergence
 
-    def test_rap_model_cross_solves_on_every_backend(self, placed_small):
+    def test_rap_instance_cross_solves_on_every_backend(self, placed_small):
         from repro.core.flows import FlowRunner
         from repro.core.params import RCPPParams
-        from repro.solvers.milp import solve_milp
+        from repro.core.rap import solve_rap
 
         runner = FlowRunner(placed_small, RCPPParams())
-        model = runner.rap_model()
+        f_by, w_by, capacity, budgets = runner.rap_instance()
         recorder = FlightRecorder("crosscheck")
         objectives = {}
         with recorder.attach():
             for backend in ("highs", "bnb", "lagrangian"):
-                objectives[backend] = solve_milp(
-                    model, backend=backend
-                ).objective
+                solution, *_ = solve_rap(
+                    f_by, w_by, capacity, budgets, backend=backend,
+                    candidate_k=len(capacity),
+                )
+                objectives[backend] = solution.objective
         convergence = recorder.to_dict()["convergence"]
         for backend in ("highs", "bnb", "lagrangian"):
             assert convergence[f"milp.{backend}"]["points"], backend

@@ -119,11 +119,26 @@ class TestCli:
         for series in ("milp.highs", "milp.bnb", "milp.lagrangian",
                        "clustering.kmeans"):
             assert record["convergence"][series]["points"], series
+        # The record names the backends it cross-solved (the primary
+        # HiGHS rung is the flow's own solve).
+        assert record["config"]["crosscheck"] == ["bnb", "lagrangian"]
         trace = json.loads((out_dir / "trace.json").read_text())
         assert any(e["ph"] == "X" for e in trace["traceEvents"])
         report_md = (out_dir / "report.md").read_text()
         assert "## Convergence" in report_md
         assert "# Run report" in out
+
+    def test_report_crosscheck_skips_lagrangian_at_k2(self, tmp_path):
+        import json
+
+        out_dir = tmp_path / "report"
+        argv = ["report", "--cells", "300", "--heights", "6,7.5,9",
+                "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        record = json.loads((out_dir / "run_record.json").read_text())
+        # The Lagrangian heuristic solves K = 1 only.
+        assert record["config"]["crosscheck"] == ["bnb"]
+        assert record["convergence"]["milp.bnb"]["points"]
 
     @pytest.mark.parametrize("command", ["run", "eco", "report"])
     def test_two_minority_tracks(self, command, tmp_path, capsys):
