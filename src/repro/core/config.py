@@ -42,6 +42,14 @@ _REMOVED_HEIGHT_KEYS = {
     "n_minority_rows": None,
 }
 
+#: ``RCPPParams`` knobs removed in 9.0, with their former defaults: the
+#: flows now always run k-means for 60 iterations and let the RAP engine
+#: choose its candidate count, so only these values rebuild a placement.
+_REMOVED_IN_9_KEYS = {
+    "kmeans_max_iterations": 60,
+    "rap_candidates": None,
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -129,11 +137,13 @@ class RunConfig:
         """Rebuild from a :meth:`to_dict` snapshot (the ``policy`` key of
         snapshots written before 6.0 is ignored).
 
-        Snapshots written before 2.0 carry the removed two-height keys;
-        their defaults load as the paper's setting, any other value
-        raises rather than rebuild a different config.  Other unknown
-        parameter keys (fields removed since, which never changed a
-        placement) are dropped.
+        Snapshots written before 2.0 carry the removed two-height keys,
+        and 8.x snapshots the two knobs removed in 9.0
+        (``kmeans_max_iterations``, ``rap_candidates``).  Their defaults
+        load as today's setting; any other value raises rather than
+        rebuild a different placement.  Other unknown parameter keys
+        (fields removed since 2.0 that never changed a placement) are
+        dropped.
         """
         params_data = dict(data.get("params", {}))
         for key, default in _REMOVED_HEIGHT_KEYS.items():
@@ -141,6 +151,14 @@ class RunConfig:
                 raise ValidationError(
                     f"params.{key} was removed in 2.0; state the snapshot's "
                     "track heights as params.heights (a HeightSpec)"
+                )
+        for key, default in _REMOVED_IN_9_KEYS.items():
+            value = params_data.pop(key, default)
+            if value != default:
+                raise ValidationError(
+                    f"params.{key} was removed in 9.0 and only its default "
+                    f"{default!r} loads; this snapshot's {key}={value!r} "
+                    "placement cannot be rebuilt"
                 )
         heights_data = params_data.pop("heights", None)
         heights = (
