@@ -17,15 +17,18 @@ test-e2e:
 
 # Kernel equivalence suites (< 1 min): the legalizer, legality-oracle,
 # global-place and median kernels against their preserved references,
-# call by call and over whole refinement loops, and the RAP engine's one
+# call by call and over whole refinement loops; the RAP engine's one
 # restricted-solve-and-price loop against the dense and ECO-repair
-# routes it replaced.  Run after touching any kernel in repro.placement
-# or repro.kernels, or the engine in repro.core.sparse_rap.
+# routes it replaced; and the RAP cost rows an ECO repair keeps current
+# against a fresh compute after every delta (and the whole compute
+# against its preserved reference).  Run after touching any kernel in
+# repro.placement or repro.kernels, the engine in repro.core.sparse_rap,
+# the cost assembly in repro.core.cost or the ECO repair in repro.eco.
 test-kernels:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_legalize_equivalence.py \
 	  tests/test_legality_oracle.py tests/test_global_place_equivalence.py \
 	  tests/test_median_equivalence.py tests/test_refine_equivalence.py \
-	  tests/test_rap_equivalence.py
+	  tests/test_rap_equivalence.py tests/test_cost_equivalence.py
 
 # Frozen golden suites (~5 s): the RAP models, baseline assignment,
 # legalizers and flows (2)-(5) of the two-height twin, its 1/12-scale

@@ -66,6 +66,13 @@ def cheapest_pairs_mask(f: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
+def combine(disp: np.ndarray, dhpwl: np.ndarray, alpha: float) -> np.ndarray:
+    """Eq. (2): f_cr = alpha * Disp + (1 - alpha) * dHPWL."""
+    if not (0.0 <= alpha <= 1.0):
+        raise ValidationError(f"alpha must be in [0, 1], got {alpha}")
+    return alpha * disp + (1.0 - alpha) * dhpwl
+
+
 @dataclass(frozen=True)
 class RapCosts:
     """Per-cluster cost matrices plus the width bookkeeping the ILP needs."""
@@ -78,9 +85,51 @@ class RapCosts:
 
     def combine(self, alpha: float) -> np.ndarray:
         """Eq. (2): f_cr = alpha * Disp + (1 - alpha) * dHPWL."""
-        if not (0.0 <= alpha <= 1.0):
-            raise ValidationError(f"alpha must be in [0, 1], got {alpha}")
-        return alpha * self.disp + (1.0 - alpha) * self.dhpwl
+        return combine(self.disp, self.dhpwl, alpha)
+
+
+@dataclass
+class ClassCosts:
+    """One minority class's RAP instance: its clustering and cluster rows.
+
+    ``disp`` / ``dhpwl`` / ``cluster_width`` are the rows
+    :func:`compute_rap_costs` returns for ``labels``; :meth:`refresh`
+    recomputes some of them in place after an edit of the placement, so
+    a streaming ECO keeps the instance current without a full pass.
+    ``alpha`` is applied on read (:meth:`combine`).
+    """
+
+    labels: np.ndarray  # (N_minC,) cluster of each class cell
+    disp: np.ndarray  # (N_C, N_P)
+    dhpwl: np.ndarray  # (N_C, N_P)
+    cluster_width: np.ndarray  # (N_C,)
+
+    @property
+    def n_clusters(self) -> int:
+        return len(self.cluster_width)
+
+    def combine(self, alpha: float) -> np.ndarray:
+        """Eq. (2): f_cr = alpha * Disp + (1 - alpha) * dHPWL."""
+        return combine(self.disp, self.dhpwl, alpha)
+
+    def refresh(
+        self,
+        placed: PlacedDesign,
+        minority_indices: np.ndarray,
+        pair_center_y: np.ndarray,
+        original_widths: np.ndarray,
+        clusters: np.ndarray,
+    ) -> None:
+        """Recompute the rows of ``clusters`` on ``placed``, in place."""
+        if len(clusters) == 0:
+            return
+        costs = compute_rap_costs(
+            placed, minority_indices, self.labels, self.n_clusters,
+            pair_center_y, original_widths, clusters=clusters,
+        )
+        self.disp[clusters] = costs.disp
+        self.dhpwl[clusters] = costs.dhpwl
+        self.cluster_width[clusters] = costs.cluster_width
 
 
 def compute_rap_costs(
@@ -90,6 +139,7 @@ def compute_rap_costs(
     n_clusters: int,
     pair_center_y: np.ndarray,
     original_widths: np.ndarray,
+    clusters: np.ndarray | None = None,
 ) -> RapCosts:
     """Build the (cluster x row-pair) Disp and dHPWL matrices.
 
@@ -98,6 +148,13 @@ def compute_rap_costs(
     frame; ``original_widths`` are the un-mLEF minority cell widths used
     for capacity (paper Sec. III-C: "the width of a minority cell is
     treated as the width of the original cell").
+
+    ``clusters`` (distinct ids) restricts the result to those rows, in
+    that order; the cell matrices then hold the member cells of
+    ``clusters``, in ascending class order.  Each row equals the same row
+    of the full compute bit for bit: its sums run over the same cells
+    and pins in the same order, and the extents pass covers exactly the
+    nets those cells' pins sit on.
     """
     minority_indices = np.asarray(minority_indices, dtype=int)
     n_min = len(minority_indices)
@@ -105,47 +162,69 @@ def compute_rap_costs(
         raise ValidationError("no minority cells")
     if labels.shape != (n_min,):
         raise ValidationError("labels must align with minority_indices")
+    if original_widths.shape != (n_min,):
+        raise ValidationError("original_widths must align with minority cells")
     n_pairs = len(pair_center_y)
 
-    cy = placed.y[minority_indices] + placed.heights[minority_indices] / 2.0
+    # Rows and their member cells: every cluster, or the requested ones
+    # renumbered 0..len(clusters)-1.
+    if clusters is None:
+        n_rows = n_clusters
+        cells = np.arange(n_min)
+        row_of_cell = labels
+    else:
+        clusters = np.asarray(clusters, dtype=int)
+        n_rows = len(clusters)
+        row_of = np.full(n_clusters, -1, dtype=int)
+        row_of[clusters] = np.arange(n_rows)
+        cells = np.flatnonzero(row_of[labels] >= 0)
+        row_of_cell = row_of[labels[cells]]
+    members = minority_indices[cells]
+
+    cy = placed.y[members] + placed.heights[members] / 2.0
     cell_disp = np.abs(pair_center_y[None, :] - cy[:, None])
 
-    # dHPWL: iterate over minority pins, vectorized over row pairs.  The
-    # per-pin exclusion (top-2 trick) is the shared segmented kernel on
-    # the design's cached topology.
-    _, py = placed.pin_positions()
+    # dHPWL: iterate over the members' pins, vectorized over row pairs.
+    # The per-pin exclusion (top-2 trick) is the shared segmented kernel
+    # on the design's cached topology.
     topo = placed.topology
-    others_lo, others_hi, lo1, hi1 = topo.per_pin_other_extents(py)
-    old_span = hi1 - lo1
-
-    minority_of_inst = np.full(placed.design.num_instances, -1, dtype=int)
-    minority_of_inst[minority_indices] = np.arange(n_min)
+    cell_of_inst = np.full(placed.design.num_instances, -1, dtype=int)
+    cell_of_inst[members] = np.arange(len(cells))
     pin_cell = np.where(
-        placed.pin_inst >= 0, minority_of_inst[np.maximum(placed.pin_inst, 0)], -1
+        placed.pin_inst >= 0, cell_of_inst[np.maximum(placed.pin_inst, 0)], -1
     )
     pin_mask = (pin_cell >= 0) & (placed.net_weight[topo.net_ids] > 0)
     pins = np.flatnonzero(pin_mask)
 
-    cell_dhpwl = np.zeros((n_min, n_pairs))
+    cell_dhpwl = np.zeros((len(cells), n_pairs))
     if len(pins):
+        # Pin y and extents over every pin, or over the pins of the nets
+        # the members' pins sit on; ``at`` locates each member pin there.
+        if clusters is None:
+            nets = net_pins = None
+            at = pins
+        else:
+            nets = np.unique(topo.net_ids[pins])
+            net_pins = topo.pins_of(nets)
+            at = np.searchsorted(net_pins, pins)
+        _, py = placed.pin_positions(pins=net_pins)
+        others_lo, others_hi, lo1, hi1 = topo.per_pin_other_extents(py, nets)
         cell_of_pin = pin_cell[pins]
         inst_of_pin = placed.pin_inst[pins]
-        rel_dy = py[pins] - (
+        rel_dy = py[at] - (
             placed.y[inst_of_pin] + placed.heights[inst_of_pin] / 2.0
         )
         # New pin y if the cell center moved to each pair center.
         new_y = pair_center_y[None, :] + rel_dy[:, None]
-        o_lo = others_lo[pins][:, None]
-        o_hi = others_hi[pins][:, None]
+        o_lo = others_lo[at][:, None]
+        o_hi = others_hi[at][:, None]
         new_span = np.maximum(o_hi, new_y) - np.minimum(o_lo, new_y)
-        delta = new_span - old_span[pins][:, None]
-        cell_dhpwl = group_sum(delta, cell_of_pin, n_min)
+        delta = new_span - (hi1[at] - lo1[at])[:, None]
+        cell_dhpwl = group_sum(delta, cell_of_pin, len(cells))
 
-    if original_widths.shape != (n_min,):
-        raise ValidationError("original_widths must align with minority cells")
-    disp = group_sum(cell_disp, labels, n_clusters)
-    dhpwl = group_sum(cell_dhpwl, labels, n_clusters)
-    width = group_sum(original_widths, labels, n_clusters)
+    disp = group_sum(cell_disp, row_of_cell, n_rows)
+    dhpwl = group_sum(cell_dhpwl, row_of_cell, n_rows)
+    width = group_sum(original_widths[cells], row_of_cell, n_rows)
 
     return RapCosts(
         disp=disp,

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.baseline import baseline_row_assignment
 from repro.core.clustering import cluster_minority_cells
-from repro.core.cost import compute_rap_costs
+from repro.core.cost import ClassCosts, compute_rap_costs
 from repro.core.heights import HeightSpec, resolve_heights
 from repro.core.legalize_abacus_rc import abacus_rc_legalize
 from repro.core.legalize_rc import fence_region_legalize
@@ -102,7 +102,9 @@ class InitialPlacement:
 
     ``heights`` is the resolved spec it was prepared for, and
     ``class_indices`` / ``class_widths_original`` carry every minority
-    class keyed by track, in spec order.
+    class keyed by track, in spec order.  ``revision`` counts the
+    in-place edits of ``placed`` (ECO deltas): :attr:`hpwl` and a
+    runner's stored RAP instance describe one revision.
     """
 
     design: Design
@@ -110,7 +112,6 @@ class InitialPlacement:
     mlef: MLefTransform
     floorplan: Floorplan
     placed: PlacedDesign  # mLEF-frame geometry snapshot
-    hpwl: float
     times: StageTimes
     pair_center_y: np.ndarray
     pair_capacity: np.ndarray
@@ -118,6 +119,17 @@ class InitialPlacement:
     class_indices: dict[float, np.ndarray]
     #: Un-mLEF widths per class (the capacity rule's input).
     class_widths_original: dict[float, np.ndarray]
+    revision: int = 0
+    _hpwl: tuple[int, float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def hpwl(self) -> float:
+        """HPWL of ``placed``, computed on the first read of a revision."""
+        if self._hpwl is None or self._hpwl[0] != self.revision:
+            self._hpwl = (self.revision, hpwl_total(self.placed))
+        return self._hpwl[1]
 
     def classes(self) -> dict[float, tuple[np.ndarray, np.ndarray]]:
         """Track -> (instance indices, original widths), every class."""
@@ -261,7 +273,6 @@ def _prepare_initial_placement(
         mlef=mlef,
         floorplan=floorplan,
         placed=placed,
-        hpwl=hpwl_total(placed),
         times=times,
         pair_center_y=np.array([p.center_y for p in pairs]),
         pair_capacity=np.array([float(p.capacity_width) for p in pairs]),
@@ -269,6 +280,16 @@ def _prepare_initial_placement(
         class_indices=class_indices,
         class_widths_original=class_widths,
     )
+
+
+@dataclass
+class RapStore:
+    """A runner's RAP instance: one :class:`ClassCosts` per class in spec
+    order, for clustering resolution ``s`` at initial ``revision``."""
+
+    s: float
+    revision: int
+    classes: list[ClassCosts]
 
 
 class FlowRunner:
@@ -317,9 +338,11 @@ class FlowRunner:
         # next RAP solve on this runner (e.g. after
         # invalidate_assignments()).
         self._rap_warm: list[np.ndarray] | None = None
-        # Per-class clustering labels from the last ilp_assignment();
-        # streaming ECO maps delta-touched cells to dirty clusters here.
-        self._ilp_labels: list[np.ndarray] | None = None
+        # The RAP instance of the last ILP solve: per-class clustering
+        # labels and Eq. (2) rows, keyed by (s, initial revision).
+        # Streaming ECO maps delta-touched cells to dirty clusters through
+        # its labels and keeps its rows current across deltas.
+        self._rap: RapStore | None = None
 
     def invalidate_assignments(self) -> None:
         """Drop the cached row assignments so the next call re-solves.
@@ -426,15 +449,15 @@ class FlowRunner:
             )
         return self._ilp
 
-    def _class_costs(self):
-        """Per-class clustering + Eq. (2) costs: (f, widths, labels) lists."""
+    def _cluster_classes(self) -> list[ClassCosts]:
+        """Per-class clustering + Eq. (2) rows, stored as the runner's
+        RAP instance."""
         init = self.initial
-        params = self.params
-        f_by, w_by, labels_by = [], [], []
+        classes = []
         for _track, indices, widths in self._classes:
             cx = init.placed.x[indices] + init.placed.widths[indices] / 2.0
             cy = init.placed.y[indices] + init.placed.heights[indices] / 2.0
-            clustering = cluster_minority_cells(cx, cy, params.s)
+            clustering = cluster_minority_cells(cx, cy, self.params.s)
             costs = compute_rap_costs(
                 init.placed,
                 indices,
@@ -443,10 +466,16 @@ class FlowRunner:
                 init.pair_center_y,
                 widths,
             )
-            f_by.append(costs.combine(params.alpha))
-            w_by.append(costs.cluster_width)
-            labels_by.append(clustering.labels)
-        return f_by, w_by, labels_by
+            classes.append(
+                ClassCosts(
+                    clustering.labels,
+                    costs.disp,
+                    costs.dhpwl,
+                    costs.cluster_width,
+                )
+            )
+        self._rap = RapStore(self.params.s, init.revision, classes)
+        return classes
 
     def _solve_ilp(
         self,
@@ -458,15 +487,15 @@ class FlowRunner:
         params = self.params
         budgets = self.row_budgets
         with times.measure("clustering"):
-            f_by, w_by, labels_by = self._class_costs()
-            self._ilp_labels = labels_by
+            classes = self._cluster_classes()
+            f_by = [c.combine(params.alpha) for c in classes]
         with times.measure("rap_ilp"):
             assignment = solve_rap_resilient(
                 f_by,
-                w_by,
+                [c.cluster_width for c in classes],
                 self.initial.pair_capacity,
                 [budgets[t] for t, _, _ in self._classes],
-                labels_by,
+                [c.labels for c in classes],
                 [t for t, _, _ in self._classes],
                 majority_track=self.majority_track,
                 backend=params.solver_backend,
@@ -499,8 +528,10 @@ class FlowRunner:
     ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, list[int]]:
         """The RAP instance of this runner's ILP configuration.
 
-        Re-runs clustering + cost assembly (cheap relative to solving) and
-        returns ``(f_by_class, width_by_class, usable_capacity,
+        The instance the runner's last ILP solve used, as ECO repairs
+        have kept it; clustering and cost assembly run only when the
+        runner holds none for its current ``s`` and initial placement.
+        Returns ``(f_by_class, width_by_class, usable_capacity,
         budgets)``, per class in spec order with the ``row_fill``
         capacity derating applied: exactly the arguments
         :func:`~repro.core.rap.solve_rap` and
@@ -508,11 +539,19 @@ class FlowRunner:
         cross-solves it with every RAP backend for convergence
         telemetry.
         """
-        f_by, w_by, _ = self._class_costs()
+        store = self._rap
+        if (
+            store is None
+            or store.s != self.params.s
+            or store.revision != self.initial.revision
+        ):
+            classes = self._cluster_classes()
+        else:
+            classes = store.classes
         budgets = self.row_budgets
         return (
-            f_by,
-            w_by,
+            [c.combine(self.params.alpha) for c in classes],
+            [c.cluster_width.copy() for c in classes],
             self.initial.pair_capacity * self.params.row_fill,
             [budgets[t] for t in self.spec.minority_tracks],
         )

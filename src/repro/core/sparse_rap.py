@@ -15,9 +15,10 @@ The dense RAP (all-true masks) instantiates all
 ``N_C x N_P`` assignment variables per class, so model build and solve
 cost grow quadratically with testcase size even though a cluster is
 never profitably assigned to a row pair across the die.  The engine
-prunes that space end to end while staying *provably* equivalent to the
-optimum over a per-class **universe** of columns: every column for a
-cold solve, the row-frozen subproblem for an ECO repair.  A route
+prunes that space end to end while a certified answer stays optimal
+over a per-class **universe** of columns, to within the exact backend's
+MIP gap (*Certified*, below): every column for a cold solve, the
+row-frozen subproblem for an ECO repair.  A route
 chooses only the universe and the start columns inside it
 (``SparseSolveStats.strategy``):
 
@@ -54,6 +55,15 @@ left-out column passes the test the restricted optimum *is* the
 universe's optimum (certified).  Each admission strictly grows the
 candidate set, so the loop terminates — in the worst case at the
 universe itself.  One wall-clock budget bounds the whole loop.
+
+*Certified.*  The argument above is exact, but a restricted solve is
+only as optimal as its backend's stopping rule.  HiGHS runs at its
+default relative MIP gap of 1e-4
+(:func:`~repro.solvers.highs.solve_with_highs` passes no
+``mip_rel_gap``; its log prints "tolerance: 0.01%"), so a
+HiGHS-certified answer is the universe's optimum to within that
+relative gap, not provably the optimum itself.  ``bnb`` closes its gap
+to 1e-9 absolute.
 
 *Strengthening.*  Restricted models carry two valid inequalities the
 paper's formulation implies but never states: the disaggregated linking
@@ -116,7 +126,7 @@ class SparseSolveStats:
     n_dense_variables: int = 0
     rounds: int = 0  # restricted solves performed
     admitted_columns: int = 0  # columns re-admitted by the pricing test
-    certified: bool = False  # restricted optimum proven == universe optimum
+    certified: bool = False  # universe optimum, to the backend's MIP gap
     lp_bound: float | None = None  # strengthened LP value over the universe
     upper_bound: float | None = None  # incumbent used for rc fixing
     build_s: float = 0.0
@@ -964,9 +974,10 @@ def solve_rap_sparse(
     validates the inputs, picks the route — the universe of columns and
     the start columns inside it — and runs the one restricted-solve and
     pricing loop every route shares.  For exact backends the result is
-    certified equal to the optimum over the universe whenever
-    ``stats.certified`` is true, by the reduced-cost argument in the
-    module docstring.
+    certified optimal over the universe whenever ``stats.certified`` is
+    true, by the reduced-cost argument in the module docstring, to
+    within the backend's MIP gap (HiGHS: relative 1e-4, its default;
+    ``bnb``: 1e-9 absolute).
 
     Routes: ``candidate_k`` forces top-k start columns, and
     ``candidate_k >= N_P`` solves the dense model bit for bit; ``None``

@@ -14,13 +14,19 @@ place instead:
    patch_pins`) — ``net_ptr`` is untouched, so the cached
    :class:`~repro.kernels.NetTopology` stays valid with no rebuild.
    Degree-changing edits (insert, delete) rebuild the CSR arrays, which
-   allocates a new ``net_ptr`` and thereby invalidates the cache.
+   allocates a new ``net_ptr`` and thereby invalidates the cache.  The
+   placement's ``revision`` advances; its HPWL is recomputed only when
+   read.
 
 2. **Dirty-set propagation** — delta-touched minority cells map through
-   the cached clustering labels to *dirty clusters*; everything else
-   stays pinned.
+   the runner's stored clustering labels to *dirty clusters*;
+   everything else stays pinned.
 
-3. **Incremental RAP repair** — :func:`~repro.core.rap.solve_rap`
+3. **Incremental RAP repair** — the runner's stored RAP instance is
+   brought up to the delta first: only the Eq. (2) rows of *stale*
+   clusters (whose cells the delta touched or whose nets it changed)
+   are recomputed, bit for bit what a fresh pass gives.  Then
+   :func:`~repro.core.rap.solve_rap`
    with ``dirty_clusters=``, one call per class, warm-starts from the
    incumbent assignment and re-prices only the dirty columns under the
    incumbent's frozen row map.  A certified repair keeps the mixed
@@ -353,6 +359,11 @@ class AppliedDelta:
     del_slots: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64)
     )
+    # Nets that lost dead sinks (owners of ``del_slots`` in the
+    # pre-delete CSR; net ids survive the structural patch).
+    pruned_nets: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64)
+    )
 
 
 def _instance_pin_slots(
@@ -524,11 +535,14 @@ def apply_delta(init, delta: NetlistDelta) -> AppliedDelta:
     structural ones (inserts / deletes) go through the vectorized
     :func:`_patch_structural` slot edit — never a full frame rebuild.
     Class width tables (the RAP capacity inputs) are refreshed for
-    resized / ghosted cells.
+    resized / ghosted cells, and ``init.revision`` advances, so the
+    placement's HPWL is recomputed on its next read.
     """
     design = init.design
     library = init.library
-    n_before = design.num_instances
+    # Before any edit: a delta that fails half-way still leaves nothing
+    # cached against the old placement looking current.
+    init.revision += 1
 
     rewires = [op for op in delta.ops if isinstance(op, RewireOp)]
     resizes = [op for op in delta.ops if isinstance(op, ResizeOp)]
@@ -628,7 +642,7 @@ def apply_delta(init, delta: NetlistDelta) -> AppliedDelta:
     # Slot indices of the same sinks in the (pre-delete) CSR arrays come
     # from one vectorized scan: every non-driver slot of a dead instance
     # is one of its input pins — exactly the set the list filter drops.
-    del_slots = np.empty(0, dtype=np.int64)
+    del_slots = owners = np.empty(0, dtype=np.int64)
     if dead:
         is_driver = np.zeros(len(init.placed.pin_inst), dtype=bool)
         is_driver[init.placed.net_ptr[:-1]] = True
@@ -684,7 +698,6 @@ def apply_delta(init, delta: NetlistDelta) -> AppliedDelta:
                 pos = int(np.searchsorted(indices, i))
                 if pos < len(indices) and indices[pos] == i:
                     widths[pos] = float(master.width)
-    init.hpwl = hpwl_total(init.placed)
 
     return AppliedDelta(
         touched=np.array(sorted(touched), dtype=np.int64),
@@ -696,6 +709,7 @@ def apply_delta(init, delta: NetlistDelta) -> AppliedDelta:
         rewire_slot_pairs=rewire_slot_pairs,
         resize_slots=resize_slots,
         del_slots=del_slots,
+        pruned_nets=owners,
     )
 
 
@@ -736,7 +750,57 @@ class EcoResult:
         return self.fallback
 
 
-def _repair_classes(runner, base, labels_by, app):
+def _stale_cells(placed: PlacedDesign, app: AppliedDelta) -> np.ndarray:
+    """Instances whose RAP cost rows ``app`` may have changed (a mask).
+
+    A class cell's Disp and width move only with its own geometry, and
+    its dHPWL only with the pins of the nets it sits on.  So the stale
+    cells are the touched ones plus every cell with a pin on a stale
+    net: a net holding a pin of a touched or inserted instance after the
+    delta, or one that lost dead sinks.  Rewires are covered because
+    both swapped pins' instances are touched.
+    """
+    n = len(placed.x)
+    edited = np.zeros(n, dtype=bool)
+    edited[app.touched] = True
+    edited[app.inserted] = True
+    topo = placed.topology
+    inst = placed.pin_inst
+    on_cell = inst >= 0
+    stale_net = np.zeros(topo.n_nets, dtype=bool)
+    stale_net[topo.net_ids[on_cell & edited[np.maximum(inst, 0)]]] = True
+    stale_net[app.pruned_nets] = True
+    stale = np.zeros(n, dtype=bool)
+    stale[inst[on_cell & stale_net[topo.net_ids]]] = True
+    stale[app.touched] = True
+    return stale
+
+
+def _refresh_rap(runner, app: AppliedDelta) -> None:
+    """Bring the runner's stored RAP instance up to the delta, in place.
+
+    Only the rows of stale clusters (:func:`_stale_cells`) are
+    recomputed, for every class before any class solves, so each delta
+    of a chain starts from current costs.  A store that missed an
+    earlier edit of the placement cannot be brought up; it is dropped.
+    """
+    store = runner._rap
+    init = runner.initial
+    if store is None:
+        return
+    if store.revision != init.revision - 1:
+        runner._rap = None
+        return
+    stale = _stale_cells(init.placed, app)
+    for (_t, indices, widths), costs in zip(runner._classes, store.classes):
+        costs.refresh(
+            init.placed, indices, init.pair_center_y, widths,
+            np.unique(costs.labels[stale[indices]]),
+        )
+    store.revision = init.revision
+
+
+def _repair_classes(runner, base, app):
     """Per-class incremental RAP repair under the frozen row map.
 
     Returns ``(by_track, objective, dirty_count,
@@ -744,7 +808,6 @@ def _repair_classes(runner, base, labels_by, app):
     :class:`_EcoFallback` when any class's restricted repair cannot
     certify equality with its row-frozen subproblem optimum.
     """
-    from repro.core.cost import compute_rap_costs
     from repro.core.rap import solve_rap
     from repro.solvers.milp import MilpStatus
 
@@ -756,15 +819,14 @@ def _repair_classes(runner, base, labels_by, app):
     moved_by: list[np.ndarray] = []
     objective = 0.0
     dirty_total = 0
-    for (track, indices, widths), labels in zip(runner._classes, labels_by):
+    for (track, indices, _w), costs in zip(
+        runner._classes, runner._rap.classes
+    ):
+        labels = costs.labels
         warm = np.asarray(base.by_track[track][0], dtype=int)
         n_clusters = len(warm)
         dirty = np.unique(labels[np.isin(indices, app.touched)])
         dirty_total += len(dirty)
-        costs = compute_rap_costs(
-            init.placed, indices, labels, n_clusters,
-            init.pair_center_y, widths,
-        )
         f = costs.combine(params.alpha)
         if len(dirty) == 0:
             new = warm
@@ -915,15 +977,16 @@ def run_eco(runner, delta: NetlistDelta, incumbent) -> EcoResult:
         app = apply_delta(runner.initial, delta)
         runner.invalidate_assignments()
         base = incumbent.assignment
-        labels_by = getattr(runner, "_ilp_labels", None)
         try:
+            _refresh_rap(runner, app)
             runner.policy.inject("eco.repair")
             if base is None:
                 raise _EcoFallback("incumbent has no row assignment")
-            if labels_by is None or len(labels_by) != len(runner._classes):
+            if runner._rap is None:
                 raise _EcoFallback("no cached clustering labels")
+            labels_by = [c.labels for c in runner._rap.classes]
             by_track, objective, n_dirty, moved_by = _repair_classes(
-                runner, base, labels_by, app
+                runner, base, app
             )
             placed = _sync_mixed_frame(runner, incumbent, app)
             x0, y0 = placed.clone_positions()

@@ -40,8 +40,9 @@ from repro.obs.events import emit_event
 from repro.obs.trace import span
 from repro.techlib.cells import StdCellLibrary
 
-#: Bump when the pickled artifact layout changes incompatibly.
-CACHE_SCHEMA_VERSION = 1
+#: Bump when the pickled artifact layout changes incompatibly (2: the
+#: library's lookup cache and the placement's revision-keyed HPWL).
+CACHE_SCHEMA_VERSION = 2
 
 #: Default cache location (override per sweep with ``cache_dir``).
 DEFAULT_CACHE_DIR = ".repro_cache"

@@ -116,8 +116,19 @@ class NetTopology:
         last = np.maximum.reduceat(si, self.starts)
         return first, last
 
+    def pins_of(self, nets: np.ndarray) -> np.ndarray:
+        """Pin indices of ``nets``, net by net in CSR order.
+
+        Ascending ``nets`` give ascending pin indices.
+        """
+        degrees = self.degrees[nets]
+        offsets = np.cumsum(degrees) - degrees
+        return np.repeat(self.net_ptr[nets] - offsets, degrees) + np.arange(
+            int(degrees.sum())
+        )
+
     def per_pin_other_extents(
-        self, coords: np.ndarray
+        self, coords: np.ndarray, nets: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """For every pin: (others_lo, others_hi, net_lo, net_hi) on one axis.
 
@@ -127,11 +138,24 @@ class NetTopology:
         single-pin nets get ``others == own position``, so a move produces
         a zero-span change, which is correct.
 
+        ``nets`` (distinct, ascending) restricts the pass to those nets:
+        ``coords`` then holds the values of their pins,
+        ``pins_of(nets)``, and so do the arrays returned, each entry
+        equal bit for bit to that pin's entry of the full pass (extremes
+        are exact, and the sub-pass sees each net's pins in the same
+        order, so the bound-pin tie-break picks the same pin).
+
         This is the shared kernel behind the RAP dHPWL matrix
         (:mod:`repro.core.cost`) and the median-improvement refinement
         (:mod:`repro.placement.incremental`); it replaces their duplicated
         per-axis lexsorts with six segmented passes.
         """
+        if nets is not None:
+            sub_ptr = np.zeros(len(nets) + 1, dtype=np.int64)
+            np.cumsum(self.degrees[nets], out=sub_ptr[1:])
+            return NetTopology(sub_ptr, len(coords)).per_pin_other_extents(
+                coords
+            )
         net_ids = self.net_ids
         lo1, hi1 = self.minmax(coords)
         first, last = self.bound_pins(coords)

@@ -109,12 +109,11 @@ def size_to_clock(
     ladders = _strength_ladders(design.library)
     promotions = 0
     iterations = 0
-    report = _analyze(design, params)
+    graph, report = _analyze(design, params)
 
     batch = max(1, int(round(promote_fraction_per_iter * design.num_instances)))
     while iterations < max_iterations and report.wns_ps < 0.0:
         iterations += 1
-        graph = TimingGraph.build(design)
         inst_slack = report.instance_slack(graph)
         order = np.argsort(inst_slack)
         promoted_this_iter = 0
@@ -132,7 +131,7 @@ def size_to_clock(
         if promoted_this_iter == 0:
             break  # every critical instance is already at the ladder top
         promotions += promoted_this_iter
-        report = _analyze(design, params)
+        graph, report = _analyze(design, params)
 
     design.validate()
     return SynthesisResult(
@@ -172,8 +171,7 @@ def size_to_minority_fraction(
             f"library has no masters for track(s) {sorted(missing)}"
         )
     _assign_initial_drives(design)
-    report = _analyze(design, params)
-    graph = TimingGraph.build(design)
+    graph, report = _analyze(design, params)
     inst_slack = report.instance_slack(graph)
     order = np.argsort(inst_slack, kind="stable")
     promotions = 0
@@ -185,14 +183,17 @@ def size_to_minority_fraction(
             inst.master = design.library.variant(inst.master, track)
             promotions += 1
         start += count
-    report = _analyze(design, params)
+    _graph, report = _analyze(design, params)
     design.validate()
     return SynthesisResult(
         design=design, report=report, iterations=1, promotions=promotions
     )
 
 
-def _analyze(design: Design, params: TimingParams | None) -> TimingReport:
+def _analyze(
+    design: Design, params: TimingParams | None
+) -> tuple[TimingGraph, TimingReport]:
+    """Wireload STA of ``design``: its timing graph and report."""
     graph = TimingGraph.build(design)
     lengths = fanout_wireload_lengths(design)
-    return run_sta(design, graph, lengths, params)
+    return graph, run_sta(design, graph, lengths, params)

@@ -299,17 +299,26 @@ class PlacedDesign:
     # -- pin positions ------------------------------------------------------
 
     def pin_positions(
-        self, x: np.ndarray | None = None, y: np.ndarray | None = None
+        self,
+        x: np.ndarray | None = None,
+        y: np.ndarray | None = None,
+        pins: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Absolute pin coordinates for placement ``x``/``y`` (default own)."""
+        """Absolute pin coordinates for placement ``x``/``y`` (default own).
+
+        ``pins`` restricts the result to those pin indices, in that order.
+        """
         if x is None:
             x = self.x
         if y is None:
             y = self.y
-        mask = self._port_pin_mask
-        inst = np.where(mask, 0, self.pin_inst)
-        px = np.where(mask, self.pin_dx, x[inst] + self.pin_dx)
-        py = np.where(mask, self.pin_dy, y[inst] + self.pin_dy)
+        mask, inst = self._port_pin_mask, self.pin_inst
+        dx, dy = self.pin_dx, self.pin_dy
+        if pins is not None:
+            mask, inst, dx, dy = mask[pins], inst[pins], dx[pins], dy[pins]
+        inst = np.where(mask, 0, inst)
+        px = np.where(mask, dx, x[inst] + dx)
+        py = np.where(mask, dy, y[inst] + dy)
         return px, py
 
     def centers(self) -> tuple[np.ndarray, np.ndarray]:

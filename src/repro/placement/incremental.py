@@ -63,14 +63,9 @@ def subset_hpwl(
     if len(nets) == 0:
         return 0.0
     topo = placed.topology
-    px, py = placed.pin_positions(x, y)
-    counts = topo.degrees[nets]
-    total = int(counts.sum())
     seg = np.zeros(len(nets), dtype=np.int64)
-    np.cumsum(counts[:-1], out=seg[1:])
-    idx = np.repeat(topo.net_ptr[nets] - seg, counts) + np.arange(total)
-    sx = px[idx]
-    sy = py[idx]
+    np.cumsum(topo.degrees[nets][:-1], out=seg[1:])
+    sx, sy = placed.pin_positions(x, y, pins=topo.pins_of(nets))
     spans = (
         np.maximum.reduceat(sx, seg)
         - np.minimum.reduceat(sx, seg)

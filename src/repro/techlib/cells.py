@@ -120,6 +120,10 @@ class StdCellLibrary:
     site_width: int
     manufacturing_grid: int
     masters: dict[str, CellMaster] = field(default_factory=dict)
+    # find() results per filter; add() clears it.
+    _found: dict[tuple, tuple[CellMaster, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.site_width <= 0:
@@ -136,6 +140,7 @@ class StdCellLibrary:
                 f"site width {self.site_width}"
             )
         self.masters[master.name] = master
+        self._found.clear()
 
     def __contains__(self, name: str) -> bool:
         return name in self.masters
@@ -171,16 +176,22 @@ class StdCellLibrary:
         vt: str | None = None,
         track_height: float | None = None,
     ) -> list[CellMaster]:
-        """All masters matching the given attribute filter, sorted by name."""
-        out = [
-            m
-            for m in self.masters.values()
-            if m.function == function
-            and (drive is None or m.drive == drive)
-            and (vt is None or m.vt == vt)
-            and (track_height is None or m.track_height == track_height)
-        ]
-        return sorted(out, key=lambda m: m.name)
+        """All masters matching the given attribute filter, sorted by name.
+
+        Each call returns a new list (callers may sort it in place).
+        """
+        key = (function, drive, vt, track_height)
+        if key not in self._found:
+            out = [
+                m
+                for m in self.masters.values()
+                if m.function == function
+                and (drive is None or m.drive == drive)
+                and (vt is None or m.vt == vt)
+                and (track_height is None or m.track_height == track_height)
+            ]
+            self._found[key] = tuple(sorted(out, key=lambda m: m.name))
+        return list(self._found[key])
 
     def variant(self, master: CellMaster, track_height: float) -> CellMaster:
         """The same function/drive/vt master at a different track height.

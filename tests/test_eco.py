@@ -254,7 +254,7 @@ class TestNoDiscardedSolve:
         design, runner, incumbent = _incumbent(library, n_cells=300, seed=9)
         track, indices, widths = runner._classes[0]
         c2p = incumbent.assignment.by_track[track][0]
-        cell_pair = c2p[runner._ilp_labels[0]]
+        cell_pair = c2p[runner._rap.classes[0].labels]
         cap = runner.initial.pair_capacity * runner.params.row_fill
         load = np.bincount(cell_pair, weights=widths, minlength=len(cap))
         opened = np.unique(c2p)
@@ -355,7 +355,10 @@ class TestRepairAssignment:
         bad[0] = int(max(base.minority_pairs)) + 1
         with pytest.raises(ValidationError):
             repair_assignment(
-                base, {7.5: (bad, bad[runner._ilp_labels[0]])}, 0.0, 0.0
+                base,
+                {7.5: (bad, bad[runner._rap.classes[0].labels])},
+                0.0,
+                0.0,
             )
 
     def test_cluster_count_frozen(self, library):

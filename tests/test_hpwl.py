@@ -13,6 +13,7 @@ from repro.placement.hpwl import (
     net_lengths_from_hpwl,
     net_spans,
 )
+from repro.placement.incremental import hpwl_delta, subset_hpwl
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,32 @@ class TestHpwl:
 
     def test_total_is_sum(self, placed):
         assert hpwl_total(placed) == pytest.approx(hpwl_per_net(placed).sum())
+
+    def test_subset_matches_per_net(self, placed):
+        """The affected-nets evaluator of the ECO path: the weighted spans
+        of a net subset, from only those nets' pin positions."""
+        per_net = hpwl_per_net(placed)
+        every = np.arange(len(per_net))
+        assert subset_hpwl(placed, every) == pytest.approx(hpwl_total(placed))
+        rng = np.random.default_rng(4)
+        for size in (1, 7, len(per_net) // 2):
+            nets = np.sort(rng.permutation(len(per_net))[:size])
+            assert subset_hpwl(placed, nets) == pytest.approx(
+                per_net[nets].sum()
+            )
+
+    def test_delta_of_a_move(self, placed):
+        x0, y0 = placed.clone_positions()
+        before = hpwl_total(placed)
+        moved = np.array([3, 40, 41])
+        try:
+            placed.x[moved] += 500.0
+            placed.y[moved] -= 200.0
+            after = hpwl_total(placed)
+            delta = hpwl_delta(placed, moved, x0, y0)
+        finally:
+            placed.x, placed.y = x0, y0
+        assert delta == pytest.approx(after - before)
 
     def test_net_lengths_include_clock(self, placed):
         lengths = net_lengths_from_hpwl(placed)

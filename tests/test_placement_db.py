@@ -236,6 +236,15 @@ class TestPlacedDesign:
         moved = placed.pin_inst >= 0
         assert np.allclose(px[moved] - placed.pin_dx[moved], 7.0)
 
+    def test_pin_positions_of_some_pins(self, placed):
+        x = np.arange(placed.design.num_instances, dtype=float)
+        y = 2.0 * x
+        px, py = placed.pin_positions(x, y)
+        ports = np.flatnonzero(placed.pin_inst < 0)
+        pins = np.array([len(px) - 1, 0, 5, *ports])
+        sx, sy = placed.pin_positions(x, y, pins=pins)
+        assert np.array_equal(sx, px[pins]) and np.array_equal(sy, py[pins])
+
     def test_check_legal_flags_overlap(self, placed):
         fp = placed.floorplan
         placed.x[:] = fp.rows[0].xlo

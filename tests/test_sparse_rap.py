@@ -583,9 +583,7 @@ class TestSweepSetEquivalence:
             testcase_by_id(testcase_id), RunConfig(scale=1 / 48)
         )
         runner = FlowRunner(init, RCPPParams())
-        (f,), (w,), _ = runner._class_costs()
-        (n_minr,) = runner.row_budgets.values()
-        cap = init.pair_capacity * runner.params.row_fill
+        (f,), (w,), cap, (n_minr,) = runner.rap_instance()
         dense = solve_milp(dense_model(f, w, cap, n_minr), backend="highs")
         solution, stats = solve_rap_sparse([f], [w], cap, [n_minr])
         assert dense.status is MilpStatus.OPTIMAL

@@ -1,7 +1,12 @@
 """Tests for repro.netlist.synthesis: sizing loops and minority creation."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
+from repro.experiments import testcases
+from repro.netlist import synthesis
 from repro.netlist.generator import GeneratorSpec, generate_netlist
 from repro.netlist.synthesis import (
     size_to_clock,
@@ -125,3 +130,75 @@ class TestSizeToClock:
         heavy = [i for i, f in fanout.items() if f >= 6]
         assert heavy, "testcase should contain fanout>=6 nets"
         assert all(design.instances[i].master.drive >= 2 for i in heavy)
+
+
+def _sizing_digest(result):
+    """(masters + arrival + slack digest, WNS, TNS, endpoints, violations,
+    promotions) of one sizing run."""
+    digest = hashlib.sha256()
+    digest.update(
+        "\n".join(i.master.name for i in result.design.instances).encode()
+    )
+    report = result.report
+    digest.update(np.ascontiguousarray(report.arrival_ps).tobytes())
+    digest.update(np.ascontiguousarray(report.slack_ps).tobytes())
+    return (
+        digest.hexdigest()[:16], report.wns_ps, report.tns_ps,
+        report.num_endpoints, report.num_violations, result.promotions,
+    )
+
+
+class TestSizingPinned:
+    """Masters and timing reports of sizing, pinned bit for bit: the
+    slack ranking reads the timing graph of the STA it ranks, and
+    library lookups come from the lookup cache."""
+
+    #: The e2e ``sweep_grid`` testcases at 1/24 scale.
+    TESTCASES = {
+        "aes_300": (
+            "e1b46f834bf12748", -869.6826945400046, -40287.74941635259,
+            116, 77, 165,
+        ),
+        "ldpc_350": (
+            "2f0ef3ed20ab3929", -1298.5049859292208, -178345.69762471455,
+            284, 216, 153,
+        ),
+        "fpu_4500": (
+            "23eefd9efa67fbde", 1425.66857665504, 0.0, 350, 0, 151,
+        ),
+        "vga_290": (
+            "4ce4bc2b42a0e922", -2004.372480926276, -409138.5702760044,
+            423, 368, 116,
+        ),
+    }
+
+    @pytest.mark.parametrize("testcase", TESTCASES)
+    def test_testcase_sizing(self, testcase, monkeypatch):
+        results = []
+
+        def sizing(design, fractions):
+            results.append(
+                synthesis.size_to_minority_fraction(design, fractions)
+            )
+            return results[-1]
+
+        monkeypatch.setattr(testcases, "size_to_minority_fraction", sizing)
+        spec = testcases.testcase_by_id(testcase)
+        testcases.build_testcase(spec, spec.library(), 1.0 / 24.0)
+        (result,) = results
+        assert _sizing_digest(result) == self.TESTCASES[testcase]
+
+    def test_size_to_clock(self, library):
+        design = generate_netlist(
+            GeneratorSpec(
+                name="clk", n_cells=400, clock_period_ps=180.0,
+                logic_depth=12, seed=3,
+            ),
+            library,
+        )
+        result = size_to_clock(design)
+        assert result.iterations == 40
+        assert _sizing_digest(result) == (
+            "09831b372bb4b668", -244.28798606557302, -5527.595294314417,
+            57, 49, 640,
+        )

@@ -130,6 +130,23 @@ class TestLibraryStructure:
         assert len(found) == 1
         assert found[0].drive == 2 and found[0].track_height == 6.0
 
+    def test_find_returns_a_new_list(self, lib):
+        first = lib.find("NAND2")
+        first.reverse()
+        first.append(first[0])
+        again = lib.find("NAND2")
+        assert again is not first
+        assert again == sorted(again, key=lambda m: m.name)
+        assert len(again) == len(first) - 1
+
+    def test_add_clears_find_cache(self):
+        library = StdCellLibrary("t", SITE_WIDTH, 1)
+        library.add(_master(name="TESTx1"))
+        assert [m.name for m in library.find("TEST")] == ["TESTx1"]
+        library.add(_master(name="TESTx2", drive=2))
+        assert [m.name for m in library.find("TEST")] == ["TESTx1", "TESTx2"]
+        assert [m.name for m in library.find("TEST", drive=2)] == ["TESTx2"]
+
     def test_variant_swaps_track_only(self, lib):
         short = lib.find("INV", drive=4, vt="LVT", track_height=6.0)[0]
         tall = lib.variant(short, 7.5)
