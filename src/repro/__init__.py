@@ -25,7 +25,7 @@ by ``tests/test_api_surface.py`` — ``dir(repro)`` is the documented
 surface, nothing more.
 """
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 from repro.core.config import RunConfig
 from repro.core.heights import HeightClass, HeightSpec

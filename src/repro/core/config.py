@@ -141,7 +141,10 @@ class RunConfig:
         and 8.x snapshots the two knobs removed in 9.0
         (``kmeans_max_iterations``, ``rap_candidates``).  Their defaults
         load as today's setting; any other value raises rather than
-        rebuild a different placement.  Other unknown parameter keys
+        rebuild a different placement.  Parameters that
+        :class:`RCPPParams` rejects raise too, among them a 9.x
+        snapshot's heuristic ``solver_backend`` (removed in 10.0).
+        Other unknown parameter keys
         (fields removed since 2.0 that never changed a placement) are
         dropped.
         """
@@ -166,10 +169,16 @@ class RunConfig:
             else HeightSpec.from_dict(heights_data)
         )
         field_names = {f.name for f in dataclasses.fields(RCPPParams)}
-        params = RCPPParams(
-            heights=heights,
-            **{k: v for k, v in params_data.items() if k in field_names},
-        )
+        try:
+            params = RCPPParams(
+                heights=heights,
+                **{k: v for k, v in params_data.items() if k in field_names},
+            )
+        except ValidationError as exc:
+            raise ValidationError(
+                f"snapshot params do not load: {exc} (10.0 removed the "
+                "heuristic solver_backend of 9.x)"
+            ) from exc
         return cls(
             scale=float(data.get("scale", DEFAULT_SCALE)),
             params=params,

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.heights import HeightSpec
+from repro.solvers.milp import MILP_BACKENDS
 from repro.utils.errors import ValidationError
 
 
@@ -29,18 +30,19 @@ class RCPPParams:
       unless ``prepare_initial_placement`` was given another.
     * ``row_fill`` is the usable fraction of a row pair's width in the
       capacity constraint (Eq. 4; the paper uses the full w(r), i.e. 1.0).
-    * ``solver_backend``: "highs" (default), "bnb" (own branch-and-bound)
-      or "lagrangian" (heuristic subgradient), one of
-      :data:`~repro.solvers.milp.MILP_BACKENDS`; ``solver_time_limit_s``
-      caps each RAP solve (``None``: unlimited).
+    * ``solver_backend``: "highs" (default) or "bnb" (own
+      branch-and-bound), one of :data:`~repro.solvers.milp.MILP_BACKENDS`
+      (checked here); ``solver_time_limit_s`` caps each RAP solve
+      (``None``: unlimited).
     * ``refine_iterations`` is the fence-region legalizer's refinement
       round count; ``seed`` seeds the simulated-annealing RAP rung.
 
     Resilience knobs (see :mod:`repro.utils.resilience`):
 
-    * ``fallback`` enables the solver fallback chain (``highs → bnb →
-      lagrangian``, then the baseline heuristic) when the primary backend
-      fails; disabled, a failure raises as before.
+    * ``fallback`` enables the solver fallback chain (the other exact
+      backend, then simulated annealing, then the baseline heuristic;
+      the same at every height count) when the primary backend fails;
+      disabled, only the primary rung runs and its failure raises.
     * ``max_solver_retries`` is the attempt count per fallback rung for
       transient (non-infeasibility) solver failures.
     * ``time_budget_s`` is the whole-flow wall-clock budget; the
@@ -75,6 +77,11 @@ class RCPPParams:
             raise ValidationError(f"s must be in (0, 1], got {self.s}")
         if not (0.0 < self.row_fill <= 1.0):
             raise ValidationError("row_fill must be in (0, 1]")
+        if self.solver_backend not in MILP_BACKENDS:
+            raise ValidationError(
+                f"unknown solver_backend {self.solver_backend!r}; valid "
+                "backends: " + ", ".join(MILP_BACKENDS)
+            )
         if self.refine_iterations < 0:
             raise ValidationError("refine_iterations must be >= 0")
         if self.max_solver_retries < 1:

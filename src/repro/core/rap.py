@@ -18,8 +18,9 @@ own Eq. (3)-(5) blocks and a pair carries one track height
 (``sum_h y_hr <= 1``).  :func:`solve_rap` solves one instance through
 the engine of :mod:`repro.core.sparse_rap` at every ``K``, and
 :func:`solve_rap_resilient` wraps it in the solver fallback chain and
-the relaxation ladder, with a simulated-annealing terminal rung
-(:func:`anneal_rap`) for joint instances where every MILP backend fails.
+the relaxation ladder: one chain at every ``K``, the exact backends and
+then a simulated-annealing rung (:func:`anneal_rap`) for instances
+where every MILP backend fails.
 Each rung attempt runs through :func:`repro.utils.resilience.attempt`,
 which checks the deadline, opens the span and records the provenance;
 the chain decides only what a failed attempt means.
@@ -44,7 +45,7 @@ from repro.core.sparse_rap import (
     solve_rap_sparse,
     validate_rap_inputs,
 )
-from repro.solvers.milp import EXACT_BACKENDS, MilpSolution, MilpStatus
+from repro.solvers.milp import MilpSolution, MilpStatus
 from repro.utils.errors import (
     InfeasibleError,
     SolverError,
@@ -115,7 +116,7 @@ def anneal_rap(
     time_limit_s: float | None = None,
     initial: list[np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], float] | None:
-    """Simulated-annealing fallback for the joint RAP.
+    """Simulated-annealing fallback for the RAP, at every ``K``.
 
     Moves preserve feasibility by construction (per-class budgets, pair
     exclusivity, capacities): single-cluster reassignment within the
@@ -268,9 +269,9 @@ def solve_rap(
     :func:`build_rap_model` (a map entry of ``-1`` marks a cluster the
     solution does not assign exactly once).  The solve is the engine
     :func:`repro.core.sparse_rap.solve_rap_sparse` at every ``K``, which
-    also validates the inputs: ``candidate_k = N_P`` reproduces the
-    dense model bit for bit, for the exact backends ``stats.certified``
-    means the restricted optimum was proven equal to the full optimum
+    also validates the inputs and the backend: ``candidate_k = N_P``
+    reproduces the dense model bit for bit, ``stats.certified`` means
+    the restricted optimum was proven equal to the full optimum
     (of the row-frozen subproblem, for an ECO repair), and
     ``dirty_clusters`` runs its single-class ECO repair.
     """
@@ -436,12 +437,14 @@ def solve_rap_resilient(
 
     Every exact rung is seeded with ``warm_assignment`` (e.g. the
     previous solve's per-class cluster -> pair maps) when it still fits,
-    else with the greedy heuristic.  The rungs are the policy's backend
-    chain; joint instances (``K >= 2``) drop the heuristic
-    ``lagrangian`` backend, which has no joint model, and end in a
-    simulated-annealing rung (:func:`anneal_rap`, recorded as
-    ``backend="sa"`` and flagged degraded) so instances where every
-    MILP rung fails still place.  The rungs run one after another.
+    else with the greedy heuristic.  The rungs are the policy's one
+    chain (:meth:`~repro.utils.resilience.ResiliencePolicy.backends`),
+    the same at every ``K``: the exact backends, then a
+    simulated-annealing rung (:func:`anneal_rap` seeded with
+    ``sa_seed``, recorded as ``backend="sa"`` and flagged degraded) so
+    instances where every MILP rung fails still place.  The rungs run
+    one after another; a ``backend`` that is no exact backend raises
+    :class:`ValidationError` before any of them.
 
     Every attempt runs through :func:`~repro.utils.resilience.attempt`,
     which records it into ``provenance``; what a failure means is
@@ -468,6 +471,7 @@ def solve_rap_resilient(
         from repro.core.params import RCPPParams
 
         policy = ResiliencePolicy.from_params(RCPPParams())
+    rungs = policy.backends(backend)
     deadline = deadline or Deadline.unlimited()
     prov = provenance if provenance is not None else FlowProvenance()
     if prov.requested_backend is None:
@@ -485,10 +489,6 @@ def solve_rap_resilient(
         if sum(bumped) <= n_p:
             levels.append((1.0, bumped, f"n_min_rows+{extra}"))
 
-    rungs = policy.backends(backend)
-    if len(f_by_class) > 1:
-        exact = tuple(r for r in rungs if r in EXACT_BACKENDS)
-        rungs = (*(exact or EXACT_BACKENDS), "sa")
     prior = _valid_prior(
         warm_assignment, [f.shape[0] for f in f_by_class], n_p
     )
@@ -531,15 +531,14 @@ def solve_rap_resilient(
                                 )
                             maps, objective = annealed
                         else:
-                            warm = prior
-                            if warm is None and rung in EXACT_BACKENDS:
-                                # Cheap incumbent: seeds bnb's search and
-                                # the engines' reduced-cost fixing
-                                # (highs itself ignores warm starts).
-                                warm = greedy_rap(
-                                    f_by_class, width_by_class, usable,
-                                    level_budgets,
-                                )
+                            # A cheap incumbent when there is no prior:
+                            # it seeds bnb's search and the engine's
+                            # reduced-cost fixing (highs itself ignores
+                            # warm starts).
+                            warm = prior or greedy_rap(
+                                f_by_class, width_by_class, usable,
+                                level_budgets,
+                            )
                             solution, maps, stats = solve_rap(
                                 f_by_class,
                                 width_by_class,

@@ -74,10 +74,10 @@ where the dense solve spends its branch-and-bound time.  The dense
 route omits them so that it reproduces the plain model (and its solver
 trajectory) bit for bit.
 
-Exactness guarantees apply to the exact backends (``highs``, ``bnb``);
-the heuristic ``lagrangian`` backend (``K = 1`` only, never for a
-repair) skips the loop entirely and runs its subgradient loop straight
-on the dense cost matrix (no model build at all).
+Every route runs one of the exact backends (``highs``, ``bnb``,
+:data:`~repro.solvers.milp.MILP_BACKENDS`), checked at the engine's
+entry; the RAP's heuristic rung, :func:`repro.core.rap.anneal_rap`,
+runs outside the engine, in the resilient chain.
 """
 
 from __future__ import annotations
@@ -94,13 +94,13 @@ from repro.core.cost import cheapest_pairs_mask
 from repro.obs.events import observe
 from repro.obs.trace import span
 from repro.solvers.milp import (
-    EXACT_BACKENDS,
+    MILP_BACKENDS,
     MilpModel,
     MilpSolution,
     MilpStatus,
     solve_milp,
 )
-from repro.utils.errors import InfeasibleError, SolverError, ValidationError
+from repro.utils.errors import InfeasibleError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -117,8 +117,7 @@ class SparseSolveStats:
     """What the engine did for one solve (telemetry + tests)."""
 
     # The route: "rc-fixing" | "top-k" | "dense" | "eco-repair" pick the
-    # universe and start columns of the one loop; "lagrangian" runs
-    # outside it.
+    # universe and start columns of the one loop.
     strategy: str = ""
     k_initial: int = 0  # the route's per-cluster candidate count
     k_final: int = 0  # widest per-cluster candidate row in the final mask
@@ -808,55 +807,6 @@ def _lp_rounding_incumbent(
     return assignment, assignment_cost(f, assignment), solution.runtime_s
 
 
-def _solve_lagrangian_direct(
-    f: np.ndarray,
-    cluster_width: np.ndarray,
-    pair_capacity: np.ndarray,
-    n_minority_rows: int,
-    time_limit_s: float | None,
-    warm_assignment: np.ndarray | None,
-) -> MilpSolution:
-    """Heuristic rung on the cost arrays, without any MILP model build.
-
-    The subgradient loop needs only ``f``, the widths, the capacities
-    and ``N_minR``; its answer is encoded in the dense layout of
-    :func:`build_rap_model` so the decoders apply unchanged.
-    """
-    from repro.solvers.lagrangian import solve_rap_lagrangian
-
-    n_c, n_p = f.shape
-    solve_span = span("milp.lagrangian", n_vars=int(n_c * n_p + n_p))
-    try:
-        with solve_span:
-            result = solve_rap_lagrangian(
-                f,
-                cluster_width,
-                pair_capacity,
-                n_minority_rows,
-                time_limit_s=time_limit_s,
-                warm_assignment=warm_assignment,
-            )
-    except InfeasibleError:
-        return MilpSolution(
-            status=MilpStatus.INFEASIBLE,
-            x=None,
-            objective=np.inf,
-            nodes=0,
-            runtime_s=solve_span.duration_s,
-        )
-    x = dense_vector([result.assignment], n_p)
-    # c @ x, not f[arange, assignment].sum(): match the dense decode's
-    # accumulation order so the objective is bit-identical to it.
-    cost_vector = np.concatenate([f.ravel(), np.zeros(n_p)])
-    return MilpSolution(
-        status=MilpStatus.FEASIBLE,
-        x=x,
-        objective=float(cost_vector @ x),
-        nodes=result.iterations,
-        runtime_s=solve_span.duration_s,
-    )
-
-
 def _warm_vector(
     srm: RapModel, warm: list[np.ndarray] | None
 ) -> np.ndarray | None:
@@ -971,20 +921,20 @@ def solve_rap_sparse(
     list of per-class cluster -> pair maps.  Returns a solution in the
     **dense** variable layout (so the decoders apply unchanged) plus the
     engine's :class:`SparseSolveStats`.  This function converts and
-    validates the inputs, picks the route — the universe of columns and
-    the start columns inside it — and runs the one restricted-solve and
-    pricing loop every route shares.  For exact backends the result is
-    certified optimal over the universe whenever ``stats.certified`` is
-    true, by the reduced-cost argument in the module docstring, to
-    within the backend's MIP gap (HiGHS: relative 1e-4, its default;
-    ``bnb``: 1e-9 absolute).
+    validates the inputs (``backend`` must be one of
+    :data:`~repro.solvers.milp.MILP_BACKENDS`), picks the route — the
+    universe of columns and the start columns inside it — and runs the
+    one restricted-solve and pricing loop every route shares.  The
+    result is certified optimal over the universe whenever
+    ``stats.certified`` is true, by the reduced-cost argument in the
+    module docstring, to within the backend's MIP gap (HiGHS: relative
+    1e-4, its default; ``bnb``: 1e-9 absolute).
 
     Routes: ``candidate_k`` forces top-k start columns, and
     ``candidate_k >= N_P`` solves the dense model bit for bit; ``None``
     selects reduced-cost fixing with a top-k fallback, except at or
     below :data:`SMALL_PROBLEM_VARIABLES` dense variables, where one
-    solve of the plain dense model is cheaper than any pruning.  The
-    ``lagrangian`` backend runs at ``K = 1`` only, outside the loop.
+    solve of the plain dense model is cheaper than any pruning.
 
     ``time_limit_s`` budgets the *entire* solve, not each sub-solve:
     the LP, the incumbent, every restricted MILP and every pricing round
@@ -999,9 +949,14 @@ def solve_rap_sparse(
     pairs, certified against that subproblem's LP bound — not against
     the unfrozen RAP, which a full solve may beat by reshuffling clean
     clusters or re-choosing open rows.  With it the engine never runs a
-    cold solve: without a feasible incumbent or with a non-exact backend
-    it returns ERROR at once with ``stats.rounds == 0``.
+    cold solve: without a feasible incumbent it returns ERROR at once
+    with ``stats.rounds == 0``.
     """
+    if backend not in MILP_BACKENDS:
+        raise ValidationError(
+            f"unknown RAP backend {backend!r}; valid backends: "
+            + ", ".join(MILP_BACKENDS)
+        )
     f_by_class = [np.asarray(f, dtype=float) for f in f_by_class]
     width_by_class = [np.asarray(w, dtype=float) for w in width_by_class]
     pair_capacity = np.asarray(pair_capacity, dtype=float)
@@ -1023,9 +978,9 @@ def solve_rap_sparse(
         if len(dirty) and (dirty[0] < 0 or dirty[-1] >= n_cs[0]):
             raise ValidationError("dirty_clusters outside [0, n_clusters)")
         stats.strategy = "eco-repair"
-        if warm is None or backend not in EXACT_BACKENDS:
-            # No feasible incumbent to freeze, or no certificate to
-            # give: repair does not apply and the caller re-solves.
+        if warm is None:
+            # No feasible incumbent to freeze: repair does not apply
+            # and the caller re-solves.
             return (
                 MilpSolution(
                     status=MilpStatus.ERROR, x=None, objective=np.inf
@@ -1042,22 +997,6 @@ def solve_rap_sparse(
                 ),
                 stats,
             )
-    elif K > 1 and backend not in EXACT_BACKENDS:
-        raise SolverError(
-            f"backend {backend!r} does not support joint instances "
-            "(exact backends only; the resilient chain adds the SA rung)"
-        )
-    elif backend == "lagrangian":
-        stats.strategy = "lagrangian"
-        solution = _solve_lagrangian_direct(
-            f_by_class[0], width_by_class[0], pair_capacity, budgets[0],
-            time_limit_s, warm_assignment[0] if warm_assignment else None,
-        )
-        stats.rounds = 1
-        stats.k_initial = stats.k_final = n_p
-        stats.n_candidates = stats.n_dense_variables - n_p
-        stats.solve_s = solution.runtime_s
-        return solution, stats
 
     # ``time_limit_s`` budgets the WHOLE solve.  The engine runs several
     # sub-solves per call (LP, incumbent, restricted MILPs, pricing

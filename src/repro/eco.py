@@ -845,9 +845,9 @@ def _repair_classes(runner, base, app):
             )
             if maps is None:
                 # No restricted solve ran (the incumbent is infeasible
-                # under the post-delta widths, or the backend is not
-                # exact) or the row-frozen subproblem has no solution:
-                # repair does not apply.  Anything else is a failure.
+                # under the post-delta widths) or the row-frozen
+                # subproblem has no solution: repair does not apply.
+                # Anything else is a failure.
                 unavailable = (
                     stats.rounds == 0
                     or solution.status is MilpStatus.INFEASIBLE

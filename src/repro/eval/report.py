@@ -30,11 +30,6 @@ def format_table(
     return "\n".join(lines)
 
 
-#: Row-assignment backends whose answer is heuristic even when they are
-#: the requested primary (no proven optimum to compare against).
-_HEURISTIC_BACKENDS = frozenset({"lagrangian", "baseline"})
-
-
 def provenance_label(provenance: object) -> str:
     """Mode cell for Table IV-style flow rows.
 
@@ -50,8 +45,8 @@ def provenance_label(provenance: object) -> str:
         return "-"
     if getattr(provenance, "degraded", False):
         return f"degraded({backend})"
-    if backend in _HEURISTIC_BACKENDS:
-        return f"heuristic({backend})"
+    if backend == "baseline":  # flows (2)/(3): no optimum to compare
+        return "heuristic(baseline)"
     return f"exact({backend})"
 
 

@@ -269,7 +269,7 @@ def emitting_events() -> bool:
 def observe(series: str, **values: float | None) -> None:
     """Emit one ``convergence`` point of ``series`` (None values dropped)::
 
-        observe("milp.lagrangian", iteration=it, dual=bound, primal=cost)
+        observe("rap.sparse", round=r, n_candidates=n, objective=z)
     """
     if emitting_events():
         emit_event(

@@ -97,15 +97,11 @@ class MilpSolution:
         return self.status in (MilpStatus.OPTIMAL, MilpStatus.FEASIBLE)
 
 
-#: The RAP backends, in fallback-chain order: the solver chain,
-#: ``--solver`` and ``repro report``'s cross-solve read this one list.
-#: ``lagrangian`` is a heuristic the RAP engine runs on the cost arrays
-#: (:func:`repro.core.rap.solve_rap`), not a :func:`solve_milp` backend.
-MILP_BACKENDS: tuple[str, ...] = ("highs", "bnb", "lagrangian")
-
 #: The exact backends, whose answer is a proven optimum (given enough
-#: time): the backends :func:`solve_milp` runs.
-EXACT_BACKENDS: tuple[str, ...] = ("highs", "bnb")
+#: time), in fallback-chain order: :func:`solve_milp`, the RAP solver
+#: chain, ``--solver``, ``FlowProvenance.exact`` and ``repro report``'s
+#: cross-solve read this one list.
+MILP_BACKENDS: tuple[str, ...] = ("highs", "bnb")
 
 
 def solve_milp(
@@ -115,7 +111,7 @@ def solve_milp(
     warm_start: "np.ndarray | None" = None,
 ) -> MilpSolution:
     """Solve ``model`` with the named exact backend (see
-    :data:`EXACT_BACKENDS`).
+    :data:`MILP_BACKENDS`).
 
     ``warm_start`` (a feasible point) seeds the branch-and-bound
     incumbent; the HiGHS backend accepts and ignores it (scipy's milp
@@ -134,5 +130,5 @@ def solve_milp(
         return solver.solve(model, warm_start=warm_start)
     raise ValidationError(
         f"unknown MILP backend {backend!r}; valid backends: "
-        + ", ".join(EXACT_BACKENDS)
+        + ", ".join(MILP_BACKENDS)
     )

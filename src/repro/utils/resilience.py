@@ -9,9 +9,11 @@ holds what the flow runner threads through every stage:
   call chain (``RCPPParams.time_budget_s`` → ``solve_rap`` →
   ``solve_milp``); each stage clamps its own solver time limit to the
   remaining budget.
-* :class:`ResiliencePolicy` — whether the fallback chain runs (``highs →
-  bnb → lagrangian``, then the baseline heuristic at the flow level),
-  the attempts per solver rung, and the fault plan; built from
+* :class:`ResiliencePolicy` — the RAP's one fallback chain at every
+  height count (the exact backends, then simulated annealing ``sa``,
+  then the baseline heuristic at the flow level) or, with fallback
+  off, the primary rung alone; the attempts per solver rung, and the
+  fault plan; built from
   :class:`~repro.core.params.RCPPParams` by
   :meth:`ResiliencePolicy.from_params`.
 * :func:`attempt` — the one attempt path every rung runs through:
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.obs.trace import Span, span
-from repro.solvers.milp import EXACT_BACKENDS, MILP_BACKENDS
+from repro.solvers.milp import MILP_BACKENDS
 from repro.utils.errors import ReproError, StageTimeoutError, ValidationError
 
 if TYPE_CHECKING:
@@ -250,7 +252,7 @@ class RungRecord:
     """One attempt of one rung of one stage (success or failure)."""
 
     stage: str  # e.g. "rap.highs", "rap.baseline", "legalize.fence"
-    backend: str  # "highs" | "bnb" | "lagrangian" | "baseline" | legalizer
+    backend: str  # "highs" | "bnb" | "sa" | "baseline" | legalizer
     attempt: int  # 1-based attempt number within this rung
     ok: bool
     error_type: str | None = None
@@ -287,7 +289,7 @@ class FlowProvenance:
     def exact(self) -> bool:
         """True when an exact backend answered without relaxation."""
         return (
-            self.backend in EXACT_BACKENDS
+            self.backend in MILP_BACKENDS
             and not self.relaxations
             and not self.degraded
         )
@@ -377,11 +379,21 @@ class ResiliencePolicy:
     fault_plan: FaultPlan | None
 
     def backends(self, primary: str) -> tuple[str, ...]:
-        """The rungs to try, primary first; just the primary when
-        fallback is disabled."""
+        """The RAP solver rungs to try, at every height count: the
+        primary, the other exact backends, then simulated annealing
+        (``"sa"``); just the primary when fallback is disabled.  The
+        flow's baseline rung follows a chain that found no answer.
+        A primary outside :data:`~repro.solvers.milp.MILP_BACKENDS`
+        raises :class:`ValidationError`."""
+        if primary not in MILP_BACKENDS:
+            raise ValidationError(
+                f"unknown RAP backend {primary!r}; valid backends: "
+                + ", ".join(MILP_BACKENDS)
+            )
         if not self.fallback_enabled:
             return (primary,)
-        return (primary,) + tuple(b for b in MILP_BACKENDS if b != primary)
+        others = tuple(b for b in MILP_BACKENDS if b != primary)
+        return (primary, *others, "sa")
 
     def inject(self, stage: str) -> None:
         """Fault-plan hook: count an attempt and raise any planned fault."""

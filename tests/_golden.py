@@ -53,7 +53,7 @@ FLOWS = (FlowKind.FLOW2, FlowKind.FLOW3, FlowKind.FLOW4, FlowKind.FLOW5)
 #: number of failing attempts, None = every attempt; attempts per rung).
 FAULTED = {
     "flow5_retry": ({"rap.highs": 1}, 2),
-    "flow5_lagrangian": ({"rap.highs": None, "rap.bnb": None}, 1),
+    "flow5_sa": ({"rap.highs": None, "rap.bnb": None}, 1),
 }
 #: The three-height (K = 2) twin, one golden set per scale: at 1/48
 #: (400 cells, 168 dense variables) ``solve_rap`` takes its dense

@@ -1,7 +1,6 @@
 """The public API surface: dir(repro) == docs/API.md, removed shims raise."""
 
 import argparse
-import ast
 import dataclasses
 import pathlib
 import re
@@ -380,36 +379,14 @@ class TestRemovedIn9:
     """The 9.0 removals: one owner for the RAP model, ``solve_milp``
     over the exact backends, and the knobs no caller set."""
 
-    def test_lagrangian_round_trip_absent(self):
-        import repro.solvers
-        import repro.solvers.lagrangian as lagrangian
-
-        for name in ("rap_data_from_model", "solve_with_lagrangian"):
-            assert not hasattr(lagrangian, name), name
-            assert name not in repro.solvers.__all__, name
-        # The heuristic works on arrays, never on a MilpModel.
-        tree = ast.parse(pathlib.Path(lagrangian.__file__).read_text())
-        imported = {
-            node.module for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-        }
-        assert "repro.solvers.milp" not in imported
-
     def test_solve_milp_takes_exact_backends_only(self):
         import inspect
 
         import numpy as np
 
-        from repro.solvers.milp import (
-            EXACT_BACKENDS,
-            MILP_BACKENDS,
-            MilpModel,
-            solve_milp,
-        )
+        from repro.solvers.milp import MilpModel, solve_milp
         from repro.utils.errors import ValidationError
 
-        assert EXACT_BACKENDS == ("highs", "bnb")
-        assert MILP_BACKENDS == ("highs", "bnb", "lagrangian")
         assert list(inspect.signature(solve_milp).parameters) == [
             "model", "backend", "time_limit_s", "warm_start",
         ]
@@ -485,3 +462,48 @@ class TestRemovedIn9:
 
         for func in (solve_fixed_pattern_rap, assign_to_pairs):
             assert "warm_assignment" not in inspect.signature(func).parameters
+
+
+class TestRemovedIn10:
+    """The 10.0 removals: the Lagrangian heuristic, and with it the
+    second backend list; one fallback chain at every K."""
+
+    def test_lagrangian_module_absent(self):
+        import importlib.util
+
+        import repro.solvers
+        import repro.solvers.milp as milp
+
+        assert importlib.util.find_spec("repro.solvers.lagrangian") is None
+        for name in (
+            "solve_rap_lagrangian", "LagrangianResult", "EXACT_BACKENDS",
+        ):
+            assert name not in repro.solvers.__all__, name
+            assert not hasattr(repro.solvers, name), name
+        assert not hasattr(milp, "EXACT_BACKENDS")
+
+    def test_one_backend_list(self):
+        from repro.solvers.milp import MILP_BACKENDS
+
+        assert MILP_BACKENDS == ("highs", "bnb")
+        chain = ResiliencePolicy.from_params(RCPPParams())
+        assert chain.backends("highs") == ("highs", "bnb", "sa")
+        assert chain.backends("bnb") == ("bnb", "highs", "sa")
+
+    def test_solver_flag_rejects_lagrangian(self):
+        parser = argparse.ArgumentParser()
+        add_run_config_args(parser)
+        assert parser.parse_args(["--solver", "bnb"]).solver == "bnb"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--solver", "lagrangian"])
+
+    def test_params_keep_their_fields(self):
+        assert len(dataclasses.fields(RCPPParams)) == 11
+
+    def test_9x_snapshot_with_lagrangian_rejected(self):
+        from repro.utils.errors import ValidationError
+
+        data = RunConfig(scale=0.5).to_dict()
+        data["params"]["solver_backend"] = "lagrangian"
+        with pytest.raises(ValidationError, match="10.0"):
+            RunConfig.from_dict(data)

@@ -57,16 +57,14 @@ def _record(tmp_path, crosscheck, series):
 
 class TestRecordCrosscheck:
     def test_missing_series_fails(self, check_bench, tmp_path):
-        path = _record(tmp_path, ["bnb", "lagrangian"], ["milp.bnb"])
+        path = _record(tmp_path, ["bnb", "highs"], ["milp.bnb"])
         assert check_bench.check_record(path, None, 0.02) == [
-            "record: cross-solved backend 'lagrangian' has no "
-            "milp.lagrangian convergence series"
+            "record: cross-solved backend 'highs' has no "
+            "milp.highs convergence series"
         ]
 
     def test_every_series_present_passes(self, check_bench, tmp_path):
-        path = _record(
-            tmp_path, ["bnb", "lagrangian"], ["milp.bnb", "milp.lagrangian"]
-        )
+        path = _record(tmp_path, ["bnb", "highs"], ["milp.bnb", "milp.highs"])
         assert check_bench.check_record(path, None, 0.02) == []
 
     def test_record_without_crosscheck_passes(self, check_bench, tmp_path):

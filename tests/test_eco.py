@@ -206,14 +206,13 @@ class TestFallback:
 
 
 def _count_repair_solves(monkeypatch):
-    """Count MILP, LP and Lagrangian solves made inside ECO's
+    """Count MILP and LP solves made inside ECO's
     ``solve_rap(..., dirty_clusters=)`` calls (``repairs`` counts the
     calls themselves)."""
     import repro.core.rap as rap
     import repro.core.sparse_rap as engine
-    import repro.solvers.lagrangian as lagrangian
 
-    counts = {"repairs": 0, "milp": 0, "lp": 0, "lagrangian": 0}
+    counts = {"repairs": 0, "milp": 0, "lp": 0}
     inside = [False]
 
     def counted(name, fn):
@@ -227,11 +226,6 @@ def _count_repair_solves(monkeypatch):
         engine, "solve_milp", counted("milp", engine.solve_milp)
     )
     monkeypatch.setattr(engine, "linprog", counted("lp", engine.linprog))
-    monkeypatch.setattr(
-        lagrangian,
-        "solve_rap_lagrangian",
-        counted("lagrangian", lagrangian.solve_rap_lagrangian),
-    )
     real = rap.solve_rap
 
     def solve_rap(*args, dirty_clusters=None, **kwargs):
@@ -280,21 +274,7 @@ class TestNoDiscardedSolve:
         result = runner.run_eco(NetlistDelta(ops=tuple(ops)), incumbent)
         assert result.fallback
         assert result.reason.startswith("restricted repair unavailable")
-        assert counts == {"repairs": 1, "milp": 0, "lp": 0, "lagrangian": 0}
-        assert result.placed.check_legal() == []
-
-    def test_heuristic_backend_solves_nothing(self, library, monkeypatch):
-        design = make_design(library, n_cells=300, seed=9)
-        initial = prepare_initial_placement(design, library)
-        runner = FlowRunner(initial, RCPPParams(solver_backend="lagrangian"))
-        incumbent = runner.run(FlowKind.FLOW5)
-        delta = make_eco_delta(design, fraction=0.01, seed=1, library=library)
-        counts = _count_repair_solves(monkeypatch)
-        result = runner.run_eco(delta, incumbent)
-        assert result.fallback
-        assert result.reason.startswith("restricted repair unavailable")
-        assert counts["repairs"] == 1
-        assert counts["lagrangian"] == counts["milp"] == counts["lp"] == 0
+        assert counts == {"repairs": 1, "milp": 0, "lp": 0}
         assert result.placed.check_legal() == []
 
 

@@ -9,10 +9,19 @@ import numpy as np
 import pytest
 
 from repro.core.baseline import baseline_row_assignment
+from repro.core.config import RunConfig
 from repro.core.flows import FlowKind, FlowRunner, prepare_initial_placement
 from repro.core.heights import HeightSpec
 from repro.core.params import RCPPParams
-from repro.core.rap import build_rap_model, solve_rap
+from repro.core.rap import (
+    build_rap_model,
+    greedy_rap,
+    solve_rap,
+    solve_rap_resilient,
+)
+from repro.core.sparse_rap import assignment_cost
+from repro.experiments.runner import run_testcase
+from repro.experiments import testcases
 from repro.netlist.generator import GeneratorSpec, generate_netlist
 from repro.netlist.synthesis import size_to_minority_fraction
 from repro.solvers import BranchAndBoundSolver, MilpStatus, solve_milp
@@ -28,6 +37,7 @@ from repro.utils.errors import (
 from repro.utils.resilience import (
     Deadline,
     FaultPlan,
+    FlowProvenance,
     ResiliencePolicy,
 )
 from tests.conftest import make_design
@@ -218,21 +228,50 @@ class TestFallbackChain:
         assert result.placed.check_legal() == []
 
     def test_all_solvers_fail_baseline_degraded(self, chain_initial):
-        plan = (
-            FaultPlan()
-            .fail("rap.highs")
-            .fail("rap.bnb")
-            .fail("rap.lagrangian")
-        )
+        plan = FaultPlan().fail("rap.highs").fail("rap.bnb").fail("rap.sa")
         runner = FlowRunner(chain_initial, RCPPParams(), fault_plan=plan)
         result = runner.run(FlowKind.FLOW5)
         prov = result.provenance
         assert prov.backend == "baseline"
         assert prov.degraded
         assert {a.stage for a in prov.fallbacks} == {
-            "rap.highs", "rap.bnb", "rap.lagrangian",
+            "rap.highs", "rap.bnb", "rap.sa",
         }
         assert result.placed.check_legal() == []
+
+    def test_exact_rungs_fail_sa_answers_at_k1(self, chain_initial):
+        """At K = 1 the chain's heuristic rung is simulated annealing:
+        legal, degraded, no worse than its greedy start, and the same
+        answer again for the same ``params.seed``."""
+
+        def run():
+            plan = FaultPlan().fail("rap.highs").fail("rap.bnb")
+            runner = FlowRunner(
+                chain_initial, RCPPParams(seed=5), fault_plan=plan
+            )
+            return runner, runner.run(FlowKind.FLOW5)
+
+        runner, result = run()
+        prov = result.provenance
+        assert len(result.assignment.by_track) == 1
+        assert prov.backend == "sa"
+        assert prov.degraded and not prov.exact
+        assert [
+            (a.stage, a.ok) for a in prov.attempts if a.stage.startswith("rap.")
+        ] == [("rap.highs", False), ("rap.bnb", False), ("rap.sa", True)]
+        assert result.placed.check_legal() == []
+        f_by, w_by, capacity, budgets = runner.rap_instance()
+        (start,) = greedy_rap(f_by, w_by, capacity, budgets)
+        assert result.assignment.objective <= assignment_cost(
+            f_by[0], start
+        )
+        _, again = run()
+        assert again.assignment.objective == result.assignment.objective
+        for track, (clusters, cells) in result.assignment.by_track.items():
+            assert np.array_equal(again.assignment.by_track[track][0], clusters)
+            assert np.array_equal(again.assignment.by_track[track][1], cells)
+        assert np.array_equal(again.placed.x, result.placed.x)
+        assert np.array_equal(again.placed.y, result.placed.y)
 
     def test_budget_exhausted_mid_chain(self, chain_initial):
         runner = FlowRunner(chain_initial, RCPPParams(time_budget_s=0.0))
@@ -280,17 +319,25 @@ class TestFallbackChain:
         assert any(a.stage == "legalize.fence" for a in prov.fallbacks)
         assert result.placed.check_legal() == []
 
-    def test_fallback_disabled_fails_hard(self, chain_initial):
+    @pytest.mark.parametrize("twin", ["aes_300", "aes3h_340"])
+    def test_fallback_disabled_fails_hard(self, twin):
+        """With fallback off only the primary rung runs, at every K."""
         plan = FaultPlan().fail("rap.highs", SolverError)
-        runner = FlowRunner(
-            chain_initial, RCPPParams(fallback=False), fault_plan=plan
+        config = RunConfig(
+            scale=1.0 / 48.0, params=RCPPParams(fallback=False),
+            fault_plan=plan,
         )
-        with pytest.raises(SolverError):
+        spec = testcases.testcase_by_id(twin)
+        runner = run_testcase(spec, (), config=config).runner
+        with pytest.raises(SolverError, match="fallback is disabled") as exc:
             runner.run(FlowKind.FLOW5)
+        assert [(a.stage, a.ok) for a in exc.value.provenance.attempts] == [
+            ("rap.highs", False),
+        ]
 
     def test_every_rung_and_baseline_fail(self, chain_initial):
         plan = FaultPlan()
-        for rung in ("highs", "bnb", "lagrangian", "baseline"):
+        for rung in ("highs", "bnb", "sa", "baseline"):
             plan.fail(f"rap.{rung}")
         runner = FlowRunner(chain_initial, RCPPParams(), fault_plan=plan)
         with pytest.raises(SolverError, match="failed on every rung") as exc:
@@ -299,7 +346,7 @@ class TestFallbackChain:
         assert [(a.stage, a.ok) for a in prov.attempts] == [
             ("rap.highs", False),
             ("rap.bnb", False),
-            ("rap.lagrangian", False),
+            ("rap.sa", False),
             ("rap.baseline", False),
         ]
         assert prov.backend is None
@@ -339,8 +386,10 @@ class TestFallbackChain:
 
 
 class TestLagrangianBackend:
-    """The heuristic rung runs through ``solve_rap`` on the cost arrays;
-    ``solve_milp`` takes the exact backends only."""
+    """``lagrangian`` is no backend since 10.0 (the chain's heuristic rung
+    is simulated annealing at every K): it is rejected, like any unknown
+    name, where a backend enters — ``RCPPParams``, the fallback chain,
+    the RAP engine and ``solve_milp`` — with the valid names listed."""
 
     def _rap_instance(self, seed=3, n_c=6, n_p=5, n_rows=2):
         rng = np.random.default_rng(seed)
@@ -349,22 +398,44 @@ class TestLagrangianBackend:
         cap = np.full(n_p, width.sum())
         return f, width, cap, n_rows
 
-    def test_solve_rap_dispatches_lagrangian(self):
-        f, width, cap, n_rows = self._rap_instance()
-        result, maps, stats = solve_rap(
-            [f], [width], cap, [n_rows], backend="lagrangian"
-        )
-        assert result.status is MilpStatus.FEASIBLE
-        assert stats.strategy == "lagrangian"
-        x = np.round(result.x[: f.size]).reshape(f.shape)
-        assert np.all(x.sum(axis=1) == 1)  # every cluster assigned once
-        assert len(np.unique(maps[0])) == n_rows
+    @pytest.mark.parametrize("backend", ["cplex", "lagrangian"])
+    def test_params_reject_unknown_backend(self, backend):
+        with pytest.raises(ValidationError, match="backends: highs, bnb$"):
+            RCPPParams(solver_backend=backend)
 
-    def test_lagrangian_tracks_exact_objective(self):
-        f, width, cap, n_rows = self._rap_instance(seed=11)
-        heur, *_ = solve_rap([f], [width], cap, [n_rows], backend="lagrangian")
-        exact, *_ = solve_rap([f], [width], cap, [n_rows], backend="highs")
-        assert heur.objective >= exact.objective - 1e-9
+    @pytest.mark.parametrize("backend", ["cplex", "lagrangian"])
+    def test_chain_rejects_unknown_primary(self, backend):
+        f, width, cap, n_rows = self._rap_instance()
+        prov = FlowProvenance()
+        with pytest.raises(ValidationError, match="backends: highs, bnb$"):
+            solve_rap_resilient(
+                [f], [width], cap, [n_rows], [np.arange(f.shape[0])], [9.0],
+                backend=backend, provenance=prov,
+            )
+        assert prov.attempts == []
+        policy = ResiliencePolicy.from_params(RCPPParams(fallback=False))
+        with pytest.raises(ValidationError, match="backends: highs, bnb$"):
+            policy.backends(backend)
+
+    @pytest.mark.parametrize("route", ["k1", "k2", "eco"])
+    def test_engine_rejects_unknown_backend(self, route, monkeypatch):
+        import repro.core.sparse_rap as engine
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the backend")
+
+        monkeypatch.setattr(engine, "solve_milp", no_solve)
+        monkeypatch.setattr(engine, "linprog", no_solve)
+        f, width, cap, n_rows = self._rap_instance()
+        f_by, w_by, budgets = [f], [width], [n_rows]
+        kwargs = {}
+        if route == "k2":
+            f_by, w_by, budgets = [f, f[:3]], [width, width[:3]], [2, 1]
+        if route == "eco":
+            (warm,) = greedy_rap(f_by, w_by, cap, budgets)
+            kwargs = {"warm_assignment": [warm], "dirty_clusters": [0]}
+        with pytest.raises(ValidationError, match="backends: highs, bnb$"):
+            solve_rap(f_by, w_by, cap, budgets, backend="lagrangian", **kwargs)
 
     def test_bad_backend_lists_valid_names(self):
         f, width, cap, n_rows = self._rap_instance()
@@ -449,10 +520,11 @@ class TestResilienceUnits:
 
     def test_policy_chain_order(self):
         policy = ResiliencePolicy.from_params(RCPPParams())
-        assert policy.backends("highs") == ("highs", "bnb", "lagrangian")
-        assert policy.backends("bnb") == ("bnb", "highs", "lagrangian")
+        assert policy.backends("highs") == ("highs", "bnb", "sa")
+        assert policy.backends("bnb") == ("bnb", "highs", "sa")
         strict = ResiliencePolicy.from_params(RCPPParams(fallback=False))
         assert strict.backends("highs") == ("highs",)
+        assert strict.backends("bnb") == ("bnb",)
 
 
 class TestDeterminismEndToEnd:

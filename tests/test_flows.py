@@ -163,15 +163,15 @@ class TestRowConstraintPlacerApi:
 
 class TestIlpObjectiveDominance:
     def test_ilp_optimal_at_its_granularity(self, runner):
-        """The ILP must dominate both the greedy heuristic and the
-        Lagrangian primal at cluster granularity, and sit above the
-        Lagrangian dual bound — the optimality sandwich."""
+        """The ILP must dominate both heuristics at cluster granularity
+        — the greedy start and simulated annealing — and sit above the
+        LP relaxation of the plain model: the optimality sandwich."""
         import numpy as np
+        from scipy.optimize import linprog
 
         from repro.core.clustering import cluster_minority_cells
         from repro.core.cost import compute_rap_costs
-        from repro.core.rap import greedy_rap
-        from repro.solvers.lagrangian import solve_rap_lagrangian
+        from repro.core.rap import anneal_rap, build_rap_model, greedy_rap
 
         init = runner.initial
         ((idx, widths),) = init.classes().values()
@@ -196,8 +196,22 @@ class TestIlpObjectiveDominance:
             )
             assert ilp.objective <= greedy_cost + 1e-6
 
-        lag = solve_rap_lagrangian(
-            f, costs.cluster_width, capacity, n_minr
+        # Annealing can reach the optimum, and HiGHS stops at its
+        # default relative MIP gap (1e-4): that gap is the tolerance.
+        annealed = anneal_rap(
+            [f], [costs.cluster_width], capacity, [n_minr],
+            seed=runner.params.seed,
         )
-        assert lag.lower_bound <= ilp.objective + 1e-6
-        assert ilp.objective <= lag.objective + 1e-6
+        assert annealed is not None
+        assert ilp.objective <= annealed[1] + 1e-4 * abs(ilp.objective)
+
+        model = build_rap_model(
+            [f], [costs.cluster_width], capacity, [n_minr]
+        ).model
+        lp = linprog(
+            model.c, A_ub=model.a_ub, b_ub=model.b_ub,
+            A_eq=model.a_eq, b_eq=model.b_eq,
+            bounds=np.column_stack([model.lb, model.ub]), method="highs",
+        )
+        assert lp.status == 0
+        assert lp.fun <= ilp.objective + 1e-6

@@ -309,10 +309,10 @@ class TestJointSolve:
                 assert w[a == p].sum() <= cap[p] + 1e-9
 
     def test_lagrangian_rejected_at_k2(self):
-        from repro.utils.errors import SolverError
-
+        # The engine rejects a name outside MILP_BACKENDS at every K,
+        # before any solve.
         f_by_class, w_by_class, cap, budgets = random_joint_instance(5)
-        with pytest.raises(SolverError):
+        with pytest.raises(ValidationError, match="backends: highs, bnb$"):
             solve_rap(
                 f_by_class, w_by_class, cap, budgets, backend="lagrangian"
             )
@@ -365,6 +365,31 @@ class TestHeuristics:
         assert annealed is not None
         _, sa_cost = annealed
         assert sa_cost <= greedy_cost + 1e-9
+
+    def test_anneal_at_k1_between_optimum_and_greedy(self):
+        # Simulated annealing is the chain's heuristic rung at K = 1 too:
+        # feasible, no worse than its greedy start, no better than the
+        # exact optimum (to HiGHS's relative MIP gap of 1e-4).
+        rng = np.random.default_rng(7)
+        f = rng.uniform(1.0, 10.0, size=(6, 8))
+        w = rng.uniform(80.0, 200.0, size=6)
+        cap = np.full(8, w.sum() / 2.5)
+        (greedy,) = greedy_rap([f], [w], cap, [3])
+        annealed = anneal_rap([f], [w], cap, [3])
+        assert annealed is not None
+        (a,), cost = annealed
+        assert len(np.unique(a)) == 3
+        assert (np.bincount(a, weights=w, minlength=8) <= cap + 1e-9).all()
+        assert cost == float(f[np.arange(6), a].sum())
+        assert cost <= float(f[np.arange(6), greedy].sum()) + 1e-9
+        exact, _, _ = solve_rap([f], [w], cap, [3])
+        assert exact.objective <= cost + 1e-4 * abs(exact.objective)
+
+    def test_anneal_without_feasible_start(self):
+        f = np.zeros((3, 3))
+        w = np.full(3, 100.0)
+        cap = np.full(3, 50.0)  # no cluster fits any pair
+        assert anneal_rap([f], [w], cap, [2]) is None
 
     def test_anneal_deterministic(self):
         f_by_class, w_by_class, cap, budgets = random_joint_instance(17)

@@ -1,20 +1,16 @@
-"""Tests for critical paths, netlist stats, QoR report, Lagrangian solver."""
+"""Tests for critical paths, netlist stats and the QoR report."""
 
-import numpy as np
 import pytest
 
 from repro.core.flows import FlowKind, FlowRunner
 from repro.core.params import RCPPParams
-from repro.core.rap import solve_rap
 from repro.eval.metrics import evaluate_post_route
 from repro.eval.qor import collect_qor
 from repro.netlist.stats import compute_stats
-from repro.solvers.lagrangian import solve_rap_lagrangian
 from repro.timing.graph import TimingGraph
 from repro.timing.paths import extract_critical_paths, format_path
 from repro.timing.sta import run_sta
 from repro.timing.wireload import fanout_wireload_lengths
-from repro.utils.errors import InfeasibleError
 
 
 class TestCriticalPaths:
@@ -106,41 +102,3 @@ class TestQoR:
         assert "QoR report" in text
         assert "critical paths" in text
         assert "mW" in text
-
-
-class TestLagrangian:
-    def _instance(self, seed, n_c=6, n_p=8):
-        rng = np.random.default_rng(seed)
-        f = rng.uniform(1, 10, size=(n_c, n_p))
-        widths = rng.uniform(80, 200, n_c)
-        capacity = np.full(n_p, widths.sum() / 2.5)
-        return f, widths, capacity
-
-    def test_sandwiches_exact_optimum(self):
-        for seed in range(6):
-            f, w, cap = self._instance(seed)
-            exact, _, _ = solve_rap([f], [w], cap, [3])
-            lag = solve_rap_lagrangian(f, w, cap, 3)
-            assert lag.lower_bound <= exact.objective + 1e-6
-            assert lag.objective >= exact.objective - 1e-6
-
-    def test_feasible_assignment(self):
-        f, w, cap = self._instance(11)
-        result = solve_rap_lagrangian(f, w, cap, 3)
-        assert len(np.unique(result.assignment)) <= 3
-        load = np.zeros(len(cap))
-        np.add.at(load, result.assignment, w)
-        assert (load <= cap + 1e-6).all()
-
-    def test_gap_reasonable(self):
-        f, w, cap = self._instance(7)
-        result = solve_rap_lagrangian(f, w, cap, 3)
-        assert result.objective < np.inf
-        assert result.iterations >= 1
-
-    def test_infeasible_detected(self):
-        f = np.zeros((3, 3))
-        w = np.full(3, 100.0)
-        cap = np.full(3, 50.0)
-        with pytest.raises(InfeasibleError):
-            solve_rap_lagrangian(f, w, cap, 2)

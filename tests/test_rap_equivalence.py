@@ -145,10 +145,10 @@ def test_eco_empty_dirty_set_matches_reference(backend):
     assert_same(new, ref)
 
 
-@pytest.mark.parametrize("backend", ("highs", "bnb", "lagrangian"))
+@pytest.mark.parametrize("backend", EXACT_BACKENDS)
 def test_eco_without_feasible_incumbent_runs_nothing(backend, monkeypatch):
-    """Where the reference gives up (no feasible incumbent), or the
-    backend is heuristic, the engine returns at once: no cold solve."""
+    """Where the reference gives up (no feasible incumbent), the engine
+    returns at once: no cold solve."""
     calls = []
     monkeypatch.setattr(
         "repro.core.sparse_rap.solve_milp",
@@ -157,16 +157,10 @@ def test_eco_without_feasible_incumbent_runs_nothing(backend, monkeypatch):
     monkeypatch.setattr(
         "repro.core.sparse_rap.linprog", lambda *a, **k: calls.append("lp")
     )
-    monkeypatch.setattr(
-        "repro.solvers.lagrangian.solve_rap_lagrangian",
-        lambda *a, **k: calls.append("lagrangian"),
-    )
     f, w, cap, n_rows, warm, dirty = eco_instance(1)
     overflowing = np.full_like(warm, warm[0])  # one pair, Eq. (5) broken
     assert feasible_assignment(overflowing, w, cap, n_rows) is None
-    for incumbent in (
-        [overflowing], [warm] if backend == "lagrangian" else None
-    ):
+    for incumbent in ([overflowing], None):
         solution, stats = solve_rap_sparse(
             [f], [w], cap, [n_rows], backend=backend,
             warm_assignment=incumbent, dirty_clusters=dirty,

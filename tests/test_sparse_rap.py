@@ -35,12 +35,10 @@ from repro.core.sparse_rap import (
     solve_rap_sparse,
     validate_rap_inputs,
 )
-from repro.solvers.lagrangian import solve_rap_lagrangian
 from repro.solvers.milp import MilpStatus, solve_milp
 from repro.utils.errors import InfeasibleError, ValidationError
 
 EXACT_BACKENDS = ("highs", "bnb")
-ALL_BACKENDS = ("highs", "bnb", "lagrangian")
 
 
 @pytest.fixture(autouse=True)
@@ -143,18 +141,6 @@ class TestBitIdentity:
                 dense_assignment(dense.x, [n_c], n_p)[0], maps[0]
             ), backend
             assert dense.objective == sparse.objective
-        # The heuristic runs outside the candidate loop: a forced k
-        # leaves its answer unchanged.
-        free, free_maps, _ = solve_rap(
-            [f], [w], cap, [n_minr], backend="lagrangian"
-        )
-        forced, forced_maps, _ = solve_rap(
-            [f], [w], cap, [n_minr], backend="lagrangian", candidate_k=n_p
-        )
-        assert free.status is forced.status
-        if free_maps is not None:
-            assert np.array_equal(free_maps[0], forced_maps[0])
-            assert free.objective == forced.objective
 
     def test_forced_full_k_skips_cuts(self):
         # The strengthened model has extra a_ub rows; a forced k = N_P
@@ -254,25 +240,6 @@ class TestExactness:
         solution, stats = solve_rap_sparse([f], [w], cap, [1])
         assert solution.status is MilpStatus.INFEASIBLE
         assert stats.certified  # infeasibility proven at the dense LP
-
-    def test_lagrangian_matches_subgradient_on_arrays(self):
-        """The engine's heuristic rung is the subgradient loop on the
-        arrays, encoded in the dense layout with its cost as objective."""
-        f, w, cap, n_minr = random_instance(7)
-        result = solve_rap_lagrangian(f, w, cap, n_minr)
-        direct, stats = solve_rap_sparse(
-            [f], [w], cap, [n_minr], backend="lagrangian"
-        )
-        assert direct.status is MilpStatus.FEASIBLE
-        assert stats.strategy == "lagrangian" and not stats.certified
-        assert np.array_equal(
-            direct.x, dense_vector([result.assignment], cap.size)
-        )
-        assert direct.nodes == result.iterations
-        assert direct.objective == pytest.approx(result.objective, abs=1e-9)
-        model = dense_model(f, w, cap, n_minr)
-        assert model.is_feasible(direct.x)
-        assert direct.objective == model.objective(direct.x)
 
 
 class TestSmallInstanceShortcut:
@@ -428,16 +395,15 @@ class TestWarmStarts:
         base, _ = solve_rap_sparse([f], [w], cap, [n_minr])
         assert base.x is not None
         warm = np.argmax(base.x[: f.size].reshape(f.shape), axis=1)
-        for backend in ALL_BACKENDS:
+        for backend in EXACT_BACKENDS:
             solution, _ = solve_rap_sparse(
                 [f], [w], cap, [n_minr], backend=backend,
                 warm_assignment=[warm],
             )
             assert solution.ok
-            if backend != "lagrangian":
-                assert solution.objective == pytest.approx(
-                    base.objective, abs=1e-6
-                )
+            assert solution.objective == pytest.approx(
+                base.objective, abs=1e-6
+            )
 
     def test_invalid_warm_ignored(self):
         f, w, cap, n_minr = random_instance(22)

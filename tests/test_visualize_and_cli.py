@@ -114,21 +114,20 @@ class TestCli:
         assert code == 0
         record = json.loads((out_dir / "run_record.json").read_text())
         assert validate_run_record(record) == []
-        # The acceptance bar: all three MILP backends and k-means carry
+        # The acceptance bar: both MILP backends and k-means carry
         # non-empty convergence series from one report run.
-        for series in ("milp.highs", "milp.bnb", "milp.lagrangian",
-                       "clustering.kmeans"):
+        for series in ("milp.highs", "milp.bnb", "clustering.kmeans"):
             assert record["convergence"][series]["points"], series
-        # The record names the backends it cross-solved (the primary
+        # The record names the backend it cross-solved (the primary
         # HiGHS rung is the flow's own solve).
-        assert record["config"]["crosscheck"] == ["bnb", "lagrangian"]
+        assert record["config"]["crosscheck"] == ["bnb"]
         trace = json.loads((out_dir / "trace.json").read_text())
         assert any(e["ph"] == "X" for e in trace["traceEvents"])
         report_md = (out_dir / "report.md").read_text()
         assert "## Convergence" in report_md
         assert "# Run report" in out
 
-    def test_report_crosscheck_skips_lagrangian_at_k2(self, tmp_path):
+    def test_report_crosscheck_at_k2(self, tmp_path):
         import json
 
         out_dir = tmp_path / "report"
@@ -136,9 +135,10 @@ class TestCli:
                 "--out-dir", str(out_dir)]
         assert main(argv) == 0
         record = json.loads((out_dir / "run_record.json").read_text())
-        # The Lagrangian heuristic solves K = 1 only.
+        # The same cross-check as at K = 1: the other exact backend.
         assert record["config"]["crosscheck"] == ["bnb"]
-        assert record["convergence"]["milp.bnb"]["points"]
+        for series in ("milp.highs", "milp.bnb"):
+            assert record["convergence"][series]["points"], series
 
     @pytest.mark.parametrize("command", ["run", "eco", "report"])
     def test_two_minority_tracks(self, command, tmp_path, capsys):
