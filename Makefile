@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-e2e test-kernels test-goldens lint-no-design-pickle test-faults test-chaos bench bench-full bench-sweep bench-kernels bench-rap bench-nheight bench-events bench-eco bench-giga report examples clean
+.PHONY: install test test-e2e test-kernels test-goldens lint-no-design-pickle test-faults test-chaos bench bench-full bench-sweep bench-kernels bench-rap bench-rap-tail bench-nheight bench-events bench-eco bench-giga report examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -90,6 +90,17 @@ bench-kernels: report
 # and runs the same regression/floor/objective-match gate.
 bench-rap:
 	$(PYTHON) scripts/bench_kernels.py --only rap --merge BENCH_kernels.json \
+	  --out BENCH_kernels.json.new
+	$(PYTHON) scripts/check_bench.py BENCH_kernels.json.new BENCH_kernels.json \
+	  || (rm -f BENCH_kernels.json.new; exit 1)
+	mv BENCH_kernels.json.new BENCH_kernels.json
+
+# RAP runtime-tail rebench (the 30 seed-derived half-scale aes_300
+# twins, one engine solve each): refreshes the rap_tail entry — per-twin
+# seconds, columns kept, z_ub - z_lp and certified, plus median, p90 and
+# max — carrying the other kernels over.  No floor of its own.
+bench-rap-tail:
+	$(PYTHON) scripts/bench_kernels.py --only rap_tail --merge BENCH_kernels.json \
 	  --out BENCH_kernels.json.new
 	$(PYTHON) scripts/check_bench.py BENCH_kernels.json.new BENCH_kernels.json \
 	  || (rm -f BENCH_kernels.json.new; exit 1)

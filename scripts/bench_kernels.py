@@ -45,12 +45,20 @@ design.  The gate floors ``speedup_vs_full`` (the repair must cost at
 most ~5% of a full re-run) and asserts ``qor_match`` — the repaired
 placement is legal and within 2% HPWL of the cold result.
 
+The ``rap_tail`` group times the RAP engine across the seed-derived
+half-scale aes_300 twins ``aes_300~0`` .. ``aes_300~29``: one
+``solve_rap_sparse`` per twin, warm-started with the greedy map as
+``solve_rap_resilient`` starts it, recording per-twin seconds, the
+columns kept after reduced-cost fixing, the gap ``z_ub - z_lp`` and
+``certified``, plus the median, p90 and max.  It carries no floor; its
+``seconds`` is the median.
+
 ``--only`` restricts the run to named kernel groups (``legalizers``,
-``topology``, ``rap``, ``nheight``, ``flow``, ``events``, ``eco``,
-``giga``); combine with
+``topology``, ``rap``, ``rap_tail``, ``nheight``, ``flow``, ``events``,
+``eco``, ``giga``); combine with
 ``--merge`` to carry the untouched groups over from a committed JSON so
-the gate still sees every kernel (``make bench-rap`` and
-``make bench-nheight`` do exactly this).
+the gate still sees every kernel (``make bench-rap``,
+``make bench-rap-tail`` and ``make bench-nheight`` do exactly this).
 
 Usage:
     python scripts/bench_kernels.py [--out BENCH_kernels.json] [--repeats 3]
@@ -108,9 +116,13 @@ SEED = 7
 FLOW_TESTCASE = "aes_400"
 RAP_TESTCASE = "aes_400"  # full scale: the instance the paper's ILP sees
 NHEIGHT_TESTCASE = "aes3h_340"  # three-height twin, sweep scale
+# The RAP runtime tail: half-scale twins of one testcase.
+RAP_TAIL_TESTCASE = "aes_300"
+RAP_TAIL_SCALE = 0.5
+RAP_TAIL_TWINS = 30
 KERNEL_GROUPS = (
-    "legalizers", "topology", "rap", "nheight", "flow", "events", "eco",
-    "giga",
+    "legalizers", "topology", "rap", "rap_tail", "nheight", "flow",
+    "events", "eco", "giga",
 )
 
 # Streaming ECO: deterministic delta size and seed for the gated entry.
@@ -248,6 +260,61 @@ def bench_rap(library, repeats):
         "n_minority_rows": int(n_minr),
         "n_cells": int(n_cells),
         "testcase": RAP_TESTCASE,
+    }
+
+
+def bench_rap_tail():
+    """One engine solve per seed-derived twin, greedy-warm as the
+    resilient chain calls it; the spread across twins is the tail."""
+    import dataclasses
+
+    from repro.core.config import RunConfig
+    from repro.core.sparse_rap import greedy_rap, solve_rap_sparse
+    from repro.experiments.artifact_cache import load_or_prepare_initial
+
+    spec = testcase_by_id(RAP_TAIL_TESTCASE)
+    config = RunConfig(scale=RAP_TAIL_SCALE)
+    twins = []
+    for k in range(RAP_TAIL_TWINS):
+        twin = dataclasses.replace(
+            spec, id_override=f"{RAP_TAIL_TESTCASE}~{k}"
+        )
+        initial, _ = load_or_prepare_initial(twin, config)
+        f_by, w_by, cap, budgets = FlowRunner(initial).rap_instance()
+        warm = greedy_rap(f_by, w_by, cap, budgets)
+        t0 = time.perf_counter()
+        solution, stats = solve_rap_sparse(
+            f_by, w_by, cap, budgets, backend="highs", warm_assignment=warm
+        )
+        seconds = time.perf_counter() - t0
+        gap = None
+        if stats.upper_bound is not None and stats.lp_bound is not None:
+            gap = stats.upper_bound - stats.lp_bound
+        twins.append({
+            "twin": twin.testcase_id,
+            "seconds": seconds,
+            "columns": stats.n_candidates,
+            "gap": gap,
+            "certified": bool(stats.certified),
+            "objective": float(solution.objective),
+            "strategy": stats.strategy,
+        })
+        print(
+            f"  {twin.testcase_id:12s} {seconds:7.2f} s  "
+            f"{stats.n_candidates:6d} columns  certified={stats.certified}"
+        )
+    times = np.array([t["seconds"] for t in twins])
+    median = float(np.median(times))
+    return {
+        "seconds": median,
+        "median_seconds": median,
+        "p90_seconds": float(np.percentile(times, 90)),
+        "max_seconds": float(times.max()),
+        "max_over_median": float(times.max()) / median,
+        "all_certified": all(t["certified"] for t in twins),
+        "twins": twins,
+        "testcase": RAP_TAIL_TESTCASE,
+        "scale": RAP_TAIL_SCALE,
     }
 
 
@@ -658,6 +725,18 @@ def main() -> int:
             f"(dense {entry['dense_seconds'] * 1e3:8.2f} ms, "
             f"{entry['speedup']:4.2f}x, match={entry['objective_match']}, "
             f"{entry['n_clusters']}x{entry['n_pairs']})"
+        )
+
+    # The RAP runtime tail across seed-derived twins of one testcase.
+    if "rap_tail" in groups:
+        entry = bench_rap_tail()
+        kernels["rap_tail"] = entry
+        print(
+            f"{'rap_tail':24s} {entry['seconds'] * 1e3:8.2f} ms   "
+            f"(p90 {entry['p90_seconds']:.2f} s, max "
+            f"{entry['max_seconds']:.2f} s, "
+            f"{entry['max_over_median']:.1f}x median, "
+            f"certified={entry['all_certified']})"
         )
 
     # Joint N-height (N=3) RAP: sparse engine vs dense joint model.

@@ -532,9 +532,8 @@ def solve_rap_resilient(
                             maps, objective = annealed
                         else:
                             # A cheap incumbent when there is no prior:
-                            # it seeds bnb's search and the engine's
-                            # reduced-cost fixing (highs itself ignores
-                            # warm starts).
+                            # it seeds the engine's reduced-cost fixing
+                            # and the exact backend's search.
                             warm = prior or greedy_rap(
                                 f_by_class, width_by_class, usable,
                                 level_budgets,

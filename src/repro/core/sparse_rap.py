@@ -29,7 +29,7 @@ chooses only the universe and the start columns inside it
   incumbent, so only the surviving columns start.  At ``K = 1`` the
   incumbent is the cheaper of an LP-guided rounding and the warm
   assignment; at ``K >= 2`` it is the warm assignment or, without one,
-  :func:`greedy_rap`.
+  :func:`greedy_rap`.  The restricted solves start from that incumbent.
 * **top-k** — when the caller forces a per-cluster candidate count
   ``k`` (or the LP or the incumbent is unavailable), each cluster's
   ``k`` cheapest row pairs (:func:`repro.core.cost.cheapest_pairs_mask`),
@@ -939,9 +939,10 @@ def solve_rap_sparse(
     ``time_limit_s`` budgets the *entire* solve, not each sub-solve:
     the LP, the incumbent, every restricted MILP and every pricing round
     draw from one shared wall-clock budget, and an exhausted budget
-    returns the best incumbent uncertified — the warm assignment when
-    no restricted solve produced one — or ERROR when there is none,
-    instead of starting another round.
+    returns the best incumbent uncertified — the restricted solves'
+    start (the warm assignment, or on the rc-fixing route the incumbent
+    ``z_ub`` came from) when no restricted solve produced a cheaper one —
+    or ERROR when there is none, instead of starting another round.
 
     ``dirty_clusters`` (one class only) makes the universe the
     row-frozen ECO subproblem of a feasible ``warm_assignment``: clean
@@ -1113,8 +1114,9 @@ def solve_rap_sparse(
                     for mask, a in zip(masks, incumbent):
                         mask[np.arange(len(a)), a] = True
                     ks = [int(m.sum(axis=1).max()) for m in masks]
-                    if warm is None:
-                        warm = incumbent
+                    # The restricted solve starts from the incumbent
+                    # z_ub came from, never from a costlier warm map.
+                    warm = incumbent
                     cand_span.annotate(
                         strategy="rc-fixing",
                         n_candidates=int(sum(m.sum() for m in masks)),

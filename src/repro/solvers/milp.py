@@ -114,8 +114,8 @@ def solve_milp(
     :data:`MILP_BACKENDS`).
 
     ``warm_start`` (a feasible point) seeds the branch-and-bound
-    incumbent; the HiGHS backend accepts and ignores it (scipy's milp
-    takes no starting point).
+    incumbent of either backend: a MIP start for HiGHS, the first
+    incumbent for ``bnb``.
     """
     if backend == "highs":
         from repro.solvers.highs import solve_with_highs

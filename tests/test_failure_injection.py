@@ -461,7 +461,7 @@ class TestHighsHardening:
         def boom(*args, **kwargs):
             raise ValueError("scipy exploded")
 
-        monkeypatch.setattr(highs_mod, "milp", boom)
+        monkeypatch.setattr(highs_mod, "_Highs", boom)
         model = MilpModel(
             c=np.array([1.0]),
             integrality=np.ones(1),
@@ -470,6 +470,33 @@ class TestHighsHardening:
         )
         with pytest.raises(SolverError, match="HiGHS backend failed"):
             highs_mod.solve_with_highs(model)
+
+    @pytest.mark.parametrize(
+        "c, b_ub, reason",
+        [
+            ([np.nan, 1.0], 2.0, "objective must be finite"),
+            ([np.inf, 1.0], 2.0, "objective must be finite"),
+            ([1.0, 1.0], np.nan, "rejected the model"),
+        ],
+    )
+    def test_non_finite_model_raises(self, c, b_ub, reason):
+        """HiGHS takes a NaN or infinite cost and still answers OPTIMAL,
+        and a run after it rejects a model answers OPTIMAL too; both
+        raise instead."""
+        import scipy.sparse as sp
+
+        from repro.solvers.highs import solve_with_highs
+
+        model = MilpModel(
+            c=np.array(c),
+            integrality=np.ones(2),
+            lb=np.zeros(2),
+            ub=np.ones(2),
+            a_ub=sp.csr_matrix(np.ones((1, 2))),
+            b_ub=np.array([b_ub]),
+        )
+        with pytest.raises(SolverError, match=reason):
+            solve_with_highs(model)
 
 
 class TestFlow1Snapshot:

@@ -219,3 +219,100 @@ def test_forced_dense_on_a_large_instance_matches_reference():
     )
     assert new[1].strategy == "dense"
     assert_same(new, ref)
+
+
+# -- the HiGHS MIP start ------------------------------------------------------
+
+
+def start_instance(seed):
+    """K = 1 RAP of 620 dense variables (the rc-fixing route) whose
+    costs grow with the distance between a cluster and a pair."""
+    rng = np.random.default_rng(seed)
+    n_c, n_p = 30, 20
+    centre = rng.uniform(0.0, n_p, size=n_c)
+    f = 10.0 * np.abs(centre[:, None] - np.arange(n_p)) + rng.uniform(
+        0.0, 5.0, size=(n_c, n_p)
+    )
+    w = rng.uniform(1.0, 5.0, size=n_c)
+    return f, w, np.full(n_p, w.sum() / 2 * 1.3), 2
+
+
+def test_highs_start_survives_a_time_limit():
+    """An optimal start is HiGHS's first incumbent: a solve the time
+    limit stops before it can finish still returns a point, no costlier
+    than the start."""
+    rng = np.random.default_rng(0)
+    f = rng.uniform(0.0, 100.0, size=(20, 10))
+    w = rng.uniform(1.0, 5.0, size=20)
+    model = build_rap_model([f], [w], np.full(10, w.sum() / 4 * 1.05), [4])
+    optimum = solve_milp(model.model, backend="highs")
+    assert optimum.status is MilpStatus.OPTIMAL
+    stopped = solve_milp(
+        model.model, backend="highs", time_limit_s=1e-3,
+        warm_start=optimum.x,
+    )
+    assert stopped.status is MilpStatus.FEASIBLE
+    assert stopped.objective <= optimum.objective
+    assert model.model.is_feasible(stopped.x)
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_restricted_solve_starts_from_the_rc_fixing_incumbent(
+    seed, monkeypatch
+):
+    """Given a warm map costlier than the LP rounding, the engine hands
+    its restricted solve the incumbent ``z_ub`` came from."""
+    import repro.core.sparse_rap as engine
+
+    starts = []
+    real = engine.solve_milp
+
+    def spy(model, **kwargs):
+        if "warm_start" in kwargs:  # a restricted solve
+            starts.append((model, kwargs["warm_start"]))
+        return real(model, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_milp", spy)
+    f, w, cap, n_rows = start_instance(seed)
+    warm = greedy_rap([f], [w], cap, [n_rows])
+    solution, stats = solve_rap_sparse(
+        [f], [w], cap, [n_rows], warm_assignment=warm
+    )
+    assert stats.strategy == "rc-fixing" and stats.certified
+    assert engine._joint_cost([f], warm) > stats.upper_bound
+    model, start = starts[0]
+    assert start is not None
+    assert model.objective(start) == pytest.approx(
+        stats.upper_bound, rel=1e-12
+    )
+    assert solution.objective <= stats.upper_bound
+
+
+def test_highs_without_start_is_scipy_milp():
+    """With no start, the binding path is ``scipy.optimize.milp``: the
+    same point and the objective the parent computed from it, bit for
+    bit, on every golden RAP model."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    from repro.solvers.highs import solve_with_highs
+    from tests import _golden as golden
+
+    arrays = golden.load_arrays("models")
+    for seed in golden.MODEL_SEEDS:
+        for kind in ("dense", "restricted"):
+            model = golden.milp_model(arrays, f"s{seed}.{kind}")
+            want = milp(
+                c=model.c,
+                constraints=[
+                    LinearConstraint(model.a_ub, -np.inf, model.b_ub),
+                    LinearConstraint(model.a_eq, model.b_eq, model.b_eq),
+                ],
+                integrality=model.integrality,
+                bounds=Bounds(model.lb, model.ub),
+            )
+            got = solve_with_highs(model)
+            if want.x is None:
+                assert got.x is None and got.status is MilpStatus.INFEASIBLE
+                continue
+            assert np.array_equal(got.x, want.x), (seed, kind)
+            assert got.objective == float(model.c @ want.x), (seed, kind)
